@@ -13,17 +13,14 @@ from .lattice import Grid, UnitMap, from_momentum, make_grid, overlap, to_moment
 from .qstate import (BenchConfig, DensityMatrix, PureState, bench_pure_state,
                      build_bench_state, density_from_pure, mix,
                      phase_averaged_bench_state, pure_from_samples,
-                     random_density_matrix, random_pure_state,
-                     wedge_gradient_from_angle)
+                     random_density_matrix, wedge_gradient_from_angle)
 from .dirac import (DiracDistribution, conditional_x_given_p, dirac_distribution,
                     expectation_overlap, marginal_p, marginal_x, operator_dirac,
                     purity, reconstruct_density)
-from .weaksim import (EstimatorCalibration, JointState, MeasurementRecord,
-                      backaction_offset, backaction_offset_column,
-                      calibrate_estimator, correct_diagonals, couple,
-                      default_calibration, estimate_conditional_column,
-                      estimate_dirac_column, readout_intensities, sample_counts,
-                      scan, scan_with_records)
+from .weaksim import (EstimatorCalibration, MeasurementRecord, backaction_offset,
+                      calibrate_estimator, correct_diagonals, default_calibration,
+                      estimate_conditional_column, estimate_dirac_column,
+                      readout_intensities, sample_counts, scan, scan_with_records)
 from .bayesprop import (KIND_ANALYTIC, KIND_UNITARY, PropagatedDistribution,
                         PropagatorKernel, analytic_kernel_term, bayes_propagate,
                         build_kernel_analytic, build_kernel_unitary,

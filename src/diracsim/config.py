@@ -162,6 +162,8 @@ def build_run_config(values: dict | None = None) -> RunConfig:
     )
     bench.validate(grid)
 
+    if merged["pipeline.seed"] < 0:
+        raise ConfigError(f"pipeline.seed: must be nonnegative, got {merged['pipeline.seed']}")
     if merged["pipeline.scans"] < 1:
         raise ConfigError(f"pipeline.scans: must be at least 1, got {merged['pipeline.scans']}")
     if any(dz < 0 for dz in merged["propagation.dz"]):

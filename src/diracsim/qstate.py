@@ -104,8 +104,8 @@ class BenchConfig:
             raise ConfigError(f"edge_loss {self.edge_loss} not in [0, 1]")
         if not 0.0 < self.phi < 0.5 * np.pi:
             raise ConfigError(f"coupling angle phi {self.phi} not in (0, pi/2)")
-        if not self.photon_budget >= 0:
-            raise ConfigError(f"photon_budget {self.photon_budget} must be nonnegative")
+        if not 0 <= self.photon_budget < np.inf:
+            raise ConfigError(f"photon_budget {self.photon_budget} must be finite and nonnegative")
 
 
 def wedge_gradient_from_angle(angle: float, wavelength: float, glass_index: float = 1.5) -> float:
@@ -236,12 +236,6 @@ def phase_averaged_bench_state(cfg: BenchConfig, grid: Grid, samples: int = 64) 
     out = DensityMatrix(grid=grid, rho=rho)
     out.validate()
     return out
-
-
-def random_pure_state(grid: Grid, rng: np.random.Generator) -> PureState:
-    """Haar-ish random pure state (complex Gaussian amplitudes, normalized)."""
-    raw = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
-    return pure_from_samples(grid, raw)
 
 
 def random_density_matrix(grid: Grid, rng: np.random.Generator, rank: int | None = None) -> DensityMatrix:

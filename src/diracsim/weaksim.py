@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, ContractError, NoPhotonsError, NumericalIntegrityError
-from .lattice import Grid, make_grid
+from .lattice import make_grid
 from .qstate import BenchConfig, DensityMatrix, pure_from_samples, density_from_pure
 from .dirac import DiracDistribution, dirac_distribution
 
@@ -40,31 +40,6 @@ POLARIZATIONS = {
     "R": np.array([_SQ, -1j * _SQ]),
 }
 READOUT_KEYS = ("D", "A", "L", "R")
-
-
-@dataclass(frozen=True, eq=False)
-class JointState:
-    """System x polarization state, a 2n x 2n matrix with index pol*n + m."""
-
-    grid: Grid
-    rho_joint: np.ndarray
-    sliver: tuple[int, int]
-    phi: float
-
-    def block(self, a: int, b: int) -> np.ndarray:
-        n = self.grid.n
-        return self.rho_joint[a * n:(a + 1) * n, b * n:(b + 1) * n]
-
-    def validate(self, tol: float = 1e-9) -> None:
-        rj = self.rho_joint
-        if rj.shape != (2 * self.grid.n, 2 * self.grid.n):
-            raise ContractError("joint state shape does not match grid")
-        if np.max(np.abs(rj - rj.conj().T)) > tol:
-            raise ContractError("joint state not Hermitian")
-        if abs(rj.trace() - 1.0) > tol:
-            raise ContractError("joint state trace deviates from 1")
-        if np.linalg.eigvalsh(0.5 * (rj + rj.conj().T)).min() < -tol:
-            raise ContractError("joint state not positive semidefinite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,52 +83,34 @@ class EstimatorCalibration:
     sign_circ: int
 
 
-def _sliver_range(grid: Grid, sliver) -> tuple[int, int]:
-    if isinstance(sliver, (int, np.integer)):
-        sliver = (int(sliver), int(sliver) + 1)
-    lo, hi = int(sliver[0]), int(sliver[1])
-    if not (0 <= lo < hi <= grid.n):
-        raise ConfigError(f"sliver range ({lo}, {hi}) is empty or outside the grid")
-    return lo, hi
+def readout_intensities(rho: DensityMatrix, phi: float, photon_budget: float,
+                        basis: np.ndarray | None = None) -> list[MeasurementRecord]:
+    """Analytic (noise-free) expected counts of the four analyzers, one
+    record per single-site sliver position.
 
-
-def couple(rho: DensityMatrix, sliver, phi: float) -> JointState:
-    """Exact polarization coupling U (rho x |H><H|) U^dag at the sliver.
-
-    U rotates the polarization by phi on sliver sites and is the identity
-    elsewhere, so the joint state splits into the four blocks
-    K_a rho K_b with K_H = 1 - (1 - cos phi) P and K_V = sin(phi) P.
-    phi = pi/2 is the strong-measurement limit.
+    The coupling at sliver m leaves the joint state in the four blocks
+    K_a rho K_b with K_H = 1 - (1 - cos phi) e_m e_m^T and
+    K_V = sin(phi) e_m e_m^T, so every readout diagonal <b_k|K_a rho K_b|b_k>
+    follows from W = conj(B) * (rho B), its column sums <b_k|rho|b_k> and
+    R = rho_mm |B_mk|^2: one matrix product for all (m, k).  phi = pi/2 is
+    the strong-measurement limit.  ``basis`` columns are the
+    strong-measurement projection states in the position basis; the default
+    is the momentum basis (camera in the Fourier-transform plane).
     """
     if not 0.0 <= phi <= 0.5 * np.pi:
         raise ConfigError(f"coupling angle phi {phi} not in [0, pi/2]")
-    lo, hi = _sliver_range(rho.grid, sliver)
-    n = rho.grid.n
-    k_h = np.ones(n)
-    k_h[lo:hi] = np.cos(phi)
-    k_v = np.zeros(n)
-    k_v[lo:hi] = np.sin(phi)
-    blocks = [[np.multiply.outer(a, b) * rho.rho for b in (k_h, k_v)] for a in (k_h, k_v)]
-    rho_joint = np.block(blocks)
-    rho_joint.setflags(write=False)
-    return JointState(grid=rho.grid, rho_joint=rho_joint, sliver=(lo, hi), phi=float(phi))
-
-
-def readout_intensities(js: JointState, photon_budget: float,
-                        basis: np.ndarray | None = None) -> MeasurementRecord:
-    """Analytic (noise-free) expected counts for the four analyzers.
-
-    ``basis`` columns are the strong-measurement projection states in the
-    position basis; the default is the momentum basis (camera in the
-    Fourier-transform plane).
-    """
     if photon_budget < 0:
         raise ConfigError("photon budget must be nonnegative")
-    basis = js.grid.overlap_matrix if basis is None else basis
-    diags = {}
-    for a in (0, 1):
-        for b in (0, 1):
-            diags[(a, b)] = np.einsum("mk,mk->k", basis.conj(), js.block(a, b) @ basis)
+    basis = rho.grid.overlap_matrix if basis is None else basis
+    w = basis.conj() * (rho.rho @ basis)
+    r = rho.rho.diagonal().real[:, None] * np.abs(basis) ** 2
+    lose, s = 1.0 - np.cos(phi), np.sin(phi)
+    diags = {
+        (0, 0): w.sum(axis=0) - lose * (w + w.conj()) + lose ** 2 * r,
+        (0, 1): s * (w.conj() - lose * r),
+        (1, 0): s * (w - lose * r),
+        (1, 1): s ** 2 * r,
+    }
     counts = {}
     for key in READOUT_KEYS:
         j = POLARIZATIONS[key]
@@ -163,8 +120,12 @@ def readout_intensities(js: JointState, photon_budget: float,
         if np.max(np.abs(intensity.imag)) > 1e-12:
             raise NumericalIntegrityError(f"analyzer {key} intensity has imaginary residual")
         counts[key] = np.clip(intensity.real, 0.0, None) * photon_budget
-    return MeasurementRecord(sliver=js.sliver, phi=js.phi, counts=counts,
-                             photon_budget=photon_budget, seed=None)
+    return [
+        MeasurementRecord(sliver=(m, m + 1), phi=float(phi),
+                          counts={key: counts[key][m] for key in READOUT_KEYS},
+                          photon_budget=photon_budget, seed=None)
+        for m in range(rho.grid.n)
+    ]
 
 
 def derived_seed(master: int, index: int) -> int:
@@ -212,16 +173,6 @@ def estimate_conditional_column(record: MeasurementRecord,
     return (cal.c_re * re_part - 1j * cal.sign_circ * cal.c_im * im_part) / np.sin(record.phi)
 
 
-def backaction_offset_column(rho: DensityMatrix, sliver, phi: float,
-                             basis: np.ndarray | None = None) -> np.ndarray:
-    """Exact finite-phi correction for one sliver: (1 - cos phi) <b_k|P rho P|b_k>."""
-    lo, hi = _sliver_range(rho.grid, sliver)
-    basis = rho.grid.overlap_matrix if basis is None else basis
-    sub = basis[lo:hi, :]
-    q = np.einsum("mk,mn,nk->k", sub.conj(), rho.rho[lo:hi, lo:hi], sub).real
-    return (1.0 - np.cos(phi)) * q
-
-
 def backaction_offset(rho: DensityMatrix, phi: float,
                       basis: np.ndarray | None = None) -> np.ndarray:
     """Correction field for a per-site scan; row m is the offset of sliver {m}.
@@ -252,13 +203,10 @@ def scan_with_records(rho: DensityMatrix, cfg: BenchConfig, *,
     cal = default_calibration() if cal is None else cal
     n = rho.grid.n
     est = np.empty((n, n), dtype=complex)
-    records = []
-    for m in range(n):
-        joint = couple(rho, (m, m + 1), cfg.phi)
-        record = readout_intensities(joint, cfg.photon_budget, basis=basis)
-        if noise:
-            record = sample_counts(record, derived_seed(seed, m))
-        records.append(record)
+    records = readout_intensities(rho, cfg.phi, cfg.photon_budget, basis=basis)
+    if noise:
+        records = [sample_counts(rec, derived_seed(seed, m)) for m, rec in enumerate(records)]
+    for m, record in enumerate(records):
         try:
             est[m, :] = estimate_dirac_column(record, cal)
         except NoPhotonsError as exc:
@@ -297,15 +245,15 @@ def calibrate_estimator(n: int = 16, phi: float = 0.3) -> EstimatorCalibration:
     amp = np.exp(-x ** 2 / 3.0) * np.exp(1j * (0.8 * x ** 2 + 0.6 * x))
     rho = density_from_pure(pure_from_samples(grid, amp))
     truth = dirac_distribution(rho).d
+    records = readout_intensities(rho, phi, 1.0)
+    offset = backaction_offset(rho, phi)
     raw_re, raw_im, tgt = [], [], []
     for m in (n // 4, n // 2, (3 * n) // 4):
-        joint = couple(rho, (m, m + 1), phi)
-        record = readout_intensities(joint, 1.0)
-        d, a, l, r = (record.counts[k] for k in READOUT_KEYS)
+        d, a, l, r = (records[m].counts[k] for k in READOUT_KEYS)
         scale = float((d + a).sum()) * np.sin(phi)
         raw_re.append((d - a) / scale)
         raw_im.append((l - r) / scale)
-        tgt.append(truth[m, :] - backaction_offset_column(rho, (m, m + 1), phi))
+        tgt.append(truth[m, :] - offset[m])
     raw_re = np.concatenate(raw_re)
     raw_im = np.concatenate(raw_im)
     tgt = np.concatenate(tgt)

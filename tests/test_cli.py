@@ -106,6 +106,25 @@ def test_measure_zero_budget_exits_3(tmp_path, capsys):
     assert "photon" in capsys.readouterr().err.lower()
 
 
+def test_negative_seed_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    out = str(tmp_path / "out")
+    assert _run("gen-state", "--config", cfg, "--out", out) == 0
+    assert _run("measure", "--config", cfg, "--out", out, "--seed", "-1") == 2
+    assert "pipeline.seed" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "dirac_measured.txt"))
+
+
+@pytest.mark.parametrize("flags", [(), ("--no-noise",)])
+def test_infinite_budget_exits_2(tmp_path, capsys, flags):
+    out = str(tmp_path / "out")
+    assert _run("gen-state", "--config", _write_config(tmp_path), "--out", out) == 0
+    cfg = _write_config(tmp_path, "bench.photon_budget = inf\n")
+    assert _run("measure", "--config", cfg, "--out", out, *flags) == 2
+    assert "photon_budget" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "dirac_measured.txt"))
+
+
 def test_reconstruct_round_trip(tmp_path):
     cfg = _write_config(tmp_path)
     out = str(tmp_path / "out")

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from diracsim import (BenchConfig, ConfigError, NoPhotonsError, backaction_offset,
-                      backaction_offset_column, calibrate_estimator, correct_diagonals,
-                      couple, default_calibration, density_from_pure, dirac_distribution,
+                      calibrate_estimator, correct_diagonals,
+                      default_calibration, density_from_pure, dirac_distribution,
                       estimate_conditional_column, estimate_dirac_column, make_grid,
                       marginal_p, mix, pure_from_samples, random_density_matrix,
                       readout_intensities, reconstruct_density, sample_counts, scan,
                       scan_with_records)
 from diracsim.weaksim import POLARIZATIONS, READOUT_KEYS, derived_seed
 from dataclasses import replace
+
+from conftest import random_unitary
 
 PHI_BENCH = np.deg2rad(12.92)
 
@@ -40,59 +43,72 @@ def _explicit_coupling_unitary(n, sliver, phi):
     return u
 
 
-def test_couple_identity_at_zero_angle():
-    rng = np.random.default_rng(1)
-    grid = make_grid(8, 0.5)
-    rho = random_density_matrix(grid, rng)
-    js = couple(rho, 3, 0.0)
-    expected = np.zeros((16, 16), dtype=complex)
-    expected[:8, :8] = rho.rho
-    assert np.max(np.abs(js.rho_joint - expected)) < 1e-15
+def _oracle_intensities(rho, m, phi, basis):
+    """Brute force: project U (rho x |H><H|) U^dag onto analyzer x b_k."""
+    n = rho.shape[0]
+    u = _explicit_coupling_unitary(n, (m, m + 1), phi)
+    init = np.zeros((2 * n, 2 * n), dtype=complex)
+    init[:n, :n] = rho
+    joint = u @ init @ u.conj().T
+    out = {}
+    for key in READOUT_KEYS:
+        vecs = np.kron(POLARIZATIONS[key][:, None], basis)
+        out[key] = np.einsum("ik,ij,jk->k", vecs.conj(), joint, vecs).real
+    return out
 
 
-def test_couple_strong_limit_flips_polarization():
-    grid = make_grid(8, 0.5)
-    raw = np.zeros(8)
-    raw[3] = 1.0
-    rho = density_from_pure(pure_from_samples(grid, raw))
-    js = couple(rho, 3, np.pi / 2)
-    # all population sits in the V block
-    assert js.block(1, 1)[3, 3] == pytest.approx(1.0, abs=1e-14)
-    assert np.max(np.abs(js.block(0, 0))) < 1e-14
+_ANGLES = st.one_of(st.sampled_from([0.0, np.pi / 2]), st.floats(0.0, np.pi / 2))
 
 
-def test_couple_matches_explicit_unitary():
-    rng = np.random.default_rng(2)
-    grid = make_grid(8, 0.5)
-    rho = random_density_matrix(grid, rng)
-    for sliver in ((2, 3), (2, 5)):
-        js = couple(rho, sliver, PHI_BENCH)
-        u = _explicit_coupling_unitary(8, sliver, PHI_BENCH)
-        init = np.zeros((16, 16), dtype=complex)
-        init[:8, :8] = rho.rho
-        expected = u @ init @ u.conj().T
-        assert np.max(np.abs(js.rho_joint - expected)) < 1e-13
-        assert abs(js.rho_joint.trace() - 1.0) < 1e-12
-        js.validate()
-
-
-def test_couple_rejects_bad_inputs():
-    rng = np.random.default_rng(3)
-    grid = make_grid(8, 0.5)
-    rho = random_density_matrix(grid, rng)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(2, 17), rank_frac=st.floats(0.0, 1.0), phi=_ANGLES,
+       random_basis=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=8, rank_frac=1.0, phi=0.0, random_basis=False, seed=1)
+@example(n=8, rank_frac=0.0, phi=np.pi / 2, random_basis=False, seed=2)
+@example(n=9, rank_frac=0.5, phi=np.pi / 2, random_basis=True, seed=3)
+def test_readout_closed_form_matches_coupling_oracle(n, rank_frac, phi, random_basis, seed):
+    """Every sliver's closed-form counts equal the projected 2n x 2n joint state,
+    including the zero-angle and strong-limit ends, and bad inputs are rejected."""
+    rng = np.random.default_rng(seed)
+    grid = make_grid(n, 0.5)
+    rank = 1 + int(rank_frac * (n - 1))
+    rho = random_density_matrix(grid, rng, rank=rank)
+    basis = random_unitary(n, rng) if random_basis else grid.overlap_matrix
+    budget = 1e3
+    records = readout_intensities(rho, phi, budget, basis=basis if random_basis else None)
+    assert len(records) == n
+    q = np.einsum("mk,mn,nk->k", basis.conj(), rho.rho, basis).real
+    for m, rec in enumerate(records):
+        assert rec.sliver == (m, m + 1) and rec.phi == phi and rec.analytic
+        oracle = _oracle_intensities(rho.rho, m, phi, basis)
+        for key in READOUT_KEYS:
+            assert np.max(np.abs(rec.counts[key] / budget - oracle[key])) < 1e-12
+        if phi == 0.0:
+            # no coupling: the H input splits evenly over every analyzer
+            for key in READOUT_KEYS:
+                assert np.max(np.abs(rec.counts[key] / budget - q / 2)) < 1e-12
+        if phi == np.pi / 2:
+            # strong limit: the sliver is flipped to V and no longer interferes
+            # with the rest of the beam in the linear-pair total
+            proj = np.zeros((n, n))
+            proj[m, m] = 1.0
+            rest = np.eye(n) - proj
+            split = rest @ rho.rho @ rest + proj @ rho.rho @ proj
+            incoherent = np.einsum("mk,mn,nk->k", basis.conj(), split, basis).real
+            total = (rec.counts["D"] + rec.counts["A"]) / budget
+            assert np.max(np.abs(total - incoherent)) < 1e-12
+    for bad_phi in (-1e-9, np.pi / 2 + 1e-9, 2.0):
+        with pytest.raises(ConfigError):
+            readout_intensities(rho, bad_phi, budget)
     with pytest.raises(ConfigError):
-        couple(rho, (3, 3), PHI_BENCH)
-    with pytest.raises(ConfigError):
-        couple(rho, (5, 12), PHI_BENCH)
-    with pytest.raises(ConfigError):
-        couple(rho, 3, 2.0)
+        readout_intensities(rho, phi, -1.0)
 
 
 def test_readout_balanced_without_coupling():
     rng = np.random.default_rng(4)
     grid = make_grid(8, 0.5)
     rho = random_density_matrix(grid, rng)
-    rec = readout_intensities(couple(rho, 2, 0.0), 1e6)
+    rec = readout_intensities(rho, 0.0, 1e6)[2]
     assert np.max(np.abs(rec.counts["D"] - rec.counts["A"])) < 1e-9
     assert np.max(np.abs(rec.counts["L"] - rec.counts["R"])) < 1e-9
 
@@ -102,7 +118,7 @@ def test_readout_pair_sums_equal_budget():
     grid = make_grid(16, 0.5)
     rho = random_density_matrix(grid, rng)
     budget = 3.7e8
-    rec = readout_intensities(couple(rho, 7, PHI_BENCH), budget)
+    rec = readout_intensities(rho, PHI_BENCH, budget)[7]
     assert abs((rec.counts["D"] + rec.counts["A"]).sum() - budget) < 1e-9 * budget
     assert abs((rec.counts["L"] + rec.counts["R"]).sum() - budget) < 1e-9 * budget
     rec.validate()
@@ -116,7 +132,7 @@ def test_readout_two_level_closed_form():
     raw[5] = 1.0
     rho = density_from_pure(pure_from_samples(grid, raw))
     budget = 1e4
-    rec = readout_intensities(couple(rho, 5, PHI_BENCH), budget)
+    rec = readout_intensities(rho, PHI_BENCH, budget)[5]
     pol = np.array([np.cos(PHI_BENCH), np.sin(PHI_BENCH)])
     for key in READOUT_KEYS:
         weight = abs(np.vdot(POLARIZATIONS[key], pol)) ** 2
@@ -128,7 +144,7 @@ def test_sample_counts_deterministic_and_zero_preserving():
     raw = np.zeros(8)
     raw[2] = 1.0
     rho = density_from_pure(pure_from_samples(grid, raw))
-    rec = readout_intensities(couple(rho, 4, PHI_BENCH), 1e5)
+    rec = readout_intensities(rho, PHI_BENCH, 1e5)[4]
     a = sample_counts(rec, 99)
     b = sample_counts(rec, 99)
     c = sample_counts(rec, 100)
@@ -142,7 +158,7 @@ def test_sample_counts_concentrates_at_large_budget():
     rng = np.random.default_rng(6)
     grid = make_grid(16, 0.5)
     rho = _chirped_state(grid)
-    rec = readout_intensities(couple(rho, 8, PHI_BENCH), 1e12)
+    rec = readout_intensities(rho, PHI_BENCH, 1e12)[8]
     noisy = sample_counts(rec, 7)
     for key in READOUT_KEYS:
         mean = rec.counts[key]
@@ -165,7 +181,7 @@ def test_estimator_weak_limit_matches_oracle():
     truth = dirac_distribution(rho).d
     phi = np.deg2rad(0.1)
     for m in (4, 8, 12):
-        rec = readout_intensities(couple(rho, m, phi), 1.0)
+        rec = readout_intensities(rho, phi, 1.0)[m]
         est = estimate_dirac_column(rec)
         assert np.max(np.abs(est - truth[m, :])) < 1e-6
 
@@ -175,9 +191,9 @@ def test_estimator_finite_angle_offset_identity():
     rho = _chirped_state(grid)
     truth = dirac_distribution(rho).d
     for m in (3, 8, 13):
-        rec = readout_intensities(couple(rho, m, PHI_BENCH), 1.0)
+        rec = readout_intensities(rho, PHI_BENCH, 1.0)[m]
         est = estimate_dirac_column(rec)
-        offset = backaction_offset_column(rho, m, PHI_BENCH)
+        offset = backaction_offset(rho, PHI_BENCH)[m]
         assert np.max(np.abs(est + offset - truth[m, :])) < 1e-10
         # offset row shape: Prob(x) (1 - cos phi)/n in every momentum bin
         expected = rho.rho[m, m].real * (1 - np.cos(PHI_BENCH)) / grid.n
@@ -188,7 +204,7 @@ def test_estimator_zero_without_coupling():
     rng = np.random.default_rng(8)
     grid = make_grid(8, 0.5)
     rho = random_density_matrix(grid, rng)
-    rec = readout_intensities(couple(rho, 2, 0.0), 1.0)
+    rec = readout_intensities(rho, 0.0, 1.0)[2]
     rec = replace(rec, phi=PHI_BENCH)  # H input, no coupling, nominal angle
     assert np.max(np.abs(estimate_dirac_column(rec))) < 1e-12
 
@@ -198,7 +214,7 @@ def test_estimator_requires_photons():
     raw = np.zeros(8)
     raw[2] = 1.0
     rho = density_from_pure(pure_from_samples(grid, raw))
-    rec = readout_intensities(couple(rho, 2, PHI_BENCH), 0.0)
+    rec = readout_intensities(rho, PHI_BENCH, 0.0)[2]
     with pytest.raises(NoPhotonsError):
         estimate_dirac_column(rec)
 
@@ -210,7 +226,7 @@ def test_conditional_estimator_weak_limit():
     probs = marginal_p(d)
     phi = np.deg2rad(0.05)
     m = 8
-    rec = readout_intensities(couple(rho, m, phi), 1.0)
+    rec = readout_intensities(rho, phi, 1.0)[m]
     est = estimate_conditional_column(rec)
     expected = d.d[m, :] / probs
     # conditioning amplifies the finite-angle error by 1/P(p); compare where
@@ -227,24 +243,14 @@ def test_backaction_offset_values():
     scale = 1.0 - np.cos(PHI_BENCH)
     assert scale == pytest.approx(0.02532, abs=5e-6)
     matrix = backaction_offset(rho, PHI_BENCH)
-    for m in range(8):
-        col = backaction_offset_column(rho, m, PHI_BENCH)
-        assert np.max(np.abs(matrix[m] - col)) < 1e-15
-
-
-def test_backaction_offset_multisite_against_projector_oracle():
-    rng = np.random.default_rng(10)
-    grid = make_grid(8, 0.5)
-    rho = random_density_matrix(grid, rng)
-    sliver = (2, 5)
-    proj = np.zeros((8, 8))
-    for m in range(*sliver):
-        proj[m, m] = 1.0
     u = grid.overlap_matrix
-    prp = proj @ rho.rho @ proj
-    expected = (1 - np.cos(0.4)) * np.einsum("mk,mn,nk->k", u.conj(), prp, u).real
-    got = backaction_offset_column(rho, sliver, 0.4)
-    assert np.max(np.abs(got - expected)) < 1e-13
+    for m in range(8):
+        # projector oracle for the single-site sliver {m}
+        proj = np.zeros((8, 8))
+        proj[m, m] = 1.0
+        prp = proj @ rho.rho @ proj
+        expected = scale * np.einsum("mk,mn,nk->k", u.conj(), prp, u).real
+        assert np.max(np.abs(matrix[m] - expected)) < 1e-15
 
 
 def test_scan_corrected_matches_exact_distribution():
@@ -278,7 +284,7 @@ def test_real_column_gives_balanced_circular_counts():
     m0 = grid.n // 2
     truth_row = dirac_distribution(rho).d[m0, :]
     assert np.max(np.abs(truth_row.imag)) < 1e-14
-    rec = readout_intensities(couple(rho, m0, PHI_BENCH), 1.0)
+    rec = readout_intensities(rho, PHI_BENCH, 1.0)[m0]
     assert np.max(np.abs(rec.counts["L"] - rec.counts["R"])) < 1e-12
 
 
