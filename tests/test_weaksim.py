@@ -57,6 +57,57 @@ def _oracle_intensities(rho, m, phi, basis):
     return out
 
 
+def _momentum_probs(rho, basis):
+    return np.einsum("mk,mn,nk->k", basis.conj(), rho, basis).real
+
+
+def test_couple_identity_at_zero_angle():
+    # no coupling: every sliver's H input splits evenly over every analyzer
+    rng = np.random.default_rng(1)
+    grid = make_grid(8, 0.5)
+    rho = random_density_matrix(grid, rng)
+    budget = 1e3
+    for basis in (None, random_unitary(8, rng)):
+        b = grid.overlap_matrix if basis is None else basis
+        q = _momentum_probs(rho.rho, b)
+        records = readout_intensities(rho, 0.0, budget, basis=basis)
+        assert len(records) == 8
+        for m, rec in enumerate(records):
+            assert rec.sliver == (m, m + 1) and rec.phi == 0.0
+            for key in READOUT_KEYS:
+                assert np.max(np.abs(rec.counts[key] / budget - q / 2)) < 1e-14
+
+
+def test_couple_strong_limit_flips_polarization():
+    grid = make_grid(8, 0.5)
+    budget = 1e3
+    # position eigenstate in the sliver: the whole beam is flipped to V, so
+    # every analyzer sees half of the flat momentum distribution
+    raw = np.zeros(8)
+    raw[3] = 1.0
+    rec = readout_intensities(density_from_pure(pure_from_samples(grid, raw)),
+                              np.pi / 2, budget)[3]
+    for key in READOUT_KEYS:
+        assert np.allclose(rec.counts[key], budget / 16, atol=1e-14 * budget)
+    # general state: the flipped sliver no longer interferes with the H rest
+    # of the beam in the linear-pair total
+    rho = _chirped_state(grid)
+    u = grid.overlap_matrix
+    coherent = _momentum_probs(rho.rho, u)
+    for m in (2, 3, 5):
+        rec = readout_intensities(rho, np.pi / 2, budget)[m]
+        proj = np.zeros((8, 8))
+        proj[m, m] = 1.0
+        rest = np.eye(8) - proj
+        incoherent = _momentum_probs(rest @ rho.rho @ rest + proj @ rho.rho @ proj, u)
+        assert np.max(np.abs(coherent - incoherent)) > 1e-3
+        total = (rec.counts["D"] + rec.counts["A"]) / budget
+        assert np.max(np.abs(total - incoherent)) < 1e-12
+        oracle = _oracle_intensities(rho.rho, m, np.pi / 2, u)
+        for key in READOUT_KEYS:
+            assert np.max(np.abs(rec.counts[key] / budget - oracle[key])) < 1e-12
+
+
 _ANGLES = st.one_of(st.sampled_from([0.0, np.pi / 2]), st.floats(0.0, np.pi / 2))
 
 
@@ -66,9 +117,9 @@ _ANGLES = st.one_of(st.sampled_from([0.0, np.pi / 2]), st.floats(0.0, np.pi / 2)
 @example(n=8, rank_frac=1.0, phi=0.0, random_basis=False, seed=1)
 @example(n=8, rank_frac=0.0, phi=np.pi / 2, random_basis=False, seed=2)
 @example(n=9, rank_frac=0.5, phi=np.pi / 2, random_basis=True, seed=3)
-def test_readout_closed_form_matches_coupling_oracle(n, rank_frac, phi, random_basis, seed):
-    """Every sliver's closed-form counts equal the projected 2n x 2n joint state,
-    including the zero-angle and strong-limit ends, and bad inputs are rejected."""
+def test_couple_matches_explicit_unitary(n, rank_frac, phi, random_basis, seed):
+    """Every sliver's closed-form counts equal the 2n x 2n joint state after
+    the explicit coupling unitary, projected onto analyzer x b_k."""
     rng = np.random.default_rng(seed)
     grid = make_grid(n, 0.5)
     rank = 1 + int(rank_frac * (n - 1))
@@ -77,31 +128,23 @@ def test_readout_closed_form_matches_coupling_oracle(n, rank_frac, phi, random_b
     budget = 1e3
     records = readout_intensities(rho, phi, budget, basis=basis if random_basis else None)
     assert len(records) == n
-    q = np.einsum("mk,mn,nk->k", basis.conj(), rho.rho, basis).real
     for m, rec in enumerate(records):
         assert rec.sliver == (m, m + 1) and rec.phi == phi and rec.analytic
         oracle = _oracle_intensities(rho.rho, m, phi, basis)
         for key in READOUT_KEYS:
             assert np.max(np.abs(rec.counts[key] / budget - oracle[key])) < 1e-12
-        if phi == 0.0:
-            # no coupling: the H input splits evenly over every analyzer
-            for key in READOUT_KEYS:
-                assert np.max(np.abs(rec.counts[key] / budget - q / 2)) < 1e-12
-        if phi == np.pi / 2:
-            # strong limit: the sliver is flipped to V and no longer interferes
-            # with the rest of the beam in the linear-pair total
-            proj = np.zeros((n, n))
-            proj[m, m] = 1.0
-            rest = np.eye(n) - proj
-            split = rest @ rho.rho @ rest + proj @ rho.rho @ proj
-            incoherent = np.einsum("mk,mn,nk->k", basis.conj(), split, basis).real
-            total = (rec.counts["D"] + rec.counts["A"]) / budget
-            assert np.max(np.abs(total - incoherent)) < 1e-12
+        rec.validate()
+
+
+def test_couple_rejects_bad_inputs():
+    rng = np.random.default_rng(3)
+    grid = make_grid(8, 0.5)
+    rho = random_density_matrix(grid, rng)
     for bad_phi in (-1e-9, np.pi / 2 + 1e-9, 2.0):
         with pytest.raises(ConfigError):
-            readout_intensities(rho, bad_phi, budget)
+            readout_intensities(rho, bad_phi, 1e3)
     with pytest.raises(ConfigError):
-        readout_intensities(rho, phi, -1.0)
+        readout_intensities(rho, PHI_BENCH, -1.0)
 
 
 def test_readout_balanced_without_coupling():
