@@ -2,8 +2,8 @@
 
 Subcommands: gen-state, measure, exact, reconstruct, propagate, props,
 figures.  Exit codes: 0 success, 2 configuration error, 3 runtime or data
-error.  Output files are written atomically, so failures leave no partial
-files behind.
+error.  Each output file is written atomically, so no file is left half
+written; a multi-file command that fails keeps the files it already wrote.
 """
 
 from __future__ import annotations
@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
 from . import bayesprop, dirac, fileio, qstate, weaksim
-from .config import RunConfig, load_run_config
-from .errors import ConfigError, DiracsimError
+from .config import RunConfig, load_run_config, propagated_name
+from .errors import ConfigError, DiracsimError, FormatError
 from .qstate import DensityMatrix
 from .dirac import DiracDistribution
 
@@ -76,15 +77,27 @@ def _dirac_path(cfg: RunConfig, args) -> str:
     return getattr(args, "dirac", None) or os.path.join(cfg.out_dir, "dirac_exact.txt")
 
 
-def _read_state(path: str) -> DensityMatrix:
+def _read_on_grid(path: str, kind: str | None = None):
+    """A matrix file with its header and grid; it must be n x n for the
+    header's n and, if ``kind`` is given, carry ``# kind=<kind>``."""
     arr, meta = fileio.read_matrix(path)
+    if kind is not None and meta.get("kind") != kind:
+        raise FormatError(f"{path}: expected kind={kind}, got kind={meta.get('kind', '(none)')}")
     grid = fileio.grid_from_meta(meta, path)
+    if arr.shape != (grid.n, grid.n):
+        raise FormatError(
+            f"{path}: {arr.shape[0]}x{arr.shape[1]} matrix does not match header n={grid.n}"
+        )
+    return arr, meta, grid
+
+
+def _read_state(path: str) -> DensityMatrix:
+    arr, _, grid = _read_on_grid(path, "density")
     return DensityMatrix(grid=grid, rho=arr)
 
 
 def _read_dirac(path: str) -> DiracDistribution:
-    arr, meta = fileio.read_matrix(path)
-    grid = fileio.grid_from_meta(meta, path)
+    arr, _, grid = _read_on_grid(path, "dirac")
     return DiracDistribution(grid=grid, d=arr)
 
 
@@ -172,7 +185,7 @@ def cmd_propagate(cfg: RunConfig, args) -> int:
                 grid, bayesprop.fresnel_unitary(grid, dz), dz
             )
         prop = bayesprop.bayes_propagate(dist, kernel)
-        path = os.path.join(cfg.out_dir, f"propagated_dz{dz:g}.txt")
+        path = os.path.join(cfg.out_dir, propagated_name(dz))
         fileio.write_matrix(path, prop.e, {
             "kind": "propagated", **fileio.grid_meta(grid),
             "dz": dz, "kernel": kernel.kind,
@@ -220,8 +233,7 @@ def _figure_axes(meta, grid):
 
 def cmd_figures(cfg: RunConfig, args) -> int:
     in_path = getattr(args, "input", None) or os.path.join(cfg.out_dir, "dirac_exact.txt")
-    arr, meta = fileio.read_matrix(in_path)
-    grid = fileio.grid_from_meta(meta, in_path)
+    arr, meta, grid = _read_on_grid(in_path)
     rows, cols, row_label, col_label = _figure_axes(meta, grid)
     stem = os.path.splitext(os.path.basename(in_path))[0]
     tables = {
@@ -230,14 +242,12 @@ def cmd_figures(cfg: RunConfig, args) -> int:
         "real": arr.real,
         "imag": arr.imag,
     }
+    head = f"{row_label}\\{col_label}" + (",%.17g" * len(cols)) % tuple(cols.tolist()) + "\n"
+    template = "%.17g" + ",%.17g" * len(cols) + "\n"
     for kind in cfg.figures:
-        table = tables[kind]
-        lines = [",".join([f"{row_label}\\{col_label}"] + [format(c, ".17g") for c in cols])]
-        for i in range(table.shape[0]):
-            lines.append(",".join([format(rows[i], ".17g")]
-                                  + [format(v, ".17g") for v in table[i]]))
+        body = fileio.format_rows(template, np.column_stack((rows, tables[kind])))
         path = os.path.join(cfg.out_dir, f"fig_{stem}_{kind}.csv")
-        fileio.atomic_write_text(path, "\n".join(lines) + "\n")
+        fileio.atomic_write_text(path, chain([head], body))
         print(path)
     return EXIT_OK
 

@@ -64,6 +64,11 @@ class RunConfig:
     figures: tuple
 
 
+def propagated_name(dz: float) -> str:
+    """File name of the distribution propagated by ``dz``; distinct per config."""
+    return f"propagated_dz{dz:g}.txt"
+
+
 def _parse_bool(key: str, raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -168,6 +173,14 @@ def build_run_config(values: dict | None = None) -> RunConfig:
         raise ConfigError(f"pipeline.scans: must be at least 1, got {merged['pipeline.scans']}")
     if any(dz < 0 for dz in merged["propagation.dz"]):
         raise ConfigError(f"propagation.dz: displacements must be nonnegative")
+    names = {}
+    for dz in merged["propagation.dz"]:
+        name = propagated_name(dz)
+        if name in names:
+            raise ConfigError(
+                f"propagation.dz: {names[name]!r} and {dz!r} would both write {name}"
+            )
+        names[name] = dz
     if merged["propagation.kernel"] not in _KERNELS:
         raise ConfigError(
             f"propagation.kernel: {merged['propagation.kernel']!r} not one of {_KERNELS}"

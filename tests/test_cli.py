@@ -230,3 +230,58 @@ def test_env_override_reaches_cli(tmp_path, monkeypatch):
     assert _run("gen-state", "--config", cfg, "--out", out) == 0
     _, meta = read_matrix(os.path.join(out, "state.txt"))
     assert meta["mixed"] == "true"
+
+
+def _replace_in_file(path, old, new, count=1):
+    text = open(path).read()
+    assert old in text
+    open(path, "w").write(text.replace(old, new, count))
+
+
+@pytest.mark.parametrize("command, name", [("exact", "state.txt"),
+                                           ("propagate", "dirac_exact.txt")])
+def test_header_n_must_match_matrix_shape(tmp_path, capsys, command, name):
+    cfg = _write_config(tmp_path)
+    out = str(tmp_path / "out")
+    assert _run("gen-state", "--config", cfg, "--out", out) == 0
+    assert _run("exact", "--config", cfg, "--out", out) == 0
+    _replace_in_file(os.path.join(out, name), f"# n={N}\n", "# n=16\n")
+    capsys.readouterr()
+    assert _run(command, "--config", cfg, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert f"{N}x{N} matrix does not match header n=16" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_non_finite_distribution_exits_3_without_output(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    out = str(tmp_path / "out")
+    assert _run("gen-state", "--config", cfg, "--out", out) == 0
+    assert _run("exact", "--config", cfg, "--out", out) == 0
+    path = os.path.join(out, "dirac_exact.txt")
+    lines = open(path).read().splitlines(keepends=True)
+    body = next(k for k, line in enumerate(lines) if not line.startswith("#"))
+    i, j, re, _ = lines[body + 5].split()
+    lines[body + 5] = f"{i} {j} {re} nan\n"
+    open(path, "w").write("".join(lines))
+    before = sorted(os.listdir(out))
+    capsys.readouterr()
+    assert _run("propagate", "--config", cfg, "--out", out) == 3
+    assert f"dirac_exact.txt:{body + 6}: non-finite value" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == before
+
+
+def test_kind_header_checked(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    out = str(tmp_path / "out")
+    state = os.path.join(out, "state.txt")
+    assert _run("gen-state", "--config", cfg, "--out", out) == 0
+    capsys.readouterr()
+    assert _run("props", "--config", cfg, "--out", out, "--dirac", state) == 3
+    assert "expected kind=dirac, got kind=density" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "props.txt"))
+    _replace_in_file(state, "# kind=density\n", "")
+    assert _run("exact", "--config", cfg, "--out", out) == 3
+    assert "expected kind=density, got kind=(none)" in capsys.readouterr().err
+    # figures tabulates every kind
+    assert _run("figures", "--config", cfg, "--out", out, "--input", state) == 0

@@ -88,3 +88,9 @@ def test_every_default_key_coerces():
            else ",".join(str(v) for v in DEFAULTS[key]) for key in DEFAULTS}
     cfg = build_run_config(raw)
     assert cfg.grid.n == 256
+
+
+@pytest.mark.parametrize("dz", ["0.1, 0.1", "0.1, 0.1000001", "0, 0.084, 0.0840000001"])
+def test_propagation_dz_output_names_distinct(dz):
+    with pytest.raises(ConfigError, match=r"propagation.dz: .* would both write propagated_dz0"):
+        build_run_config({"propagation.dz": dz})
