@@ -11,8 +11,7 @@ from .errors import (ConfigError, ContractError, DegenerateInputError,
                      NoPhotonsError, NullEventError, NumericalIntegrityError)
 from .lattice import Grid, UnitMap, from_momentum, make_grid, overlap, to_momentum
 from .qstate import (BenchConfig, DensityMatrix, PureState, bench_pure_state,
-                     build_bench_state, density_from_pure, mix,
-                     phase_averaged_bench_state, pure_from_samples,
+                     build_bench_state, density_from_pure, mix, pure_from_samples,
                      random_density_matrix, wedge_gradient_from_angle)
 from .dirac import (DiracDistribution, conditional_x_given_p, dirac_distribution,
                     expectation_overlap, marginal_p, marginal_x, operator_dirac,
@@ -22,9 +21,8 @@ from .weaksim import (EstimatorCalibration, MeasurementRecord, backaction_offset
                       estimate_conditional_column, estimate_dirac_column,
                       readout_intensities, sample_counts, scan, scan_with_records)
 from .bayesprop import (KIND_ANALYTIC, KIND_UNITARY, PropagatedDistribution,
-                        PropagatorKernel, analytic_kernel_term, bayes_propagate,
-                        build_kernel_analytic, build_kernel_unitary,
-                        direct_measure_displaced, fresnel_unitary, joint4,
-                        joint4_tensor)
+                        PropagatorKernel, bayes_propagate, build_kernel_analytic,
+                        build_kernel_unitary, direct_measure_displaced,
+                        fresnel_unitary, joint4_tensor)
 
 __version__ = "0.1.0"

@@ -9,7 +9,10 @@ a pure position-diagonal defocus chirp,
     V(dz) = diag_m exp(-i pi dz x_m^2 / (lambda f^2)),
 
 so the displaced camera pixels correspond to the pulled-back states
-``|k'_j> = V^dag |p_j>``.  The state-independent complex conditional
+``|k'_j> = V^dag |p_j>``.  :func:`fresnel_unitary` returns only that
+diagonal, and the kernel builds the pulled-back states from it in O(n^2);
+a dense unitary is accepted as well, for propagators that are not diagonal
+in x.  The state-independent complex conditional
 
     cond[k', m, kp] = <p_kp|k'> <k'|x_m> / <p_kp|x_m>
 
@@ -18,7 +21,8 @@ sum ``e[m, k'] = sum_kp cond[k', m, kp] d[m, kp]``, exactly equal to the
 displaced-basis expectation Tr[pi_k' pi_x rho] when the kernel comes from a
 unitary.  An alternative kernel evaluates the closed-form spherical-wavelet
 (Huygens) propagator on the camera lattice; the two agree up to paraxial
-corrections.
+corrections.  :func:`joint4_tensor` gives the four-variable joint
+quasi-probability of two such basis changes.
 
 All kernels are stored in factored form, ``cond = col[m,j] row[kp,j]
 inv[m,kp]``, so propagation is one matrix product and the full n^3 array is
@@ -93,11 +97,13 @@ class PropagatedDistribution:
 
 
 def fresnel_unitary(grid: Grid, dz: float) -> np.ndarray:
-    """Paraxial free-space propagation by dz in the camera region.
+    """Paraxial free-space propagation by dz in the camera region, as the
+    diagonal of its x-basis unitary.
 
     The camera-region angular spectrum lives on the input-plane position
     lattice, so the transfer phase exp(-i dz lambda kappa^2 / 4 pi) becomes
-    the x-diagonal chirp exp(-i pi dz x^2 / (lambda f^2)).  V(0) = identity.
+    the x-diagonal chirp exp(-i pi dz x^2 / (lambda f^2)).  Returns that
+    length-n unit-modulus vector; V(0) is all ones.
     """
     units = grid.require_unit_map()
     if dz < 0:
@@ -105,49 +111,48 @@ def fresnel_unitary(grid: Grid, dz: float) -> np.ndarray:
     lam, f = units.wavelength, units.focal_length
     x_axis = grid.coords - grid.x0  # the optical axis runs through the grid center
     phase = -np.pi * dz * x_axis ** 2 / (lam * f ** 2)
-    return np.diag(np.exp(1j * phase))
+    return np.exp(1j * phase)
+
+
+def _displaced_basis(grid: Grid, v: np.ndarray) -> np.ndarray:
+    """Columns V^dag |p_j> in the x basis, after checking that V is unitary.
+
+    ``v`` is either the length-n diagonal of V or the dense n x n matrix.
+    For a diagonal, the defect max |V^dag V - 1| is max ||c|^2 - 1|, so both
+    forms pass the same check in O(n) and O(n^3) respectively.
+    """
+    v = np.asarray(v, dtype=complex)
+    n = grid.n
+    if v.shape == (n,):
+        defect = np.max(np.abs(np.abs(v) ** 2 - 1.0))
+    elif v.shape == (n, n):
+        defect = np.max(np.abs(v.conj().T @ v - np.eye(n)))
+    else:
+        raise ContractError(f"unitary shape {v.shape} does not match grid n={n}")
+    if not defect <= 1e-12:
+        raise ContractError(f"matrix is not unitary (defect {defect:.3e})")
+    if v.ndim == 1:
+        return v.conj()[:, None] * grid.overlap_matrix
+    return v.conj().T @ grid.overlap_matrix
 
 
 def build_kernel_unitary(grid: Grid, v: np.ndarray, dz: float = 0.0) -> PropagatorKernel:
     """Exact kernel from a discrete unitary V; its k' states are V^dag |p_j>.
 
-    Completeness (sum over k' equal to one) holds identically, so the Bayes
-    sum reproduces displaced-basis expectation values exactly.  ``dz`` is
-    recorded as provenance only; it plays no role in the construction.
+    ``v`` is the length-n diagonal of V, as :func:`fresnel_unitary` returns
+    it, or a dense n x n unitary.  Completeness (sum over k' equal to one)
+    holds identically, so the Bayes sum reproduces displaced-basis
+    expectation values exactly.  ``dz`` is recorded as provenance only; it
+    plays no role in the construction.
     """
-    v = np.asarray(v, dtype=complex)
-    n = grid.n
-    if v.shape != (n, n):
-        raise ContractError(f"unitary shape {v.shape} does not match grid n={n}")
-    defect = np.max(np.abs(v.conj().T @ v - np.eye(n)))
-    if defect > 1e-12:
-        raise ContractError(f"matrix is not unitary (defect {defect:.3e})")
+    k_basis = _displaced_basis(grid, v)
     u = grid.overlap_matrix
     if np.min(np.abs(u)) == 0.0:
         raise ContractError("overlap matrix has a vanishing entry")
-    k_basis = v.conj().T @ u
     return PropagatorKernel(
         grid=grid, dz=float(dz), kind=KIND_UNITARY, k_basis=k_basis,
         col=k_basis.conj(), row=u.conj().T @ k_basis, inv=1.0 / u.conj(),
     )
-
-
-def analytic_kernel_term(x: float, x_ft: float, kprime: float, dz: float,
-                         wavelength: float, focal_length: float) -> complex:
-    """One unnormalized spherical-wavelet kernel value in closed form.
-
-    Combines the exact path length from the Fourier-plane point x_ft to the
-    displaced camera point k', the lens phase x k' / (f lambda), the
-    x_ft-dependent cross term, and the oblique-path correction
-    alpha = x dz / (lambda sqrt(x^2 + f^2)); the overall normalization is
-    left to the caller.
-    """
-    r = np.sqrt(dz ** 2 + (x_ft - kprime) ** 2)
-    alpha = x * dz / (wavelength * np.sqrt(x ** 2 + focal_length ** 2))
-    phase = TWO_PI * (r / wavelength
-                      + (x * kprime - x_ft * x) / (focal_length * wavelength)
-                      + alpha)
-    return complex(np.exp(1j * phase) / r)
 
 
 def build_kernel_analytic(grid: Grid, dz: float) -> PropagatorKernel:
@@ -156,14 +161,15 @@ def build_kernel_analytic(grid: Grid, dz: float) -> PropagatorKernel:
     The kernel is normalized per (x, p) pair by the completeness condition
     sum_k' cond = 1, which the Bayes sum requires; factors depending only on
     (x, p) cancel under that normalization, leaving the wavelet and the lens
-    phase.  The closed form of :func:`analytic_kernel_term` is written for
-    the Fourier convention conjugate to this package's <x|p> = exp(+i x p),
-    so the kernel built here is its entrywise conjugate: wavelet
-    exp(-2 pi i r / lambda)/r and lens phase exp(-2 pi i x k'/(f lambda)).
-    This orientation is pinned by paraxial agreement with the unitary
-    construction.  Magnification is left out; apply it afterwards as a
-    coordinate relabeling.  dz = 0 is singular here and must use the unitary
-    kernel.
+    phase.  The full closed form (``analytic_kernel_term`` in
+    ``tests/conftest.py``, which the tests check this kernel against) is
+    written for the Fourier convention conjugate to this package's
+    <x|p> = exp(+i x p), so the kernel built here is its entrywise
+    conjugate: wavelet exp(-2 pi i r / lambda)/r and lens phase
+    exp(-2 pi i x k'/(f lambda)).  This orientation is pinned by paraxial
+    agreement with the unitary construction.  Magnification is left out;
+    apply it afterwards as a coordinate relabeling.  dz = 0 is singular here
+    and must use the unitary kernel.
     """
     units = grid.require_unit_map()
     if dz <= 0:
@@ -212,20 +218,6 @@ def joint4_tensor(rho: DensityMatrix, v1: np.ndarray, v2: np.ndarray) -> np.ndar
     return np.einsum("kc,cb,ba,ak->abck", p2k, k2q, q2x, xrp)
 
 
-def joint4(rho: DensityMatrix, ix: int, iq: int, ik: int, ip: int,
-           v1: np.ndarray, v2: np.ndarray) -> complex:
-    """Single entry of the four-variable joint quasi-probability."""
-    grid = rho.grid
-    for idx in (ix, iq, ik, ip):
-        if not 0 <= idx < grid.n:
-            raise ContractError(f"index {idx} out of range for n={grid.n}")
-    u = grid.overlap_matrix
-    q = np.asarray(v1, dtype=complex).conj().T[:, iq]
-    k = np.asarray(v2, dtype=complex).conj().T @ u[:, ik]
-    p = u[:, ip]
-    return complex(np.vdot(p, k) * np.vdot(k, q) * np.conj(q[ix]) * (rho.rho @ p)[ix])
-
-
 def direct_measure_displaced(rho: DensityMatrix, cfg: BenchConfig, dz: float, *,
                              noise: bool = False, seed: int | None = None,
                              correct: bool = True) -> PropagatedDistribution:
@@ -235,8 +227,7 @@ def direct_measure_displaced(rho: DensityMatrix, cfg: BenchConfig, dz: float, *,
     projection, i.e. the readout basis becomes the displaced-plane pixel
     states.  This is the experimental-side oracle for :func:`bayes_propagate`.
     """
-    v = fresnel_unitary(rho.grid, dz)
-    basis = v.conj().T @ rho.grid.overlap_matrix
+    basis = _displaced_basis(rho.grid, fresnel_unitary(rho.grid, dz))
     measured, _ = weaksim.scan_with_records(
         rho, cfg, noise=noise, seed=seed, correct=correct, basis=basis
     )

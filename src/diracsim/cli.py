@@ -93,6 +93,7 @@ def _read_on_grid(path: str, kind: str | None = None):
 
 def _read_state(path: str) -> DensityMatrix:
     arr, _, grid = _read_on_grid(path, "density")
+    arr.setflags(write=False)
     return DensityMatrix(grid=grid, rho=arr)
 
 

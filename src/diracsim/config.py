@@ -149,9 +149,6 @@ def build_run_config(values: dict | None = None) -> RunConfig:
         focal_length=merged["units.focal_length"],
         magnification=merged["units.magnification"],
     )
-    for key in ("units.wavelength", "units.focal_length", "units.magnification"):
-        if not merged[key] > 0:
-            raise ConfigError(f"{key}: must be positive, got {merged[key]}")
     grid = make_grid(merged["grid.n"], merged["grid.dx"], merged["grid.x0"], unit_map)
 
     phi = np.deg2rad(merged["bench.phi_deg"])
@@ -171,10 +168,10 @@ def build_run_config(values: dict | None = None) -> RunConfig:
         raise ConfigError(f"pipeline.seed: must be nonnegative, got {merged['pipeline.seed']}")
     if merged["pipeline.scans"] < 1:
         raise ConfigError(f"pipeline.scans: must be at least 1, got {merged['pipeline.scans']}")
-    if any(dz < 0 for dz in merged["propagation.dz"]):
-        raise ConfigError(f"propagation.dz: displacements must be nonnegative")
     names = {}
     for dz in merged["propagation.dz"]:
+        if not 0 <= dz < np.inf:
+            raise ConfigError(f"propagation.dz: displacement {dz!r} must be finite and nonnegative")
         name = propagated_name(dz)
         if name in names:
             raise ConfigError(

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .lattice import Grid, UnitMap, make_grid
 from .weaksim import MeasurementRecord, READOUT_KEYS
 
@@ -92,7 +92,7 @@ def grid_from_meta(meta: dict, path: str = "<meta>") -> Grid:
                 magnification=float(meta["magnification"]),
             )
         return make_grid(int(meta["n"]), float(meta["dx"]), float(meta["x0"]), unit_map)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, ConfigError) as exc:
         raise FormatError(f"{path}: incomplete or invalid grid header ({exc})") from exc
 
 
@@ -208,9 +208,11 @@ def read_matrix(path: str):
 
 
 def _read_matrix_lines(lines, path: str, first_lineno: int, rows: int, cols: int):
-    """The line-by-line body parser: the values, or a FormatError naming the first bad line."""
-    arr = np.zeros((rows, cols), dtype=complex)
-    seen = np.zeros((rows, cols), dtype=bool)
+    """The line-by-line body parser: the values, or a FormatError naming the first bad line.
+
+    Memory grows with the lines read, not with the shape the header claims.
+    """
+    entries = {}
     for lineno, line in enumerate(lines, start=first_lineno):
         line = line.rstrip("\n")
         if not line.strip():
@@ -227,12 +229,14 @@ def _read_matrix_lines(lines, path: str, first_lineno: int, rows: int, cols: int
             raise FormatError(f"{path}:{lineno}: non-finite value in {line!r}")
         if not (0 <= i < rows and 0 <= j < cols):
             raise FormatError(f"{path}:{lineno}: index ({i}, {j}) out of bounds")
-        if seen[i, j]:
+        if (i, j) in entries:
             raise FormatError(f"{path}:{lineno}: duplicate entry ({i}, {j})")
-        seen[i, j] = True
-        arr[i, j] = complex(re, im)
-    if not seen.all():
-        raise FormatError(f"{path}: missing {int((~seen).sum())} matrix entries")
+        entries[i, j] = complex(re, im)
+    if len(entries) < rows * cols:
+        raise FormatError(f"{path}: missing {rows * cols - len(entries)} matrix entries")
+    arr = np.empty((rows, cols), dtype=complex)
+    for index, value in entries.items():
+        arr[index] = value
     return arr
 
 
@@ -281,9 +285,11 @@ def read_counts(path: str) -> MeasurementRecord:
 
 
 def _read_counts_lines(lines, path: str, first_lineno: int, n: int) -> dict:
-    """The line-by-line body parser: the values, or a FormatError naming the first bad line."""
-    counts = {key: np.zeros(n) for key in READOUT_KEYS}
-    seen = np.zeros(n, dtype=bool)
+    """The line-by-line body parser: the values, or a FormatError naming the first bad line.
+
+    Memory grows with the lines read, not with the ``n`` the header claims.
+    """
+    rows = {}
     for lineno, line in enumerate(lines, start=first_lineno):
         line = line.rstrip("\n")
         if not line.strip():
@@ -300,11 +306,13 @@ def _read_counts_lines(lines, path: str, first_lineno: int, n: int) -> dict:
             raise FormatError(f"{path}:{lineno}: non-finite value in {line!r}")
         if not 0 <= k < n:
             raise FormatError(f"{path}:{lineno}: momentum index {k} out of bounds")
-        if seen[k]:
+        if k in rows:
             raise FormatError(f"{path}:{lineno}: duplicate momentum index {k}")
-        seen[k] = True
+        rows[k] = vals
+    if len(rows) < n:
+        raise FormatError(f"{path}: missing {n - len(rows)} momentum rows")
+    counts = {key: np.empty(n) for key in READOUT_KEYS}
+    for k, vals in rows.items():
         for key, val in zip(READOUT_KEYS, vals):
             counts[key][k] = val
-    if not seen.all():
-        raise FormatError(f"{path}: missing {int((~seen).sum())} momentum rows")
     return counts

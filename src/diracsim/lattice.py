@@ -100,13 +100,21 @@ class Grid:
 
 
 def make_grid(n: int, dx: float, x0: float = 0.0, unit_map: UnitMap | None = None) -> Grid:
-    """Build a :class:`Grid`, rejecting unusable lattice parameters."""
+    """Build a :class:`Grid`, rejecting unusable lattice parameters and
+    non-positive or non-finite unit-map constants."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise ConfigError(f"grid size must be an integer, got {n!r}")
     if n < 2:
         raise ConfigError(f"grid size must be at least 2, got {n}")
-    if not dx > 0:
-        raise ConfigError(f"lattice spacing must be positive, got {dx}")
+    if not 0 < dx < np.inf:
+        raise ConfigError(f"dx: lattice spacing must be positive and finite, got {dx}")
+    if not np.isfinite(x0):
+        raise ConfigError(f"x0: lattice center must be finite, got {x0}")
+    if unit_map is not None:
+        for name in ("wavelength", "focal_length", "magnification"):
+            value = getattr(unit_map, name)
+            if not 0 < value < np.inf:
+                raise ConfigError(f"{name}: must be positive and finite, got {value}")
     return Grid(n=int(n), dx=float(dx), x0=float(x0), unit_map=unit_map)
 
 

@@ -11,7 +11,7 @@ amplitude dip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,12 +44,20 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, trace-one, positive-semidefinite operator in the position basis."""
+    """Hermitian, trace-one, positive-semidefinite operator in the position basis.
+
+    A passing :meth:`validate` is remembered while ``rho`` is read-only, so
+    the O(n^3) eigenvalue check runs once per state; a writeable ``rho`` is
+    checked on every call.
+    """
 
     grid: Grid
     rho: np.ndarray
+    _valid: bool = field(default=False, init=False, repr=False)
 
     def validate(self) -> None:
+        if self._valid and not self.rho.flags.writeable:
+            return
         n = self.grid.n
         if self.rho.shape != (n, n):
             raise ContractError("density matrix shape does not match grid")
@@ -62,6 +70,8 @@ class DensityMatrix:
         evals = np.linalg.eigvalsh(0.5 * (self.rho + self.rho.conj().T))
         if evals.min() < -PSD_TOL:
             raise ContractError(f"density matrix has eigenvalue {evals.min():.3e} < -{PSD_TOL}")
+        if not self.rho.flags.writeable:
+            object.__setattr__(self, "_valid", True)
 
     def purity(self) -> float:
         # Tr rho^2 = sum |rho_ij|^2 for a Hermitian matrix
@@ -199,8 +209,9 @@ def build_bench_state(cfg: BenchConfig, grid: Grid) -> DensityMatrix:
     the edge.  Averaging that phase over a full period kills every coherence
     rho(x, x') with x and x' on opposite sides of the edge and leaves the two
     diagonal blocks untouched, which is how the mixed state is constructed
-    here.  :func:`phase_averaged_bench_state` builds the same state from a
-    finite phase ensemble and agrees with this construction to rounding.
+    here.  The test suite's ``phase_averaged_bench_state`` oracle in
+    ``tests/conftest.py`` builds the same state from a finite phase ensemble
+    and agrees with this construction to rounding.
     """
     pure = density_from_pure(bench_pure_state(cfg, grid))
     if not cfg.mixed:
@@ -209,29 +220,6 @@ def build_bench_state(cfg: BenchConfig, grid: Grid) -> DensityMatrix:
     cross = np.logical_xor.outer(beyond, beyond)
     rho = pure.rho.copy()
     rho[cross] = 0.0
-    rho.setflags(write=False)
-    out = DensityMatrix(grid=grid, rho=rho)
-    out.validate()
-    return out
-
-
-def phase_averaged_bench_state(cfg: BenchConfig, grid: Grid, samples: int = 64) -> DensityMatrix:
-    """Mixed bench state as an incoherent average over plate phases.
-
-    Averages the pure state over ``samples`` equally spaced plate phases in
-    [0, 2 pi); the uniform average of exp(i theta) over a full period
-    vanishes exactly, so the result reproduces the block-zeroed construction.
-    """
-    if samples < 2:
-        raise ConfigError("phase averaging needs at least 2 samples")
-    base = bench_pure_state(cfg, grid)
-    _, beyond, _ = _bench_masks(cfg, grid)
-    rho = np.zeros((grid.n, grid.n), dtype=complex)
-    for theta in 2.0 * np.pi * np.arange(samples) / samples:
-        amp = base.amp.copy()
-        amp[beyond] *= np.exp(1j * theta)
-        rho += np.outer(amp, amp.conj())
-    rho /= samples
     rho.setflags(write=False)
     out = DensityMatrix(grid=grid, rho=rho)
     out.validate()

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from diracsim import make_grid, UnitMap, BenchConfig
+from diracsim import (BenchConfig, ContractError, DensityMatrix, UnitMap, bench_pure_state,
+                      make_grid)
 
 
 def random_unitary(n, rng):
@@ -35,6 +36,58 @@ def displaced_trace_oracle(k_basis, rho):
         for j in range(n):
             pk = np.outer(k_basis[:, j], k_basis[:, j].conj())
             out[m, j] = np.trace(pk @ xm @ rho)
+    return out
+
+
+def analytic_kernel_term(x, x_ft, kprime, dz, wavelength, focal_length):
+    """One unnormalized spherical-wavelet kernel value in closed form.
+
+    Combines the exact path length from the Fourier-plane point x_ft to the
+    displaced camera point k', the lens phase x k' / (f lambda), the
+    x_ft-dependent cross term, and the oblique-path correction
+    alpha = x dz / (lambda sqrt(x^2 + f^2)); the overall normalization is
+    left to the caller.
+    """
+    r = np.sqrt(dz ** 2 + (x_ft - kprime) ** 2)
+    alpha = x * dz / (wavelength * np.sqrt(x ** 2 + focal_length ** 2))
+    phase = 2.0 * np.pi * (r / wavelength
+                           + (x * kprime - x_ft * x) / (focal_length * wavelength)
+                           + alpha)
+    return complex(np.exp(1j * phase) / r)
+
+
+def joint4(rho, ix, iq, ik, ip, v1, v2):
+    """Single entry of the four-variable joint quasi-probability, one vector at a time."""
+    grid = rho.grid
+    for idx in (ix, iq, ik, ip):
+        if not 0 <= idx < grid.n:
+            raise ContractError(f"index {idx} out of range for n={grid.n}")
+    u = grid.overlap_matrix
+    q = np.asarray(v1, dtype=complex).conj().T[:, iq]
+    k = np.asarray(v2, dtype=complex).conj().T @ u[:, ik]
+    p = u[:, ip]
+    return complex(np.vdot(p, k) * np.vdot(k, q) * np.conj(q[ix]) * (rho.rho @ p)[ix])
+
+
+def phase_averaged_bench_state(cfg, grid, samples=64):
+    """Mixed bench state as an incoherent average over plate phases.
+
+    Averages the pure state over ``samples`` equally spaced plate phases in
+    [0, 2 pi); the uniform average of exp(i theta) over a full period
+    vanishes exactly, so the result reproduces the block-zeroed construction.
+    """
+    assert samples >= 2, "phase averaging needs at least 2 samples"
+    base = bench_pure_state(cfg, grid)
+    beyond = grid.coords > cfg.edge_position
+    rho = np.zeros((grid.n, grid.n), dtype=complex)
+    for theta in 2.0 * np.pi * np.arange(samples) / samples:
+        amp = base.amp.copy()
+        amp[beyond] *= np.exp(1j * theta)
+        rho += np.outer(amp, amp.conj())
+    rho /= samples
+    rho.setflags(write=False)
+    out = DensityMatrix(grid=grid, rho=rho)
+    out.validate()
     return out
 
 

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from diracsim import (ConfigError, ContractError, DegenerateKernelError, UnitMap,
-                      analytic_kernel_term, bayes_propagate, build_kernel_analytic,
-                      build_kernel_unitary, density_from_pure, dirac_distribution,
-                      direct_measure_displaced, fresnel_unitary, joint4, joint4_tensor,
-                      make_grid, pure_from_samples, random_density_matrix, scan)
+                      bayes_propagate, build_kernel_analytic, build_kernel_unitary,
+                      density_from_pure, dirac_distribution, direct_measure_displaced,
+                      fresnel_unitary, joint4_tensor, make_grid, pure_from_samples,
+                      random_density_matrix, scan)
 from diracsim import BenchConfig
 from diracsim.bayesprop import KIND_ANALYTIC, KIND_UNITARY
-from conftest import displaced_trace_oracle, random_unitary
+from conftest import (analytic_kernel_term, bench_grid, displaced_trace_oracle, joint4,
+                      random_unitary)
 
 UM = UnitMap(wavelength=780e-9, focal_length=1.0, magnification=4.935)
 
@@ -20,12 +21,13 @@ def _unit_grid(n=16):
 def test_fresnel_unitary_basics():
     grid = _unit_grid()
     v0 = fresnel_unitary(grid, 0.0)
-    assert np.max(np.abs(v0 - np.eye(16))) < 1e-12
+    assert v0.shape == (16,)
+    assert np.max(np.abs(v0 - 1.0)) < 1e-12
     v = fresnel_unitary(grid, 0.084)
-    assert np.max(np.abs(v.conj().T @ v - np.eye(16))) < 1e-12
+    assert np.max(np.abs(np.abs(v) - 1.0)) < 1e-12
     rng = np.random.default_rng(0)
     w = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    assert abs(np.linalg.norm(v @ w) - np.linalg.norm(w)) < 1e-12
+    assert abs(np.linalg.norm(v * w) - np.linalg.norm(w)) < 1e-12
     with pytest.raises(ConfigError):
         fresnel_unitary(grid, -0.1)
     with pytest.raises(ConfigError):
@@ -65,6 +67,34 @@ def test_unitary_kernel_rejects_non_unitary():
         build_kernel_unitary(grid, np.ones((8, 8)))
     with pytest.raises(ContractError):
         build_kernel_unitary(grid, np.eye(7))
+
+
+def test_unitary_kernel_rejects_bad_chirp_vectors():
+    grid = _unit_grid(8)
+    chirp = fresnel_unitary(grid, 0.16)
+    nan_dense = np.eye(8, dtype=complex)
+    nan_dense[3, 3] = np.nan
+    nan_chirp = chirp.copy()
+    nan_chirp[3] = np.nan
+    for bad in (fresnel_unitary(_unit_grid(9), 0.16),  # wrong length
+                np.append(chirp, 1.0), chirp[:, None],
+                chirp * (1.0 + 1e-9), nan_chirp, nan_dense):
+        with pytest.raises(ContractError):
+            build_kernel_unitary(grid, bad)
+    with pytest.raises(ContractError):
+        direct_measure_displaced(random_density_matrix(grid, np.random.default_rng(0)),
+                                 BenchConfig(aperture_halfwidth=grid.span / 2,
+                                             edge_position=grid.x0 + grid.dx), np.nan)
+
+
+@pytest.mark.parametrize("dz", [0.0, 0.084, 0.325])
+def test_diagonal_and_dense_chirp_give_the_same_kernel(dz):
+    grid = _unit_grid(16)
+    chirp = fresnel_unitary(grid, dz)
+    diagonal = build_kernel_unitary(grid, chirp, dz)
+    dense = build_kernel_unitary(grid, np.diag(chirp), dz)
+    for name in ("k_basis", "col", "row", "inv"):
+        assert np.max(np.abs(getattr(diagonal, name) - getattr(dense, name))) < 1e-15
 
 
 def test_exact_bayes_identity_random_unitaries():
@@ -120,6 +150,26 @@ def test_analytic_term_frozen_regression_value():
     val = analytic_kernel_term(10e-3, 2e-3, 3e-3, 0.16, 780e-9, 1.0)
     frozen = 1.4968921281006697 + 6.067972325046178j
     assert abs(val - frozen) < 1e-6 * abs(frozen)
+
+
+@pytest.mark.parametrize("n", [8, 9, 12])
+@pytest.mark.parametrize("dz", [0.084, 0.16, 0.325])
+def test_analytic_kernel_matches_closed_form_oracle(n, dz):
+    # the (x, x_ft)-only factors of the closed form drop out of the
+    # normalization over k', and the package's Fourier convention conjugates it
+    grid, _ = bench_grid(n)
+    units = grid.unit_map
+    cond = build_kernel_analytic(grid, dz).cond_array()
+    cam = units.ft_plane_coordinate(grid.momenta)
+    x_axis = grid.coords - grid.x0
+    oracle = np.empty((n, n, n), dtype=complex)
+    for j in range(n):
+        for m in range(n):
+            for kp in range(n):
+                oracle[j, m, kp] = np.conj(analytic_kernel_term(
+                    x_axis[m], cam[kp], cam[j], dz, units.wavelength, units.focal_length))
+    oracle /= oracle.sum(axis=0)
+    assert np.max(np.abs(cond - oracle)) < 1e-6 * np.max(np.abs(cond))
 
 
 def test_analytic_kernel_rejects_dz_zero():

@@ -285,3 +285,54 @@ def test_kind_header_checked(tmp_path, capsys):
     assert "expected kind=density, got kind=(none)" in capsys.readouterr().err
     # figures tabulates every kind
     assert _run("figures", "--config", cfg, "--out", out, "--input", state) == 0
+
+
+@pytest.mark.parametrize("command, flag, name, key, value", [
+    ("exact", "--state", "state.txt", "dx", "-1"),
+    ("exact", "--state", "state.txt", "x0", "nan"),
+    ("propagate", "--dirac", "dirac_exact.txt", "wavelength", "nan"),
+])
+def test_bad_grid_header_exits_3_without_output(tmp_path, capsys, command, flag, name,
+                                                key, value):
+    cfg = _write_config(tmp_path)
+    out = str(tmp_path / "out")
+    assert _run("gen-state", "--config", cfg, "--out", out) == 0
+    assert _run("exact", "--config", cfg, "--out", out) == 0
+    path = os.path.join(out, name)
+    lines = open(path).read().splitlines(keepends=True)
+    k = next(k for k, line in enumerate(lines) if line.startswith(f"# {key}="))
+    lines[k] = f"# {key}={value}\n"
+    open(path, "w").write("".join(lines))
+    fresh = str(tmp_path / "fresh")
+    capsys.readouterr()
+    assert _run(command, "--config", cfg, "--out", fresh, flag, path) == 3
+    err = capsys.readouterr().err
+    assert f"{name}: incomplete or invalid grid header" in err and key in err
+    assert len(err.strip().splitlines()) == 1
+    assert not os.path.exists(fresh)
+
+
+def test_non_finite_dz_exits_2_without_output(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    out = str(tmp_path / "out")
+    assert _run("gen-state", "--config", cfg, "--out", out) == 0
+    assert _run("exact", "--config", cfg, "--out", out) == 0
+    before = sorted(os.listdir(out))
+    cfg = _write_config(tmp_path, "propagation.dz = 0.1, nan\n")
+    capsys.readouterr()
+    assert _run("propagate", "--config", cfg, "--out", out) == 2
+    assert "propagation.dz" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == before
+
+
+def test_oversized_shape_claim_exits_3(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("# diracsim matrix v1\n# rows=10000000000\n# cols=10000000000\n"
+                    "# kind=dirac\n0 0 1 0\n")
+    out = str(tmp_path / "out")
+    capsys.readouterr()
+    assert _run("props", "--out", out, "--dirac", str(path)) == 3
+    err = capsys.readouterr().err
+    assert "missing 99999999999999999999 matrix entries" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not os.path.exists(out)

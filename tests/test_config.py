@@ -81,6 +81,13 @@ def test_semantic_validation():
         build_run_config({"output.figures": "magnitude,sparkle"})
     with pytest.raises(ConfigError, match="wavelength"):
         build_run_config({"units.wavelength": "-1"})
+    with pytest.raises(ConfigError, match="wavelength"):
+        build_run_config({"units.wavelength": "nan"})
+    with pytest.raises(ConfigError, match="x0"):
+        build_run_config({"grid.x0": "inf"})
+    for dz in ("0.1, nan", "inf", "-0.1"):
+        with pytest.raises(ConfigError, match="propagation.dz: .* must be finite and nonnegative"):
+            build_run_config({"propagation.dz": dz})
 
 
 def test_every_default_key_coerces():

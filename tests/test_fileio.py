@@ -61,6 +61,11 @@ def test_matrix_format_errors(tmp_path):
     with pytest.raises(FormatError, match=":2"):
         read_matrix(str(path))
 
+    # a shape claim far beyond the body is reported, not allocated
+    path.write_text("# diracsim matrix v1\n# rows=10000000000\n# cols=10000000000\n0 0 1 0\n")
+    with pytest.raises(FormatError, match="missing 99999999999999999999 matrix entries"):
+        read_matrix(str(path))
+
 
 def test_grid_meta_round_trip():
     grid = make_grid(16, 0.25, 1.5, UnitMap(780e-9, 1.0, 4.935))
@@ -71,6 +76,12 @@ def test_grid_meta_round_trip():
     assert grid_from_meta({k: str(v) for k, v in grid_meta(plain).items()}) == plain
     with pytest.raises(FormatError):
         grid_from_meta({"n": "8"})
+    for key, value in (("dx", "-1"), ("x0", "nan"), ("wavelength", "nan"),
+                       ("focal_length", "inf"), ("magnification", "0")):
+        bad = {k: str(v) for k, v in grid_meta(grid).items()}
+        bad[key] = value
+        with pytest.raises(FormatError, match=f"f.txt: incomplete or invalid grid header.*{key}"):
+            grid_from_meta(bad, "f.txt")
 
 
 def test_counts_round_trip(tmp_path):
@@ -104,6 +115,10 @@ def test_counts_format_errors(tmp_path):
         read_counts(str(path))
     path.write_text("# diracsim counts v1\n# n=2\n")
     with pytest.raises(FormatError, match="header"):
+        read_counts(str(path))
+    path.write_text(f"# diracsim counts v1\n# n={2 ** 62}\n# sliver_lo=0\n# sliver_hi=1\n"
+                    "# phi=0.1\n# photon_budget=1\n# seed=none\n0 1 2 3 4\n")
+    with pytest.raises(FormatError, match=f"missing {2 ** 62 - 1} momentum rows"):
         read_counts(str(path))
 
 

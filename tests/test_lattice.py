@@ -24,6 +24,13 @@ def test_make_grid_rejects_bad_parameters():
         make_grid(8, -0.5)
     with pytest.raises(ConfigError):
         make_grid(2.5, 1.0)
+    with pytest.raises(ConfigError, match="spacing"):
+        make_grid(8, np.inf)
+    with pytest.raises(ConfigError, match="x0"):
+        make_grid(8, 0.5, np.nan)
+    for bad in (UnitMap(np.nan, 1.0), UnitMap(780e-9, np.inf), UnitMap(780e-9, 1.0, -2.0)):
+        with pytest.raises(ConfigError, match="wavelength|focal_length|magnification"):
+            make_grid(8, 0.5, 0.0, bad)
 
 
 def test_coordinate_indexing_is_invertible():

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from diracsim import (BenchConfig, ConfigError, ContractError, DegenerateInputError,
-                      bench_pure_state, build_bench_state, density_from_pure, make_grid,
-                      mix, phase_averaged_bench_state, pure_from_samples,
+                      DensityMatrix, bench_pure_state, build_bench_state, density_from_pure,
+                      dirac_distribution, make_grid, mix, pure_from_samples,
                       random_density_matrix, wedge_gradient_from_angle)
-from conftest import bench_grid
+from conftest import bench_grid, phase_averaged_bench_state
 
 
 def test_pure_from_samples_normalizes():
@@ -158,3 +158,64 @@ def test_random_density_matrix_rank():
     evals = np.sort(np.linalg.eigvalsh(rho.rho))[::-1]
     assert evals[2] < 1e-12
     rho.validate()
+
+
+def _counting_eigvalsh(monkeypatch):
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(a.shape)
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def test_validate_runs_eigvalsh_once_per_read_only_state(monkeypatch):
+    grid, cfg = bench_grid(n=32)
+    calls = _counting_eigvalsh(monkeypatch)
+    rho = build_bench_state(cfg, grid)
+    assert len(calls) == 1
+    for _ in range(3):
+        rho.validate()
+        dirac_distribution(rho)
+    assert len(calls) == 1
+    # a writeable matrix may change between calls, so it is checked every time
+    writeable = DensityMatrix(grid=grid, rho=rho.rho.copy())
+    writeable.validate()
+    writeable.validate()
+    assert len(calls) == 3
+
+
+def test_validate_rechecks_a_matrix_that_was_writeable():
+    grid = make_grid(2, 1.0)
+    # validated while writeable, then spoiled and frozen
+    rho = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
+    state = DensityMatrix(grid=grid, rho=rho)
+    state.validate()
+    rho[:] = [[1.5, 0.0], [0.0, -0.5]]
+    rho.setflags(write=False)
+    with pytest.raises(ContractError):
+        state.validate()
+    # validated while read-only, then made writeable again and spoiled
+    rho = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
+    rho.setflags(write=False)
+    state = DensityMatrix(grid=grid, rho=rho)
+    state.validate()
+    rho.setflags(write=True)
+    rho[:] = [[1.5, 0.0], [0.0, -0.5]]
+    with pytest.raises(ContractError):
+        state.validate()
+
+
+def test_invalid_state_raises_on_every_call():
+    grid = make_grid(2, 1.0)
+    not_psd = np.array([[1.5, 0.0], [0.0, -0.5]], dtype=complex)
+    not_hermitian = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
+    for rho in (not_psd, not_hermitian):
+        rho.setflags(write=False)
+        state = DensityMatrix(grid=grid, rho=rho)
+        for _ in range(3):
+            with pytest.raises(ContractError):
+                state.validate()
