@@ -25,8 +25,11 @@ corrections.  :func:`joint4_tensor` gives the four-variable joint
 quasi-probability of two such basis changes.
 
 All kernels are stored in factored form, ``cond = col[m,j] row[kp,j]
-inv[m,kp]``, so propagation is one matrix product and the full n^3 array is
-only materialized on demand for small grids.
+inv[m,kp]``, and the full n^3 array is only materialized on demand for small
+grids.  ``row = U^dag K`` is computed by FFT (see :mod:`.lattice`).  A kernel
+built from a chirp vector c keeps it, and propagates by two FFTs,
+``e = col * ((((inv * d) U^dag) conj(c)) U)``; kernels from a dense unitary
+and the analytic kernel propagate by one matrix product with ``row``.
 """
 
 from __future__ import annotations
@@ -53,7 +56,10 @@ class PropagatorKernel:
 
     ``k_basis`` columns are the displaced-plane position eigenstates in the
     x-basis (unitary construction only).  The factor arrays reproduce
-    ``cond[j, m, kp] = col[m, j] * row[kp, j] * inv[m, kp]``.
+    ``cond[j, m, kp] = col[m, j] * row[kp, j] * inv[m, kp]``.  ``chirp`` is
+    the diagonal of V when the kernel was built from one; then
+    ``row = U^dag diag(conj(chirp)) U`` and :func:`bayes_propagate` applies
+    it by FFT instead of multiplying by ``row``.
     """
 
     grid: Grid
@@ -63,6 +69,7 @@ class PropagatorKernel:
     col: np.ndarray
     row: np.ndarray
     inv: np.ndarray
+    chirp: np.ndarray | None = None
 
     def cond_array(self) -> np.ndarray:
         """Materialize cond[j, m, kp]; refuses grids where it would not fit."""
@@ -86,13 +93,13 @@ class PropagatedDistribution:
 
     def validate(self, tol: float = 1e-9) -> None:
         total = self.e.sum()
-        if abs(total - 1.0) > tol:
+        if not abs(total - 1.0) <= tol:
             raise ContractError(f"propagated distribution sums to {total}, expected 1")
         for axis, label in ((1, "row"), (0, "column")):
             sums = self.e.sum(axis=axis)
-            if np.max(np.abs(sums.imag)) > tol:
+            if not np.max(np.abs(sums.imag)) <= tol:
                 raise NumericalIntegrityError(f"{label} sums have imaginary residual")
-            if sums.real.min() < -tol:
+            if not sums.real.min() >= -tol:
                 raise NumericalIntegrityError(f"{label} sums have negative entry")
 
 
@@ -114,8 +121,8 @@ def fresnel_unitary(grid: Grid, dz: float) -> np.ndarray:
     return np.exp(1j * phase)
 
 
-def _displaced_basis(grid: Grid, v: np.ndarray) -> np.ndarray:
-    """Columns V^dag |p_j> in the x basis, after checking that V is unitary.
+def _checked_unitary(grid: Grid, v: np.ndarray) -> np.ndarray:
+    """``v`` as a complex array, after checking that it is a unitary V.
 
     ``v`` is either the length-n diagonal of V or the dense n x n matrix.
     For a diagonal, the defect max |V^dag V - 1| is max ||c|^2 - 1|, so both
@@ -131,6 +138,12 @@ def _displaced_basis(grid: Grid, v: np.ndarray) -> np.ndarray:
         raise ContractError(f"unitary shape {v.shape} does not match grid n={n}")
     if not defect <= 1e-12:
         raise ContractError(f"matrix is not unitary (defect {defect:.3e})")
+    return v
+
+
+def _displaced_basis(grid: Grid, v: np.ndarray) -> np.ndarray:
+    """Columns V^dag |p_j> in the x basis, after checking that V is unitary."""
+    v = _checked_unitary(grid, v)
     if v.ndim == 1:
         return v.conj()[:, None] * grid.overlap_matrix
     return v.conj().T @ grid.overlap_matrix
@@ -143,15 +156,19 @@ def build_kernel_unitary(grid: Grid, v: np.ndarray, dz: float = 0.0) -> Propagat
     it, or a dense n x n unitary.  Completeness (sum over k' equal to one)
     holds identically, so the Bayes sum reproduces displaced-basis
     expectation values exactly.  ``dz`` is recorded as provenance only; it
-    plays no role in the construction.
+    plays no role in the construction.  A diagonal is kept on the kernel, so
+    that :func:`bayes_propagate` can apply it by FFT.
     """
     k_basis = _displaced_basis(grid, v)
     u = grid.overlap_matrix
     if np.min(np.abs(u)) == 0.0:
         raise ContractError("overlap matrix has a vanishing entry")
+    col = k_basis.conj()
+    row = grid.matmul_overlap(col.T).conj().T  # U^dag k_basis
     return PropagatorKernel(
         grid=grid, dz=float(dz), kind=KIND_UNITARY, k_basis=k_basis,
-        col=k_basis.conj(), row=u.conj().T @ k_basis, inv=1.0 / u.conj(),
+        col=col, row=row, inv=1.0 / u.conj(),
+        chirp=np.array(v, dtype=complex) if np.ndim(v) == 1 else None,
     )
 
 
@@ -192,10 +209,20 @@ def build_kernel_analytic(grid: Grid, dz: float) -> PropagatorKernel:
 
 
 def bayes_propagate(dist: DiracDistribution, kernel: PropagatorKernel) -> PropagatedDistribution:
-    """Single-variable Bayes update e[m, k'] = sum_kp cond[k', m, kp] d[m, kp]."""
-    if dist.grid != kernel.grid:
+    """Single-variable Bayes update e[m, k'] = sum_kp cond[k', m, kp] d[m, kp].
+
+    A chirp kernel applies ``row = U^dag diag(conj(c)) U`` as two FFTs; every
+    other kernel multiplies by ``row``.
+    """
+    grid = kernel.grid
+    if dist.grid != grid:
         raise ContractError("distribution and kernel live on different grids")
-    e = kernel.col * ((kernel.inv * dist.d) @ kernel.row)
+    if kernel.chirp is None:
+        e = kernel.col * ((kernel.inv * dist.d) @ kernel.row)
+    else:
+        chirped = grid.matmul_overlap_adjoint(kernel.inv * dist.d)
+        chirped *= kernel.chirp.conj()
+        e = kernel.col * grid.matmul_overlap(chirped)
     e.setflags(write=False)
     return PropagatedDistribution(grid=dist.grid, dz=kernel.dz, e=e, kind=kernel.kind)
 
@@ -204,17 +231,20 @@ def joint4_tensor(rho: DensityMatrix, v1: np.ndarray, v2: np.ndarray) -> np.ndar
     """Four-variable joint J[x, q', k', p] = <p|k'><k'|q'><q'|x><x|rho|p>.
 
     q' eigenstates are V1^dag applied to the position basis, k' eigenstates
-    V2^dag applied to the momentum basis.  Summing all four indices gives 1;
-    summing x and p gives the two-projector expectation Tr[pi_k' pi_q' rho].
+    V2^dag applied to the momentum basis.  Each of ``v1`` and ``v2`` is a
+    length-n diagonal or a dense n x n unitary, checked as
+    :func:`build_kernel_unitary` checks its V.  Summing all four indices
+    gives 1; summing x and p gives the two-projector expectation
+    Tr[pi_k' pi_q' rho].
     """
     grid = rho.grid
-    u = grid.overlap_matrix
-    q_basis = np.asarray(v1, dtype=complex).conj().T
-    k_basis = np.asarray(v2, dtype=complex).conj().T @ u
-    p2k = u.conj().T @ k_basis
+    v1 = _checked_unitary(grid, v1)
+    q_basis = np.diag(v1.conj()) if v1.ndim == 1 else v1.conj().T
+    k_basis = _displaced_basis(grid, v2)
+    p2k = grid.matmul_overlap(k_basis.conj().T).conj().T  # U^dag k_basis
     k2q = k_basis.conj().T @ q_basis
     q2x = q_basis.conj().T
-    xrp = rho.rho @ u
+    xrp = grid.matmul_overlap(rho.rho)
     return np.einsum("kc,cb,ba,ak->abck", p2k, k2q, q2x, xrp)
 
 

@@ -40,7 +40,7 @@ class DiracDistribution:
         if self.d.shape != (n, n):
             raise ContractError("distribution shape does not match grid")
         total = self.d.sum()
-        if abs(total - 1.0) > NORMALIZATION_TOL:
+        if not abs(total - 1.0) <= NORMALIZATION_TOL:
             raise ContractError(f"distribution sums to {total}, expected 1")
         marginal_x(self)
         marginal_p(self)
@@ -69,20 +69,19 @@ def operator_dirac(grid: Grid, op: np.ndarray) -> DiracDistribution:
     op = np.asarray(op, dtype=complex)
     if op.shape != (grid.n, grid.n):
         raise ContractError(f"operator shape {op.shape} does not match grid n={grid.n}")
-    u = grid.overlap_matrix
-    d = u.conj() * (op @ u)
+    d = grid.overlap_matrix.conj() * grid.matmul_overlap(op)
     d.setflags(write=False)
     return DiracDistribution(grid=grid, d=d)
 
 
 def _real_marginal(sums: np.ndarray, label: str, tol: float) -> np.ndarray:
     imag = np.max(np.abs(sums.imag))
-    if imag > tol:
+    if not imag <= tol:
         raise NumericalIntegrityError(
             f"{label} marginal has imaginary residual {imag:.3e} > {tol}"
         )
     real = sums.real
-    if real.min() < -tol:
+    if not real.min() >= -tol:
         raise NumericalIntegrityError(
             f"{label} marginal has negative entry {real.min():.3e} < -{tol}"
         )
@@ -121,15 +120,15 @@ def reconstruct_density(dist: DiracDistribution) -> DensityMatrix:
 
     Dividing ``d[m, k]`` by ``<p_k|x_m>`` recovers ``<x_m|rho|p_k>``; the
     remaining momentum index is transformed back with the same overlap
-    convention.  The round trip through :func:`dirac_distribution` is exact
-    to rounding.  No state invariants are enforced on the output, since
+    convention, by FFT.  The round trip through :func:`dirac_distribution` is
+    exact to rounding.  No state invariants are enforced on the output, since
     measured distributions carry noise; call ``.validate()`` where exactness
     is expected.
     """
-    u = dist.grid.overlap_matrix
-    rho = (dist.d / u.conj()) @ u.conj().T
+    grid = dist.grid
+    rho = grid.matmul_overlap_adjoint(dist.d / grid.overlap_matrix.conj())
     rho.setflags(write=False)
-    return DensityMatrix(grid=dist.grid, rho=rho)
+    return DensityMatrix(grid=grid, rho=rho)
 
 
 def expectation_overlap(d_rho: DiracDistribution, d_obs: DiracDistribution) -> complex:

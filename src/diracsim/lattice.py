@@ -8,10 +8,21 @@ Every other module builds on the conventions fixed here:
 * plane-wave overlap ``<x_m|p_k> = exp(i x_m p_k) / sqrt(n)``.
 
 The n x n overlap matrix is unitary for any center offset, so position and
-momentum representations are related by an exact change of basis.  Physical
-units (wavelength, lens focal length, magnification) live exclusively in
-:class:`UnitMap`, which converts lattice momentum to a camera coordinate in
-the Fourier-transform plane of the bench.
+momentum representations are related by an exact change of basis.  Because
+``dp dx n = 2 pi``, it is a phased discrete Fourier transform,
+
+    U = diag(a) F diag(b) / sqrt(n),    F[m, k] = exp(2 pi i m k / n),
+
+with ``a_m = exp(i p_0 x_m)`` and ``b_k = exp(i x_0 (p_k - p_0))`` for any n,
+odd included, and any x0.  :meth:`Grid.matmul_overlap` and
+:meth:`Grid.matmul_overlap_adjoint` apply U and U^dag with an FFT in
+O(n log n) per row, and :attr:`Grid.overlap_matrix` is built from the same
+phases and an exactly reduced DFT table, so the dense entries and the FFT
+describe one matrix.
+
+Physical units (wavelength, lens focal length, magnification) live
+exclusively in :class:`UnitMap`, which converts lattice momentum to a camera
+coordinate in the Fourier-transform plane of the bench.
 """
 
 from __future__ import annotations
@@ -87,11 +98,49 @@ class Grid:
         return p
 
     @cached_property
+    def _fourier_phases(self) -> tuple[np.ndarray, np.ndarray]:
+        """The phase vectors a, b of ``U = diag(a) F diag(b) / sqrt(n)``."""
+        a = np.exp(1j * self.momenta[0] * self.coords)
+        b = np.exp(1j * self.coords[0] * (np.arange(self.n) * self.dp))
+        a.setflags(write=False)
+        b.setflags(write=False)
+        return a, b
+
+    @cached_property
     def overlap_matrix(self) -> np.ndarray:
         """Unitary matrix U with ``U[m, k] = <x_m|p_k>``."""
-        u = np.exp(1j * np.outer(self.coords, self.momenta)) / np.sqrt(self.n)
+        n = self.n
+        a, b = self._fourier_phases
+        idx = np.arange(n)
+        exponent = np.outer(idx, idx)
+        exponent %= n  # the DFT exponent m k mod n, reduced exactly in integers
+        u = np.exp(TWO_PI * 1j * idx / n)[exponent]
+        u *= a[:, None] / np.sqrt(n)
+        u *= b
         u.setflags(write=False)
         return u
+
+    def _check_last_axis(self, a: np.ndarray) -> np.ndarray:
+        a = np.asarray(a)
+        if a.ndim == 0 or a.shape[-1] != self.n:
+            raise ContractError(f"array of shape {a.shape} does not match grid n={self.n}")
+        return a
+
+    def matmul_overlap(self, a: np.ndarray) -> np.ndarray:
+        """``a @ U`` along the last axis of ``a``, by FFT."""
+        a = self._check_last_axis(a)
+        pa, pb = self._fourier_phases
+        out = np.fft.ifft(a * pa, norm="ortho")
+        out *= pb
+        return out
+
+    def matmul_overlap_adjoint(self, a: np.ndarray) -> np.ndarray:
+        """``a @ U^dag`` along the last axis of ``a``, by FFT."""
+        a = self._check_last_axis(a)
+        pa, pb = self._fourier_phases
+        out = np.fft.fft(a * pb.conj(), norm="ortho")
+        out *= pa.conj()
+        return out
 
     def require_unit_map(self) -> UnitMap:
         if self.unit_map is None:
@@ -135,10 +184,10 @@ def _check_vector(grid: Grid, v: np.ndarray) -> np.ndarray:
 def to_momentum(grid: Grid, v: np.ndarray) -> np.ndarray:
     """Momentum representation ``v~[k] = sum_m <p_k|x_m> v[m]`` (unitary)."""
     v = _check_vector(grid, v)
-    return grid.overlap_matrix.conj().T @ v
+    return grid.matmul_overlap(v.conj()).conj()
 
 
 def from_momentum(grid: Grid, v: np.ndarray) -> np.ndarray:
     """Inverse of :func:`to_momentum`."""
     v = _check_vector(grid, v)
-    return grid.overlap_matrix @ v
+    return grid.matmul_overlap_adjoint(v.conj()).conj()

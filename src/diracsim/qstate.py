@@ -35,7 +35,7 @@ class PureState:
         if self.amp.shape != (self.grid.n,):
             raise ContractError("amplitude length does not match grid")
         norm = float(np.sum(np.abs(self.amp) ** 2))
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:
             raise ContractError(f"state norm {norm} deviates from 1 beyond 1e-10")
 
     def probabilities(self) -> np.ndarray:
@@ -62,13 +62,13 @@ class DensityMatrix:
         if self.rho.shape != (n, n):
             raise ContractError("density matrix shape does not match grid")
         herm = np.max(np.abs(self.rho - self.rho.conj().T))
-        if herm > HERMITICITY_TOL:
+        if not herm <= HERMITICITY_TOL:
             raise ContractError(f"density matrix not Hermitian (residual {herm:.3e})")
         tr = self.rho.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ContractError(f"density matrix trace {tr} deviates from 1")
         evals = np.linalg.eigvalsh(0.5 * (self.rho + self.rho.conj().T))
-        if evals.min() < -PSD_TOL:
+        if not evals.min() >= -PSD_TOL:
             raise ContractError(f"density matrix has eigenvalue {evals.min():.3e} < -{PSD_TOL}")
         if not self.rho.flags.writeable:
             object.__setattr__(self, "_valid", True)

@@ -6,7 +6,7 @@ from diracsim import (ConfigError, ContractError, DegenerateKernelError, UnitMap
                       density_from_pure, dirac_distribution, direct_measure_displaced,
                       fresnel_unitary, joint4_tensor, make_grid, pure_from_samples,
                       random_density_matrix, scan)
-from diracsim import BenchConfig
+from diracsim import BenchConfig, NumericalIntegrityError, PropagatedDistribution
 from diracsim.bayesprop import KIND_ANALYTIC, KIND_UNITARY
 from conftest import (analytic_kernel_term, bench_grid, displaced_trace_oracle, joint4,
                       random_unitary)
@@ -246,6 +246,45 @@ def test_joint4_tensor_sums():
             pk = np.outer(k_basis[:, c], k_basis[:, c].conj())
             assert abs(marg[b, c] - np.trace(pk @ pq @ rho.rho)) < 1e-10
     assert abs(joint4(rho, 1, 2, 3, 4, v1, v2) - tensor[1, 2, 3, 4]) < 1e-14
+
+
+def test_joint4_tensor_takes_a_chirp_vector():
+    rng = np.random.default_rng(11)
+    grid = _unit_grid(8)
+    rho = random_density_matrix(grid, rng)
+    chirp = fresnel_unitary(grid, 0.16)
+    other = random_unitary(8, rng)
+    for v1, v2 in ((other, chirp), (chirp, other), (chirp, fresnel_unitary(grid, 0.325))):
+        tensor = joint4_tensor(rho, v1, v2)
+        dense = joint4_tensor(rho, *(np.diag(v) if v.ndim == 1 else v for v in (v1, v2)))
+        assert np.max(np.abs(tensor - dense)) < 1e-15
+        assert abs(tensor.sum() - 1.0) < 1e-12
+
+
+def test_joint4_tensor_rejects_bad_unitaries():
+    rng = np.random.default_rng(12)
+    grid = _unit_grid(8)
+    rho = random_density_matrix(grid, rng)
+    good = random_unitary(8, rng)
+    nan_chirp = fresnel_unitary(grid, 0.16)
+    nan_chirp[2] = np.nan
+    nan_dense = good.copy()
+    nan_dense[1, 5] = np.nan
+    for bad in (np.eye(7), np.ones((8, 8)), np.ones(9), nan_chirp, nan_dense):
+        for v1, v2 in ((bad, good), (good, bad)):
+            with pytest.raises(ContractError):
+                joint4_tensor(rho, v1, v2)
+
+
+def test_propagated_validate_rejects_nan():
+    grid = _unit_grid(4)
+    one_nan = np.full((4, 4), 1 / 16, dtype=complex)
+    one_nan[1, 2] = np.nan
+    for e in (np.full((4, 4), np.nan, dtype=complex), one_nan):
+        with pytest.raises((ContractError, NumericalIntegrityError)):
+            PropagatedDistribution(grid=grid, dz=0.1, e=e, kind="measured").validate()
+    PropagatedDistribution(grid=grid, dz=0.1, e=np.full((4, 4), 1 / 16 + 0j),
+                           kind="measured").validate()
 
 
 def test_direct_measure_displaced_matches_scan_at_zero():

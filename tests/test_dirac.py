@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from diracsim import (ContractError, NullEventError, bench_pure_state, build_bench_state,
+from diracsim import (ContractError, DiracDistribution, NullEventError,
+                      NumericalIntegrityError, bench_pure_state, build_bench_state,
                       conditional_x_given_p, density_from_pure, dirac_distribution,
                       expectation_overlap, make_grid, marginal_p, marginal_x, mix,
                       operator_dirac, pure_from_samples, purity, random_density_matrix,
@@ -205,3 +206,17 @@ def test_operator_dirac_shape_contract():
     grid = make_grid(8, 1.0)
     with pytest.raises(ContractError):
         operator_dirac(grid, np.eye(7))
+
+
+def test_validate_rejects_nan_distribution():
+    grid = make_grid(4, 1.0)
+    with pytest.raises(ContractError):
+        DiracDistribution(grid=grid, d=np.full((4, 4), np.nan, dtype=complex)).validate()
+    # a NaN with a zero imaginary part passes the imaginary-residual check
+    # and must still fail the negativity check of the marginals
+    d = np.full((4, 4), 1 / 16, dtype=complex)
+    d[1, 2] = np.nan
+    dist = DiracDistribution(grid=grid, d=d)
+    for marginal in (marginal_x, marginal_p):
+        with pytest.raises(NumericalIntegrityError, match="negative"):
+            marginal(dist)

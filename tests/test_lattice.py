@@ -92,6 +92,11 @@ def test_vector_length_contract():
     grid = make_grid(8, 1.0)
     with pytest.raises(ContractError):
         to_momentum(grid, np.ones(7))
+    for bad in (np.ones((8, 7)), np.ones(9), 1.0):
+        with pytest.raises(ContractError):
+            grid.matmul_overlap(bad)
+        with pytest.raises(ContractError):
+            grid.matmul_overlap_adjoint(bad)
 
 
 def test_unit_map_round_trip():

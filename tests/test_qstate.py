@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from diracsim import (BenchConfig, ConfigError, ContractError, DegenerateInputError,
-                      DensityMatrix, bench_pure_state, build_bench_state, density_from_pure,
-                      dirac_distribution, make_grid, mix, pure_from_samples,
-                      random_density_matrix, wedge_gradient_from_angle)
+                      DensityMatrix, PureState, bench_pure_state, build_bench_state,
+                      density_from_pure, dirac_distribution, make_grid, mix,
+                      pure_from_samples, random_density_matrix, wedge_gradient_from_angle)
 from conftest import bench_grid, phase_averaged_bench_state
 
 
@@ -219,3 +219,16 @@ def test_invalid_state_raises_on_every_call():
         for _ in range(3):
             with pytest.raises(ContractError):
                 state.validate()
+
+
+def test_validate_rejects_nan_before_eigvalsh(monkeypatch):
+    grid = make_grid(4, 1.0)
+    calls = _counting_eigvalsh(monkeypatch)
+    for i, j in ((0, 0), (1, 2)):
+        rho = np.eye(4, dtype=complex) / 4
+        rho[i, j] = np.nan
+        with pytest.raises(ContractError):
+            DensityMatrix(grid=grid, rho=rho).validate()
+    assert calls == []
+    with pytest.raises(ContractError):
+        PureState(grid=grid, amp=np.full(4, np.nan, dtype=complex)).validate()
