@@ -16,10 +16,9 @@ from .qstate import (BenchConfig, DensityMatrix, PureState, bench_pure_state,
 from .dirac import (DiracDistribution, conditional_x_given_p, dirac_distribution,
                     expectation_overlap, marginal_p, marginal_x, operator_dirac,
                     purity, reconstruct_density)
-from .weaksim import (EstimatorCalibration, MeasurementRecord, backaction_offset,
-                      calibrate_estimator, correct_diagonals, default_calibration,
-                      estimate_conditional_column, estimate_dirac_column,
-                      readout_intensities, sample_counts, scan, scan_with_records)
+from .weaksim import (EstimatorCalibration, backaction_offset, calibrate_estimator,
+                      correct_diagonals, default_calibration, estimate_dirac_column,
+                      readout_intensities, sample_counts, scan)
 from .bayesprop import (KIND_ANALYTIC, KIND_UNITARY, PropagatedDistribution,
                         PropagatorKernel, bayes_propagate, build_kernel_analytic,
                         build_kernel_unitary, direct_measure_displaced,

@@ -20,8 +20,10 @@ propagates any Dirac distribution d to the displaced plane through the Bayes
 sum ``e[m, k'] = sum_kp cond[k', m, kp] d[m, kp]``, exactly equal to the
 displaced-basis expectation Tr[pi_k' pi_x rho] when the kernel comes from a
 unitary.  An alternative kernel evaluates the closed-form spherical-wavelet
-(Huygens) propagator on the camera lattice; the two agree up to paraxial
-corrections.  :func:`joint4_tensor` gives the four-variable joint
+(Huygens) propagator on the camera lattice; the two agree only at the
+commensurate displacement dz = f^2 lambda / (n dx^2), and at other dz the
+analytic kernel is wrong by order one, so the command line uses the unitary
+kernel only.  :func:`joint4_tensor` gives the four-variable joint
 quasi-probability of two such basis changes.
 
 All kernels are stored in factored form, ``cond = col[m,j] row[kp,j]
@@ -183,10 +185,13 @@ def build_kernel_analytic(grid: Grid, dz: float) -> PropagatorKernel:
     written for the Fourier convention conjugate to this package's
     <x|p> = exp(+i x p), so the kernel built here is its entrywise
     conjugate: wavelet exp(-2 pi i r / lambda)/r and lens phase
-    exp(-2 pi i x k'/(f lambda)).  This orientation is pinned by paraxial
-    agreement with the unitary construction.  Magnification is left out;
-    apply it afterwards as a coordinate relabeling.  dz = 0 is singular here
-    and must use the unitary kernel.
+    exp(-2 pi i x k'/(f lambda)).  This orientation is pinned by agreement
+    with the unitary construction at dz = f^2 lambda / (n dx^2), the only
+    displacement where the two agree; at other dz, the default ones
+    included, the propagated distributions differ by order one, and the
+    normalization hides it.  Magnification is left out; apply it afterwards
+    as a coordinate relabeling.  dz = 0 is singular here and must use the
+    unitary kernel.
     """
     units = grid.require_unit_map()
     if dz <= 0:
@@ -258,7 +263,5 @@ def direct_measure_displaced(rho: DensityMatrix, cfg: BenchConfig, dz: float, *,
     states.  This is the experimental-side oracle for :func:`bayes_propagate`.
     """
     basis = _displaced_basis(rho.grid, fresnel_unitary(rho.grid, dz))
-    measured, _ = weaksim.scan_with_records(
-        rho, cfg, noise=noise, seed=seed, correct=correct, basis=basis
-    )
+    measured = weaksim.scan(rho, cfg, noise=noise, seed=seed, correct=correct, basis=basis)
     return PropagatedDistribution(grid=rho.grid, dz=float(dz), e=measured.d, kind="measured")

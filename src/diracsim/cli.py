@@ -122,24 +122,27 @@ def cmd_exact(cfg: RunConfig, args) -> int:
 
 def cmd_measure(cfg: RunConfig, args) -> int:
     state = _read_state(_state_path(cfg, args))
-    n_scans = cfg.scans if cfg.noise else 1
+    phi, budget = cfg.bench.phi, cfg.bench.photon_budget
+    # every scan repeats one weak measurement: read it out once, redraw the noise
+    expected = weaksim.readout_intensities(state, phi, budget)
+    if cfg.noise:
+        scan_seeds = [weaksim.derived_seed(cfg.seed, 10_000_000 + rep) for rep in range(cfg.scans)]
+    else:
+        scan_seeds = [None]
     acc = np.zeros((state.grid.n, state.grid.n), dtype=complex)
-    first_records = None
-    for rep in range(n_scans):
-        rep_seed = None if not cfg.noise else weaksim.derived_seed(cfg.seed, 10_000_000 + rep)
-        measured, records = weaksim.scan_with_records(
-            state, cfg.bench, noise=cfg.noise, seed=rep_seed, correct=False
-        )
-        acc += measured.d
-        if first_records is None:
-            first_records = records
+    for rep, rep_seed in enumerate(scan_seeds):
+        counts = expected if rep_seed is None else weaksim.sample_counts(expected, rep_seed)
+        acc += weaksim.estimate_dirac_column(counts, phi)
+        if rep == 0:
+            first_counts = counts
+    n_scans = len(scan_seeds)
     raw = acc / n_scans
-    emitted = (raw + weaksim.backaction_offset(state, cfg.bench.phi)) if cfg.correct else raw
+    emitted = (raw + weaksim.backaction_offset(state, phi)) if cfg.correct else raw
 
     base_meta = {
         **fileio.grid_meta(state.grid),
-        "phi": cfg.bench.phi,
-        "photon_budget": cfg.bench.photon_budget,
+        "phi": phi,
+        "photon_budget": budget,
         "noise": cfg.noise,
         "seed": cfg.seed if cfg.noise else "none",
         "scans": n_scans,
@@ -148,9 +151,11 @@ def cmd_measure(cfg: RunConfig, args) -> int:
     dirac_path = os.path.join(cfg.out_dir, "dirac_measured.txt")
     fileio.write_matrix(dirac_path, emitted, {"kind": "dirac", **base_meta})
     counts_dir = os.path.join(cfg.out_dir, "counts")
-    for record in first_records:
-        name = f"sliver_{record.sliver[0]:04d}.txt"
-        fileio.write_counts(os.path.join(counts_dir, name), record)
+    for m in range(state.grid.n):
+        seed = "none" if scan_seeds[0] is None else weaksim.derived_seed(scan_seeds[0], m)
+        fileio.write_counts(os.path.join(counts_dir, f"sliver_{m:04d}.txt"), first_counts[:, m], {
+            "sliver_lo": m, "sliver_hi": m + 1, "phi": phi, "photon_budget": budget, "seed": seed,
+        })
     print(dirac_path)
     if cfg.correct:
         # lab-style route: reconstruct the uncorrected distribution, then
@@ -158,7 +163,7 @@ def cmd_measure(cfg: RunConfig, args) -> int:
         rec = dirac.reconstruct_density(
             DiracDistribution(grid=state.grid, d=raw)
         )
-        fixed = weaksim.correct_diagonals(rec, cfg.bench.phi)
+        fixed = weaksim.correct_diagonals(rec, phi)
         density_path = os.path.join(cfg.out_dir, "density_measured.txt")
         fileio.write_matrix(density_path, fixed.rho, {"kind": "density", **base_meta})
         print(density_path)
@@ -178,13 +183,7 @@ def cmd_propagate(cfg: RunConfig, args) -> int:
     dist = _read_dirac(_dirac_path(cfg, args))
     grid = dist.grid
     for dz in cfg.dz_list:
-        if cfg.kernel == "analytic" and dz > 0:
-            kernel = bayesprop.build_kernel_analytic(grid, dz)
-        else:
-            # dz = 0 always routes to the unitary construction
-            kernel = bayesprop.build_kernel_unitary(
-                grid, bayesprop.fresnel_unitary(grid, dz), dz
-            )
+        kernel = bayesprop.build_kernel_unitary(grid, bayesprop.fresnel_unitary(grid, dz), dz)
         prop = bayesprop.bayes_propagate(dist, kernel)
         path = os.path.join(cfg.out_dir, propagated_name(dz))
         fileio.write_matrix(path, prop.e, {
@@ -192,6 +191,8 @@ def cmd_propagate(cfg: RunConfig, args) -> int:
             "dz": dz, "kernel": kernel.kind,
         })
         print(path)
+        # free this kernel and its output before the next one is built
+        del kernel, prop
     return EXIT_OK
 
 

@@ -41,13 +41,11 @@ DEFAULTS = {
     "pipeline.scans": 10,
     "pipeline.correct": True,
     "propagation.dz": (0.084, 0.16, 0.325),
-    "propagation.kernel": "unitary",
     "output.dir": "out",
     "output.figures": ("magnitude", "phase", "real", "imag"),
 }
 
 _FIGURE_KINDS = ("magnitude", "phase", "real", "imag")
-_KERNELS = ("unitary", "analytic")
 
 
 @dataclass(frozen=True)
@@ -59,7 +57,6 @@ class RunConfig:
     scans: int
     correct: bool
     dz_list: tuple
-    kernel: str
     out_dir: str
     figures: tuple
 
@@ -178,10 +175,6 @@ def build_run_config(values: dict | None = None) -> RunConfig:
                 f"propagation.dz: {names[name]!r} and {dz!r} would both write {name}"
             )
         names[name] = dz
-    if merged["propagation.kernel"] not in _KERNELS:
-        raise ConfigError(
-            f"propagation.kernel: {merged['propagation.kernel']!r} not one of {_KERNELS}"
-        )
     for fig in merged["output.figures"]:
         if fig not in _FIGURE_KINDS:
             raise ConfigError(f"output.figures: unknown table kind {fig!r}")
@@ -194,7 +187,6 @@ def build_run_config(values: dict | None = None) -> RunConfig:
         scans=merged["pipeline.scans"],
         correct=merged["pipeline.correct"],
         dz_list=merged["propagation.dz"],
-        kernel=merged["propagation.kernel"],
         out_dir=merged["output.dir"],
         figures=merged["output.figures"],
     )

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError
 from .lattice import Grid, UnitMap, make_grid
-from .weaksim import MeasurementRecord, READOUT_KEYS
+from .weaksim import READOUT_KEYS
 
 MATRIX_MAGIC = "# diracsim matrix v1"
 COUNTS_MAGIC = "# diracsim counts v1"
@@ -240,34 +240,29 @@ def _read_matrix_lines(lines, path: str, first_lineno: int, rows: int, cols: int
     return arr
 
 
-def write_counts(path: str, record: MeasurementRecord, extra_meta: dict | None = None) -> None:
-    """Serialize one measurement record; body rows are 'k N_D N_A N_L N_R'."""
-    n = len(record.counts["D"])
-    header = {
-        "n": n,
-        "sliver_lo": record.sliver[0],
-        "sliver_hi": record.sliver[1],
-        "phi": record.phi,
-        "photon_budget": record.photon_budget,
-        "seed": "none" if record.seed is None else record.seed,
-    }
-    header.update(extra_meta or {})
-    table = np.column_stack([np.arange(n)] + [record.counts[key] for key in READOUT_KEYS])
-    body = format_rows("%d" + " %.17g" * len(READOUT_KEYS) + "\n", table.astype(float))
+def write_counts(path: str, counts: np.ndarray, meta: dict) -> None:
+    """Write one sliver's counts, shape (4, n) in ``READOUT_KEYS`` order, with
+    '# n=' and then ``meta`` as headers; body rows are 'k N_D N_A N_L N_R'."""
+    n = counts.shape[1]
+    header = {"n": n, **meta}
+    table = np.column_stack((np.arange(n), counts.T))
+    body = format_rows("%d" + " %.17g" * len(READOUT_KEYS) + "\n", table)
     atomic_write_text(path, chain([_header_text(COUNTS_MAGIC, header)], body))
 
 
-def read_counts(path: str) -> MeasurementRecord:
+def read_counts(path: str):
+    """Read a counts file; returns ``(counts, meta)``, counts of shape (4, n) in
+    ``READOUT_KEYS`` order and meta values as strings."""
     with _reading(path) as fh:
         meta, lineno = _read_header(fh, path, COUNTS_MAGIC)
         try:
             n = int(meta["n"])
             if n < 0:
                 raise ValueError(f"negative n={n}")
-            sliver = (int(meta["sliver_lo"]), int(meta["sliver_hi"]))
-            phi = float(meta["phi"])
-            budget = float(meta["photon_budget"])
-            seed = None if meta.get("seed", "none") == "none" else int(meta["seed"])
+            int(meta["sliver_lo"]), int(meta["sliver_hi"])
+            float(meta["phi"]), float(meta["photon_budget"])
+            if meta.get("seed", "none") != "none":
+                int(meta["seed"])
         except (KeyError, ValueError) as exc:
             raise FormatError(f"{path}: missing or invalid counts header ({exc})") from exc
         body = fh.tell()
@@ -275,16 +270,14 @@ def read_counts(path: str) -> MeasurementRecord:
         flat = _positions(table, ("k",), (n,), READOUT_KEYS)
         if flat is None:
             fh.seek(body)
-            counts = _read_counts_lines(fh, path, lineno, n)
-        else:
-            counts = {key: np.empty(n) for key in READOUT_KEYS}
-            for key in READOUT_KEYS:
-                counts[key][flat] = table[key]
-    return MeasurementRecord(sliver=sliver, phi=phi, counts=counts,
-                             photon_budget=budget, seed=seed)
+            return _read_counts_lines(fh, path, lineno, n), meta
+    counts = np.empty((len(READOUT_KEYS), n))
+    for i, key in enumerate(READOUT_KEYS):
+        counts[i, flat] = table[key]
+    return counts, meta
 
 
-def _read_counts_lines(lines, path: str, first_lineno: int, n: int) -> dict:
+def _read_counts_lines(lines, path: str, first_lineno: int, n: int) -> np.ndarray:
     """The line-by-line body parser: the values, or a FormatError naming the first bad line.
 
     Memory grows with the lines read, not with the ``n`` the header claims.
@@ -311,8 +304,7 @@ def _read_counts_lines(lines, path: str, first_lineno: int, n: int) -> dict:
         rows[k] = vals
     if len(rows) < n:
         raise FormatError(f"{path}: missing {n - len(rows)} momentum rows")
-    counts = {key: np.empty(n) for key in READOUT_KEYS}
+    counts = np.empty((len(READOUT_KEYS), n))
     for k, vals in rows.items():
-        for key, val in zip(READOUT_KEYS, vals):
-            counts[key][k] = val
+        counts[:, k] = vals
     return counts

@@ -17,16 +17,22 @@ Prob(x) (1 - cos phi) / n per momentum bin for a single-site sliver.  The
 proportionality constants and the circular handedness are pinned once by
 calibration against the exact trace formula, because pointer-readout sign
 conventions are otherwise ambiguous.
+
+A scan's counts are one float array of shape (4, n, n), indexed by analyzer
+(``READOUT_KEYS`` order), sliver and momentum bin.  Every scan of a state
+repeats the same weak measurement, so the noise-free table is computed once
+(:func:`readout_intensities`) and only the shot noise is redrawn per scan
+(:func:`sample_counts`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, NoPhotonsError, NumericalIntegrityError
+from .errors import ConfigError, NoPhotonsError, NumericalIntegrityError
 from .lattice import make_grid
 from .qstate import BenchConfig, DensityMatrix, pure_from_samples, density_from_pure
 from .dirac import DiracDistribution, dirac_distribution
@@ -42,38 +48,6 @@ POLARIZATIONS = {
 READOUT_KEYS = ("D", "A", "L", "R")
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementRecord:
-    """Per-momentum photon counts of the four analyzers at one sliver position.
-
-    ``seed is None`` marks analytic (noise-free expected) counts.
-    """
-
-    sliver: tuple[int, int]
-    phi: float
-    counts: dict
-    photon_budget: float
-    seed: int | None = None
-
-    @property
-    def analytic(self) -> bool:
-        return self.seed is None
-
-    def validate(self, tol: float = 1e-6) -> None:
-        for key in READOUT_KEYS:
-            if key not in self.counts:
-                raise ContractError(f"missing counts for analyzer {key!r}")
-            if np.any(self.counts[key] < 0):
-                raise ContractError(f"negative counts for analyzer {key!r}")
-        if self.analytic and self.photon_budget > 0:
-            for pair in (("D", "A"), ("L", "R")):
-                total = sum(float(self.counts[k].sum()) for k in pair)
-                if abs(total - self.photon_budget) > tol * self.photon_budget:
-                    raise ContractError(
-                        f"analytic {pair} counts total {total}, expected {self.photon_budget}"
-                    )
-
-
 @dataclass(frozen=True)
 class EstimatorCalibration:
     """Readout constants pinned once against the trace oracle, then immutable."""
@@ -84,9 +58,10 @@ class EstimatorCalibration:
 
 
 def readout_intensities(rho: DensityMatrix, phi: float, photon_budget: float,
-                        basis: np.ndarray | None = None) -> list[MeasurementRecord]:
-    """Analytic (noise-free) expected counts of the four analyzers, one
-    record per single-site sliver position.
+                        basis: np.ndarray | None = None) -> np.ndarray:
+    """Analytic (noise-free) expected counts of the four analyzers at every
+    single-site sliver position, as an array ``counts[analyzer, m, k]`` of
+    shape (4, n, n) in ``READOUT_KEYS`` order.
 
     The coupling at sliver m leaves the joint state in the four blocks
     K_a rho K_b with K_H = 1 - (1 - cos phi) e_m e_m^T and
@@ -111,66 +86,53 @@ def readout_intensities(rho: DensityMatrix, phi: float, photon_budget: float,
         (1, 0): s * (w - lose * r),
         (1, 1): s ** 2 * r,
     }
-    counts = {}
-    for key in READOUT_KEYS:
+    counts = np.empty((len(READOUT_KEYS),) + w.shape)
+    for i, key in enumerate(READOUT_KEYS):
         j = POLARIZATIONS[key]
         intensity = sum(
             np.conj(j[a]) * j[b] * diags[(a, b)] for a in (0, 1) for b in (0, 1)
         )
         if np.max(np.abs(intensity.imag)) > 1e-12:
             raise NumericalIntegrityError(f"analyzer {key} intensity has imaginary residual")
-        counts[key] = np.clip(intensity.real, 0.0, None) * photon_budget
-    return [
-        MeasurementRecord(sliver=(m, m + 1), phi=float(phi),
-                          counts={key: counts[key][m] for key in READOUT_KEYS},
-                          photon_budget=photon_budget, seed=None)
-        for m in range(rho.grid.n)
-    ]
+        counts[i] = np.clip(intensity.real, 0.0, None) * photon_budget
+    return counts
 
 
 def derived_seed(master: int, index: int) -> int:
     return int(np.random.SeedSequence((int(master), int(index))).generate_state(1, np.uint64)[0])
 
 
-def sample_counts(record: MeasurementRecord, seed: int) -> MeasurementRecord:
-    """Independent Poisson draw of every count bin; deterministic in the seed."""
-    if not record.analytic:
-        raise ContractError("sample_counts expects an analytic record")
-    rng = np.random.default_rng(int(seed))
-    noisy = {key: rng.poisson(record.counts[key]).astype(float) for key in READOUT_KEYS}
-    return replace(record, counts=noisy, seed=int(seed))
+def sample_counts(expected: np.ndarray, seed: int) -> np.ndarray:
+    """Independent Poisson draw of every bin of a (4, n, n) counts array.
+
+    Sliver m draws from its own generator, seeded by ``derived_seed(seed, m)``,
+    so the counts do not depend on the order in which slivers are drawn.
+    """
+    noisy = np.empty_like(expected)
+    for m in range(expected.shape[1]):
+        rng = np.random.default_rng(derived_seed(seed, m))
+        noisy[:, m, :] = rng.poisson(expected[:, m, :])
+    return noisy
 
 
-def estimate_dirac_column(record: MeasurementRecord,
+def estimate_dirac_column(counts: np.ndarray, phi: float,
                           cal: EstimatorCalibration | None = None) -> np.ndarray:
-    """Dirac-distribution column estimate, normalized by the total linear count.
+    """Dirac-distribution estimate from analyzer counts, normalized per sliver
+    by its total linear count.
 
-    Targets the joint quasi-probability.  The per-momentum-normalized variant
-    is :func:`estimate_conditional_column`.
+    ``counts`` holds the four analyzers on its first axis: one sliver's
+    (4, n) counts give its column, a scan's (4, n, n) counts the whole
+    (n, n) estimate.
     """
     cal = default_calibration() if cal is None else cal
-    d, a, l, r = (record.counts[k] for k in READOUT_KEYS)
-    total = float((d + a).sum())
-    if total <= 0:
-        raise NoPhotonsError("record contains no photons in the linear analyzer pair")
-    scale = total * np.sin(record.phi)
+    d, a, l, r = counts
+    total = (d + a).sum(axis=-1, keepdims=True)
+    empty = np.flatnonzero(total <= 0)
+    if empty.size:
+        where = f"sliver {empty[0]}: " if counts.ndim == 3 else ""
+        raise NoPhotonsError(f"{where}no photons in the linear analyzer pair")
+    scale = total * np.sin(phi)
     return (cal.c_re * (d - a) - 1j * cal.sign_circ * cal.c_im * (l - r)) / scale
-
-
-def estimate_conditional_column(record: MeasurementRecord,
-                                cal: EstimatorCalibration | None = None) -> np.ndarray:
-    """Per-momentum-normalized variant: estimates the conditional P(x|p) column
-    in the weak limit.  Bins whose analyzer pair saw no photons carry no
-    information and are returned as 0.
-    """
-    cal = default_calibration() if cal is None else cal
-    d, a, l, r = (record.counts[k] for k in READOUT_KEYS)
-    lin_tot = d + a
-    circ_tot = l + r
-    with np.errstate(divide="ignore", invalid="ignore"):
-        re_part = np.where(lin_tot > 0, (d - a) / np.where(lin_tot > 0, lin_tot, 1.0), 0.0)
-        im_part = np.where(circ_tot > 0, (l - r) / np.where(circ_tot > 0, circ_tot, 1.0), 0.0)
-    return (cal.c_re * re_part - 1j * cal.sign_circ * cal.c_im * im_part) / np.sin(record.phi)
 
 
 def backaction_offset(rho: DensityMatrix, phi: float,
@@ -185,13 +147,13 @@ def backaction_offset(rho: DensityMatrix, phi: float,
     return (1.0 - np.cos(phi)) * prob[:, None] * np.abs(basis) ** 2
 
 
-def scan_with_records(rho: DensityMatrix, cfg: BenchConfig, *,
-                      noise: bool = False, seed: int | None = None,
-                      correct: bool = True,
-                      cal: EstimatorCalibration | None = None,
-                      basis: np.ndarray | None = None):
+def scan(rho: DensityMatrix, cfg: BenchConfig, *,
+         noise: bool = False, seed: int | None = None,
+         correct: bool = True,
+         cal: EstimatorCalibration | None = None,
+         basis: np.ndarray | None = None) -> DiracDistribution:
     """Step a single-site sliver across the lattice and assemble the measured
-    distribution; returns ``(DiracDistribution, [MeasurementRecord, ...])``.
+    distribution.
 
     With noise enabled, each sliver position draws from its own counter
     seeded by (seed, sliver index), so the output does not depend on
@@ -200,26 +162,14 @@ def scan_with_records(rho: DensityMatrix, cfg: BenchConfig, *,
     """
     if noise and seed is None:
         raise ConfigError("a seed is required for a noisy scan")
-    cal = default_calibration() if cal is None else cal
-    n = rho.grid.n
-    est = np.empty((n, n), dtype=complex)
-    records = readout_intensities(rho, cfg.phi, cfg.photon_budget, basis=basis)
+    counts = readout_intensities(rho, cfg.phi, cfg.photon_budget, basis=basis)
     if noise:
-        records = [sample_counts(rec, derived_seed(seed, m)) for m, rec in enumerate(records)]
-    for m, record in enumerate(records):
-        try:
-            est[m, :] = estimate_dirac_column(record, cal)
-        except NoPhotonsError as exc:
-            raise NoPhotonsError(f"sliver {m}: {exc}") from exc
+        counts = sample_counts(counts, seed)
+    est = estimate_dirac_column(counts, cfg.phi, cal)
     if correct:
         est = est + backaction_offset(rho, cfg.phi, basis=basis)
     est.setflags(write=False)
-    return DiracDistribution(grid=rho.grid, d=est), records
-
-
-def scan(rho: DensityMatrix, cfg: BenchConfig, **kwargs) -> DiracDistribution:
-    """Measured Dirac distribution; see :func:`scan_with_records`."""
-    return scan_with_records(rho, cfg, **kwargs)[0]
+    return DiracDistribution(grid=rho.grid, d=est)
 
 
 def correct_diagonals(rho_measured: DensityMatrix, phi: float) -> DensityMatrix:
@@ -245,22 +195,16 @@ def calibrate_estimator(n: int = 16, phi: float = 0.3) -> EstimatorCalibration:
     amp = np.exp(-x ** 2 / 3.0) * np.exp(1j * (0.8 * x ** 2 + 0.6 * x))
     rho = density_from_pure(pure_from_samples(grid, amp))
     truth = dirac_distribution(rho).d
-    records = readout_intensities(rho, phi, 1.0)
-    offset = backaction_offset(rho, phi)
-    raw_re, raw_im, tgt = [], [], []
-    for m in (n // 4, n // 2, (3 * n) // 4):
-        d, a, l, r = (records[m].counts[k] for k in READOUT_KEYS)
-        scale = float((d + a).sum()) * np.sin(phi)
-        raw_re.append((d - a) / scale)
-        raw_im.append((l - r) / scale)
-        tgt.append(truth[m, :] - offset[m])
-    raw_re = np.concatenate(raw_re)
-    raw_im = np.concatenate(raw_im)
-    tgt = np.concatenate(tgt)
+    rows = [n // 4, n // 2, (3 * n) // 4]
+    counts = readout_intensities(rho, phi, 1.0)[:, rows, :]
+    tgt = (truth[rows] - backaction_offset(rho, phi)[rows]).ravel()
+    d, a, l, r = counts
+    scale = (d + a).sum(axis=-1, keepdims=True) * np.sin(phi)
+    raw_re, raw_im = ((d - a) / scale).ravel(), ((l - r) / scale).ravel()
     c_re = float(np.dot(raw_re, tgt.real) / np.dot(raw_re, raw_re))
     s_im = float(np.dot(raw_im, tgt.imag) / np.dot(raw_im, raw_im))
     cal = EstimatorCalibration(c_re=c_re, c_im=abs(s_im), sign_circ=-1 if s_im > 0 else 1)
-    est = cal.c_re * raw_re - 1j * cal.sign_circ * cal.c_im * raw_im
+    est = estimate_dirac_column(counts, phi, cal).ravel()
     residual = np.max(np.abs(est - tgt))
     if residual > 1e-10:
         raise NumericalIntegrityError(

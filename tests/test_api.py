@@ -10,17 +10,17 @@ PUBLIC = {
     "BenchConfig", "ConfigError", "ContractError", "DegenerateInputError",
     "DegenerateKernelError", "DensityMatrix", "DiracDistribution", "DiracsimError",
     "EstimatorCalibration", "FormatError", "Grid", "KIND_ANALYTIC", "KIND_UNITARY",
-    "MeasurementRecord", "NoPhotonsError", "NullEventError", "NumericalIntegrityError",
+    "NoPhotonsError", "NullEventError", "NumericalIntegrityError",
     "PropagatedDistribution", "PropagatorKernel", "PureState", "UnitMap",
     "backaction_offset", "bayes_propagate", "bench_pure_state", "build_bench_state",
     "build_kernel_analytic", "build_kernel_unitary", "calibrate_estimator",
     "conditional_x_given_p", "correct_diagonals", "default_calibration",
     "density_from_pure", "dirac_distribution", "direct_measure_displaced",
-    "estimate_conditional_column", "estimate_dirac_column", "expectation_overlap",
+    "estimate_dirac_column", "expectation_overlap",
     "fresnel_unitary", "from_momentum", "joint4_tensor", "make_grid", "marginal_p",
     "marginal_x", "mix", "operator_dirac", "overlap", "pure_from_samples", "purity",
     "random_density_matrix", "readout_intensities", "reconstruct_density",
-    "sample_counts", "scan", "scan_with_records", "to_momentum",
+    "sample_counts", "scan", "to_momentum",
     "wedge_gradient_from_angle",
 }
 

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from diracsim import weaksim
 from diracsim.cli import main
 from diracsim.fileio import read_matrix, read_counts
 from diracsim import dirac_distribution, marginal_x
@@ -80,10 +81,13 @@ def test_measure_analytic_matches_exact(tmp_path):
     state, _ = read_matrix(os.path.join(out, "state.txt"))
     density, _ = read_matrix(os.path.join(out, "density_measured.txt"))
     assert np.max(np.abs(density - state)) < 1e-9
-    # per-sliver counts present and valid
-    rec = read_counts(os.path.join(out, "counts", "sliver_0007.txt"))
-    assert rec.sliver == (7, 8)
-    rec.validate()
+    # per-sliver counts present and valid: each analyzer pair holds the budget
+    for m in range(N):
+        counts, meta = read_counts(os.path.join(out, "counts", f"sliver_{m:04d}.txt"))
+        assert (meta["sliver_lo"], meta["sliver_hi"], meta["seed"]) == (str(m), str(m + 1), "none")
+        assert counts.shape == (4, N) and np.all(counts >= 0)
+        assert abs(counts[0].sum() + counts[1].sum() - 1e8) <= 1e-6 * 1e8
+        assert abs(counts[2].sum() + counts[3].sum() - 1e8) <= 1e-6 * 1e8
 
 
 def test_measure_deterministic_with_seed(tmp_path):
@@ -96,6 +100,29 @@ def test_measure_deterministic_with_seed(tmp_path):
         b1 = open(os.path.join(out1, name), "rb").read()
         b2 = open(os.path.join(out2, name), "rb").read()
         assert b1 == b2
+
+
+def test_measure_reads_out_once_and_redraws_noise_per_scan(tmp_path, monkeypatch):
+    cfg = _write_config(tmp_path, "pipeline.scans = 3\npipeline.seed = 9\n")
+    out = str(tmp_path / "out")
+    assert _run("gen-state", "--config", cfg, "--out", out) == 0
+    weaksim.default_calibration()  # its own readout is cached per process
+    calls = []
+    readout = weaksim.readout_intensities
+    monkeypatch.setattr(weaksim, "readout_intensities",
+                        lambda *a, **kw: calls.append(a) or readout(*a, **kw))
+    assert _run("measure", "--config", cfg, "--out", out) == 0
+    assert len(calls) == 1
+    _, meta = read_matrix(os.path.join(out, "dirac_measured.txt"))
+    assert meta["scans"] == "3"
+    # the counts files hold the first scan; sliver m was drawn from derived_seed(rep_seed, m)
+    rep_seed = weaksim.derived_seed(9, 10_000_000)
+    expected = readout(*calls[0])
+    for m in (0, 5, N - 1):
+        counts, meta = read_counts(os.path.join(out, "counts", f"sliver_{m:04d}.txt"))
+        assert meta["seed"] == str(weaksim.derived_seed(rep_seed, m))
+        rng = np.random.default_rng(weaksim.derived_seed(rep_seed, m))
+        assert np.array_equal(counts, rng.poisson(expected[:, m]))
 
 
 def test_measure_zero_budget_exits_3(tmp_path, capsys):
@@ -160,16 +187,17 @@ def test_propagate_identity_at_dz_zero(tmp_path):
     assert np.max(np.abs(prop - exact)) < 1e-12
 
 
-def test_propagate_analytic_kernel_routes_dz0_to_unitary(tmp_path):
-    cfg = _write_config(tmp_path, "propagation.dz = 0, 0.1\npropagation.kernel = analytic\n")
+@pytest.mark.parametrize("value", ["analytic", "unitary"])
+def test_propagation_kernel_key_exits_2_without_output(tmp_path, capsys, value):
     out = str(tmp_path / "out")
-    assert _run("gen-state", "--config", cfg, "--out", out) == 0
-    assert _run("exact", "--config", cfg, "--out", out) == 0
-    assert _run("propagate", "--config", cfg, "--out", out) == 0
-    _, meta0 = read_matrix(os.path.join(out, "propagated_dz0.txt"))
-    _, meta1 = read_matrix(os.path.join(out, "propagated_dz0.1.txt"))
-    assert meta0["kernel"] == "discrete-unitary"
-    assert meta1["kernel"] == "analytic-fresnel"
+    assert _run("gen-state", "--config", _write_config(tmp_path), "--out", out) == 0
+    assert _run("exact", "--config", _write_config(tmp_path), "--out", out) == 0
+    capsys.readouterr()
+    cfg = _write_config(tmp_path, f"propagation.kernel = {value}\n")
+    assert _run("propagate", "--config", cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "unknown config key 'propagation.kernel'" in err
+    assert not [name for name in os.listdir(out) if name.startswith("propagated")]
 
 
 def _load_csv(path):

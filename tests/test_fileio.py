@@ -9,7 +9,7 @@ from diracsim.cli import main
 from diracsim.errors import FormatError
 from diracsim.fileio import (grid_from_meta, grid_meta, read_counts, read_matrix,
                              write_counts, write_matrix)
-from diracsim.weaksim import MeasurementRecord, READOUT_KEYS
+from diracsim.weaksim import READOUT_KEYS
 
 
 def _sample_matrix():
@@ -84,27 +84,30 @@ def test_grid_meta_round_trip():
             grid_from_meta(bad, "f.txt")
 
 
+def _counts_meta(sliver=0, phi=0.1, budget=10.0, seed="none"):
+    return {"sliver_lo": sliver, "sliver_hi": sliver + 1, "phi": phi,
+            "photon_budget": budget, "seed": seed}
+
+
 def test_counts_round_trip(tmp_path):
     rng = np.random.default_rng(1)
-    counts = {key: np.abs(rng.standard_normal(6)) * 100 for key in READOUT_KEYS}
-    rec = MeasurementRecord(sliver=(2, 3), phi=0.22, counts=counts,
-                            photon_budget=1e6, seed=None)
+    counts = np.abs(rng.standard_normal((len(READOUT_KEYS), 6))) * 100
     path = str(tmp_path / "c.txt")
-    write_counts(path, rec)
+    write_counts(path, counts, _counts_meta(2, 0.22, 1e6))
     first = open(path, "rb").read()
-    back = read_counts(path)
-    assert back.sliver == (2, 3)
-    assert back.phi == 0.22
-    assert back.seed is None
-    for key in READOUT_KEYS:
-        assert np.array_equal(back.counts[key], counts[key])
-    write_counts(path, back)
+    back, meta = read_counts(path)
+    assert list(meta) == ["n", "sliver_lo", "sliver_hi", "phi", "photon_budget", "seed"]
+    assert (meta["sliver_lo"], meta["sliver_hi"]) == ("2", "3")
+    assert float(meta["phi"]) == 0.22
+    assert meta["seed"] == "none"
+    assert back.shape == (len(READOUT_KEYS), 6)
+    assert np.array_equal(back, counts)
+    del meta["n"]
+    write_counts(path, back, meta)
     assert open(path, "rb").read() == first
 
-    sampled = MeasurementRecord(sliver=(0, 1), phi=0.1, counts=counts,
-                                photon_budget=10.0, seed=12345)
-    write_counts(path, sampled)
-    assert read_counts(path).seed == 12345
+    write_counts(path, counts, _counts_meta(seed=12345))
+    assert read_counts(path)[1]["seed"] == "12345"
 
 
 def test_counts_format_errors(tmp_path):
@@ -161,16 +164,14 @@ def _ref_matrix_text(arr, meta):
     return "\n".join(lines) + "\n"
 
 
-def _ref_counts_text(record):
-    n = len(record.counts["D"])
+def _ref_counts_text(counts, meta):
+    n = len(counts["D"])
     lines = ["# diracsim counts v1"]
-    header = {"n": n, "sliver_lo": record.sliver[0], "sliver_hi": record.sliver[1],
-              "phi": record.phi, "photon_budget": record.photon_budget,
-              "seed": "none" if record.seed is None else record.seed}
+    header = {"n": n, **meta}
     for key, value in header.items():
         lines.append(f"# {key}={_ref_fmt(value)}")
     for k in range(n):
-        row = " ".join(_ref_fmt(float(record.counts[key][k])) for key in READOUT_KEYS)
+        row = " ".join(_ref_fmt(float(counts[key][k])) for key in READOUT_KEYS)
         lines.append(f"{k} {row}")
     return "\n".join(lines) + "\n"
 
@@ -296,8 +297,6 @@ def _outcome(read, path):
         return "error", str(exc)
     if isinstance(result, tuple):
         result = result[0]
-    if isinstance(result, MeasurementRecord):
-        result = result.counts
     if isinstance(result, dict):
         return "ok", b"".join(result[key].tobytes() for key in READOUT_KEYS)
     return "ok", result.tobytes()
@@ -464,20 +463,20 @@ def test_writers_match_per_element_reference(tmp_path, monkeypatch, rows, cols, 
         arr.real, arr.imag = _draw_array(data, (rows, cols)), _draw_array(data, (rows, cols))
         counts = {key: _draw_array(data, (cols,)) for key in READOUT_KEYS}
     meta = {"kind": "dirac", "n": rows, "dx": 0.1, "x0": -0.0, "mixed": True}
-    record = MeasurementRecord(sliver=(0, 1), phi=0.2255, counts=counts,
-                               photon_budget=1e8, seed=seed)
+    counts_meta = _counts_meta(0, 0.2255, 1e8, "none" if seed is None else seed)
     matrix_path, counts_path = str(tmp_path / "m.txt"), str(tmp_path / "c.txt")
     write_matrix(matrix_path, arr, meta)
-    write_counts(counts_path, record)
+    write_counts(counts_path, np.array([counts[key] for key in READOUT_KEYS]), counts_meta)
     assert open(matrix_path, "rb").read() == _ref_matrix_text(arr, meta).encode()
-    assert open(counts_path, "rb").read() == _ref_counts_text(record).encode()
+    assert open(counts_path, "rb").read() == _ref_counts_text(counts, counts_meta).encode()
 
     _forbid_line_parser(monkeypatch)
     if np.isfinite(arr.view(float)).all():
         assert read_matrix(matrix_path)[0].tobytes() == arr.tobytes()
     if all(np.isfinite(c).all() for c in counts.values()):
-        back = read_counts(counts_path).counts
-        assert all(back[key].tobytes() == counts[key].tobytes() for key in READOUT_KEYS)
+        back = read_counts(counts_path)[0]
+        assert all(back[i].tobytes() == counts[key].tobytes()
+                   for i, key in enumerate(READOUT_KEYS))
 
 
 @settings(derandomize=True, max_examples=25, deadline=None,

@@ -5,12 +5,10 @@ from hypothesis import example, given, settings, strategies as st
 from diracsim import (BenchConfig, ConfigError, NoPhotonsError, backaction_offset,
                       calibrate_estimator, correct_diagonals,
                       default_calibration, density_from_pure, dirac_distribution,
-                      estimate_conditional_column, estimate_dirac_column, make_grid,
-                      marginal_p, mix, pure_from_samples, random_density_matrix,
-                      readout_intensities, reconstruct_density, sample_counts, scan,
-                      scan_with_records)
+                      estimate_dirac_column, make_grid, mix, pure_from_samples,
+                      random_density_matrix, readout_intensities, reconstruct_density,
+                      sample_counts, scan)
 from diracsim.weaksim import POLARIZATIONS, READOUT_KEYS, derived_seed
-from dataclasses import replace
 
 from conftest import random_unitary
 
@@ -61,6 +59,15 @@ def _momentum_probs(rho, basis):
     return np.einsum("mk,mn,nk->k", basis.conj(), rho, basis).real
 
 
+def _assert_pairs_sum_to_budget(counts, budget, tol=1e-6):
+    """Nonnegative counts whose linear (D, A) and circular (L, R) pairs each
+    hold the whole photon budget at every sliver."""
+    assert counts.shape[0] == len(READOUT_KEYS) and np.all(counts >= 0)
+    d, a, l, r = counts
+    for pair_total in ((d + a).sum(axis=-1), (l + r).sum(axis=-1)):
+        assert np.max(np.abs(pair_total - budget)) <= tol * budget
+
+
 def test_couple_identity_at_zero_angle():
     # no coupling: every sliver's H input splits evenly over every analyzer
     rng = np.random.default_rng(1)
@@ -70,12 +77,9 @@ def test_couple_identity_at_zero_angle():
     for basis in (None, random_unitary(8, rng)):
         b = grid.overlap_matrix if basis is None else basis
         q = _momentum_probs(rho.rho, b)
-        records = readout_intensities(rho, 0.0, budget, basis=basis)
-        assert len(records) == 8
-        for m, rec in enumerate(records):
-            assert rec.sliver == (m, m + 1) and rec.phi == 0.0
-            for key in READOUT_KEYS:
-                assert np.max(np.abs(rec.counts[key] / budget - q / 2)) < 1e-14
+        counts = readout_intensities(rho, 0.0, budget, basis=basis)
+        assert counts.shape == (4, 8, 8)
+        assert np.max(np.abs(counts / budget - q / 2)) < 1e-14
 
 
 def test_couple_strong_limit_flips_polarization():
@@ -85,27 +89,26 @@ def test_couple_strong_limit_flips_polarization():
     # every analyzer sees half of the flat momentum distribution
     raw = np.zeros(8)
     raw[3] = 1.0
-    rec = readout_intensities(density_from_pure(pure_from_samples(grid, raw)),
-                              np.pi / 2, budget)[3]
-    for key in READOUT_KEYS:
-        assert np.allclose(rec.counts[key], budget / 16, atol=1e-14 * budget)
+    counts = readout_intensities(density_from_pure(pure_from_samples(grid, raw)),
+                                 np.pi / 2, budget)[:, 3]
+    assert np.allclose(counts, budget / 16, atol=1e-14 * budget)
     # general state: the flipped sliver no longer interferes with the H rest
     # of the beam in the linear-pair total
     rho = _chirped_state(grid)
     u = grid.overlap_matrix
     coherent = _momentum_probs(rho.rho, u)
     for m in (2, 3, 5):
-        rec = readout_intensities(rho, np.pi / 2, budget)[m]
+        counts = readout_intensities(rho, np.pi / 2, budget)[:, m]
         proj = np.zeros((8, 8))
         proj[m, m] = 1.0
         rest = np.eye(8) - proj
         incoherent = _momentum_probs(rest @ rho.rho @ rest + proj @ rho.rho @ proj, u)
         assert np.max(np.abs(coherent - incoherent)) > 1e-3
-        total = (rec.counts["D"] + rec.counts["A"]) / budget
+        total = (counts[0] + counts[1]) / budget
         assert np.max(np.abs(total - incoherent)) < 1e-12
         oracle = _oracle_intensities(rho.rho, m, np.pi / 2, u)
-        for key in READOUT_KEYS:
-            assert np.max(np.abs(rec.counts[key] / budget - oracle[key])) < 1e-12
+        for i, key in enumerate(READOUT_KEYS):
+            assert np.max(np.abs(counts[i] / budget - oracle[key])) < 1e-12
 
 
 _ANGLES = st.one_of(st.sampled_from([0.0, np.pi / 2]), st.floats(0.0, np.pi / 2))
@@ -126,14 +129,13 @@ def test_couple_matches_explicit_unitary(n, rank_frac, phi, random_basis, seed):
     rho = random_density_matrix(grid, rng, rank=rank)
     basis = random_unitary(n, rng) if random_basis else grid.overlap_matrix
     budget = 1e3
-    records = readout_intensities(rho, phi, budget, basis=basis if random_basis else None)
-    assert len(records) == n
-    for m, rec in enumerate(records):
-        assert rec.sliver == (m, m + 1) and rec.phi == phi and rec.analytic
+    counts = readout_intensities(rho, phi, budget, basis=basis if random_basis else None)
+    assert counts.shape == (4, n, n)
+    for m in range(n):
         oracle = _oracle_intensities(rho.rho, m, phi, basis)
-        for key in READOUT_KEYS:
-            assert np.max(np.abs(rec.counts[key] / budget - oracle[key])) < 1e-12
-        rec.validate()
+        for i, key in enumerate(READOUT_KEYS):
+            assert np.max(np.abs(counts[i, m] / budget - oracle[key])) < 1e-12
+    _assert_pairs_sum_to_budget(counts, budget)
 
 
 def test_couple_rejects_bad_inputs():
@@ -151,9 +153,9 @@ def test_readout_balanced_without_coupling():
     rng = np.random.default_rng(4)
     grid = make_grid(8, 0.5)
     rho = random_density_matrix(grid, rng)
-    rec = readout_intensities(rho, 0.0, 1e6)[2]
-    assert np.max(np.abs(rec.counts["D"] - rec.counts["A"])) < 1e-9
-    assert np.max(np.abs(rec.counts["L"] - rec.counts["R"])) < 1e-9
+    d, a, l, r = readout_intensities(rho, 0.0, 1e6)[:, 2]
+    assert np.max(np.abs(d - a)) < 1e-9
+    assert np.max(np.abs(l - r)) < 1e-9
 
 
 def test_readout_pair_sums_equal_budget():
@@ -161,10 +163,8 @@ def test_readout_pair_sums_equal_budget():
     grid = make_grid(16, 0.5)
     rho = random_density_matrix(grid, rng)
     budget = 3.7e8
-    rec = readout_intensities(rho, PHI_BENCH, budget)[7]
-    assert abs((rec.counts["D"] + rec.counts["A"]).sum() - budget) < 1e-9 * budget
-    assert abs((rec.counts["L"] + rec.counts["R"]).sum() - budget) < 1e-9 * budget
-    rec.validate()
+    for phi in (0.0, PHI_BENCH, np.pi / 2):
+        _assert_pairs_sum_to_budget(readout_intensities(rho, phi, budget), budget, tol=1e-9)
 
 
 def test_readout_two_level_closed_form():
@@ -175,11 +175,11 @@ def test_readout_two_level_closed_form():
     raw[5] = 1.0
     rho = density_from_pure(pure_from_samples(grid, raw))
     budget = 1e4
-    rec = readout_intensities(rho, PHI_BENCH, budget)[5]
+    counts = readout_intensities(rho, PHI_BENCH, budget)[:, 5]
     pol = np.array([np.cos(PHI_BENCH), np.sin(PHI_BENCH)])
-    for key in READOUT_KEYS:
+    for i, key in enumerate(READOUT_KEYS):
         weight = abs(np.vdot(POLARIZATIONS[key], pol)) ** 2
-        assert np.allclose(rec.counts[key], budget * weight / 8.0, atol=1e-9 * budget)
+        assert np.allclose(counts[i], budget * weight / 8.0, atol=1e-9 * budget)
 
 
 def test_sample_counts_deterministic_and_zero_preserving():
@@ -187,27 +187,37 @@ def test_sample_counts_deterministic_and_zero_preserving():
     raw = np.zeros(8)
     raw[2] = 1.0
     rho = density_from_pure(pure_from_samples(grid, raw))
-    rec = readout_intensities(rho, PHI_BENCH, 1e5)[4]
-    a = sample_counts(rec, 99)
-    b = sample_counts(rec, 99)
-    c = sample_counts(rec, 100)
-    for key in READOUT_KEYS:
-        assert np.array_equal(a.counts[key], b.counts[key])
-        assert a.counts[key][rec.counts[key] == 0.0].sum() == 0.0
-    assert any(not np.array_equal(a.counts[k], c.counts[k]) for k in READOUT_KEYS)
+    expected = readout_intensities(rho, PHI_BENCH, 1e5)
+    a = sample_counts(expected, 99)
+    b = sample_counts(expected, 99)
+    c = sample_counts(expected, 100)
+    assert a.shape == expected.shape and a.dtype == float
+    assert np.array_equal(a, b)
+    assert a[expected == 0.0].sum() == 0.0
+    assert not np.array_equal(a, c)
+
+
+def test_sample_counts_draws_each_sliver_from_its_own_seed():
+    """Sliver m draws D, A, L and R in turn from default_rng(derived_seed(seed, m)),
+    so its counts do not depend on the other slivers."""
+    grid = make_grid(8, 0.5)
+    expected = readout_intensities(_chirped_state(grid), PHI_BENCH, 1e5)
+    noisy = sample_counts(expected, 42)
+    for m in range(8):
+        rng = np.random.default_rng(derived_seed(42, m))
+        for i in range(len(READOUT_KEYS)):
+            assert np.array_equal(noisy[i, m], rng.poisson(expected[i, m]).astype(float))
 
 
 def test_sample_counts_concentrates_at_large_budget():
     rng = np.random.default_rng(6)
     grid = make_grid(16, 0.5)
     rho = _chirped_state(grid)
-    rec = readout_intensities(rho, PHI_BENCH, 1e12)[8]
-    noisy = sample_counts(rec, 7)
-    for key in READOUT_KEYS:
-        mean = rec.counts[key]
-        big = mean >= 1e8
-        rel = np.abs(noisy.counts[key][big] - mean[big]) / mean[big]
-        assert np.max(rel) < 1e-4
+    expected = readout_intensities(rho, PHI_BENCH, 1e12)
+    mean, noisy = expected[:, 8], sample_counts(expected, 7)[:, 8]
+    big = mean >= 1e8
+    rel = np.abs(noisy[big] - mean[big]) / mean[big]
+    assert np.max(rel) < 1e-4
 
 
 def test_calibration_constants():
@@ -223,19 +233,22 @@ def test_estimator_weak_limit_matches_oracle():
     rho = _chirped_state(grid)
     truth = dirac_distribution(rho).d
     phi = np.deg2rad(0.1)
+    counts = readout_intensities(rho, phi, 1.0)
     for m in (4, 8, 12):
-        rec = readout_intensities(rho, phi, 1.0)[m]
-        est = estimate_dirac_column(rec)
+        est = estimate_dirac_column(counts[:, m], phi)
         assert np.max(np.abs(est - truth[m, :])) < 1e-6
+    assert np.max(np.abs(estimate_dirac_column(counts, phi) - truth)) < 1e-6
 
 
 def test_estimator_finite_angle_offset_identity():
     grid = make_grid(16, 0.5)
     rho = _chirped_state(grid)
     truth = dirac_distribution(rho).d
+    counts = readout_intensities(rho, PHI_BENCH, 1.0)
     for m in (3, 8, 13):
-        rec = readout_intensities(rho, PHI_BENCH, 1.0)[m]
-        est = estimate_dirac_column(rec)
+        est = estimate_dirac_column(counts[:, m], PHI_BENCH)
+        # one sliver's column is the same row of the whole-scan estimate, bit for bit
+        assert np.array_equal(est, estimate_dirac_column(counts, PHI_BENCH)[m])
         offset = backaction_offset(rho, PHI_BENCH)[m]
         assert np.max(np.abs(est + offset - truth[m, :])) < 1e-10
         # offset row shape: Prob(x) (1 - cos phi)/n in every momentum bin
@@ -247,9 +260,9 @@ def test_estimator_zero_without_coupling():
     rng = np.random.default_rng(8)
     grid = make_grid(8, 0.5)
     rho = random_density_matrix(grid, rng)
-    rec = readout_intensities(rho, 0.0, 1.0)[2]
-    rec = replace(rec, phi=PHI_BENCH)  # H input, no coupling, nominal angle
-    assert np.max(np.abs(estimate_dirac_column(rec))) < 1e-12
+    counts = readout_intensities(rho, 0.0, 1.0)[:, 2]
+    # H input, no coupling, read at the nominal angle
+    assert np.max(np.abs(estimate_dirac_column(counts, PHI_BENCH))) < 1e-12
 
 
 def test_estimator_requires_photons():
@@ -257,25 +270,13 @@ def test_estimator_requires_photons():
     raw = np.zeros(8)
     raw[2] = 1.0
     rho = density_from_pure(pure_from_samples(grid, raw))
-    rec = readout_intensities(rho, PHI_BENCH, 0.0)[2]
+    counts = readout_intensities(rho, PHI_BENCH, 0.0)
     with pytest.raises(NoPhotonsError):
-        estimate_dirac_column(rec)
-
-
-def test_conditional_estimator_weak_limit():
-    grid = make_grid(16, 0.5)
-    rho = _chirped_state(grid)
-    d = dirac_distribution(rho)
-    probs = marginal_p(d)
-    phi = np.deg2rad(0.05)
-    m = 8
-    rec = readout_intensities(rho, phi, 1.0)[m]
-    est = estimate_conditional_column(rec)
-    expected = d.d[m, :] / probs
-    # conditioning amplifies the finite-angle error by 1/P(p); compare where
-    # the momentum outcome has real probability
-    solid = probs > 1e-3
-    assert np.max(np.abs(est - expected)[solid]) < 1e-4
+        estimate_dirac_column(counts[:, 2], PHI_BENCH)
+    counts = readout_intensities(rho, PHI_BENCH, 1.0)
+    counts[:2, 5] = 0.0
+    with pytest.raises(NoPhotonsError, match="^sliver 5: "):
+        estimate_dirac_column(counts, PHI_BENCH)
 
 
 def test_backaction_offset_values():
@@ -327,8 +328,8 @@ def test_real_column_gives_balanced_circular_counts():
     m0 = grid.n // 2
     truth_row = dirac_distribution(rho).d[m0, :]
     assert np.max(np.abs(truth_row.imag)) < 1e-14
-    rec = readout_intensities(rho, PHI_BENCH, 1.0)[m0]
-    assert np.max(np.abs(rec.counts["L"] - rec.counts["R"])) < 1e-12
+    counts = readout_intensities(rho, PHI_BENCH, 1.0)[:, m0]
+    assert np.max(np.abs(counts[2] - counts[3])) < 1e-12
 
 
 def test_scan_zero_probability_sliver_estimates_zero():
@@ -360,13 +361,15 @@ def test_scan_records_round_shape():
     rng = np.random.default_rng(14)
     grid = make_grid(8, 0.5)
     rho = random_density_matrix(grid, rng)
-    cfg = _cfg(grid)
-    dist, records = scan_with_records(rho, cfg)
-    assert len(records) == 8
-    assert records[5].sliver == (5, 6)
-    assert records[5].analytic
-    for rec in records:
-        rec.validate()
+    cfg = _cfg(grid, photon_budget=1e6)
+    counts = readout_intensities(rho, cfg.phi, cfg.photon_budget)
+    assert counts.shape == (len(READOUT_KEYS), 8, 8)
+    _assert_pairs_sum_to_budget(counts, cfg.photon_budget)
+    dist = scan(rho, cfg)
+    assert dist.d.shape == (8, 8) and not dist.d.flags.writeable
+    noisy = scan(rho, cfg, noise=True, seed=5, correct=False)
+    expected = estimate_dirac_column(sample_counts(counts, 5), cfg.phi)
+    assert np.array_equal(noisy.d, expected)
 
 
 def test_correct_diagonals_identity_and_factor():
