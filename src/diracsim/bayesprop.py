@@ -10,9 +10,8 @@ a pure position-diagonal defocus chirp,
 
 so the displaced camera pixels correspond to the pulled-back states
 ``|k'_j> = V^dag |p_j>``.  :func:`fresnel_unitary` returns only that
-diagonal, and the kernel builds the pulled-back states from it in O(n^2);
-a dense unitary is accepted as well, for propagators that are not diagonal
-in x.  The state-independent complex conditional
+diagonal; a dense unitary is accepted as well, for propagators that are not
+diagonal in x.  The state-independent complex conditional
 
     cond[k', m, kp] = <p_kp|k'> <k'|x_m> / <p_kp|x_m>
 
@@ -26,12 +25,13 @@ analytic kernel is wrong by order one, so the command line uses the unitary
 kernel only.  :func:`joint4_tensor` gives the four-variable joint
 quasi-probability of two such basis changes.
 
-All kernels are stored in factored form, ``cond = col[m,j] row[kp,j]
-inv[m,kp]``, and the full n^3 array is only materialized on demand for small
-grids.  ``row = U^dag K`` is computed by FFT (see :mod:`.lattice`).  A kernel
-built from a chirp vector c keeps it, and propagates by two FFTs,
-``e = col * ((((inv * d) U^dag) conj(c)) U)``; kernels from a dense unitary
-and the analytic kernel propagate by one matrix product with ``row``.
+A unitary kernel stores only its V.  :func:`bayes_propagate` applies it as
+``e = conj(K) * ((((d / conj(U)) U^dag) V^dag) U)`` with ``K = V^dag U``,
+the division and the first product taken entrywise.  U and U^dag act by FFT
+(see :mod:`.lattice`) and V^dag is a diagonal scaling or one matrix product,
+so neither the n^3 conditional nor an n x n factor of it is kept.  The
+analytic kernel is stored in factored form, ``cond = col[m,j] row[kp,j]
+inv[m,kp]``, and propagates by one matrix product with ``row``.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, ContractError, DegenerateKernelError,
-                     NumericalIntegrityError)
+from .errors import ConfigError, ContractError, DegenerateKernelError, NumericalIntegrityError
 from .lattice import Grid, TWO_PI
 from .qstate import BenchConfig, DensityMatrix
 from .dirac import DiracDistribution
@@ -49,39 +48,32 @@ from . import weaksim
 
 KIND_UNITARY = "discrete-unitary"
 KIND_ANALYTIC = "analytic-fresnel"
-_COND_MEMORY_LIMIT = 2 ** 30  # refuse to materialize cond arrays above 1 GiB
 
 
 @dataclass(frozen=True, eq=False)
 class PropagatorKernel:
     """Conditional quasi-probability kernel for one camera displacement.
 
-    ``k_basis`` columns are the displaced-plane position eigenstates in the
-    x-basis (unitary construction only).  The factor arrays reproduce
-    ``cond[j, m, kp] = col[m, j] * row[kp, j] * inv[m, kp]``.  ``chirp`` is
-    the diagonal of V when the kernel was built from one; then
-    ``row = U^dag diag(conj(chirp)) U`` and :func:`bayes_propagate` applies
-    it by FFT instead of multiplying by ``row``.
+    A unitary kernel sets only ``v``, the checked diagonal or dense matrix
+    of V as it was passed; :attr:`k_basis` derives the displaced-plane
+    position eigenstates from it on each access.  The analytic kernel sets
+    only the factors of ``cond[j, m, kp] = col[m, j] * row[kp, j] * inv[m, kp]``.
     """
 
     grid: Grid
     dz: float
     kind: str
-    k_basis: np.ndarray | None
-    col: np.ndarray
-    row: np.ndarray
-    inv: np.ndarray
-    chirp: np.ndarray | None = None
+    v: np.ndarray | None = None
+    col: np.ndarray | None = None
+    row: np.ndarray | None = None
+    inv: np.ndarray | None = None
 
-    def cond_array(self) -> np.ndarray:
-        """Materialize cond[j, m, kp]; refuses grids where it would not fit."""
-        n = self.grid.n
-        if 16 * n ** 3 > _COND_MEMORY_LIMIT:
-            raise ContractError(
-                f"cond array for n={n} needs {16 * n ** 3 / 2 ** 30:.1f} GiB; "
-                "use the factored form via bayes_propagate instead"
-            )
-        return np.einsum("mj,kj,mk->jmk", self.col, self.row, self.inv)
+    @property
+    def k_basis(self) -> np.ndarray | None:
+        """Columns V^dag |p_j> in the x basis; None for the analytic kernel."""
+        if self.v is None:
+            return None
+        return _adjoint_times(self.v, self.grid.overlap_matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,12 +135,11 @@ def _checked_unitary(grid: Grid, v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _displaced_basis(grid: Grid, v: np.ndarray) -> np.ndarray:
-    """Columns V^dag |p_j> in the x basis, after checking that V is unitary."""
-    v = _checked_unitary(grid, v)
+def _adjoint_times(v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """V^dag a, for V given as its length-n diagonal or as a dense matrix."""
     if v.ndim == 1:
-        return v.conj()[:, None] * grid.overlap_matrix
-    return v.conj().T @ grid.overlap_matrix
+        return v.conj()[:, None] * a
+    return v.conj().T @ a
 
 
 def build_kernel_unitary(grid: Grid, v: np.ndarray, dz: float = 0.0) -> PropagatorKernel:
@@ -158,20 +149,13 @@ def build_kernel_unitary(grid: Grid, v: np.ndarray, dz: float = 0.0) -> Propagat
     it, or a dense n x n unitary.  Completeness (sum over k' equal to one)
     holds identically, so the Bayes sum reproduces displaced-basis
     expectation values exactly.  ``dz`` is recorded as provenance only; it
-    plays no role in the construction.  A diagonal is kept on the kernel, so
-    that :func:`bayes_propagate` can apply it by FFT.
+    plays no role in the construction.  Only the checked V is stored.
     """
-    k_basis = _displaced_basis(grid, v)
-    u = grid.overlap_matrix
-    if np.min(np.abs(u)) == 0.0:
+    v = _checked_unitary(grid, np.array(v, dtype=complex))  # a copy the caller cannot change
+    v.setflags(write=False)
+    if not np.all(grid.overlap_matrix):  # some entry is exactly zero
         raise ContractError("overlap matrix has a vanishing entry")
-    col = k_basis.conj()
-    row = grid.matmul_overlap(col.T).conj().T  # U^dag k_basis
-    return PropagatorKernel(
-        grid=grid, dz=float(dz), kind=KIND_UNITARY, k_basis=k_basis,
-        col=col, row=row, inv=1.0 / u.conj(),
-        chirp=np.array(v, dtype=complex) if np.ndim(v) == 1 else None,
-    )
+    return PropagatorKernel(grid=grid, dz=float(dz), kind=KIND_UNITARY, v=v)
 
 
 def build_kernel_analytic(grid: Grid, dz: float) -> PropagatorKernel:
@@ -208,26 +192,29 @@ def build_kernel_analytic(grid: Grid, dz: float) -> PropagatorKernel:
     if np.min(np.abs(norm)) == 0.0:
         raise NumericalIntegrityError("analytic kernel normalization vanished")
     return PropagatorKernel(
-        grid=grid, dz=float(dz), kind=KIND_ANALYTIC, k_basis=None,
-        col=lens, row=wavelet, inv=1.0 / norm,
+        grid=grid, dz=float(dz), kind=KIND_ANALYTIC, col=lens, row=wavelet, inv=1.0 / norm,
     )
 
 
 def bayes_propagate(dist: DiracDistribution, kernel: PropagatorKernel) -> PropagatedDistribution:
     """Single-variable Bayes update e[m, k'] = sum_kp cond[k', m, kp] d[m, kp].
 
-    A chirp kernel applies ``row = U^dag diag(conj(c)) U`` as two FFTs; every
-    other kernel multiplies by ``row``.
+    A unitary kernel applies ``inv = 1 / conj(U)``, U^dag, V^dag and U in
+    turn and weights by ``conj(K)``; the analytic kernel multiplies by ``row``.
     """
     grid = kernel.grid
     if dist.grid != grid:
         raise ContractError("distribution and kernel live on different grids")
-    if kernel.chirp is None:
+    v = kernel.v
+    if v is None:
         e = kernel.col * ((kernel.inv * dist.d) @ kernel.row)
     else:
-        chirped = grid.matmul_overlap_adjoint(kernel.inv * dist.d)
-        chirped *= kernel.chirp.conj()
-        e = kernel.col * grid.matmul_overlap(chirped)
+        pulled = grid.matmul_overlap_adjoint((1.0 / grid.overlap_matrix.conj()) * dist.d)
+        pulled = pulled * v.conj() if v.ndim == 1 else pulled @ v.conj().T
+        # conj(K) is bound to a name, so numpy writes the product into the FFT
+        # result; the propagated files depend on that operand order to the last bit
+        col = kernel.k_basis.conj()
+        e = col * grid.matmul_overlap(pulled)
     e.setflags(write=False)
     return PropagatedDistribution(grid=dist.grid, dz=kernel.dz, e=e, kind=kernel.kind)
 
@@ -243,9 +230,8 @@ def joint4_tensor(rho: DensityMatrix, v1: np.ndarray, v2: np.ndarray) -> np.ndar
     Tr[pi_k' pi_q' rho].
     """
     grid = rho.grid
-    v1 = _checked_unitary(grid, v1)
-    q_basis = np.diag(v1.conj()) if v1.ndim == 1 else v1.conj().T
-    k_basis = _displaced_basis(grid, v2)
+    q_basis = _adjoint_times(_checked_unitary(grid, v1), np.eye(grid.n))
+    k_basis = _adjoint_times(_checked_unitary(grid, v2), grid.overlap_matrix)
     p2k = grid.matmul_overlap(k_basis.conj().T).conj().T  # U^dag k_basis
     k2q = k_basis.conj().T @ q_basis
     q2x = q_basis.conj().T
@@ -262,6 +248,7 @@ def direct_measure_displaced(rho: DensityMatrix, cfg: BenchConfig, dz: float, *,
     projection, i.e. the readout basis becomes the displaced-plane pixel
     states.  This is the experimental-side oracle for :func:`bayes_propagate`.
     """
-    basis = _displaced_basis(rho.grid, fresnel_unitary(rho.grid, dz))
+    v = _checked_unitary(rho.grid, fresnel_unitary(rho.grid, dz))
+    basis = _adjoint_times(v, rho.grid.overlap_matrix)
     measured = weaksim.scan(rho, cfg, noise=noise, seed=seed, correct=correct, basis=basis)
     return PropagatedDistribution(grid=rho.grid, dz=float(dz), e=measured.d, kind="measured")

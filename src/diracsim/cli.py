@@ -180,8 +180,12 @@ def cmd_reconstruct(cfg: RunConfig, args) -> int:
 
 
 def cmd_propagate(cfg: RunConfig, args) -> int:
-    dist = _read_dirac(_dirac_path(cfg, args))
+    in_path = _dirac_path(cfg, args)
+    dist = _read_dirac(in_path)
     grid = dist.grid
+    if grid.unit_map is None:
+        raise FormatError(f"{in_path}: propagate needs the wavelength, focal_length and "
+                          "magnification headers")
     for dz in cfg.dz_list:
         kernel = bayesprop.build_kernel_unitary(grid, bayesprop.fresnel_unitary(grid, dz), dz)
         prop = bayesprop.bayes_propagate(dist, kernel)
@@ -191,8 +195,8 @@ def cmd_propagate(cfg: RunConfig, args) -> int:
             "dz": dz, "kernel": kernel.kind,
         })
         print(path)
-        # free this kernel and its output before the next one is built
-        del kernel, prop
+        # free this output before the next one is computed
+        del prop
     return EXIT_OK
 
 

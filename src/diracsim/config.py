@@ -2,7 +2,8 @@
 
 Config files are plain text, one ``section.key = value`` per line, ``#``
 comments allowed.  Every key can also be overridden through the environment
-as ``DIRACSIM_<SECTION>_<KEY>`` (dots to underscores, upper case).  Defaults
+as ``DIRACSIM_<SECTION>_<KEY>`` (dots to underscores, upper case); a
+``DIRACSIM_*`` variable that names no key is rejected.  Defaults
 mirror the reference bench: 780 nm light, a 1 m Fourier lens magnified
 4.935x, a 44 mm aperture sampled on 256 sites with the glass edge at 25 mm,
 a 12.92 degree coupling, and camera displacements of 8.4, 16 and 32.5 cm.
@@ -101,7 +102,7 @@ def parse_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
@@ -122,12 +123,17 @@ def _env_key(key: str) -> str:
 
 
 def apply_env_overrides(values: dict, environ=None) -> dict:
+    """``values`` updated from every ``DIRACSIM_*`` variable; one that names
+    no config key is rejected, as an unknown key in a file is."""
     environ = os.environ if environ is None else environ
+    keys = {_env_key(key): key for key in DEFAULTS}
     out = dict(values)
-    for key in DEFAULTS:
-        env = environ.get(_env_key(key))
-        if env is not None:
-            out[key] = env
+    for name, env in environ.items():
+        if not name.startswith(ENV_PREFIX):
+            continue
+        if name not in keys:
+            raise ConfigError(f"environment: unknown config variable {name!r}")
+        out[keys[name]] = env
     return out
 
 

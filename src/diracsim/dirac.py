@@ -45,11 +45,6 @@ class DiracDistribution:
         marginal_x(self)
         marginal_p(self)
 
-    @property
-    def anti_standard(self) -> "DiracDistribution":
-        """Reverse-ordered counterpart, the entrywise complex conjugate."""
-        return DiracDistribution(grid=self.grid, d=self.d.conj())
-
 
 def dirac_distribution(rho: DensityMatrix) -> DiracDistribution:
     """Dirac distribution of a state, ``d[m,k] = <p_k|x_m><x_m|rho|p_k>``."""

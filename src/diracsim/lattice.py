@@ -58,10 +58,6 @@ class UnitMap:
         """Magnified camera coordinate of momentum ``p``."""
         return self.magnification * self.ft_plane_coordinate(p)
 
-    def momentum_from_camera(self, x_cam):
-        """Inverse of :meth:`camera_coordinate`."""
-        return x_cam * TWO_PI / (self.focal_length * self.magnification * self.wavelength)
-
 
 @dataclass(frozen=True)
 class Grid:

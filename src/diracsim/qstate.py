@@ -38,9 +38,6 @@ class PureState:
         if not abs(norm - 1.0) <= 1e-10:
             raise ContractError(f"state norm {norm} deviates from 1 beyond 1e-10")
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amp) ** 2
-
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:

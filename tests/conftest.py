@@ -56,6 +56,33 @@ def analytic_kernel_term(x, x_ft, kprime, dz, wavelength, focal_length):
     return complex(np.exp(1j * phase) / r)
 
 
+_COND_MEMORY_LIMIT = 2 ** 30  # refuse to materialize cond arrays above 1 GiB
+
+
+def cond_array(kernel):
+    """The full conditional cond[j, m, kp] = col[m, j] row[kp, j] inv[m, kp].
+
+    A unitary kernel's factors are formed here by dense products,
+    ``col = conj(K)``, ``row = U^dag K`` and ``inv = 1 / conj(U)`` with
+    ``K = V^dag U``, independently of the FFT path of ``bayes_propagate``.
+    Refuses grids where the n^3 array would not fit.
+    """
+    n = kernel.grid.n
+    if 16 * n ** 3 > _COND_MEMORY_LIMIT:
+        raise ContractError(
+            f"cond array for n={n} needs {16 * n ** 3 / 2 ** 30:.1f} GiB; "
+            "use the factored form via bayes_propagate instead"
+        )
+    if kernel.v is None:
+        col, row, inv = kernel.col, kernel.row, kernel.inv
+    else:
+        u = kernel.grid.overlap_matrix
+        v = np.diag(kernel.v) if kernel.v.ndim == 1 else kernel.v
+        k = v.conj().T @ u
+        col, row, inv = k.conj(), u.conj().T @ k, 1.0 / u.conj()
+    return np.einsum("mj,kj,mk->jmk", col, row, inv)
+
+
 def joint4(rho, ix, iq, ik, ip, v1, v2):
     """Single entry of the four-variable joint quasi-probability, one vector at a time."""
     grid = rho.grid

@@ -59,6 +59,11 @@ def test_malformed_config_exits_2_without_output(tmp_path, capsys):
     assert _run("gen-state", "--config", str(bad), "--out", str(out)) == 2
     assert not out.exists()
     assert "grid.n" in capsys.readouterr().err
+    bad.write_bytes(b"grid.n = 64\xff\n")
+    assert _run("gen-state", "--config", str(bad), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "bad.cfg" in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 def test_unknown_key_exits_2(tmp_path, capsys):
@@ -260,6 +265,15 @@ def test_env_override_reaches_cli(tmp_path, monkeypatch):
     assert meta["mixed"] == "true"
 
 
+def test_unknown_env_variable_exits_2_without_output(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    monkeypatch.setenv("DIRACSIM_GRID_NN", "5")
+    assert _run("gen-state", "--config", _write_config(tmp_path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "DIRACSIM_GRID_NN" in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def _replace_in_file(path, old, new, count=1):
     text = open(path).read()
     assert old in text
@@ -336,6 +350,24 @@ def test_bad_grid_header_exits_3_without_output(tmp_path, capsys, command, flag,
     assert _run(command, "--config", cfg, "--out", fresh, flag, path) == 3
     err = capsys.readouterr().err
     assert f"{name}: incomplete or invalid grid header" in err and key in err
+    assert len(err.strip().splitlines()) == 1
+    assert not os.path.exists(fresh)
+
+
+def test_dirac_file_without_unit_map_exits_3_without_output(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    out = str(tmp_path / "out")
+    assert _run("gen-state", "--config", cfg, "--out", out) == 0
+    assert _run("exact", "--config", cfg, "--out", out) == 0
+    path = os.path.join(out, "dirac_exact.txt")
+    lines = open(path).read().splitlines(keepends=True)
+    units = ("# wavelength=", "# focal_length=", "# magnification=")
+    open(path, "w").write("".join(line for line in lines if not line.startswith(units)))
+    fresh = str(tmp_path / "fresh")
+    capsys.readouterr()
+    assert _run("propagate", "--config", cfg, "--out", fresh, "--dirac", path) == 3
+    err = capsys.readouterr().err
+    assert "dirac_exact.txt" in err and "wavelength" in err and "config error" not in err
     assert len(err.strip().splitlines()) == 1
     assert not os.path.exists(fresh)
 

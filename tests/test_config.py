@@ -66,8 +66,23 @@ def test_env_overrides_and_precedence(tmp_path):
     assert cfg.bench.mixed is True
     cfg2 = load_run_config(str(path), overrides={"pipeline.seed": 3}, environ=env)
     assert cfg2.seed == 3
-    values = apply_env_overrides({}, {"DIRACSIM_GRID_N": "64"})
-    assert values["grid.n"] == "64"
+    values = apply_env_overrides({}, {"DIRACSIM_GRID_N": "64", "HOME": "/home/user"})
+    assert values == {"grid.n": "64"}
+
+
+def test_unknown_env_variable_is_rejected(tmp_path):
+    env = {"DIRACSIM_PIPELINE_SEED": "2", "DIRACSIM_PROPAGATION_KERNEL": "analytic"}
+    with pytest.raises(ConfigError, match="DIRACSIM_PROPAGATION_KERNEL"):
+        apply_env_overrides({}, env)
+    with pytest.raises(ConfigError, match="DIRACSIM_PROPAGATION_KERNEL"):
+        load_run_config(environ=env)
+
+
+def test_non_utf8_config_file_is_a_config_error(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"grid.n = 64\xff\n")
+    with pytest.raises(ConfigError, match="bad.cfg"):
+        parse_config_file(str(path))
 
 
 def test_semantic_validation():

@@ -195,13 +195,6 @@ def test_state_independent_phase_overlay():
     assert np.all(ratio.real > 0)
 
 
-def test_anti_standard_is_conjugate():
-    rng = np.random.default_rng(21)
-    grid = make_grid(8, 1.0)
-    d = dirac_distribution(random_density_matrix(grid, rng))
-    assert np.array_equal(d.anti_standard.d, d.d.conj())
-
-
 def test_operator_dirac_shape_contract():
     grid = make_grid(8, 1.0)
     with pytest.raises(ContractError):
