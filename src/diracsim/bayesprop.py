@@ -211,10 +211,8 @@ def bayes_propagate(dist: DiracDistribution, kernel: PropagatorKernel) -> Propag
     else:
         pulled = grid.matmul_overlap_adjoint((1.0 / grid.overlap_matrix.conj()) * dist.d)
         pulled = pulled * v.conj() if v.ndim == 1 else pulled @ v.conj().T
-        # conj(K) is bound to a name, so numpy writes the product into the FFT
-        # result; the propagated files depend on that operand order to the last bit
-        col = kernel.k_basis.conj()
-        e = col * grid.matmul_overlap(pulled)
+        e = grid.matmul_overlap(pulled)
+        e *= kernel.k_basis.conj()
     e.setflags(write=False)
     return PropagatedDistribution(grid=dist.grid, dz=kernel.dz, e=e, kind=kernel.kind)
 

@@ -1,4 +1,5 @@
-"""Text file formats: complex matrices, measurement counts.
+"""Text file formats: complex matrices (read and written), measurement counts
+(written only).
 
 Both formats are line oriented and diff friendly.  Header lines are
 ``# key=value`` pairs; body rows hold indices plus numbers serialized with
@@ -8,11 +9,12 @@ write -> read -> write reproduces identical bytes.  A line ends at a newline
 Files are written to a temporary name and renamed into place only on success.
 
 Writers format a whole body row per ``%`` operation and stream the rows to
-the file.  Readers parse the body in one ``np.loadtxt`` pass and check
-bounds, duplicates, missing rows and finiteness with array operations.  Only
-when that pass or a check fails is the body read again line by line, which
-names the first bad line (or accepts a number spelling such as ``1_0`` that
-only Python's own parser reads).
+the file.  The matrix reader parses the body in one ``np.loadtxt`` pass and
+checks bounds, duplicates, missing entries and finiteness with array
+operations.  Only when that pass or a check fails is the body read again line
+by line, which names the first bad line (or accepts a number spelling such as
+``1_0`` that only Python's own parser reads).  No command reads counts files
+back; they load with ``np.loadtxt(path, comments="#")``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ MATRIX_MAGIC = "# diracsim matrix v1"
 COUNTS_MAGIC = "# diracsim counts v1"
 
 _MATRIX_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("re", float), ("im", float)])
-_COUNTS_ROW = np.dtype([("k", np.int64)] + [(key, float) for key in READOUT_KEYS])
 
 
 def _fmt(value) -> str:
@@ -154,33 +155,32 @@ def _read_header(fh, path: str, magic: str):
         lineno += 1
 
 
-def _parse_body(fh, dtype: np.dtype):
-    """Every remaining row of ``fh`` in one C pass, or None if np.loadtxt rejects one.
+def _parse_body(fh):
+    """Every remaining 'i j re im' row of ``fh`` in one C pass, or None if
+    np.loadtxt rejects one.
 
     ``comments=None`` keeps a '#' line in the body an error.
     """
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            return np.loadtxt(fh, dtype=dtype, comments=None, ndmin=1)
+            return np.loadtxt(fh, dtype=_MATRIX_ROW, comments=None, ndmin=1)
         except ValueError:
             return None
 
 
-def _positions(table, index_fields, shape, value_fields):
-    """Flat positions of the parsed rows, or None unless they fill ``shape``
-    exactly once, within bounds, with finite values."""
-    if table is None or len(table) != math.prod(shape):
+def _positions(table, rows: int, cols: int):
+    """Flat positions of the parsed rows, or None unless they fill the
+    ``rows x cols`` matrix exactly once, within bounds, with finite values."""
+    if table is None or len(table) != rows * cols:
         return None
-    flat = np.zeros(len(table), dtype=np.int64)
-    for name, size in zip(index_fields, shape):
-        index = table[name]
-        if len(index) and (index.min() < 0 or index.max() >= size):
-            return None
-        flat = flat * size + index
+    i, j = table["i"], table["j"]
+    if len(table) and (i.min() < 0 or i.max() >= rows or j.min() < 0 or j.max() >= cols):
+        return None
+    flat = i * cols + j
     if not (np.bincount(flat, minlength=len(flat)) == 1).all():
         return None
-    if not all(np.isfinite(table[name]).all() for name in value_fields):
+    if not (np.isfinite(table["re"]).all() and np.isfinite(table["im"]).all()):
         return None
     return flat
 
@@ -196,8 +196,8 @@ def read_matrix(path: str):
         except (KeyError, ValueError) as exc:
             raise FormatError(f"{path}: missing or invalid rows/cols header ({exc})") from exc
         body = fh.tell()
-        table = _parse_body(fh, _MATRIX_ROW)
-        flat = _positions(table, ("i", "j"), (rows, cols), ("re", "im"))
+        table = _parse_body(fh)
+        flat = _positions(table, rows, cols)
         if flat is None:
             fh.seek(body)
             return _read_matrix_lines(fh, path, lineno, rows, cols), meta
@@ -248,63 +248,3 @@ def write_counts(path: str, counts: np.ndarray, meta: dict) -> None:
     table = np.column_stack((np.arange(n), counts.T))
     body = format_rows("%d" + " %.17g" * len(READOUT_KEYS) + "\n", table)
     atomic_write_text(path, chain([_header_text(COUNTS_MAGIC, header)], body))
-
-
-def read_counts(path: str):
-    """Read a counts file; returns ``(counts, meta)``, counts of shape (4, n) in
-    ``READOUT_KEYS`` order and meta values as strings."""
-    with _reading(path) as fh:
-        meta, lineno = _read_header(fh, path, COUNTS_MAGIC)
-        try:
-            n = int(meta["n"])
-            if n < 0:
-                raise ValueError(f"negative n={n}")
-            int(meta["sliver_lo"]), int(meta["sliver_hi"])
-            float(meta["phi"]), float(meta["photon_budget"])
-            if meta.get("seed", "none") != "none":
-                int(meta["seed"])
-        except (KeyError, ValueError) as exc:
-            raise FormatError(f"{path}: missing or invalid counts header ({exc})") from exc
-        body = fh.tell()
-        table = _parse_body(fh, _COUNTS_ROW)
-        flat = _positions(table, ("k",), (n,), READOUT_KEYS)
-        if flat is None:
-            fh.seek(body)
-            return _read_counts_lines(fh, path, lineno, n), meta
-    counts = np.empty((len(READOUT_KEYS), n))
-    for i, key in enumerate(READOUT_KEYS):
-        counts[i, flat] = table[key]
-    return counts, meta
-
-
-def _read_counts_lines(lines, path: str, first_lineno: int, n: int) -> np.ndarray:
-    """The line-by-line body parser: the values, or a FormatError naming the first bad line.
-
-    Memory grows with the lines read, not with the ``n`` the header claims.
-    """
-    rows = {}
-    for lineno, line in enumerate(lines, start=first_lineno):
-        line = line.rstrip("\n")
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise FormatError(f"{path}:{lineno}: expected 'k D A L R', got {line!r}")
-        try:
-            k = int(parts[0])
-            vals = [float(p) for p in parts[1:]]
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from exc
-        if not all(math.isfinite(v) for v in vals):
-            raise FormatError(f"{path}:{lineno}: non-finite value in {line!r}")
-        if not 0 <= k < n:
-            raise FormatError(f"{path}:{lineno}: momentum index {k} out of bounds")
-        if k in rows:
-            raise FormatError(f"{path}:{lineno}: duplicate momentum index {k}")
-        rows[k] = vals
-    if len(rows) < n:
-        raise FormatError(f"{path}: missing {n - len(rows)} momentum rows")
-    counts = np.empty((len(READOUT_KEYS), n))
-    for k, vals in rows.items():
-        counts[:, k] = vals
-    return counts

@@ -98,6 +98,10 @@ def readout_intensities(rho: DensityMatrix, phi: float, photon_budget: float,
     return counts
 
 
+# numpy's Generator.poisson refuses means above this (its POISSON_LAM_MAX)
+_POISSON_MAX_MEAN = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
+
+
 def derived_seed(master: int, index: int) -> int:
     return int(np.random.SeedSequence((int(master), int(index))).generate_state(1, np.uint64)[0])
 
@@ -107,7 +111,12 @@ def sample_counts(expected: np.ndarray, seed: int) -> np.ndarray:
 
     Sliver m draws from its own generator, seeded by ``derived_seed(seed, m)``,
     so the counts do not depend on the order in which slivers are drawn.
+    A mean beyond what numpy's Poisson sampler draws is a ConfigError.
     """
+    peak = expected.max(initial=0.0)
+    if peak > _POISSON_MAX_MEAN:
+        raise ConfigError(f"photon_budget too large: a mean count of {peak:.3g} exceeds "
+                          f"the Poisson sampler's limit {_POISSON_MAX_MEAN:.3g}")
     noisy = np.empty_like(expected)
     for m in range(expected.shape[1]):
         rng = np.random.default_rng(derived_seed(seed, m))

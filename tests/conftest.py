@@ -6,6 +6,27 @@ from diracsim import (BenchConfig, ContractError, DensityMatrix, UnitMap, bench_
                       make_grid)
 
 
+def load_counts(path):
+    """Independent reader of a counts file: ``(counts, meta)``, counts of shape
+    (4, n) in ``READOUT_KEYS`` order and meta values as strings.
+
+    The '# key=value' headers follow the magic line; the body loads with
+    ``np.loadtxt``, as any user of the files would load it.
+    """
+    meta = {}
+    with open(path, encoding="utf-8") as fh:
+        assert fh.readline() == "# diracsim counts v1\n"
+        for line in fh:
+            if not line.startswith("#"):
+                break
+            key, _, value = line[1:].strip().partition("=")
+            meta[key.strip()] = value.strip()
+    rows = np.loadtxt(path, comments="#", ndmin=2)
+    n = int(meta["n"])
+    assert rows.shape == (n, 5) and np.array_equal(rows[:, 0], np.arange(n))
+    return np.ascontiguousarray(rows[:, 1:].T), meta
+
+
 def random_unitary(n, rng):
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)

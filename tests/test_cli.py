@@ -5,10 +5,12 @@ import pytest
 
 from diracsim import weaksim
 from diracsim.cli import main
-from diracsim.fileio import read_matrix, read_counts
+from diracsim.fileio import read_matrix
 from diracsim import dirac_distribution, marginal_x
 from diracsim.qstate import DensityMatrix
 from diracsim.fileio import grid_from_meta
+
+from conftest import load_counts
 
 N = 32
 DX = 44e-3 / N
@@ -88,7 +90,7 @@ def test_measure_analytic_matches_exact(tmp_path):
     assert np.max(np.abs(density - state)) < 1e-9
     # per-sliver counts present and valid: each analyzer pair holds the budget
     for m in range(N):
-        counts, meta = read_counts(os.path.join(out, "counts", f"sliver_{m:04d}.txt"))
+        counts, meta = load_counts(os.path.join(out, "counts", f"sliver_{m:04d}.txt"))
         assert (meta["sliver_lo"], meta["sliver_hi"], meta["seed"]) == (str(m), str(m + 1), "none")
         assert counts.shape == (4, N) and np.all(counts >= 0)
         assert abs(counts[0].sum() + counts[1].sum() - 1e8) <= 1e-6 * 1e8
@@ -124,7 +126,7 @@ def test_measure_reads_out_once_and_redraws_noise_per_scan(tmp_path, monkeypatch
     rep_seed = weaksim.derived_seed(9, 10_000_000)
     expected = readout(*calls[0])
     for m in (0, 5, N - 1):
-        counts, meta = read_counts(os.path.join(out, "counts", f"sliver_{m:04d}.txt"))
+        counts, meta = load_counts(os.path.join(out, "counts", f"sliver_{m:04d}.txt"))
         assert meta["seed"] == str(weaksim.derived_seed(rep_seed, m))
         rng = np.random.default_rng(weaksim.derived_seed(rep_seed, m))
         assert np.array_equal(counts, rng.poisson(expected[:, m]))
@@ -155,6 +157,19 @@ def test_infinite_budget_exits_2(tmp_path, capsys, flags):
     assert _run("measure", "--config", cfg, "--out", out, *flags) == 2
     assert "photon_budget" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "dirac_measured.txt"))
+
+
+def test_budget_beyond_poisson_sampler_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("grid.n = 16\ngrid.dx = 2.75e-3\nbench.photon_budget = 1e300\n")
+    out = str(tmp_path / "out")
+    assert _run("gen-state", "--config", str(cfg), "--out", out) == 0
+    capsys.readouterr()
+    assert _run("measure", "--config", str(cfg), "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "photon_budget" in err and len(err.strip().splitlines()) == 1
+    assert sorted(os.listdir(out)) == ["state.txt"]
+    assert _run("measure", "--config", str(cfg), "--out", out, "--no-noise") == 0
 
 
 def test_reconstruct_round_trip(tmp_path):

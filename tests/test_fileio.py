@@ -7,9 +7,10 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from diracsim import fileio, make_grid, UnitMap
 from diracsim.cli import main
 from diracsim.errors import FormatError
-from diracsim.fileio import (grid_from_meta, grid_meta, read_counts, read_matrix,
-                             write_counts, write_matrix)
+from diracsim.fileio import grid_from_meta, grid_meta, read_matrix, write_counts, write_matrix
 from diracsim.weaksim import READOUT_KEYS
+
+from conftest import load_counts
 
 
 def _sample_matrix():
@@ -90,12 +91,16 @@ def _counts_meta(sliver=0, phi=0.1, budget=10.0, seed="none"):
 
 
 def test_counts_round_trip(tmp_path):
+    """Counts files are output only; they load with np.loadtxt and rewrite to
+    the same bytes."""
     rng = np.random.default_rng(1)
     counts = np.abs(rng.standard_normal((len(READOUT_KEYS), 6))) * 100
     path = str(tmp_path / "c.txt")
-    write_counts(path, counts, _counts_meta(2, 0.22, 1e6))
+    meta = _counts_meta(2, 0.22, 1e6)
+    write_counts(path, counts, meta)
     first = open(path, "rb").read()
-    back, meta = read_counts(path)
+    assert first == _ref_counts_text(dict(zip(READOUT_KEYS, counts)), meta).encode()
+    back, meta = load_counts(path)
     assert list(meta) == ["n", "sliver_lo", "sliver_hi", "phi", "photon_budget", "seed"]
     assert (meta["sliver_lo"], meta["sliver_hi"]) == ("2", "3")
     assert float(meta["phi"]) == 0.22
@@ -107,22 +112,7 @@ def test_counts_round_trip(tmp_path):
     assert open(path, "rb").read() == first
 
     write_counts(path, counts, _counts_meta(seed=12345))
-    assert read_counts(path)[1]["seed"] == "12345"
-
-
-def test_counts_format_errors(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("# diracsim counts v1\n# n=2\n# sliver_lo=0\n# sliver_hi=1\n"
-                    "# phi=0.1\n# photon_budget=1\n# seed=none\n0 1 2 3\n")
-    with pytest.raises(FormatError, match="k D A L R"):
-        read_counts(str(path))
-    path.write_text("# diracsim counts v1\n# n=2\n")
-    with pytest.raises(FormatError, match="header"):
-        read_counts(str(path))
-    path.write_text(f"# diracsim counts v1\n# n={2 ** 62}\n# sliver_lo=0\n# sliver_hi=1\n"
-                    "# phi=0.1\n# photon_budget=1\n# seed=none\n0 1 2 3 4\n")
-    with pytest.raises(FormatError, match=f"missing {2 ** 62 - 1} momentum rows"):
-        read_counts(str(path))
+    assert load_counts(path)[1]["seed"] == "12345"
 
 
 def test_non_finite_entries_rejected(tmp_path):
@@ -130,11 +120,6 @@ def test_non_finite_entries_rejected(tmp_path):
     path.write_text("# diracsim matrix v1\n# rows=1\n# cols=2\n0 0 1 0\n0 1 1 nan\n")
     with pytest.raises(FormatError, match=r":5: non-finite value in '0 1 1 nan'"):
         read_matrix(str(path))
-    path.write_text("# diracsim counts v1\n# n=2\n# sliver_lo=0\n# sliver_hi=1\n"
-                    "# phi=0.1\n# photon_budget=1\n# seed=none\n"
-                    "0 1 2 3 4\n\n1 1 -inf 3 4\n")
-    with pytest.raises(FormatError, match=r":10: non-finite value in '1 1 -inf 3 4'"):
-        read_counts(str(path))
 
 
 # -- references: the per-element writers and line-by-line readers that the
@@ -240,53 +225,11 @@ def _ref_read_matrix(path):
     return arr
 
 
-def _ref_read_counts(path):
-    lines, meta, body_start = _ref_read_lines(path, fileio.COUNTS_MAGIC)
-    try:
-        n = int(meta["n"])
-        for key in ("sliver_lo", "sliver_hi"):
-            int(meta[key])
-        float(meta["phi"]), float(meta["photon_budget"])
-        if meta.get("seed", "none") != "none":
-            int(meta["seed"])
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"{path}: missing or invalid counts header ({exc})") from exc
-    counts = {key: np.zeros(n) for key in READOUT_KEYS}
-    seen = np.zeros(n, dtype=bool)
-    for lineno, line in enumerate(lines[body_start - 1:], start=body_start):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise FormatError(f"{path}:{lineno}: expected 'k D A L R', got {line!r}")
-        try:
-            k = int(parts[0])
-            vals = [float(p) for p in parts[1:]]
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from exc
-        if not 0 <= k < n:
-            raise FormatError(f"{path}:{lineno}: momentum index {k} out of bounds")
-        if seen[k]:
-            raise FormatError(f"{path}:{lineno}: duplicate momentum index {k}")
-        seen[k] = True
-        for key, val in zip(READOUT_KEYS, vals):
-            counts[key][k] = val
-    if not seen.all():
-        raise FormatError(f"{path}: missing {int((~seen).sum())} momentum rows")
-    return counts
-
-
-def _line_parser_only(reader):
-    """``reader`` with the one-pass parse bypassed: the module's line parser alone."""
-    def read(path):
-        with open(path, encoding="utf-8") as fh:
-            if reader is read_matrix:
-                meta, lineno = fileio._read_header(fh, path, fileio.MATRIX_MAGIC)
-                return fileio._read_matrix_lines(fh, path, lineno,
-                                                 int(meta["rows"]), int(meta["cols"]))
-            meta, lineno = fileio._read_header(fh, path, fileio.COUNTS_MAGIC)
-            return fileio._read_counts_lines(fh, path, lineno, int(meta["n"]))
-    return read
+def _line_parser_only(path):
+    """``read_matrix`` with the one-pass parse bypassed: the module's line parser alone."""
+    with open(path, encoding="utf-8") as fh:
+        meta, lineno = fileio._read_header(fh, path, fileio.MATRIX_MAGIC)
+        return fileio._read_matrix_lines(fh, path, lineno, int(meta["rows"]), int(meta["cols"]))
 
 
 def _outcome(read, path):
@@ -297,8 +240,6 @@ def _outcome(read, path):
         return "error", str(exc)
     if isinstance(result, tuple):
         result = result[0]
-    if isinstance(result, dict):
-        return "ok", b"".join(result[key].tobytes() for key in READOUT_KEYS)
     return "ok", result.tobytes()
 
 
@@ -306,66 +247,49 @@ def _forbid_line_parser(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the line-by-line parser ran on a valid file")
     monkeypatch.setattr(fileio, "_read_matrix_lines", forbidden)
-    monkeypatch.setattr(fileio, "_read_counts_lines", forbidden)
 
 
 _MATRIX_HEAD = "# diracsim matrix v1\n# rows=2\n# cols=2\n"
-_COUNTS_HEAD = ("# diracsim counts v1\n# n=3\n# sliver_lo=0\n# sliver_hi=1\n"
-                "# phi=0.1\n# photon_budget=1\n# seed=none\n")
 _MATRIX_OK = "0 0 1 0\n0 1 2 0\n1 0 3 -0\n1 1 4 5e-324\n"
-_COUNTS_OK = "0 1 2 3 4\n1 5 6 7 8\n2 0 0 0 1e300\n"
 
 
-@pytest.mark.parametrize("reader, text", [
-    (read_matrix, _MATRIX_HEAD + _MATRIX_OK),
-    (read_matrix, _MATRIX_HEAD + "\n0 0 1 0\n   \n0 1 2 0\n\n1 0 3 -0\n1 1 4 5e-324\n\n"),
-    (read_matrix, _MATRIX_HEAD + "0\t0\t1\t0\n0 1\t2 0\n 1  0 3 -0 \n1\t1 4\t5e-324\n"),
-    (read_matrix, _MATRIX_HEAD + "1 1 4 5e-324\n1 0 3 -0\n0 1 2 0\n0 0 1 0\n"),
-    (read_matrix, _MATRIX_HEAD + "0 0 1 0\n# note\n0 1 2 0\n1 0 3 -0\n1 1 4 5e-324\n"),
-    (read_matrix, _MATRIX_HEAD + "0 0 1 0\n1.0 1 2 0\n1 0 3 -0\n1 1 4 5e-324\n"),
-    (read_matrix, _MATRIX_HEAD + "0 0 1 0\n0 1 2\n1 0 3 -0\n1 1 4 5e-324\n"),
-    (read_matrix, _MATRIX_HEAD + "0 0 1 0\n0 1 2 0 7\n1 0 3 -0\n1 1 4 5e-324\n"),
-    (read_matrix, _MATRIX_HEAD + "0 0 1 0\n0 1 2 0\n1 0 3 -0\n1 1 4 5e-324\n0 0 1 0\n"),
-    (read_matrix, _MATRIX_HEAD + "0 0 1 0\n0 1 2 0\n0 1 3 -0\n1 1 4 5e-324\n"),
-    (read_matrix, _MATRIX_HEAD + "0 0 1 0\n0 1 2 0\n1 1 4 5e-324\n"),
-    (read_matrix, _MATRIX_HEAD + "0 0 1 0\n0 1 2 0\n1 -1 3 0\n1 1 4 5e-324\n"),
-    (read_matrix, _MATRIX_HEAD + "0 0 1 0\n0 1 2 0\n1 0 0x1 0\n1 1 4 5e-324\n"),
-    (read_matrix, _MATRIX_HEAD + "0 0 1 0\n0 1 2 0\n1_0 0 3 0\n1 1 4 5e-324\n"),
-    (read_matrix, _MATRIX_HEAD + "0 0 1_0 0\n+0 1 2 0\n1 0 3 -0\n1 1 4 5e-324\n"),
-    (read_matrix, "# diracsim matrix v1\n# rows=2\n0 0 1 0\n"),
-    (read_matrix, "# diracsim matrix v1\n# rows=0\n# cols=0\n"),
-    (read_counts, _COUNTS_HEAD + _COUNTS_OK),
-    (read_counts, _COUNTS_HEAD + "\n2\t0 0\t0 1e300\n\n0 1 2 3 4\n 1 5 6 7 8 \n"),
-    (read_counts, _COUNTS_HEAD + "0 1 2 3 4\n# note\n1 5 6 7 8\n2 0 0 0 1e300\n"),
-    (read_counts, _COUNTS_HEAD + "0 1 2 3 4\n1.0 5 6 7 8\n2 0 0 0 1e300\n"),
-    (read_counts, _COUNTS_HEAD + "0 1 2 3 4\n1 5 6 7\n2 0 0 0 1e300\n"),
-    (read_counts, _COUNTS_HEAD + "0 1 2 3 4\n1 5 6 7 8 9\n2 0 0 0 1e300\n"),
-    (read_counts, _COUNTS_HEAD + "0 1 2 3 4\n3 5 6 7 8\n2 0 0 0 1e300\n"),
-    (read_counts, _COUNTS_HEAD + "0 1 2 3 4\n0 5 6 7 8\n2 0 0 0 1e300\n"),
-    (read_counts, _COUNTS_HEAD + "0 1 2 3 4\n2 0 0 0 1e300\n"),
-    (read_counts, _COUNTS_HEAD + "0 1 2 3 4\n1 5 6 7 8_0\n2 0 0 0 1e300\n"),
+@pytest.mark.parametrize("text", [
+    _MATRIX_HEAD + _MATRIX_OK,
+    _MATRIX_HEAD + "\n0 0 1 0\n   \n0 1 2 0\n\n1 0 3 -0\n1 1 4 5e-324\n\n",
+    _MATRIX_HEAD + "0\t0\t1\t0\n0 1\t2 0\n 1  0 3 -0 \n1\t1 4\t5e-324\n",
+    _MATRIX_HEAD + "1 1 4 5e-324\n1 0 3 -0\n0 1 2 0\n0 0 1 0\n",
+    _MATRIX_HEAD + "0 0 1 0\n# note\n0 1 2 0\n1 0 3 -0\n1 1 4 5e-324\n",
+    _MATRIX_HEAD + "0 0 1 0\n1.0 1 2 0\n1 0 3 -0\n1 1 4 5e-324\n",
+    _MATRIX_HEAD + "0 0 1 0\n0 1 2\n1 0 3 -0\n1 1 4 5e-324\n",
+    _MATRIX_HEAD + "0 0 1 0\n0 1 2 0 7\n1 0 3 -0\n1 1 4 5e-324\n",
+    _MATRIX_HEAD + "0 0 1 0\n0 1 2 0\n1 0 3 -0\n1 1 4 5e-324\n0 0 1 0\n",
+    _MATRIX_HEAD + "0 0 1 0\n0 1 2 0\n0 1 3 -0\n1 1 4 5e-324\n",
+    _MATRIX_HEAD + "0 0 1 0\n0 1 2 0\n1 1 4 5e-324\n",
+    _MATRIX_HEAD + "0 0 1 0\n0 1 2 0\n1 -1 3 0\n1 1 4 5e-324\n",
+    _MATRIX_HEAD + "0 0 1 0\n0 1 2 0\n-1 0 3 0\n1 1 4 5e-324\n",
+    _MATRIX_HEAD + "0 0 1 0\n0 1 2 0\n1 0 0x1 0\n1 1 4 5e-324\n",
+    _MATRIX_HEAD + "0 0 1 0\n0 1 2 0\n1_0 0 3 0\n1 1 4 5e-324\n",
+    _MATRIX_HEAD + "0 0 1_0 0\n+0 1 2 0\n1 0 3 -0\n1 1 4 5e-324\n",
+    "# diracsim matrix v1\n# rows=2\n0 0 1 0\n",
+    "# diracsim matrix v1\n# rows=0\n# cols=0\n",
 ])
-def test_readers_match_line_reference(tmp_path, reader, text):
+def test_readers_match_line_reference(tmp_path, text):
     """Accepted files give the reference's values, rejected ones its message."""
     path = str(tmp_path / "f.txt")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
-    reference = _ref_read_matrix if reader is read_matrix else _ref_read_counts
-    assert _outcome(reader, path) == _outcome(reference, path)
+    assert _outcome(read_matrix, path) == _outcome(_ref_read_matrix, path)
 
 
-@pytest.mark.parametrize("reader", [read_matrix, read_counts])
-def test_valid_files_never_reach_line_parser(tmp_path, monkeypatch, reader):
+def test_valid_files_never_reach_line_parser(tmp_path, monkeypatch):
     path = str(tmp_path / "f.txt")
-    text = (_MATRIX_HEAD + _MATRIX_OK if reader is read_matrix
-            else _COUNTS_HEAD + _COUNTS_OK)
     # blank lines, tabs, reordered rows and CRLF endings are all valid
-    text = text.replace(" 1 ", "\t1\t", 1).replace("\n", "\r\n") + "\n\n"
+    text = (_MATRIX_HEAD + _MATRIX_OK).replace(" 1 ", "\t1\t", 1).replace("\n", "\r\n") + "\n\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
-    expected = _outcome(reader, path)
+    expected = _outcome(read_matrix, path)
     _forbid_line_parser(monkeypatch)
-    assert _outcome(reader, path) == expected
+    assert _outcome(read_matrix, path) == expected
 
 
 _NUMBERS = ["0", "1", "2", "-1", "+1", "1.0", "0.5", "-0", "-2.5e-3", "5e-324",
@@ -374,14 +298,12 @@ _NON_FINITE = ["nan", "inf", "-Infinity", "1e400"]
 
 
 @st.composite
-def _body(draw, index_shape, n_values, numbers, separators):
-    """Rows covering ``index_shape`` once each, then up to four edits that may
-    break the body: a changed token, a blank, comment, dropped, repeated or
-    longer line."""
-    index = np.indices(index_shape).reshape(len(index_shape), -1).T.tolist()
-    rows = [[str(v) for v in idx] + [draw(st.sampled_from(["0", "1", "2.5", "-0"]))
-                                      for _ in range(n_values)]
-            for idx in draw(st.permutations(index))]
+def _body(draw, numbers, separators):
+    """'i j re im' rows covering the 2 x 2 matrix of ``_MATRIX_HEAD`` once each,
+    then up to four edits that may break the body: a changed token, a blank,
+    comment, dropped, repeated or longer line."""
+    rows = [[str(i), str(j)] + [draw(st.sampled_from(["0", "1", "2.5", "-0"])) for _ in range(2)]
+            for i, j in draw(st.permutations([(0, 0), (0, 1), (1, 0), (1, 1)]))]
     for _ in range(draw(st.integers(0, 4))):
         edit = draw(st.sampled_from(["token", "token", "blank", "comment", "drop",
                                      "repeat", "extra"]))
@@ -403,11 +325,10 @@ def _body(draw, index_shape, n_values, numbers, separators):
     return "".join(draw(st.sampled_from(separators)).join(row) + "\n" for row in rows)
 
 
-def _parse_both(tmp_path, reader, body):
+def _matrix_file(tmp_path, body):
     path = str(tmp_path / "f.txt")
-    head = _MATRIX_HEAD if reader is read_matrix else _COUNTS_HEAD
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(head + body)
+        fh.write(_MATRIX_HEAD + body)
     return path
 
 
@@ -416,25 +337,22 @@ _SETTINGS = settings(derandomize=True, max_examples=150, deadline=None,
 
 
 @_SETTINGS
-@given(data=st.data(), reader=st.sampled_from([read_matrix, read_counts]))
-def test_one_pass_parse_agrees_with_line_parser(tmp_path, data, reader):
+@given(data=st.data())
+def test_one_pass_parse_agrees_with_line_parser(tmp_path, data):
     """Whatever the one-pass parse accepts, the module's line parser accepts
     with the same values; whatever it rejects gets the line parser's message."""
-    shape, n_values = ((2, 2), 2) if reader is read_matrix else ((3,), 4)
-    body = data.draw(_body(shape, n_values, _NUMBERS + _NON_FINITE,
+    body = data.draw(_body(_NUMBERS + _NON_FINITE,
                            [" ", "\t", "  ", "\x0c", "\xa0", " \x0b"]))
-    path = _parse_both(tmp_path, reader, body)
-    assert _outcome(reader, path) == _outcome(_line_parser_only(reader), path)
+    path = _matrix_file(tmp_path, body)
+    assert _outcome(read_matrix, path) == _outcome(_line_parser_only, path)
 
 
 @_SETTINGS
-@given(data=st.data(), reader=st.sampled_from([read_matrix, read_counts]))
-def test_readers_agree_with_reference_on_finite_bodies(tmp_path, data, reader):
-    shape, n_values = ((2, 2), 2) if reader is read_matrix else ((3,), 4)
-    body = data.draw(_body(shape, n_values, _NUMBERS, [" ", "\t", "  "]))
-    path = _parse_both(tmp_path, reader, body)
-    reference = _ref_read_matrix if reader is read_matrix else _ref_read_counts
-    assert _outcome(reader, path) == _outcome(reference, path)
+@given(data=st.data())
+def test_readers_agree_with_reference_on_finite_bodies(tmp_path, data):
+    body = data.draw(_body(_NUMBERS, [" ", "\t", "  "]))
+    path = _matrix_file(tmp_path, body)
+    assert _outcome(read_matrix, path) == _outcome(_ref_read_matrix, path)
 
 
 _SPECIAL = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308,
@@ -474,7 +392,7 @@ def test_writers_match_per_element_reference(tmp_path, monkeypatch, rows, cols, 
     if np.isfinite(arr.view(float)).all():
         assert read_matrix(matrix_path)[0].tobytes() == arr.tobytes()
     if all(np.isfinite(c).all() for c in counts.values()):
-        back = read_counts(counts_path)[0]
+        back = load_counts(counts_path)[0]
         assert all(back[i].tobytes() == counts[key].tobytes()
                    for i, key in enumerate(READOUT_KEYS))
 

@@ -213,11 +213,27 @@ def test_sample_counts_concentrates_at_large_budget():
     rng = np.random.default_rng(6)
     grid = make_grid(16, 0.5)
     rho = _chirped_state(grid)
-    expected = readout_intensities(rho, PHI_BENCH, 1e12)
-    mean, noisy = expected[:, 8], sample_counts(expected, 7)[:, 8]
-    big = mean >= 1e8
-    rel = np.abs(noisy[big] - mean[big]) / mean[big]
-    assert np.max(rel) < 1e-4
+    mean = readout_intensities(rho, PHI_BENCH, 1e12)
+    error = np.abs(sample_counts(mean, 7) - mean)
+    # every bin of every sliver lies within 6 sigma of its mean, and where
+    # 1e-4 of the mean is at least 6 sigma (mean >= 3.6e9), within 1e-4 of it
+    assert np.all(error <= 6.0 * np.sqrt(mean))
+    big = mean >= 3.6e9
+    assert big.sum() > mean.size // 2
+    assert np.max(error[big] / mean[big]) < 1e-4
+
+
+def test_sample_counts_beyond_poisson_limit_is_config_error():
+    grid = make_grid(16, 0.5)
+    expected = readout_intensities(_chirped_state(grid), PHI_BENCH, 1.0)
+    limit = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
+    expected[2, 5, 3] = limit  # numpy still draws this mean
+    assert sample_counts(expected, 1)[2, 5, 3] > 0
+    expected[2, 5, 3] = np.nextafter(limit, np.inf)
+    with pytest.raises(ConfigError, match="photon_budget"):
+        sample_counts(expected, 1)
+    with pytest.raises(ConfigError, match="photon_budget"):
+        sample_counts(readout_intensities(_chirped_state(grid), PHI_BENCH, 1e300), 1)
 
 
 def test_calibration_constants():
