@@ -68,6 +68,37 @@ def test_matrix_format_errors(tmp_path):
         read_matrix(str(path))
 
 
+@pytest.mark.parametrize("data, message", [
+    pytest.param(b"", r":1: missing magic line '# diracsim matrix v1'", id="empty"),
+    pytest.param(b"# diracsim matrix v2\n# rows=1\n# cols=1\n0 0 1 0\n",
+                 r":1: missing magic line", id="other-version"),
+    pytest.param(b"# diracsim counts v1\n# n=1\n0 1 2 3 4\n",
+                 r":1: missing magic line", id="counts-file"),
+    pytest.param(b"# diracsim matrix v1\n# rows=1\n# cols 1\n0 0 1 0\n",
+                 r":3: malformed header line '# cols 1'", id="header-without-equals"),
+    pytest.param(b"# diracsim matrix v1\n# rows=1\n0 0 1 0\n",
+                 r": missing or invalid rows/cols header \('cols'\)", id="missing-cols"),
+    pytest.param(b"# diracsim matrix v1\n# rows=two\n# cols=1\n0 0 1 0\n",
+                 r": missing or invalid rows/cols header \(.*'two'\)", id="word-rows"),
+    pytest.param(b"# diracsim matrix v1\n# rows=1\n# cols=1.5\n0 0 1 0\n",
+                 r": missing or invalid rows/cols header \(.*'1.5'\)", id="fractional-cols"),
+    pytest.param(b"# diracsim matrix v1\n# rows=-1\n# cols=2\n",
+                 r": missing or invalid rows/cols header \(negative shape -1x2\)",
+                 id="negative-rows"),
+    pytest.param(b"# diracsim matrix v1\n# rows=1\n# cols=1\n0 0 1 \xff\n",
+                 r"^cannot read .*'utf-8' codec", id="not-utf8"),
+    pytest.param(None, r"^cannot read .*No such file", id="missing-file"),
+])
+def test_matrix_header_and_read_errors(tmp_path, data, message):
+    """Errors found before the body is parsed name the file (and the line)."""
+    path = tmp_path / "bad.txt"
+    if data is not None:
+        path.write_bytes(data)
+    with pytest.raises(FormatError, match=message) as info:
+        read_matrix(str(path))
+    assert str(path) in str(info.value)
+
+
 def test_grid_meta_round_trip():
     grid = make_grid(16, 0.25, 1.5, UnitMap(780e-9, 1.0, 4.935))
     meta = {k: str(v) for k, v in grid_meta(grid).items()}
@@ -272,6 +303,8 @@ _MATRIX_OK = "0 0 1 0\n0 1 2 0\n1 0 3 -0\n1 1 4 5e-324\n"
     _MATRIX_HEAD + "0 0 1_0 0\n+0 1 2 0\n1 0 3 -0\n1 1 4 5e-324\n",
     "# diracsim matrix v1\n# rows=2\n0 0 1 0\n",
     "# diracsim matrix v1\n# rows=0\n# cols=0\n",
+    (_MATRIX_HEAD + _MATRIX_OK).replace("\n", "\r"),
+    (_MATRIX_HEAD + "0 0 1 0\n\n0 1 x 0\n1 0 3 -0\n1 1 4 5e-324\n").replace("\n", "\r"),
 ])
 def test_readers_match_line_reference(tmp_path, text):
     """Accepted files give the reference's values, rejected ones its message."""
