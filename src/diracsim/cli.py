@@ -94,7 +94,9 @@ def _read_on_grid(path: str, kind: str | None = None):
 def _read_state(path: str) -> DensityMatrix:
     arr, _, grid = _read_on_grid(path, "density")
     arr.setflags(write=False)
-    return DensityMatrix(grid=grid, rho=arr)
+    state = DensityMatrix(grid=grid, rho=arr)
+    state.validate()
+    return state
 
 
 def _read_dirac(path: str) -> DiracDistribution:

@@ -43,9 +43,14 @@ class PureState:
 class DensityMatrix:
     """Hermitian, trace-one, positive-semidefinite operator in the position basis.
 
-    A passing :meth:`validate` is remembered while ``rho`` is read-only, so
-    the O(n^3) eigenvalue check runs once per state; a writeable ``rho`` is
-    checked on every call.
+    :meth:`validate` certifies positivity with one Cholesky factorisation of
+    the Hermitian part shifted by ``PSD_TOL * I``: success proves that no
+    eigenvalue lies below ``-PSD_TOL``.  Only a failed factorisation runs
+    ``eigvalsh``, whose smallest eigenvalue then decides and is reported, so
+    the two verdicts can differ only within rounding of the ``-PSD_TOL``
+    boundary (about ``n * eps * ||rho||``).  A passing :meth:`validate` is
+    remembered while ``rho`` is read-only, so the O(n^3) check runs once per
+    state; a writeable ``rho`` is checked on every call.
     """
 
     grid: Grid
@@ -64,9 +69,17 @@ class DensityMatrix:
         tr = self.rho.trace()
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise ContractError(f"density matrix trace {tr} deviates from 1")
-        evals = np.linalg.eigvalsh(0.5 * (self.rho + self.rho.conj().T))
-        if not evals.min() >= -PSD_TOL:
-            raise ContractError(f"density matrix has eigenvalue {evals.min():.3e} < -{PSD_TOL}")
+        h = 0.5 * (self.rho + self.rho.conj().T)
+        h[np.diag_indices(n)] += PSD_TOL
+        try:
+            np.linalg.cholesky(h)
+        except np.linalg.LinAlgError:
+            del h
+            lowest = np.linalg.eigvalsh(0.5 * (self.rho + self.rho.conj().T)).min()
+            if not lowest >= -PSD_TOL:
+                raise ContractError(
+                    f"density matrix has eigenvalue {lowest:.3e} < -{PSD_TOL}"
+                ) from None
         if not self.rho.flags.writeable:
             object.__setattr__(self, "_valid", True)
 
@@ -96,6 +109,10 @@ class BenchConfig:
     photon_budget: float = 1e8
 
     def validate(self, grid: Grid) -> None:
+        for key, value in (("bench.phase_step", self.static_phase_step),
+                           ("bench.wedge_tilt", self.wedge_tilt)):
+            if not np.isfinite(value):
+                raise ConfigError(f"{key} {value} must be finite")
         half_span = 0.5 * grid.span
         if not 0 < self.aperture_halfwidth <= half_span + 1e-12 * grid.dx:
             raise ConfigError(
@@ -155,11 +172,13 @@ def mix(states: list[tuple[DensityMatrix, float]]) -> DensityMatrix:
         raise ConfigError("mix() needs at least one (state, weight) pair")
     grid = states[0][0].grid
     weights = np.array([w for _, w in states], dtype=float)
-    if np.any(weights < 0):
+    if not np.all(weights >= 0):
         raise ConfigError(f"mixture weights must be nonnegative, got {weights.tolist()}")
     total = weights.sum()
-    if abs(total - 1.0) > WEIGHT_TOL:
-        raise ConfigError(f"mixture weights sum to {total}, expected 1 within {WEIGHT_TOL}")
+    if not abs(total - 1.0) <= WEIGHT_TOL:
+        raise ConfigError(
+            f"mixture weights {weights.tolist()} sum to {total}, expected 1 within {WEIGHT_TOL}"
+        )
     rho = np.zeros((grid.n, grid.n), dtype=complex)
     for state, w in states:
         if state.grid is not grid and state.grid != grid:

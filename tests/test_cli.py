@@ -1,11 +1,12 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from diracsim import weaksim
 from diracsim.cli import main
-from diracsim.fileio import read_matrix
+from diracsim.fileio import read_matrix, write_matrix
 from diracsim import dirac_distribution, marginal_x
 from diracsim.qstate import DensityMatrix
 from diracsim.fileio import grid_from_meta
@@ -170,6 +171,49 @@ def test_budget_beyond_poisson_sampler_exits_2(tmp_path, capsys):
     assert "photon_budget" in err and len(err.strip().splitlines()) == 1
     assert sorted(os.listdir(out)) == ["state.txt"]
     assert _run("measure", "--config", str(cfg), "--out", out, "--no-noise") == 0
+
+
+@pytest.mark.parametrize("variable", ["DIRACSIM_BENCH_WEDGE_TILT", "DIRACSIM_BENCH_PHASE_STEP"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_bench_phase_exits_2_without_output(tmp_path, capsys, monkeypatch,
+                                                      variable, value):
+    out = tmp_path / "out"
+    monkeypatch.setenv(variable, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run("gen-state", "--config", _write_config(tmp_path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    key = variable[len("DIRACSIM_"):].lower().replace("_", ".", 1)
+    assert f"{key} {value} must be finite" in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def _invalid_states():
+    not_psd = np.zeros((N, N), dtype=complex)
+    not_psd[0, 0], not_psd[1, 1] = 1.5, -0.5
+    not_hermitian = np.eye(N, dtype=complex) / N
+    not_hermitian[0, 1] = 0.1
+    return {"not_psd": (not_psd, "eigenvalue -5.000e-01"),
+            "not_hermitian": (not_hermitian, "not Hermitian"),
+            "trace_2": (2 * np.eye(N, dtype=complex) / N, "trace")}
+
+
+@pytest.mark.parametrize("command", ["exact", "measure"])
+@pytest.mark.parametrize("kind", sorted(_invalid_states()))
+def test_invalid_state_file_exits_3_without_output(tmp_path, capsys, command, kind):
+    cfg = _write_config(tmp_path)
+    out = str(tmp_path / "out")
+    assert _run("gen-state", "--config", cfg, "--out", out) == 0
+    _, meta = read_matrix(os.path.join(out, "state.txt"))
+    rho, message = _invalid_states()[kind]
+    path = str(tmp_path / f"{kind}.txt")
+    write_matrix(path, rho, meta)
+    fresh = tmp_path / "fresh"
+    capsys.readouterr()
+    assert _run(command, "--config", cfg, "--out", str(fresh), "--state", path) == 3
+    err = capsys.readouterr().err
+    assert message in err and len(err.strip().splitlines()) == 1
+    assert not fresh.exists()
 
 
 def test_reconstruct_round_trip(tmp_path):

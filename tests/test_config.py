@@ -103,6 +103,10 @@ def test_semantic_validation():
     for dz in ("0.1, nan", "inf", "-0.1"):
         with pytest.raises(ConfigError, match="propagation.dz: .* must be finite and nonnegative"):
             build_run_config({"propagation.dz": dz})
+    for key in ("bench.phase_step", "bench.wedge_tilt"):
+        for value in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError, match=f"{key} .* must be finite"):
+                build_run_config({key: value})
 
 
 def test_every_default_key_coerces():

@@ -5,6 +5,7 @@ from diracsim import (BenchConfig, ConfigError, ContractError, DegenerateInputEr
                       DensityMatrix, PureState, bench_pure_state, build_bench_state,
                       density_from_pure, dirac_distribution, make_grid, mix,
                       pure_from_samples, random_density_matrix, wedge_gradient_from_angle)
+from diracsim.qstate import PSD_TOL
 from conftest import bench_grid, phase_averaged_bench_state
 
 
@@ -74,6 +75,9 @@ def test_mix_contract_errors():
         mix([(s0, 0.5), (s_other, 0.5)])
     with pytest.raises(ConfigError):
         mix([])
+    for weights in ((np.nan, 1.0), (np.inf, 1.0), (0.5, -np.inf), (np.nan, np.nan)):
+        with pytest.raises(ConfigError, match="mixture weights"):
+            mix([(s0, weights[0]), (s0, weights[1])])
 
 
 def test_pure_bench_tophat_constant_inside_support():
@@ -160,32 +164,69 @@ def test_random_density_matrix_rank():
     rho.validate()
 
 
-def _counting_eigvalsh(monkeypatch):
+def _counting(monkeypatch, name):
+    """Record the shape of every argument passed to ``np.linalg.<name>``."""
     calls = []
-    original = np.linalg.eigvalsh
+    original = getattr(np.linalg, name)
 
-    def counted(a):
+    def counted(a, *args, **kwargs):
         calls.append(a.shape)
-        return original(a)
+        return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(np.linalg, name, counted)
     return calls
 
 
-def test_validate_runs_eigvalsh_once_per_read_only_state(monkeypatch):
+def test_validate_certifies_once_per_read_only_state(monkeypatch):
     grid, cfg = bench_grid(n=32)
-    calls = _counting_eigvalsh(monkeypatch)
+    factorisations = _counting(monkeypatch, "cholesky")
+    eig_runs = _counting(monkeypatch, "eigvalsh")
     rho = build_bench_state(cfg, grid)
-    assert len(calls) == 1
+    assert len(factorisations) == 1
     for _ in range(3):
         rho.validate()
         dirac_distribution(rho)
-    assert len(calls) == 1
+    assert len(factorisations) == 1
     # a writeable matrix may change between calls, so it is checked every time
     writeable = DensityMatrix(grid=grid, rho=rho.rho.copy())
     writeable.validate()
     writeable.validate()
-    assert len(calls) == 3
+    assert len(factorisations) == 3
+    assert eig_runs == []
+
+
+def _state_with_lowest_eigenvalue(n, lowest, seed):
+    """Hermitian trace-one matrix with a random eigenbasis and smallest eigenvalue ``lowest``."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    rest = rng.uniform(0.5, 1.5, n - 1)
+    evals = np.concatenate(([lowest], rest * (1.0 - lowest) / rest.sum()))
+    rho = (q * evals) @ q.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+@pytest.mark.parametrize("n", [2, 16, 64, 256])
+def test_psd_verdict_matches_eigvalsh_at_the_boundary(monkeypatch, n):
+    grid = make_grid(n, 1.0)
+    eig_runs = _counting(monkeypatch, "eigvalsh")
+    inside = _state_with_lowest_eigenvalue(n, -PSD_TOL * (1 - 1e-3), seed=n)
+    DensityMatrix(grid=grid, rho=inside).validate()
+    assert eig_runs == []
+    outside = _state_with_lowest_eigenvalue(n, -PSD_TOL * (1 + 1e-3), seed=n)
+    with pytest.raises(ContractError, match=r"eigenvalue -1\.001e-09 < -1e-09"):
+        DensityMatrix(grid=grid, rho=outside).validate()
+    assert len(eig_runs) == 1
+
+
+def test_failed_cholesky_defers_to_eigvalsh(monkeypatch):
+    def refuse(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    eig_runs = _counting(monkeypatch, "eigvalsh")
+    grid = make_grid(4, 1.0)
+    DensityMatrix(grid=grid, rho=np.eye(4, dtype=complex) / 4).validate()
+    assert len(eig_runs) == 1
 
 
 def test_validate_rechecks_a_matrix_that_was_writeable():
@@ -223,12 +264,14 @@ def test_invalid_state_raises_on_every_call():
 
 def test_validate_rejects_nan_before_eigvalsh(monkeypatch):
     grid = make_grid(4, 1.0)
-    calls = _counting_eigvalsh(monkeypatch)
+    calls = _counting(monkeypatch, "eigvalsh")
+    factorisations = _counting(monkeypatch, "cholesky")
     for i, j in ((0, 0), (1, 2)):
         rho = np.eye(4, dtype=complex) / 4
         rho[i, j] = np.nan
         with pytest.raises(ContractError):
             DensityMatrix(grid=grid, rho=rho).validate()
     assert calls == []
+    assert factorisations == []
     with pytest.raises(ContractError):
         PureState(grid=grid, amp=np.full(4, np.nan, dtype=complex)).validate()
