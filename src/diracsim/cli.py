@@ -1,9 +1,11 @@
 """Config-driven command line front end.
 
 Subcommands: gen-state, measure, exact, reconstruct, propagate, props,
-figures.  Exit codes: 0 success, 2 configuration error, 3 runtime or data
-error.  Each output file is written atomically, so no file is left half
-written; a multi-file command that fails keeps the files it already wrote.
+figures; only measure takes --seed, --no-noise and --no-correction.  Exit
+codes: 0 success, 2 configuration error or unknown flag, 3 runtime or data
+error or out of memory.  Each output file is written atomically, so no file
+is left half written; a multi-file command that fails keeps the files it
+already wrote.
 """
 
 from __future__ import annotations
@@ -30,10 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="key=value config file")
     common.add_argument("--out", metavar="DIR", help="output directory (overrides output.dir)")
-    common.add_argument("--seed", type=int, metavar="N", help="override pipeline.seed")
-    common.add_argument("--no-noise", action="store_true", help="disable photon shot noise")
-    common.add_argument("--no-correction", action="store_true",
-                        help="disable the back-action correction")
 
     parser = argparse.ArgumentParser(
         prog="diracsim",
@@ -43,6 +41,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("gen-state", parents=[common], help="build the bench state file")
     p = sub.add_parser("measure", parents=[common], help="simulate the weak-measurement scan")
     p.add_argument("--state", metavar="PATH", help="state file (default <out>/state.txt)")
+    p.add_argument("--seed", type=int, metavar="N", help="override pipeline.seed")
+    p.add_argument("--no-noise", action="store_true", help="disable photon shot noise")
+    p.add_argument("--no-correction", action="store_true",
+                   help="disable the back-action correction")
     p = sub.add_parser("exact", parents=[common], help="exact Dirac distribution of a state")
     p.add_argument("--state", metavar="PATH", help="state file (default <out>/state.txt)")
     p = sub.add_parser("reconstruct", parents=[common], help="density matrix from a distribution")
@@ -60,11 +62,12 @@ def _load(args) -> RunConfig:
     overrides = {}
     if args.out:
         overrides["output.dir"] = args.out
-    if args.seed is not None:
+    # only measure takes the pipeline flags
+    if getattr(args, "seed", None) is not None:
         overrides["pipeline.seed"] = args.seed
-    if args.no_noise:
+    if getattr(args, "no_noise", False):
         overrides["pipeline.noise"] = False
-    if args.no_correction:
+    if getattr(args, "no_correction", False):
         overrides["pipeline.correct"] = False
     return load_run_config(args.config, overrides)
 
@@ -285,6 +288,9 @@ def main(argv=None) -> int:
         return EXIT_RUNTIME
     except OSError as exc:
         print(f"diracsim: i/o error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"diracsim: error: out of memory: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

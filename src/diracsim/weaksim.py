@@ -12,8 +12,11 @@ the real and imaginary parts of the Dirac distribution:
 with T the total count of the linear pair.  The coupling is implemented
 exactly (no small-phi expansion); at finite phi the analytic estimate equals
 the true column minus the back-action offset
-``(1 - cos phi) <b_k| P rho P |b_k>`` (P the sliver projector), which is
-Prob(x) (1 - cos phi) / n per momentum bin for a single-site sliver.  The
+``O = (1 - cos phi) <b_k| P rho P |b_k>`` (P the sliver projector), which is
+Prob(x) (1 - cos phi) / n per momentum bin for a single-site sliver.  With
+W = conj(B) * (rho B) for the readout basis B, the expected intensities are
+N_D, N_A = base +- sin(phi) (Re W - O) and N_L, N_R = base +- sin(phi) Im W,
+base = <b_k|rho|b_k> / 2 - (1 - cos phi) Re W + O.  The
 proportionality constants and the circular handedness are pinned once by
 calibration against the exact trace formula, because pointer-readout sign
 conventions are otherwise ambiguous.
@@ -37,14 +40,6 @@ from .lattice import make_grid
 from .qstate import BenchConfig, DensityMatrix, pure_from_samples, density_from_pure
 from .dirac import DiracDistribution, dirac_distribution
 
-# Polarization analyzer states in the {H, V} basis.
-_SQ = 1.0 / np.sqrt(2.0)
-POLARIZATIONS = {
-    "D": np.array([_SQ, _SQ]),
-    "A": np.array([_SQ, -_SQ]),
-    "L": np.array([_SQ, 1j * _SQ]),
-    "R": np.array([_SQ, -1j * _SQ]),
-}
 READOUT_KEYS = ("D", "A", "L", "R")
 
 
@@ -61,16 +56,17 @@ def readout_intensities(rho: DensityMatrix, phi: float, photon_budget: float,
                         basis: np.ndarray | None = None) -> np.ndarray:
     """Analytic (noise-free) expected counts of the four analyzers at every
     single-site sliver position, as an array ``counts[analyzer, m, k]`` of
-    shape (4, n, n) in ``READOUT_KEYS`` order.
+    shape (4, n, n) in ``READOUT_KEYS`` order, clipped at zero.
 
-    The coupling at sliver m leaves the joint state in the four blocks
-    K_a rho K_b with K_H = 1 - (1 - cos phi) e_m e_m^T and
-    K_V = sin(phi) e_m e_m^T, so every readout diagonal <b_k|K_a rho K_b|b_k>
-    follows from W = conj(B) * (rho B), its column sums <b_k|rho|b_k> and
-    R = rho_mm |B_mk|^2: one matrix product for all (m, k).  phi = pi/2 is
-    the strong-measurement limit.  ``basis`` columns are the
-    strong-measurement projection states in the position basis; the default
-    is the momentum basis (camera in the Fourier-transform plane).
+    In closed form, from W = conj(B) * (rho B) (one matrix product for all
+    (m, k)), its column sums col_k = <b_k|rho|b_k> and the back-action offset
+    O: N_D, N_A = base +- sin(phi) (Re W - O), N_L, N_R = base +- sin(phi) Im W
+    with base = col / 2 - (1 - cos phi) Re W + O, as (1 - cos phi)^2 +
+    sin^2 phi = 2 (1 - cos phi).  Every intensity's imaginary part is
+    Im(col) / 2, checked to vanish.  phi = pi/2 is the strong-measurement
+    limit.  ``basis`` columns are the strong-measurement projection states in
+    the position basis; the default is the momentum basis (camera in the
+    Fourier-transform plane).
     """
     if not 0.0 <= phi <= 0.5 * np.pi:
         raise ConfigError(f"coupling angle phi {phi} not in [0, pi/2]")
@@ -78,23 +74,16 @@ def readout_intensities(rho: DensityMatrix, phi: float, photon_budget: float,
         raise ConfigError("photon budget must be nonnegative")
     basis = rho.grid.overlap_matrix if basis is None else basis
     w = basis.conj() * (rho.rho @ basis)
-    r = rho.rho.diagonal().real[:, None] * np.abs(basis) ** 2
+    col = w.sum(axis=0)
+    if 0.5 * np.max(np.abs(col.imag)) > 1e-12:
+        raise NumericalIntegrityError("analyzer intensities have imaginary residual")
+    off = backaction_offset(rho, phi, basis)
     lose, s = 1.0 - np.cos(phi), np.sin(phi)
-    diags = {
-        (0, 0): w.sum(axis=0) - lose * (w + w.conj()) + lose ** 2 * r,
-        (0, 1): s * (w.conj() - lose * r),
-        (1, 0): s * (w - lose * r),
-        (1, 1): s ** 2 * r,
-    }
-    counts = np.empty((len(READOUT_KEYS),) + w.shape)
-    for i, key in enumerate(READOUT_KEYS):
-        j = POLARIZATIONS[key]
-        intensity = sum(
-            np.conj(j[a]) * j[b] * diags[(a, b)] for a in (0, 1) for b in (0, 1)
-        )
-        if np.max(np.abs(intensity.imag)) > 1e-12:
-            raise NumericalIntegrityError(f"analyzer {key} intensity has imaginary residual")
-        counts[i] = np.clip(intensity.real, 0.0, None) * photon_budget
+    base = 0.5 * col.real - lose * w.real + off
+    linear, circular = s * (w.real - off), s * w.imag
+    counts = np.stack((base + linear, base - linear, base + circular, base - circular))
+    np.clip(counts, 0.0, None, out=counts)
+    counts *= photon_budget
     return counts
 
 
@@ -159,7 +148,6 @@ def backaction_offset(rho: DensityMatrix, phi: float,
 def scan(rho: DensityMatrix, cfg: BenchConfig, *,
          noise: bool = False, seed: int | None = None,
          correct: bool = True,
-         cal: EstimatorCalibration | None = None,
          basis: np.ndarray | None = None) -> DiracDistribution:
     """Step a single-site sliver across the lattice and assemble the measured
     distribution.
@@ -174,7 +162,7 @@ def scan(rho: DensityMatrix, cfg: BenchConfig, *,
     counts = readout_intensities(rho, cfg.phi, cfg.photon_budget, basis=basis)
     if noise:
         counts = sample_counts(counts, seed)
-    est = estimate_dirac_column(counts, cfg.phi, cal)
+    est = estimate_dirac_column(counts, cfg.phi)
     if correct:
         est = est + backaction_offset(rho, cfg.phi, basis=basis)
     est.setflags(write=False)
@@ -192,13 +180,15 @@ def correct_diagonals(rho_measured: DensityMatrix, phi: float) -> DensityMatrix:
     return DensityMatrix(grid=rho_measured.grid, rho=rho)
 
 
-def calibrate_estimator(n: int = 16, phi: float = 0.3) -> EstimatorCalibration:
+def calibrate_estimator() -> EstimatorCalibration:
     """Fix (c_re, c_im, sign_circ) against the trace oracle on a known state.
 
-    Uses a chirped Gaussian whose Dirac columns have structure in both the
-    real and imaginary parts, solves the per-part least-squares scale, and
-    verifies closure of estimate + offset against the exact distribution.
+    Uses a chirped Gaussian on 16 sites at phi = 0.3, whose Dirac columns
+    have structure in both the real and imaginary parts, solves the per-part
+    least-squares scale, and verifies closure of estimate + offset against
+    the exact distribution.
     """
+    n, phi = 16, 0.3
     grid = make_grid(n, 0.5)
     x = grid.coords
     amp = np.exp(-x ** 2 / 3.0) * np.exp(1j * (0.8 * x ** 2 + 0.6 * x))
@@ -207,11 +197,10 @@ def calibrate_estimator(n: int = 16, phi: float = 0.3) -> EstimatorCalibration:
     rows = [n // 4, n // 2, (3 * n) // 4]
     counts = readout_intensities(rho, phi, 1.0)[:, rows, :]
     tgt = (truth[rows] - backaction_offset(rho, phi)[rows]).ravel()
-    d, a, l, r = counts
-    scale = (d + a).sum(axis=-1, keepdims=True) * np.sin(phi)
-    raw_re, raw_im = ((d - a) / scale).ravel(), ((l - r) / scale).ravel()
-    c_re = float(np.dot(raw_re, tgt.real) / np.dot(raw_re, raw_re))
-    s_im = float(np.dot(raw_im, tgt.imag) / np.dot(raw_im, raw_im))
+    # unit constants: (N_D - N_A) / scale in the real part, (N_L - N_R) / scale in the imaginary
+    raw = estimate_dirac_column(counts, phi, EstimatorCalibration(1.0, 1.0, -1)).ravel()
+    c_re = float(np.dot(raw.real, tgt.real) / np.dot(raw.real, raw.real))
+    s_im = float(np.dot(raw.imag, tgt.imag) / np.dot(raw.imag, raw.imag))
     cal = EstimatorCalibration(c_re=c_re, c_im=abs(s_im), sign_circ=-1 if s_im > 0 else 1)
     est = estimate_dirac_column(counts, phi, cal).ravel()
     residual = np.max(np.abs(est - tgt))

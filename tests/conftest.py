@@ -6,6 +6,16 @@ from diracsim import (BenchConfig, ContractError, DensityMatrix, UnitMap, bench_
                       make_grid)
 
 
+# Polarization analyzer states in the {H, V} basis, in READOUT_KEYS order.
+_SQ = 1.0 / np.sqrt(2.0)
+POLARIZATIONS = {
+    "D": np.array([_SQ, _SQ]),
+    "A": np.array([_SQ, -_SQ]),
+    "L": np.array([_SQ, 1j * _SQ]),
+    "R": np.array([_SQ, -1j * _SQ]),
+}
+
+
 def load_counts(path):
     """Independent reader of a counts file: ``(counts, meta)``, counts of shape
     (4, n) in ``READOUT_KEYS`` order and meta values as strings.

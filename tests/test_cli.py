@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from diracsim import weaksim
+from diracsim import qstate, weaksim
 from diracsim.cli import main
 from diracsim.fileio import read_matrix, write_matrix
 from diracsim import dirac_distribution, marginal_x
@@ -185,6 +185,30 @@ def test_non_finite_bench_phase_exits_2_without_output(tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     key = variable[len("DIRACSIM_"):].lower().replace("_", ".", 1)
     assert f"{key} {value} must be finite" in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [("--seed", "1"), ("--no-noise",), ("--no-correction",)])
+@pytest.mark.parametrize("command", ["gen-state", "exact", "reconstruct", "propagate",
+                                     "props", "figures"])
+def test_pipeline_flags_belong_to_measure(tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        _run(command, "--config", _write_config(tmp_path), "--out", str(out), *flag)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_3_in_one_line(tmp_path, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 14.6 TiB for an array")
+
+    monkeypatch.setattr(qstate, "build_bench_state", exhausted)
+    out = tmp_path / "out"
+    assert _run("gen-state", "--config", _write_config(tmp_path), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err == "diracsim: error: out of memory: Unable to allocate 14.6 TiB for an array\n"
     assert not out.exists()
 
 

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diracsim import (BenchConfig, ConfigError, NoPhotonsError, backaction_offset,
+from diracsim import (BenchConfig, ConfigError, DensityMatrix, NoPhotonsError,
+                      NumericalIntegrityError, backaction_offset,
                       calibrate_estimator, correct_diagonals,
                       default_calibration, density_from_pure, dirac_distribution,
                       estimate_dirac_column, make_grid, mix, pure_from_samples,
                       random_density_matrix, readout_intensities, reconstruct_density,
                       sample_counts, scan)
-from diracsim.weaksim import POLARIZATIONS, READOUT_KEYS, derived_seed
+from diracsim.weaksim import READOUT_KEYS, derived_seed
 
-from conftest import random_unitary
+from conftest import POLARIZATIONS, random_unitary
 
 PHI_BENCH = np.deg2rad(12.92)
 
@@ -147,6 +148,18 @@ def test_couple_rejects_bad_inputs():
             readout_intensities(rho, bad_phi, 1e3)
     with pytest.raises(ConfigError):
         readout_intensities(rho, PHI_BENCH, -1.0)
+
+
+def test_readout_rejects_imaginary_residual():
+    # an unvalidated non-Hermitian state gives the momentum probabilities
+    # <b_k|rho|b_k> an imaginary part, which every analyzer would inherit
+    grid = make_grid(8, 0.5)
+    rho = np.eye(8, dtype=complex) / 8
+    rho[0, 1] = 1e-13
+    assert np.all(readout_intensities(DensityMatrix(grid=grid, rho=rho), PHI_BENCH, 1.0) >= 0)
+    rho[0, 1] = 1e-6
+    with pytest.raises(NumericalIntegrityError, match="imaginary residual"):
+        readout_intensities(DensityMatrix(grid=grid, rho=rho), PHI_BENCH, 1.0)
 
 
 def test_readout_balanced_without_coupling():
