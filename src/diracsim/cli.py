@@ -28,12 +28,17 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, like a config error; subparsers inherit it
+        self.exit(EXIT_CONFIG, f"diracsim: config error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="key=value config file")
     common.add_argument("--out", metavar="DIR", help="output directory (overrides output.dir)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diracsim",
         description="Dirac quasi-probability bench simulator",
     )
@@ -130,13 +135,13 @@ def cmd_measure(cfg: RunConfig, args) -> int:
     phi, budget = cfg.bench.phi, cfg.bench.photon_budget
     # every scan repeats one weak measurement: read it out once, redraw the noise
     expected = weaksim.readout_intensities(state, phi, budget)
-    if cfg.noise:
-        scan_seeds = [weaksim.derived_seed(cfg.seed, 10_000_000 + rep) for rep in range(cfg.scans)]
-    else:
-        scan_seeds = [None]
-    acc = np.zeros((state.grid.n, state.grid.n), dtype=complex)
-    for rep, rep_seed in enumerate(scan_seeds):
-        counts = expected if rep_seed is None else weaksim.sample_counts(expected, rep_seed)
+    n = state.grid.n
+    # per scan, the seed of each sliver's shot noise
+    scan_seeds = [weaksim.sliver_seeds(weaksim.derived_seed(cfg.seed, 10_000_000 + rep), n)
+                  for rep in range(cfg.scans)] if cfg.noise else [None]
+    acc = np.zeros((n, n), dtype=complex)
+    for rep, seeds in enumerate(scan_seeds):
+        counts = expected if seeds is None else weaksim.sample_counts(expected, seeds)
         acc += weaksim.estimate_dirac_column(counts, phi)
         if rep == 0:
             first_counts = counts
@@ -144,20 +149,14 @@ def cmd_measure(cfg: RunConfig, args) -> int:
     raw = acc / n_scans
     emitted = (raw + weaksim.backaction_offset(state, phi)) if cfg.correct else raw
 
-    base_meta = {
-        **fileio.grid_meta(state.grid),
-        "phi": phi,
-        "photon_budget": budget,
-        "noise": cfg.noise,
-        "seed": cfg.seed if cfg.noise else "none",
-        "scans": n_scans,
-        "corrected": cfg.correct,
-    }
+    base_meta = {**fileio.grid_meta(state.grid), "phi": phi, "photon_budget": budget,
+                 "noise": cfg.noise, "seed": cfg.seed if cfg.noise else "none",
+                 "scans": n_scans, "corrected": cfg.correct}
     dirac_path = os.path.join(cfg.out_dir, "dirac_measured.txt")
     fileio.write_matrix(dirac_path, emitted, {"kind": "dirac", **base_meta})
     counts_dir = os.path.join(cfg.out_dir, "counts")
-    for m in range(state.grid.n):
-        seed = "none" if scan_seeds[0] is None else weaksim.derived_seed(scan_seeds[0], m)
+    for m in range(n):
+        seed = "none" if scan_seeds[0] is None else scan_seeds[0][m]
         fileio.write_counts(os.path.join(counts_dir, f"sliver_{m:04d}.txt"), first_counts[:, m], {
             "sliver_lo": m, "sliver_hi": m + 1, "phi": phi, "photon_budget": budget, "seed": seed,
         })
@@ -165,9 +164,7 @@ def cmd_measure(cfg: RunConfig, args) -> int:
     if cfg.correct:
         # lab-style route: reconstruct the uncorrected distribution, then
         # divide the diagonals by cos(phi)
-        rec = dirac.reconstruct_density(
-            DiracDistribution(grid=state.grid, d=raw)
-        )
+        rec = dirac.reconstruct_density(DiracDistribution(grid=state.grid, d=raw))
         fixed = weaksim.correct_diagonals(rec, phi)
         density_path = os.path.join(cfg.out_dir, "density_measured.txt")
         fileio.write_matrix(density_path, fixed.rho, {"kind": "density", **base_meta})
@@ -227,7 +224,7 @@ def cmd_props(cfg: RunConfig, args) -> int:
 
     report = "\n".join(lines) + "\n"
     path = os.path.join(cfg.out_dir, "props.txt")
-    fileio.atomic_write_text(path, report)
+    fileio.atomic_write_text(path, report.encode())
     sys.stdout.write(report)
     return EXIT_OK
 
@@ -253,10 +250,12 @@ def cmd_figures(cfg: RunConfig, args) -> int:
         "real": arr.real,
         "imag": arr.imag,
     }
-    head = f"{row_label}\\{col_label}" + (",%.17g" * len(cols)) % tuple(cols.tolist()) + "\n"
-    template = "%.17g" + ",%.17g" * len(cols) + "\n"
+    corner = f"{row_label}\\{col_label}".encode()
+    head = corner + (b",%.17g" * len(cols) + b"\n") % tuple(cols.tolist())
+    template = b"%.17g" + b",%.17g" * len(cols) + b"\n"
     for kind in cfg.figures:
-        body = fileio.format_rows(template, np.column_stack((rows, tables[kind])))
+        table = np.column_stack((rows, tables[kind]))
+        body = (template % tuple(row.tolist()) for row in table)
         path = os.path.join(cfg.out_dir, f"fig_{stem}_{kind}.csv")
         fileio.atomic_write_text(path, chain([head], body))
         print(path)

@@ -8,13 +8,14 @@ write -> read -> write reproduces identical bytes.  A line ends at a newline
 (``\\r\\n`` and ``\\r`` read as one); any other whitespace separates fields.
 Files are written to a temporary name and renamed into place only on success.
 
-Writers format a whole body row per ``%`` operation and stream the rows to
-the file.  The matrix reader parses the body in one ``np.loadtxt`` pass and
-checks bounds, duplicates, missing entries and finiteness with array
-operations.  Only when that pass or a check fails is the body read again line
-by line, which names the first bad line (or accepts a number spelling such as
-``1_0`` that only Python's own parser reads).  No command reads counts files
-back; they load with ``np.loadtxt(path, comments="#")``.
+Writers fill ``bytes`` templates, built per file shape with the index columns
+as literal text, so a ``%`` operation formats only floats; the bytes go to a
+binary handle unencoded.  The matrix reader parses the body in one
+``np.loadtxt`` pass and checks bounds, duplicates, missing entries and
+finiteness with array operations.  Only when that pass or a check fails is
+the body read again line by line, which names the first bad line (or accepts
+a number spelling such as ``1_0`` that only Python's own parser reads).  No
+command reads counts files back; they load with ``np.loadtxt(path, comments="#")``.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ import math
 import os
 import tempfile
 import warnings
+from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -49,24 +51,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def format_rows(template: str, rows: Iterable[np.ndarray]) -> Iterator[str]:
-    """Yield ``template % tuple(row)`` for each 1-D float array in ``rows``.
-
-    ``'%.17g' % x`` gives the same bytes as ``format(x, '.17g')``, nan, inf
-    and -0 included; ``'%d'`` prints a whole float as an integer.
-    """
-    for row in rows:
-        yield template % tuple(row.tolist())
-
-
-def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
-    """Write ``text``, one string or an iterable of chunks, to ``path`` atomically."""
+def atomic_write_text(path: str, data: bytes | Iterable[bytes]) -> None:
+    """Write UTF-8 text, as ``bytes`` or an iterable of ``bytes`` chunks such
+    as the writers' filled templates, to ``path`` atomically, through a binary
+    handle.  ``b'%.17g' % x`` is ``format(x, '.17g')``, nan, inf and -0 included."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines([data] if isinstance(data, bytes) else data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -97,28 +91,20 @@ def grid_from_meta(meta: dict, path: str = "<meta>") -> Grid:
         raise FormatError(f"{path}: incomplete or invalid grid header ({exc})") from exc
 
 
-def _header_text(magic: str, header: dict) -> str:
-    return magic + "\n" + "".join(f"# {key}={_fmt(value)}\n" for key, value in header.items())
-
-
-def _matrix_rows(arr: np.ndarray) -> Iterator[np.ndarray]:
-    """Each matrix row as the 'i j re im' entries of its columns, flattened."""
-    entries = np.empty((arr.shape[1], 4))
-    entries[:, 1] = np.arange(arr.shape[1])
-    for i, row in enumerate(arr):
-        entries[:, 0] = i
-        entries[:, 2] = row.real
-        entries[:, 3] = row.imag
-        yield entries.ravel()
+def _header_bytes(magic: str, header: dict) -> bytes:
+    text = magic + "\n" + "".join(f"# {key}={_fmt(value)}\n" for key, value in header.items())
+    return text.encode()
 
 
 def write_matrix(path: str, arr: np.ndarray, meta: dict) -> None:
     """Write a complex matrix with '# key=value' headers and 'i j re im' rows."""
     arr = np.asarray(arr, dtype=complex)
-    header = {"rows": arr.shape[0], "cols": arr.shape[1]}
-    header.update(meta)
-    body = format_rows("%d %d %.17g %.17g\n" * arr.shape[1], _matrix_rows(arr))
-    atomic_write_text(path, chain([_header_text(MATRIX_MAGIC, header)], body))
+    header = {"rows": arr.shape[0], "cols": arr.shape[1], **meta}
+    # row i's template: these parts joined by b"i ", filled with its re, im pairs
+    parts = [b""] + [b"%d %%.17g %%.17g\n" % j for j in range(arr.shape[1])]
+    values = np.ascontiguousarray(arr).view(float)
+    body = ((b"%d " % i).join(parts) % tuple(row.tolist()) for i, row in enumerate(values))
+    atomic_write_text(path, chain([_header_bytes(MATRIX_MAGIC, header)], body))
 
 
 @contextlib.contextmanager
@@ -243,8 +229,12 @@ def _read_matrix_lines(lines, path: str, first_lineno: int, rows: int, cols: int
 def write_counts(path: str, counts: np.ndarray, meta: dict) -> None:
     """Write one sliver's counts, shape (4, n) in ``READOUT_KEYS`` order, with
     '# n=' and then ``meta`` as headers; body rows are 'k N_D N_A N_L N_R'."""
+    counts = np.asarray(counts, dtype=float)
     n = counts.shape[1]
-    header = {"n": n, **meta}
-    table = np.column_stack((np.arange(n), counts.T))
-    body = format_rows("%d" + " %.17g" * len(READOUT_KEYS) + "\n", table)
-    atomic_write_text(path, chain([_header_text(COUNTS_MAGIC, header)], body))
+    body = _counts_template(n) % tuple(counts.T.ravel().tolist())
+    atomic_write_text(path, [_header_bytes(COUNTS_MAGIC, {"n": n, **meta}), body])
+
+
+@lru_cache(maxsize=1)  # measure writes n files of one shape
+def _counts_template(n: int) -> bytes:
+    return b"".join(b"%d%s\n" % (k, b" %.17g" * len(READOUT_KEYS)) for k in range(n))

@@ -95,21 +95,26 @@ def derived_seed(master: int, index: int) -> int:
     return int(np.random.SeedSequence((int(master), int(index))).generate_state(1, np.uint64)[0])
 
 
-def sample_counts(expected: np.ndarray, seed: int) -> np.ndarray:
+def sliver_seeds(seed: int, n: int) -> list[int]:
+    """The seed of each of n slivers' shot noise, ``derived_seed(seed, m)``."""
+    return [derived_seed(seed, m) for m in range(n)]
+
+
+def sample_counts(expected: np.ndarray, seed: int | list[int]) -> np.ndarray:
     """Independent Poisson draw of every bin of a (4, n, n) counts array.
 
-    Sliver m draws from its own generator, seeded by ``derived_seed(seed, m)``,
-    so the counts do not depend on the order in which slivers are drawn.
-    A mean beyond what numpy's Poisson sampler draws is a ConfigError.
+    Sliver m draws from its own generator, seeded by ``sliver_seeds(seed, n)[m]``
+    (or ``seed[m]`` for a list), so the counts do not depend on the order in
+    which slivers are drawn.  A mean beyond numpy's Poisson limit is a ConfigError.
     """
     peak = expected.max(initial=0.0)
     if peak > _POISSON_MAX_MEAN:
         raise ConfigError(f"photon_budget too large: a mean count of {peak:.3g} exceeds "
                           f"the Poisson sampler's limit {_POISSON_MAX_MEAN:.3g}")
+    seeds = seed if isinstance(seed, list) else sliver_seeds(seed, expected.shape[1])
     noisy = np.empty_like(expected)
     for m in range(expected.shape[1]):
-        rng = np.random.default_rng(derived_seed(seed, m))
-        noisy[:, m, :] = rng.poisson(expected[:, m, :])
+        noisy[:, m, :] = np.random.default_rng(seeds[m]).poisson(expected[:, m, :])
     return noisy
 
 

@@ -37,6 +37,58 @@ def load_counts(path):
     return np.ascontiguousarray(rows[:, 1:].T), meta
 
 
+# -- byte oracles of the text writers: one line at a time, every number
+# through format(x, ".17g"), LF line endings.  Written files must equal them.
+
+def _header_value(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    return str(value)
+
+
+def _text_file(magic, header, body):
+    lines = [magic] + [f"# {key}={_header_value(value)}" for key, value in header.items()]
+    return ("\n".join(lines + body) + "\n").encode()
+
+
+def matrix_file_oracle(arr, meta):
+    """The bytes of a matrix file: '# rows', '# cols' and ``meta`` headers, then
+    'i j re im' for every entry in row-major order."""
+    rows, cols = arr.shape
+    body = [f"{i} {j} {format(arr[i, j].real, '.17g')} {format(arr[i, j].imag, '.17g')}"
+            for i in range(rows) for j in range(cols)]
+    return _text_file("# diracsim matrix v1", {"rows": rows, "cols": cols, **meta}, body)
+
+
+def counts_file_oracle(counts, meta):
+    """The bytes of a counts file for (4, n) ``counts``: '# n' and ``meta``
+    headers, then 'k N_D N_A N_L N_R' for every momentum bin k."""
+    n = counts.shape[1]
+    body = [" ".join([str(k)] + [format(float(c), ".17g") for c in counts[:, k]])
+            for k in range(n)]
+    return _text_file("# diracsim counts v1", {"n": n, **meta}, body)
+
+
+def figure_csv_oracle(arr, rows, cols, corner, kind):
+    """The bytes of one ``figures`` CSV: the ``corner`` label and the column
+    coordinates, then each row's coordinate and the ``kind`` table's values."""
+    table = {
+        "magnitude": np.abs(arr),
+        "phase": np.where(np.angle(arr) <= -np.pi, np.pi, np.angle(arr)),
+        "real": arr.real,
+        "imag": arr.imag,
+    }[kind]
+    lines = [",".join([corner] + [format(c, ".17g") for c in cols])]
+    for i in range(table.shape[0]):
+        lines.append(",".join([format(rows[i], ".17g")]
+                              + [format(v, ".17g") for v in table[i]]))
+    return ("\n".join(lines) + "\n").encode()
+
+
 def random_unitary(n, rng):
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)

@@ -200,6 +200,26 @@ def test_pipeline_flags_belong_to_measure(tmp_path, capsys, command, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["exact", "--no-noise"], [], ["measure", "--seed", "x"],
+                                  ["nonsense"]])
+def test_usage_error_is_one_config_error_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        _run(*argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("diracsim: config error: ")
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run("measure", "--help")
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: diracsim measure") and "--no-noise" in out
+
+
 def test_out_of_memory_exits_3_in_one_line(tmp_path, capsys, monkeypatch):
     def exhausted(*args):
         raise MemoryError("Unable to allocate 14.6 TiB for an array")

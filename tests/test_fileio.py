@@ -10,7 +10,7 @@ from diracsim.errors import FormatError
 from diracsim.fileio import grid_from_meta, grid_meta, read_matrix, write_counts, write_matrix
 from diracsim.weaksim import READOUT_KEYS
 
-from conftest import load_counts
+from conftest import counts_file_oracle, figure_csv_oracle, load_counts, matrix_file_oracle
 
 
 def _sample_matrix():
@@ -130,7 +130,7 @@ def test_counts_round_trip(tmp_path):
     meta = _counts_meta(2, 0.22, 1e6)
     write_counts(path, counts, meta)
     first = open(path, "rb").read()
-    assert first == _ref_counts_text(dict(zip(READOUT_KEYS, counts)), meta).encode()
+    assert first == counts_file_oracle(counts, meta)
     back, meta = load_counts(path)
     assert list(meta) == ["n", "sliver_lo", "sliver_hi", "phi", "photon_budget", "seed"]
     assert (meta["sliver_lo"], meta["sliver_hi"]) == ("2", "3")
@@ -153,58 +153,9 @@ def test_non_finite_entries_rejected(tmp_path):
         read_matrix(str(path))
 
 
-# -- references: the per-element writers and line-by-line readers that the
-# row-at-a-time I/O replaced.  Outputs must match them byte for byte and
-# error messages word for word (non-finite values aside, which they accepted).
-
-def _ref_fmt(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
-
-
-def _ref_matrix_text(arr, meta):
-    lines = ["# diracsim matrix v1"]
-    header = {"rows": arr.shape[0], "cols": arr.shape[1]}
-    header.update(meta)
-    for key, value in header.items():
-        lines.append(f"# {key}={_ref_fmt(value)}")
-    for i in range(arr.shape[0]):
-        for j in range(arr.shape[1]):
-            z = arr[i, j]
-            lines.append(f"{i} {j} {_ref_fmt(z.real)} {_ref_fmt(z.imag)}")
-    return "\n".join(lines) + "\n"
-
-
-def _ref_counts_text(counts, meta):
-    n = len(counts["D"])
-    lines = ["# diracsim counts v1"]
-    header = {"n": n, **meta}
-    for key, value in header.items():
-        lines.append(f"# {key}={_ref_fmt(value)}")
-    for k in range(n):
-        row = " ".join(_ref_fmt(float(counts[key][k])) for key in READOUT_KEYS)
-        lines.append(f"{k} {row}")
-    return "\n".join(lines) + "\n"
-
-
-def _ref_csv_text(arr, rows, cols, corner, kind):
-    table = {
-        "magnitude": np.abs(arr),
-        "phase": np.where(np.angle(arr) <= -np.pi, np.pi, np.angle(arr)),
-        "real": arr.real,
-        "imag": arr.imag,
-    }[kind]
-    lines = [",".join([corner] + [format(c, ".17g") for c in cols])]
-    for i in range(table.shape[0]):
-        lines.append(",".join([format(rows[i], ".17g")]
-                              + [format(v, ".17g") for v in table[i]]))
-    return "\n".join(lines) + "\n"
-
+# -- references: the line-by-line readers that the one-pass parse replaced.
+# Error messages must match them word for word (non-finite values aside,
+# which they accepted).  The writers' byte oracles are in conftest.py.
 
 def _ref_read_lines(path, magic):
     with open(path, "r", encoding="utf-8") as fh:
@@ -408,26 +359,24 @@ def test_writers_match_per_element_reference(tmp_path, monkeypatch, rows, cols, 
         special = np.array(_SPECIAL)
         arr = np.empty((rows, cols), dtype=complex)
         arr.real, arr.imag = special.reshape(rows, cols), special[::-1].reshape(rows, cols)
-        counts = {key: np.roll(special, 4 * k)[:cols] for k, key in enumerate(READOUT_KEYS)}
+        counts = np.array([np.roll(special, 4 * k)[:cols] for k in range(len(READOUT_KEYS))])
     else:
         arr = np.empty((rows, cols), dtype=complex)
         arr.real, arr.imag = _draw_array(data, (rows, cols)), _draw_array(data, (rows, cols))
-        counts = {key: _draw_array(data, (cols,)) for key in READOUT_KEYS}
+        counts = _draw_array(data, (len(READOUT_KEYS), cols))
     meta = {"kind": "dirac", "n": rows, "dx": 0.1, "x0": -0.0, "mixed": True}
     counts_meta = _counts_meta(0, 0.2255, 1e8, "none" if seed is None else seed)
     matrix_path, counts_path = str(tmp_path / "m.txt"), str(tmp_path / "c.txt")
     write_matrix(matrix_path, arr, meta)
-    write_counts(counts_path, np.array([counts[key] for key in READOUT_KEYS]), counts_meta)
-    assert open(matrix_path, "rb").read() == _ref_matrix_text(arr, meta).encode()
-    assert open(counts_path, "rb").read() == _ref_counts_text(counts, counts_meta).encode()
+    write_counts(counts_path, counts, counts_meta)
+    assert open(matrix_path, "rb").read() == matrix_file_oracle(arr, meta)
+    assert open(counts_path, "rb").read() == counts_file_oracle(counts, counts_meta)
 
     _forbid_line_parser(monkeypatch)
     if np.isfinite(arr.view(float)).all():
         assert read_matrix(matrix_path)[0].tobytes() == arr.tobytes()
-    if all(np.isfinite(c).all() for c in counts.values()):
-        back = load_counts(counts_path)[0]
-        assert all(back[i].tobytes() == counts[key].tobytes()
-                   for i, key in enumerate(READOUT_KEYS))
+    if np.isfinite(counts).all():
+        assert load_counts(counts_path)[0].tobytes() == counts.tobytes()
 
 
 @settings(derandomize=True, max_examples=25, deadline=None,
@@ -449,4 +398,89 @@ def test_figure_csv_matches_per_element_reference(tmp_path, n, kind, data):
     rows, cols, row_label, col_label = _figure_axes(meta, grid)
     for table in ("magnitude", "phase", "real", "imag"):
         got = open(os.path.join(out, f"fig_in_{table}.csv"), "rb").read()
-        assert got == _ref_csv_text(arr, rows, cols, f"{row_label}\\{col_label}", table).encode()
+        assert got == figure_csv_oracle(arr, rows, cols, f"{row_label}\\{col_label}", table)
+
+
+# -- byte oracles: edge values, edge shapes and strided inputs
+
+_EDGE = [np.nan, np.inf, -np.inf, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+         -1.7976931348623157e308]
+
+
+def _edge_matrix(shape, seed):
+    """Random normal entries with every ``_EDGE`` value somewhere in the real
+    part and somewhere in the imaginary part."""
+    rng = np.random.default_rng(seed)
+    parts = rng.standard_normal((2,) + shape)
+    for part in parts:
+        part.reshape(-1)[rng.choice(part.size, len(_EDGE), replace=False)] = _EDGE
+    arr = np.empty(shape, dtype=complex)
+    arr.real, arr.imag = parts
+    return arr
+
+
+_META = {"kind": "dirac", "n": 3, "dx": 0.125, "x0": -0.0, "mixed": False, "note": "é"}
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+def test_write_matrix_bytes_match_oracle(tmp_path, layout):
+    arr = _edge_matrix((3, 5), seed=11)
+    if layout == "transposed":
+        arr = arr.T
+        assert not arr.flags.c_contiguous
+    path = str(tmp_path / "m.txt")
+    write_matrix(path, arr, _META)
+    assert open(path, "rb").read() == matrix_file_oracle(arr, _META)
+
+
+@pytest.mark.parametrize("re, im", list(zip(_EDGE, _EDGE[::-1])) + [(np.pi, -0.1)])
+def test_write_matrix_1x1_bytes_match_oracle(tmp_path, re, im):
+    arr = np.empty((1, 1), dtype=complex)
+    arr.real, arr.imag = re, im
+    path = str(tmp_path / "m.txt")
+    write_matrix(path, arr, _META)
+    assert open(path, "rb").read() == matrix_file_oracle(arr, _META)
+
+
+def _edge_counts(kind):
+    """(4, 9) counts as a strided view, the way ``measure`` slices one sliver
+    out of a scan's (4, n, n) array."""
+    rng = np.random.default_rng(3)
+    scan = rng.uniform(0.0, 1e3, (len(READOUT_KEYS), 2, 9))
+    if kind == "integer":
+        scan = rng.poisson(1e6, scan.shape)
+        scan[:, 0, :3] = [0, 1, 2 ** 53 + 1]
+    elif kind == "whole":
+        scan = np.floor(scan)
+        scan[:, 0, :3] = [0.0, 1e17, 2.0 ** 60]
+    else:
+        scan[:, 0, :len(_EDGE)] = _EDGE
+    return scan[:, 0, :]
+
+
+@pytest.mark.parametrize("kind", ["integer", "whole", "fractional"])
+def test_write_counts_bytes_match_oracle(tmp_path, kind):
+    counts = _edge_counts(kind)
+    assert not counts.flags.c_contiguous
+    meta = _counts_meta(4, 0.2255, 1e8, 987654321)
+    path = str(tmp_path / "c.txt")
+    write_counts(path, counts, meta)
+    assert open(path, "rb").read() == counts_file_oracle(counts, meta)
+
+
+def test_figure_csv_bytes_match_oracle(tmp_path):
+    from diracsim.cli import _figure_axes
+
+    arr = _edge_matrix((4, 4), seed=5)
+    finite = np.isfinite(arr.real) & np.isfinite(arr.imag)
+    arr[~finite] = complex(-0.0, 5e-324)
+    arr[0, 0] = complex(1.7976931348623157e308, -1.7976931348623157e308)
+    grid = make_grid(4, 0.25, -0.375, UnitMap(780e-9, 1.0, 4.935))
+    meta = {"kind": "propagated", **grid_meta(grid)}
+    in_path, out = str(tmp_path / "in.txt"), str(tmp_path / "out")
+    write_matrix(in_path, arr, meta)
+    assert main(["figures", "--input", in_path, "--out", out]) == 0
+    rows, cols, row_label, col_label = _figure_axes(meta, grid)
+    for table in ("magnitude", "phase", "real", "imag"):
+        got = open(os.path.join(out, f"fig_in_{table}.csv"), "rb").read()
+        assert got == figure_csv_oracle(arr, rows, cols, f"{row_label}\\{col_label}", table)
