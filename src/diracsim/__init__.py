@@ -9,7 +9,7 @@ planes by Bayes' theorem.
 from .errors import (ConfigError, ContractError, DegenerateInputError,
                      DegenerateKernelError, DiracsimError, FormatError,
                      NoPhotonsError, NullEventError, NumericalIntegrityError)
-from .lattice import Grid, UnitMap, from_momentum, make_grid, overlap, to_momentum
+from .lattice import Grid, UnitMap, make_grid
 from .qstate import (BenchConfig, DensityMatrix, PureState, bench_pure_state,
                      build_bench_state, density_from_pure, mix, pure_from_samples,
                      random_density_matrix, wedge_gradient_from_angle)

@@ -29,9 +29,12 @@ A unitary kernel stores only its V.  :func:`bayes_propagate` applies it as
 ``e = conj(K) * ((((d / conj(U)) U^dag) V^dag) U)`` with ``K = V^dag U``,
 the division and the first product taken entrywise.  U and U^dag act by FFT
 (see :mod:`.lattice`) and V^dag is a diagonal scaling or one matrix product,
-so neither the n^3 conditional nor an n x n factor of it is kept.  The
-analytic kernel is stored in factored form, ``cond = col[m,j] row[kp,j]
-inv[m,kp]``, and propagates by one matrix product with ``row``.
+so neither the n^3 conditional nor an n x n factor of it is kept.  For a
+diagonal V = diag(c) the weight ``conj(K) = c[:, None] * conj(U)`` is
+applied to the second FFT's output one factor at a time, in place, so K is
+never formed; a dense V forms K once per call.  The analytic kernel is
+stored in factored form, ``cond = col[m,j] row[kp,j] inv[m,kp]``, and
+propagates by one matrix product with ``row``.
 """
 
 from __future__ import annotations
@@ -56,8 +59,10 @@ class PropagatorKernel:
 
     A unitary kernel sets only ``v``, the checked diagonal or dense matrix
     of V as it was passed; :attr:`k_basis` derives the displaced-plane
-    position eigenstates from it on each access.  The analytic kernel sets
-    only the factors of ``cond[j, m, kp] = col[m, j] * row[kp, j] * inv[m, kp]``.
+    position eigenstates from it on each access (an n x n array, which
+    :func:`bayes_propagate` forms for a dense V only).  The analytic kernel
+    sets only the factors of
+    ``cond[j, m, kp] = col[m, j] * row[kp, j] * inv[m, kp]``.
     """
 
     grid: Grid
@@ -200,7 +205,10 @@ def bayes_propagate(dist: DiracDistribution, kernel: PropagatorKernel) -> Propag
     """Single-variable Bayes update e[m, k'] = sum_kp cond[k', m, kp] d[m, kp].
 
     A unitary kernel applies ``inv = 1 / conj(U)``, U^dag, V^dag and U in
-    turn and weights by ``conj(K)``; the analytic kernel multiplies by ``row``.
+    turn and weights by ``conj(K)``, ``K = V^dag U``.  A diagonal V weights
+    by conj(U) and then by V's phases, in place, and never forms K; a dense V
+    forms K through :attr:`PropagatorKernel.k_basis`.  The analytic kernel
+    multiplies by ``row``.
     """
     grid = kernel.grid
     if dist.grid != grid:
@@ -209,10 +217,16 @@ def bayes_propagate(dist: DiracDistribution, kernel: PropagatorKernel) -> Propag
     if v is None:
         e = kernel.col * ((kernel.inv * dist.d) @ kernel.row)
     else:
-        pulled = grid.matmul_overlap_adjoint((1.0 / grid.overlap_matrix.conj()) * dist.d)
-        pulled = pulled * v.conj() if v.ndim == 1 else pulled @ v.conj().T
-        e = grid.matmul_overlap(pulled)
-        e *= kernel.k_basis.conj()
+        u = grid.overlap_matrix
+        e = grid.matmul_overlap_adjoint((1.0 / u.conj()) * dist.d)
+        if v.ndim == 2:
+            e = grid.matmul_overlap(e @ v.conj().T)
+            e *= kernel.k_basis.conj()
+        else:
+            e *= v.conj()
+            e = grid.matmul_overlap(e)
+            e *= u.conj()  # conj(K) = v[:, None] * conj(U), one factor at a time
+            e *= v[:, None]
     e.setflags(write=False)
     return PropagatedDistribution(grid=dist.grid, dz=kernel.dz, e=e, kind=kernel.kind)
 

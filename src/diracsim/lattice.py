@@ -162,28 +162,3 @@ def make_grid(n: int, dx: float, x0: float = 0.0, unit_map: UnitMap | None = Non
                 raise ConfigError(f"{name}: must be positive and finite, got {value}")
     return Grid(n=int(n), dx=float(dx), x0=float(x0), unit_map=unit_map)
 
-
-def overlap(grid: Grid, m: int, k: int) -> complex:
-    """Plane-wave overlap ``<x_m|p_k>`` for one pair of lattice indices."""
-    if not (0 <= m < grid.n and 0 <= k < grid.n):
-        raise ContractError(f"indices ({m}, {k}) out of range for n={grid.n}")
-    return complex(grid.overlap_matrix[m, k])
-
-
-def _check_vector(grid: Grid, v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (grid.n,):
-        raise ContractError(f"vector of shape {v.shape} does not match grid n={grid.n}")
-    return v
-
-
-def to_momentum(grid: Grid, v: np.ndarray) -> np.ndarray:
-    """Momentum representation ``v~[k] = sum_m <p_k|x_m> v[m]`` (unitary)."""
-    v = _check_vector(grid, v)
-    return grid.matmul_overlap(v.conj()).conj()
-
-
-def from_momentum(grid: Grid, v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`to_momentum`."""
-    v = _check_vector(grid, v)
-    return grid.matmul_overlap_adjoint(v.conj()).conj()

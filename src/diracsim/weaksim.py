@@ -125,8 +125,11 @@ def estimate_dirac_column(counts: np.ndarray, phi: float,
 
     ``counts`` holds the four analyzers on its first axis: one sliver's
     (4, n) counts give its column, a scan's (4, n, n) counts the whole
-    (n, n) estimate.
+    (n, n) estimate.  ``phi`` must lie in (0, pi/2]: it divides the estimate
+    through sin(phi).
     """
+    if not 0.0 < phi <= 0.5 * np.pi:
+        raise ConfigError(f"coupling angle phi {phi} not in (0, pi/2]")
     cal = default_calibration() if cal is None else cal
     d, a, l, r = counts
     total = (d + a).sum(axis=-1, keepdims=True)

@@ -17,10 +17,10 @@ PUBLIC = {
     "conditional_x_given_p", "correct_diagonals", "default_calibration",
     "density_from_pure", "dirac_distribution", "direct_measure_displaced",
     "estimate_dirac_column", "expectation_overlap",
-    "fresnel_unitary", "from_momentum", "joint4_tensor", "make_grid", "marginal_p",
-    "marginal_x", "mix", "operator_dirac", "overlap", "pure_from_samples", "purity",
+    "fresnel_unitary", "joint4_tensor", "make_grid", "marginal_p",
+    "marginal_x", "mix", "operator_dirac", "pure_from_samples", "purity",
     "random_density_matrix", "readout_intensities", "reconstruct_density",
-    "sample_counts", "scan", "to_momentum",
+    "sample_counts", "scan",
     "wedge_gradient_from_angle",
 }
 

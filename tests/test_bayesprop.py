@@ -6,7 +6,8 @@ from diracsim import (ConfigError, ContractError, DegenerateKernelError, UnitMap
                       density_from_pure, dirac_distribution, direct_measure_displaced,
                       fresnel_unitary, joint4_tensor, make_grid, pure_from_samples,
                       random_density_matrix, scan)
-from diracsim import BenchConfig, NumericalIntegrityError, PropagatedDistribution
+from diracsim import (BenchConfig, NumericalIntegrityError, PropagatedDistribution,
+                      PropagatorKernel)
 from diracsim.bayesprop import KIND_ANALYTIC, KIND_UNITARY
 from conftest import (analytic_kernel_term, bench_grid, cond_array, displaced_trace_oracle,
                       joint4, random_unitary)
@@ -98,6 +99,23 @@ def test_diagonal_and_dense_chirp_give_the_same_kernel(dz):
     e_diagonal = bayes_propagate(d, diagonal).e
     e_dense = bayes_propagate(d, dense).e
     assert np.max(np.abs(e_diagonal - e_dense)) < 1e-15
+
+
+@pytest.mark.parametrize("n", [16, 97])
+def test_chirp_branch_never_forms_k_basis(monkeypatch, n):
+    grid = _unit_grid(n)
+    d = dirac_distribution(random_density_matrix(grid, np.random.default_rng(13)))
+    chirps = {dz: fresnel_unitary(grid, dz) for dz in (0.0, 0.084, 0.325)}
+    dense = {dz: bayes_propagate(d, build_kernel_unitary(grid, np.diag(c), dz)).e
+             for dz, c in chirps.items()}
+
+    def forbidden(self):
+        raise AssertionError("the diagonal-V branch formed k_basis")
+
+    monkeypatch.setattr(PropagatorKernel, "k_basis", property(forbidden))
+    for dz, chirp in chirps.items():
+        e = bayes_propagate(d, build_kernel_unitary(grid, chirp, dz)).e
+        assert np.max(np.abs(e - dense[dz])) < 1e-15
 
 
 def test_unitary_kernel_stores_only_v():

@@ -6,7 +6,7 @@ from diracsim import (ContractError, DiracDistribution, NullEventError,
                       conditional_x_given_p, density_from_pure, dirac_distribution,
                       expectation_overlap, make_grid, marginal_p, marginal_x, mix,
                       operator_dirac, pure_from_samples, purity, random_density_matrix,
-                      reconstruct_density, to_momentum)
+                      reconstruct_density)
 from conftest import bench_grid, projector_trace_oracle
 
 
@@ -177,7 +177,7 @@ def test_pure_state_factorization():
     x = grid.coords
     psi = pure_from_samples(grid, np.exp(-x ** 2) * np.exp(0.4j * x ** 2))
     d = dirac_distribution(density_from_pure(psi))
-    psi_p = to_momentum(grid, psi.amp)
+    psi_p = grid.overlap_matrix.conj().T @ psi.amp  # <p_k|psi>, a dense product
     expected = grid.overlap_matrix.conj() * np.outer(psi.amp, psi_p.conj())
     assert np.max(np.abs(d.d - expected)) < 1e-12
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diracsim import ConfigError, ContractError, UnitMap, from_momentum, make_grid, overlap, to_momentum
+from diracsim import ConfigError, ContractError, UnitMap, make_grid
 
 
 def test_dp_forced_by_lattice_identity():
@@ -45,21 +45,18 @@ def test_coordinate_indexing_is_invertible():
 
 
 def test_overlap_modulus_and_zero_phase_row():
-    grid = make_grid(4, 1.0)
-    for m in range(4):
-        for k in range(4):
-            assert abs(overlap(grid, m, k)) ** 2 == pytest.approx(0.25, abs=1e-14)
+    u = make_grid(4, 1.0).overlap_matrix
+    assert np.allclose(np.abs(u) ** 2, 0.25, rtol=0, atol=1e-14)
     # x = 0 sits at index n/2; its overlap row is real 1/sqrt(n)
-    for k in range(4):
-        assert overlap(grid, 2, k) == pytest.approx(0.5, abs=1e-14)
+    assert np.allclose(u[2], 0.5, rtol=0, atol=1e-14)
 
 
-def test_overlap_index_contract():
+def test_cached_lattice_arrays_are_read_only():
     grid = make_grid(4, 1.0)
-    with pytest.raises(ContractError):
-        overlap(grid, 4, 0)
-    with pytest.raises(ContractError):
-        overlap(grid, 0, -1)
+    for arr in (grid.coords, grid.momenta, grid.overlap_matrix):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 64, 256, 512])
@@ -74,25 +71,25 @@ def test_momentum_transform_of_delta_is_flat():
     grid = make_grid(8, 1.0)
     v = np.zeros(8, dtype=complex)
     v[3] = 1.0
-    vt = to_momentum(grid, v)
-    assert np.allclose(np.abs(vt), 1 / np.sqrt(8), atol=1e-14)
+    for vt in (grid.matmul_overlap(v), grid.matmul_overlap_adjoint(v)):
+        assert np.allclose(np.abs(vt), 1 / np.sqrt(8), rtol=0, atol=1e-14)
 
 
 def test_momentum_round_trip_and_norm():
     rng = np.random.default_rng(5)
     grid = make_grid(32, 0.25, -0.4)
+    u = grid.overlap_matrix
     for _ in range(5):
         v = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        vt = to_momentum(grid, v)
+        vt = grid.matmul_overlap(v)
+        assert np.max(np.abs(vt - v @ u)) < 1e-12
         assert abs(np.linalg.norm(vt) - np.linalg.norm(v)) < 1e-12
-        assert np.max(np.abs(from_momentum(grid, vt) - v)) < 1e-12
+        assert np.max(np.abs(grid.matmul_overlap_adjoint(vt) - v)) < 1e-12
 
 
 def test_vector_length_contract():
     grid = make_grid(8, 1.0)
-    with pytest.raises(ContractError):
-        to_momentum(grid, np.ones(7))
-    for bad in (np.ones((8, 7)), np.ones(9), 1.0):
+    for bad in (np.ones(7), np.ones((8, 7)), np.ones(9), 1.0):
         with pytest.raises(ContractError):
             grid.matmul_overlap(bad)
         with pytest.raises(ContractError):

@@ -90,12 +90,19 @@ def test_pure_bench_tophat_constant_inside_support():
 
 
 def test_mixed_bench_zeroes_cross_edge_blocks():
-    grid, cfg = bench_grid(n=64, mixed=True)
-    rho = build_bench_state(cfg, grid)
-    beyond = grid.coords > cfg.edge_position
-    cross = np.logical_xor.outer(beyond, beyond)
-    assert np.max(np.abs(rho.rho[cross])) == 0.0
-    rho.validate()
+    for n in (9, 32, 64, 97, 256):
+        grid, cfg = bench_grid(n=n, mixed=True, wedge_tilt=285.6)
+        rho = build_bench_state(cfg, grid)
+        beyond = grid.coords > cfg.edge_position
+        cross = np.logical_xor.outer(beyond, beyond)
+        assert np.max(np.abs(rho.rho[cross])) == 0.0
+        # bit for bit |psi><psi| of the pure bench state with the cross blocks zeroed
+        expected = density_from_pure(bench_pure_state(cfg, grid)).rho.copy()
+        assert np.count_nonzero(expected[cross]) > 0
+        expected[cross] = 0.0
+        assert np.array_equal(rho.rho, expected)
+        assert not rho.rho.flags.writeable
+        rho.validate()
 
 
 def test_phase_average_matches_block_zeroing():
@@ -178,20 +185,22 @@ def _counting(monkeypatch, name):
 
 
 def test_validate_certifies_once_per_read_only_state(monkeypatch):
-    grid, cfg = bench_grid(n=32)
     factorisations = _counting(monkeypatch, "cholesky")
     eig_runs = _counting(monkeypatch, "eigvalsh")
-    rho = build_bench_state(cfg, grid)
-    assert len(factorisations) == 1
-    for _ in range(3):
-        rho.validate()
-        dirac_distribution(rho)
-    assert len(factorisations) == 1
-    # a writeable matrix may change between calls, so it is checked every time
-    writeable = DensityMatrix(grid=grid, rho=rho.rho.copy())
-    writeable.validate()
-    writeable.validate()
-    assert len(factorisations) == 3
+    for mixed in (False, True):
+        grid, cfg = bench_grid(n=32, mixed=mixed)
+        factorisations.clear()
+        rho = build_bench_state(cfg, grid)
+        assert len(factorisations) == 1
+        for _ in range(3):
+            rho.validate()
+            dirac_distribution(rho)
+        assert len(factorisations) == 1
+        # a writeable matrix may change between calls, so it is checked every time
+        writeable = DensityMatrix(grid=grid, rho=rho.rho.copy())
+        writeable.validate()
+        writeable.validate()
+        assert len(factorisations) == 3
     assert eig_runs == []
 
 

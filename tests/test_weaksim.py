@@ -294,6 +294,18 @@ def test_estimator_zero_without_coupling():
     assert np.max(np.abs(estimate_dirac_column(counts, PHI_BENCH))) < 1e-12
 
 
+@pytest.mark.parametrize("bad_phi", [0.0, -0.1, 2.0, np.nan, np.inf])
+def test_estimator_rejects_phi_outside_the_coupling_range(bad_phi):
+    grid = make_grid(8, 0.5)
+    counts = readout_intensities(_chirped_state(grid), PHI_BENCH, 1.0)
+    with pytest.raises(ConfigError, match=r"^coupling angle phi .* not in \(0, pi/2\]$"):
+        estimate_dirac_column(counts, bad_phi)
+    with pytest.raises(ConfigError, match="coupling angle phi"):
+        estimate_dirac_column(counts[:, 3], bad_phi)
+    # the strong-measurement limit stays a valid readout angle
+    assert np.all(np.isfinite(estimate_dirac_column(counts, 0.5 * np.pi)))
+
+
 def test_estimator_requires_photons():
     grid = make_grid(8, 0.5)
     raw = np.zeros(8)
