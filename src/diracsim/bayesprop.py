@@ -33,8 +33,10 @@ so neither the n^3 conditional nor an n x n factor of it is kept.  For a
 diagonal V = diag(c) the weight ``conj(K) = c[:, None] * conj(U)`` is
 applied to the second FFT's output one factor at a time, in place, so K is
 never formed; a dense V forms K once per call.  The analytic kernel is
-stored in factored form, ``cond = col[m,j] row[kp,j] inv[m,kp]``, and
-propagates by one matrix product with ``row``.
+stored in factored form, ``cond = col[m,j] W[kp,j] inv[m,kp]``.  Its
+wavelet W depends only on the pixel separation, ``W[kp,j] = row[|kp-j|]``,
+so only the length-n generator ``row`` is kept, and products with W are
+zero-padded FFT convolutions in O(n^2 log n), never an n^3 matrix product.
 """
 
 from __future__ import annotations
@@ -62,7 +64,9 @@ class PropagatorKernel:
     position eigenstates from it on each access (an n x n array, which
     :func:`bayes_propagate` forms for a dense V only).  The analytic kernel
     sets only the factors of
-    ``cond[j, m, kp] = col[m, j] * row[kp, j] * inv[m, kp]``.
+    ``cond[j, m, kp] = col[m, j] * row[|kp - j|] * inv[m, kp]``: ``col`` and
+    ``inv`` are n x n, ``row`` is the length-n generator of the symmetric
+    Toeplitz wavelet matrix.
     """
 
     grid: Grid
@@ -112,12 +116,17 @@ def fresnel_unitary(grid: Grid, dz: float) -> np.ndarray:
     length-n unit-modulus vector; V(0) is all ones.
     """
     units = grid.require_unit_map()
-    if dz < 0:
-        raise ConfigError(f"camera displacement dz {dz} must be nonnegative")
+    _check_displacement(dz)
     lam, f = units.wavelength, units.focal_length
     x_axis = grid.coords - grid.x0  # the optical axis runs through the grid center
     phase = -np.pi * dz * x_axis ** 2 / (lam * f ** 2)
     return np.exp(1j * phase)
+
+
+def _check_displacement(dz: float) -> None:
+    """Reject a camera displacement that is negative, infinite or NaN."""
+    if not 0 <= dz < np.inf:
+        raise ConfigError(f"camera displacement dz {dz!r} must be finite and nonnegative")
 
 
 def _checked_unitary(grid: Grid, v: np.ndarray) -> np.ndarray:
@@ -181,24 +190,54 @@ def build_kernel_analytic(grid: Grid, dz: float) -> PropagatorKernel:
     normalization hides it.  Magnification is left out; apply it afterwards
     as a coordinate relabeling.  dz = 0 is singular here and must use the
     unitary kernel.
+
+    The camera pixels are equally spaced, so the wavelet between pixels j
+    and kp depends on |j - kp| only; ``row[s]`` is its value at separation
+    s, and the normalization ``norm = col @ W`` is taken through the same
+    FFT convolution that :func:`bayes_propagate` uses.
     """
     units = grid.require_unit_map()
-    if dz <= 0:
+    _check_displacement(dz)
+    if dz == 0:
         raise DegenerateKernelError(
             "analytic kernel is singular at dz = 0; build the unitary kernel instead"
         )
     lam, f = units.wavelength, units.focal_length
     cam = units.ft_plane_coordinate(grid.momenta)
     x_axis = grid.coords - grid.x0  # positions relative to the optical axis
-    r = np.sqrt(dz ** 2 + (cam[:, None] - cam[None, :]) ** 2)
+    r = np.sqrt(dz ** 2 + (cam - cam[0]) ** 2)
     wavelet = np.exp(-1j * TWO_PI * r / lam) / r
     lens = np.exp(-1j * TWO_PI * np.outer(x_axis, cam) / (f * lam))
-    norm = lens @ wavelet.T
-    if np.min(np.abs(norm)) == 0.0:
-        raise NumericalIntegrityError("analytic kernel normalization vanished")
+    norm = _times_wavelet(lens, wavelet)
+    size = np.abs(norm)
+    if not (size.min() > 0.0 and size.max() < np.inf):  # also False for NaN
+        raise NumericalIntegrityError("analytic kernel normalization vanished or is not finite")
+    inv = np.divide(1.0, norm, out=norm)
     return PropagatorKernel(
-        grid=grid, dz=float(dz), kind=KIND_ANALYTIC, col=lens, row=wavelet, inv=1.0 / norm,
+        grid=grid, dz=float(dz), kind=KIND_ANALYTIC, col=lens, row=wavelet, inv=inv,
     )
+
+
+_WAVELET_BLOCK = 64  # rows per FFT block; bounds the length-2n temporaries
+
+
+def _times_wavelet(a: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """``a @ W`` for the symmetric Toeplitz ``W[kp, j] = row[|kp - j|]``.
+
+    W is the top-left n x n corner of the 2n-point circulant whose first
+    column is ``row``, a zero, and ``row[n-1:0:-1]``, so each row of ``a``,
+    zero-padded to 2n, is convolved with that column by FFT and cut back to
+    n.  Rows go in blocks of fixed size into one preallocated result.
+    """
+    n = row.shape[0]
+    spectrum = np.fft.fft(np.concatenate((row, [0.0], row[:0:-1])))
+    out = np.empty(a.shape, dtype=complex)
+    for start in range(0, a.shape[0], _WAVELET_BLOCK):
+        rows = slice(start, start + _WAVELET_BLOCK)
+        block = np.fft.fft(a[rows], 2 * n, axis=1)
+        block *= spectrum
+        out[rows] = np.fft.ifft(block, axis=1)[:, :n]
+    return out
 
 
 def bayes_propagate(dist: DiracDistribution, kernel: PropagatorKernel) -> PropagatedDistribution:
@@ -208,14 +247,16 @@ def bayes_propagate(dist: DiracDistribution, kernel: PropagatorKernel) -> Propag
     turn and weights by ``conj(K)``, ``K = V^dag U``.  A diagonal V weights
     by conj(U) and then by V's phases, in place, and never forms K; a dense V
     forms K through :attr:`PropagatorKernel.k_basis`.  The analytic kernel
-    multiplies by ``row``.
+    forms ``col * ((inv * d) @ W)``, the product with its Toeplitz wavelet W
+    taken by FFT convolution with the generator ``row``.
     """
     grid = kernel.grid
     if dist.grid != grid:
         raise ContractError("distribution and kernel live on different grids")
     v = kernel.v
     if v is None:
-        e = kernel.col * ((kernel.inv * dist.d) @ kernel.row)
+        e = _times_wavelet(kernel.inv * dist.d, kernel.row)
+        e *= kernel.col
     else:
         u = grid.overlap_matrix
         e = grid.matmul_overlap_adjoint((1.0 / u.conj()) * dist.d)

@@ -139,6 +139,12 @@ def analytic_kernel_term(x, x_ft, kprime, dz, wavelength, focal_length):
     return complex(np.exp(1j * phase) / r)
 
 
+def dense_wavelet(row):
+    """The symmetric Toeplitz matrix W[kp, j] = row[|kp - j|], by index gather."""
+    idx = np.arange(len(row))
+    return row[np.abs(idx[:, None] - idx[None, :])]
+
+
 _COND_MEMORY_LIMIT = 2 ** 30  # refuse to materialize cond arrays above 1 GiB
 
 
@@ -148,7 +154,9 @@ def cond_array(kernel):
     A unitary kernel's factors are formed here by dense products,
     ``col = conj(K)``, ``row = U^dag K`` and ``inv = 1 / conj(U)`` with
     ``K = V^dag U``, independently of the FFT path of ``bayes_propagate``.
-    Refuses grids where the n^3 array would not fit.
+    An analytic kernel's dense wavelet matrix is gathered from its generator,
+    ``row[kp, j] = kernel.row[|kp - j|]``, independently of the FFT
+    convolution.  Refuses grids where the n^3 array would not fit.
     """
     n = kernel.grid.n
     if 16 * n ** 3 > _COND_MEMORY_LIMIT:
@@ -157,7 +165,7 @@ def cond_array(kernel):
             "use the factored form via bayes_propagate instead"
         )
     if kernel.v is None:
-        col, row, inv = kernel.col, kernel.row, kernel.inv
+        col, row, inv = kernel.col, dense_wavelet(kernel.row), kernel.inv
     else:
         u = kernel.grid.overlap_matrix
         v = np.diag(kernel.v) if kernel.v.ndim == 1 else kernel.v

@@ -8,9 +8,11 @@ from diracsim import (ConfigError, ContractError, DegenerateKernelError, UnitMap
                       random_density_matrix, scan)
 from diracsim import (BenchConfig, NumericalIntegrityError, PropagatedDistribution,
                       PropagatorKernel)
+from diracsim import bayesprop
 from diracsim.bayesprop import KIND_ANALYTIC, KIND_UNITARY
-from conftest import (analytic_kernel_term, bench_grid, cond_array, displaced_trace_oracle,
-                      joint4, random_unitary)
+from diracsim.lattice import TWO_PI
+from conftest import (analytic_kernel_term, bench_grid, cond_array, dense_wavelet,
+                      displaced_trace_oracle, joint4, random_unitary)
 
 UM = UnitMap(wavelength=780e-9, focal_length=1.0, magnification=4.935)
 
@@ -82,7 +84,7 @@ def test_unitary_kernel_rejects_bad_chirp_vectors():
                 chirp * (1.0 + 1e-9), nan_chirp, nan_dense):
         with pytest.raises(ContractError):
             build_kernel_unitary(grid, bad)
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError, match="must be finite and nonnegative"):
         direct_measure_displaced(random_density_matrix(grid, np.random.default_rng(0)),
                                  BenchConfig(aperture_halfwidth=grid.span / 2,
                                              edge_position=grid.x0 + grid.dx), np.nan)
@@ -206,6 +208,46 @@ def test_analytic_kernel_rejects_dz_zero():
         build_kernel_analytic(grid, 0.0)
     with pytest.raises(ConfigError):
         build_kernel_analytic(make_grid(16, 0.5), 0.1)
+
+
+@pytest.mark.parametrize("dz", [np.nan, np.inf, -np.inf])
+def test_non_finite_displacement_is_a_config_error(dz):
+    grid = _unit_grid()
+    with pytest.raises(ConfigError, match="must be finite and nonnegative"):
+        build_kernel_analytic(grid, dz)
+    with pytest.raises(ConfigError, match="must be finite and nonnegative"):
+        fresnel_unitary(grid, dz)
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+def test_analytic_normalization_guard_rejects_zero_and_non_finite(monkeypatch, bad):
+    def broken_product(a, row):
+        out = np.ones(a.shape, dtype=complex)
+        out[1, 2] = bad
+        return out
+
+    monkeypatch.setattr(bayesprop, "_times_wavelet", broken_product)
+    with pytest.raises(NumericalIntegrityError, match="normalization"):
+        build_kernel_analytic(_unit_grid(), 0.1)
+
+
+@pytest.mark.parametrize("n", [8, 9, 12, 97, 256])
+@pytest.mark.parametrize("x0", [0.0, 3e-4])
+@pytest.mark.parametrize("dz", [0.084, 0.16, 0.325])
+def test_analytic_propagation_matches_dense_product(n, x0, dz):
+    grid = make_grid(n, 44e-3 / n, x0, UM)
+    kernel = build_kernel_analytic(grid, dz)
+    assert kernel.row.shape == (n,)
+    # the generator is column 0 of the dense wavelet matrix, bit for bit
+    cam = UM.ft_plane_coordinate(grid.momenta)
+    r = np.sqrt(dz ** 2 + (cam[:, None] - cam[None, :]) ** 2)
+    assert np.array_equal(kernel.row, (np.exp(-1j * TWO_PI * r / UM.wavelength) / r)[:, 0])
+    w = dense_wavelet(kernel.row)
+    assert np.max(np.abs(kernel.inv * (kernel.col @ w) - 1.0)) <= 1e-10
+    d = dirac_distribution(random_density_matrix(grid, np.random.default_rng(n)))
+    e = bayes_propagate(d, kernel).e
+    dense = kernel.col * ((kernel.inv * d.d) @ w)
+    assert np.max(np.abs(e - dense)) <= 1e-12 * np.max(np.abs(e))
 
 
 def test_analytic_kernel_completeness_by_construction():
