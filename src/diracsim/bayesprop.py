@@ -53,6 +53,7 @@ from . import weaksim
 
 KIND_UNITARY = "discrete-unitary"
 KIND_ANALYTIC = "analytic-fresnel"
+PROPAGATED_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,15 +95,17 @@ class PropagatedDistribution:
     e: np.ndarray
     kind: str
 
-    def validate(self, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
+        """Check, to ``PROPAGATED_TOL``, that e sums to 1 and that its row and
+        column sums are real and nonnegative."""
         total = self.e.sum()
-        if not abs(total - 1.0) <= tol:
+        if not abs(total - 1.0) <= PROPAGATED_TOL:
             raise ContractError(f"propagated distribution sums to {total}, expected 1")
         for axis, label in ((1, "row"), (0, "column")):
             sums = self.e.sum(axis=axis)
-            if not np.max(np.abs(sums.imag)) <= tol:
+            if not np.max(np.abs(sums.imag)) <= PROPAGATED_TOL:
                 raise NumericalIntegrityError(f"{label} sums have imaginary residual")
-            if not sums.real.min() >= -tol:
+            if not sums.real.min() >= -PROPAGATED_TOL:
                 raise NumericalIntegrityError(f"{label} sums have negative entry")
 
 
@@ -167,8 +170,6 @@ def build_kernel_unitary(grid: Grid, v: np.ndarray, dz: float = 0.0) -> Propagat
     """
     v = _checked_unitary(grid, np.array(v, dtype=complex))  # a copy the caller cannot change
     v.setflags(write=False)
-    if not np.all(grid.overlap_matrix):  # some entry is exactly zero
-        raise ContractError("overlap matrix has a vanishing entry")
     return PropagatorKernel(grid=grid, dz=float(dz), kind=KIND_UNITARY, v=v)
 
 

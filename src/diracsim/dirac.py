@@ -69,42 +69,48 @@ def operator_dirac(grid: Grid, op: np.ndarray) -> DiracDistribution:
     return DiracDistribution(grid=grid, d=d)
 
 
-def _real_marginal(sums: np.ndarray, label: str, tol: float) -> np.ndarray:
+def _real_marginal(sums: np.ndarray, label: str) -> np.ndarray:
     imag = np.max(np.abs(sums.imag))
-    if not imag <= tol:
+    if not imag <= MARGINAL_TOL:
         raise NumericalIntegrityError(
-            f"{label} marginal has imaginary residual {imag:.3e} > {tol}"
+            f"{label} marginal has imaginary residual {imag:.3e} > {MARGINAL_TOL}"
         )
     real = sums.real
-    if not real.min() >= -tol:
+    if not real.min() >= -MARGINAL_TOL:
         raise NumericalIntegrityError(
-            f"{label} marginal has negative entry {real.min():.3e} < -{tol}"
+            f"{label} marginal has negative entry {real.min():.3e} < -{MARGINAL_TOL}"
         )
     return real.copy()
 
 
-def marginal_x(dist: DiracDistribution, tol: float = MARGINAL_TOL) -> np.ndarray:
-    """Position marginal Prob(x_m), the real part of the row sums."""
-    return _real_marginal(dist.d.sum(axis=1), "position", tol)
+def marginal_x(dist: DiracDistribution) -> np.ndarray:
+    """Position marginal Prob(x_m), the real part of the row sums.
+
+    An imaginary part above ``MARGINAL_TOL``, or an entry below
+    ``-MARGINAL_TOL``, is a NumericalIntegrityError.
+    """
+    return _real_marginal(dist.d.sum(axis=1), "position")
 
 
-def marginal_p(dist: DiracDistribution, tol: float = MARGINAL_TOL) -> np.ndarray:
-    """Momentum marginal Prob(p_k), the real part of the column sums."""
-    return _real_marginal(dist.d.sum(axis=0), "momentum", tol)
+def marginal_p(dist: DiracDistribution) -> np.ndarray:
+    """Momentum marginal Prob(p_k), the real part of the column sums, checked
+    as :func:`marginal_x` checks its rows."""
+    return _real_marginal(dist.d.sum(axis=0), "momentum")
 
 
-def conditional_x_given_p(dist: DiracDistribution, k: int, eps: float = COND_EPSILON) -> np.ndarray:
+def conditional_x_given_p(dist: DiracDistribution, k: int) -> np.ndarray:
     """Conditional quasi-probability of x given momentum outcome ``p_k``.
 
     For a pure state and the p = 0 column this is the wavefunction itself up
-    to one global complex factor.
+    to one global complex factor.  A column whose probability is at most
+    ``COND_EPSILON`` is a null event (NullEventError).
     """
     if not 0 <= k < dist.grid.n:
         raise ContractError(f"momentum index {k} out of range for n={dist.grid.n}")
     prob = marginal_p(dist)[k]
-    if prob <= eps:
+    if prob <= COND_EPSILON:
         raise NullEventError(
-            f"momentum column {k} has probability {prob:.3e} <= {eps}; "
+            f"momentum column {k} has probability {prob:.3e} <= {COND_EPSILON}; "
             "cannot condition on a null event"
         )
     return dist.d[:, k] / prob

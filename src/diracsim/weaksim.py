@@ -16,10 +16,10 @@ the true column minus the back-action offset
 Prob(x) (1 - cos phi) / n per momentum bin for a single-site sliver.  With
 W = conj(B) * (rho B) for the readout basis B, the expected intensities are
 N_D, N_A = base +- sin(phi) (Re W - O) and N_L, N_R = base +- sin(phi) Im W,
-base = <b_k|rho|b_k> / 2 - (1 - cos phi) Re W + O.  The
-proportionality constants and the circular handedness are pinned once by
-calibration against the exact trace formula, because pointer-readout sign
-conventions are otherwise ambiguous.
+base = <b_k|rho|b_k> / 2 - (1 - cos phi) Re W + O.  These formulas fix
+the estimator constants in closed form, c_re = c_im = 1/2 and
+sign_circ = -1 (:func:`calibrate_estimator` derives them and checks their
+closure against the exact trace formula), so no constant is fitted.
 
 A scan's counts are one float array of shape (4, n, n), indexed by analyzer
 (``READOUT_KEYS`` order), sliver and momentum bin.  Every scan of a state
@@ -45,7 +45,9 @@ READOUT_KEYS = ("D", "A", "L", "R")
 
 @dataclass(frozen=True)
 class EstimatorCalibration:
-    """Readout constants pinned once against the trace oracle, then immutable."""
+    """Constants of the estimator: the scales of the linear and circular count
+    differences and the circular handedness.  The readout fixes them at
+    (1/2, 1/2, -1); :func:`calibrate_estimator` returns that value."""
 
     c_re: float
     c_im: float
@@ -70,8 +72,8 @@ def readout_intensities(rho: DensityMatrix, phi: float, photon_budget: float,
     """
     if not 0.0 <= phi <= 0.5 * np.pi:
         raise ConfigError(f"coupling angle phi {phi} not in [0, pi/2]")
-    if photon_budget < 0:
-        raise ConfigError("photon budget must be nonnegative")
+    if not 0 <= photon_budget < np.inf:
+        raise ConfigError(f"photon_budget {photon_budget} must be finite and nonnegative")
     basis = rho.grid.overlap_matrix if basis is None else basis
     w = basis.conj() * (rho.rho @ basis)
     col = w.sum(axis=0)
@@ -126,7 +128,9 @@ def estimate_dirac_column(counts: np.ndarray, phi: float,
     ``counts`` holds the four analyzers on its first axis: one sliver's
     (4, n) counts give its column, a scan's (4, n, n) counts the whole
     (n, n) estimate.  ``phi`` must lie in (0, pi/2]: it divides the estimate
-    through sin(phi).
+    through sin(phi).  ``cal`` defaults to the closed-form constants of
+    :func:`default_calibration`, which give W - O for noise-free counts;
+    :func:`calibrate_estimator` passes them explicitly to check them.
     """
     if not 0.0 < phi <= 0.5 * np.pi:
         raise ConfigError(f"coupling angle phi {phi} not in (0, pi/2]")
@@ -189,13 +193,19 @@ def correct_diagonals(rho_measured: DensityMatrix, phi: float) -> DensityMatrix:
 
 
 def calibrate_estimator() -> EstimatorCalibration:
-    """Fix (c_re, c_im, sign_circ) against the trace oracle on a known state.
+    """The estimator constants c_re = c_im = 1/2, sign_circ = -1, after a
+    closure check against the trace oracle.
 
-    Uses a chirped Gaussian on 16 sites at phi = 0.3, whose Dirac columns
-    have structure in both the real and imaginary parts, solves the per-part
-    least-squares scale, and verifies closure of estimate + offset against
-    the exact distribution.
+    Per unit photon budget the readout gives N_D - N_A = 2 sin(phi) (Re W - O)
+    and N_L - N_R = 2 sin(phi) Im W, and the linear pair sums to 1 per sliver,
+    so T = 1 and [(N_D - N_A) + i (N_L - N_R)] / (2 T sin phi) = W - O.
+    Nothing is fitted.  The check reads out a chirped Gaussian on 16 sites at
+    phi = 0.3, whose Dirac columns have structure in both the real and the
+    imaginary parts, and requires estimate + offset to match
+    :func:`dirac_distribution` within 1e-10; a readout with a swapped
+    analyzer pair fails it with NumericalIntegrityError.
     """
+    cal = EstimatorCalibration(c_re=0.5, c_im=0.5, sign_circ=-1)
     n, phi = 16, 0.3
     grid = make_grid(n, 0.5)
     x = grid.coords
@@ -204,15 +214,9 @@ def calibrate_estimator() -> EstimatorCalibration:
     truth = dirac_distribution(rho).d
     rows = [n // 4, n // 2, (3 * n) // 4]
     counts = readout_intensities(rho, phi, 1.0)[:, rows, :]
-    tgt = (truth[rows] - backaction_offset(rho, phi)[rows]).ravel()
-    # unit constants: (N_D - N_A) / scale in the real part, (N_L - N_R) / scale in the imaginary
-    raw = estimate_dirac_column(counts, phi, EstimatorCalibration(1.0, 1.0, -1)).ravel()
-    c_re = float(np.dot(raw.real, tgt.real) / np.dot(raw.real, raw.real))
-    s_im = float(np.dot(raw.imag, tgt.imag) / np.dot(raw.imag, raw.imag))
-    cal = EstimatorCalibration(c_re=c_re, c_im=abs(s_im), sign_circ=-1 if s_im > 0 else 1)
-    est = estimate_dirac_column(counts, phi, cal).ravel()
-    residual = np.max(np.abs(est - tgt))
-    if residual > 1e-10:
+    tgt = truth[rows] - backaction_offset(rho, phi)[rows]
+    residual = np.max(np.abs(estimate_dirac_column(counts, phi, cal) - tgt))
+    if not residual <= 1e-10:  # also catches a NaN readout
         raise NumericalIntegrityError(
             f"estimator calibration failed to close (residual {residual:.3e})"
         )

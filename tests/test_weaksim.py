@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diracsim import (BenchConfig, ConfigError, DensityMatrix, NoPhotonsError,
-                      NumericalIntegrityError, backaction_offset,
+from diracsim import (BenchConfig, ConfigError, DensityMatrix, EstimatorCalibration,
+                      NoPhotonsError, NumericalIntegrityError, backaction_offset,
                       calibrate_estimator, correct_diagonals,
                       default_calibration, density_from_pure, dirac_distribution,
                       estimate_dirac_column, make_grid, mix, pure_from_samples,
                       random_density_matrix, readout_intensities, reconstruct_density,
                       sample_counts, scan)
+from diracsim import weaksim
 from diracsim.weaksim import READOUT_KEYS, derived_seed
 
 from conftest import POLARIZATIONS, random_unitary
@@ -148,6 +149,9 @@ def test_couple_rejects_bad_inputs():
             readout_intensities(rho, bad_phi, 1e3)
     with pytest.raises(ConfigError):
         readout_intensities(rho, PHI_BENCH, -1.0)
+    for bad_budget in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigError, match=r"^photon_budget .* must be finite and nonnegative$"):
+            readout_intensities(rho, PHI_BENCH, bad_budget)
 
 
 def test_readout_rejects_imaginary_residual():
@@ -250,11 +254,26 @@ def test_sample_counts_beyond_poisson_limit_is_config_error():
 
 
 def test_calibration_constants():
-    cal = calibrate_estimator()
-    assert cal.c_re == pytest.approx(0.5, abs=1e-9)
-    assert cal.c_im == pytest.approx(0.5, abs=1e-9)
-    assert cal.sign_circ == -1
+    assert calibrate_estimator() == EstimatorCalibration(0.5, 0.5, -1)
     assert default_calibration() == default_calibration()
+
+
+@pytest.mark.parametrize("alter, closes", [
+    (lambda c: c[[0, 1, 3, 2]], False),
+    (lambda c: c[[1, 0, 2, 3]], False),
+    (lambda c: np.nextafter(c, np.inf), True),
+], ids=["L-R-swapped", "D-A-swapped", "one-ulp-up"])
+def test_calibration_checks_the_readout_without_fitting_it(monkeypatch, alter, closes):
+    readout = weaksim.readout_intensities
+    monkeypatch.setattr(weaksim, "readout_intensities", lambda *a, **kw: alter(readout(*a, **kw)))
+    try:
+        if closes:
+            assert calibrate_estimator() == EstimatorCalibration(0.5, 0.5, -1)
+        else:
+            with pytest.raises(NumericalIntegrityError, match="failed to close"):
+                calibrate_estimator()
+    finally:
+        default_calibration.cache_clear()
 
 
 def test_estimator_weak_limit_matches_oracle():
