@@ -25,18 +25,28 @@ analytic kernel is wrong by order one, so the command line uses the unitary
 kernel only.  :func:`joint4_tensor` gives the four-variable joint
 quasi-probability of two such basis changes.
 
-A unitary kernel stores only its V.  :func:`bayes_propagate` applies it as
-``e = conj(K) * ((((d / conj(U)) U^dag) V^dag) U)`` with ``K = V^dag U``,
-the division and the first product taken entrywise.  U and U^dag act by FFT
-(see :mod:`.lattice`) and V^dag is a diagonal scaling or one matrix product,
-so neither the n^3 conditional nor an n x n factor of it is kept.  For a
-diagonal V = diag(c) the weight ``conj(K) = c[:, None] * conj(U)`` is
-applied to the second FFT's output one factor at a time, in place, so K is
-never formed; a dense V forms K once per call.  The analytic kernel is
-stored in factored form, ``cond = col[m,j] W[kp,j] inv[m,kp]``.  Its
-wavelet W depends only on the pixel separation, ``W[kp,j] = row[|kp-j|]``,
-so only the length-n generator ``row`` is kept, and products with W are
-zero-padded FFT convolutions in O(n^2 log n), never an n^3 matrix product.
+A unitary kernel stores only its V.  For a dense V, :func:`bayes_propagate`
+applies it as ``e = conj(K) * ((((d / conj(U)) U^dag) V^dag) U)`` with
+``K = V^dag U``, the division and the first product taken entrywise; U and
+U^dag act by FFT (see :mod:`.lattice`), so neither the n^3 conditional nor
+an n x n factor of it is kept.  For the chirp V = diag(c) the Bayes sum has
+a closed form: the propagated distribution is the Dirac distribution of
+V rho V^dag.  With ``U = diag(a) F diag(b) / sqrt(n)``, an FFT along the
+momentum index of d gives
+
+    Dh[m, s] = sum_k d[m, k] exp(-2 pi i s k / n) = conj(a_m) a_j rho[m, j],
+
+j = (m + s) mod n: the position-difference domain, where b has cancelled.
+V rho V^dag multiplies rho[m, j] by c_m conj(c_j), which leaves a alone, so
+
+    e[m, k] = c_m ifft_s(Dh[m, s] conj(c)[(m + s) mod n])[k]
+
+for any n and any x0: one FFT pair and two scalings, with neither U nor K
+formed.  The analytic kernel is stored in factored form,
+``cond = col[m,j] W[kp,j] inv[m,kp]``.  Its wavelet W depends only on the
+pixel separation, ``W[kp,j] = row[|kp-j|]``, so only the length-n generator
+``row`` is kept, and products with W are zero-padded FFT convolutions in
+O(n^2 log n), never an n^3 matrix product.
 """
 
 from __future__ import annotations
@@ -44,6 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ContractError, DegenerateKernelError, NumericalIntegrityError
 from .lattice import Grid, TWO_PI
@@ -244,12 +255,15 @@ def _times_wavelet(a: np.ndarray, row: np.ndarray) -> np.ndarray:
 def bayes_propagate(dist: DiracDistribution, kernel: PropagatorKernel) -> PropagatedDistribution:
     """Single-variable Bayes update e[m, k'] = sum_kp cond[k', m, kp] d[m, kp].
 
-    A unitary kernel applies ``inv = 1 / conj(U)``, U^dag, V^dag and U in
-    turn and weights by ``conj(K)``, ``K = V^dag U``.  A diagonal V weights
-    by conj(U) and then by V's phases, in place, and never forms K; a dense V
-    forms K through :attr:`PropagatorKernel.k_basis`.  The analytic kernel
-    forms ``col * ((inv * d) @ W)``, the product with its Toeplitz wavelet W
-    taken by FFT convolution with the generator ``row``.
+    A chirp V = diag(c) takes the closed form of the module docstring,
+    ``e[m, k] = c_m ifft_s(fft(d)[m, s] conj(c)[(m + s) mod n])[k]``; the
+    skewed chirp is a read-only sliding-window view of conj(c) repeated, so
+    U, K and every complex division are avoided.  A dense V applies
+    ``inv = 1 / conj(U)``, U^dag, V^dag and U in turn and weights by
+    ``conj(K)``, ``K = V^dag U``, formed through
+    :attr:`PropagatorKernel.k_basis`.  The analytic kernel forms
+    ``col * ((inv * d) @ W)``, the product with its Toeplitz wavelet W taken
+    by FFT convolution with the generator ``row``.
     """
     grid = kernel.grid
     if dist.grid != grid:
@@ -258,17 +272,16 @@ def bayes_propagate(dist: DiracDistribution, kernel: PropagatorKernel) -> Propag
     if v is None:
         e = _times_wavelet(kernel.inv * dist.d, kernel.row)
         e *= kernel.col
+    elif v.ndim == 2:
+        e = grid.matmul_overlap_adjoint((1.0 / grid.overlap_matrix.conj()) * dist.d)
+        e = grid.matmul_overlap(e @ v.conj().T)
+        e *= kernel.k_basis.conj()
     else:
-        u = grid.overlap_matrix
-        e = grid.matmul_overlap_adjoint((1.0 / u.conj()) * dist.d)
-        if v.ndim == 2:
-            e = grid.matmul_overlap(e @ v.conj().T)
-            e *= kernel.k_basis.conj()
-        else:
-            e *= v.conj()
-            e = grid.matmul_overlap(e)
-            e *= u.conj()  # conj(K) = v[:, None] * conj(U), one factor at a time
-            e *= v[:, None]
+        h = v.conj()
+        e = np.fft.fft(dist.d, axis=1)
+        e *= sliding_window_view(np.concatenate((h, h[:-1])), grid.n)  # row m: h[(m + s) % n]
+        e = np.fft.ifft(e, axis=1)
+        e *= v[:, None]
     e.setflags(write=False)
     return PropagatedDistribution(grid=dist.grid, dz=kernel.dz, e=e, kind=kernel.kind)
 

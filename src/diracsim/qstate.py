@@ -63,13 +63,16 @@ class DensityMatrix:
         n = self.grid.n
         if self.rho.shape != (n, n):
             raise ContractError("density matrix shape does not match grid")
-        herm = np.max(np.abs(self.rho - self.rho.conj().T))
+        # rho^H as one fresh C-ordered copy, so the passes below run contiguously
+        h = np.conjugate(self.rho.T, order="C", dtype=np.result_type(self.rho, 0.5))
+        herm = np.max(np.abs(self.rho - h))
         if not herm <= HERMITICITY_TOL:
             raise ContractError(f"density matrix not Hermitian (residual {herm:.3e})")
         tr = self.rho.trace()
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise ContractError(f"density matrix trace {tr} deviates from 1")
-        h = 0.5 * (self.rho + self.rho.conj().T)
+        h += self.rho
+        h *= 0.5
         h[np.diag_indices(n)] += PSD_TOL
         try:
             np.linalg.cholesky(h)

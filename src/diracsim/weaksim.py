@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, NoPhotonsError, NumericalIntegrityError
+from .errors import ConfigError, ContractError, NoPhotonsError, NumericalIntegrityError
 from .lattice import make_grid
 from .qstate import BenchConfig, DensityMatrix, pure_from_samples, density_from_pure
 from .dirac import DiracDistribution, dirac_distribution
@@ -128,12 +128,17 @@ def estimate_dirac_column(counts: np.ndarray, phi: float,
     ``counts`` holds the four analyzers on its first axis: one sliver's
     (4, n) counts give its column, a scan's (4, n, n) counts the whole
     (n, n) estimate.  ``phi`` must lie in (0, pi/2]: it divides the estimate
-    through sin(phi).  ``cal`` defaults to the closed-form constants of
-    :func:`default_calibration`, which give W - O for noise-free counts;
-    :func:`calibrate_estimator` passes them explicitly to check them.
+    through sin(phi).  A NaN or infinite count is a ContractError that names
+    the first sliver holding one.  ``cal`` defaults to the closed-form
+    constants of :func:`default_calibration`, which give W - O for noise-free
+    counts; :func:`calibrate_estimator` passes them explicitly to check them.
     """
     if not 0.0 < phi <= 0.5 * np.pi:
         raise ConfigError(f"coupling angle phi {phi} not in (0, pi/2]")
+    finite = np.isfinite(counts).all(axis=(0, -1))
+    if not finite.all():
+        where = f"sliver {np.flatnonzero(~finite)[0]}: " if counts.ndim == 3 else ""
+        raise ContractError(f"{where}analyzer counts are not finite")
     cal = default_calibration() if cal is None else cal
     d, a, l, r = counts
     total = (d + a).sum(axis=-1, keepdims=True)
@@ -150,8 +155,11 @@ def backaction_offset(rho: DensityMatrix, phi: float,
     """Correction field for a per-site scan; row m is the offset of sliver {m}.
 
     In the momentum readout basis every bin of row m is
-    Prob(x_m)(1 - cos phi)/n, the lattice form of the uniform offset.
+    Prob(x_m)(1 - cos phi)/n, the lattice form of the uniform offset.  phi
+    outside [0, pi/2], NaN included, is a ConfigError.
     """
+    if not 0.0 <= phi <= 0.5 * np.pi:
+        raise ConfigError(f"coupling angle phi {phi} not in [0, pi/2]")
     basis = rho.grid.overlap_matrix if basis is None else basis
     prob = rho.rho.diagonal().real
     return (1.0 - np.cos(phi)) * prob[:, None] * np.abs(basis) ** 2

@@ -4,8 +4,8 @@ import pytest
 from diracsim import (ConfigError, ContractError, DegenerateKernelError, UnitMap,
                       bayes_propagate, build_kernel_analytic, build_kernel_unitary,
                       density_from_pure, dirac_distribution, direct_measure_displaced,
-                      fresnel_unitary, joint4_tensor, make_grid, pure_from_samples,
-                      random_density_matrix, scan)
+                      fresnel_unitary, joint4_tensor, make_grid, operator_dirac,
+                      pure_from_samples, random_density_matrix, scan)
 from diracsim import (BenchConfig, NumericalIntegrityError, PropagatedDistribution,
                       PropagatorKernel)
 from diracsim import bayesprop
@@ -118,6 +118,32 @@ def test_chirp_branch_never_forms_k_basis(monkeypatch, n):
     for dz, chirp in chirps.items():
         e = bayes_propagate(d, build_kernel_unitary(grid, chirp, dz)).e
         assert np.max(np.abs(e - dense[dz])) < 1e-15
+
+
+@pytest.mark.parametrize("n", [3, 16, 97])
+@pytest.mark.parametrize("x0", [0.0, 3e-4])
+def test_chirp_propagation_is_the_distribution_of_the_rotated_state(n, x0):
+    # Bayes' law for V = diag(c): e is the Dirac distribution of V rho V^dag
+    rng = np.random.default_rng(n)
+    grid = make_grid(n, 44e-3 / n, x0, UM)
+    state = random_density_matrix(grid, rng)
+    d, rho = dirac_distribution(state), state.rho
+    for c in (np.exp(TWO_PI * 1j * rng.random(n)), fresnel_unitary(grid, 0.16)):
+        e = bayes_propagate(d, build_kernel_unitary(grid, c)).e
+        rotated = operator_dirac(grid, c[:, None] * rho * c.conj()).d
+        assert np.max(np.abs(e - rotated)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [16, 97])
+def test_chirp_branch_never_builds_the_overlap_matrix(n):
+    d = dirac_distribution(random_density_matrix(_unit_grid(n), np.random.default_rng(13)))
+    grid = _unit_grid(n)  # equal to d.grid, with nothing cached yet
+    assert grid == d.grid
+    kernel = build_kernel_unitary(grid, fresnel_unitary(grid, 0.16), 0.16)
+    e = bayes_propagate(d, kernel)
+    assert abs(e.e.sum() - 1.0) < 1e-12
+    assert "overlap_matrix" not in vars(grid)
+    assert "_fourier_phases" not in vars(grid)
 
 
 def test_unitary_kernel_stores_only_v():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diracsim import (BenchConfig, ConfigError, DensityMatrix, EstimatorCalibration,
+from diracsim import (BenchConfig, ConfigError, ContractError, DensityMatrix, EstimatorCalibration,
                       NoPhotonsError, NumericalIntegrityError, backaction_offset,
                       calibrate_estimator, correct_diagonals,
                       default_calibration, density_from_pure, dirac_distribution,
@@ -337,6 +337,28 @@ def test_estimator_requires_photons():
     counts[:2, 5] = 0.0
     with pytest.raises(NoPhotonsError, match="^sliver 5: "):
         estimate_dirac_column(counts, PHI_BENCH)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_estimator_rejects_non_finite_counts(bad):
+    grid = make_grid(8, 0.5)
+    counts = readout_intensities(_chirped_state(grid), PHI_BENCH, 1.0)
+    counts[0, 2, 3] = bad
+    counts[2, 6, 1] = bad
+    with pytest.raises(ContractError, match=r"^sliver 2: analyzer counts are not finite$"):
+        estimate_dirac_column(counts, PHI_BENCH)
+    with pytest.raises(ContractError, match=r"^analyzer counts are not finite$"):
+        estimate_dirac_column(counts[:, 6], PHI_BENCH)
+    assert np.all(np.isfinite(estimate_dirac_column(counts[:, 5], PHI_BENCH)))
+
+
+@pytest.mark.parametrize("bad_phi", [-1e-9, np.pi / 2 + 1e-9, 5.0, np.nan, np.inf])
+def test_backaction_offset_rejects_phi_outside_the_coupling_range(bad_phi):
+    rho = random_density_matrix(make_grid(8, 0.5), np.random.default_rng(9))
+    with pytest.raises(ConfigError, match=r"^coupling angle phi .* not in \[0, pi/2\]$"):
+        backaction_offset(rho, bad_phi)
+    # both ends of the range stay valid angles
+    assert np.all(np.isfinite(backaction_offset(rho, 0.5 * np.pi)))
 
 
 def test_backaction_offset_values():
