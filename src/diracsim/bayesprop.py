@@ -26,10 +26,10 @@ kernel only.  :func:`joint4_tensor` gives the four-variable joint
 quasi-probability of two such basis changes.
 
 A unitary kernel stores only its V.  For a dense V, :func:`bayes_propagate`
-applies it as ``e = conj(K) * ((((d / conj(U)) U^dag) V^dag) U)`` with
-``K = V^dag U``, the division and the first product taken entrywise; U and
-U^dag act by FFT (see :mod:`.lattice`), so neither the n^3 conditional nor
-an n x n factor of it is kept.  For the chirp V = diag(c) the Bayes sum has
+applies it as ``e = conj(K) * ((rho V^dag) U)`` with ``K = V^dag U`` and
+rho = :func:`.reconstruct_density` of d, the weighting taken entrywise; U
+acts by FFT (see :mod:`.lattice`), so neither the n^3 conditional nor an
+n x n factor of it is kept.  For the chirp V = diag(c) the Bayes sum has
 a closed form: the propagated distribution is the Dirac distribution of
 V rho V^dag.  With ``U = diag(a) F diag(b) / sqrt(n)``, an FFT along the
 momentum index of d gives
@@ -59,7 +59,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError, ContractError, DegenerateKernelError, NumericalIntegrityError
 from .lattice import Grid, TWO_PI
 from .qstate import BenchConfig, DensityMatrix
-from .dirac import DiracDistribution
+from .dirac import DiracDistribution, reconstruct_density
 from . import weaksim
 
 KIND_UNITARY = "discrete-unitary"
@@ -258,23 +258,24 @@ def bayes_propagate(dist: DiracDistribution, kernel: PropagatorKernel) -> Propag
     A chirp V = diag(c) takes the closed form of the module docstring,
     ``e[m, k] = c_m ifft_s(fft(d)[m, s] conj(c)[(m + s) mod n])[k]``; the
     skewed chirp is a read-only sliding-window view of conj(c) repeated, so
-    U, K and every complex division are avoided.  A dense V applies
-    ``inv = 1 / conj(U)``, U^dag, V^dag and U in turn and weights by
-    ``conj(K)``, ``K = V^dag U``, formed through
+    U, K and every complex division are avoided.  A dense V reconstructs
+    rho (:func:`.reconstruct_density`), applies V^dag and U in turn and
+    weights by ``conj(K)``, ``K = V^dag U``, formed through
     :attr:`PropagatorKernel.k_basis`.  The analytic kernel forms
     ``col * ((inv * d) @ W)``, the product with its Toeplitz wavelet W taken
-    by FFT convolution with the generator ``row``.
+    by FFT convolution with the generator ``row``.  A ``d`` whose shape is
+    not (n, n) for its grid is a ContractError, raised before any FFT.
     """
     grid = kernel.grid
     if dist.grid != grid:
         raise ContractError("distribution and kernel live on different grids")
+    dist.check_shape()
     v = kernel.v
     if v is None:
         e = _times_wavelet(kernel.inv * dist.d, kernel.row)
         e *= kernel.col
     elif v.ndim == 2:
-        e = grid.matmul_overlap_adjoint((1.0 / grid.overlap_matrix.conj()) * dist.d)
-        e = grid.matmul_overlap(e @ v.conj().T)
+        e = grid.matmul_overlap(reconstruct_density(dist).rho @ v.conj().T)
         e *= kernel.k_basis.conj()
     else:
         h = v.conj()

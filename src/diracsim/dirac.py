@@ -11,6 +11,20 @@ the position/momentum probabilities, and the state can be recovered from it
 exactly.  Phase-space averages carry a lattice prefactor ``n`` in place of
 the continuum 2 pi, forced by ``|<x|p>|^2 = 1/n`` and pinned by the
 oracle tests rather than assumed.
+
+With ``U = diag(a) F diag(b) / sqrt(n)`` (see :mod:`.lattice`) the transform
+and its inverse need neither U nor b.  For any operator op and
+j = (m + s) mod n,
+
+    d[m, k] = (1/n) sum_j conj(a_m) a_j op[m, j] exp(2 pi i (j - m) k / n)
+            = ifft_s(conj(a_m) a_j op[m, j])[k],
+    op[m, j] = a_m conj(a_j) fft(d)[m, s],
+
+the first from ``d = conj(U) * (op U)`` with |b_k| = 1, the second by
+inverting the DFT over the lag s.  :func:`operator_dirac` and
+:func:`reconstruct_density` are one skew (:meth:`.Grid.skew`,
+:meth:`.Grid.unskew`) and one FFT along the rows each, O(n^2 log n), and
+never form the n x n overlap matrix.
 """
 
 from __future__ import annotations
@@ -35,10 +49,14 @@ class DiracDistribution:
     grid: Grid
     d: np.ndarray
 
-    def validate(self) -> None:
+    def check_shape(self) -> None:
+        """Require ``d`` to be n x n for its grid (ContractError)."""
         n = self.grid.n
-        if self.d.shape != (n, n):
-            raise ContractError("distribution shape does not match grid")
+        if np.shape(self.d) != (n, n):
+            raise ContractError(f"distribution shape {np.shape(self.d)} does not match grid n={n}")
+
+    def validate(self) -> None:
+        self.check_shape()
         total = self.d.sum()
         if not abs(total - 1.0) <= NORMALIZATION_TOL:
             raise ContractError(f"distribution sums to {total}, expected 1")
@@ -64,7 +82,9 @@ def operator_dirac(grid: Grid, op: np.ndarray) -> DiracDistribution:
     op = np.asarray(op, dtype=complex)
     if op.shape != (grid.n, grid.n):
         raise ContractError(f"operator shape {op.shape} does not match grid n={grid.n}")
-    d = grid.overlap_matrix.conj() * grid.matmul_overlap(op)
+    a = grid._fourier_phases[0]
+    d = np.fft.ifft(grid.skew(op * a), axis=1)  # a_j op[m, j] at (m, s), transformed over s
+    d *= a.conj()[:, None]
     d.setflags(write=False)
     return DiracDistribution(grid=grid, d=d)
 
@@ -119,15 +139,19 @@ def conditional_x_given_p(dist: DiracDistribution, k: int) -> np.ndarray:
 def reconstruct_density(dist: DiracDistribution) -> DensityMatrix:
     """Invert the distribution back to the position density matrix.
 
-    Dividing ``d[m, k]`` by ``<p_k|x_m>`` recovers ``<x_m|rho|p_k>``; the
-    remaining momentum index is transformed back with the same overlap
-    convention, by FFT.  The round trip through :func:`dirac_distribution` is
-    exact to rounding.  No state invariants are enforced on the output, since
+    An FFT of each row of d gives ``conj(a_m) a_j rho[m, j]`` at lag
+    s = (j - m) mod n (module docstring); unskewing and undoing the two
+    phases recovers rho.  The round trip through :func:`dirac_distribution`
+    is exact to rounding.  A ``d`` whose shape is not (n, n) for its grid is
+    a ContractError.  No state invariants are enforced on the output, since
     measured distributions carry noise; call ``.validate()`` where exactness
     is expected.
     """
+    dist.check_shape()
     grid = dist.grid
-    rho = grid.matmul_overlap_adjoint(dist.d / grid.overlap_matrix.conj())
+    a = grid._fourier_phases[0]
+    rho = grid.unskew(np.fft.fft(dist.d, axis=1)) * a[:, None]
+    rho *= a.conj()
     rho.setflags(write=False)
     return DensityMatrix(grid=grid, rho=rho)
 

@@ -18,7 +18,27 @@ odd included, and any x0.  :meth:`Grid.matmul_overlap` and
 :meth:`Grid.matmul_overlap_adjoint` apply U and U^dag with an FFT in
 O(n log n) per row, and :attr:`Grid.overlap_matrix` is built from the same
 phases and an exactly reduced DFT table, so the dense entries and the FFT
-describe one matrix.
+describe one matrix.  The dense U remains for callers with a dense readout
+basis or a dense propagator V, and for the test oracles; no command-line
+stage builds it.
+
+The Dirac transform needs only the phases a.  For any operator op,
+
+    conj(U[m, k]) (op U)[m, k]
+        = (1/n) sum_j conj(a_m) a_j op[m, j] exp(2 pi i (j - m) k / n),
+
+because |b_k| = 1 and F[j, k] conj(F[m, k]) = exp(2 pi i (j - m) k / n).
+With the lag s = (j - m) mod n, i.e. j = (m + s) mod n, the sum is an
+inverse DFT over s, and the forward DFT undoes it:
+
+    d[m, :] = ifft_s(conj(a_m) a_j op[m, j]),
+    op[m, j] = a_m conj(a_j) fft(d)[m, s],
+
+the discrete Kirkwood-Rihaczek distribution, an FFT over lag of the skewed
+correlation (A. W. Rihaczek, IEEE Trans. Inf. Theory 14, 369 (1968);
+L. Cohen, Time-Frequency Analysis (1995), ch. 8).  Both hold for any n and
+any x0.  :meth:`Grid.skew` and :meth:`Grid.unskew` move an n x n array
+between the (m, j) and the (m, s) layouts as one strided view each.
 
 Physical units (wavelength, lens focal length, magnification) live
 exclusively in :class:`UnitMap`, which converts lattice momentum to a camera
@@ -31,6 +51,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, ContractError
 
@@ -115,6 +136,37 @@ class Grid:
         u *= b
         u.setflags(write=False)
         return u
+
+    def _doubled(self, a: np.ndarray) -> np.ndarray:
+        """``[a, a]``, the (n, n) array ``a`` repeated along its columns."""
+        a = np.asarray(a)
+        if a.shape != (self.n, self.n):
+            raise ContractError(f"array of shape {a.shape} does not match grid n={self.n}")
+        return np.concatenate((a, a), axis=1)
+
+    def skew(self, a: np.ndarray) -> np.ndarray:
+        """``g[m, s] = a[m, (m + s) mod n]``, a read-only strided view.
+
+        Row m of ``[a, a]`` read from column m on: one step down a row and
+        one to the right per row of g.
+        """
+        doubled = self._doubled(a)
+        row, col = doubled.strides
+        n = self.n
+        return as_strided(doubled, shape=(n, n), strides=(row + col, col), writeable=False)
+
+    def unskew(self, g: np.ndarray) -> np.ndarray:
+        """``a[m, j] = g[m, (j - m) mod n]``, the inverse of :meth:`skew`, a
+        read-only strided view.
+
+        Row m of ``[g, g]`` read from column n - m on: one step down a row
+        and one to the left per row of a.
+        """
+        doubled = self._doubled(g)
+        row, col = doubled.strides
+        n = self.n
+        return as_strided(doubled[:, n:], shape=(n, n), strides=(row - col, col),
+                          writeable=False)
 
     def _check_last_axis(self, a: np.ndarray) -> np.ndarray:
         a = np.asarray(a)

@@ -21,6 +21,15 @@ the estimator constants in closed form, c_re = c_im = 1/2 and
 sign_circ = -1 (:func:`calibrate_estimator` derives them and checks their
 closure against the exact trace formula), so no constant is fitted.
 
+In the momentum basis B = U, the camera in the Fourier-transform plane,
+W[m, k] = conj(U[m, k]) (rho U)[m, k] is the Dirac distribution itself, so
+it is taken from :func:`.operator_dirac` in the position-difference domain
+(see :mod:`.dirac`), with no n x n U and no n^3 product.  There every
+|U[m, k]|^2 is 1/n, so the offset is the column Prob(x_m) (1 - cos phi) / n,
+the same in every momentum bin.  A dense basis B, such as the displaced
+camera's, is read out as conj(B) * (rho @ B) with the offset
+(1 - cos phi) Prob(x_m) |B[m, k]|^2.
+
 A scan's counts are one float array of shape (4, n, n), indexed by analyzer
 (``READOUT_KEYS`` order), sliver and momentum bin.  Every scan of a state
 repeats the same weak measurement, so the noise-free table is computed once
@@ -38,7 +47,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, NoPhotonsError, NumericalIntegrityError
 from .lattice import make_grid
 from .qstate import BenchConfig, DensityMatrix, pure_from_samples, density_from_pure
-from .dirac import DiracDistribution, dirac_distribution
+from .dirac import DiracDistribution, dirac_distribution, operator_dirac
 
 READOUT_KEYS = ("D", "A", "L", "R")
 
@@ -60,26 +69,30 @@ def readout_intensities(rho: DensityMatrix, phi: float, photon_budget: float,
     single-site sliver position, as an array ``counts[analyzer, m, k]`` of
     shape (4, n, n) in ``READOUT_KEYS`` order, clipped at zero.
 
-    In closed form, from W = conj(B) * (rho B) (one matrix product for all
-    (m, k)), its column sums col_k = <b_k|rho|b_k> and the back-action offset
-    O: N_D, N_A = base +- sin(phi) (Re W - O), N_L, N_R = base +- sin(phi) Im W
+    In closed form, from W = conj(B) * (rho B), its column sums
+    col_k = <b_k|rho|b_k> and the back-action offset O:
+    N_D, N_A = base +- sin(phi) (Re W - O), N_L, N_R = base +- sin(phi) Im W
     with base = col / 2 - (1 - cos phi) Re W + O, as (1 - cos phi)^2 +
     sin^2 phi = 2 (1 - cos phi).  Every intensity's imaginary part is
     Im(col) / 2, checked to vanish.  phi = pi/2 is the strong-measurement
     limit.  ``basis`` columns are the strong-measurement projection states in
     the position basis; the default is the momentum basis (camera in the
-    Fourier-transform plane).
+    Fourier-transform plane), where W is the Dirac distribution
+    (:func:`.operator_dirac`) and O is Prob(x_m) (1 - cos phi) / n, so no
+    matrix product is taken.  A dense ``basis`` costs one n^3 product.
     """
     if not 0.0 <= phi <= 0.5 * np.pi:
         raise ConfigError(f"coupling angle phi {phi} not in [0, pi/2]")
     if not 0 <= photon_budget < np.inf:
         raise ConfigError(f"photon_budget {photon_budget} must be finite and nonnegative")
-    basis = rho.grid.overlap_matrix if basis is None else basis
-    w = basis.conj() * (rho.rho @ basis)
+    if basis is None:
+        w = operator_dirac(rho.grid, rho.rho).d
+    else:
+        w = basis.conj() * (rho.rho @ basis)
     col = w.sum(axis=0)
     if 0.5 * np.max(np.abs(col.imag)) > 1e-12:
         raise NumericalIntegrityError("analyzer intensities have imaginary residual")
-    off = backaction_offset(rho, phi, basis)
+    off = _offset(rho, phi, basis)
     lose, s = 1.0 - np.cos(phi), np.sin(phi)
     base = 0.5 * col.real - lose * w.real + off
     linear, circular = s * (w.real - off), s * w.imag
@@ -152,17 +165,27 @@ def estimate_dirac_column(counts: np.ndarray, phi: float,
 
 def backaction_offset(rho: DensityMatrix, phi: float,
                       basis: np.ndarray | None = None) -> np.ndarray:
-    """Correction field for a per-site scan; row m is the offset of sliver {m}.
+    """Correction field for a per-site scan, an (n, n) array; row m is the
+    offset of sliver {m}, (1 - cos phi) Prob(x_m) |<x_m|b_k>|^2.
 
-    In the momentum readout basis every bin of row m is
-    Prob(x_m)(1 - cos phi)/n, the lattice form of the uniform offset.  phi
-    outside [0, pi/2], NaN included, is a ConfigError.
+    In the momentum readout basis (``basis`` None) |<x_m|p_k>|^2 = 1/n, so
+    every bin of row m is Prob(x_m)(1 - cos phi)/n, the lattice form of the
+    uniform offset, and no overlap matrix is formed.  phi outside
+    [0, pi/2], NaN included, is a ConfigError.
     """
     if not 0.0 <= phi <= 0.5 * np.pi:
         raise ConfigError(f"coupling angle phi {phi} not in [0, pi/2]")
-    basis = rho.grid.overlap_matrix if basis is None else basis
-    prob = rho.rho.diagonal().real
-    return (1.0 - np.cos(phi)) * prob[:, None] * np.abs(basis) ** 2
+    off = _offset(rho, phi, basis)
+    return np.repeat(off, rho.grid.n, axis=1) if basis is None else off
+
+
+def _offset(rho: DensityMatrix, phi: float, basis: np.ndarray | None) -> np.ndarray:
+    """The back-action offset; an (n, 1) column in the momentum basis, where
+    every |<x_m|p_k>|^2 is 1/n."""
+    off = (1.0 - np.cos(phi)) * rho.rho.diagonal().real[:, None]
+    if basis is None:
+        return off / rho.grid.n
+    return off * np.abs(basis) ** 2
 
 
 def scan(rho: DensityMatrix, cfg: BenchConfig, *,

@@ -109,6 +109,18 @@ def projector_trace_oracle(grid, rho):
     return out
 
 
+def dense_dirac(grid, op):
+    """Dirac transform ``conj(U) * (op @ U)`` with the dense overlap matrix U."""
+    u = grid.overlap_matrix
+    return u.conj() * (op @ u)
+
+
+def dense_reconstruct(grid, d):
+    """Inverse transform ``(d / conj(U)) @ U^dag`` with the dense overlap matrix U."""
+    u = grid.overlap_matrix
+    return (d / u.conj()) @ u.conj().T
+
+
 def displaced_trace_oracle(k_basis, rho):
     """Brute-force Tr[pi_k' pi_x rho] in an arbitrary orthonormal k' basis."""
     n = rho.shape[0]

@@ -7,7 +7,7 @@ import pytest
 from diracsim import qstate, weaksim
 from diracsim.cli import main
 from diracsim.fileio import read_matrix, write_matrix
-from diracsim import dirac_distribution, marginal_x
+from diracsim import Grid, dirac_distribution, marginal_x
 from diracsim.qstate import DensityMatrix
 from diracsim.fileio import grid_from_meta
 
@@ -131,6 +131,20 @@ def test_measure_reads_out_once_and_redraws_noise_per_scan(tmp_path, monkeypatch
         assert meta["seed"] == str(weaksim.derived_seed(rep_seed, m))
         rng = np.random.default_rng(weaksim.derived_seed(rep_seed, m))
         assert np.array_equal(counts, rng.poisson(expected[:, m]))
+
+
+def test_stages_never_build_the_overlap_matrix(tmp_path, monkeypatch):
+    cfg = _write_config(tmp_path)
+    out = str(tmp_path / "out")
+    assert _run("gen-state", "--config", cfg, "--out", out) == 0
+
+    def refuse(grid):
+        raise AssertionError(f"the n={grid.n} overlap matrix was built")
+
+    monkeypatch.setattr(Grid, "overlap_matrix", property(refuse))
+    weaksim.default_calibration.cache_clear()  # its check runs inside measure again
+    for stage in (["exact"], ["reconstruct"], ["measure", "--no-noise"], ["measure"]):
+        assert _run(*stage, "--config", cfg, "--out", out) == 0
 
 
 def test_measure_zero_budget_exits_3(tmp_path, capsys):

@@ -7,7 +7,11 @@ from diracsim import (ContractError, DiracDistribution, NullEventError,
                       expectation_overlap, make_grid, marginal_p, marginal_x, mix,
                       operator_dirac, pure_from_samples, purity, random_density_matrix,
                       reconstruct_density)
-from conftest import bench_grid, projector_trace_oracle
+from conftest import bench_grid, dense_dirac, dense_reconstruct, projector_trace_oracle
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
 def _basis_state(grid, m):
@@ -213,3 +217,25 @@ def test_validate_rejects_nan_distribution():
     for marginal in (marginal_x, marginal_p):
         with pytest.raises(NumericalIntegrityError, match="negative"):
             marginal(dist)
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 16, 97])
+@pytest.mark.parametrize("x0", [0.0, 3e-4])
+def test_position_difference_core_matches_the_dense_overlap_oracle(n, x0):
+    # any operator, Hermitian or not, and any d, normalized or not
+    rng = np.random.default_rng(n)
+    grid = make_grid(n, 44e-3 / n, x0)
+    op = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    assert np.max(np.abs(op - op.conj().T)) > 0.1
+    assert _rel(operator_dirac(grid, op).d, dense_dirac(grid, op)) < 1e-13
+    d = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    rho = reconstruct_density(DiracDistribution(grid=grid, d=d)).rho
+    assert _rel(rho, dense_reconstruct(grid, d)) < 1e-13
+    assert _rel(operator_dirac(grid, rho).d, d) < 1e-13
+
+
+@pytest.mark.parametrize("shape", [(8, 9), (9, 8), (8,)])
+def test_reconstruction_rejects_a_distribution_of_the_wrong_shape(shape):
+    dist = DiracDistribution(grid=make_grid(8, 1.0), d=np.full(shape, 1 / 64, dtype=complex))
+    with pytest.raises(ContractError, match=r"shape .* does not match grid n=8"):
+        reconstruct_density(dist)

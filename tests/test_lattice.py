@@ -96,6 +96,27 @@ def test_vector_length_contract():
             grid.matmul_overlap_adjoint(bad)
 
 
+@pytest.mark.parametrize("n", [2, 3, 8, 9])
+def test_skew_and_unskew_index_the_lag(n):
+    grid = make_grid(n, 1.0)
+    a = np.arange(n * n).reshape(n, n) * (1 + 1j)
+    g = grid.skew(a)
+    idx = np.arange(n)
+    assert np.array_equal(g, a[idx[:, None], (idx[:, None] + idx) % n])  # g[m, s] = a[m, m + s]
+    assert np.array_equal(grid.unskew(g), a)
+    for view in (g, grid.unskew(a)):
+        assert not view.flags.writeable
+
+
+def test_skew_shape_contract():
+    grid = make_grid(8, 1.0)
+    for bad in (np.ones((8, 9)), np.ones((9, 8)), np.ones(8), np.ones((2, 8, 8))):
+        with pytest.raises(ContractError):
+            grid.skew(bad)
+        with pytest.raises(ContractError):
+            grid.unskew(bad)
+
+
 def test_unit_map_round_trip():
     um = UnitMap(wavelength=780e-9, focal_length=1.0, magnification=4.935)
     assert um.camera_coordinate(1.0) == pytest.approx(4.935 * um.ft_plane_coordinate(1.0))

@@ -361,6 +361,22 @@ def test_backaction_offset_rejects_phi_outside_the_coupling_range(bad_phi):
     assert np.all(np.isfinite(backaction_offset(rho, 0.5 * np.pi)))
 
 
+@pytest.mark.parametrize("n", [2, 3, 9, 16, 97])
+@pytest.mark.parametrize("x0", [0.0, 3e-4])
+def test_momentum_readout_matches_the_explicit_overlap_basis(n, x0):
+    rng = np.random.default_rng(n)
+    grid = make_grid(n, 44e-3 / n, x0)
+    rho = random_density_matrix(grid, rng)
+    u = grid.overlap_matrix
+    for phi in (PHI_BENCH, 0.5 * np.pi):
+        dense = readout_intensities(rho, phi, 1e6, basis=u)
+        assert np.max(np.abs(readout_intensities(rho, phi, 1e6) - dense)) <= 1e-13 * dense.max()
+        dense = backaction_offset(rho, phi, u)
+        offset = backaction_offset(rho, phi)
+        assert offset.shape == (n, n)
+        assert np.max(np.abs(offset - dense)) <= 1e-13 * dense.max()
+
+
 def test_backaction_offset_values():
     rng = np.random.default_rng(9)
     grid = make_grid(8, 0.5)
