@@ -26,18 +26,18 @@ kernel only.  :func:`joint4_tensor` gives the four-variable joint
 quasi-probability of two such basis changes.
 
 A unitary kernel stores only its V.  For a dense V, :func:`bayes_propagate`
-applies it as ``e = conj(K) * ((rho V^dag) U)`` with ``K = V^dag U`` and
-rho = :func:`.reconstruct_density` of d, the weighting taken entrywise; U
-acts by FFT (see :mod:`.lattice`), so neither the n^3 conditional nor an
-n x n factor of it is kept.  For the chirp V = diag(c) the Bayes sum has
-a closed form: the propagated distribution is the Dirac distribution of
-V rho V^dag.  With ``U = diag(a) F diag(b) / sqrt(n)``, an FFT along the
-momentum index of d gives
+applies it as ``e = conj(K) * (rho K)`` with ``K = V^dag U`` and
+rho = :func:`.reconstruct_density` of d, the weighting taken entrywise: two
+n^3 products, with neither the n^3 conditional nor an n x n factor of it
+kept.  For the chirp V = diag(c) the Bayes sum has a closed form: the
+propagated distribution is the Dirac distribution of V rho V^dag.  With
+``U = diag(t) F diag(b) / sqrt(n)`` and the exact signs t_m = (-1)^m (see
+:mod:`.lattice`), an FFT along the momentum index of d gives
 
-    Dh[m, s] = sum_k d[m, k] exp(-2 pi i s k / n) = conj(a_m) a_j rho[m, j],
+    Dh[m, s] = sum_k d[m, k] exp(-2 pi i s k / n) = t_m t_j rho[m, j],
 
 j = (m + s) mod n: the position-difference domain, where b has cancelled.
-V rho V^dag multiplies rho[m, j] by c_m conj(c_j), which leaves a alone, so
+V rho V^dag multiplies rho[m, j] by c_m conj(c_j), which leaves t alone, so
 
     e[m, k] = c_m ifft_s(Dh[m, s] conj(c)[(m + s) mod n])[k]
 
@@ -259,11 +259,10 @@ def bayes_propagate(dist: DiracDistribution, kernel: PropagatorKernel) -> Propag
     ``e[m, k] = c_m ifft_s(fft(d)[m, s] conj(c)[(m + s) mod n])[k]``; the
     skewed chirp is a read-only sliding-window view of conj(c) repeated, so
     U, K and every complex division are avoided.  A dense V reconstructs
-    rho (:func:`.reconstruct_density`), applies V^dag and U in turn and
-    weights by ``conj(K)``, ``K = V^dag U``, formed through
-    :attr:`PropagatorKernel.k_basis`.  The analytic kernel forms
-    ``col * ((inv * d) @ W)``, the product with its Toeplitz wavelet W taken
-    by FFT convolution with the generator ``row``.  A ``d`` whose shape is
+    rho (:func:`.reconstruct_density`) and forms ``conj(K) * (rho K)``,
+    ``K = V^dag U`` from :attr:`PropagatorKernel.k_basis`.  The analytic
+    kernel forms ``col * ((inv * d) @ W)``, the product with its Toeplitz
+    wavelet W taken by FFT convolution with the generator ``row``.  A ``d`` whose shape is
     not (n, n) for its grid is a ContractError, raised before any FFT.
     """
     grid = kernel.grid
@@ -275,8 +274,9 @@ def bayes_propagate(dist: DiracDistribution, kernel: PropagatorKernel) -> Propag
         e = _times_wavelet(kernel.inv * dist.d, kernel.row)
         e *= kernel.col
     elif v.ndim == 2:
-        e = grid.matmul_overlap(reconstruct_density(dist).rho @ v.conj().T)
-        e *= kernel.k_basis.conj()
+        k = kernel.k_basis
+        e = reconstruct_density(dist).rho @ k
+        e *= k.conj()
     else:
         h = v.conj()
         e = np.fft.fft(dist.d, axis=1)
@@ -297,13 +297,13 @@ def joint4_tensor(rho: DensityMatrix, v1: np.ndarray, v2: np.ndarray) -> np.ndar
     gives 1; summing x and p gives the two-projector expectation
     Tr[pi_k' pi_q' rho].
     """
-    grid = rho.grid
+    grid, u = rho.grid, rho.grid.overlap_matrix
     q_basis = _adjoint_times(_checked_unitary(grid, v1), np.eye(grid.n))
-    k_basis = _adjoint_times(_checked_unitary(grid, v2), grid.overlap_matrix)
-    p2k = grid.matmul_overlap(k_basis.conj().T).conj().T  # U^dag k_basis
+    k_basis = _adjoint_times(_checked_unitary(grid, v2), u)
+    p2k = u.conj().T @ k_basis
     k2q = k_basis.conj().T @ q_basis
     q2x = q_basis.conj().T
-    xrp = grid.matmul_overlap(rho.rho)
+    xrp = rho.rho @ u
     return np.einsum("kc,cb,ba,ak->abck", p2k, k2q, q2x, xrp)
 
 
@@ -316,7 +316,6 @@ def direct_measure_displaced(rho: DensityMatrix, cfg: BenchConfig, dz: float, *,
     projection, i.e. the readout basis becomes the displaced-plane pixel
     states.  This is the experimental-side oracle for :func:`bayes_propagate`.
     """
-    v = _checked_unitary(rho.grid, fresnel_unitary(rho.grid, dz))
-    basis = _adjoint_times(v, rho.grid.overlap_matrix)
+    basis = build_kernel_unitary(rho.grid, fresnel_unitary(rho.grid, dz), dz).k_basis
     measured = weaksim.scan(rho, cfg, noise=noise, seed=seed, correct=correct, basis=basis)
     return PropagatedDistribution(grid=rho.grid, dz=float(dz), e=measured.d, kind="measured")

@@ -12,19 +12,20 @@ exactly.  Phase-space averages carry a lattice prefactor ``n`` in place of
 the continuum 2 pi, forced by ``|<x|p>|^2 = 1/n`` and pinned by the
 oracle tests rather than assumed.
 
-With ``U = diag(a) F diag(b) / sqrt(n)`` (see :mod:`.lattice`) the transform
-and its inverse need neither U nor b.  For any operator op and
-j = (m + s) mod n,
+With ``U = diag(t) F diag(b) / sqrt(n)`` and the exact signs
+``t_m = (-1)^m`` (see :mod:`.lattice`) the transform and its inverse need
+neither U nor b.  For any operator op and j = (m + s) mod n,
 
-    d[m, k] = (1/n) sum_j conj(a_m) a_j op[m, j] exp(2 pi i (j - m) k / n)
-            = ifft_s(conj(a_m) a_j op[m, j])[k],
-    op[m, j] = a_m conj(a_j) fft(d)[m, s],
+    d[m, k] = (1/n) sum_j t_m t_j op[m, j] exp(2 pi i (j - m) k / n)
+            = ifft_s(t_m t_j op[m, j])[k],
+    op[m, j] = t_m t_j fft(d)[m, s],
 
 the first from ``d = conj(U) * (op U)`` with |b_k| = 1, the second by
-inverting the DFT over the lag s.  :func:`operator_dirac` and
-:func:`reconstruct_density` are one skew (:meth:`.Grid.skew`,
-:meth:`.Grid.unskew`) and one FFT along the rows each, O(n^2 log n), and
-never form the n x n overlap matrix.
+inverting the DFT over the lag s.  ``t_m t_j = (-1)^(j - m)`` is the exact
+value of the row phase product conj(a_m) a_j, a_m = exp(i p_0 x_m), so no
+phase is rounded.  :func:`operator_dirac` and :func:`reconstruct_density`
+are one skew (:meth:`.Grid.skew`, :meth:`.Grid.unskew`) and one FFT along
+the rows each, O(n^2 log n), and never form the n x n overlap matrix.
 """
 
 from __future__ import annotations
@@ -82,9 +83,9 @@ def operator_dirac(grid: Grid, op: np.ndarray) -> DiracDistribution:
     op = np.asarray(op, dtype=complex)
     if op.shape != (grid.n, grid.n):
         raise ContractError(f"operator shape {op.shape} does not match grid n={grid.n}")
-    a = grid._fourier_phases[0]
-    d = np.fft.ifft(grid.skew(op * a), axis=1)  # a_j op[m, j] at (m, s), transformed over s
-    d *= a.conj()[:, None]
+    t = grid._signs
+    d = np.fft.ifft(grid.skew(op * t), axis=1)  # t_j op[m, j] at (m, s), transformed over s
+    d *= t[:, None]
     d.setflags(write=False)
     return DiracDistribution(grid=grid, d=d)
 
@@ -107,14 +108,18 @@ def marginal_x(dist: DiracDistribution) -> np.ndarray:
     """Position marginal Prob(x_m), the real part of the row sums.
 
     An imaginary part above ``MARGINAL_TOL``, or an entry below
-    ``-MARGINAL_TOL``, is a NumericalIntegrityError.
+    ``-MARGINAL_TOL``, is a NumericalIntegrityError.  A ``d`` whose shape
+    is not (n, n) for its grid is a ContractError here and in every other
+    consumer of a distribution.
     """
+    dist.check_shape()
     return _real_marginal(dist.d.sum(axis=1), "position")
 
 
 def marginal_p(dist: DiracDistribution) -> np.ndarray:
     """Momentum marginal Prob(p_k), the real part of the column sums, checked
     as :func:`marginal_x` checks its rows."""
+    dist.check_shape()
     return _real_marginal(dist.d.sum(axis=0), "momentum")
 
 
@@ -123,8 +128,11 @@ def conditional_x_given_p(dist: DiracDistribution, k: int) -> np.ndarray:
 
     For a pure state and the p = 0 column this is the wavefunction itself up
     to one global complex factor.  A column whose probability is at most
-    ``COND_EPSILON`` is a null event (NullEventError).
+    ``COND_EPSILON`` is a null event (NullEventError).  ``k`` must be an
+    integer index, not a bool (ContractError).
     """
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
+        raise ContractError(f"momentum index must be an integer, got {k!r}")
     if not 0 <= k < dist.grid.n:
         raise ContractError(f"momentum index {k} out of range for n={dist.grid.n}")
     prob = marginal_p(dist)[k]
@@ -139,9 +147,9 @@ def conditional_x_given_p(dist: DiracDistribution, k: int) -> np.ndarray:
 def reconstruct_density(dist: DiracDistribution) -> DensityMatrix:
     """Invert the distribution back to the position density matrix.
 
-    An FFT of each row of d gives ``conj(a_m) a_j rho[m, j]`` at lag
-    s = (j - m) mod n (module docstring); unskewing and undoing the two
-    phases recovers rho.  The round trip through :func:`dirac_distribution`
+    An FFT of each row of d gives ``t_m t_j rho[m, j]`` at lag
+    s = (j - m) mod n (module docstring); unskewing and applying the two
+    signs again recovers rho.  The round trip through :func:`dirac_distribution`
     is exact to rounding.  A ``d`` whose shape is not (n, n) for its grid is
     a ContractError.  No state invariants are enforced on the output, since
     measured distributions carry noise; call ``.validate()`` where exactness
@@ -149,9 +157,9 @@ def reconstruct_density(dist: DiracDistribution) -> DensityMatrix:
     """
     dist.check_shape()
     grid = dist.grid
-    a = grid._fourier_phases[0]
-    rho = grid.unskew(np.fft.fft(dist.d, axis=1)) * a[:, None]
-    rho *= a.conj()
+    t = grid._signs
+    rho = grid.unskew(np.fft.fft(dist.d, axis=1)) * t[:, None]
+    rho *= t
     rho.setflags(write=False)
     return DensityMatrix(grid=grid, rho=rho)
 
@@ -160,9 +168,12 @@ def expectation_overlap(d_rho: DiracDistribution, d_obs: DiracDistribution) -> c
     """Phase-space form of Tr[A rho]: ``n * sum d_rho * conj(d_A)``."""
     if d_rho.grid != d_obs.grid:
         raise ContractError("distributions live on different grids")
+    d_rho.check_shape()
+    d_obs.check_shape()
     return complex(d_rho.grid.n * np.vdot(d_obs.d, d_rho.d))
 
 
 def purity(dist: DiracDistribution) -> float:
     """Tr rho^2 computed directly from the distribution: ``n * sum |d|^2``."""
+    dist.check_shape()
     return float(dist.grid.n * np.sum(np.abs(dist.d) ** 2))

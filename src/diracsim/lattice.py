@@ -8,31 +8,36 @@ Every other module builds on the conventions fixed here:
 * plane-wave overlap ``<x_m|p_k> = exp(i x_m p_k) / sqrt(n)``.
 
 The n x n overlap matrix is unitary for any center offset, so position and
-momentum representations are related by an exact change of basis.  Because
-``dp dx n = 2 pi``, it is a phased discrete Fourier transform,
+momentum representations are related by an exact change of basis.  With
+``x_m = x_f + m dx``, x_f = ``coords[0]`` the first position, and
+``p_0 dx = -pi``,
 
-    U = diag(a) F diag(b) / sqrt(n),    F[m, k] = exp(2 pi i m k / n),
+    x_m p_k = x_f p_k - pi m + 2 pi m k / n,
 
-with ``a_m = exp(i p_0 x_m)`` and ``b_k = exp(i x_0 (p_k - p_0))`` for any n,
-odd included, and any x0.  :meth:`Grid.matmul_overlap` and
-:meth:`Grid.matmul_overlap_adjoint` apply U and U^dag with an FFT in
-O(n log n) per row, and :attr:`Grid.overlap_matrix` is built from the same
-phases and an exactly reduced DFT table, so the dense entries and the FFT
-describe one matrix.  The dense U remains for callers with a dense readout
-basis or a dense propagator V, and for the test oracles; no command-line
-stage builds it.
+so U is a signed, phased discrete Fourier transform,
 
-The Dirac transform needs only the phases a.  For any operator op,
+    U = diag(t) F diag(b) / sqrt(n),    F[m, k] = exp(2 pi i m k / n),
+
+with the exact signs ``t_m = (-1)^m`` and ``b_k = exp(i x_f p_k)``, for any
+n, odd included, and any center offset.  :attr:`Grid.overlap_matrix` is
+built from these factors and an exactly reduced DFT table.  It is the one
+representation of U, kept for callers with a dense readout basis or a dense
+propagator V, and for the test oracles; no command-line stage builds it.
+
+The Dirac transform needs only the signs t.  For any operator op,
 
     conj(U[m, k]) (op U)[m, k]
-        = (1/n) sum_j conj(a_m) a_j op[m, j] exp(2 pi i (j - m) k / n),
+        = (1/n) sum_j t_m t_j op[m, j] exp(2 pi i (j - m) k / n),
 
 because |b_k| = 1 and F[j, k] conj(F[m, k]) = exp(2 pi i (j - m) k / n).
-With the lag s = (j - m) mod n, i.e. j = (m + s) mod n, the sum is an
-inverse DFT over s, and the forward DFT undoes it:
+The row phases ``a_m = exp(i p_0 x_m)`` are t_m times one global constant,
+so ``conj(a_m) a_j = t_m t_j = (-1)^(j - m)`` holds exactly, and the
+transform carries no phase rounding however large p_0 x_m is.  With the lag
+s = (j - m) mod n, i.e. j = (m + s) mod n, the sum is an inverse DFT over s,
+and the forward DFT undoes it:
 
-    d[m, :] = ifft_s(conj(a_m) a_j op[m, j]),
-    op[m, j] = a_m conj(a_j) fft(d)[m, s],
+    d[m, :] = ifft_s(t_m t_j op[m, j]),
+    op[m, j] = t_m t_j fft(d)[m, s],
 
 the discrete Kirkwood-Rihaczek distribution, an FFT over lag of the skewed
 correlation (A. W. Rihaczek, IEEE Trans. Inf. Theory 14, 369 (1968);
@@ -115,25 +120,27 @@ class Grid:
         return p
 
     @cached_property
-    def _fourier_phases(self) -> tuple[np.ndarray, np.ndarray]:
-        """The phase vectors a, b of ``U = diag(a) F diag(b) / sqrt(n)``."""
-        a = np.exp(1j * self.momenta[0] * self.coords)
-        b = np.exp(1j * self.coords[0] * (np.arange(self.n) * self.dp))
-        a.setflags(write=False)
-        b.setflags(write=False)
-        return a, b
+    def _signs(self) -> np.ndarray:
+        """The exact signs ``t_m = (-1)^m`` of ``U = diag(t) F diag(b) / sqrt(n)``.
+
+        Held as complex, like the operators they multiply, so that a product
+        makes no cast copy of t; with a float t the peak RSS of an n = 1024
+        transform-and-propagate chain rose by one n x n complex array.
+        """
+        t = (1.0 - 2.0 * (np.arange(self.n) % 2)).astype(complex)
+        t.setflags(write=False)
+        return t
 
     @cached_property
     def overlap_matrix(self) -> np.ndarray:
         """Unitary matrix U with ``U[m, k] = <x_m|p_k>``."""
         n = self.n
-        a, b = self._fourier_phases
         idx = np.arange(n)
         exponent = np.outer(idx, idx)
         exponent %= n  # the DFT exponent m k mod n, reduced exactly in integers
         u = np.exp(TWO_PI * 1j * idx / n)[exponent]
-        u *= a[:, None] / np.sqrt(n)
-        u *= b
+        u *= self._signs[:, None] / np.sqrt(n)
+        u *= np.exp(1j * self.coords[0] * self.momenta)
         u.setflags(write=False)
         return u
 
@@ -167,28 +174,6 @@ class Grid:
         n = self.n
         return as_strided(doubled[:, n:], shape=(n, n), strides=(row - col, col),
                           writeable=False)
-
-    def _check_last_axis(self, a: np.ndarray) -> np.ndarray:
-        a = np.asarray(a)
-        if a.ndim == 0 or a.shape[-1] != self.n:
-            raise ContractError(f"array of shape {a.shape} does not match grid n={self.n}")
-        return a
-
-    def matmul_overlap(self, a: np.ndarray) -> np.ndarray:
-        """``a @ U`` along the last axis of ``a``, by FFT."""
-        a = self._check_last_axis(a)
-        pa, pb = self._fourier_phases
-        out = np.fft.ifft(a * pa, norm="ortho")
-        out *= pb
-        return out
-
-    def matmul_overlap_adjoint(self, a: np.ndarray) -> np.ndarray:
-        """``a @ U^dag`` along the last axis of ``a``, by FFT."""
-        a = self._check_last_axis(a)
-        pa, pb = self._fourier_phases
-        out = np.fft.fft(a * pb.conj(), norm="ortho")
-        out *= pa.conj()
-        return out
 
     def require_unit_map(self) -> UnitMap:
         if self.unit_map is None:

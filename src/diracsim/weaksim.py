@@ -79,12 +79,14 @@ def readout_intensities(rho: DensityMatrix, phi: float, photon_budget: float,
     the position basis; the default is the momentum basis (camera in the
     Fourier-transform plane), where W is the Dirac distribution
     (:func:`.operator_dirac`) and O is Prob(x_m) (1 - cos phi) / n, so no
-    matrix product is taken.  A dense ``basis`` costs one n^3 product.
+    matrix product is taken.  A dense ``basis`` costs one n^3 product; one
+    that is not n x n is a ContractError.
     """
     if not 0.0 <= phi <= 0.5 * np.pi:
         raise ConfigError(f"coupling angle phi {phi} not in [0, pi/2]")
     if not 0 <= photon_budget < np.inf:
         raise ConfigError(f"photon_budget {photon_budget} must be finite and nonnegative")
+    off = _offset(rho, phi, basis)
     if basis is None:
         w = operator_dirac(rho.grid, rho.rho).d
     else:
@@ -92,7 +94,6 @@ def readout_intensities(rho: DensityMatrix, phi: float, photon_budget: float,
     col = w.sum(axis=0)
     if 0.5 * np.max(np.abs(col.imag)) > 1e-12:
         raise NumericalIntegrityError("analyzer intensities have imaginary residual")
-    off = _offset(rho, phi, basis)
     lose, s = 1.0 - np.cos(phi), np.sin(phi)
     base = 0.5 * col.real - lose * w.real + off
     linear, circular = s * (w.real - off), s * w.imag
@@ -120,15 +121,22 @@ def sample_counts(expected: np.ndarray, seed: int | list[int]) -> np.ndarray:
 
     Sliver m draws from its own generator, seeded by ``sliver_seeds(seed, n)[m]``
     (or ``seed[m]`` for a list), so the counts do not depend on the order in
-    which slivers are drawn.  A mean beyond numpy's Poisson limit is a ConfigError.
+    which slivers are drawn.  A mean beyond numpy's Poisson limit is a
+    ConfigError; a negative or NaN mean, or a seed list whose length is not
+    the number of slivers, is a ContractError.
     """
-    peak = expected.max(initial=0.0)
+    low, peak = expected.min(initial=0.0), expected.max(initial=0.0)
+    if not low >= 0.0:  # also True for NaN
+        raise ContractError(f"expected counts must be nonnegative and not NaN, got {low}")
     if peak > _POISSON_MAX_MEAN:
         raise ConfigError(f"photon_budget too large: a mean count of {peak:.3g} exceeds "
                           f"the Poisson sampler's limit {_POISSON_MAX_MEAN:.3g}")
-    seeds = seed if isinstance(seed, list) else sliver_seeds(seed, expected.shape[1])
+    n = expected.shape[1]
+    seeds = seed if isinstance(seed, list) else sliver_seeds(seed, n)
+    if len(seeds) != n:
+        raise ContractError(f"{len(seeds)} sliver seeds given for {n} slivers")
     noisy = np.empty_like(expected)
-    for m in range(expected.shape[1]):
+    for m in range(n):
         noisy[:, m, :] = np.random.default_rng(seeds[m]).poisson(expected[:, m, :])
     return noisy
 
@@ -140,14 +148,19 @@ def estimate_dirac_column(counts: np.ndarray, phi: float,
 
     ``counts`` holds the four analyzers on its first axis: one sliver's
     (4, n) counts give its column, a scan's (4, n, n) counts the whole
-    (n, n) estimate.  ``phi`` must lie in (0, pi/2]: it divides the estimate
-    through sin(phi).  A NaN or infinite count is a ContractError that names
-    the first sliver holding one.  ``cal`` defaults to the closed-form
-    constants of :func:`default_calibration`, which give W - O for noise-free
-    counts; :func:`calibrate_estimator` passes them explicitly to check them.
+    (n, n) estimate; any other shape is a ContractError.  ``phi`` must lie
+    in (0, pi/2]: it divides the estimate through sin(phi).  A NaN or
+    infinite count is a ContractError that names the first sliver holding
+    one.  ``cal`` defaults to the closed-form constants of
+    :func:`default_calibration`, which give W - O for noise-free counts;
+    :func:`calibrate_estimator` passes them explicitly to check them.
     """
     if not 0.0 < phi <= 0.5 * np.pi:
         raise ConfigError(f"coupling angle phi {phi} not in (0, pi/2]")
+    counts = np.asarray(counts)
+    if counts.ndim not in (2, 3) or counts.shape[0] != len(READOUT_KEYS):
+        raise ContractError(f"analyzer counts of shape {counts.shape}: "
+                            "expected (4, n) or (4, n, n)")
     finite = np.isfinite(counts).all(axis=(0, -1))
     if not finite.all():
         where = f"sliver {np.flatnonzero(~finite)[0]}: " if counts.ndim == 3 else ""
@@ -171,7 +184,8 @@ def backaction_offset(rho: DensityMatrix, phi: float,
     In the momentum readout basis (``basis`` None) |<x_m|p_k>|^2 = 1/n, so
     every bin of row m is Prob(x_m)(1 - cos phi)/n, the lattice form of the
     uniform offset, and no overlap matrix is formed.  phi outside
-    [0, pi/2], NaN included, is a ConfigError.
+    [0, pi/2], NaN included, is a ConfigError; a ``basis`` that is not
+    n x n is a ContractError.
     """
     if not 0.0 <= phi <= 0.5 * np.pi:
         raise ConfigError(f"coupling angle phi {phi} not in [0, pi/2]")
@@ -181,10 +195,14 @@ def backaction_offset(rho: DensityMatrix, phi: float,
 
 def _offset(rho: DensityMatrix, phi: float, basis: np.ndarray | None) -> np.ndarray:
     """The back-action offset; an (n, 1) column in the momentum basis, where
-    every |<x_m|p_k>|^2 is 1/n."""
+    every |<x_m|p_k>|^2 is 1/n.  A ``basis`` that is not n x n is a
+    ContractError."""
+    n = rho.grid.n
+    if basis is not None and np.shape(basis) != (n, n):
+        raise ContractError(f"readout basis shape {np.shape(basis)} does not match grid n={n}")
     off = (1.0 - np.cos(phi)) * rho.rho.diagonal().real[:, None]
     if basis is None:
-        return off / rho.grid.n
+        return off / n
     return off * np.abs(basis) ** 2
 
 

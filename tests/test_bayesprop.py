@@ -143,7 +143,7 @@ def test_chirp_branch_never_builds_the_overlap_matrix(n):
     e = bayes_propagate(d, kernel)
     assert abs(e.e.sum() - 1.0) < 1e-12
     assert "overlap_matrix" not in vars(grid)
-    assert "_fourier_phases" not in vars(grid)
+    assert "_signs" not in vars(grid)
 
 
 @pytest.mark.parametrize("shape", [(8, 9), (9, 8), (8,)])

@@ -239,3 +239,48 @@ def test_reconstruction_rejects_a_distribution_of_the_wrong_shape(shape):
     dist = DiracDistribution(grid=make_grid(8, 1.0), d=np.full(shape, 1 / 64, dtype=complex))
     with pytest.raises(ContractError, match=r"shape .* does not match grid n=8"):
         reconstruct_density(dist)
+
+
+def _long_double_overlap(grid):
+    """exp(i x_m p_k) / sqrt(n) in extended precision, from the grid's dx and x0."""
+    n, dx = grid.n, np.longdouble(grid.dx)
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    idx = np.arange(n, dtype=np.longdouble) - np.longdouble(n) / 2
+    x = idx * dx + np.longdouble(grid.x0)
+    p = idx * (two_pi / (n * dx))
+    return np.exp(1j * np.outer(x, p)) / np.sqrt(np.longdouble(n))
+
+
+@pytest.mark.parametrize("n, x0", [(256, 22e-3), (255, 22e-3), (97, 3e-4)])
+def test_transform_matches_a_long_double_oracle(n, x0):
+    # p_0 x_m reaches hundreds of radians at x0 = 22e-3; the transform must
+    # carry no rounding of such phases, only that of its FFTs
+    assert np.finfo(np.longdouble).eps < 1e-18  # 80-bit extended precision
+    grid = make_grid(n, 44e-3 / n, x0)
+    rho = random_density_matrix(grid, np.random.default_rng(n), rank=3).rho
+    u = _long_double_overlap(grid)
+    d = u.conj() * (rho.astype(np.clongdouble) @ u)
+    scale = np.max(np.abs(d))
+    assert np.max(np.abs(operator_dirac(grid, rho).d - d)) <= 2e-15 * scale
+    back = reconstruct_density(DiracDistribution(grid=grid, d=d.astype(complex))).rho
+    assert np.max(np.abs(back - rho)) <= 2e-15 * np.max(np.abs(rho))
+
+
+@pytest.mark.parametrize("shape", [(7, 8), (8, 7), (8,), (8, 8, 1)])
+def test_consumers_reject_a_distribution_of_the_wrong_shape(shape):
+    grid = make_grid(8, 1.0)
+    bad = DiracDistribution(grid=grid, d=np.full(shape, 1 / 64, dtype=complex))
+    good = DiracDistribution(grid=grid, d=np.full((8, 8), 1 / 64, dtype=complex))
+    calls = (lambda: marginal_x(bad), lambda: marginal_p(bad), lambda: purity(bad),
+             lambda: conditional_x_given_p(bad, 3),
+             lambda: expectation_overlap(bad, good), lambda: expectation_overlap(good, bad))
+    for call in calls:
+        with pytest.raises(ContractError, match=r"shape .* does not match grid n=8"):
+            call()
+
+
+@pytest.mark.parametrize("k", [1.5, True, np.float64(2.0), "3"])
+def test_conditional_rejects_a_non_integer_index(k):
+    dist = dirac_distribution(_basis_state(make_grid(8, 1.0), 3))
+    with pytest.raises(ContractError, match="momentum index must be an integer"):
+        conditional_x_given_p(dist, k)

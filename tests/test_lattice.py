@@ -67,35 +67,6 @@ def test_dft_unitarity(n):
     assert defect < 1e-12
 
 
-def test_momentum_transform_of_delta_is_flat():
-    grid = make_grid(8, 1.0)
-    v = np.zeros(8, dtype=complex)
-    v[3] = 1.0
-    for vt in (grid.matmul_overlap(v), grid.matmul_overlap_adjoint(v)):
-        assert np.allclose(np.abs(vt), 1 / np.sqrt(8), rtol=0, atol=1e-14)
-
-
-def test_momentum_round_trip_and_norm():
-    rng = np.random.default_rng(5)
-    grid = make_grid(32, 0.25, -0.4)
-    u = grid.overlap_matrix
-    for _ in range(5):
-        v = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        vt = grid.matmul_overlap(v)
-        assert np.max(np.abs(vt - v @ u)) < 1e-12
-        assert abs(np.linalg.norm(vt) - np.linalg.norm(v)) < 1e-12
-        assert np.max(np.abs(grid.matmul_overlap_adjoint(vt) - v)) < 1e-12
-
-
-def test_vector_length_contract():
-    grid = make_grid(8, 1.0)
-    for bad in (np.ones(7), np.ones((8, 7)), np.ones(9), 1.0):
-        with pytest.raises(ContractError):
-            grid.matmul_overlap(bad)
-        with pytest.raises(ContractError):
-            grid.matmul_overlap_adjoint(bad)
-
-
 @pytest.mark.parametrize("n", [2, 3, 8, 9])
 def test_skew_and_unskew_index_the_lag(n):
     grid = make_grid(n, 1.0)

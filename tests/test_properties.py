@@ -29,31 +29,20 @@ def _state(grid, rank_frac, seed):
     return random_density_matrix(grid, np.random.default_rng(seed), rank=rank)
 
 
-def _rel(a, b):
-    return np.max(np.abs(a - b)) / np.max(np.abs(b))
-
-
 @_SETTINGS
-@given(n=_SIZES, shift=_SHIFTS, dx=_SPACINGS, seed=st.integers(0, 2 ** 32 - 1))
-@example(n=256, shift=128, dx=44e-3 / 256, seed=1)  # the default bench lattice
-@example(n=97, shift=0.5, dx=0.37, seed=2)
-@example(n=2, shift=-3, dx=1e-6, seed=3)
-def test_fft_products_match_the_dense_overlap(n, shift, dx, seed):
+@given(n=_SIZES, shift=_SHIFTS, dx=_SPACINGS)
+@example(n=256, shift=128, dx=44e-3 / 256)  # the default bench lattice
+@example(n=97, shift=0.5, dx=0.37)
+@example(n=2, shift=-3, dx=1e-6)
+def test_overlap_matrix_is_unitary_and_matches_the_plane_waves(n, shift, dx):
     grid = _lattice(n, shift, dx)
     u = grid.overlap_matrix
     assert np.max(np.abs(u.conj().T @ u - np.eye(n))) < 1e-12
-    # the phased-DFT entries equal exp(i x_m p_k) / sqrt(n) to the rounding
-    # of the phase x_m p_k itself
+    # the signed, phased DFT entries equal exp(i x_m p_k) / sqrt(n) to the
+    # rounding of the phase x_m p_k itself
     phase = np.outer(grid.coords, grid.momenta)
     direct = np.exp(1j * phase) / np.sqrt(n)
     assert np.max(np.abs(u - direct)) < 1e-15 * (1.0 + np.max(np.abs(phase)))
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
-    assert _rel(grid.matmul_overlap(a), a @ u) < 1e-12
-    assert _rel(grid.matmul_overlap_adjoint(a), a @ u.conj().T) < 1e-12
-    v = a[0]  # a single vector takes the same path
-    assert _rel(grid.matmul_overlap(v), v @ u) < 1e-12
-    assert _rel(grid.matmul_overlap_adjoint(v), v @ u.conj().T) < 1e-12
 
 
 @_SETTINGS

@@ -253,6 +253,23 @@ def test_sample_counts_beyond_poisson_limit_is_config_error():
         sample_counts(readout_intensities(_chirped_state(grid), PHI_BENCH, 1e300), 1)
 
 
+@pytest.mark.parametrize("bad", [-1e-9, -1.0, np.nan])
+def test_sample_counts_rejects_negative_or_nan_means(bad):
+    grid = make_grid(8, 0.5)
+    expected = readout_intensities(_chirped_state(grid), PHI_BENCH, 1.0)
+    expected[1, 4, 2] = bad
+    with pytest.raises(ContractError, match=r"^expected counts must be nonnegative and not NaN"):
+        sample_counts(expected, 1)
+
+
+@pytest.mark.parametrize("length", [0, 7, 9])
+def test_sample_counts_needs_one_seed_per_sliver(length):
+    grid = make_grid(8, 0.5)
+    expected = readout_intensities(_chirped_state(grid), PHI_BENCH, 1.0)
+    with pytest.raises(ContractError, match=rf"^{length} sliver seeds given for 8 slivers$"):
+        sample_counts(expected, list(range(length)))
+
+
 def test_calibration_constants():
     assert calibrate_estimator() == EstimatorCalibration(0.5, 0.5, -1)
     assert default_calibration() == default_calibration()
@@ -350,6 +367,26 @@ def test_estimator_rejects_non_finite_counts(bad):
     with pytest.raises(ContractError, match=r"^analyzer counts are not finite$"):
         estimate_dirac_column(counts[:, 6], PHI_BENCH)
     assert np.all(np.isfinite(estimate_dirac_column(counts[:, 5], PHI_BENCH)))
+
+
+@pytest.mark.parametrize("analyzers", [1, 3, 5])
+def test_estimator_needs_four_analyzers_first(analyzers):
+    counts = readout_intensities(_chirped_state(make_grid(8, 0.5)), PHI_BENCH, 1.0)
+    counts = np.concatenate((counts, counts))[:analyzers]
+    for bad in (counts, counts[:, 2], np.ones(4)):
+        with pytest.raises(ContractError, match=r"^analyzer counts of shape .*: expected \(4, n\)"):
+            estimate_dirac_column(bad, PHI_BENCH)
+
+
+@pytest.mark.parametrize("shape", [(8, 7), (7, 8), (8,), (8, 8, 1)])
+def test_readout_and_offset_reject_a_basis_of_the_wrong_shape(shape):
+    rho = random_density_matrix(make_grid(8, 0.5), np.random.default_rng(9))
+    basis = np.ones(shape, dtype=complex)
+    match = r"^readout basis shape .* does not match grid n=8$"
+    with pytest.raises(ContractError, match=match):
+        readout_intensities(rho, PHI_BENCH, 1.0, basis=basis)
+    with pytest.raises(ContractError, match=match):
+        backaction_offset(rho, PHI_BENCH, basis=basis)
 
 
 @pytest.mark.parametrize("bad_phi", [-1e-9, np.pi / 2 + 1e-9, 5.0, np.nan, np.inf])
