@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import chain
 
 import numpy as np
 
@@ -244,20 +243,16 @@ def cmd_figures(cfg: RunConfig, args) -> int:
     arr, meta, grid = _read_on_grid(in_path)
     rows, cols, row_label, col_label = _figure_axes(meta, grid)
     stem = os.path.splitext(os.path.basename(in_path))[0]
+    angle = np.angle(arr)
     tables = {
         "magnitude": np.abs(arr),
-        "phase": np.where(np.angle(arr) <= -np.pi, np.pi, np.angle(arr)),
+        "phase": np.where(angle <= -np.pi, np.pi, angle),
         "real": arr.real,
         "imag": arr.imag,
     }
-    corner = f"{row_label}\\{col_label}".encode()
-    head = corner + (b",%.17g" * len(cols) + b"\n") % tuple(cols.tolist())
-    template = b"%.17g" + b",%.17g" * len(cols) + b"\n"
     for kind in cfg.figures:
-        table = np.column_stack((rows, tables[kind]))
-        body = (template % tuple(row.tolist()) for row in table)
         path = os.path.join(cfg.out_dir, f"fig_{stem}_{kind}.csv")
-        fileio.atomic_write_text(path, chain([head], body))
+        fileio._write_table(path, f"{row_label}\\{col_label}", cols, rows, tables[kind])
         print(path)
     return EXIT_OK
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from diracsim import fileio, make_grid, UnitMap
+from diracsim import _format17, fileio, make_grid, UnitMap
 from diracsim.cli import main
 from diracsim.errors import FormatError
 from diracsim.fileio import grid_from_meta, grid_meta, read_matrix, write_counts, write_matrix
@@ -484,3 +484,131 @@ def test_figure_csv_bytes_match_oracle(tmp_path):
     for table in ("magnitude", "phase", "real", "imag"):
         got = open(os.path.join(out, f"fig_in_{table}.csv"), "rb").read()
         assert got == figure_csv_oracle(arr, rows, cols, f"{row_label}\\{col_label}", table)
+
+
+# -- the %.17g kernel against Python's own formatting
+
+def _kernel_bytes(x):
+    """Each number's field from ``_format17.render``, its zero bytes dropped."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape + (_format17.WORDS,), np.uint32)
+    _format17.render(x, out)
+    fields = out.view(np.uint8).reshape(len(x), 4 * _format17.WORDS)
+    return [bytes(field[field != 0]) for field in fields]
+
+
+def _python_bytes(x):
+    return [b"%.17g" % v for v in np.asarray(x, dtype=float).tolist()]
+
+
+def _bits_as_float(bits):
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+# y = |x| 10**(16 - X) is exactly k + 1/2 for these: the 17th digit is a tie
+# that Python rounds to even, so they must take the fallback
+_TIES = [1000000000000000.25, 1000000000000000.75, 2056702818342368.25,
+         2056702818342368.75, 100000000000000.125, 100000000000000.375,
+         866407059001864.125, 866407059001864.875]
+# exactly 17 significant digits: no rounding at all
+_SEVENTEEN = [2056702818342368.5, 866407059001864.5]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.integers(0, 2 ** 64 - 1).map(_bits_as_float)),
+                max_size=40))
+def test_kernel_matches_python_formatting(values):
+    assert _kernel_bytes(values) == _python_bytes(values)
+
+
+def test_kernel_at_decade_boundaries_ties_and_edges():
+    from fractions import Fraction
+
+    for v in _TIES:
+        exponent = len(b"%d" % int(v)) - 1
+        y = Fraction(v) * Fraction(10) ** (16 - exponent)
+        assert y - int(y) == Fraction(1, 2), v
+    decades = 10.0 ** np.arange(-307, 308)
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+             1.7976931348623157e308, np.inf, -np.inf, np.nan, 1e-290, 1e290, 0.1, 1e-5,
+             9.9999999999999996e-281, 99999999999999999.0, 1e16, 1e17, 1e22, 1e23]
+    with np.errstate(over="ignore"):  # the largest double steps up to inf
+        up = np.nextafter(edges, np.inf)
+    values = np.concatenate([decades, np.nextafter(decades, 0), np.nextafter(decades, np.inf),
+                             _TIES, _SEVENTEEN, edges, np.nextafter(edges, 0), up])
+    values = np.concatenate([values, -values])
+    assert _kernel_bytes(values) == _python_bytes(values)
+
+
+@pytest.mark.parametrize("length", [0, 1, fileio._BLOCK - 1, fileio._BLOCK, fileio._BLOCK + 1])
+def test_kernel_on_block_lengths(length):
+    rng = np.random.default_rng(length)
+    values = rng.standard_normal(length) * 10.0 ** rng.integers(-40, 40, length)
+    values[::7] = rng.integers(0, 2 ** 64, len(values[::7]), dtype=np.uint64).view(np.float64)
+    assert _kernel_bytes(values) == _python_bytes(values)
+    assert fileio._lines(values[:, None], b"\0") == b"".join(b"%.17g\n" % v for v in values)
+
+
+@pytest.mark.parametrize("cols", [fileio._BLOCK // 2 - 1, fileio._BLOCK // 2,
+                                  fileio._BLOCK // 2 + 1])
+def test_write_matrix_across_a_block_boundary(tmp_path, cols):
+    arr = _edge_matrix((3, cols), seed=cols)
+    path = str(tmp_path / "m.txt")
+    write_matrix(path, arr, _META)
+    assert open(path, "rb").read() == matrix_file_oracle(arr, _META)
+
+
+# -- output files: permissions, no stray temporaries, bounded writer memory
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_outputs_get_the_umask_mode(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        write_matrix(str(tmp_path / "m.txt"), _sample_matrix(), _META)
+        write_counts(str(tmp_path / "c.txt"), np.ones((len(READOUT_KEYS), 3)), _counts_meta())
+        fileio.atomic_write_text(str(tmp_path / "t.txt"), b"text\n")
+    finally:
+        os.umask(old)
+    for name in ("m.txt", "c.txt", "t.txt"):
+        assert os.stat(tmp_path / name).st_mode & 0o777 == mode, name
+
+
+def test_failed_write_leaves_no_temporary(tmp_path):
+    def chunks():
+        yield b"first\n"
+        raise RuntimeError("disk gone")
+
+    with pytest.raises(RuntimeError, match="disk gone"):
+        fileio.atomic_write_text(str(tmp_path / "t.txt"), chunks())
+    assert os.listdir(tmp_path) == []
+
+
+def _traced_peak(fn, *args):
+    """Bytes allocated at the peak of ``fn(*args)`` beyond what was live before."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_writers_memory_stays_under_a_megabyte(tmp_path, monkeypatch):
+    """The writers render fixed-size blocks: at n = 512 neither a matrix file
+    nor a figure table holds more than 1 MB in formatting at once."""
+    n = 512
+    rng = np.random.default_rng(7)
+    arr = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    grid = make_grid(n, 44e-3 / n, 22e-3, UnitMap(780e-9, 1.0, 4.935))
+    in_path = str(tmp_path / "in.txt")
+    assert _traced_peak(write_matrix, in_path, arr, {"kind": "dirac", **grid_meta(grid)}) <= 2 ** 20
+
+    peaks = []
+    write_table = fileio._write_table
+    monkeypatch.setattr(fileio, "_write_table",
+                        lambda *args: peaks.append(_traced_peak(write_table, *args)))
+    assert main(["figures", "--input", in_path, "--out", str(tmp_path / "out")]) == 0
+    assert len(peaks) == 4 and max(peaks) <= 2 ** 20, peaks
