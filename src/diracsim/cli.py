@@ -26,6 +26,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
+# slivers whose counts measure holds at once: 4 x 64 x n floats, 2 MB at n = 1024
+SLIVER_BLOCK = 64
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # one line, like a config error; subparsers inherit it
@@ -130,40 +133,58 @@ def cmd_exact(cfg: RunConfig, args) -> int:
 
 
 def cmd_measure(cfg: RunConfig, args) -> int:
+    """Simulate the scan, ``SLIVER_BLOCK`` slivers at a time.
+
+    Every scan repeats one weak measurement: it is read out once, and per
+    block of slivers its expected counts are formed, each scan's noise is
+    drawn from the slivers' own seeds, the estimate rows are added into the
+    scan sum, and the first scan's counts files are written.  So only one
+    block of counts is held at a time, and the files are the same bytes as
+    a whole-scan run's.  A mean the Poisson sampler would refuse is refused
+    before the first file is written.
+    """
     state = _read_state(_state_path(cfg, args))
+    grid, n = state.grid, state.grid.n
     phi, budget = cfg.bench.phi, cfg.bench.photon_budget
-    # every scan repeats one weak measurement: read it out once, redraw the noise
-    expected = weaksim.readout_intensities(state, phi, budget)
-    n = state.grid.n
+    readout = weaksim.sliver_readout(state, phi, budget)
     # per scan, the seed of each sliver's shot noise
     scan_seeds = [weaksim.sliver_seeds(weaksim.derived_seed(cfg.seed, 10_000_000 + rep), n)
                   for rep in range(cfg.scans)] if cfg.noise else [None]
-    acc = np.zeros((n, n), dtype=complex)
-    for rep, seeds in enumerate(scan_seeds):
-        counts = expected if seeds is None else weaksim.sample_counts(expected, seeds)
-        acc += weaksim.estimate_dirac_column(counts, phi)
-        if rep == 0:
-            first_counts = counts
+    if cfg.noise:
+        readout.check_sampleable(SLIVER_BLOCK)
+    counts_dir = os.path.join(cfg.out_dir, "counts")
+    raw = np.zeros((n, n), dtype=complex)  # the scans' summed estimates, then their mean
+    for lo in range(0, n, SLIVER_BLOCK):
+        hi = min(lo + SLIVER_BLOCK, n)
+        expected = readout.intensities(lo, hi)
+        for rep, seeds in enumerate(scan_seeds):
+            counts = expected if seeds is None else weaksim.sample_counts(expected, seeds[lo:hi])
+            raw[lo:hi] += weaksim.estimate_dirac_column(counts, phi, first_sliver=lo)
+            if rep > 0:
+                continue
+            for m in range(lo, hi):
+                fileio.write_counts(os.path.join(counts_dir, f"sliver_{m:04d}.txt"),
+                                    counts[:, m - lo], {
+                    "sliver_lo": m, "sliver_hi": m + 1, "phi": phi, "photon_budget": budget,
+                    "seed": "none" if seeds is None else seeds[m],
+                })
     n_scans = len(scan_seeds)
-    raw = acc / n_scans
-    emitted = (raw + weaksim.backaction_offset(state, phi)) if cfg.correct else raw
+    raw /= n_scans
+    offset = readout.off  # the column of backaction_offset(state, phi)
+    # free rho and W before the reconstruction, which holds four n x n arrays
+    del state, readout
 
-    base_meta = {**fileio.grid_meta(state.grid), "phi": phi, "photon_budget": budget,
+    base_meta = {**fileio.grid_meta(grid), "phi": phi, "photon_budget": budget,
                  "noise": cfg.noise, "seed": cfg.seed if cfg.noise else "none",
                  "scans": n_scans, "corrected": cfg.correct}
     dirac_path = os.path.join(cfg.out_dir, "dirac_measured.txt")
-    fileio.write_matrix(dirac_path, emitted, {"kind": "dirac", **base_meta})
-    counts_dir = os.path.join(cfg.out_dir, "counts")
-    for m in range(n):
-        seed = "none" if scan_seeds[0] is None else scan_seeds[0][m]
-        fileio.write_counts(os.path.join(counts_dir, f"sliver_{m:04d}.txt"), first_counts[:, m], {
-            "sliver_lo": m, "sliver_hi": m + 1, "phi": phi, "photon_budget": budget, "seed": seed,
-        })
+    fileio.write_matrix(dirac_path, raw + offset if cfg.correct else raw,
+                        {"kind": "dirac", **base_meta})
     print(dirac_path)
     if cfg.correct:
         # lab-style route: reconstruct the uncorrected distribution, then
         # divide the diagonals by cos(phi)
-        rec = dirac.reconstruct_density(DiracDistribution(grid=state.grid, d=raw))
+        rec = dirac.reconstruct_density(DiracDistribution(grid=grid, d=raw))
         fixed = weaksim.correct_diagonals(rec, phi)
         density_path = os.path.join(cfg.out_dir, "density_measured.txt")
         fileio.write_matrix(density_path, fixed.rho, {"kind": "density", **base_meta})

@@ -31,10 +31,15 @@ camera's, is read out as conj(B) * (rho @ B) with the offset
 (1 - cos phi) Prob(x_m) |B[m, k]|^2.
 
 A scan's counts are one float array of shape (4, n, n), indexed by analyzer
-(``READOUT_KEYS`` order), sliver and momentum bin.  Every scan of a state
-repeats the same weak measurement, so the noise-free table is computed once
-(:func:`readout_intensities`) and only the shot noise is redrawn per scan
-(:func:`sample_counts`).
+(``READOUT_KEYS`` order), sliver and momentum bin, or a (4, b, n) block of b
+consecutive slivers of it.  Every scan of a state repeats the same weak
+measurement, so W, its column sums and the offset are computed once
+(:func:`sliver_readout`), any block's noise-free counts are formed from them
+(:meth:`SliverReadout.intensities`; :func:`readout_intensities` is the one
+block of all n slivers), and only the shot noise is redrawn per scan
+(:func:`sample_counts`).  Each sliver draws its noise from its own seed and
+each estimate row depends on its own sliver alone, so a scan can be run
+block by block, in any order, with the same result to the last bit.
 """
 
 from __future__ import annotations
@@ -63,24 +68,65 @@ class EstimatorCalibration:
     sign_circ: int
 
 
-def readout_intensities(rho: DensityMatrix, phi: float, photon_budget: float,
-                        basis: np.ndarray | None = None) -> np.ndarray:
-    """Analytic (noise-free) expected counts of the four analyzers at every
-    single-site sliver position, as an array ``counts[analyzer, m, k]`` of
-    shape (4, n, n) in ``READOUT_KEYS`` order, clipped at zero.
+@dataclass(frozen=True, eq=False)
+class SliverReadout:
+    """The noise-free readout of a per-site scan, in the form any block of
+    slivers is formed from: W = conj(B) * (rho B), its real column sums
+    ``col`` (<b_k|rho|b_k>) and the back-action offset ``off``, an (n, 1)
+    column in the momentum basis and (n, n) for a dense basis.  Built by
+    :func:`sliver_readout`, which checks it."""
 
-    In closed form, from W = conj(B) * (rho B), its column sums
-    col_k = <b_k|rho|b_k> and the back-action offset O:
-    N_D, N_A = base +- sin(phi) (Re W - O), N_L, N_R = base +- sin(phi) Im W
-    with base = col / 2 - (1 - cos phi) Re W + O, as (1 - cos phi)^2 +
-    sin^2 phi = 2 (1 - cos phi).  Every intensity's imaginary part is
-    Im(col) / 2, checked to vanish.  phi = pi/2 is the strong-measurement
-    limit.  ``basis`` columns are the strong-measurement projection states in
-    the position basis; the default is the momentum basis (camera in the
+    w: np.ndarray
+    col: np.ndarray
+    off: np.ndarray
+    phi: float
+    photon_budget: float
+
+    def intensities(self, lo: int, hi: int) -> np.ndarray:
+        """Expected counts of slivers lo..hi-1, as ``counts[analyzer, m - lo, k]``
+        of shape (4, hi - lo, n) in ``READOUT_KEYS`` order, clipped at zero.
+
+        N_D, N_A = base +- sin(phi) (Re W - O), N_L, N_R = base +- sin(phi) Im W
+        with base = col / 2 - (1 - cos phi) Re W + O, as (1 - cos phi)^2 +
+        sin^2 phi = 2 (1 - cos phi).  Each sliver's counts are the same for
+        any block that holds it.
+        """
+        w, off = self.w[lo:hi], self.off[lo:hi]
+        lose, s = 1.0 - np.cos(self.phi), np.sin(self.phi)
+        base = 0.5 * self.col - lose * w.real + off
+        linear, circular = s * (w.real - off), s * w.imag
+        counts = np.stack((base + linear, base - linear, base + circular, base - circular))
+        np.clip(counts, 0.0, None, out=counts)
+        counts *= self.photon_budget
+        return counts
+
+    def check_sampleable(self, block: int) -> None:
+        """Apply :func:`sample_counts`' checks on the means to every sliver,
+        forming ``block`` slivers at a time and keeping only their extremes,
+        so a scan drawn block by block is refused before its first draw."""
+        lows, peaks = [], []
+        for lo in range(0, len(self.w), block):
+            means = self.intensities(lo, lo + block)
+            lows.append(means.min(initial=0.0))
+            peaks.append(means.max(initial=0.0))
+        _check_means(np.min(lows), np.max(peaks))
+
+
+def sliver_readout(rho: DensityMatrix, phi: float, photon_budget: float,
+                   basis: np.ndarray | None = None) -> SliverReadout:
+    """The analytic readout of a per-site scan, from which
+    :meth:`SliverReadout.intensities` forms the expected counts of any
+    block of slivers.
+
+    ``basis`` columns are the strong-measurement projection states in the
+    position basis; the default is the momentum basis (camera in the
     Fourier-transform plane), where W is the Dirac distribution
     (:func:`.operator_dirac`) and O is Prob(x_m) (1 - cos phi) / n, so no
     matrix product is taken.  A dense ``basis`` costs one n^3 product; one
-    that is not n x n is a ContractError.
+    that is not n x n is a ContractError.  phi outside [0, pi/2] (pi/2 is
+    the strong-measurement limit) and a photon budget that is negative or
+    not finite are ConfigErrors.  Every intensity's imaginary part is
+    Im(col) / 2, checked to vanish.
     """
     if not 0.0 <= phi <= 0.5 * np.pi:
         raise ConfigError(f"coupling angle phi {phi} not in [0, pi/2]")
@@ -94,13 +140,17 @@ def readout_intensities(rho: DensityMatrix, phi: float, photon_budget: float,
     col = w.sum(axis=0)
     if 0.5 * np.max(np.abs(col.imag)) > 1e-12:
         raise NumericalIntegrityError("analyzer intensities have imaginary residual")
-    lose, s = 1.0 - np.cos(phi), np.sin(phi)
-    base = 0.5 * col.real - lose * w.real + off
-    linear, circular = s * (w.real - off), s * w.imag
-    counts = np.stack((base + linear, base - linear, base + circular, base - circular))
-    np.clip(counts, 0.0, None, out=counts)
-    counts *= photon_budget
-    return counts
+    return SliverReadout(w=w, col=col.real, off=off, phi=phi, photon_budget=photon_budget)
+
+
+def readout_intensities(rho: DensityMatrix, phi: float, photon_budget: float,
+                        basis: np.ndarray | None = None) -> np.ndarray:
+    """Analytic (noise-free) expected counts of the four analyzers at every
+    single-site sliver position, as an array ``counts[analyzer, m, k]`` of
+    shape (4, n, n) in ``READOUT_KEYS`` order, clipped at zero: the one
+    block of all n slivers of :func:`sliver_readout`, with its checks.
+    """
+    return sliver_readout(rho, phi, photon_budget, basis).intensities(0, rho.grid.n)
 
 
 # numpy's Generator.poisson refuses means above this (its POISSON_LAM_MAX)
@@ -116,21 +166,28 @@ def sliver_seeds(seed: int, n: int) -> list[int]:
     return [derived_seed(seed, m) for m in range(n)]
 
 
-def sample_counts(expected: np.ndarray, seed: int | list[int]) -> np.ndarray:
-    """Independent Poisson draw of every bin of a (4, n, n) counts array.
-
-    Sliver m draws from its own generator, seeded by ``sliver_seeds(seed, n)[m]``
-    (or ``seed[m]`` for a list), so the counts do not depend on the order in
-    which slivers are drawn.  A mean beyond numpy's Poisson limit is a
-    ConfigError; a negative or NaN mean, or a seed list whose length is not
-    the number of slivers, is a ContractError.
-    """
-    low, peak = expected.min(initial=0.0), expected.max(initial=0.0)
+def _check_means(low: float, peak: float) -> None:
+    """Refuse expected counts whose minimum ``low`` is negative or NaN
+    (ContractError) or whose maximum ``peak`` is beyond numpy's Poisson
+    limit (ConfigError)."""
     if not low >= 0.0:  # also True for NaN
         raise ContractError(f"expected counts must be nonnegative and not NaN, got {low}")
     if peak > _POISSON_MAX_MEAN:
         raise ConfigError(f"photon_budget too large: a mean count of {peak:.3g} exceeds "
                           f"the Poisson sampler's limit {_POISSON_MAX_MEAN:.3g}")
+
+
+def sample_counts(expected: np.ndarray, seed: int | list[int]) -> np.ndarray:
+    """Independent Poisson draw of every bin of a (4, b, n) counts array of
+    b slivers, such as a scan's (4, n, n) or one block of it.
+
+    Sliver m draws from its own generator, seeded by ``sliver_seeds(seed, b)[m]``
+    (or ``seed[m]`` for a list), so the counts do not depend on the order in
+    which slivers are drawn.  A mean beyond numpy's Poisson limit is a
+    ConfigError; a negative or NaN mean, or a seed list whose length is not
+    the number of slivers, is a ContractError.
+    """
+    _check_means(expected.min(initial=0.0), expected.max(initial=0.0))
     n = expected.shape[1]
     seeds = seed if isinstance(seed, list) else sliver_seeds(seed, n)
     if len(seeds) != n:
@@ -142,16 +199,19 @@ def sample_counts(expected: np.ndarray, seed: int | list[int]) -> np.ndarray:
 
 
 def estimate_dirac_column(counts: np.ndarray, phi: float,
-                          cal: EstimatorCalibration | None = None) -> np.ndarray:
+                          cal: EstimatorCalibration | None = None, *,
+                          first_sliver: int = 0) -> np.ndarray:
     """Dirac-distribution estimate from analyzer counts, normalized per sliver
     by its total linear count.
 
     ``counts`` holds the four analyzers on its first axis: one sliver's
-    (4, n) counts give its column, a scan's (4, n, n) counts the whole
-    (n, n) estimate; any other shape is a ContractError.  ``phi`` must lie
-    in (0, pi/2]: it divides the estimate through sin(phi).  A NaN or
-    infinite count is a ContractError that names the first sliver holding
-    one.  ``cal`` defaults to the closed-form constants of
+    (4, n) counts give its column, the (4, b, n) counts of b slivers their
+    (b, n) rows, a scan's (4, n, n) the whole estimate; any other shape is
+    a ContractError.  ``phi`` must lie in (0, pi/2]: it divides the
+    estimate through sin(phi).  A NaN or infinite count is a ContractError,
+    and a sliver without linear counts a NoPhotonsError; either names the
+    first such sliver, counting the first row of ``counts`` as sliver
+    ``first_sliver``.  ``cal`` defaults to the closed-form constants of
     :func:`default_calibration`, which give W - O for noise-free counts;
     :func:`calibrate_estimator` passes them explicitly to check them.
     """
@@ -160,17 +220,17 @@ def estimate_dirac_column(counts: np.ndarray, phi: float,
     counts = np.asarray(counts)
     if counts.ndim not in (2, 3) or counts.shape[0] != len(READOUT_KEYS):
         raise ContractError(f"analyzer counts of shape {counts.shape}: "
-                            "expected (4, n) or (4, n, n)")
+                            "expected (4, n) or (4, b, n)")
     finite = np.isfinite(counts).all(axis=(0, -1))
     if not finite.all():
-        where = f"sliver {np.flatnonzero(~finite)[0]}: " if counts.ndim == 3 else ""
+        where = f"sliver {first_sliver + np.flatnonzero(~finite)[0]}: " if counts.ndim == 3 else ""
         raise ContractError(f"{where}analyzer counts are not finite")
     cal = default_calibration() if cal is None else cal
     d, a, l, r = counts
     total = (d + a).sum(axis=-1, keepdims=True)
     empty = np.flatnonzero(total <= 0)
     if empty.size:
-        where = f"sliver {empty[0]}: " if counts.ndim == 3 else ""
+        where = f"sliver {first_sliver + empty[0]}: " if counts.ndim == 3 else ""
         raise NoPhotonsError(f"{where}no photons in the linear analyzer pair")
     scale = total * np.sin(phi)
     return (cal.c_re * (d - a) - 1j * cal.sign_circ * cal.c_im * (l - r)) / scale

@@ -1,9 +1,14 @@
 """Shared helpers for the test suite: independent oracles and circular stats."""
 
+import os
+
 import numpy as np
 
-from diracsim import (BenchConfig, ContractError, DensityMatrix, UnitMap, bench_pure_state,
-                      make_grid)
+from diracsim import (BenchConfig, ContractError, DensityMatrix, DiracDistribution, UnitMap,
+                      backaction_offset, bench_pure_state, correct_diagonals,
+                      estimate_dirac_column, fileio, make_grid, readout_intensities,
+                      reconstruct_density, sample_counts)
+from diracsim.weaksim import derived_seed, sliver_seeds
 
 
 # Polarization analyzer states in the {H, V} basis, in READOUT_KEYS order.
@@ -87,6 +92,40 @@ def figure_csv_oracle(arr, rows, cols, corner, kind):
         lines.append(",".join([format(rows[i], ".17g")]
                               + [format(v, ".17g") for v in table[i]]))
     return ("\n".join(lines) + "\n").encode()
+
+
+def measure_oracle(cfg, state, out_dir):
+    """What ``measure`` writes for RunConfig ``cfg`` and DensityMatrix
+    ``state``, composed from the public functions on whole (4, n, n) arrays
+    and written through ``fileio`` into ``out_dir``: every scan's counts at
+    once, its per-sliver seeds, the mean of the scans' estimates, the
+    offset field and the lab-style corrected reconstruction."""
+    n, phi, budget = state.grid.n, cfg.bench.phi, cfg.bench.photon_budget
+    expected = readout_intensities(state, phi, budget)
+    scan_seeds = [sliver_seeds(derived_seed(cfg.seed, 10_000_000 + rep), n)
+                  for rep in range(cfg.scans)] if cfg.noise else [None]
+    scans = [expected if seeds is None else sample_counts(expected, seeds)
+             for seeds in scan_seeds]
+    acc = np.zeros((n, n), dtype=complex)
+    for counts in scans:
+        acc += estimate_dirac_column(counts, phi)
+    raw = acc / len(scans)
+    meta = {**fileio.grid_meta(state.grid), "phi": phi, "photon_budget": budget,
+            "noise": cfg.noise, "seed": cfg.seed if cfg.noise else "none",
+            "scans": len(scans), "corrected": cfg.correct}
+    emitted = raw + backaction_offset(state, phi) if cfg.correct else raw
+    fileio.write_matrix(os.path.join(out_dir, "dirac_measured.txt"), emitted,
+                        {"kind": "dirac", **meta})
+    for m in range(n):
+        fileio.write_counts(os.path.join(out_dir, "counts", f"sliver_{m:04d}.txt"),
+                            scans[0][:, m], {
+            "sliver_lo": m, "sliver_hi": m + 1, "phi": phi, "photon_budget": budget,
+            "seed": "none" if scan_seeds[0] is None else scan_seeds[0][m]})
+    if cfg.correct:
+        rho = correct_diagonals(reconstruct_density(DiracDistribution(grid=state.grid, d=raw)),
+                                phi).rho
+        fileio.write_matrix(os.path.join(out_dir, "density_measured.txt"), rho,
+                            {"kind": "density", **meta})
 
 
 def random_unitary(n, rng):

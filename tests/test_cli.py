@@ -11,7 +11,9 @@ from diracsim import Grid, dirac_distribution, marginal_x
 from diracsim.qstate import DensityMatrix
 from diracsim.fileio import grid_from_meta
 
-from conftest import load_counts
+from diracsim.config import load_run_config
+
+from conftest import load_counts, measure_oracle
 
 N = 32
 DX = 44e-3 / N
@@ -31,6 +33,12 @@ def _write_config(tmp_path, extra=""):
 
 def _run(*argv):
     return main(list(argv))
+
+
+def _scan_config(tmp_path, n, extra=""):
+    path = tmp_path / f"n{n}.cfg"
+    path.write_text(f"grid.n = {n}\ngrid.dx = {44e-3 / n!r}\n" + extra)
+    return str(path)
 
 
 def test_gen_state_pure_round_trip(tmp_path, capsys):
@@ -116,8 +124,8 @@ def test_measure_reads_out_once_and_redraws_noise_per_scan(tmp_path, monkeypatch
     assert _run("gen-state", "--config", cfg, "--out", out) == 0
     weaksim.default_calibration()  # its own readout is cached per process
     calls = []
-    readout = weaksim.readout_intensities
-    monkeypatch.setattr(weaksim, "readout_intensities",
+    readout = weaksim.sliver_readout
+    monkeypatch.setattr(weaksim, "sliver_readout",
                         lambda *a, **kw: calls.append(a) or readout(*a, **kw))
     assert _run("measure", "--config", cfg, "--out", out) == 0
     assert len(calls) == 1
@@ -125,12 +133,103 @@ def test_measure_reads_out_once_and_redraws_noise_per_scan(tmp_path, monkeypatch
     assert meta["scans"] == "3"
     # the counts files hold the first scan; sliver m was drawn from derived_seed(rep_seed, m)
     rep_seed = weaksim.derived_seed(9, 10_000_000)
-    expected = readout(*calls[0])
+    expected = readout(*calls[0]).intensities(0, N)
     for m in (0, 5, N - 1):
         counts, meta = load_counts(os.path.join(out, "counts", f"sliver_{m:04d}.txt"))
         assert meta["seed"] == str(weaksim.derived_seed(rep_seed, m))
         rng = np.random.default_rng(weaksim.derived_seed(rep_seed, m))
         assert np.array_equal(counts, rng.poisson(expected[:, m]))
+
+
+@pytest.mark.parametrize("n", [16, 64, 97, 130])
+@pytest.mark.parametrize("flag, overrides", [
+    (None, {}),
+    ("--no-noise", {"pipeline.noise": False}),
+    ("--no-correction", {"pipeline.correct": False}),
+], ids=["noisy", "no-noise", "no-correction"])
+def test_measure_writes_the_whole_scan_bytes(tmp_path, n, flag, overrides):
+    """Scanned block by block, a partial last block included, measure writes
+    every byte that the whole-array composition of the library writes."""
+    cfg = _scan_config(tmp_path, n, "pipeline.scans = 3\npipeline.seed = 11\n")
+    out, want = tmp_path / "out", tmp_path / "oracle"
+    assert _run("gen-state", "--config", cfg, "--out", str(out)) == 0
+    assert _run("measure", "--config", cfg, "--out", str(out), *filter(None, [flag])) == 0
+    arr, meta = read_matrix(str(out / "state.txt"))
+    state = DensityMatrix(grid=grid_from_meta(meta, "state.txt"), rho=arr)
+    measure_oracle(load_run_config(cfg, overrides), state, str(want))
+    (out / "state.txt").unlink()
+    files = sorted(path.relative_to(want) for path in want.rglob("*") if path.is_file())
+    assert sorted(path.relative_to(out) for path in out.rglob("*") if path.is_file()) == files
+    for rel in files:
+        assert (out / rel).read_bytes() == (want / rel).read_bytes(), rel
+
+
+def test_no_photons_in_a_later_block_names_the_scan_sliver(tmp_path, capsys, monkeypatch):
+    cfg = _scan_config(tmp_path, 130, "pipeline.scans = 2\npipeline.seed = 4\n")
+    out = tmp_path / "out"
+    assert _run("gen-state", "--config", cfg, "--out", str(out)) == 0
+    capsys.readouterr()
+    # the second scan's draw of slivers 64-127 loses sliver 70's linear pair
+    first_seed = weaksim.derived_seed(weaksim.derived_seed(4, 10_000_001), 64)
+    draw = weaksim.sample_counts
+
+    def lose_sliver_70(expected, seeds):
+        counts = draw(expected, seeds)
+        if seeds[0] == first_seed:
+            counts[:2, 70 - 64] = 0.0
+        return counts
+
+    monkeypatch.setattr(weaksim, "sample_counts", lose_sliver_70)
+    assert _run("measure", "--config", cfg, "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert "sliver 70: no photons" in err and len(err.strip().splitlines()) == 1
+    # the failed run keeps the counts files of the blocks whose first scan it drew
+    assert sorted(os.listdir(out)) == ["counts", "state.txt"]
+    assert sorted(os.listdir(out / "counts")) == [f"sliver_{m:04d}.txt" for m in range(128)]
+
+
+def test_bad_mean_in_the_last_block_is_refused_before_any_output(tmp_path, capsys,
+                                                                 monkeypatch):
+    cfg = _scan_config(tmp_path, 130)
+    out = tmp_path / "out"
+    assert _run("gen-state", "--config", cfg, "--out", str(out)) == 0
+    capsys.readouterr()
+    form = weaksim.SliverReadout.intensities
+
+    def nan_at_sliver_129(readout, lo, hi):
+        counts = form(readout, lo, hi)
+        if lo <= 129 < hi:
+            counts[0, 129 - lo, 0] = np.nan
+        return counts
+
+    monkeypatch.setattr(weaksim.SliverReadout, "intensities", nan_at_sliver_129)
+    assert _run("measure", "--config", cfg, "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert "not NaN" in err and len(err.strip().splitlines()) == 1
+    assert sorted(os.listdir(out)) == ["state.txt"]
+    # no draw, so no check of the means: the estimator names the sliver
+    assert _run("measure", "--config", cfg, "--out", str(out), "--no-noise") == 3
+    assert "sliver 129: analyzer counts are not finite" in capsys.readouterr().err
+
+
+def test_measure_holds_one_block_of_counts(tmp_path):
+    """At n = 256 with 3 noisy scans, measure's traced peak stays under
+    10 MiB.  A whole-scan measure holds the (4, n, n) expected counts, a
+    scan's draw and the first scan's draw (2 MiB each) next to its n x n
+    arrays and peaks at 13.4 MiB."""
+    import tracemalloc
+
+    cfg = _scan_config(tmp_path, 256, "pipeline.scans = 3\n")
+    out = str(tmp_path / "out")
+    assert _run("gen-state", "--config", cfg, "--out", out) == 0
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert _run("measure", "--config", cfg, "--out", out) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2 ** 20, peak
 
 
 def test_stages_never_build_the_overlap_matrix(tmp_path, monkeypatch):
@@ -175,16 +274,17 @@ def test_infinite_budget_exits_2(tmp_path, capsys, flags):
 
 
 def test_budget_beyond_poisson_sampler_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "huge.cfg"
-    cfg.write_text("grid.n = 16\ngrid.dx = 2.75e-3\nbench.photon_budget = 1e300\n")
-    out = str(tmp_path / "out")
-    assert _run("gen-state", "--config", str(cfg), "--out", out) == 0
-    capsys.readouterr()
-    assert _run("measure", "--config", str(cfg), "--out", out) == 2
-    err = capsys.readouterr().err
-    assert "photon_budget" in err and len(err.strip().splitlines()) == 1
-    assert sorted(os.listdir(out)) == ["state.txt"]
-    assert _run("measure", "--config", str(cfg), "--out", out, "--no-noise") == 0
+    # n = 130 scans three blocks of slivers
+    for n in (16, 130):
+        cfg = _scan_config(tmp_path, n, "bench.photon_budget = 1e300\n")
+        out = str(tmp_path / f"out{n}")
+        assert _run("gen-state", "--config", cfg, "--out", out) == 0
+        capsys.readouterr()
+        assert _run("measure", "--config", cfg, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "photon_budget" in err and len(err.strip().splitlines()) == 1
+        assert sorted(os.listdir(out)) == ["state.txt"]
+        assert _run("measure", "--config", cfg, "--out", out, "--no-noise") == 0
 
 
 @pytest.mark.parametrize("variable", ["DIRACSIM_BENCH_WEDGE_TILT", "DIRACSIM_BENCH_PHASE_STEP"])
