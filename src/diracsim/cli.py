@@ -26,9 +26,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-# slivers whose counts measure holds at once: 4 x 64 x n floats, 2 MB at n = 1024
-SLIVER_BLOCK = 64
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # one line, like a config error; subparsers inherit it
@@ -133,16 +130,9 @@ def cmd_exact(cfg: RunConfig, args) -> int:
 
 
 def cmd_measure(cfg: RunConfig, args) -> int:
-    """Simulate the scan, ``SLIVER_BLOCK`` slivers at a time.
-
-    Every scan repeats one weak measurement: it is read out once, and per
-    block of slivers its expected counts are formed, each scan's noise is
-    drawn from the slivers' own seeds, the estimate rows are added into the
-    scan sum, and the first scan's counts files are written.  So only one
-    block of counts is held at a time, and the files are the same bytes as
-    a whole-scan run's.  A mean the Poisson sampler would refuse is refused
-    before the first file is written.
-    """
+    """Run ``cfg.scans`` scans through :func:`.weaksim.scan_blocks`, adding
+    each block's estimate rows into the scans' mean and writing the first
+    scan's counts files as its blocks come."""
     state = _read_state(_state_path(cfg, args))
     grid, n = state.grid, state.grid.n
     phi, budget = cfg.bench.phi, cfg.bench.photon_budget
@@ -150,23 +140,16 @@ def cmd_measure(cfg: RunConfig, args) -> int:
     # per scan, the seed of each sliver's shot noise
     scan_seeds = [weaksim.sliver_seeds(weaksim.derived_seed(cfg.seed, 10_000_000 + rep), n)
                   for rep in range(cfg.scans)] if cfg.noise else [None]
-    if cfg.noise:
-        readout.check_sampleable(SLIVER_BLOCK)
     counts_dir = os.path.join(cfg.out_dir, "counts")
     raw = np.zeros((n, n), dtype=complex)  # the scans' summed estimates, then their mean
-    for lo in range(0, n, SLIVER_BLOCK):
-        hi = min(lo + SLIVER_BLOCK, n)
-        expected = readout.intensities(lo, hi)
-        for rep, seeds in enumerate(scan_seeds):
-            counts = expected if seeds is None else weaksim.sample_counts(expected, seeds[lo:hi])
-            raw[lo:hi] += weaksim.estimate_dirac_column(counts, phi, first_sliver=lo)
-            if rep > 0:
-                continue
-            for m in range(lo, hi):
+    for lo, rep, counts, rows in weaksim.scan_blocks(readout, scan_seeds):
+        raw[lo:lo + len(rows)] += rows
+        if rep == 0:
+            for m in range(lo, lo + len(rows)):
                 fileio.write_counts(os.path.join(counts_dir, f"sliver_{m:04d}.txt"),
                                     counts[:, m - lo], {
                     "sliver_lo": m, "sliver_hi": m + 1, "phi": phi, "photon_budget": budget,
-                    "seed": "none" if seeds is None else seeds[m],
+                    "seed": "none" if scan_seeds[0] is None else scan_seeds[0][m],
                 })
     n_scans = len(scan_seeds)
     raw /= n_scans

@@ -46,7 +46,6 @@ import numpy as np
 from ._format17 import WORDS, render
 from .errors import ConfigError, FormatError
 from .lattice import Grid, UnitMap, make_grid
-from .weaksim import READOUT_KEYS
 
 MATRIX_MAGIC = "# diracsim matrix v1"
 COUNTS_MAGIC = "# diracsim counts v1"
@@ -297,14 +296,14 @@ def _read_matrix_lines(lines, path: str, first_lineno: int, rows: int, cols: int
 
 
 def write_counts(path: str, counts: np.ndarray, meta: dict) -> None:
-    """Write one sliver's counts, shape (4, n) in ``READOUT_KEYS`` order, with
+    """Write one sliver's counts, shape (4, n) in analyzer order D, A, L, R, with
     '# n=' and then ``meta`` as headers; body rows are 'k N_D N_A N_L N_R'."""
     counts = np.asarray(counts, dtype=float)
-    n = counts.shape[1]
-    body = _counts_template(n) % tuple(counts.T.ravel().tolist())
+    rows, n = counts.shape
+    body = _counts_template(rows, n) % tuple(counts.T.ravel().tolist())
     atomic_write_text(path, [_header_bytes(COUNTS_MAGIC, {"n": n, **meta}), body])
 
 
 @lru_cache(maxsize=1)  # measure writes n files of one shape
-def _counts_template(n: int) -> bytes:
-    return b"".join(b"%d%s\n" % (k, b" %.17g" * len(READOUT_KEYS)) for k in range(n))
+def _counts_template(rows: int, n: int) -> bytes:
+    return b"".join(b"%d%s\n" % (k, b" %.17g" * rows) for k in range(n))

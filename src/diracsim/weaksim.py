@@ -31,15 +31,13 @@ camera's, is read out as conj(B) * (rho @ B) with the offset
 (1 - cos phi) Prob(x_m) |B[m, k]|^2.
 
 A scan's counts are one float array of shape (4, n, n), indexed by analyzer
-(``READOUT_KEYS`` order), sliver and momentum bin, or a (4, b, n) block of b
-consecutive slivers of it.  Every scan of a state repeats the same weak
-measurement, so W, its column sums and the offset are computed once
-(:func:`sliver_readout`), any block's noise-free counts are formed from them
-(:meth:`SliverReadout.intensities`; :func:`readout_intensities` is the one
-block of all n slivers), and only the shot noise is redrawn per scan
-(:func:`sample_counts`).  Each sliver draws its noise from its own seed and
-each estimate row depends on its own sliver alone, so a scan can be run
-block by block, in any order, with the same result to the last bit.
+(``READOUT_KEYS`` order), sliver and momentum bin.  Every scan of a state
+repeats the same weak measurement, so W, its column sums and the offset are
+computed once (:func:`sliver_readout`), and :func:`scan_blocks`, the one loop
+that :func:`scan` and the ``measure`` command run, forms the noise-free counts
+of one block of slivers at a time and redraws only the shot noise per scan,
+each sliver from its own seed.  Each estimate row depends on its own sliver
+alone, so the result is the whole-array one to the last bit.
 """
 
 from __future__ import annotations
@@ -55,6 +53,8 @@ from .qstate import BenchConfig, DensityMatrix, pure_from_samples, density_from_
 from .dirac import DiracDistribution, dirac_distribution, operator_dirac
 
 READOUT_KEYS = ("D", "A", "L", "R")
+# slivers whose counts a scan holds at once: 4 x 64 x n floats, 2 MB at n = 1024
+SLIVER_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -100,13 +100,13 @@ class SliverReadout:
         counts *= self.photon_budget
         return counts
 
-    def check_sampleable(self, block: int) -> None:
+    def check_sampleable(self) -> None:
         """Apply :func:`sample_counts`' checks on the means to every sliver,
-        forming ``block`` slivers at a time and keeping only their extremes,
-        so a scan drawn block by block is refused before its first draw."""
+        forming ``SLIVER_BLOCK`` slivers at a time and keeping only their
+        extremes, so a scan drawn block by block is refused before its first draw."""
         lows, peaks = [], []
-        for lo in range(0, len(self.w), block):
-            means = self.intensities(lo, lo + block)
+        for lo in range(0, len(self.w), SLIVER_BLOCK):
+            means = self.intensities(lo, lo + SLIVER_BLOCK)
             lows.append(means.min(initial=0.0))
             peaks.append(means.max(initial=0.0))
         _check_means(np.min(lows), np.max(peaks))
@@ -128,11 +128,9 @@ def sliver_readout(rho: DensityMatrix, phi: float, photon_budget: float,
     not finite are ConfigErrors.  Every intensity's imaginary part is
     Im(col) / 2, checked to vanish.
     """
-    if not 0.0 <= phi <= 0.5 * np.pi:
-        raise ConfigError(f"coupling angle phi {phi} not in [0, pi/2]")
+    off = _offset(rho, phi, basis)
     if not 0 <= photon_budget < np.inf:
         raise ConfigError(f"photon_budget {photon_budget} must be finite and nonnegative")
-    off = _offset(rho, phi, basis)
     if basis is None:
         w = operator_dirac(rho.grid, rho.rho).d
     else:
@@ -177,24 +175,24 @@ def _check_means(low: float, peak: float) -> None:
                           f"the Poisson sampler's limit {_POISSON_MAX_MEAN:.3g}")
 
 
-def sample_counts(expected: np.ndarray, seed: int | list[int]) -> np.ndarray:
+def sample_counts(expected: np.ndarray, seeds: list[int]) -> np.ndarray:
     """Independent Poisson draw of every bin of a (4, b, n) counts array of
     b slivers, such as a scan's (4, n, n) or one block of it.
 
-    Sliver m draws from its own generator, seeded by ``sliver_seeds(seed, b)[m]``
-    (or ``seed[m]`` for a list), so the counts do not depend on the order in
-    which slivers are drawn.  A mean beyond numpy's Poisson limit is a
-    ConfigError; a negative or NaN mean, or a seed list whose length is not
-    the number of slivers, is a ContractError.
+    Sliver m draws from its own generator, seeded by ``seeds[m]`` (see
+    :func:`sliver_seeds`), so the counts do not depend on the order in which
+    slivers are drawn.  A mean beyond numpy's Poisson limit is a ConfigError;
+    means of another shape, a negative or NaN mean, or a seed list whose
+    length is not the number of slivers, is a ContractError.
     """
+    if expected.ndim != 3 or expected.shape[0] != len(READOUT_KEYS):
+        raise ContractError(f"expected counts of shape {expected.shape}: expected (4, b, n)")
     _check_means(expected.min(initial=0.0), expected.max(initial=0.0))
-    n = expected.shape[1]
-    seeds = seed if isinstance(seed, list) else sliver_seeds(seed, n)
-    if len(seeds) != n:
-        raise ContractError(f"{len(seeds)} sliver seeds given for {n} slivers")
+    if len(seeds) != expected.shape[1]:
+        raise ContractError(f"{len(seeds)} sliver seeds given for {expected.shape[1]} slivers")
     noisy = np.empty_like(expected)
-    for m in range(n):
-        noisy[:, m, :] = np.random.default_rng(seeds[m]).poisson(expected[:, m, :])
+    for m, seed in enumerate(seeds):
+        noisy[:, m, :] = np.random.default_rng(seed).poisson(expected[:, m, :])
     return noisy
 
 
@@ -247,16 +245,16 @@ def backaction_offset(rho: DensityMatrix, phi: float,
     [0, pi/2], NaN included, is a ConfigError; a ``basis`` that is not
     n x n is a ContractError.
     """
-    if not 0.0 <= phi <= 0.5 * np.pi:
-        raise ConfigError(f"coupling angle phi {phi} not in [0, pi/2]")
     off = _offset(rho, phi, basis)
     return np.repeat(off, rho.grid.n, axis=1) if basis is None else off
 
 
 def _offset(rho: DensityMatrix, phi: float, basis: np.ndarray | None) -> np.ndarray:
     """The back-action offset; an (n, 1) column in the momentum basis, where
-    every |<x_m|p_k>|^2 is 1/n.  A ``basis`` that is not n x n is a
-    ContractError."""
+    every |<x_m|p_k>|^2 is 1/n.  phi outside [0, pi/2] is a ConfigError, a
+    ``basis`` that is not n x n a ContractError."""
+    if not 0.0 <= phi <= 0.5 * np.pi:
+        raise ConfigError(f"coupling angle phi {phi} not in [0, pi/2]")
     n = rho.grid.n
     if basis is not None and np.shape(basis) != (n, n):
         raise ContractError(f"readout basis shape {np.shape(basis)} does not match grid n={n}")
@@ -266,26 +264,45 @@ def _offset(rho: DensityMatrix, phi: float, basis: np.ndarray | None) -> np.ndar
     return off * np.abs(basis) ** 2
 
 
+def scan_blocks(readout: SliverReadout, scan_seeds: list[list[int] | None]):
+    """Run scans of ``readout`` ``SLIVER_BLOCK`` slivers at a time, yielding
+    ``(lo, rep, counts, rows)`` for each block of slivers from ``lo`` and, in
+    it, each scan ``rep``: the (4, b, n) counts and the (b, n) uncorrected
+    estimate rows.  ``scan_seeds[rep]`` lists scan rep's per-sliver seeds, or
+    is None for a noise-free scan, whose counts are the expected ones.  If any
+    scan is noisy, every sliver's means are checked before the first draw.
+    """
+    if any(seeds is not None for seeds in scan_seeds):
+        readout.check_sampleable()
+    for lo in range(0, len(readout.w), SLIVER_BLOCK):
+        expected = readout.intensities(lo, lo + SLIVER_BLOCK)
+        for rep, seeds in enumerate(scan_seeds):
+            counts = (expected if seeds is None
+                      else sample_counts(expected, seeds[lo:lo + SLIVER_BLOCK]))
+            yield lo, rep, counts, estimate_dirac_column(counts, readout.phi, first_sliver=lo)
+
+
 def scan(rho: DensityMatrix, cfg: BenchConfig, *,
          noise: bool = False, seed: int | None = None,
          correct: bool = True,
          basis: np.ndarray | None = None) -> DiracDistribution:
     """Step a single-site sliver across the lattice and assemble the measured
-    distribution.
+    distribution, through :func:`scan_blocks`.
 
-    With noise enabled, each sliver position draws from its own counter
-    seeded by (seed, sliver index), so the output does not depend on
-    execution order.  With analytic counts and the back-action correction
-    applied, the result reproduces the exact distribution to rounding.
+    With noise enabled, sliver m draws from ``sliver_seeds(seed, n)[m]``, so
+    the output does not depend on execution order.  With analytic counts and
+    the back-action correction applied, the result reproduces the exact
+    distribution to rounding.
     """
     if noise and seed is None:
         raise ConfigError("a seed is required for a noisy scan")
-    counts = readout_intensities(rho, cfg.phi, cfg.photon_budget, basis=basis)
-    if noise:
-        counts = sample_counts(counts, seed)
-    est = estimate_dirac_column(counts, cfg.phi)
+    readout = sliver_readout(rho, cfg.phi, cfg.photon_budget, basis)
+    est = np.empty(readout.w.shape, dtype=complex)
+    seeds = sliver_seeds(seed, rho.grid.n) if noise else None
+    for lo, _, _, rows in scan_blocks(readout, [seeds]):
+        est[lo:lo + len(rows)] = rows
     if correct:
-        est = est + backaction_offset(rho, cfg.phi, basis=basis)
+        est += readout.off
     est.setflags(write=False)
     return DiracDistribution(grid=rho.grid, d=est)
 

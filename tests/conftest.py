@@ -94,6 +94,18 @@ def figure_csv_oracle(arr, rows, cols, corner, kind):
     return ("\n".join(lines) + "\n").encode()
 
 
+def scan_oracle(rho, cfg, *, noise=False, seed=None, correct=True, basis=None):
+    """The measured distribution of ``scan``, composed from the public
+    functions on whole arrays: the (4, n, n) expected counts, their draw from
+    ``sliver_seeds(seed, n)`` if ``noise``, the estimate and, if ``correct``,
+    the (n, n) back-action offset field."""
+    counts = readout_intensities(rho, cfg.phi, cfg.photon_budget, basis=basis)
+    if noise:
+        counts = sample_counts(counts, sliver_seeds(seed, rho.grid.n))
+    est = estimate_dirac_column(counts, cfg.phi)
+    return est + backaction_offset(rho, cfg.phi, basis=basis) if correct else est
+
+
 def measure_oracle(cfg, state, out_dir):
     """What ``measure`` writes for RunConfig ``cfg`` and DensityMatrix
     ``state``, composed from the public functions on whole (4, n, n) arrays

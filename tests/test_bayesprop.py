@@ -394,6 +394,20 @@ def test_propagated_validate_rejects_nan():
                            kind="measured").validate()
 
 
+@pytest.mark.parametrize("delta, message", [(0.1j, "imaginary residual"),
+                                            (0.5, "negative entry")])
+def test_propagated_validate_rejects_complex_or_negative_row_sums(delta, message):
+    e = np.full((4, 4), 1 / 16, dtype=complex)
+    e[0, 0] += delta
+    e[1, 0] -= delta  # the total and the column sums stay as they were
+    with pytest.raises(NumericalIntegrityError, match=rf"^row sums have {message}$"):
+        PropagatedDistribution(grid=_unit_grid(4), dz=0.1, e=e, kind="measured").validate()
+
+
+def test_analytic_kernel_has_no_k_basis():
+    assert build_kernel_analytic(_unit_grid(8), 0.16).k_basis is None
+
+
 def test_direct_measure_displaced_matches_scan_at_zero():
     rng = np.random.default_rng(9)
     grid = _unit_grid(16)

@@ -212,6 +212,20 @@ def test_bad_mean_in_the_last_block_is_refused_before_any_output(tmp_path, capsy
     assert "sliver 129: analyzer counts are not finite" in capsys.readouterr().err
 
 
+def test_measure_and_scan_run_the_same_experiment(tmp_path):
+    """One noisy scan of measure is ``scan`` with the seed of scan 0."""
+    cfg = _scan_config(tmp_path, 130, "pipeline.scans = 1\npipeline.seed = 5\n")
+    out = tmp_path / "out"
+    assert _run("gen-state", "--config", cfg, "--out", str(out)) == 0
+    assert _run("measure", "--config", cfg, "--out", str(out), "--no-correction") == 0
+    arr, meta = read_matrix(str(out / "state.txt"))
+    state = DensityMatrix(grid=grid_from_meta(meta, "state.txt"), rho=arr)
+    measured, _ = read_matrix(str(out / "dirac_measured.txt"))
+    want = weaksim.scan(state, load_run_config(cfg, {}).bench, noise=True,
+                        seed=weaksim.derived_seed(5, 10_000_000), correct=False)
+    assert np.array_equal(measured, want.d)
+
+
 def test_measure_holds_one_block_of_counts(tmp_path):
     """At n = 256 with 3 noisy scans, measure's traced peak stays under
     10 MiB.  A whole-scan measure holds the (4, n, n) expected counts, a
@@ -395,6 +409,30 @@ def test_props_report(tmp_path, capsys):
     assert "PASS normalization" in report
     assert "PASS purity" in report
     assert abs(float(report.split("PASS purity: ")[1].split()[0]) - 1.0) < 1e-9
+
+
+def test_props_reports_a_failing_marginal(tmp_path, capsys):
+    d = np.full((4, 4), 1 / 16, dtype=complex)
+    d[0, 0] += 1e-6j
+    d[1, 0] -= 1e-6j  # complex row sums 0 and 1; real column sums
+    path = str(tmp_path / "complex_rows.txt")
+    write_matrix(path, d, {"kind": "dirac", "n": 4, "dx": 1.0, "x0": 0.0})
+    out = str(tmp_path / "out")
+    assert _run("props", "--out", out, "--dirac", path) == 0
+    report = open(os.path.join(out, "props.txt")).read().splitlines()
+    assert report[1].startswith("FAIL marginal_x: position marginal has imaginary residual")
+    assert report[2].startswith("PASS marginal_p: ")
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == report and captured.err == ""
+
+
+def test_out_that_is_a_regular_file_is_an_io_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("not a directory\n")
+    assert _run("gen-state", "--config", _write_config(tmp_path), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("diracsim: i/o error: ") and len(err.strip().splitlines()) == 1
+    assert out.read_text() == "not a directory\n"
 
 
 def test_propagate_identity_at_dz_zero(tmp_path):

@@ -219,6 +219,17 @@ def test_validate_rejects_nan_distribution():
             marginal(dist)
 
 
+def test_marginals_reject_an_imaginary_residual():
+    d = np.full((4, 4), 1 / 16, dtype=complex)
+    d[0, 0] += 1e-6j
+    d[1, 1] -= 1e-6j  # the total stays 1
+    dist = DiracDistribution(grid=make_grid(4, 1.0), d=d)
+    for marginal, label in ((marginal_x, "position"), (marginal_p, "momentum")):
+        with pytest.raises(NumericalIntegrityError,
+                           match=rf"^{label} marginal has imaginary residual 1\.000e-06 > "):
+            marginal(dist)
+
+
 @pytest.mark.parametrize("n", [2, 3, 9, 16, 97])
 @pytest.mark.parametrize("x0", [0.0, 3e-4])
 def test_position_difference_core_matches_the_dense_overlap_oracle(n, x0):

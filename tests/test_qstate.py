@@ -284,3 +284,27 @@ def test_validate_rejects_nan_before_eigvalsh(monkeypatch):
     assert factorisations == []
     with pytest.raises(ContractError):
         PureState(grid=grid, amp=np.full(4, np.nan, dtype=complex)).validate()
+
+
+def test_shapes_that_do_not_match_the_grid_are_contract_errors():
+    grid = make_grid(4, 1.0)
+    with pytest.raises(ContractError, match=r"^amplitude length does not match grid$"):
+        PureState(grid=grid, amp=np.full(3, 1 / np.sqrt(3), dtype=complex)).validate()
+    with pytest.raises(ContractError, match=r"^density matrix shape does not match grid$"):
+        DensityMatrix(grid=grid, rho=np.eye(3, dtype=complex) / 3).validate()
+    with pytest.raises(ContractError,
+                       match=r"^sample vector of shape \(5,\) does not match grid n=4$"):
+        pure_from_samples(grid, np.ones(5))
+
+
+def test_an_aperture_between_lattice_sites_is_a_config_error():
+    grid = make_grid(5, 1.0)  # odd n: the sites nearest x0 = 0 lie dx/2 from it
+    cfg = BenchConfig(aperture_halfwidth=0.4, edge_position=0.0)
+    with pytest.raises(ConfigError, match=r"^aperture contains no lattice site$"):
+        bench_pure_state(cfg, grid)
+
+
+@pytest.mark.parametrize("rank", [0, 5])
+def test_random_density_matrix_rejects_a_rank_out_of_range(rank):
+    with pytest.raises(ConfigError, match=rf"^rank {rank} outside \[1, 4\]$"):
+        random_density_matrix(make_grid(4, 1.0), np.random.default_rng(0), rank)

@@ -4,15 +4,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from diracsim import (BenchConfig, ConfigError, ContractError, DensityMatrix, EstimatorCalibration,
                       NoPhotonsError, NumericalIntegrityError, backaction_offset,
-                      calibrate_estimator, correct_diagonals,
+                      build_kernel_unitary, calibrate_estimator, correct_diagonals,
                       default_calibration, density_from_pure, dirac_distribution,
-                      estimate_dirac_column, make_grid, mix, pure_from_samples,
-                      random_density_matrix, readout_intensities, reconstruct_density,
-                      sample_counts, scan)
+                      direct_measure_displaced, estimate_dirac_column, fresnel_unitary,
+                      make_grid, mix, pure_from_samples, random_density_matrix,
+                      readout_intensities, reconstruct_density, sample_counts, scan)
 from diracsim import weaksim
-from diracsim.weaksim import READOUT_KEYS, derived_seed
+from diracsim.weaksim import READOUT_KEYS, derived_seed, sliver_seeds
 
-from conftest import POLARIZATIONS, random_unitary
+from conftest import POLARIZATIONS, bench_grid, random_unitary, scan_oracle
 
 PHI_BENCH = np.deg2rad(12.92)
 
@@ -205,9 +205,9 @@ def test_sample_counts_deterministic_and_zero_preserving():
     raw[2] = 1.0
     rho = density_from_pure(pure_from_samples(grid, raw))
     expected = readout_intensities(rho, PHI_BENCH, 1e5)
-    a = sample_counts(expected, 99)
-    b = sample_counts(expected, 99)
-    c = sample_counts(expected, 100)
+    a = sample_counts(expected, sliver_seeds(99, 8))
+    b = sample_counts(expected, sliver_seeds(99, 8))
+    c = sample_counts(expected, sliver_seeds(100, 8))
     assert a.shape == expected.shape and a.dtype == float
     assert np.array_equal(a, b)
     assert a[expected == 0.0].sum() == 0.0
@@ -219,7 +219,7 @@ def test_sample_counts_draws_each_sliver_from_its_own_seed():
     so its counts do not depend on the other slivers."""
     grid = make_grid(8, 0.5)
     expected = readout_intensities(_chirped_state(grid), PHI_BENCH, 1e5)
-    noisy = sample_counts(expected, 42)
+    noisy = sample_counts(expected, sliver_seeds(42, 8))
     for m in range(8):
         rng = np.random.default_rng(derived_seed(42, m))
         for i in range(len(READOUT_KEYS)):
@@ -231,7 +231,7 @@ def test_sample_counts_concentrates_at_large_budget():
     grid = make_grid(16, 0.5)
     rho = _chirped_state(grid)
     mean = readout_intensities(rho, PHI_BENCH, 1e12)
-    error = np.abs(sample_counts(mean, 7) - mean)
+    error = np.abs(sample_counts(mean, sliver_seeds(7, 16)) - mean)
     # every bin of every sliver lies within 6 sigma of its mean, and where
     # 1e-4 of the mean is at least 6 sigma (mean >= 3.6e9), within 1e-4 of it
     assert np.all(error <= 6.0 * np.sqrt(mean))
@@ -245,12 +245,13 @@ def test_sample_counts_beyond_poisson_limit_is_config_error():
     expected = readout_intensities(_chirped_state(grid), PHI_BENCH, 1.0)
     limit = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
     expected[2, 5, 3] = limit  # numpy still draws this mean
-    assert sample_counts(expected, 1)[2, 5, 3] > 0
+    assert sample_counts(expected, sliver_seeds(1, 16))[2, 5, 3] > 0
     expected[2, 5, 3] = np.nextafter(limit, np.inf)
     with pytest.raises(ConfigError, match="photon_budget"):
-        sample_counts(expected, 1)
+        sample_counts(expected, sliver_seeds(1, 16))
     with pytest.raises(ConfigError, match="photon_budget"):
-        sample_counts(readout_intensities(_chirped_state(grid), PHI_BENCH, 1e300), 1)
+        sample_counts(readout_intensities(_chirped_state(grid), PHI_BENCH, 1e300),
+                      sliver_seeds(1, 16))
 
 
 @pytest.mark.parametrize("bad", [-1e-9, -1.0, np.nan])
@@ -259,7 +260,7 @@ def test_sample_counts_rejects_negative_or_nan_means(bad):
     expected = readout_intensities(_chirped_state(grid), PHI_BENCH, 1.0)
     expected[1, 4, 2] = bad
     with pytest.raises(ContractError, match=r"^expected counts must be nonnegative and not NaN"):
-        sample_counts(expected, 1)
+        sample_counts(expected, sliver_seeds(1, 8))
 
 
 @pytest.mark.parametrize("length", [0, 7, 9])
@@ -268,6 +269,14 @@ def test_sample_counts_needs_one_seed_per_sliver(length):
     expected = readout_intensities(_chirped_state(grid), PHI_BENCH, 1.0)
     with pytest.raises(ContractError, match=rf"^{length} sliver seeds given for 8 slivers$"):
         sample_counts(expected, list(range(length)))
+
+
+def test_sample_counts_needs_four_analyzers_and_a_sliver_axis():
+    expected = readout_intensities(_chirped_state(make_grid(8, 0.5)), PHI_BENCH, 1.0)
+    for bad in (expected[:, 2], expected[:3]):  # one sliver's (4, n); three analyzers
+        with pytest.raises(ContractError,
+                           match=r"^expected counts of shape .*: expected \(4, b, n\)$"):
+            sample_counts(bad, sliver_seeds(1, 8))
 
 
 def test_calibration_constants():
@@ -503,7 +512,7 @@ def test_scan_records_round_shape():
     dist = scan(rho, cfg)
     assert dist.d.shape == (8, 8) and not dist.d.flags.writeable
     noisy = scan(rho, cfg, noise=True, seed=5, correct=False)
-    expected = estimate_dirac_column(sample_counts(counts, 5), cfg.phi)
+    expected = estimate_dirac_column(sample_counts(counts, sliver_seeds(5, 8)), cfg.phi)
     assert np.array_equal(noisy.d, expected)
 
 
@@ -514,6 +523,35 @@ def test_correct_diagonals_identity_and_factor():
     same = correct_diagonals(rho, 0.0)
     assert np.max(np.abs(same.rho - rho.rho)) < 1e-15
     assert np.cos(PHI_BENCH) == pytest.approx(0.97469, abs=1e-5)
+
+
+@pytest.mark.parametrize("bad_phi", [-1e-9, 0.5 * np.pi, np.nan])
+def test_correct_diagonals_rejects_phi_outside_its_range(bad_phi):
+    rho = random_density_matrix(make_grid(8, 0.5), np.random.default_rng(15))
+    with pytest.raises(ConfigError, match=r"^coupling angle phi .* not in \[0, pi/2\)$"):
+        correct_diagonals(rho, bad_phi)
+
+
+@pytest.mark.parametrize("n", [16, 97, 130, 192])
+@pytest.mark.parametrize("displaced", [False, True], ids=["momentum", "displaced"])
+def test_scan_equals_the_whole_array_composition(n, displaced):
+    """Run block by block, a partial last block included, scan and the
+    displaced-camera scan give the whole-array result to the last bit."""
+    grid, bench = bench_grid(n)
+    rho = random_density_matrix(grid, np.random.default_rng(n))
+    dz = 0.084
+    basis = None
+    if displaced:
+        basis = build_kernel_unitary(grid, fresnel_unitary(grid, dz), dz).k_basis
+    for noise in (False, True):
+        for correct in (False, True):
+            want = scan_oracle(rho, bench, noise=noise, seed=3, correct=correct, basis=basis)
+            got = scan(rho, bench, noise=noise, seed=3, correct=correct, basis=basis)
+            assert np.array_equal(got.d, want)
+            if displaced:
+                run = direct_measure_displaced(rho, bench, dz, noise=noise, seed=3,
+                                               correct=correct)
+                assert np.array_equal(run.e, want)
 
 
 def test_uncorrected_pipeline_suppresses_only_diagonals():
