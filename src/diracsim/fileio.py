@@ -189,7 +189,7 @@ def _read_header(fh, path: str, magic: str):
     """Read the magic line and the '# key=value' headers.
 
     Returns ``(meta, lineno)``, ``lineno`` being the number of the first body
-    line, and leaves ``fh`` at that line.
+    line, and leaves ``fh`` at that line.  A key may appear only once.
     """
     if fh.readline().rstrip("\n") != magic:
         raise FormatError(f"{path}:1: missing magic line {magic!r}")
@@ -206,7 +206,10 @@ def _read_header(fh, path: str, magic: str):
         if "=" not in text:
             raise FormatError(f"{path}:{lineno}: malformed header line {line!r}")
         key, _, value = text.partition("=")
-        meta[key.strip()] = value.strip()
+        key = key.strip()
+        if key in meta:
+            raise FormatError(f"{path}:{lineno}: repeated header key {key!r}")
+        meta[key] = value.strip()
         lineno += 1
 
 

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,12 +28,12 @@ def test_matrix_round_trip_bit_exact(tmp_path):
     arr = _sample_matrix()
     meta = {"kind": "dirac", "n": 5, "dx": 0.1, "x0": 0.0, "note": "hello"}
     write_matrix(path, arr, meta)
-    first = open(path, "rb").read()
+    first = Path(path).read_bytes()
     back, meta_back = read_matrix(path)
     assert np.array_equal(back, arr)
     assert meta_back["kind"] == "dirac"
     write_matrix(path, back, meta_back)
-    second = open(path, "rb").read()
+    second = Path(path).read_bytes()
     assert first == second
 
 
@@ -76,6 +77,8 @@ def test_matrix_format_errors(tmp_path):
                  r":1: missing magic line", id="counts-file"),
     pytest.param(b"# diracsim matrix v1\n# rows=1\n# cols 1\n0 0 1 0\n",
                  r":3: malformed header line '# cols 1'", id="header-without-equals"),
+    pytest.param(b"# diracsim matrix v1\n# rows=1\n# cols=1\n# dx=0.5\n# dx=1.0\n0 0 1 0\n",
+                 r":5: repeated header key 'dx'", id="repeated-key"),
     pytest.param(b"# diracsim matrix v1\n# rows=1\n0 0 1 0\n",
                  r": missing or invalid rows/cols header \('cols'\)", id="missing-cols"),
     pytest.param(b"# diracsim matrix v1\n# rows=two\n# cols=1\n0 0 1 0\n",
@@ -129,7 +132,7 @@ def test_counts_round_trip(tmp_path):
     path = str(tmp_path / "c.txt")
     meta = _counts_meta(2, 0.22, 1e6)
     write_counts(path, counts, meta)
-    first = open(path, "rb").read()
+    first = Path(path).read_bytes()
     assert first == counts_file_oracle(counts, meta)
     back, meta = load_counts(path)
     assert list(meta) == ["n", "sliver_lo", "sliver_hi", "phi", "photon_budget", "seed"]
@@ -140,7 +143,7 @@ def test_counts_round_trip(tmp_path):
     assert np.array_equal(back, counts)
     del meta["n"]
     write_counts(path, back, meta)
-    assert open(path, "rb").read() == first
+    assert Path(path).read_bytes() == first
 
     write_counts(path, counts, _counts_meta(seed=12345))
     assert load_counts(path)[1]["seed"] == "12345"
@@ -172,7 +175,10 @@ def _ref_read_lines(path, magic):
         if "=" not in text:
             raise FormatError(f"{path}:{lineno}: malformed header line {line!r}")
         key, _, value = text.partition("=")
-        meta[key.strip()] = value.strip()
+        key = key.strip()
+        if key in meta:
+            raise FormatError(f"{path}:{lineno}: repeated header key {key!r}")
+        meta[key] = value.strip()
         body_start = lineno + 1
     return lines, meta, body_start
 
@@ -254,6 +260,7 @@ _MATRIX_OK = "0 0 1 0\n0 1 2 0\n1 0 3 -0\n1 1 4 5e-324\n"
     _MATRIX_HEAD + "0 0 1_0 0\n+0 1 2 0\n1 0 3 -0\n1 1 4 5e-324\n",
     "# diracsim matrix v1\n# rows=2\n0 0 1 0\n",
     "# diracsim matrix v1\n# rows=0\n# cols=0\n",
+    "# diracsim matrix v1\n# rows=1\n# cols=1\n# rows=1\n0 0 1 0\n",
     (_MATRIX_HEAD + _MATRIX_OK).replace("\n", "\r"),
     (_MATRIX_HEAD + "0 0 1 0\n\n0 1 x 0\n1 0 3 -0\n1 1 4 5e-324\n").replace("\n", "\r"),
 ])
@@ -369,8 +376,8 @@ def test_writers_match_per_element_reference(tmp_path, monkeypatch, rows, cols, 
     matrix_path, counts_path = str(tmp_path / "m.txt"), str(tmp_path / "c.txt")
     write_matrix(matrix_path, arr, meta)
     write_counts(counts_path, counts, counts_meta)
-    assert open(matrix_path, "rb").read() == matrix_file_oracle(arr, meta)
-    assert open(counts_path, "rb").read() == counts_file_oracle(counts, counts_meta)
+    assert Path(matrix_path).read_bytes() == matrix_file_oracle(arr, meta)
+    assert Path(counts_path).read_bytes() == counts_file_oracle(counts, counts_meta)
 
     _forbid_line_parser(monkeypatch)
     if np.isfinite(arr.view(float)).all():
@@ -397,7 +404,7 @@ def test_figure_csv_matches_per_element_reference(tmp_path, n, kind, data):
     assert main(["figures", "--input", in_path, "--out", out]) == 0
     rows, cols, row_label, col_label = _figure_axes(meta, grid)
     for table in ("magnitude", "phase", "real", "imag"):
-        got = open(os.path.join(out, f"fig_in_{table}.csv"), "rb").read()
+        got = Path(out, f"fig_in_{table}.csv").read_bytes()
         assert got == figure_csv_oracle(arr, rows, cols, f"{row_label}\\{col_label}", table)
 
 
@@ -430,7 +437,7 @@ def test_write_matrix_bytes_match_oracle(tmp_path, layout):
         assert not arr.flags.c_contiguous
     path = str(tmp_path / "m.txt")
     write_matrix(path, arr, _META)
-    assert open(path, "rb").read() == matrix_file_oracle(arr, _META)
+    assert Path(path).read_bytes() == matrix_file_oracle(arr, _META)
 
 
 @pytest.mark.parametrize("re, im", list(zip(_EDGE, _EDGE[::-1])) + [(np.pi, -0.1)])
@@ -439,7 +446,7 @@ def test_write_matrix_1x1_bytes_match_oracle(tmp_path, re, im):
     arr.real, arr.imag = re, im
     path = str(tmp_path / "m.txt")
     write_matrix(path, arr, _META)
-    assert open(path, "rb").read() == matrix_file_oracle(arr, _META)
+    assert Path(path).read_bytes() == matrix_file_oracle(arr, _META)
 
 
 def _edge_counts(kind):
@@ -465,7 +472,7 @@ def test_write_counts_bytes_match_oracle(tmp_path, kind):
     meta = _counts_meta(4, 0.2255, 1e8, 987654321)
     path = str(tmp_path / "c.txt")
     write_counts(path, counts, meta)
-    assert open(path, "rb").read() == counts_file_oracle(counts, meta)
+    assert Path(path).read_bytes() == counts_file_oracle(counts, meta)
 
 
 def test_figure_csv_bytes_match_oracle(tmp_path):
@@ -482,7 +489,7 @@ def test_figure_csv_bytes_match_oracle(tmp_path):
     assert main(["figures", "--input", in_path, "--out", out]) == 0
     rows, cols, row_label, col_label = _figure_axes(meta, grid)
     for table in ("magnitude", "phase", "real", "imag"):
-        got = open(os.path.join(out, f"fig_in_{table}.csv"), "rb").read()
+        got = Path(out, f"fig_in_{table}.csv").read_bytes()
         assert got == figure_csv_oracle(arr, rows, cols, f"{row_label}\\{col_label}", table)
 
 
@@ -555,7 +562,7 @@ def test_write_matrix_across_a_block_boundary(tmp_path, cols):
     arr = _edge_matrix((3, cols), seed=cols)
     path = str(tmp_path / "m.txt")
     write_matrix(path, arr, _META)
-    assert open(path, "rb").read() == matrix_file_oracle(arr, _META)
+    assert Path(path).read_bytes() == matrix_file_oracle(arr, _META)
 
 
 # -- output files: permissions, no stray temporaries, bounded writer memory
