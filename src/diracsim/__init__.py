@@ -18,7 +18,7 @@ from .dirac import (DiracDistribution, conditional_x_given_p, dirac_distribution
                     purity, reconstruct_density)
 from .weaksim import (EstimatorCalibration, backaction_offset, calibrate_estimator,
                       correct_diagonals, default_calibration, estimate_dirac_column,
-                      readout_intensities, sample_counts, scan)
+                      sample_counts, scan)
 from .bayesprop import (KIND_ANALYTIC, KIND_UNITARY, PropagatedDistribution,
                         PropagatorKernel, bayes_propagate, build_kernel_analytic,
                         build_kernel_unitary, direct_measure_displaced,

@@ -295,8 +295,9 @@ def joint4_tensor(rho: DensityMatrix, v1: np.ndarray, v2: np.ndarray) -> np.ndar
     length-n diagonal or a dense n x n unitary, checked as
     :func:`build_kernel_unitary` checks its V.  Summing all four indices
     gives 1; summing x and p gives the two-projector expectation
-    Tr[pi_k' pi_q' rho].
+    Tr[pi_k' pi_q' rho].  A state that is not n x n is a ContractError.
     """
+    rho.check_shape()
     grid, u = rho.grid, rho.grid.overlap_matrix
     q_basis = _adjoint_times(_checked_unitary(grid, v1), np.eye(grid.n))
     k_basis = _adjoint_times(_checked_unitary(grid, v2), u)
@@ -312,10 +313,16 @@ def direct_measure_displaced(rho: DensityMatrix, cfg: BenchConfig, dz: float, *,
                              correct: bool = True) -> PropagatedDistribution:
     """Run the weak-measurement pipeline with the camera displaced by dz.
 
-    The system is propagated by the defocus unitary before the strong
-    projection, i.e. the readout basis becomes the displaced-plane pixel
-    states.  This is the experimental-side oracle for :func:`bayes_propagate`.
+    The displaced camera's pixels are the momentum states pulled back by the
+    chirp V = diag(c) of :func:`fresnel_unitary`.  V is diagonal in x, so it
+    commutes with the weak coupling and with every sliver projector, and the
+    displaced readout, back-action offset included, is the momentum readout
+    of V rho V^dag: :func:`.weaksim.scan` of ``c_m rho[m, j] conj(c_j)``,
+    formed in O(n^2).  This is the experimental-side oracle for
+    :func:`bayes_propagate`.  A state that is not n x n is a ContractError.
     """
-    basis = build_kernel_unitary(rho.grid, fresnel_unitary(rho.grid, dz), dz).k_basis
-    measured = weaksim.scan(rho, cfg, noise=noise, seed=seed, correct=correct, basis=basis)
+    rho.check_shape()
+    c = fresnel_unitary(rho.grid, dz)
+    displaced = DensityMatrix(grid=rho.grid, rho=c[:, None] * rho.rho * c.conj())
+    measured = weaksim.scan(displaced, cfg, noise=noise, seed=seed, correct=correct)
     return PropagatedDistribution(grid=rho.grid, dz=float(dz), e=measured.d, kind="measured")

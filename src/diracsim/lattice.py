@@ -21,8 +21,9 @@ so U is a signed, phased discrete Fourier transform,
 with the exact signs ``t_m = (-1)^m`` and ``b_k = exp(i x_f p_k)``, for any
 n, odd included, and any center offset.  :attr:`Grid.overlap_matrix` is
 built from these factors and an exactly reduced DFT table.  It is the one
-representation of U, kept for callers with a dense readout basis or a dense
-propagator V, and for the test oracles; no command-line stage builds it.
+representation of U, kept for a dense propagator V, for
+:func:`.bayesprop.joint4_tensor` and for the test oracles; no command-line
+stage and no scan builds it.
 
 The Dirac transform needs only the signs t.  For any operator op,
 

@@ -57,12 +57,16 @@ class DensityMatrix:
     rho: np.ndarray
     _valid: bool = field(default=False, init=False, repr=False)
 
+    def check_shape(self) -> None:
+        """Require ``rho`` to be n x n for its grid (ContractError)."""
+        if np.shape(self.rho) != (self.grid.n, self.grid.n):
+            raise ContractError("density matrix shape does not match grid")
+
     def validate(self) -> None:
         if self._valid and not self.rho.flags.writeable:
             return
+        self.check_shape()
         n = self.grid.n
-        if self.rho.shape != (n, n):
-            raise ContractError("density matrix shape does not match grid")
         # rho^H as one fresh C-ordered copy, so the passes below run contiguously
         h = np.conjugate(self.rho.T, order="C", dtype=np.result_type(self.rho, 0.5))
         herm = np.max(np.abs(self.rho - h))
@@ -186,6 +190,7 @@ def mix(states: list[tuple[DensityMatrix, float]]) -> DensityMatrix:
     for state, w in states:
         if state.grid is not grid and state.grid != grid:
             raise ContractError("all mixture components must share one grid")
+        state.check_shape()
         rho += w * state.rho
     rho.setflags(write=False)
     out = DensityMatrix(grid=grid, rho=rho)

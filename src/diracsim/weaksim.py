@@ -12,32 +12,31 @@ the real and imaginary parts of the Dirac distribution:
 with T the total count of the linear pair.  The coupling is implemented
 exactly (no small-phi expansion); at finite phi the analytic estimate equals
 the true column minus the back-action offset
-``O = (1 - cos phi) <b_k| P rho P |b_k>`` (P the sliver projector), which is
-Prob(x) (1 - cos phi) / n per momentum bin for a single-site sliver.  With
-W = conj(B) * (rho B) for the readout basis B, the expected intensities are
+``O = (1 - cos phi) <p_k| P rho P |p_k>`` (P the sliver projector), which is
+Prob(x) (1 - cos phi) / n per momentum bin for a single-site sliver, as
+every |<x_m|p_k>|^2 is 1/n.  With W[m, k] = conj(U[m, k]) (rho U)[m, k], the
+Dirac distribution itself, the expected intensities are
 N_D, N_A = base +- sin(phi) (Re W - O) and N_L, N_R = base +- sin(phi) Im W,
-base = <b_k|rho|b_k> / 2 - (1 - cos phi) Re W + O.  These formulas fix
+base = <p_k|rho|p_k> / 2 - (1 - cos phi) Re W + O.  These formulas fix
 the estimator constants in closed form, c_re = c_im = 1/2 and
 sign_circ = -1 (:func:`calibrate_estimator` derives them and checks their
-closure against the exact trace formula), so no constant is fitted.
+closure against the exact trace formula), so no constant is fitted.  W is
+taken from :func:`.operator_dirac` in the position-difference domain (see
+:mod:`.dirac`), with no n x n U and no n^3 product.  A camera displaced past
+the Fourier-transform plane needs no other readout: its pixels are the
+momentum states pulled back by a position-diagonal chirp, which commutes
+with the coupling, so it reads out V rho V^dag in the momentum basis (see
+:func:`.bayesprop.direct_measure_displaced`).
 
-In the momentum basis B = U, the camera in the Fourier-transform plane,
-W[m, k] = conj(U[m, k]) (rho U)[m, k] is the Dirac distribution itself, so
-it is taken from :func:`.operator_dirac` in the position-difference domain
-(see :mod:`.dirac`), with no n x n U and no n^3 product.  There every
-|U[m, k]|^2 is 1/n, so the offset is the column Prob(x_m) (1 - cos phi) / n,
-the same in every momentum bin.  A dense basis B, such as the displaced
-camera's, is read out as conj(B) * (rho @ B) with the offset
-(1 - cos phi) Prob(x_m) |B[m, k]|^2.
-
-A scan's counts are one float array of shape (4, n, n), indexed by analyzer
-(``READOUT_KEYS`` order), sliver and momentum bin.  Every scan of a state
-repeats the same weak measurement, so W, its column sums and the offset are
-computed once (:func:`sliver_readout`), and :func:`scan_blocks`, the one loop
-that :func:`scan` and the ``measure`` command run, forms the noise-free counts
-of one block of slivers at a time and redraws only the shot noise per scan,
-each sliver from its own seed.  Each estimate row depends on its own sliver
-alone, so the result is the whole-array one to the last bit.
+Counts are float arrays ``counts[analyzer, m, k]`` of shape (4, b, n) for a
+block of b slivers, indexed by analyzer (``READOUT_KEYS`` order), sliver and
+momentum bin.  Every scan of a state repeats the same weak measurement, so
+W, its column sums and the offset are computed once (:func:`sliver_readout`),
+and :func:`scan_blocks`, the one loop that :func:`scan` and the ``measure``
+command run, forms the noise-free counts of ``SLIVER_BLOCK`` slivers at a
+time and redraws only the shot noise per scan, each sliver from its own
+seed.  Each estimate row depends on its own sliver alone, so the result is
+the whole-array one to the last bit.
 """
 
 from __future__ import annotations
@@ -71,10 +70,9 @@ class EstimatorCalibration:
 @dataclass(frozen=True, eq=False)
 class SliverReadout:
     """The noise-free readout of a per-site scan, in the form any block of
-    slivers is formed from: W = conj(B) * (rho B), its real column sums
-    ``col`` (<b_k|rho|b_k>) and the back-action offset ``off``, an (n, 1)
-    column in the momentum basis and (n, n) for a dense basis.  Built by
-    :func:`sliver_readout`, which checks it."""
+    slivers is formed from: W, the Dirac distribution, its real column sums
+    ``col`` (Prob(p_k)) and the (n, 1) back-action offset column ``off``.
+    Built by :func:`sliver_readout`, which checks it."""
 
     w: np.ndarray
     col: np.ndarray
@@ -112,43 +110,26 @@ class SliverReadout:
         _check_means(np.min(lows), np.max(peaks))
 
 
-def sliver_readout(rho: DensityMatrix, phi: float, photon_budget: float,
-                   basis: np.ndarray | None = None) -> SliverReadout:
+def sliver_readout(rho: DensityMatrix, phi: float, photon_budget: float) -> SliverReadout:
     """The analytic readout of a per-site scan, from which
     :meth:`SliverReadout.intensities` forms the expected counts of any
     block of slivers.
 
-    ``basis`` columns are the strong-measurement projection states in the
-    position basis; the default is the momentum basis (camera in the
-    Fourier-transform plane), where W is the Dirac distribution
-    (:func:`.operator_dirac`) and O is Prob(x_m) (1 - cos phi) / n, so no
-    matrix product is taken.  A dense ``basis`` costs one n^3 product; one
-    that is not n x n is a ContractError.  phi outside [0, pi/2] (pi/2 is
-    the strong-measurement limit) and a photon budget that is negative or
-    not finite are ConfigErrors.  Every intensity's imaginary part is
-    Im(col) / 2, checked to vanish.
+    W is the Dirac distribution (:func:`.operator_dirac`) and O the column
+    :func:`backaction_offset`, so no matrix product is taken.  phi outside
+    [0, pi/2] (pi/2 is the strong-measurement limit) and a photon budget
+    that is negative or not finite are ConfigErrors, a state that is not
+    n x n a ContractError.  Every intensity's imaginary part is Im(col) / 2,
+    checked to vanish.
     """
-    off = _offset(rho, phi, basis)
+    off = backaction_offset(rho, phi)
     if not 0 <= photon_budget < np.inf:
         raise ConfigError(f"photon_budget {photon_budget} must be finite and nonnegative")
-    if basis is None:
-        w = operator_dirac(rho.grid, rho.rho).d
-    else:
-        w = basis.conj() * (rho.rho @ basis)
+    w = operator_dirac(rho.grid, rho.rho).d
     col = w.sum(axis=0)
     if 0.5 * np.max(np.abs(col.imag)) > 1e-12:
         raise NumericalIntegrityError("analyzer intensities have imaginary residual")
     return SliverReadout(w=w, col=col.real, off=off, phi=phi, photon_budget=photon_budget)
-
-
-def readout_intensities(rho: DensityMatrix, phi: float, photon_budget: float,
-                        basis: np.ndarray | None = None) -> np.ndarray:
-    """Analytic (noise-free) expected counts of the four analyzers at every
-    single-site sliver position, as an array ``counts[analyzer, m, k]`` of
-    shape (4, n, n) in ``READOUT_KEYS`` order, clipped at zero: the one
-    block of all n slivers of :func:`sliver_readout`, with its checks.
-    """
-    return sliver_readout(rho, phi, photon_budget, basis).intensities(0, rho.grid.n)
 
 
 # numpy's Generator.poisson refuses means above this (its POISSON_LAM_MAX)
@@ -234,34 +215,18 @@ def estimate_dirac_column(counts: np.ndarray, phi: float,
     return (cal.c_re * (d - a) - 1j * cal.sign_circ * cal.c_im * (l - r)) / scale
 
 
-def backaction_offset(rho: DensityMatrix, phi: float,
-                      basis: np.ndarray | None = None) -> np.ndarray:
-    """Correction field for a per-site scan, an (n, n) array; row m is the
-    offset of sliver {m}, (1 - cos phi) Prob(x_m) |<x_m|b_k>|^2.
-
-    In the momentum readout basis (``basis`` None) |<x_m|p_k>|^2 = 1/n, so
-    every bin of row m is Prob(x_m)(1 - cos phi)/n, the lattice form of the
-    uniform offset, and no overlap matrix is formed.  phi outside
-    [0, pi/2], NaN included, is a ConfigError; a ``basis`` that is not
-    n x n is a ContractError.
+def backaction_offset(rho: DensityMatrix, phi: float) -> np.ndarray:
+    """Correction for a per-site scan, the (n, 1) column whose row m is the
+    offset of sliver {m} in every momentum bin: (1 - cos phi) Prob(x_m)
+    |<x_m|p_k>|^2 = Prob(x_m)(1 - cos phi)/n, the lattice form of the
+    uniform offset, formed without the overlap matrix.  It broadcasts over
+    the momentum bins of an (n, n) estimate.  phi outside [0, pi/2], NaN
+    included, is a ConfigError; a state that is not n x n a ContractError.
     """
-    off = _offset(rho, phi, basis)
-    return np.repeat(off, rho.grid.n, axis=1) if basis is None else off
-
-
-def _offset(rho: DensityMatrix, phi: float, basis: np.ndarray | None) -> np.ndarray:
-    """The back-action offset; an (n, 1) column in the momentum basis, where
-    every |<x_m|p_k>|^2 is 1/n.  phi outside [0, pi/2] is a ConfigError, a
-    ``basis`` that is not n x n a ContractError."""
     if not 0.0 <= phi <= 0.5 * np.pi:
         raise ConfigError(f"coupling angle phi {phi} not in [0, pi/2]")
-    n = rho.grid.n
-    if basis is not None and np.shape(basis) != (n, n):
-        raise ContractError(f"readout basis shape {np.shape(basis)} does not match grid n={n}")
-    off = (1.0 - np.cos(phi)) * rho.rho.diagonal().real[:, None]
-    if basis is None:
-        return off / n
-    return off * np.abs(basis) ** 2
+    rho.check_shape()
+    return (1.0 - np.cos(phi)) * rho.rho.diagonal().real[:, None] / rho.grid.n
 
 
 def scan_blocks(readout: SliverReadout, scan_seeds: list[list[int] | None]):
@@ -284,8 +249,7 @@ def scan_blocks(readout: SliverReadout, scan_seeds: list[list[int] | None]):
 
 def scan(rho: DensityMatrix, cfg: BenchConfig, *,
          noise: bool = False, seed: int | None = None,
-         correct: bool = True,
-         basis: np.ndarray | None = None) -> DiracDistribution:
+         correct: bool = True) -> DiracDistribution:
     """Step a single-site sliver across the lattice and assemble the measured
     distribution, through :func:`scan_blocks`.
 
@@ -296,7 +260,7 @@ def scan(rho: DensityMatrix, cfg: BenchConfig, *,
     """
     if noise and seed is None:
         raise ConfigError("a seed is required for a noisy scan")
-    readout = sliver_readout(rho, cfg.phi, cfg.photon_budget, basis)
+    readout = sliver_readout(rho, cfg.phi, cfg.photon_budget)
     est = np.empty(readout.w.shape, dtype=complex)
     seeds = sliver_seeds(seed, rho.grid.n) if noise else None
     for lo, _, _, rows in scan_blocks(readout, [seeds]):
@@ -308,9 +272,14 @@ def scan(rho: DensityMatrix, cfg: BenchConfig, *,
 
 
 def correct_diagonals(rho_measured: DensityMatrix, phi: float) -> DensityMatrix:
-    """Undo the cos(phi) back-action suppression of the density-matrix diagonal."""
+    """Undo the cos(phi) back-action suppression of the density-matrix diagonal.
+
+    phi outside [0, pi/2) is a ConfigError, a state that is not n x n a
+    ContractError.
+    """
     if not 0.0 <= phi < 0.5 * np.pi:
         raise ConfigError(f"coupling angle phi {phi} not in [0, pi/2)")
+    rho_measured.check_shape()
     rho = rho_measured.rho.copy()
     idx = np.diag_indices_from(rho)
     rho[idx] = rho[idx] / np.cos(phi)
@@ -339,7 +308,7 @@ def calibrate_estimator() -> EstimatorCalibration:
     rho = density_from_pure(pure_from_samples(grid, amp))
     truth = dirac_distribution(rho).d
     rows = [n // 4, n // 2, (3 * n) // 4]
-    counts = readout_intensities(rho, phi, 1.0)[:, rows, :]
+    counts = sliver_readout(rho, phi, 1.0).intensities(0, n)[:, rows, :]
     tgt = truth[rows] - backaction_offset(rho, phi)[rows]
     residual = np.max(np.abs(estimate_dirac_column(counts, phi, cal) - tgt))
     if not residual <= 1e-10:  # also catches a NaN readout

@@ -1,14 +1,15 @@
 """Shared helpers for the test suite: independent oracles and circular stats."""
 
+import dataclasses
 import os
 
 import numpy as np
 
 from diracsim import (BenchConfig, ContractError, DensityMatrix, DiracDistribution, UnitMap,
                       backaction_offset, bench_pure_state, correct_diagonals,
-                      estimate_dirac_column, fileio, make_grid, readout_intensities,
-                      reconstruct_density, sample_counts)
-from diracsim.weaksim import derived_seed, sliver_seeds
+                      estimate_dirac_column, fileio, make_grid, reconstruct_density,
+                      sample_counts)
+from diracsim.weaksim import derived_seed, sliver_readout, sliver_seeds
 
 
 # Polarization analyzer states in the {H, V} basis, in READOUT_KEYS order.
@@ -94,16 +95,34 @@ def figure_csv_oracle(arr, rows, cols, corner, kind):
     return ("\n".join(lines) + "\n").encode()
 
 
-def scan_oracle(rho, cfg, *, noise=False, seed=None, correct=True, basis=None):
+def readout_intensities(rho, phi, photon_budget, basis=None):
+    """Expected counts of the four analyzers at every single-site sliver, as
+    ``counts[analyzer, m, k]`` of shape (4, n, n): the one block of all n
+    slivers of ``sliver_readout``, with its checks.
+
+    A dense ``basis``, whose columns are the strong-measurement projection
+    states in the position basis, replaces the readout's W, column sums and
+    offset by the dense formulas W = conj(B) * (rho B) and
+    (1 - cos phi) Prob(x_m) |B[m, k]|^2, with no Dirac transform.
+    """
+    readout = sliver_readout(rho, phi, photon_budget)
+    if basis is not None:
+        w = basis.conj() * (rho.rho @ basis)
+        off = (1.0 - np.cos(phi)) * rho.rho.diagonal().real[:, None] * np.abs(basis) ** 2
+        readout = dataclasses.replace(readout, w=w, col=w.sum(axis=0).real, off=off)
+    return readout.intensities(0, rho.grid.n)
+
+
+def scan_oracle(rho, cfg, *, noise=False, seed=None, correct=True):
     """The measured distribution of ``scan``, composed from the public
     functions on whole arrays: the (4, n, n) expected counts, their draw from
     ``sliver_seeds(seed, n)`` if ``noise``, the estimate and, if ``correct``,
-    the (n, n) back-action offset field."""
-    counts = readout_intensities(rho, cfg.phi, cfg.photon_budget, basis=basis)
+    the back-action offset column."""
+    counts = readout_intensities(rho, cfg.phi, cfg.photon_budget)
     if noise:
         counts = sample_counts(counts, sliver_seeds(seed, rho.grid.n))
     est = estimate_dirac_column(counts, cfg.phi)
-    return est + backaction_offset(rho, cfg.phi, basis=basis) if correct else est
+    return est + backaction_offset(rho, cfg.phi) if correct else est
 
 
 def measure_oracle(cfg, state, out_dir):
@@ -111,7 +130,7 @@ def measure_oracle(cfg, state, out_dir):
     ``state``, composed from the public functions on whole (4, n, n) arrays
     and written through ``fileio`` into ``out_dir``: every scan's counts at
     once, its per-sliver seeds, the mean of the scans' estimates, the
-    offset field and the lab-style corrected reconstruction."""
+    offset column and the lab-style corrected reconstruction."""
     n, phi, budget = state.grid.n, cfg.bench.phi, cfg.bench.photon_budget
     expected = readout_intensities(state, phi, budget)
     scan_seeds = [sliver_seeds(derived_seed(cfg.seed, 10_000_000 + rep), n)

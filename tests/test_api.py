@@ -19,7 +19,7 @@ PUBLIC = {
     "estimate_dirac_column", "expectation_overlap",
     "fresnel_unitary", "joint4_tensor", "make_grid", "marginal_p",
     "marginal_x", "mix", "operator_dirac", "pure_from_samples", "purity",
-    "random_density_matrix", "readout_intensities", "reconstruct_density",
+    "random_density_matrix", "reconstruct_density",
     "sample_counts", "scan",
     "wedge_gradient_from_angle",
 }

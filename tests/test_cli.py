@@ -7,13 +7,14 @@ import pytest
 from diracsim import qstate, weaksim
 from diracsim.cli import main
 from diracsim.fileio import read_matrix, write_matrix
-from diracsim import Grid, dirac_distribution, marginal_x
+from diracsim import (Grid, dirac_distribution, direct_measure_displaced, marginal_x,
+                      random_density_matrix, scan)
 from diracsim.qstate import DensityMatrix
 from diracsim.fileio import grid_from_meta
 
 from diracsim.config import load_run_config
 
-from conftest import load_counts, measure_oracle
+from conftest import bench_grid, load_counts, measure_oracle
 
 N = 32
 DX = 44e-3 / N
@@ -258,6 +259,26 @@ def test_stages_never_build_the_overlap_matrix(tmp_path, monkeypatch):
     weaksim.default_calibration.cache_clear()  # its check runs inside measure again
     for stage in (["exact"], ["reconstruct"], ["measure", "--no-noise"], ["measure"]):
         assert _run(*stage, "--config", cfg, "--out", out) == 0
+
+
+def test_no_scan_path_builds_the_overlap_matrix(tmp_path, monkeypatch):
+    """scan, the displaced-camera scan (noisy and noise-free) and measure
+    read out in the momentum basis without U, at n = 130 (three blocks)."""
+    grid, bench = bench_grid(130)
+    rho = random_density_matrix(grid, np.random.default_rng(130))
+    cfg = _scan_config(tmp_path, 130, "pipeline.scans = 2\n")
+    out = str(tmp_path / "out")
+    assert _run("gen-state", "--config", cfg, "--out", out) == 0
+
+    def refuse(grid):
+        raise AssertionError(f"the n={grid.n} overlap matrix was built")
+
+    monkeypatch.setattr(Grid, "overlap_matrix", property(refuse))
+    weaksim.default_calibration.cache_clear()  # its check runs under the patch again
+    scan(rho, bench, noise=True, seed=3)
+    for noise in (False, True):
+        direct_measure_displaced(rho, bench, 0.084, noise=noise, seed=3)
+    assert _run("measure", "--config", cfg, "--out", out) == 0
 
 
 def test_measure_zero_budget_exits_3(tmp_path, capsys):

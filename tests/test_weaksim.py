@@ -8,11 +8,11 @@ from diracsim import (BenchConfig, ConfigError, ContractError, DensityMatrix, Es
                       default_calibration, density_from_pure, dirac_distribution,
                       direct_measure_displaced, estimate_dirac_column, fresnel_unitary,
                       make_grid, mix, pure_from_samples, random_density_matrix,
-                      readout_intensities, reconstruct_density, sample_counts, scan)
+                      reconstruct_density, sample_counts, scan)
 from diracsim import weaksim
-from diracsim.weaksim import READOUT_KEYS, derived_seed, sliver_seeds
+from diracsim.weaksim import READOUT_KEYS, derived_seed, sliver_readout, sliver_seeds
 
-from conftest import POLARIZATIONS, bench_grid, random_unitary, scan_oracle
+from conftest import POLARIZATIONS, bench_grid, readout_intensities, scan_oracle
 
 PHI_BENCH = np.deg2rad(12.92)
 
@@ -61,6 +61,22 @@ def _momentum_probs(rho, basis):
     return np.einsum("mk,mn,nk->k", basis.conj(), rho, basis).real
 
 
+def _displaced_state(rho, dz):
+    """V rho V^dag for the chirp V = diag(c) of a camera displaced by dz: the
+    state whose momentum readout is the displaced camera's readout of rho."""
+    c = fresnel_unitary(rho.grid, dz)
+    return DensityMatrix(grid=rho.grid, rho=c[:, None] * rho.rho * c.conj())
+
+
+def _pixel_basis(grid, dz):
+    """The displaced camera's pixel states V^dag |p_k>, as dense columns."""
+    return build_kernel_unitary(grid, fresnel_unitary(grid, dz), dz).k_basis
+
+
+# camera displacements; dz = 0 is the Fourier-transform plane itself
+_DISPLACEMENTS = st.one_of(st.just(0.0), st.floats(0.0, 0.4))
+
+
 def _assert_pairs_sum_to_budget(counts, budget, tol=1e-6):
     """Nonnegative counts whose linear (D, A) and circular (L, R) pairs each
     hold the whole photon budget at every sliver."""
@@ -70,18 +86,19 @@ def _assert_pairs_sum_to_budget(counts, budget, tol=1e-6):
         assert np.max(np.abs(pair_total - budget)) <= tol * budget
 
 
-def test_couple_identity_at_zero_angle():
-    # no coupling: every sliver's H input splits evenly over every analyzer
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(dz=_DISPLACEMENTS)
+def test_couple_identity_at_zero_angle(dz):
+    # no coupling: every sliver's H input splits evenly over every analyzer,
+    # on the pixels of a camera displaced by dz
     rng = np.random.default_rng(1)
-    grid = make_grid(8, 0.5)
+    grid, _ = bench_grid(8)
     rho = random_density_matrix(grid, rng)
     budget = 1e3
-    for basis in (None, random_unitary(8, rng)):
-        b = grid.overlap_matrix if basis is None else basis
-        q = _momentum_probs(rho.rho, b)
-        counts = readout_intensities(rho, 0.0, budget, basis=basis)
-        assert counts.shape == (4, 8, 8)
-        assert np.max(np.abs(counts / budget - q / 2)) < 1e-14
+    q = _momentum_probs(rho.rho, _pixel_basis(grid, dz))
+    counts = sliver_readout(_displaced_state(rho, dz), 0.0, budget).intensities(0, 8)
+    assert counts.shape == (4, 8, 8)
+    assert np.max(np.abs(counts / budget - q / 2)) < 1e-14
 
 
 def test_couple_strong_limit_flips_polarization():
@@ -118,20 +135,22 @@ _ANGLES = st.one_of(st.sampled_from([0.0, np.pi / 2]), st.floats(0.0, np.pi / 2)
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(n=st.integers(2, 17), rank_frac=st.floats(0.0, 1.0), phi=_ANGLES,
-       random_basis=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-@example(n=8, rank_frac=1.0, phi=0.0, random_basis=False, seed=1)
-@example(n=8, rank_frac=0.0, phi=np.pi / 2, random_basis=False, seed=2)
-@example(n=9, rank_frac=0.5, phi=np.pi / 2, random_basis=True, seed=3)
-def test_couple_matches_explicit_unitary(n, rank_frac, phi, random_basis, seed):
+       dz=_DISPLACEMENTS, seed=st.integers(0, 2 ** 32 - 1))
+@example(n=8, rank_frac=1.0, phi=0.0, dz=0.0, seed=1)
+@example(n=8, rank_frac=0.0, phi=np.pi / 2, dz=0.0, seed=2)
+@example(n=9, rank_frac=0.5, phi=np.pi / 2, dz=0.084, seed=3)
+def test_couple_matches_explicit_unitary(n, rank_frac, phi, dz, seed):
     """Every sliver's closed-form counts equal the 2n x 2n joint state after
-    the explicit coupling unitary, projected onto analyzer x b_k."""
+    the explicit coupling unitary, projected onto analyzer x b_k, with b_k
+    the pixels of a camera displaced by dz (the momentum states at dz = 0),
+    read out as the momentum scan of V rho V^dag."""
     rng = np.random.default_rng(seed)
-    grid = make_grid(n, 0.5)
+    grid, _ = bench_grid(n)
     rank = 1 + int(rank_frac * (n - 1))
     rho = random_density_matrix(grid, rng, rank=rank)
-    basis = random_unitary(n, rng) if random_basis else grid.overlap_matrix
+    basis = _pixel_basis(grid, dz)
     budget = 1e3
-    counts = readout_intensities(rho, phi, budget, basis=basis if random_basis else None)
+    counts = sliver_readout(_displaced_state(rho, dz), phi, budget).intensities(0, n)
     assert counts.shape == (4, n, n)
     for m in range(n):
         oracle = _oracle_intensities(rho.rho, m, phi, basis)
@@ -290,8 +309,9 @@ def test_calibration_constants():
     (lambda c: np.nextafter(c, np.inf), True),
 ], ids=["L-R-swapped", "D-A-swapped", "one-ulp-up"])
 def test_calibration_checks_the_readout_without_fitting_it(monkeypatch, alter, closes):
-    readout = weaksim.readout_intensities
-    monkeypatch.setattr(weaksim, "readout_intensities", lambda *a, **kw: alter(readout(*a, **kw)))
+    intensities = weaksim.SliverReadout.intensities
+    monkeypatch.setattr(weaksim.SliverReadout, "intensities",
+                        lambda self, lo, hi: alter(intensities(self, lo, hi)))
     try:
         if closes:
             assert calibrate_estimator() == EstimatorCalibration(0.5, 0.5, -1)
@@ -387,17 +407,6 @@ def test_estimator_needs_four_analyzers_first(analyzers):
             estimate_dirac_column(bad, PHI_BENCH)
 
 
-@pytest.mark.parametrize("shape", [(8, 7), (7, 8), (8,), (8, 8, 1)])
-def test_readout_and_offset_reject_a_basis_of_the_wrong_shape(shape):
-    rho = random_density_matrix(make_grid(8, 0.5), np.random.default_rng(9))
-    basis = np.ones(shape, dtype=complex)
-    match = r"^readout basis shape .* does not match grid n=8$"
-    with pytest.raises(ContractError, match=match):
-        readout_intensities(rho, PHI_BENCH, 1.0, basis=basis)
-    with pytest.raises(ContractError, match=match):
-        backaction_offset(rho, PHI_BENCH, basis=basis)
-
-
 @pytest.mark.parametrize("bad_phi", [-1e-9, np.pi / 2 + 1e-9, 5.0, np.nan, np.inf])
 def test_backaction_offset_rejects_phi_outside_the_coupling_range(bad_phi):
     rho = random_density_matrix(make_grid(8, 0.5), np.random.default_rng(9))
@@ -417,9 +426,9 @@ def test_momentum_readout_matches_the_explicit_overlap_basis(n, x0):
     for phi in (PHI_BENCH, 0.5 * np.pi):
         dense = readout_intensities(rho, phi, 1e6, basis=u)
         assert np.max(np.abs(readout_intensities(rho, phi, 1e6) - dense)) <= 1e-13 * dense.max()
-        dense = backaction_offset(rho, phi, u)
+        dense = (1.0 - np.cos(phi)) * rho.rho.diagonal().real[:, None] * np.abs(u) ** 2
         offset = backaction_offset(rho, phi)
-        assert offset.shape == (n, n)
+        assert offset.shape == (n, 1)
         assert np.max(np.abs(offset - dense)) <= 1e-13 * dense.max()
 
 
@@ -536,17 +545,16 @@ def test_correct_diagonals_rejects_phi_outside_its_range(bad_phi):
 @pytest.mark.parametrize("displaced", [False, True], ids=["momentum", "displaced"])
 def test_scan_equals_the_whole_array_composition(n, displaced):
     """Run block by block, a partial last block included, scan and the
-    displaced-camera scan give the whole-array result to the last bit."""
+    displaced-camera scan give the whole-array result to the last bit; the
+    displaced camera's is the momentum scan of V rho V^dag."""
     grid, bench = bench_grid(n)
     rho = random_density_matrix(grid, np.random.default_rng(n))
     dz = 0.084
-    basis = None
-    if displaced:
-        basis = build_kernel_unitary(grid, fresnel_unitary(grid, dz), dz).k_basis
+    state = _displaced_state(rho, dz) if displaced else rho
     for noise in (False, True):
         for correct in (False, True):
-            want = scan_oracle(rho, bench, noise=noise, seed=3, correct=correct, basis=basis)
-            got = scan(rho, bench, noise=noise, seed=3, correct=correct, basis=basis)
+            want = scan_oracle(state, bench, noise=noise, seed=3, correct=correct)
+            got = scan(state, bench, noise=noise, seed=3, correct=correct)
             assert np.array_equal(got.d, want)
             if displaced:
                 run = direct_measure_displaced(rho, bench, dz, noise=noise, seed=3,
