@@ -29,6 +29,11 @@ Only when that pass or a check fails is the body read again line by line,
 which names the first bad line (or accepts a number spelling such as ``1_0``
 that only Python's own parser reads).  No command reads counts files back;
 they load with ``np.loadtxt(path, comments="#")``.
+
+Each matrix file also gets a binary twin,
+``.diracsim-cache/<file name>.<sha256 hex>.npy``, keyed by the SHA-256 of its
+text: never trusted without that digest check, safe to delete, 16 B per
+entry against about 53 B of text (+30 %).  See ``_twin``.
 """
 
 from __future__ import annotations
@@ -63,12 +68,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def atomic_write_text(path: str, data: bytes | Iterable[bytes]) -> None:
-    """Write UTF-8 text, as ``bytes`` or an iterable of ``bytes`` chunks, to
-    ``path`` atomically, through a binary handle.
+@contextlib.contextmanager
+def _atomic_binary(path: str):
+    """A binary handle on a temporary file that replaces ``path`` when the
+    block ends without error, and is removed when it raises.
 
     The temporary file is created with mode 0666 less the umask, as
-    ``open(path, "w")`` would create ``path``, and is removed if the write fails.
+    ``open(path, "w")`` would create ``path``.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -77,12 +83,19 @@ def atomic_write_text(path: str, data: bytes | Iterable[bytes]) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.writelines([data] if isinstance(data, bytes) else data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str, data: bytes | Iterable[bytes]) -> None:
+    """Write UTF-8 text, as ``bytes`` or an iterable of ``bytes`` chunks, to
+    ``path`` atomically (see ``_atomic_binary``)."""
+    with _atomic_binary(path) as fh:
+        fh.writelines([data] if isinstance(data, bytes) else data)
 
 
 def grid_meta(grid: Grid) -> dict:
@@ -114,10 +127,18 @@ def _header_bytes(magic: str, header: dict) -> bytes:
 
 
 def write_matrix(path: str, arr: np.ndarray, meta: dict) -> None:
-    """Write a complex matrix with '# key=value' headers and 'i j re im' rows."""
+    """Write a complex matrix with '# key=value' headers and 'i j re im' rows,
+    then its binary twin, named by the SHA-256 of the text."""
+    from . import _twin  # on first use: importing the package compiles none of it
+
     arr = np.asarray(arr, dtype=complex)
     header = {"rows": arr.shape[0], "cols": arr.shape[1], **meta}
-    atomic_write_text(path, chain([_header_bytes(MATRIX_MAGIC, header)], _matrix_body(arr)))
+    head = _header_bytes(MATRIX_MAGIC, header)
+    digest = _twin.sha256()
+    atomic_write_text(path, _twin.hashed(chain([head], _matrix_body(arr)), digest))
+    # a line break inside a key or value would read back as a body line
+    if head.count(b"\n") == len(header) + 1 and b"\r" not in head:
+        _twin.save(path, arr, digest.hexdigest())
 
 
 def _matrix_body(arr: np.ndarray):
@@ -244,7 +265,13 @@ def _positions(table, rows: int, cols: int):
 
 
 def read_matrix(path: str):
-    """Read a matrix file; returns ``(array, meta)`` with meta values as strings."""
+    """Read a matrix file; returns ``(array, meta)`` with meta values as strings.
+
+    The array comes from the file's binary twin when the twin matches the
+    text's SHA-256 and passes every check, and from the text otherwise.
+    """
+    from . import _twin
+
     with _reading(path) as fh:
         meta, lineno = _read_header(fh, path, MATRIX_MAGIC)
         try:
@@ -254,6 +281,10 @@ def read_matrix(path: str):
         except (KeyError, ValueError) as exc:
             raise FormatError(f"{path}: missing or invalid rows/cols header ({exc})") from exc
         body = fh.tell()
+        twin = _twin.load(path, fh.buffer, rows, cols)
+        if twin is not None:
+            return twin, meta
+        fh.seek(body)
         table = _parse_body(fh)
         flat = _positions(table, rows, cols)
         if flat is None:

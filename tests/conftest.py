@@ -1,7 +1,10 @@
 """Shared helpers for the test suite: independent oracles and circular stats."""
 
 import dataclasses
+import hashlib
 import os
+import shutil
+from pathlib import Path
 
 import numpy as np
 
@@ -41,6 +44,24 @@ def load_counts(path):
     n = int(meta["n"])
     assert rows.shape == (n, 5) and np.array_equal(rows[:, 0], np.arange(n))
     return np.ascontiguousarray(rows[:, 1:].T), meta
+
+
+# -- binary twins: ``fileio.write_matrix`` leaves one beside each matrix file
+
+TWIN_DIR = ".diracsim-cache"
+
+
+def twin_name(path):
+    """The file name, in ``TWIN_DIR`` beside it, of the twin of the matrix
+    file ``path``: its name, the SHA-256 of its bytes and ``.npy``."""
+    path = Path(path)
+    return f"{path.name}.{hashlib.sha256(path.read_bytes()).hexdigest()}.npy"
+
+
+def drop_twins(directory):
+    """Delete the twins of the matrix files in ``directory``, so that reading
+    one of them parses its text."""
+    shutil.rmtree(Path(directory, TWIN_DIR))
 
 
 # -- byte oracles of the text writers: one line at a time, every number

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diracsim import qstate, weaksim
+from diracsim import fileio, qstate, weaksim
 from diracsim.cli import main
 from diracsim.fileio import read_matrix, write_matrix
 from diracsim import (Grid, dirac_distribution, direct_measure_displaced, marginal_x,
@@ -14,7 +14,7 @@ from diracsim.fileio import grid_from_meta
 
 from diracsim.config import load_run_config
 
-from conftest import bench_grid, load_counts, measure_oracle
+from conftest import TWIN_DIR, bench_grid, drop_twins, load_counts, measure_oracle, twin_name
 
 N = 32
 DX = 44e-3 / N
@@ -158,9 +158,16 @@ def test_measure_writes_the_whole_scan_bytes(tmp_path, n, flag, overrides):
     arr, meta = read_matrix(str(out / "state.txt"))
     state = DensityMatrix(grid=grid_from_meta(meta, "state.txt"), rho=arr)
     measure_oracle(load_run_config(cfg, overrides), state, str(want))
+    state_twin = Path(TWIN_DIR, twin_name(out / "state.txt"))
     (out / "state.txt").unlink()
-    files = sorted(path.relative_to(want) for path in want.rglob("*") if path.is_file())
-    assert sorted(path.relative_to(out) for path in out.rglob("*") if path.is_file()) == files
+    matrices = ["dirac_measured.txt"] + (["density_measured.txt"] if flag != "--no-correction"
+                                         else [])
+    files = sorted([Path(name) for name in matrices]
+                   + [Path(TWIN_DIR, twin_name(want / name)) for name in matrices]
+                   + [Path("counts", f"sliver_{m:04d}.txt") for m in range(n)])
+    assert sorted(path.relative_to(want) for path in want.rglob("*") if path.is_file()) == files
+    assert (sorted(path.relative_to(out) for path in out.rglob("*") if path.is_file())
+            == sorted(files + [state_twin]))
     for rel in files:
         assert (out / rel).read_bytes() == (want / rel).read_bytes(), rel
 
@@ -185,7 +192,8 @@ def test_no_photons_in_a_later_block_names_the_scan_sliver(tmp_path, capsys, mon
     err = capsys.readouterr().err
     assert "sliver 70: no photons" in err and len(err.strip().splitlines()) == 1
     # the failed run keeps the counts files of the blocks whose first scan it drew
-    assert sorted(os.listdir(out)) == ["counts", "state.txt"]
+    assert sorted(os.listdir(out)) == [TWIN_DIR, "counts", "state.txt"]
+    assert os.listdir(out / TWIN_DIR) == [twin_name(out / "state.txt")]
     assert sorted(os.listdir(out / "counts")) == [f"sliver_{m:04d}.txt" for m in range(128)]
 
 
@@ -207,7 +215,8 @@ def test_bad_mean_in_the_last_block_is_refused_before_any_output(tmp_path, capsy
     assert _run("measure", "--config", cfg, "--out", str(out)) == 3
     err = capsys.readouterr().err
     assert "not NaN" in err and len(err.strip().splitlines()) == 1
-    assert sorted(os.listdir(out)) == ["state.txt"]
+    assert sorted(os.listdir(out)) == [TWIN_DIR, "state.txt"]
+    assert os.listdir(out / TWIN_DIR) == [twin_name(out / "state.txt")]
     # no draw, so no check of the means: the estimator names the sliver
     assert _run("measure", "--config", cfg, "--out", str(out), "--no-noise") == 3
     assert "sliver 129: analyzer counts are not finite" in capsys.readouterr().err
@@ -318,7 +327,9 @@ def test_budget_beyond_poisson_sampler_exits_2(tmp_path, capsys):
         assert _run("measure", "--config", cfg, "--out", out) == 2
         err = capsys.readouterr().err
         assert "photon_budget" in err and len(err.strip().splitlines()) == 1
-        assert sorted(os.listdir(out)) == ["state.txt"]
+        assert sorted(os.listdir(out)) == [TWIN_DIR, "state.txt"]
+        twins = os.listdir(os.path.join(out, TWIN_DIR))
+        assert twins == [twin_name(os.path.join(out, "state.txt"))]
         assert _run("measure", "--config", cfg, "--out", out, "--no-noise") == 0
 
 
@@ -392,7 +403,9 @@ def _invalid_states():
 
 @pytest.mark.parametrize("command", ["exact", "measure"])
 @pytest.mark.parametrize("kind", sorted(_invalid_states()))
-def test_invalid_state_file_exits_3_without_output(tmp_path, capsys, command, kind):
+def test_invalid_state_file_exits_3_without_output(tmp_path, capsys, monkeypatch, command,
+                                                  kind):
+    """Read from its twin or parsed as text, the state gets the same one-line error."""
     cfg = _write_config(tmp_path)
     out = str(tmp_path / "out")
     assert _run("gen-state", "--config", cfg, "--out", out) == 0
@@ -401,11 +414,70 @@ def test_invalid_state_file_exits_3_without_output(tmp_path, capsys, command, ki
     path = str(tmp_path / f"{kind}.txt")
     write_matrix(path, rho, meta)
     fresh = tmp_path / "fresh"
-    capsys.readouterr()
-    assert _run(command, "--config", cfg, "--out", str(fresh), "--state", path) == 3
-    err = capsys.readouterr().err
-    assert message in err and len(err.strip().splitlines()) == 1
-    assert not fresh.exists()
+    parses, parse = [], fileio._parse_body
+    monkeypatch.setattr(fileio, "_parse_body", lambda fh: parses.append(fh) or parse(fh))
+    outcomes = []
+    for twin in (True, False):
+        if not twin:
+            drop_twins(tmp_path)
+        capsys.readouterr()
+        code = _run(command, "--config", cfg, "--out", str(fresh), "--state", path)
+        outcomes.append((code, capsys.readouterr().err, len(parses)))
+        assert not fresh.exists()
+    (twin_code, twin_err, twin_parses), (code, err, text_parses) = outcomes
+    assert (twin_code, twin_err) == (code, err)
+    assert code == 3 and message in err and len(err.strip().splitlines()) == 1
+    assert (twin_parses, text_parses) == (0, 1)
+
+
+def _bad_files():
+    """Matrix files that ``write_matrix`` writes, twin and all, but a command
+    refuses: (command, flag, meta changes, array change, message)."""
+    nan = np.full((N, N), np.nan + 0j)
+    return {
+        "kind": ("props", "--dirac", {"kind": "density"}, None, "expected kind=dirac"),
+        "header-n": ("exact", "--state", {"n": 16}, None, "does not match header n=16"),
+        "non-square": ("reconstruct", "--dirac", {}, lambda d: d[:, :-1],
+                       f"{N}x{N - 1} matrix does not match header n={N}"),
+        "no-unit-map": ("propagate", "--dirac", {"wavelength": None}, None, "wavelength"),
+        "bad-grid": ("exact", "--state", {"dx": -1.0}, None, "incomplete or invalid grid header"),
+        "non-finite": ("figures", "--input", {}, lambda d: np.where(np.eye(N) > 0, nan, d),
+                       ":11: non-finite value in '0 0 nan 0'"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_files()))
+def test_bad_files_fail_alike_with_and_without_twins(tmp_path, capsys, case):
+    """Each file is refused with the same exit code and message whether its
+    twin is present or deleted."""
+    command, flag, changes, change, message = _bad_files()[case]
+    cfg = _write_config(tmp_path)
+    out = str(tmp_path / "out")
+    assert _run("gen-state", "--config", cfg, "--out", out) == 0
+    assert _run("exact", "--config", cfg, "--out", out) == 0
+    source = "state.txt" if flag == "--state" else "dirac_exact.txt"
+    arr, meta = read_matrix(os.path.join(out, source))
+    for key, value in changes.items():
+        meta[key] = value
+    meta = {key: value for key, value in meta.items()
+            if value is not None and key not in ("rows", "cols")}
+    if "wavelength" in changes:
+        del meta["focal_length"], meta["magnification"]
+    path = tmp_path / "bad" / source
+    write_matrix(str(path), arr if change is None else change(arr), meta)
+    assert os.listdir(path.parent / TWIN_DIR) == [twin_name(path)]
+    fresh = tmp_path / "fresh"
+    outcomes = []
+    for twin in (True, False):
+        if not twin:
+            drop_twins(path.parent)
+        capsys.readouterr()
+        outcomes.append((_run(command, "--config", cfg, "--out", str(fresh), flag, str(path)),
+                         capsys.readouterr().err))
+        assert not fresh.exists()
+    assert outcomes[0] == outcomes[1]
+    code, err = outcomes[0]
+    assert code == 3 and message in err and len(err.strip().splitlines()) == 1
 
 
 def test_reconstruct_round_trip(tmp_path):

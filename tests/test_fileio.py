@@ -1,4 +1,5 @@
 import os
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,8 @@ from diracsim.errors import FormatError
 from diracsim.fileio import grid_from_meta, grid_meta, read_matrix, write_counts, write_matrix
 from diracsim.weaksim import READOUT_KEYS
 
-from conftest import counts_file_oracle, figure_csv_oracle, load_counts, matrix_file_oracle
+from conftest import (TWIN_DIR, counts_file_oracle, drop_twins, figure_csv_oracle, load_counts,
+                      matrix_file_oracle, twin_name)
 
 
 def _sample_matrix():
@@ -29,6 +31,7 @@ def test_matrix_round_trip_bit_exact(tmp_path):
     meta = {"kind": "dirac", "n": 5, "dx": 0.1, "x0": 0.0, "note": "hello"}
     write_matrix(path, arr, meta)
     first = Path(path).read_bytes()
+    drop_twins(tmp_path)  # the text parser, not the twin
     back, meta_back = read_matrix(path)
     assert np.array_equal(back, arr)
     assert meta_back["kind"] == "dirac"
@@ -382,6 +385,8 @@ def test_writers_match_per_element_reference(tmp_path, monkeypatch, rows, cols, 
     _forbid_line_parser(monkeypatch)
     if np.isfinite(arr.view(float)).all():
         assert read_matrix(matrix_path)[0].tobytes() == arr.tobytes()
+        drop_twins(tmp_path)
+        assert read_matrix(matrix_path)[0].tobytes() == arr.tobytes()
     if np.isfinite(counts).all():
         assert load_counts(counts_path)[0].tobytes() == counts.tobytes()
 
@@ -576,7 +581,8 @@ def test_outputs_get_the_umask_mode(tmp_path, umask, mode):
         fileio.atomic_write_text(str(tmp_path / "t.txt"), b"text\n")
     finally:
         os.umask(old)
-    for name in ("m.txt", "c.txt", "t.txt"):
+    twin = os.path.join(TWIN_DIR, twin_name(tmp_path / "m.txt"))
+    for name in ("m.txt", "c.txt", "t.txt", twin):
         assert os.stat(tmp_path / name).st_mode & 0o777 == mode, name
 
 
@@ -588,6 +594,189 @@ def test_failed_write_leaves_no_temporary(tmp_path):
     with pytest.raises(RuntimeError, match="disk gone"):
         fileio.atomic_write_text(str(tmp_path / "t.txt"), chunks())
     assert os.listdir(tmp_path) == []
+
+
+# -- binary twins: taken only when they match the text's SHA-256
+
+def _text_parses(monkeypatch):
+    """A list that grows by one each time ``read_matrix`` parses a body as text."""
+    calls = []
+    parse = fileio._parse_body
+
+    def counted(fh):
+        calls.append(fh)
+        return parse(fh)
+
+    monkeypatch.setattr(fileio, "_parse_body", counted)
+    return calls
+
+
+_TWIN_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.2250738585072014e-308,
+                1e-300, -1e-300, np.nextafter(1e-300, 0), 1e300, -1e300,
+                np.nextafter(1e300, np.inf), 1.7976931348623157e308, np.pi, 0.1]
+
+
+@_SETTINGS
+@given(rows=st.integers(0, 4), cols=st.integers(0, 4), transposed=st.booleans(),
+       data=st.data())
+def test_twin_read_equals_text_read_bit_for_bit(tmp_path, monkeypatch, rows, cols,
+                                                transposed, data):
+    value = st.one_of(st.sampled_from(_TWIN_VALUES),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    arr = np.empty((rows, cols), dtype=complex)
+    arr.real, arr.imag = _draw_array(data, (rows, cols), value), _draw_array(data, (rows, cols),
+                                                                            value)
+    if transposed:
+        arr = np.ascontiguousarray(arr.T).T
+    path = str(tmp_path / "m.txt")
+    write_matrix(path, arr, _META)
+    parses = _text_parses(monkeypatch)
+    twin, meta = read_matrix(path)
+    assert parses == []
+    drop_twins(tmp_path)
+    text, text_meta = read_matrix(path)
+    assert len(parses) == 1
+    assert meta == text_meta
+    for back in (twin, text):
+        assert back.dtype == complex and back.flags.c_contiguous and back.shape == arr.shape
+        assert back.tobytes() == np.ascontiguousarray(arr).tobytes()
+
+
+def test_text_edited_in_place_wins_over_its_twin(tmp_path, monkeypatch):
+    path = tmp_path / "m.txt"
+    arr = _sample_matrix()
+    write_matrix(str(path), arr, _META)
+    twin = twin_name(path)
+    text = path.read_bytes()
+    line = f"2 2 {format(arr[2, 2].real, '.17g')} ".encode()
+    assert line == b"2 2 0.10000000000000001 " and text.count(line) == 1
+    path.write_bytes(text.replace(line, b"2 2 0.10000000000000002 "))  # one digit, same length
+    assert os.listdir(tmp_path / TWIN_DIR) == [twin]
+    parses = _text_parses(monkeypatch)
+    back, _ = read_matrix(str(path))
+    assert len(parses) == 1
+    assert back[2, 2].real == 0.10000000000000002 and back[2, 2].real != arr[2, 2].real
+    back[2, 2] = arr[2, 2]
+    assert back.tobytes() == arr.tobytes()
+
+
+def _npy(arr, **kwargs):
+    import io
+
+    buf = io.BytesIO()
+    np.save(buf, arr, **kwargs)
+    return buf.getvalue()
+
+
+def _zip(arr):
+    import io
+
+    buf = io.BytesIO()
+    np.savez(buf, arr)
+    return buf.getvalue()
+
+
+_BAD_TWINS = {
+    "empty": lambda arr: b"",
+    "garbage": lambda arr: b"not a twin\n" * 50,
+    "truncated": lambda arr: _npy(arr)[:-16],
+    "header-only": lambda arr: _npy(arr)[:128],
+    "float64": lambda arr: _npy(arr.real),
+    "complex64": lambda arr: _npy(arr.real.clip(-1e30, 1e30).astype(np.complex64)),
+    "big-endian": lambda arr: _npy(arr.astype(">c16")),
+    "object": lambda arr: _npy(arr.astype(object), allow_pickle=True),
+    "pickled": lambda arr: pickle.dumps(arr),
+    "npz": _zip,
+    "transposed-shape": lambda arr: _npy(np.ascontiguousarray(arr.T)),
+    "flat": lambda arr: _npy(arr.reshape(-1)),
+    "extra-row": lambda arr: _npy(np.vstack([arr, arr[:1]])),
+    "nan": lambda arr: _npy(np.where(np.arange(arr.size).reshape(arr.shape) == 7, np.nan, arr)),
+    "inf-imag": lambda arr: _npy(arr + np.where(np.arange(arr.size).reshape(arr.shape) == 3,
+                                                1j * np.inf, 0)),
+    "directory": None,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_TWINS))
+def test_a_bad_twin_is_ignored(tmp_path, monkeypatch, kind):
+    """A twin that does not hold a finite complex128 array of the header's
+    shape gives way to the text, with no error and no warning."""
+    path = tmp_path / "m.txt"
+    arr = _edge_matrix((3, 5), seed=2)
+    arr[~np.isfinite(arr)] = 1.5 - 0.25j
+    write_matrix(str(path), arr, _META)
+    twin = tmp_path / TWIN_DIR / twin_name(path)
+    twin.unlink()
+    if _BAD_TWINS[kind] is None:
+        twin.mkdir()
+    else:
+        twin.write_bytes(_BAD_TWINS[kind](arr))
+    parses = _text_parses(monkeypatch)
+    back, _ = read_matrix(str(path))
+    assert len(parses) == 1
+    assert back.tobytes() == arr.tobytes()
+
+
+def test_a_header_line_break_gets_no_twin(tmp_path):
+    """A line break in a header value would read back as a body line, so the
+    file gets no twin and reads as its text does."""
+    path = tmp_path / "m.txt"
+    write_matrix(str(path), np.eye(2, dtype=complex), {"note": "a\n0 0 1 0"})
+    write_matrix(str(tmp_path / "r.txt"), np.eye(2, dtype=complex), {"note": "a\r0 0 1 0"})
+    assert not (tmp_path / TWIN_DIR).exists()
+    with pytest.raises(FormatError, match=r"m.txt:6: duplicate entry \(0, 0\)"):
+        read_matrix(str(path))
+
+
+def test_rewriting_a_file_leaves_one_twin_per_name(tmp_path):
+    names = ["m.txt", "m.txt.txt", "n.txt"]  # "m.txt." starts the twins of "m.txt.txt" too
+    rng = np.random.default_rng(4)
+    for name in names + ["m.txt", "m.txt", "n.txt"]:
+        write_matrix(str(tmp_path / name), rng.standard_normal((3, 3)) + 0j, _META)
+    write_matrix(str(tmp_path / "m.txt"), np.eye(3), _META)
+    write_matrix(str(tmp_path / "m.txt"), np.eye(3), _META)  # the same digest: replaced in place
+    assert sorted(os.listdir(tmp_path)) == sorted([TWIN_DIR] + names)
+    assert sorted(os.listdir(tmp_path / TWIN_DIR)) == sorted(twin_name(tmp_path / name)
+                                                             for name in names)
+    assert np.array_equal(read_matrix(str(tmp_path / "m.txt"))[0], np.eye(3))
+
+
+def test_failed_matrix_write_leaves_no_temporary_and_no_twin(tmp_path, monkeypatch):
+    path = str(tmp_path / "m.txt")
+    body = fileio._matrix_body
+
+    def failing(arr):
+        yield next(body(arr))
+        raise RuntimeError("disk gone")
+
+    monkeypatch.setattr(fileio, "_matrix_body", failing)
+    with pytest.raises(RuntimeError, match="disk gone"):
+        write_matrix(path, _sample_matrix(), _META)
+    assert os.listdir(tmp_path) == []
+
+    # over an earlier version: that text and its twin stay as they were
+    monkeypatch.setattr(fileio, "_matrix_body", body)
+    write_matrix(path, _sample_matrix(), _META)
+    before = Path(path).read_bytes()
+    monkeypatch.setattr(fileio, "_matrix_body", failing)
+    with pytest.raises(RuntimeError, match="disk gone"):
+        write_matrix(path, 2 * _sample_matrix(), _META)
+    assert Path(path).read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == [TWIN_DIR, "m.txt"]
+    assert os.listdir(tmp_path / TWIN_DIR) == [twin_name(path)]
+
+    # a failed twin write leaves no temporary, and the old twin no longer matches
+    old_twin = twin_name(path)
+    monkeypatch.setattr(fileio, "_matrix_body", body)
+
+    def no_space(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(np, "save", no_space)
+    with pytest.raises(OSError, match="No space"):
+        write_matrix(path, 2 * _sample_matrix(), _META)
+    assert os.listdir(tmp_path / TWIN_DIR) == [old_twin] != [twin_name(path)]
+    assert read_matrix(path)[0].tobytes() == (2 * _sample_matrix()).tobytes()
 
 
 def _traced_peak(fn, *args):
