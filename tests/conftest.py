@@ -64,6 +64,15 @@ def drop_twins(directory):
     shutil.rmtree(Path(directory, TWIN_DIR))
 
 
+def count_text_parses(monkeypatch):
+    """A list that grows by one each time ``fileio.read_matrix`` parses a
+    body as text, not from a twin."""
+    calls = []
+    parse = fileio._parse_body
+    monkeypatch.setattr(fileio, "_parse_body", lambda fh: calls.append(fh) or parse(fh))
+    return calls
+
+
 # -- byte oracles of the text writers: one line at a time, every number
 # through format(x, ".17g"), LF line endings.  Written files must equal them.
 

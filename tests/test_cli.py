@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diracsim import fileio, qstate, weaksim
+from diracsim import qstate, weaksim
 from diracsim.cli import main
 from diracsim.fileio import read_matrix, write_matrix
 from diracsim import (Grid, dirac_distribution, direct_measure_displaced, marginal_x,
@@ -14,7 +14,8 @@ from diracsim.fileio import grid_from_meta
 
 from diracsim.config import load_run_config
 
-from conftest import TWIN_DIR, bench_grid, drop_twins, load_counts, measure_oracle, twin_name
+from conftest import (TWIN_DIR, bench_grid, count_text_parses, drop_twins, load_counts,
+                      measure_oracle, twin_name)
 
 N = 32
 DX = 44e-3 / N
@@ -414,8 +415,7 @@ def test_invalid_state_file_exits_3_without_output(tmp_path, capsys, monkeypatch
     path = str(tmp_path / f"{kind}.txt")
     write_matrix(path, rho, meta)
     fresh = tmp_path / "fresh"
-    parses, parse = [], fileio._parse_body
-    monkeypatch.setattr(fileio, "_parse_body", lambda fh: parses.append(fh) or parse(fh))
+    parses = count_text_parses(monkeypatch)
     outcomes = []
     for twin in (True, False):
         if not twin:
@@ -439,7 +439,9 @@ def _bad_files():
         "header-n": ("exact", "--state", {"n": 16}, None, "does not match header n=16"),
         "non-square": ("reconstruct", "--dirac", {}, lambda d: d[:, :-1],
                        f"{N}x{N - 1} matrix does not match header n={N}"),
-        "no-unit-map": ("propagate", "--dirac", {"wavelength": None}, None, "wavelength"),
+        "no-unit-map": ("propagate", "--dirac", dict.fromkeys(["wavelength", "focal_length",
+                                                                "magnification"]),
+                        None, "wavelength"),
         "bad-grid": ("exact", "--state", {"dx": -1.0}, None, "incomplete or invalid grid header"),
         "non-finite": ("figures", "--input", {}, lambda d: np.where(np.eye(N) > 0, nan, d),
                        ":11: non-finite value in '0 0 nan 0'"),
@@ -457,12 +459,8 @@ def test_bad_files_fail_alike_with_and_without_twins(tmp_path, capsys, case):
     assert _run("exact", "--config", cfg, "--out", out) == 0
     source = "state.txt" if flag == "--state" else "dirac_exact.txt"
     arr, meta = read_matrix(os.path.join(out, source))
-    for key, value in changes.items():
-        meta[key] = value
-    meta = {key: value for key, value in meta.items()
+    meta = {key: value for key, value in {**meta, **changes}.items()
             if value is not None and key not in ("rows", "cols")}
-    if "wavelength" in changes:
-        del meta["focal_length"], meta["magnification"]
     path = tmp_path / "bad" / source
     write_matrix(str(path), arr if change is None else change(arr), meta)
     assert os.listdir(path.parent / TWIN_DIR) == [twin_name(path)]

@@ -12,8 +12,8 @@ from diracsim.errors import FormatError
 from diracsim.fileio import grid_from_meta, grid_meta, read_matrix, write_counts, write_matrix
 from diracsim.weaksim import READOUT_KEYS
 
-from conftest import (TWIN_DIR, counts_file_oracle, drop_twins, figure_csv_oracle, load_counts,
-                      matrix_file_oracle, twin_name)
+from conftest import (TWIN_DIR, count_text_parses, counts_file_oracle, drop_twins,
+                      figure_csv_oracle, load_counts, matrix_file_oracle, twin_name)
 
 
 def _sample_matrix():
@@ -598,19 +598,6 @@ def test_failed_write_leaves_no_temporary(tmp_path):
 
 # -- binary twins: taken only when they match the text's SHA-256
 
-def _text_parses(monkeypatch):
-    """A list that grows by one each time ``read_matrix`` parses a body as text."""
-    calls = []
-    parse = fileio._parse_body
-
-    def counted(fh):
-        calls.append(fh)
-        return parse(fh)
-
-    monkeypatch.setattr(fileio, "_parse_body", counted)
-    return calls
-
-
 _TWIN_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.2250738585072014e-308,
                 1e-300, -1e-300, np.nextafter(1e-300, 0), 1e300, -1e300,
                 np.nextafter(1e300, np.inf), 1.7976931348623157e308, np.pi, 0.1]
@@ -624,18 +611,19 @@ def test_twin_read_equals_text_read_bit_for_bit(tmp_path, monkeypatch, rows, col
     value = st.one_of(st.sampled_from(_TWIN_VALUES),
                       st.floats(allow_nan=False, allow_infinity=False))
     arr = np.empty((rows, cols), dtype=complex)
-    arr.real, arr.imag = _draw_array(data, (rows, cols), value), _draw_array(data, (rows, cols),
-                                                                            value)
+    arr.real = _draw_array(data, (rows, cols), value)
+    arr.imag = _draw_array(data, (rows, cols), value)
     if transposed:
         arr = np.ascontiguousarray(arr.T).T
     path = str(tmp_path / "m.txt")
     write_matrix(path, arr, _META)
-    parses = _text_parses(monkeypatch)
-    twin, meta = read_matrix(path)
-    assert parses == []
-    drop_twins(tmp_path)
-    text, text_meta = read_matrix(path)
-    assert len(parses) == 1
+    with monkeypatch.context() as patch:  # once per example
+        parses = count_text_parses(patch)
+        twin, meta = read_matrix(path)
+        assert parses == []
+        drop_twins(tmp_path)
+        text, text_meta = read_matrix(path)
+        assert len(parses) == 1
     assert meta == text_meta
     for back in (twin, text):
         assert back.dtype == complex and back.flags.c_contiguous and back.shape == arr.shape
@@ -652,7 +640,7 @@ def test_text_edited_in_place_wins_over_its_twin(tmp_path, monkeypatch):
     assert line == b"2 2 0.10000000000000001 " and text.count(line) == 1
     path.write_bytes(text.replace(line, b"2 2 0.10000000000000002 "))  # one digit, same length
     assert os.listdir(tmp_path / TWIN_DIR) == [twin]
-    parses = _text_parses(monkeypatch)
+    parses = count_text_parses(monkeypatch)
     back, _ = read_matrix(str(path))
     assert len(parses) == 1
     assert back[2, 2].real == 0.10000000000000002 and back[2, 2].real != arr[2, 2].real
@@ -711,7 +699,7 @@ def test_a_bad_twin_is_ignored(tmp_path, monkeypatch, kind):
         twin.mkdir()
     else:
         twin.write_bytes(_BAD_TWINS[kind](arr))
-    parses = _text_parses(monkeypatch)
+    parses = count_text_parses(monkeypatch)
     back, _ = read_matrix(str(path))
     assert len(parses) == 1
     assert back.tobytes() == arr.tobytes()
