@@ -30,10 +30,27 @@ which names the first bad line (or accepts a number spelling such as ``1_0``
 that only Python's own parser reads).  No command reads counts files back;
 they load with ``np.loadtxt(path, comments="#")``.
 
-Each matrix file also gets a binary twin,
-``.diracsim-cache/<file name>.<sha256 hex>.npy``, keyed by the SHA-256 of its
-text: never trusted without that digest check, safe to delete, 16 B per
-entry against about 53 B of text (+30 %).  See ``_twin``.
+Header keys and values may hold no line break (``\\n`` or ``\\r``): it would
+add a line to the file, so both writers refuse it with a ``ContractError``
+before they write a byte.
+
+Each matrix file of finite values also gets a binary twin,
+``.diracsim-cache/<file name>.<sha256 hex>.npy`` beside it, keyed by the
+SHA-256 of its text: ``write_matrix`` takes the digest as the text streams
+out, then saves the array with ``np.save(..., allow_pickle=False)``,
+atomically and with the text's mode.  An array holding nan or inf gets no
+twin: the reader would refuse it and parse the text to name the bad line.
+After every matrix write, each other twin in that directory is deleted if it
+is of the same file name or its text file is gone.  ``read_matrix`` checks
+the header as always, hashes the whole file in 1 MiB chunks and returns the
+twin named by that digest only if it loads without pickle as a finite
+complex128 array of the header's shape.  Anything else (no twin, an edited
+text, a damaged twin) parses the text as before, so values, messages and
+exit codes do not depend on the twin.  A twin is never trusted without the
+digest check, the directory is safe to delete, and a twin costs 16 B per
+entry against about 53 B of text (+30 %).  Counts files and the ``figures``
+tables get no twin.  ``hashlib`` is imported inside the two functions that
+hash, so importing the package loads no OpenSSL.
 """
 
 from __future__ import annotations
@@ -41,6 +58,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import re
 import warnings
 from functools import lru_cache
 from itertools import chain
@@ -49,13 +67,17 @@ from typing import Iterable
 import numpy as np
 
 from ._format17 import WORDS, render
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, ContractError, FormatError
 from .lattice import Grid, UnitMap, make_grid
 
 MATRIX_MAGIC = "# diracsim matrix v1"
 COUNTS_MAGIC = "# diracsim counts v1"
 
 _MATRIX_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("re", float), ("im", float)])
+
+TWIN_DIR = ".diracsim-cache"
+_TWIN_NAME = re.compile(r"(.+)\.[0-9a-f]{64}\.npy")  # captures the text file's name
+_HASH_CHUNK = 1 << 20  # bytes hashed at a time: a read's memory does not grow with the file
 
 
 def _fmt(value) -> str:
@@ -122,23 +144,44 @@ def grid_from_meta(meta: dict, path: str = "<meta>") -> Grid:
 
 
 def _header_bytes(magic: str, header: dict) -> bytes:
+    """The magic line and one '# key=value' line per entry of ``header``; a
+    key or value holding a line break is a ContractError."""
     text = magic + "\n" + "".join(f"# {key}={_fmt(value)}\n" for key, value in header.items())
+    if text.count("\n") != len(header) + 1 or "\r" in text:
+        raise ContractError(f"a header key or value holds a line break: {header!r}")
     return text.encode()
+
+
+def _twin_path(path: str, digest: str) -> str:
+    directory, name = os.path.split(os.path.abspath(path))
+    return os.path.join(directory, TWIN_DIR, f"{name}.{digest}.npy")
 
 
 def write_matrix(path: str, arr: np.ndarray, meta: dict) -> None:
     """Write a complex matrix with '# key=value' headers and 'i j re im' rows,
-    then its binary twin, named by the SHA-256 of the text."""
-    from . import _twin  # on first use: importing the package compiles none of it
+    then, if every value is finite, its binary twin, named by the SHA-256 of
+    the text."""
+    import hashlib  # here: importing the package loads no OpenSSL
 
     arr = np.asarray(arr, dtype=complex)
-    header = {"rows": arr.shape[0], "cols": arr.shape[1], **meta}
-    head = _header_bytes(MATRIX_MAGIC, header)
-    digest = _twin.sha256()
-    atomic_write_text(path, _twin.hashed(chain([head], _matrix_body(arr)), digest))
-    # a line break inside a key or value would read back as a body line
-    if head.count(b"\n") == len(header) + 1 and b"\r" not in head:
-        _twin.save(path, arr, digest.hexdigest())
+    head = _header_bytes(MATRIX_MAGIC, {"rows": arr.shape[0], "cols": arr.shape[1], **meta})
+    digest = hashlib.sha256()
+    with _atomic_binary(path) as fh:
+        for chunk in chain([head], _matrix_body(arr)):
+            digest.update(chunk)
+            fh.write(chunk)
+    twin = _twin_path(path, digest.hexdigest())
+    cache, keep = os.path.split(twin)
+    if np.isfinite(arr).all():  # read_matrix refuses any other twin
+        with _atomic_binary(twin) as fh:
+            np.save(fh, arr, allow_pickle=False)
+    # drop the other twins of this name, and those whose text is gone
+    for name in os.listdir(cache) if os.path.isdir(cache) else ():
+        text = _TWIN_NAME.fullmatch(name)
+        if text and name != keep and (text[1] == os.path.basename(path) or not os.path.exists(
+                os.path.join(os.path.dirname(cache), text[1]))):
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(os.path.join(cache, name))
 
 
 def _matrix_body(arr: np.ndarray):
@@ -270,8 +313,6 @@ def read_matrix(path: str):
     The array comes from the file's binary twin when the twin matches the
     text's SHA-256 and passes every check, and from the text otherwise.
     """
-    from . import _twin
-
     with _reading(path) as fh:
         meta, lineno = _read_header(fh, path, MATRIX_MAGIC)
         try:
@@ -281,7 +322,7 @@ def read_matrix(path: str):
         except (KeyError, ValueError) as exc:
             raise FormatError(f"{path}: missing or invalid rows/cols header ({exc})") from exc
         body = fh.tell()
-        twin = _twin.load(path, fh.buffer, rows, cols)
+        twin = _load_twin(path, fh.buffer, rows, cols)
         if twin is not None:
             return twin, meta
         fh.seek(body)
@@ -294,6 +335,26 @@ def read_matrix(path: str):
     values[flat, 0] = table["re"]
     values[flat, 1] = table["im"]
     return values.view(complex).reshape(rows, cols), meta
+
+
+def _load_twin(path: str, raw, rows: int, cols: int):
+    """The twin of ``path`` named by the SHA-256 of every byte of ``raw`` (the
+    file's binary handle), or None unless that twin loads without pickle as a
+    finite complex128 array of shape (rows, cols)."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    raw.seek(0)
+    for chunk in iter(lambda: raw.read(_HASH_CHUNK), b""):
+        digest.update(chunk)
+    try:
+        arr = np.load(_twin_path(path, digest.hexdigest()), allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+    if (isinstance(arr, np.ndarray) and arr.dtype == complex and arr.shape == (rows, cols)
+            and np.isfinite(arr).all()):
+        return np.ascontiguousarray(arr)
+    return None
 
 
 def _read_matrix_lines(lines, path: str, first_lineno: int, rows: int, cols: int):

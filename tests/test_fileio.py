@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from diracsim import _format17, fileio, make_grid, UnitMap
 from diracsim.cli import main
-from diracsim.errors import FormatError
+from diracsim.errors import ContractError, FormatError
 from diracsim.fileio import grid_from_meta, grid_meta, read_matrix, write_counts, write_matrix
 from diracsim.weaksim import READOUT_KEYS
 
@@ -705,15 +705,23 @@ def test_a_bad_twin_is_ignored(tmp_path, monkeypatch, kind):
     assert back.tobytes() == arr.tobytes()
 
 
-def test_a_header_line_break_gets_no_twin(tmp_path):
-    """A line break in a header value would read back as a body line, so the
-    file gets no twin and reads as its text does."""
-    path = tmp_path / "m.txt"
-    write_matrix(str(path), np.eye(2, dtype=complex), {"note": "a\n0 0 1 0"})
-    write_matrix(str(tmp_path / "r.txt"), np.eye(2, dtype=complex), {"note": "a\r0 0 1 0"})
-    assert not (tmp_path / TWIN_DIR).exists()
-    with pytest.raises(FormatError, match=r"m.txt:6: duplicate entry \(0, 0\)"):
-        read_matrix(str(path))
+_WRITERS = {
+    "matrix": lambda path, meta: write_matrix(path, np.eye(2, dtype=complex), meta),
+    "counts": lambda path, meta: write_counts(path, np.ones((len(READOUT_KEYS), 3)), meta),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+@pytest.mark.parametrize("brk", ["\n", "\r", "\r\n"])
+@pytest.mark.parametrize("where", ["key", "value"])
+def test_writers_refuse_a_header_line_break(tmp_path, writer, brk, where):
+    """A line break in a header key or value would add a line to the file: a
+    counts row (``seed="none\\n7 9 9 9 9"``) or a header key nobody wrote
+    (``kind="dirac\\n# n=5"``).  Both writers refuse it and leave nothing."""
+    meta = {f"see{brk}d": "none"} if where == "key" else {"seed": f"none{brk}7 9 9 9 9"}
+    with pytest.raises(ContractError, match="line break"):
+        _WRITERS[writer](str(tmp_path / "f.txt"), {"kind": "dirac", **meta})
+    assert os.listdir(tmp_path) == []
 
 
 def test_rewriting_a_file_leaves_one_twin_per_name(tmp_path):
@@ -727,6 +735,17 @@ def test_rewriting_a_file_leaves_one_twin_per_name(tmp_path):
     assert sorted(os.listdir(tmp_path / TWIN_DIR)) == sorted(twin_name(tmp_path / name)
                                                              for name in names)
     assert np.array_equal(read_matrix(str(tmp_path / "m.txt"))[0], np.eye(3))
+
+
+def test_a_twin_whose_text_is_gone_goes_at_the_next_write(tmp_path):
+    for name in ("a.txt", "b.txt"):
+        write_matrix(str(tmp_path / name), _sample_matrix(), _META)
+    (tmp_path / "a.txt").unlink()
+    write_matrix(str(tmp_path / "b.txt"), 2 * _sample_matrix(), _META)
+    assert os.listdir(tmp_path / TWIN_DIR) == [twin_name(tmp_path / "b.txt")]
+    # nan gets no twin, and the twin of the older text goes
+    write_matrix(str(tmp_path / "b.txt"), np.full((2, 2), np.nan + 0j), _META)
+    assert os.listdir(tmp_path / TWIN_DIR) == []
 
 
 def test_failed_matrix_write_leaves_no_temporary_and_no_twin(tmp_path, monkeypatch):
