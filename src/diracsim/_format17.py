@@ -20,6 +20,12 @@ fraction as 20 digits and the exponent suffix, in ``%g``'s fixed form for
 time through a table of 10**4 words.  Leading zeros of the integer part,
 trailing zeros of the fraction, an unneeded point and unused bytes are zero
 bytes, which the caller drops.  The tables are built on first use.
+
+``render`` returns a block's fields as word rows: a contiguous
+``(WORDS, N)`` array whose row k holds word k of every field, so each store
+is one contiguous row and the caller transposes the block once.  When no
+integer part in the block reaches 10**4 (every value of modulus at most 1,
+say), the integer part is one group and its four-group split is skipped.
 """
 
 from __future__ import annotations
@@ -130,15 +136,16 @@ def _groups(v):
     return g1, hi, g3, lo
 
 
-def render(x: np.ndarray, out: np.ndarray) -> None:
-    """Render ``x`` into ``out[..., :]``, one ``WORDS``-word field per number,
-    so that the field's nonzero bytes are ``b"%.17g" % x``.
+def render(x: np.ndarray) -> np.ndarray:
+    """The fields of the 1-D float64 array ``x`` as a contiguous ``(WORDS, len(x))``
+    uint32 array of word rows: column i's nonzero bytes are ``b"%.17g" % x[i]``.
 
-    Byte 0 of each field is left zero for the caller's separator.  ``out``
-    must be zero on entry and may be a strided view; its last axis must be
-    contiguous.
+    Byte 0 of each field (the low byte of word 0) is zero, for the caller's
+    separator.
     """
     tables = _tables()
+    group = tables["group"]
+    out = np.empty((WORDS, len(x)), np.uint32)  # every row is set below
     a = np.abs(x)
     ok = (a >= _LO) & (a <= _HI)
     a[~ok] = 1.0
@@ -174,28 +181,33 @@ def render(x: np.ndarray, out: np.ndarray) -> None:
     tail = (rest - head * div) * tables["lomul"][places]
     head *= tables["mul"][places]
     del rest, div, places
-    top = integer // 10 ** 16
-    out[..., 0] = tables["first"][np.signbit(x) * 10 + top]
-    shown = top != 0
-    for k, group in enumerate(_groups(integer - top * 10 ** 16), start=1):
-        out[..., k] = tables["group"][group + 10000 * shown]
-        shown |= group != 0
-    out[..., 4] |= tables["zero"] * ~shown  # an integer part of 0 prints "0"
-    del integer, top, shown
-    last = np.ones(x.shape, bool)
-    for k, group in zip((10, 9, 8, 7, 6), _groups(tail)[::-1] + (head,)):
-        out[..., k] = tables["group"][group + 10000 * last + 10000]
-        last &= group == 0
-    out[..., 5] = tables["dot"] * ~last
-    del head, tail, last
+    # a group's form: 10000 once a nonzero digit is before it (full), else 0
+    # (leading zeros dropped); in the fraction, 10000 once one is after it,
+    # else 20000 (trailing zeros dropped)
+    if len(x) and integer.max() >= 10 ** 4:
+        top = integer // 10 ** 16
+        out[0] = tables["first"][np.signbit(x) * 10 + top]
+        form = np.where(top, 10000, 0)
+        for k, part in enumerate(_groups(integer - top * 10 ** 16), start=1):
+            out[k] = group[part + form]
+            form = np.where(part, 10000, form)
+        del top, form
+    else:  # each integer part is one group, and no 10**16 digit
+        out[0] = tables["first"][np.signbit(x) * 10]
+        out[1:4] = 0
+        out[4] = group[integer]
+    out[4] |= tables["zero"] * (integer == 0)  # an integer part of 0 prints "0"
+    del integer
+    form = np.full(len(x), 20000)
+    for k, part in zip((10, 9, 8, 7, 6), _groups(tail)[::-1] + (head,)):
+        out[k] = group[part + form]
+        form = np.where(part, 10000, form)
+    out[5] = tables["dot"] * (form == 10000)  # no point before an empty fraction
+    del head, tail, form
     suffix = np.where(fixed, 0, exponent - (_QMIN - 51))
-    out[..., 10] |= tables["suffix"][suffix]
-    out[..., 11] = tables["suffix2"][suffix]
-    fallback = ~ok & (x != 0)
-    if fallback.any():
-        text = out.view(np.uint8)
-        for index in zip(*np.nonzero(fallback)):
-            field = text[index]
-            field[1:] = 0
-            value = b"%.17g" % x[index]
-            field[1:1 + len(value)] = np.frombuffer(value, np.uint8)
+    out[10] |= tables["suffix"][suffix]
+    out[11] = tables["suffix2"][suffix]
+    for i in np.flatnonzero(~ok & (x != 0)):
+        field = (b"\0" + b"%.17g" % x[i]).ljust(4 * WORDS, b"\0")
+        out[:, i] = np.frombuffer(field, np.uint32)
+    return out

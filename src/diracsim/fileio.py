@@ -16,12 +16,17 @@ It is exact because it takes the 17 digits as round(y) of a two-float
 y = |x| 10**(16 - X), good to about 2**-100, with the exponent X corrected
 from the floor of the unrounded y; y within 1e-6 of a half, nan, +-inf and
 |x| outside [1e-290, 1e290] fall back to ``b"%.17g" % x`` one value at a
-time, and +-0 is written as ``0`` or ``-0``.  The writers render about 4096
-numbers per block, which keeps their working memory under a megabyte at any
-matrix size.  Index columns, separators and newlines go into a block as
-literal bytes beside the kernel's fixed-width fields, and dropping every zero
-byte of the block leaves its lines.  Counts files keep a ``bytes`` template
-filled by ``%``: their integer-valued counts take dtoa's fast integer path.
+time, and +-0 is written as ``0`` or ``-0``.  The writers render at most
+4096 numbers per block, which keeps their working memory under a megabyte at
+any matrix size.  A block is stacked as word rows, one per word position of
+its lines: the index words (built once per file, then broadcast over whole
+rows or sliced along one long row), the kernel's field rows with each
+separator OR'd into word 0, and a newline row.  A word that is zero in every
+field is left out, one ``tobytes`` of the transpose is the only
+transposition, and dropping every zero byte leaves the lines.  Counts files
+fill a cached ``bytes`` template: ``%d`` when every count is a whole number
+in [+0, 1e17), where it prints what ``%.17g`` prints, else ``%.17g``.  Counts
+not of shape (4, n), finite and >= 0 are refused before a byte is written.
 
 The matrix reader parses the body in one ``np.loadtxt`` pass and checks
 bounds, duplicates, missing entries and finiteness with array operations.
@@ -185,16 +190,24 @@ def write_matrix(path: str, arr: np.ndarray, meta: dict) -> None:
 
 
 def _matrix_body(arr: np.ndarray):
-    """The 'i j re im' lines of ``arr`` in row-major order, one block of
-    ``_BLOCK`` numbers at a time."""
+    """The 'i j re im' lines of ``arr`` in row-major order, one block of at
+    most ``_BLOCK`` numbers at a time: whole rows, or a slice of one row when
+    a row holds more than a block."""
     rows, cols = arr.shape
-    # "i " and "j" as zero-padded byte rows; the zero bytes drop out with the rest
-    row_text, col_text = _index_text(rows, b" "), _index_text(cols, b"")
-    step = _BLOCK // 2
-    for start in range(0, rows * cols, step):
-        values = arr.flat[start:start + step]
-        i, j = np.divmod(np.arange(start, start + len(values)), cols)
-        yield _lines(values.view(float).reshape(-1, 2), b"  ", (row_text[i], col_text[j]))
+    if not rows * cols:
+        return
+    # "i " and "j" as word rows, built once: each block broadcasts them
+    row_words, col_words = _index_words(rows, b" "), _index_words(cols, b"")
+    wide = min(cols, _BLOCK // 2)
+    tall = _BLOCK // 2 // wide
+    for i in range(0, rows, tall):
+        for j in range(0, cols, wide):
+            block = arr[i:i + tall, j:j + wide]
+            prefix = (np.broadcast_to(row_words[:, i:i + len(block), None],
+                                      (len(row_words),) + block.shape),
+                      np.broadcast_to(col_words[:, None, j:j + block.shape[1]],
+                                      (len(col_words),) + block.shape))
+            yield _lines(block.ravel().view(float).reshape(-1, 2), b"  ", prefix)
 
 
 def _write_table(path: str, corner: str, cols: np.ndarray, rows: np.ndarray,
@@ -202,8 +215,7 @@ def _write_table(path: str, corner: str, cols: np.ndarray, rows: np.ndarray,
     """Write a CSV table: a ``corner,cols...`` line, then ``rows[i],table[i]...``
     for every row, each number as ``%.17g``."""
     cols, rows = np.asarray(cols, dtype=float), np.asarray(rows, dtype=float)
-    corner = np.frombuffer(corner.encode(), np.uint8)[None]
-    head = _lines(cols[None, :], b"," * len(cols), (corner,))
+    head = _lines(cols[None, :], b"," * len(cols), (_words(corner.encode())[:, None],))
     step = max(1, _BLOCK // (len(cols) + 1))
     leads = b"\0" + b"," * len(cols)
     body = (_lines(np.column_stack((rows[start:start + step], table[start:start + step])), leads)
@@ -211,33 +223,46 @@ def _write_table(path: str, corner: str, cols: np.ndarray, rows: np.ndarray,
     atomic_write_text(path, chain([head], body))
 
 
-def _index_text(count: int, suffix: bytes) -> np.ndarray:
-    """Row k is ``b"%d" % k + suffix``, zero-padded to a common width."""
-    width = len(b"%d" % max(count - 1, 0)) + len(suffix)
+def _words(text: bytes) -> np.ndarray:
+    """``text`` zero-padded to whole uint32 words."""
+    return np.frombuffer(text.ljust(-(-len(text) // 4) * 4, b"\0"), np.uint32)
+
+
+def _index_words(count: int, suffix: bytes) -> np.ndarray:
+    """Column k is ``b"%d" % k + suffix`` as zero-padded uint32 words."""
+    width = -(-(len(b"%d" % max(count - 1, 0)) + len(suffix)) // 4) * 4
     text = b"".join((b"%d" % k + suffix).ljust(width, b"\0") for k in range(count))
-    return np.frombuffer(text, np.uint8).reshape(count, width)
+    return np.frombuffer(text, np.uint32).reshape(count, width // 4).T.copy()
 
 
 _BLOCK = 4096  # numbers per rendered block: the writers' memory does not grow with n
+_NEWLINE = _words(b"\n")
 
 
 def _lines(values: np.ndarray, leads: bytes, prefix: tuple = ()) -> bytes:
-    """One text line per row of ``values``: the row's bytes from each array
-    of ``prefix`` in turn, then each number as ``%.17g`` preceded by its byte
-    of ``leads`` (zero for none), then a newline."""
+    """One text line per row of ``values``: the row's words from each array
+    of ``prefix`` in turn (shape (words,) + the lines' shape), then each
+    number as ``%.17g`` preceded by its byte of ``leads`` (zero for none),
+    then a newline.
+
+    The block is stacked as word rows, one per word position of a line, and
+    transposed once by ``tobytes``; then its zero bytes are dropped.
+    """
     count, per_line = values.shape
-    width = sum(part.shape[1] for part in prefix)
-    skip = -(-width // 4)
-    buf = np.zeros((count, skip + WORDS * per_line + 1), np.uint32)
-    text = buf.view(np.uint8)
+    fields = render(values.T.ravel()).reshape(WORDS, per_line, count)
+    lead = np.zeros((per_line, 4), np.uint8)  # each lead byte as byte 0 of a word
+    lead[:, 0] = np.frombuffer(leads, np.uint8)
+    fields[0] |= lead.view(np.uint32)
+    fields = fields[fields.any(axis=(1, 2))]  # a word that is zero in every field is dropped
+    width = sum(len(part) for part in prefix)
+    buf = np.empty((width + len(fields) * per_line + 1, count), np.uint32)
     at = 0
     for part in prefix:
-        text[:, at:at + part.shape[1]] = part
-        at += part.shape[1]
-    render(values, buf[:, skip:skip + WORDS * per_line].reshape(count, per_line, WORDS))
-    text[:, 4 * skip:4 * (skip + WORDS * per_line):4 * WORDS] = np.frombuffer(leads, np.uint8)
-    text[:, -4] = ord("\n")
-    return text.tobytes().translate(None, b"\0")
+        buf[at:at + len(part)].reshape(part.shape)[...] = part
+        at += len(part)
+    buf[at:-1].reshape(per_line, len(fields), count)[...] = fields.transpose(1, 0, 2)
+    buf[-1] = _NEWLINE
+    return buf.T.tobytes().translate(None, b"\0")
 
 
 @contextlib.contextmanager
@@ -392,13 +417,28 @@ def _read_matrix_lines(lines, path: str, first_lineno: int, rows: int, cols: int
 
 def write_counts(path: str, counts: np.ndarray, meta: dict) -> None:
     """Write one sliver's counts, shape (4, n) in analyzer order D, A, L, R, with
-    '# n=' and then ``meta`` as headers; body rows are 'k N_D N_A N_L N_R'."""
+    '# n=' and then ``meta`` as headers; body rows are 'k N_D N_A N_L N_R'.
+
+    Counts of any other shape, or not finite and >= 0, are a ContractError.
+    """
     counts = np.asarray(counts, dtype=float)
-    rows, n = counts.shape
-    body = _counts_template(rows, n) % tuple(counts.T.ravel().tolist())
-    atomic_write_text(path, [_header_bytes(COUNTS_MAGIC, {"n": n, **meta}), body])
+    if counts.ndim != 2 or len(counts) != _ANALYZERS:
+        raise ContractError(f"counts must have shape ({_ANALYZERS}, n), got {counts.shape}")
+    if not (np.isfinite(counts) & (counts >= 0)).all():
+        raise ContractError("counts must be finite and >= 0")
+    head = _header_bytes(COUNTS_MAGIC, {"n": counts.shape[1], **meta})
+    # %d prints what %.17g prints for whole counts in [+0, 1e17); -0 prints "-0"
+    whole = bool((counts == np.floor(counts)).all() and (counts < 1e17).all()
+                 and not np.signbit(counts).any())
+    values = counts.astype(np.int64) if whole else counts
+    body = _counts_template(counts.shape[1], whole) % tuple(values.T.ravel().tolist())
+    atomic_write_text(path, [head, body])
 
 
-@lru_cache(maxsize=1)  # measure writes n files of one shape
-def _counts_template(rows: int, n: int) -> bytes:
-    return b"".join(b"%d%s\n" % (k, b" %.17g" * rows) for k in range(n))
+_ANALYZERS = 4  # rows of a counts array: D, A, L, R
+
+
+@lru_cache(maxsize=2)  # measure writes n files of one shape, whole counts or means
+def _counts_template(n: int, whole: bool) -> bytes:
+    return b"".join(b"%d%s\n" % (k, (b" %d" if whole else b" %.17g") * _ANALYZERS)
+                    for k in range(n))

@@ -352,6 +352,10 @@ def test_readers_agree_with_reference_on_finite_bodies(tmp_path, data):
 _SPECIAL = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308,
             1e300, -1e300, 1e-300, -1e-300, 1.7e308, np.pi, 0.1]
 _VALUE = st.one_of(st.sampled_from(_SPECIAL), st.floats())
+# counts are finite and >= 0 (``write_counts`` refuses the rest); whole ones take its %d path
+_COUNT_SPECIAL = [v for v in _SPECIAL if np.isfinite(v) and v >= 0]
+_COUNT = st.one_of(st.sampled_from(_COUNT_SPECIAL), st.integers(0, 2 ** 60).map(float),
+                   st.floats(min_value=0.0, allow_infinity=False))
 
 
 def _draw_array(data, shape, value=_VALUE):
@@ -369,11 +373,11 @@ def test_writers_match_per_element_reference(tmp_path, monkeypatch, rows, cols, 
         special = np.array(_SPECIAL)
         arr = np.empty((rows, cols), dtype=complex)
         arr.real, arr.imag = special.reshape(rows, cols), special[::-1].reshape(rows, cols)
-        counts = np.array([np.roll(special, 4 * k)[:cols] for k in range(len(READOUT_KEYS))])
+        counts = np.array([np.roll(_COUNT_SPECIAL, 4 * k)[:cols] for k in range(len(READOUT_KEYS))])
     else:
         arr = np.empty((rows, cols), dtype=complex)
         arr.real, arr.imag = _draw_array(data, (rows, cols)), _draw_array(data, (rows, cols))
-        counts = _draw_array(data, (len(READOUT_KEYS), cols))
+        counts = _draw_array(data, (len(READOUT_KEYS), cols), _COUNT)
     meta = {"kind": "dirac", "n": rows, "dx": 0.1, "x0": -0.0, "mixed": True}
     counts_meta = _counts_meta(0, 0.2255, 1e8, "none" if seed is None else seed)
     matrix_path, counts_path = str(tmp_path / "m.txt"), str(tmp_path / "c.txt")
@@ -466,8 +470,11 @@ def _edge_counts(kind):
         scan = np.floor(scan)
         scan[:, 0, :3] = [0.0, 1e17, 2.0 ** 60]
     else:
-        scan[:, 0, :len(_EDGE)] = _EDGE
+        scan[:, 0, :len(_COUNT_EDGE)] = _COUNT_EDGE
     return scan[:, 0, :]
+
+
+_COUNT_EDGE = [v for v in _EDGE if np.isfinite(v) and v >= 0]  # -0, 5e-324, the largest double
 
 
 @pytest.mark.parametrize("kind", ["integer", "whole", "fractional"])
@@ -478,6 +485,42 @@ def test_write_counts_bytes_match_oracle(tmp_path, kind):
     path = str(tmp_path / "c.txt")
     write_counts(path, counts, meta)
     assert Path(path).read_bytes() == counts_file_oracle(counts, meta)
+
+
+@pytest.mark.parametrize("value, whole", [(0.0, True), (1.0, True), (1e16, True),
+                                          (99999999999999984.0, True), (1e17, False),
+                                          (-0.0, False)])
+def test_whole_counts_print_as_g17(tmp_path, monkeypatch, value, whole):
+    """Whole counts in [+0, 1e17) take the %d template; 1e17 (``1e+17``) and
+    -0 (``-0``) keep %.17g.  Either way each prints as ``b"%.17g" % value``."""
+    templates = []
+    template = fileio._counts_template
+    monkeypatch.setattr(fileio, "_counts_template",
+                        lambda *args: templates.append(args) or template(*args))
+    path = tmp_path / "c.txt"
+    write_counts(str(path), np.full((len(READOUT_KEYS), 2), value), _counts_meta())
+    assert path.read_bytes().splitlines()[-2:] == [
+        b"%d " % k + b" ".join([b"%.17g" % value] * len(READOUT_KEYS)) for k in range(2)]
+    assert templates == [(2, whole)]
+
+
+_BAD_COUNTS = {
+    "3-rows": np.ones((3, 5)),
+    "1-d": np.ones(len(READOUT_KEYS)),
+    "3-d": np.ones((len(READOUT_KEYS), 2, 2)),
+    "nan": np.full((len(READOUT_KEYS), 2), np.nan),
+    "inf": np.full((len(READOUT_KEYS), 2), np.inf),
+    "negative": np.full((len(READOUT_KEYS), 2), -1.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_COUNTS))
+def test_write_counts_refuses_bad_counts(tmp_path, kind):
+    """A wrong shape or a count that is not finite and >= 0 is refused before
+    anything is written: no file, no temporary, not even the directory."""
+    with pytest.raises(ContractError, match="counts must"):
+        write_counts(str(tmp_path / "out" / "c.txt"), _BAD_COUNTS[kind], _counts_meta())
+    assert os.listdir(tmp_path) == []
 
 
 def test_figure_csv_bytes_match_oracle(tmp_path):
@@ -503,9 +546,7 @@ def test_figure_csv_bytes_match_oracle(tmp_path):
 def _kernel_bytes(x):
     """Each number's field from ``_format17.render``, its zero bytes dropped."""
     x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape + (_format17.WORDS,), np.uint32)
-    _format17.render(x, out)
-    fields = out.view(np.uint8).reshape(len(x), 4 * _format17.WORDS)
+    fields = _format17.render(x).T.copy().view(np.uint8).reshape(len(x), 4 * _format17.WORDS)
     return [bytes(field[field != 0]) for field in fields]
 
 
@@ -568,6 +609,26 @@ def test_write_matrix_across_a_block_boundary(tmp_path, cols):
     path = str(tmp_path / "m.txt")
     write_matrix(path, arr, _META)
     assert Path(path).read_bytes() == matrix_file_oracle(arr, _META)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.floats(-1e4, 1e4, exclude_min=True, exclude_max=True), max_size=40),
+       st.one_of(st.none(), st.floats(min_value=1e4, allow_infinity=False),
+                 st.floats(max_value=-1e4, allow_infinity=False)))
+@example(values=[0.5, -9999.999999999998], large=12345.678)
+def test_kernel_with_and_without_a_large_integer_part(values, large):
+    """A block whose integer parts are all below 10**4 takes the one-group
+    shortcut; one value of |x| >= 1e4 sends the whole block the long way."""
+    if large is not None:
+        values = values + [large]
+    assert _kernel_bytes(values) == _python_bytes(values)
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 3), (1, 0), (0, 0)])
+def test_write_matrix_of_an_empty_shape(tmp_path, shape):
+    path = str(tmp_path / "m.txt")
+    write_matrix(path, np.zeros(shape, complex), _META)
+    assert Path(path).read_bytes() == matrix_file_oracle(np.zeros(shape, complex), _META)
 
 
 # -- output files: permissions, no stray temporaries, bounded writer memory
