@@ -140,8 +140,7 @@ def render(x: np.ndarray) -> np.ndarray:
     """The fields of the 1-D float64 array ``x`` as a contiguous ``(WORDS, len(x))``
     uint32 array of word rows: column i's nonzero bytes are ``b"%.17g" % x[i]``.
 
-    Byte 0 of each field (the low byte of word 0) is zero, for the caller's
-    separator.
+    Byte 0 of each field is zero, for the caller's separator.
     """
     tables = _tables()
     group = tables["group"]
