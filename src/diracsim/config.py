@@ -12,7 +12,7 @@ a 12.92 degree coupling, and camera displacements of 8.4, 16 and 32.5 cm.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,6 +21,9 @@ from .lattice import Grid, UnitMap, make_grid
 from .qstate import BenchConfig
 
 ENV_PREFIX = "DIRACSIM_"
+
+# the bench.* defaults come from BenchConfig's fields, phi converted to degrees
+_BENCH = {f.name: f.default for f in fields(BenchConfig)}
 
 DEFAULTS = {
     "grid.n": 256,
@@ -31,12 +34,12 @@ DEFAULTS = {
     "units.magnification": 4.935,
     "bench.aperture_halfwidth": 22e-3,
     "bench.edge_position": 25e-3,
-    "bench.phase_step": float(np.pi),
-    "bench.wedge_tilt": 0.0,
-    "bench.edge_loss": 0.3,
-    "bench.mixed": False,
-    "bench.phi_deg": 12.92,
-    "bench.photon_budget": 1e8,
+    "bench.phase_step": _BENCH["static_phase_step"],
+    "bench.wedge_tilt": _BENCH["wedge_tilt"],
+    "bench.edge_loss": _BENCH["edge_loss"],
+    "bench.mixed": _BENCH["mixed"],
+    "bench.phi_deg": float(np.rad2deg(_BENCH["phi"])),
+    "bench.photon_budget": _BENCH["photon_budget"],
     "pipeline.noise": True,
     "pipeline.seed": 1234,
     "pipeline.scans": 10,

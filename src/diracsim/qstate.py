@@ -51,6 +51,12 @@ class DensityMatrix:
     boundary (about ``n * eps * ||rho||``).  A passing :meth:`validate` is
     remembered while ``rho`` is read-only, so the O(n^3) check runs once per
     state; a writeable ``rho`` is checked on every call.
+
+    States that this module builds from amplitudes (:func:`density_from_pure`
+    and :func:`build_bench_state`) are certified by construction instead and
+    run no factorisation; see :func:`_built_state`.  Every other state runs
+    the full check: one read from a file, one formed by :func:`mix` or
+    :func:`random_density_matrix`, and any that a caller constructs.
     """
 
     grid: Grid
@@ -163,18 +169,45 @@ def pure_from_samples(grid: Grid, raw: np.ndarray) -> PureState:
     return state
 
 
-def density_from_pure(psi: PureState) -> DensityMatrix:
-    """Rank-one density matrix |psi><psi|."""
-    psi.validate()
-    rho = np.outer(psi.amp, psi.amp.conj())
+def _built_state(grid: Grid, rho: np.ndarray) -> DensityMatrix:
+    """Freeze ``rho`` and mark it a valid state without the O(n^3) check.
+
+    Only for ``rho`` formed from the validated amplitudes ``a`` of a
+    :class:`PureState` as ``np.outer(a, a.conj())``, optionally with the
+    blocks between two complementary sets of sites zeroed.  That is
+    ``sum_k b_k b_k^H`` over one or two vectors ``b_k`` that split ``a``, and
+    each entry is one rounded complex product ``a_i conj(a_j)``.  So ``rho``
+    differs from an exactly Hermitian PSD matrix by ``E`` with
+    ``|E_ij| <= sqrt(5) u |a_i| |a_j|`` (u = 2**-53), whose spectral norm is at
+    most ``sqrt(5) u ||a||^2``, about 2.5e-16 for any n: over five orders of
+    magnitude inside ``HERMITICITY_TOL`` and ``PSD_TOL``.  The trace is
+    checked, in O(n).
+    """
     rho.setflags(write=False)
-    out = DensityMatrix(grid=psi.grid, rho=rho)
-    out.validate()
+    out = DensityMatrix(grid=grid, rho=rho)
+    out.check_shape()
+    tr = rho.trace()
+    if not abs(tr - 1.0) <= TRACE_TOL:
+        raise ContractError(f"density matrix trace {tr} deviates from 1")
+    object.__setattr__(out, "_valid", True)
     return out
 
 
+def density_from_pure(psi: PureState) -> DensityMatrix:
+    """Rank-one density matrix |psi><psi|.
+
+    Hermitian and PSD by construction, to within ``sqrt(5) u ||psi||^2``
+    (about 2.5e-16), so it runs no Cholesky factorisation (see
+    :func:`_built_state`); :func:`mix` and :func:`random_density_matrix` keep
+    the full check of :meth:`DensityMatrix.validate`.
+    """
+    psi.validate()
+    return _built_state(psi.grid, np.outer(psi.amp, psi.amp.conj()))
+
+
 def mix(states: list[tuple[DensityMatrix, float]]) -> DensityMatrix:
-    """Convex combination of density matrices sharing one grid."""
+    """Convex combination of density matrices sharing one grid, certified by
+    the full check of :meth:`DensityMatrix.validate`."""
     if not states:
         raise ConfigError("mix() needs at least one (state, weight) pair")
     grid = states[0][0].grid
@@ -238,23 +271,27 @@ def build_bench_state(cfg: BenchConfig, grid: Grid) -> DensityMatrix:
     and agrees with this construction to rounding.
 
     A mixed state is |psi><psi| of the pure amplitudes with the cross-edge
-    blocks zeroed in place; only the returned state is validated, so its
-    O(n^3) PSD certificate runs once.
+    blocks zeroed in place, which is |a><a| + |b><b| for the parts a and b of
+    psi on either side of the edge.  Both branches are Hermitian and PSD by
+    construction, to within ``sqrt(5) u ||psi||^2`` (about 2.5e-16), and run
+    no Cholesky factorisation (see :func:`_built_state`); :func:`mix` and
+    :func:`random_density_matrix` keep the full check of
+    :meth:`DensityMatrix.validate`.
     """
     psi = bench_pure_state(cfg, grid)
     if not cfg.mixed:
         return density_from_pure(psi)
-    _, beyond, _ = _bench_masks(cfg, grid)
+    # the coordinates ascend, so the sites beyond the edge are the last ones
+    k = int(np.searchsorted(grid.coords, cfg.edge_position, side="right"))
     rho = np.outer(psi.amp, psi.amp.conj())
-    rho[np.logical_xor.outer(beyond, beyond)] = 0.0
-    rho.setflags(write=False)
-    out = DensityMatrix(grid=grid, rho=rho)
-    out.validate()
-    return out
+    rho[:k, k:] = 0.0
+    rho[k:, :k] = 0.0
+    return _built_state(grid, rho)
 
 
 def random_density_matrix(grid: Grid, rng: np.random.Generator, rank: int | None = None) -> DensityMatrix:
-    """Random full-or-fixed-rank density matrix, used heavily by the test oracles."""
+    """Random full-or-fixed-rank density matrix, used heavily by the test oracles;
+    certified by the full check of :meth:`DensityMatrix.validate`."""
     rank = grid.n if rank is None else rank
     if not 1 <= rank <= grid.n:
         raise ConfigError(f"rank {rank} outside [1, {grid.n}]")

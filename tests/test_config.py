@@ -4,6 +4,7 @@ import pytest
 from diracsim.config import (DEFAULTS, apply_env_overrides, build_run_config,
                              load_run_config, parse_config_file)
 from diracsim.errors import ConfigError
+from diracsim.qstate import BenchConfig
 
 
 def test_default_config_builds():
@@ -17,6 +18,21 @@ def test_default_config_builds():
     assert not hasattr(cfg, "kernel")
     assert cfg.scans == 10
     cfg.bench.validate(cfg.grid)
+
+
+def test_bench_defaults_have_one_source_and_the_reference_values():
+    """``DEFAULTS`` takes its bench values from ``BenchConfig``; both hold the
+    reference bench, and the default run config rebuilds it bit for bit."""
+    reference = {"bench.phase_step": float(np.pi), "bench.wedge_tilt": 0.0,
+                 "bench.edge_loss": 0.3, "bench.mixed": False, "bench.phi_deg": 12.92,
+                 "bench.photon_budget": 1e8}
+    assert {key: DEFAULTS[key] for key in reference} == reference
+    assert all(type(DEFAULTS[key]) is type(value) for key, value in reference.items())
+    # phi is kept in degrees, and the round trip through radians is exact
+    assert np.rad2deg(np.deg2rad(12.92)) == 12.92
+    bench = BenchConfig(aperture_halfwidth=22e-3, edge_position=25e-3)
+    assert bench.phi == np.deg2rad(12.92)
+    assert build_run_config().bench == bench
 
 
 def test_parse_config_file(tmp_path):

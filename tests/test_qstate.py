@@ -7,6 +7,8 @@ from diracsim import (BenchConfig, ConfigError, ContractError, DegenerateInputEr
                       dirac_distribution, direct_measure_displaced, fresnel_unitary,
                       joint4_tensor, make_grid, mix, pure_from_samples,
                       random_density_matrix, wedge_gradient_from_angle)
+from diracsim import cli, qstate
+from diracsim.fileio import grid_meta, write_matrix
 from diracsim.qstate import PSD_TOL
 from conftest import bench_grid, phase_averaged_bench_state
 
@@ -186,24 +188,94 @@ def _counting(monkeypatch, name):
     return calls
 
 
-def test_validate_certifies_once_per_read_only_state(monkeypatch):
+def test_validate_certifies_once_per_read_only_state(monkeypatch, tmp_path):
     factorisations = _counting(monkeypatch, "cholesky")
     eig_runs = _counting(monkeypatch, "eigvalsh")
     for mixed in (False, True):
         grid, cfg = bench_grid(n=32, mixed=mixed)
         factorisations.clear()
+        # built from amplitudes, so certified by construction
         rho = build_bench_state(cfg, grid)
-        assert len(factorisations) == 1
+        density_from_pure(bench_pure_state(cfg, grid))
+        assert len(factorisations) == 0
         for _ in range(3):
             rho.validate()
             dirac_distribution(rho)
-        assert len(factorisations) == 1
+        assert len(factorisations) == 0
         # a writeable matrix may change between calls, so it is checked every time
         writeable = DensityMatrix(grid=grid, rho=rho.rho.copy())
         writeable.validate()
         writeable.validate()
-        assert len(factorisations) == 3
+        assert len(factorisations) == 2
+        # a state read from a file is checked in full, once
+        path = str(tmp_path / f"state_{mixed}.txt")
+        write_matrix(path, rho.rho, {"kind": "density", **grid_meta(grid)})
+        factorisations.clear()
+        read = cli._read_state(path)
+        for _ in range(3):
+            read.validate()
+            dirac_distribution(read)
+        assert len(factorisations) == 1
     assert eig_runs == []
+
+
+def _built_cases():
+    """(grid, cfg) of the bench constructors' oracle grid, plus one off-centre grid."""
+    for n in (2, 3, 63, 64):
+        for mixed in (False, True):
+            for wedge_tilt in (0.0, 285.6):
+                for edge_loss in (0.0, 0.3, 1.0):
+                    yield bench_grid(n=n, mixed=mixed, wedge_tilt=wedge_tilt,
+                                     edge_loss=edge_loss)
+    for mixed in (False, True):
+        yield make_grid(64, 0.05, -0.7), BenchConfig(aperture_halfwidth=1.2, edge_position=-0.5,
+                                                     wedge_tilt=7.3, mixed=mixed)
+
+
+def test_built_states_pass_the_full_check(monkeypatch):
+    """The constructors certify by construction; a writeable copy of each
+    output passes the full check of ``validate`` (Cholesky included)."""
+    factorisations = _counting(monkeypatch, "cholesky")
+    eig_runs = _counting(monkeypatch, "eigvalsh")
+    cases = 0
+    for grid, cfg in _built_cases():
+        built = [build_bench_state(cfg, grid)]
+        if not cfg.mixed:
+            built.append(density_from_pure(bench_pure_state(cfg, grid)))
+        assert factorisations == []
+        for state in built:
+            assert not state.rho.flags.writeable
+            DensityMatrix(grid=grid, rho=state.rho.copy()).validate()
+            assert len(factorisations) == 1
+            factorisations.clear()
+            cases += 1
+    assert cases == 4 * 3 * 3 * 2 + 3
+    assert eig_runs == []
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_build_bench_state_holds_one_matrix(mixed):
+    """At n = 512 the state build peaks at most 1.25 matrices above its
+    start: it holds the state itself and no n x n temporary."""
+    import tracemalloc
+
+    grid, cfg = bench_grid(n=512, mixed=mixed, wedge_tilt=285.6)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rho = build_bench_state(cfg, grid)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * rho.rho.nbytes, peak / rho.rho.nbytes
+
+
+def test_the_construction_certificate_still_checks_shape_and_trace():
+    grid = make_grid(4, 1.0)
+    with pytest.raises(ContractError, match=r"^density matrix shape does not match grid$"):
+        qstate._built_state(grid, np.eye(3, dtype=complex) / 3)
+    with pytest.raises(ContractError, match=r"^density matrix trace .* deviates from 1$"):
+        qstate._built_state(grid, np.eye(4, dtype=complex) / 2)
 
 
 def _state_with_lowest_eigenvalue(n, lowest, seed):
