@@ -99,12 +99,21 @@ class PropagatorKernel:
 
 @dataclass(frozen=True, eq=False)
 class PropagatedDistribution:
-    """Complex array e[m, k'] over (weak position, displaced camera position)."""
+    """Complex n x n array e[m, k'] over (weak position, displaced camera position).
+
+    A distribution built with an ``e`` of any other shape is a ContractError,
+    so no consumer checks it again.
+    """
 
     grid: Grid
     dz: float
     e: np.ndarray
     kind: str
+
+    def __post_init__(self) -> None:
+        n = self.grid.n
+        if np.shape(self.e) != (n, n):
+            raise ContractError(f"propagated shape {np.shape(self.e)} does not match grid n={n}")
 
     def validate(self) -> None:
         """Check, to ``PROPAGATED_TOL``, that e sums to 1 and that its row and
@@ -262,13 +271,11 @@ def bayes_propagate(dist: DiracDistribution, kernel: PropagatorKernel) -> Propag
     rho (:func:`.reconstruct_density`) and forms ``conj(K) * (rho K)``,
     ``K = V^dag U`` from :attr:`PropagatorKernel.k_basis`.  The analytic
     kernel forms ``col * ((inv * d) @ W)``, the product with its Toeplitz
-    wavelet W taken by FFT convolution with the generator ``row``.  A ``d`` whose shape is
-    not (n, n) for its grid is a ContractError, raised before any FFT.
+    wavelet W taken by FFT convolution with the generator ``row``.
     """
     grid = kernel.grid
     if dist.grid != grid:
         raise ContractError("distribution and kernel live on different grids")
-    dist.check_shape()
     v = kernel.v
     if v is None:
         e = _times_wavelet(kernel.inv * dist.d, kernel.row)
@@ -295,9 +302,8 @@ def joint4_tensor(rho: DensityMatrix, v1: np.ndarray, v2: np.ndarray) -> np.ndar
     length-n diagonal or a dense n x n unitary, checked as
     :func:`build_kernel_unitary` checks its V.  Summing all four indices
     gives 1; summing x and p gives the two-projector expectation
-    Tr[pi_k' pi_q' rho].  A state that is not n x n is a ContractError.
+    Tr[pi_k' pi_q' rho].
     """
-    rho.check_shape()
     grid, u = rho.grid, rho.grid.overlap_matrix
     q_basis = _adjoint_times(_checked_unitary(grid, v1), np.eye(grid.n))
     k_basis = _adjoint_times(_checked_unitary(grid, v2), u)
@@ -319,9 +325,8 @@ def direct_measure_displaced(rho: DensityMatrix, cfg: BenchConfig, dz: float, *,
     displaced readout, back-action offset included, is the momentum readout
     of V rho V^dag: :func:`.weaksim.scan` of ``c_m rho[m, j] conj(c_j)``,
     formed in O(n^2).  This is the experimental-side oracle for
-    :func:`bayes_propagate`.  A state that is not n x n is a ContractError.
+    :func:`bayes_propagate`.
     """
-    rho.check_shape()
     c = fresnel_unitary(rho.grid, dz)
     displaced = DensityMatrix(grid=rho.grid, rho=c[:, None] * rho.rho * c.conj())
     measured = weaksim.scan(displaced, cfg, noise=noise, seed=seed, correct=correct)

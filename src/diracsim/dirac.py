@@ -45,19 +45,21 @@ COND_EPSILON = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class DiracDistribution:
-    """Complex n x n array ``d[m, k]`` over (position, momentum) lattice points."""
+    """Complex n x n array ``d[m, k]`` over (position, momentum) lattice points.
+
+    A distribution built with a ``d`` of any other shape is a ContractError,
+    so no consumer checks it again.
+    """
 
     grid: Grid
     d: np.ndarray
 
-    def check_shape(self) -> None:
-        """Require ``d`` to be n x n for its grid (ContractError)."""
+    def __post_init__(self) -> None:
         n = self.grid.n
         if np.shape(self.d) != (n, n):
             raise ContractError(f"distribution shape {np.shape(self.d)} does not match grid n={n}")
 
     def validate(self) -> None:
-        self.check_shape()
         total = self.d.sum()
         if not abs(total - 1.0) <= NORMALIZATION_TOL:
             raise ContractError(f"distribution sums to {total}, expected 1")
@@ -108,18 +110,14 @@ def marginal_x(dist: DiracDistribution) -> np.ndarray:
     """Position marginal Prob(x_m), the real part of the row sums.
 
     An imaginary part above ``MARGINAL_TOL``, or an entry below
-    ``-MARGINAL_TOL``, is a NumericalIntegrityError.  A ``d`` whose shape
-    is not (n, n) for its grid is a ContractError here and in every other
-    consumer of a distribution.
+    ``-MARGINAL_TOL``, is a NumericalIntegrityError.
     """
-    dist.check_shape()
     return _real_marginal(dist.d.sum(axis=1), "position")
 
 
 def marginal_p(dist: DiracDistribution) -> np.ndarray:
     """Momentum marginal Prob(p_k), the real part of the column sums, checked
     as :func:`marginal_x` checks its rows."""
-    dist.check_shape()
     return _real_marginal(dist.d.sum(axis=0), "momentum")
 
 
@@ -150,12 +148,10 @@ def reconstruct_density(dist: DiracDistribution) -> DensityMatrix:
     An FFT of each row of d gives ``t_m t_j rho[m, j]`` at lag
     s = (j - m) mod n (module docstring); unskewing and applying the two
     signs again recovers rho.  The round trip through :func:`dirac_distribution`
-    is exact to rounding.  A ``d`` whose shape is not (n, n) for its grid is
-    a ContractError.  No state invariants are enforced on the output, since
-    measured distributions carry noise; call ``.validate()`` where exactness
-    is expected.
+    is exact to rounding.  No state invariants are enforced on the output,
+    since measured distributions carry noise; call ``.validate()`` where
+    exactness is expected.
     """
-    dist.check_shape()
     grid = dist.grid
     t = grid._signs
     rho = grid.unskew(np.fft.fft(dist.d, axis=1)) * t[:, None]
@@ -168,12 +164,9 @@ def expectation_overlap(d_rho: DiracDistribution, d_obs: DiracDistribution) -> c
     """Phase-space form of Tr[A rho]: ``n * sum d_rho * conj(d_A)``."""
     if d_rho.grid != d_obs.grid:
         raise ContractError("distributions live on different grids")
-    d_rho.check_shape()
-    d_obs.check_shape()
     return complex(d_rho.grid.n * np.vdot(d_obs.d, d_rho.d))
 
 
 def purity(dist: DiracDistribution) -> float:
     """Tr rho^2 computed directly from the distribution: ``n * sum |d|^2``."""
-    dist.check_shape()
     return float(dist.grid.n * np.sum(np.abs(dist.d) ** 2))

@@ -165,10 +165,13 @@ def _twin_path(path: str, digest: str) -> str:
 def write_matrix(path: str, arr: np.ndarray, meta: dict) -> None:
     """Write a complex matrix with '# key=value' headers and 'i j re im' rows,
     then, if every value is finite, its binary twin, named by the SHA-256 of
-    the text."""
+    the text.  An array that is not 2-D is a ContractError, raised before any
+    file or directory is made."""
     import hashlib  # here: importing the package loads no OpenSSL
 
     arr = np.asarray(arr, dtype=complex)
+    if arr.ndim != 2:
+        raise ContractError(f"matrix must be 2-D, got shape {arr.shape}")
     head = _header_bytes(MATRIX_MAGIC, {"rows": arr.shape[0], "cols": arr.shape[1], **meta})
     digest = hashlib.sha256()
     with _atomic_binary(path) as fh:

@@ -26,14 +26,20 @@ WEIGHT_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Normalized position-basis amplitudes on a grid."""
+    """Normalized position-basis amplitudes on a grid.
+
+    ``amp`` has shape (n,) for its grid; a state built with any other shape is
+    a ContractError, so no consumer checks it again.
+    """
 
     grid: Grid
     amp: np.ndarray
 
-    def validate(self) -> None:
-        if self.amp.shape != (self.grid.n,):
+    def __post_init__(self) -> None:
+        if np.shape(self.amp) != (self.grid.n,):
             raise ContractError("amplitude length does not match grid")
+
+    def validate(self) -> None:
         norm = float(np.sum(np.abs(self.amp) ** 2))
         if not abs(norm - 1.0) <= 1e-10:
             raise ContractError(f"state norm {norm} deviates from 1 beyond 1e-10")
@@ -42,6 +48,9 @@ class PureState:
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, trace-one, positive-semidefinite operator in the position basis.
+
+    ``rho`` is n x n for its grid; a state built with any other shape is a
+    ContractError, so no consumer checks it again.
 
     :meth:`validate` certifies positivity with one Cholesky factorisation of
     the Hermitian part shifted by ``PSD_TOL * I``: success proves that no
@@ -63,15 +72,13 @@ class DensityMatrix:
     rho: np.ndarray
     _valid: bool = field(default=False, init=False, repr=False)
 
-    def check_shape(self) -> None:
-        """Require ``rho`` to be n x n for its grid (ContractError)."""
+    def __post_init__(self) -> None:
         if np.shape(self.rho) != (self.grid.n, self.grid.n):
             raise ContractError("density matrix shape does not match grid")
 
     def validate(self) -> None:
         if self._valid and not self.rho.flags.writeable:
             return
-        self.check_shape()
         n = self.grid.n
         # rho^H as one fresh C-ordered copy, so the passes below run contiguously
         h = np.conjugate(self.rho.T, order="C", dtype=np.result_type(self.rho, 0.5))
@@ -185,7 +192,6 @@ def _built_state(grid: Grid, rho: np.ndarray) -> DensityMatrix:
     """
     rho.setflags(write=False)
     out = DensityMatrix(grid=grid, rho=rho)
-    out.check_shape()
     tr = rho.trace()
     if not abs(tr - 1.0) <= TRACE_TOL:
         raise ContractError(f"density matrix trace {tr} deviates from 1")
@@ -223,7 +229,6 @@ def mix(states: list[tuple[DensityMatrix, float]]) -> DensityMatrix:
     for state, w in states:
         if state.grid is not grid and state.grid != grid:
             raise ContractError("all mixture components must share one grid")
-        state.check_shape()
         rho += w * state.rho
     rho.setflags(write=False)
     out = DensityMatrix(grid=grid, rho=rho)

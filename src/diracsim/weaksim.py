@@ -118,9 +118,8 @@ def sliver_readout(rho: DensityMatrix, phi: float, photon_budget: float) -> Sliv
     W is the Dirac distribution (:func:`.operator_dirac`) and O the column
     :func:`backaction_offset`, so no matrix product is taken.  phi outside
     [0, pi/2] (pi/2 is the strong-measurement limit) and a photon budget
-    that is negative or not finite are ConfigErrors, a state that is not
-    n x n a ContractError.  Every intensity's imaginary part is Im(col) / 2,
-    checked to vanish.
+    that is negative or not finite are ConfigErrors.  Every intensity's
+    imaginary part is Im(col) / 2, checked to vanish.
     """
     off = backaction_offset(rho, phi)
     if not 0 <= photon_budget < np.inf:
@@ -141,7 +140,13 @@ def derived_seed(master: int, index: int) -> int:
 
 
 def sliver_seeds(seed: int, n: int) -> list[int]:
-    """The seed of each of n slivers' shot noise, ``derived_seed(seed, m)``."""
+    """The seed of each of n slivers' shot noise, ``derived_seed(seed, m)``.
+
+    A ``seed`` that is not a nonnegative integer, a bool included, is a
+    ConfigError.
+    """
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     return [derived_seed(seed, m) for m in range(n)]
 
 
@@ -221,11 +226,10 @@ def backaction_offset(rho: DensityMatrix, phi: float) -> np.ndarray:
     |<x_m|p_k>|^2 = Prob(x_m)(1 - cos phi)/n, the lattice form of the
     uniform offset, formed without the overlap matrix.  It broadcasts over
     the momentum bins of an (n, n) estimate.  phi outside [0, pi/2], NaN
-    included, is a ConfigError; a state that is not n x n a ContractError.
+    included, is a ConfigError.
     """
     if not 0.0 <= phi <= 0.5 * np.pi:
         raise ConfigError(f"coupling angle phi {phi} not in [0, pi/2]")
-    rho.check_shape()
     return (1.0 - np.cos(phi)) * rho.rho.diagonal().real[:, None] / rho.grid.n
 
 
@@ -274,12 +278,10 @@ def scan(rho: DensityMatrix, cfg: BenchConfig, *,
 def correct_diagonals(rho_measured: DensityMatrix, phi: float) -> DensityMatrix:
     """Undo the cos(phi) back-action suppression of the density-matrix diagonal.
 
-    phi outside [0, pi/2) is a ConfigError, a state that is not n x n a
-    ContractError.
+    phi outside [0, pi/2) is a ConfigError.
     """
     if not 0.0 <= phi < 0.5 * np.pi:
         raise ConfigError(f"coupling angle phi {phi} not in [0, pi/2)")
-    rho_measured.check_shape()
     rho = rho_measured.rho.copy()
     idx = np.diag_indices_from(rho)
     rho[idx] = rho[idx] / np.cos(phi)

@@ -6,8 +6,8 @@ from diracsim import (ConfigError, ContractError, DegenerateKernelError, UnitMap
                       density_from_pure, dirac_distribution, direct_measure_displaced,
                       fresnel_unitary, joint4_tensor, make_grid, operator_dirac,
                       pure_from_samples, random_density_matrix, scan)
-from diracsim import (BenchConfig, DiracDistribution, NumericalIntegrityError,
-                      PropagatedDistribution, PropagatorKernel)
+from diracsim import (BenchConfig, NumericalIntegrityError, PropagatedDistribution,
+                      PropagatorKernel)
 from diracsim import bayesprop
 from diracsim.bayesprop import KIND_ANALYTIC, KIND_UNITARY
 from diracsim.lattice import TWO_PI
@@ -144,17 +144,6 @@ def test_chirp_branch_never_builds_the_overlap_matrix(n):
     assert abs(e.e.sum() - 1.0) < 1e-12
     assert "overlap_matrix" not in vars(grid)
     assert "_signs" not in vars(grid)
-
-
-@pytest.mark.parametrize("shape", [(8, 9), (9, 8), (8,)])
-def test_propagation_rejects_a_distribution_of_the_wrong_shape(shape):
-    grid = _unit_grid(8)
-    dist = DiracDistribution(grid=grid, d=np.full(shape, 1 / 64, dtype=complex))
-    for kernel in (build_kernel_unitary(grid, fresnel_unitary(grid, 0.16)),
-                   build_kernel_unitary(grid, random_unitary(8, np.random.default_rng(4))),
-                   build_kernel_analytic(grid, 0.16)):
-        with pytest.raises(ContractError, match=r"shape .* does not match grid n=8"):
-            bayes_propagate(dist, kernel)
 
 
 def test_unitary_kernel_stores_only_v():

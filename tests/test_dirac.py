@@ -245,13 +245,6 @@ def test_position_difference_core_matches_the_dense_overlap_oracle(n, x0):
     assert _rel(operator_dirac(grid, rho).d, d) < 1e-13
 
 
-@pytest.mark.parametrize("shape", [(8, 9), (9, 8), (8,)])
-def test_reconstruction_rejects_a_distribution_of_the_wrong_shape(shape):
-    dist = DiracDistribution(grid=make_grid(8, 1.0), d=np.full(shape, 1 / 64, dtype=complex))
-    with pytest.raises(ContractError, match=r"shape .* does not match grid n=8"):
-        reconstruct_density(dist)
-
-
 def _long_double_overlap(grid):
     """exp(i x_m p_k) / sqrt(n) in extended precision, from the grid's dx and x0."""
     n, dx = grid.n, np.longdouble(grid.dx)
@@ -275,19 +268,6 @@ def test_transform_matches_a_long_double_oracle(n, x0):
     assert np.max(np.abs(operator_dirac(grid, rho).d - d)) <= 2e-15 * scale
     back = reconstruct_density(DiracDistribution(grid=grid, d=d.astype(complex))).rho
     assert np.max(np.abs(back - rho)) <= 2e-15 * np.max(np.abs(rho))
-
-
-@pytest.mark.parametrize("shape", [(7, 8), (8, 7), (8,), (8, 8, 1)])
-def test_consumers_reject_a_distribution_of_the_wrong_shape(shape):
-    grid = make_grid(8, 1.0)
-    bad = DiracDistribution(grid=grid, d=np.full(shape, 1 / 64, dtype=complex))
-    good = DiracDistribution(grid=grid, d=np.full((8, 8), 1 / 64, dtype=complex))
-    calls = (lambda: marginal_x(bad), lambda: marginal_p(bad), lambda: purity(bad),
-             lambda: conditional_x_given_p(bad, 3),
-             lambda: expectation_overlap(bad, good), lambda: expectation_overlap(good, bad))
-    for call in calls:
-        with pytest.raises(ContractError, match=r"shape .* does not match grid n=8"):
-            call()
 
 
 @pytest.mark.parametrize("k", [1.5, True, np.float64(2.0), "3"])

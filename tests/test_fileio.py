@@ -523,6 +523,15 @@ def test_write_counts_refuses_bad_counts(tmp_path, kind):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)])
+def test_write_matrix_refuses_an_array_that_is_not_2d(tmp_path, shape):
+    """A 0-D, 1-D or 3-D array is refused before anything is written: no
+    file, no temporary, no twin, not even the directory."""
+    with pytest.raises(ContractError, match=r"^matrix must be 2-D, got shape \("):
+        write_matrix(str(tmp_path / "out" / "m.txt"), np.zeros(shape, complex), _META)
+    assert os.listdir(tmp_path) == []
+
+
 def test_figure_csv_bytes_match_oracle(tmp_path):
     from diracsim.cli import _figure_axes
 

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from diracsim import (BenchConfig, ConfigError, ContractError, DegenerateInputError,
-                      DensityMatrix, PureState, backaction_offset, bench_pure_state,
-                      build_bench_state, correct_diagonals, density_from_pure,
-                      dirac_distribution, direct_measure_displaced, fresnel_unitary,
-                      joint4_tensor, make_grid, mix, pure_from_samples,
-                      random_density_matrix, wedge_gradient_from_angle)
+                      DensityMatrix, PureState, bench_pure_state, build_bench_state,
+                      density_from_pure, dirac_distribution, make_grid, mix,
+                      pure_from_samples, random_density_matrix, wedge_gradient_from_angle)
 from diracsim import cli, qstate
 from diracsim.fileio import grid_meta, write_matrix
 from diracsim.qstate import PSD_TOL
@@ -363,33 +361,12 @@ def test_validate_rejects_nan_before_eigvalsh(monkeypatch):
 def test_shapes_that_do_not_match_the_grid_are_contract_errors():
     grid = make_grid(4, 1.0)
     with pytest.raises(ContractError, match=r"^amplitude length does not match grid$"):
-        PureState(grid=grid, amp=np.full(3, 1 / np.sqrt(3), dtype=complex)).validate()
+        PureState(grid=grid, amp=np.full(3, 1 / np.sqrt(3), dtype=complex))
     with pytest.raises(ContractError, match=r"^density matrix shape does not match grid$"):
-        DensityMatrix(grid=grid, rho=np.eye(3, dtype=complex) / 3).validate()
+        DensityMatrix(grid=grid, rho=np.eye(3, dtype=complex) / 3)
     with pytest.raises(ContractError,
                        match=r"^sample vector of shape \(5,\) does not match grid n=4$"):
         pure_from_samples(grid, np.ones(5))
-
-
-_STATE_CONSUMERS = {
-    "backaction_offset": lambda rho, bench: backaction_offset(rho, bench.phi),
-    "correct_diagonals": lambda rho, bench: correct_diagonals(rho, bench.phi),
-    "direct_measure_displaced": lambda rho, bench: direct_measure_displaced(rho, bench, 0.084),
-    "joint4_tensor": lambda rho, bench: joint4_tensor(
-        rho, fresnel_unitary(rho.grid, 0.084), fresnel_unitary(rho.grid, 0.16)),
-    "mix": lambda rho, bench: mix([(rho, 1.0)]),
-}
-
-
-@pytest.mark.parametrize("consumer", sorted(_STATE_CONSUMERS))
-@pytest.mark.parametrize("shape", [(16, 17), (17, 16), (15, 15)])
-def test_state_consumers_refuse_a_density_matrix_of_the_wrong_shape(consumer, shape):
-    """A state whose matrix is not n x n for its grid is a ContractError with
-    the message of ``validate``, raised before any product with it."""
-    grid, bench = bench_grid(16)
-    rho = DensityMatrix(grid=grid, rho=np.eye(*shape, dtype=complex) / min(shape))
-    with pytest.raises(ContractError, match=r"^density matrix shape does not match grid$"):
-        _STATE_CONSUMERS[consumer](rho, bench)
 
 
 def test_an_aperture_between_lattice_sites_is_a_config_error():

@@ -510,6 +510,17 @@ def test_noisy_scan_determinism():
     assert derived_seed(3, 0) != derived_seed(3, 1)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, np.bool_(True), np.float64(2.0), "3"])
+def test_a_noisy_scan_refuses_a_seed_that_is_not_a_nonnegative_integer(seed):
+    grid = make_grid(8, 0.5)
+    rho = random_density_matrix(grid, np.random.default_rng(13))
+    cfg = _cfg(grid, photon_budget=1e6)
+    with pytest.raises(ConfigError, match=r"^seed must be a nonnegative integer, got "):
+        scan(rho, cfg, noise=True, seed=seed)
+    assert np.array_equal(scan(rho, cfg, noise=True, seed=np.uint8(3)).d,
+                          scan(rho, cfg, noise=True, seed=3).d)
+
+
 def test_scan_records_round_shape():
     rng = np.random.default_rng(14)
     grid = make_grid(8, 0.5)
