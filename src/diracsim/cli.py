@@ -76,12 +76,17 @@ def _load(args) -> RunConfig:
     return load_run_config(args.config, overrides)
 
 
-def _state_path(cfg: RunConfig, args) -> str:
-    return getattr(args, "state", None) or os.path.join(cfg.out_dir, "state.txt")
+def _input(cfg: RunConfig, given: str | None, name: str) -> str:
+    """The input file: the path ``given`` by its flag, else ``<out>/<name>``."""
+    return given or os.path.join(cfg.out_dir, name)
 
 
-def _dirac_path(cfg: RunConfig, args) -> str:
-    return getattr(args, "dirac", None) or os.path.join(cfg.out_dir, "dirac_exact.txt")
+def _emit(cfg: RunConfig, name: str, arr, kind: str, grid, **extra) -> None:
+    """Write ``arr`` to ``<out>/<name>`` with the headers ``kind``, the grid's
+    keys and then ``extra`` in call order, and print the path."""
+    path = os.path.join(cfg.out_dir, name)
+    fileio.write_matrix(path, arr, {"kind": kind, **fileio.grid_meta(grid), **extra})
+    print(path)
 
 
 def _read_on_grid(path: str, kind: str | None = None):
@@ -113,19 +118,14 @@ def _read_dirac(path: str) -> DiracDistribution:
 
 def cmd_gen_state(cfg: RunConfig, args) -> int:
     state = qstate.build_bench_state(cfg.bench, cfg.grid)
-    path = os.path.join(cfg.out_dir, "state.txt")
-    meta = {"kind": "density", **fileio.grid_meta(cfg.grid), "mixed": cfg.bench.mixed}
-    fileio.write_matrix(path, state.rho, meta)
-    print(path)
+    _emit(cfg, "state.txt", state.rho, "density", cfg.grid, mixed=cfg.bench.mixed)
     return EXIT_OK
 
 
 def cmd_exact(cfg: RunConfig, args) -> int:
-    state = _read_state(_state_path(cfg, args))
+    state = _read_state(_input(cfg, args.state, "state.txt"))
     dist = dirac.dirac_distribution(state)
-    path = os.path.join(cfg.out_dir, "dirac_exact.txt")
-    fileio.write_matrix(path, dist.d, {"kind": "dirac", **fileio.grid_meta(state.grid)})
-    print(path)
+    _emit(cfg, "dirac_exact.txt", dist.d, "dirac", state.grid)
     return EXIT_OK
 
 
@@ -133,7 +133,7 @@ def cmd_measure(cfg: RunConfig, args) -> int:
     """Run ``cfg.scans`` scans through :func:`.weaksim.scan_blocks`, adding
     each block's estimate rows into the scans' mean and writing the first
     scan's counts files as its blocks come."""
-    state = _read_state(_state_path(cfg, args))
+    state = _read_state(_input(cfg, args.state, "state.txt"))
     grid, n = state.grid, state.grid.n
     phi, budget = cfg.bench.phi, cfg.bench.photon_budget
     readout = weaksim.sliver_readout(state, phi, budget)
@@ -151,41 +151,34 @@ def cmd_measure(cfg: RunConfig, args) -> int:
                     "sliver_lo": m, "sliver_hi": m + 1, "phi": phi, "photon_budget": budget,
                     "seed": "none" if scan_seeds[0] is None else scan_seeds[0][m],
                 })
-    n_scans = len(scan_seeds)
-    raw /= n_scans
+    raw /= len(scan_seeds)
     offset = readout.off  # the column of backaction_offset(state, phi)
     # free rho and W before the reconstruction, which holds four n x n arrays
     del state, readout
 
-    base_meta = {**fileio.grid_meta(grid), "phi": phi, "photon_budget": budget,
-                 "noise": cfg.noise, "seed": cfg.seed if cfg.noise else "none",
-                 "scans": n_scans, "corrected": cfg.correct}
-    dirac_path = os.path.join(cfg.out_dir, "dirac_measured.txt")
-    fileio.write_matrix(dirac_path, raw + offset if cfg.correct else raw,
-                        {"kind": "dirac", **base_meta})
-    print(dirac_path)
+    base_meta = {"phi": phi, "photon_budget": budget, "noise": cfg.noise,
+                 "seed": cfg.seed if cfg.noise else "none", "scans": len(scan_seeds),
+                 "corrected": cfg.correct}
+    _emit(cfg, "dirac_measured.txt", raw + offset if cfg.correct else raw, "dirac", grid,
+          **base_meta)
     if cfg.correct:
         # lab-style route: reconstruct the uncorrected distribution, then
         # divide the diagonals by cos(phi)
         rec = dirac.reconstruct_density(DiracDistribution(grid=grid, d=raw))
         fixed = weaksim.correct_diagonals(rec, phi)
-        density_path = os.path.join(cfg.out_dir, "density_measured.txt")
-        fileio.write_matrix(density_path, fixed.rho, {"kind": "density", **base_meta})
-        print(density_path)
+        _emit(cfg, "density_measured.txt", fixed.rho, "density", grid, **base_meta)
     return EXIT_OK
 
 
 def cmd_reconstruct(cfg: RunConfig, args) -> int:
-    dist = _read_dirac(_dirac_path(cfg, args))
+    dist = _read_dirac(_input(cfg, args.dirac, "dirac_exact.txt"))
     rho = dirac.reconstruct_density(dist)
-    path = os.path.join(cfg.out_dir, "density.txt")
-    fileio.write_matrix(path, rho.rho, {"kind": "density", **fileio.grid_meta(dist.grid)})
-    print(path)
+    _emit(cfg, "density.txt", rho.rho, "density", dist.grid)
     return EXIT_OK
 
 
 def cmd_propagate(cfg: RunConfig, args) -> int:
-    in_path = _dirac_path(cfg, args)
+    in_path = _input(cfg, args.dirac, "dirac_exact.txt")
     dist = _read_dirac(in_path)
     grid = dist.grid
     if grid.unit_map is None:
@@ -194,19 +187,14 @@ def cmd_propagate(cfg: RunConfig, args) -> int:
     for dz in cfg.dz_list:
         kernel = bayesprop.build_kernel_unitary(grid, bayesprop.fresnel_unitary(grid, dz), dz)
         prop = bayesprop.bayes_propagate(dist, kernel)
-        path = os.path.join(cfg.out_dir, propagated_name(dz))
-        fileio.write_matrix(path, prop.e, {
-            "kind": "propagated", **fileio.grid_meta(grid),
-            "dz": dz, "kernel": kernel.kind,
-        })
-        print(path)
+        _emit(cfg, propagated_name(dz), prop.e, "propagated", grid, dz=dz, kernel=kernel.kind)
         # free this output before the next one is computed
         del prop
     return EXIT_OK
 
 
 def cmd_props(cfg: RunConfig, args) -> int:
-    dist = _read_dirac(_dirac_path(cfg, args))
+    dist = _read_dirac(_input(cfg, args.dirac, "dirac_exact.txt"))
     n = dist.grid.n
     lines = []
 
@@ -243,7 +231,7 @@ def _figure_axes(meta, grid):
 
 
 def cmd_figures(cfg: RunConfig, args) -> int:
-    in_path = getattr(args, "input", None) or os.path.join(cfg.out_dir, "dirac_exact.txt")
+    in_path = _input(cfg, args.input, "dirac_exact.txt")
     arr, meta, grid = _read_on_grid(in_path)
     rows, cols, row_label, col_label = _figure_axes(meta, grid)
     stem = os.path.splitext(os.path.basename(in_path))[0]

@@ -79,9 +79,25 @@ def _parse_bool(key: str, raw: str) -> bool:
     raise ConfigError(f"{key}: cannot parse {raw!r} as a boolean")
 
 
+def _typed(key: str, value, default):
+    """``value``, given as a Python or numpy value, if it has the type of
+    ``default``: an integer but not a bool for an int key, an int or a float
+    for a float key, a bool for a bool key, a string for a string key, and a
+    tuple or list of such items for a tuple key.  Anything else is a
+    ConfigError."""
+    if isinstance(default, tuple) and isinstance(value, (tuple, list)):
+        return tuple(_typed(key, item, default[0]) for item in value)
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    takes = {bool: isinstance(value, bool), int: integer, str: isinstance(value, str),
+             float: integer or isinstance(value, (float, np.floating))}
+    if takes.get(type(default)):
+        return type(default)(value)
+    raise ConfigError(f"{key}: expected {type(default).__name__}, got {value!r}")
+
+
 def _coerce(key: str, raw, default):
     if not isinstance(raw, str):
-        return raw
+        return _typed(key, raw, default)
     try:
         if isinstance(default, bool):
             return _parse_bool(key, raw)
@@ -141,7 +157,8 @@ def apply_env_overrides(values: dict, environ=None) -> dict:
 
 
 def build_run_config(values: dict | None = None) -> RunConfig:
-    """Merge raw values over the defaults, coerce, and validate."""
+    """Merge raw values (strings, or values of each default's type; see
+    ``_typed``) over the defaults, coerce, and validate."""
     values = {} if values is None else values
     for key in values:
         if key not in DEFAULTS:

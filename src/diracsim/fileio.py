@@ -37,7 +37,10 @@ they load with ``np.loadtxt(path, comments="#")``.
 
 Header keys and values may hold no line break (``\\n`` or ``\\r``): it would
 add a line to the file, so both writers refuse it with a ``ContractError``
-before they write a byte.
+before they write a byte.  They refuse in the same way a ``meta`` key that
+they set themselves (``rows`` and ``cols`` of a matrix, ``n`` of counts) to a
+value other than the body's shape; the same value, as in the ``meta`` that
+``read_matrix`` returns, is written once, as if it were left out.
 
 Each matrix file of finite values also gets a binary twin,
 ``.diracsim-cache/<file name>.<sha256 hex>.npy`` beside it, keyed by the
@@ -148,9 +151,14 @@ def grid_from_meta(meta: dict, path: str = "<meta>") -> Grid:
         raise FormatError(f"{path}: incomplete or invalid grid header ({exc})") from exc
 
 
-def _header_bytes(magic: str, header: dict) -> bytes:
-    """The magic line and one '# key=value' line per entry of ``header``; a
-    key or value holding a line break is a ContractError."""
+def _header_bytes(magic: str, own: dict, meta: dict) -> bytes:
+    """The magic line and one '# key=value' line per entry of the writer's
+    ``own`` keys, then of ``meta``.  A ``meta`` key that ``own`` sets to
+    another value, or a key or value holding a line break, is a ContractError."""
+    for key in sorted(own.keys() & meta.keys()):
+        if _fmt(meta[key]) != _fmt(own[key]):
+            raise ContractError(f"meta {key}={_fmt(meta[key])} is not the body's {_fmt(own[key])}")
+    header = {**own, **meta}
     text = magic + "\n" + "".join(f"# {key}={_fmt(value)}\n" for key, value in header.items())
     if text.count("\n") != len(header) + 1 or "\r" in text:
         raise ContractError(f"a header key or value holds a line break: {header!r}")
@@ -172,7 +180,7 @@ def write_matrix(path: str, arr: np.ndarray, meta: dict) -> None:
     arr = np.asarray(arr, dtype=complex)
     if arr.ndim != 2:
         raise ContractError(f"matrix must be 2-D, got shape {arr.shape}")
-    head = _header_bytes(MATRIX_MAGIC, {"rows": arr.shape[0], "cols": arr.shape[1], **meta})
+    head = _header_bytes(MATRIX_MAGIC, {"rows": arr.shape[0], "cols": arr.shape[1]}, meta)
     digest = hashlib.sha256()
     with _atomic_binary(path) as fh:
         for chunk in chain([head], _matrix_body(arr)):
@@ -429,7 +437,7 @@ def write_counts(path: str, counts: np.ndarray, meta: dict) -> None:
         raise ContractError(f"counts must have shape ({_ANALYZERS}, n), got {counts.shape}")
     if not (np.isfinite(counts) & (counts >= 0)).all():
         raise ContractError("counts must be finite and >= 0")
-    head = _header_bytes(COUNTS_MAGIC, {"n": counts.shape[1], **meta})
+    head = _header_bytes(COUNTS_MAGIC, {"n": counts.shape[1]}, meta)
     # %d prints what %.17g prints for whole counts in [+0, 1e17); -0 prints "-0"
     whole = bool((counts == np.floor(counts)).all() and (counts < 1e17).all()
                  and not np.signbit(counts).any())

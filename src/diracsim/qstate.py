@@ -298,8 +298,8 @@ def random_density_matrix(grid: Grid, rng: np.random.Generator, rank: int | None
     """Random full-or-fixed-rank density matrix, used heavily by the test oracles;
     certified by the full check of :meth:`DensityMatrix.validate`."""
     rank = grid.n if rank is None else rank
-    if not 1 <= rank <= grid.n:
-        raise ConfigError(f"rank {rank} outside [1, {grid.n}]")
+    if not isinstance(rank, (int, np.integer)) or isinstance(rank, bool) or not 1 <= rank <= grid.n:
+        raise ConfigError(f"rank {rank!r} is not an integer in [1, {grid.n}]")
     b = rng.standard_normal((grid.n, rank)) + 1j * rng.standard_normal((grid.n, rank))
     rho = b @ b.conj().T
     rho /= rho.trace()

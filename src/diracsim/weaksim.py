@@ -136,17 +136,18 @@ _POISSON_MAX_MEAN = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max
 
 
 def derived_seed(master: int, index: int) -> int:
+    """The seed numbered ``index`` derived from ``master``.
+
+    A ``master`` that is not a nonnegative integer, a bool included, is a
+    ConfigError.
+    """
+    if not isinstance(master, (int, np.integer)) or isinstance(master, bool) or master < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {master!r}")
     return int(np.random.SeedSequence((int(master), int(index))).generate_state(1, np.uint64)[0])
 
 
 def sliver_seeds(seed: int, n: int) -> list[int]:
-    """The seed of each of n slivers' shot noise, ``derived_seed(seed, m)``.
-
-    A ``seed`` that is not a nonnegative integer, a bool included, is a
-    ConfigError.
-    """
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+    """The seed of each of n slivers' shot noise, ``derived_seed(seed, m)``."""
     return [derived_seed(seed, m) for m in range(n)]
 
 

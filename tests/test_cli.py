@@ -542,6 +542,72 @@ def test_propagate_identity_at_dz_zero(tmp_path):
     assert np.max(np.abs(prop - exact)) < 1e-12
 
 
+_GRID_KEYS = ["n", "dx", "x0", "wavelength", "focal_length", "magnification"]
+_MEASURE_KEYS = ["phi", "photon_budget", "noise", "seed", "scans", "corrected"]
+# each stage in chain order: the matrix files it writes, with kind and own header keys
+_STAGE_MATRICES = [
+    ("gen-state", [("state.txt", "density", ["mixed"])]),
+    ("exact", [("dirac_exact.txt", "dirac", [])]),
+    ("measure", [("dirac_measured.txt", "dirac", _MEASURE_KEYS),
+                 ("density_measured.txt", "density", _MEASURE_KEYS)]),
+    ("reconstruct", [("density.txt", "density", [])]),
+    ("propagate", [(f"propagated_dz{dz}.txt", "propagated", ["dz", "kernel"])
+                   for dz in ("0.084", "0.16", "0.325")]),
+    ("props", []),
+    ("figures", []),
+]
+
+
+def _header(path):
+    """The magic line and the ``(key, value)`` of each header line."""
+    lines = Path(path).read_text().splitlines()
+    body = next(k for k, line in enumerate(lines) if not line.startswith("#"))
+    return lines[0], [tuple(line[2:].split("=", 1)) for line in lines[1:body]]
+
+
+def test_every_stage_prints_the_files_it_writes_with_kind_and_grid_headers_first(
+        tmp_path, capsys, monkeypatch):
+    """Each stage prints one line per file it writes, in write order; the
+    counts files of ``measure`` and the report of ``props`` are the two
+    exceptions.  Every matrix file's header reads the magic line, rows, cols,
+    kind, the grid keys and then the stage's own keys."""
+    cfg = _scan_config(tmp_path, 16, "pipeline.scans = 2\n")
+    out = tmp_path / "out"
+    written = []
+    replace = os.replace
+
+    def record(src, dst):  # every file is renamed into place once it is whole
+        replace(src, dst)
+        if TWIN_DIR not in Path(dst).parts:
+            written.append(dst)
+
+    monkeypatch.setattr(os, "replace", record)
+    for command, matrices in _STAGE_MATRICES:
+        written.clear()
+        capsys.readouterr()
+        assert _run(command, "--config", cfg, "--out", str(out)) == 0
+        stdout = capsys.readouterr().out
+        counts = [path for path in written if Path(path).parent.name == "counts"]
+        files = [path for path in written if path not in counts]
+        assert counts == ([str(out / "counts" / f"sliver_{m:04d}.txt") for m in range(16)]
+                          if command == "measure" else [])
+        if command == "props":
+            assert files == [str(out / "props.txt")]
+            assert stdout == (out / "props.txt").read_text()
+            continue
+        assert stdout.splitlines() == files
+        if command == "figures":
+            assert files == [str(out / f"fig_dirac_exact_{kind}.csv")
+                             for kind in ("magnitude", "phase", "real", "imag")]
+            continue
+        assert files == [str(out / name) for name, _, _ in matrices]
+        for name, kind, own in matrices:
+            magic, header = _header(out / name)
+            assert magic == "# diracsim matrix v1"
+            assert [key for key, _ in header] == ["rows", "cols", "kind"] + _GRID_KEYS + own
+            assert dict(header)["kind"] == kind and dict(header)["n"] == "16"
+
+
 @pytest.mark.parametrize("value", ["analytic", "unitary"])
 def test_propagation_kernel_key_exits_2_without_output(tmp_path, capsys, value):
     out = str(tmp_path / "out")

@@ -136,3 +136,44 @@ def test_every_default_key_coerces():
 def test_propagation_dz_output_names_distinct(dz):
     with pytest.raises(ConfigError, match=r"propagation.dz: .* would both write propagated_dz0"):
         build_run_config({"propagation.dz": dz})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("pipeline.scans", 2.5),
+    ("pipeline.seed", 1.5),
+    ("pipeline.seed", True),
+    ("pipeline.seed", np.bool_(False)),
+    ("grid.n", np.float64(64.0)),
+    ("grid.dx", True),
+    ("bench.photon_budget", None),
+    ("bench.mixed", 1),
+    ("bench.mixed", np.bool_(True)),
+    ("pipeline.noise", 0),
+    ("propagation.dz", 0.1),
+    ("propagation.dz", ("0.1",)),
+    ("propagation.dz", [0.1, False]),
+    ("output.figures", ["real", 3]),
+    ("output.dir", 3),
+])
+def test_a_typed_override_of_the_wrong_type_names_its_key(key, value):
+    """A value that is not a string must have its default's type.  At the
+    parent scans=2.5 and seed=1.5 or True were taken as given, and a bare
+    float for propagation.dz ended in a TypeError."""
+    with pytest.raises(ConfigError, match=rf"^{key}: "):
+        build_run_config({key: value})
+
+
+def test_typed_overrides_of_the_right_type_are_taken():
+    cfg = build_run_config({
+        "grid.n": np.int64(64), "grid.dx": 44e-3 / 64, "pipeline.seed": np.uint8(3),
+        "pipeline.scans": 2, "bench.photon_budget": 1000, "bench.edge_loss": np.float32(0.25),
+        "bench.mixed": True, "pipeline.noise": False,
+        "propagation.dz": [0, np.float64(0.1)], "output.figures": ["real"], "output.dir": "o",
+    })
+    assert (cfg.grid.n, cfg.seed, cfg.scans) == (64, 3, 2)
+    assert all(type(v) is int for v in (cfg.grid.n, cfg.seed, cfg.scans))
+    assert type(cfg.bench.photon_budget) is float and cfg.bench.photon_budget == 1000.0
+    assert cfg.bench.edge_loss == float(np.float32(0.25))
+    assert (cfg.bench.mixed, cfg.noise) == (True, False)
+    assert cfg.dz_list == (0.0, 0.1) and all(type(dz) is float for dz in cfg.dz_list)
+    assert (cfg.figures, cfg.out_dir) == (("real",), "o")

@@ -794,6 +794,30 @@ def test_writers_refuse_a_header_line_break(tmp_path, writer, brk, where):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("writer, meta, message", [
+    ("matrix", {"rows": 5}, "rows=5 is not the body's 2"),
+    ("matrix", {"cols": 3}, "cols=3 is not the body's 2"),
+    ("matrix", {"kind": "dirac", "cols": "02"}, "cols=02 is not the body's 2"),
+    ("counts", {"n": 7}, "n=7 is not the body's 3"),
+])
+def test_writers_refuse_a_meta_key_they_set_to_another_value(tmp_path, writer, meta, message):
+    """``rows``/``cols`` of a matrix and ``n`` of counts are the body's shape:
+    a ``meta`` that sets one otherwise is refused, and nothing is left."""
+    with pytest.raises(ContractError, match=f"^meta {message}$"):
+        _WRITERS[writer](str(tmp_path / "sub" / "f.txt"), meta)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("writer, own", [("matrix", {"rows": 2, "cols": "2"}),
+                                         ("counts", {"n": np.int64(3)})])
+def test_a_meta_key_the_writer_sets_to_the_same_value_is_written_once(tmp_path, writer, own):
+    """The ``meta`` that ``read_matrix`` returns holds ``rows`` and ``cols``:
+    passed back with the body's shape, it writes the bytes of the bare header."""
+    _WRITERS[writer](str(tmp_path / "bare.txt"), {"kind": "dirac"})
+    _WRITERS[writer](str(tmp_path / "own.txt"), {**own, "kind": "dirac"})
+    assert (tmp_path / "own.txt").read_bytes() == (tmp_path / "bare.txt").read_bytes()
+
+
 def test_rewriting_a_file_leaves_one_twin_per_name(tmp_path):
     names = ["m.txt", "m.txt.txt", "n.txt"]  # "m.txt." starts the twins of "m.txt.txt" too
     rng = np.random.default_rng(4)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -376,7 +378,8 @@ def test_an_aperture_between_lattice_sites_is_a_config_error():
         bench_pure_state(cfg, grid)
 
 
-@pytest.mark.parametrize("rank", [0, 5])
+@pytest.mark.parametrize("rank", [0, 5, 1.5, True, np.float64(2.0)])
 def test_random_density_matrix_rejects_a_rank_out_of_range(rank):
-    with pytest.raises(ConfigError, match=rf"^rank {rank} outside \[1, 4\]$"):
+    message = rf"^rank {re.escape(repr(rank))} is not an integer in \[1, 4\]$"
+    with pytest.raises(ConfigError, match=message):
         random_density_matrix(make_grid(4, 1.0), np.random.default_rng(0), rank)

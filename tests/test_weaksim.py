@@ -521,6 +521,22 @@ def test_a_noisy_scan_refuses_a_seed_that_is_not_a_nonnegative_integer(seed):
                           scan(rho, cfg, noise=True, seed=3).d)
 
 
+@pytest.mark.parametrize("master", [-1, 1.5, True, np.bool_(True), np.float64(2.0), "3", None])
+def test_derived_seed_refuses_a_master_that_is_not_a_nonnegative_integer(master):
+    """At the parent ``derived_seed(1.5, 0)`` was ``derived_seed(1, 0)``, True
+    ran as 1 and -1 ended in numpy's bare ValueError."""
+    with pytest.raises(ConfigError, match=r"^seed must be a nonnegative integer, got "):
+        derived_seed(master, 0)
+    with pytest.raises(ConfigError, match=r"^seed must be a nonnegative integer, got "):
+        sliver_seeds(master, 2)
+
+
+def test_derived_seed_takes_numpy_integer_masters():
+    assert derived_seed(np.uint64(2**64 - 1), 3) == derived_seed(2**64 - 1, 3)
+    assert derived_seed(np.int32(7), 0) == derived_seed(7, 0)
+    assert sliver_seeds(np.uint64(5), 3) == [derived_seed(5, m) for m in range(3)]
+
+
 def test_scan_records_round_shape():
     rng = np.random.default_rng(14)
     grid = make_grid(8, 0.5)
