@@ -42,11 +42,21 @@ V rho V^dag multiplies rho[m, j] by c_m conj(c_j), which leaves t alone, so
     e[m, k] = c_m ifft_s(Dh[m, s] conj(c)[(m + s) mod n])[k]
 
 for any n and any x0: one FFT pair and two scalings, with neither U nor K
-formed.  The analytic kernel is stored in factored form,
-``cond = col[m,j] W[kp,j] inv[m,kp]``.  Its wavelet W depends only on the
-pixel separation, ``W[kp,j] = row[|kp-j|]``, so only the length-n generator
-``row`` is kept, and products with W are zero-padded FFT convolutions in
-O(n^2 log n), never an n^3 matrix product.
+formed.  The analytic kernel factors as
+``cond[j, m, kp] = col[m, j] W[kp, j] inv[m, kp]``.  Its wavelet W depends
+only on the pixel separation, ``W[kp, j] = row[|kp - j|]``, and its lens is
+exactly a signed DFT matrix: x_m x_cam_k / (f lambda) = (m - n/2)(k - n/2)/n
+because dp dx n = 2 pi, so
+
+    col[m, k] = exp(-i pi n/2) t_m t_k conj(F[m, k]),
+
+F the exactly reduced DFT table of :meth:`.Grid.dft_rows` and
+exp(-i pi n/2) = (-i)^n taken exactly.  Only ``inv`` and the length-n
+generator ``row`` are stored.  The product with W is a zero-padded,
+length-2n FFT convolution, and the normalization ``col @ W`` one FFT per
+row of W, each O(n^2 log n), never an n^3 matrix product.  Every n x n
+product here fills one preallocated output a block of
+:meth:`.Grid.row_blocks` at a time, so it holds the output and a few blocks.
 """
 
 from __future__ import annotations
@@ -75,17 +85,16 @@ class PropagatorKernel:
     of V as it was passed; :attr:`k_basis` derives the displaced-plane
     position eigenstates from it on each access (an n x n array, which
     :func:`bayes_propagate` forms for a dense V only).  The analytic kernel
-    sets only the factors of
-    ``cond[j, m, kp] = col[m, j] * row[|kp - j|] * inv[m, kp]``: ``col`` and
-    ``inv`` are n x n, ``row`` is the length-n generator of the symmetric
-    Toeplitz wavelet matrix.
+    sets only the factors ``row``, the length-n generator of the symmetric
+    Toeplitz wavelet, and the n x n ``inv`` of
+    ``cond[j, m, kp] = col[m, j] * row[|kp - j|] * inv[m, kp]``; its lens
+    :attr:`col` is derived on each access, for the test oracles.
     """
 
     grid: Grid
     dz: float
     kind: str
     v: np.ndarray | None = None
-    col: np.ndarray | None = None
     row: np.ndarray | None = None
     inv: np.ndarray | None = None
 
@@ -95,6 +104,14 @@ class PropagatorKernel:
         if self.v is None:
             return None
         return _adjoint_times(self.v, self.grid.overlap_matrix)
+
+    @property
+    def col(self) -> np.ndarray | None:
+        """The analytic kernel's lens ``col[m, k]`` (module docstring), an
+        n x n array; None for a unitary kernel."""
+        if self.v is not None:
+            return None
+        return _lens(self.grid, 0, self.grid.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,8 +231,13 @@ def build_kernel_analytic(grid: Grid, dz: float) -> PropagatorKernel:
 
     The camera pixels are equally spaced, so the wavelet between pixels j
     and kp depends on |j - kp| only; ``row[s]`` is its value at separation
-    s, and the normalization ``norm = col @ W`` is taken through the same
-    FFT convolution that :func:`bayes_propagate` uses.
+    s.  With the lens of the module docstring the normalization is
+
+        norm[m, kp] = exp(-i pi n/2) t_m fft_j(t_j W[kp, j])[m],
+
+    one FFT per row of W, read as a sliding-window view of ``row`` and taken
+    a block of rows at a time.  Only ``row`` and ``inv = 1 / norm`` are
+    stored.
     """
     units = grid.require_unit_map()
     _check_displacement(dz)
@@ -223,42 +245,36 @@ def build_kernel_analytic(grid: Grid, dz: float) -> PropagatorKernel:
         raise DegenerateKernelError(
             "analytic kernel is singular at dz = 0; build the unitary kernel instead"
         )
-    lam, f = units.wavelength, units.focal_length
+    lam, n, t = units.wavelength, grid.n, grid._signs
     cam = units.ft_plane_coordinate(grid.momenta)
-    x_axis = grid.coords - grid.x0  # positions relative to the optical axis
     r = np.sqrt(dz ** 2 + (cam - cam[0]) ** 2)
     wavelet = np.exp(-1j * TWO_PI * r / lam) / r
-    lens = np.exp(-1j * TWO_PI * np.outer(x_axis, cam) / (f * lam))
-    norm = _times_wavelet(lens, wavelet)
-    size = np.abs(norm)
-    if not (size.min() > 0.0 and size.max() < np.inf):  # also False for NaN
-        raise NumericalIntegrityError("analytic kernel normalization vanished or is not finite")
-    inv = np.divide(1.0, norm, out=norm)
-    return PropagatorKernel(
-        grid=grid, dz=float(dz), kind=KIND_ANALYTIC, col=lens, row=wavelet, inv=inv,
-    )
+    # row kp of W is [row[n-1], ..., row[1], row[0], ..., row[n-1]] read from n - 1 - kp
+    w = sliding_window_view(np.concatenate((wavelet[:0:-1], wavelet)), n)[::-1]
+    phase = _lens_phase(grid)
+    inv = np.empty((n, n), dtype=complex)
+    for lo, hi in grid.row_blocks():
+        norm = np.fft.fft(w[lo:hi] * t, axis=1)  # norm[:, lo:hi], transposed, up to phase
+        size = np.abs(norm)  # |phase| = 1
+        if not (size.min() > 0.0 and size.max() < np.inf):  # also False for NaN
+            raise NumericalIntegrityError("analytic kernel normalization vanished or is not finite")
+        norm *= phase
+        np.divide(1.0, norm.T, out=inv[:, lo:hi])
+    return PropagatorKernel(grid=grid, dz=float(dz), kind=KIND_ANALYTIC, row=wavelet, inv=inv)
 
 
-_WAVELET_BLOCK = 64  # rows per FFT block; bounds the length-2n temporaries
+def _lens_phase(grid: Grid) -> np.ndarray:
+    """``exp(-i pi n/2) t_k``, the column factor of the lens, with
+    exp(-i pi n/2) = (-i)^n taken exactly from n mod 4."""
+    return grid._signs * (1 + 0j, -1j, -1 + 0j, 1j)[grid.n % 4]
 
 
-def _times_wavelet(a: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """``a @ W`` for the symmetric Toeplitz ``W[kp, j] = row[|kp - j|]``.
-
-    W is the top-left n x n corner of the 2n-point circulant whose first
-    column is ``row``, a zero, and ``row[n-1:0:-1]``, so each row of ``a``,
-    zero-padded to 2n, is convolved with that column by FFT and cut back to
-    n.  Rows go in blocks of fixed size into one preallocated result.
-    """
-    n = row.shape[0]
-    spectrum = np.fft.fft(np.concatenate((row, [0.0], row[:0:-1])))
-    out = np.empty(a.shape, dtype=complex)
-    for start in range(0, a.shape[0], _WAVELET_BLOCK):
-        rows = slice(start, start + _WAVELET_BLOCK)
-        block = np.fft.fft(a[rows], 2 * n, axis=1)
-        block *= spectrum
-        out[rows] = np.fft.ifft(block, axis=1)[:, :n]
-    return out
+def _lens(grid: Grid, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of the lens ``col[m, k] = exp(-i pi n/2) t_m t_k conj(F[m, k])``."""
+    lens = np.conjugate(grid.dft_rows(lo, hi))
+    lens *= grid._signs[lo:hi, None]
+    lens *= _lens_phase(grid)
+    return lens
 
 
 def bayes_propagate(dist: DiracDistribution, kernel: PropagatorKernel) -> PropagatedDistribution:
@@ -271,25 +287,38 @@ def bayes_propagate(dist: DiracDistribution, kernel: PropagatorKernel) -> Propag
     rho (:func:`.reconstruct_density`) and forms ``conj(K) * (rho K)``,
     ``K = V^dag U`` from :attr:`PropagatorKernel.k_basis`.  The analytic
     kernel forms ``col * ((inv * d) @ W)``, the product with its Toeplitz
-    wavelet W taken by FFT convolution with the generator ``row``.
+    wavelet W taken by a length-2n FFT convolution with the generator
+    ``row`` and the lens ``col`` formed a block of rows at a time.  The
+    chirp and analytic products fill one preallocated output a block of
+    :meth:`.Grid.row_blocks` at a time.
     """
     grid = kernel.grid
     if dist.grid != grid:
         raise ContractError("distribution and kernel live on different grids")
-    v = kernel.v
-    if v is None:
-        e = _times_wavelet(kernel.inv * dist.d, kernel.row)
-        e *= kernel.col
-    elif v.ndim == 2:
+    v, n = kernel.v, grid.n
+    if v is not None and v.ndim == 2:
         k = kernel.k_basis
         e = reconstruct_density(dist).rho @ k
         e *= k.conj()
     else:
-        h = v.conj()
-        e = np.fft.fft(dist.d, axis=1)
-        e *= sliding_window_view(np.concatenate((h, h[:-1])), grid.n)  # row m: h[(m + s) % n]
-        e = np.fft.ifft(e, axis=1)
-        e *= v[:, None]
+        if v is None:  # W is the top-left n x n corner of this 2n-point circulant
+            spectrum = np.fft.fft(np.concatenate((kernel.row, [0.0], kernel.row[:0:-1])))
+        else:
+            h = v.conj()
+            skewed = sliding_window_view(np.concatenate((h, h[:-1])), n)  # row m: h[(m + s) % n]
+        e = np.empty((n, n), dtype=complex)
+        for lo, hi in grid.row_blocks():
+            if v is None:
+                rows = np.fft.fft(kernel.inv[lo:hi] * dist.d[lo:hi], 2 * n, axis=1)
+                rows *= spectrum
+                post = _lens(grid, lo, hi)
+            else:
+                rows = np.fft.fft(dist.d[lo:hi], axis=1)
+                rows *= skewed[lo:hi]
+                post = v[lo:hi, None]
+            rows = np.fft.ifft(rows, axis=1)[:, :n]
+            rows *= post
+            e[lo:hi] = rows
     e.setflags(write=False)
     return PropagatedDistribution(grid=dist.grid, dz=kernel.dz, e=e, kind=kernel.kind)
 

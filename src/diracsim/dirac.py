@@ -25,7 +25,10 @@ inverting the DFT over the lag s.  ``t_m t_j = (-1)^(j - m)`` is the exact
 value of the row phase product conj(a_m) a_j, a_m = exp(i p_0 x_m), so no
 phase is rounded.  :func:`operator_dirac` and :func:`reconstruct_density`
 are one skew (:meth:`.Grid.skew`, :meth:`.Grid.unskew`) and one FFT along
-the rows each, O(n^2 log n), and never form the n x n overlap matrix.
+the rows each, O(n^2 log n), and never form the n x n overlap matrix.  Both
+go one block of :meth:`.Grid.row_blocks` at a time into one preallocated
+output, so each holds the output and a few blocks, not whole-matrix
+temporaries.
 """
 
 from __future__ import annotations
@@ -86,7 +89,9 @@ def operator_dirac(grid: Grid, op: np.ndarray) -> DiracDistribution:
     if op.shape != (grid.n, grid.n):
         raise ContractError(f"operator shape {op.shape} does not match grid n={grid.n}")
     t = grid._signs
-    d = np.fft.ifft(grid.skew(op * t), axis=1)  # t_j op[m, j] at (m, s), transformed over s
+    d = np.empty(op.shape, dtype=complex)
+    for lo, hi in grid.row_blocks():  # t_j op[m, j] at (m, s), transformed over s
+        d[lo:hi] = np.fft.ifft(grid.skew(op[lo:hi] * t, lo), axis=1)
     d *= t[:, None]
     d.setflags(write=False)
     return DiracDistribution(grid=grid, d=d)
@@ -154,7 +159,10 @@ def reconstruct_density(dist: DiracDistribution) -> DensityMatrix:
     """
     grid = dist.grid
     t = grid._signs
-    rho = grid.unskew(np.fft.fft(dist.d, axis=1)) * t[:, None]
+    rho = np.empty(dist.d.shape, dtype=complex)
+    for lo, hi in grid.row_blocks():
+        np.multiply(grid.unskew(np.fft.fft(dist.d[lo:hi], axis=1), lo), t[lo:hi, None],
+                    out=rho[lo:hi])
     rho *= t
     rho.setflags(write=False)
     return DensityMatrix(grid=grid, rho=rho)

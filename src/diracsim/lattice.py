@@ -43,8 +43,11 @@ and the forward DFT undoes it:
 the discrete Kirkwood-Rihaczek distribution, an FFT over lag of the skewed
 correlation (A. W. Rihaczek, IEEE Trans. Inf. Theory 14, 369 (1968);
 L. Cohen, Time-Frequency Analysis (1995), ch. 8).  Both hold for any n and
-any x0.  :meth:`Grid.skew` and :meth:`Grid.unskew` move an n x n array
-between the (m, j) and the (m, s) layouts as one strided view each.
+any x0.  :meth:`Grid.skew` and :meth:`Grid.unskew` move a block of rows
+lo, lo + 1, ... of an n x n array between the (m, j) and the (m, s) layouts
+as one strided view each, so a transform runs :meth:`Grid.row_blocks` at a
+time into one preallocated output, with temporaries of about ``BLOCK``
+numbers each.
 
 Physical units (wavelength, lens focal length, magnification) live
 exclusively in :class:`UnitMap`, which converts lattice momentum to a camera
@@ -62,6 +65,7 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import ConfigError, ContractError
 
 TWO_PI = 2.0 * np.pi
+BLOCK = 2 ** 14  # numbers in one row block of a streamed n x n product
 
 
 @dataclass(frozen=True)
@@ -135,46 +139,62 @@ class Grid:
     @cached_property
     def overlap_matrix(self) -> np.ndarray:
         """Unitary matrix U with ``U[m, k] = <x_m|p_k>``."""
-        n = self.n
-        idx = np.arange(n)
-        exponent = np.outer(idx, idx)
-        exponent %= n  # the DFT exponent m k mod n, reduced exactly in integers
-        u = np.exp(TWO_PI * 1j * idx / n)[exponent]
-        u *= self._signs[:, None] / np.sqrt(n)
+        u = self.dft_rows(0, self.n)
+        u *= self._signs[:, None] / np.sqrt(self.n)
         u *= np.exp(1j * self.coords[0] * self.momenta)
         u.setflags(write=False)
         return u
 
-    def _doubled(self, a: np.ndarray) -> np.ndarray:
-        """``[a, a]``, the (n, n) array ``a`` repeated along its columns."""
+    def dft_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi-1 of ``F[m, k] = exp(2 pi i m k / n)``, the exponent
+        m k reduced mod n exactly in integers before any phase is rounded.
+
+        Each root exp(2 pi i j / n) is taken at j reduced into (-n/2, n/2],
+        so no phase above pi is rounded.
+        """
+        n = self.n
+        exponent = np.outer(np.arange(lo, hi), np.arange(n))
+        exponent %= n
+        j = np.arange(n)
+        return np.exp(np.pi * 1j * (2 * np.where(2 * j > n, j - n, j) / n))[exponent]
+
+    def row_blocks(self) -> list[tuple[int, int]]:
+        """Row ranges ``(lo, hi)`` that cover the n rows in blocks of at most
+        ``max(1, BLOCK // n)`` rows, about ``BLOCK`` numbers each."""
+        step = max(1, BLOCK // self.n)
+        return [(lo, min(lo + step, self.n)) for lo in range(0, self.n, step)]
+
+    def _doubled(self, a: np.ndarray, lo: int) -> np.ndarray:
+        """``[a, a]``, a block of rows lo, lo + 1, ... of an n x n array
+        repeated along its columns."""
         a = np.asarray(a)
-        if a.shape != (self.n, self.n):
-            raise ContractError(f"array of shape {a.shape} does not match grid n={self.n}")
+        if a.ndim != 2 or a.shape[1] != self.n or not 0 <= lo <= self.n - a.shape[0]:
+            raise ContractError(f"array of shape {a.shape} at row {lo} does not fit grid n={self.n}")
         return np.concatenate((a, a), axis=1)
 
-    def skew(self, a: np.ndarray) -> np.ndarray:
-        """``g[m, s] = a[m, (m + s) mod n]``, a read-only strided view.
+    def skew(self, a: np.ndarray, lo: int = 0) -> np.ndarray:
+        """``g[i, s] = a[i, (lo + i + s) mod n]``, a read-only strided view.
 
-        Row m of ``[a, a]`` read from column m on: one step down a row and
-        one to the right per row of g.
+        ``a`` holds rows lo, lo + 1, ... of an n x n array, all of them by
+        default.  Row i of ``[a, a]`` is read from column lo + i on: one step
+        down a row and one to the right per row of g.
         """
-        doubled = self._doubled(a)
+        doubled = self._doubled(a, lo)
         row, col = doubled.strides
-        n = self.n
-        return as_strided(doubled, shape=(n, n), strides=(row + col, col), writeable=False)
+        return as_strided(doubled[:, lo:], shape=(len(doubled), self.n),
+                          strides=(row + col, col), writeable=False)
 
-    def unskew(self, g: np.ndarray) -> np.ndarray:
-        """``a[m, j] = g[m, (j - m) mod n]``, the inverse of :meth:`skew`, a
-        read-only strided view.
+    def unskew(self, g: np.ndarray, lo: int = 0) -> np.ndarray:
+        """``a[i, j] = g[i, (j - lo - i) mod n]``, the inverse of :meth:`skew`
+        for the same ``lo``, a read-only strided view.
 
-        Row m of ``[g, g]`` read from column n - m on: one step down a row
-        and one to the left per row of a.
+        Row i of ``[g, g]`` is read from column n - lo - i on: one step down a
+        row and one to the left per row of a.
         """
-        doubled = self._doubled(g)
+        doubled = self._doubled(g, lo)
         row, col = doubled.strides
-        n = self.n
-        return as_strided(doubled[:, n:], shape=(n, n), strides=(row - col, col),
-                          writeable=False)
+        return as_strided(doubled[:, self.n - lo:], shape=(len(doubled), self.n),
+                          strides=(row - col, col), writeable=False)
 
     def require_unit_map(self) -> UnitMap:
         if self.unit_map is None:

@@ -138,11 +138,12 @@ _POISSON_MAX_MEAN = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max
 def derived_seed(master: int, index: int) -> int:
     """The seed numbered ``index`` derived from ``master``.
 
-    A ``master`` that is not a nonnegative integer, a bool included, is a
-    ConfigError.
+    A ``master`` or ``index`` that is not a nonnegative integer, a bool
+    included, is a ConfigError.
     """
-    if not isinstance(master, (int, np.integer)) or isinstance(master, bool) or master < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {master!r}")
+    for name, value in (("seed", master), ("seed index", index)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
+            raise ConfigError(f"{name} must be a nonnegative integer, got {value!r}")
     return int(np.random.SeedSequence((int(master), int(index))).generate_state(1, np.uint64)[0])
 
 

@@ -12,6 +12,7 @@ from diracsim import (BenchConfig, ContractError, DensityMatrix, DiracDistributi
                       backaction_offset, bench_pure_state, correct_diagonals,
                       estimate_dirac_column, fileio, make_grid, reconstruct_density,
                       sample_counts)
+from diracsim import bayesprop
 from diracsim.weaksim import derived_seed, sliver_readout, sliver_seeds
 
 
@@ -219,6 +220,68 @@ def dense_reconstruct(grid, d):
     """Inverse transform ``(d / conj(U)) @ U^dag`` with the dense overlap matrix U."""
     u = grid.overlap_matrix
     return (d / u.conj()) @ u.conj().T
+
+
+# -- whole-matrix references of the streamed n x n products.  Each applies
+# the same arithmetic as its row-block form to the whole matrix at once, with
+# the skews taken by index gather, so the two must agree bit for bit.
+
+def whole_skew(a):
+    """``g[m, s] = a[m, (m + s) mod n]`` by index gather."""
+    idx = np.arange(a.shape[0])
+    return a[idx[:, None], (idx[:, None] + idx) % len(idx)]
+
+
+def whole_unskew(g):
+    """``a[m, j] = g[m, (j - m) mod n]`` by index gather."""
+    idx = np.arange(g.shape[0])
+    return g[idx[:, None], (idx - idx[:, None]) % len(idx)]
+
+
+def whole_operator_dirac(grid, op):
+    """``operator_dirac``: one ifft of the skewed ``op * t``, then the row signs."""
+    t = grid._signs
+    d = np.fft.ifft(whole_skew(op * t), axis=1)
+    d *= t[:, None]
+    return d
+
+
+def whole_reconstruct(grid, d):
+    """``reconstruct_density``: the unskewed fft of d times both signs."""
+    t = grid._signs
+    rho = whole_unskew(np.fft.fft(d, axis=1)) * t[:, None]
+    rho *= t
+    return rho
+
+
+def whole_propagate(kernel, d):
+    """``bayes_propagate`` for a chirp or an analytic kernel: for a chirp
+    ``c = kernel.v``, ``c_m ifft_s(fft(d)[m, s] conj(c)[(m + s) mod n])``; for
+    the analytic kernel, the length-2n circulant convolution of ``inv * d``
+    with the wavelet, cut to n and times the whole lens ``kernel.col``."""
+    n = kernel.grid.n
+    if kernel.v is None:
+        row = kernel.row
+        e = np.fft.fft(kernel.inv * d, 2 * n, axis=1)
+        e *= np.fft.fft(np.concatenate((row, [0.0], row[:0:-1])))
+        e = np.fft.ifft(e, axis=1)[:, :n]
+        e *= kernel.col
+    else:
+        e = np.fft.fft(d, axis=1)
+        e *= whole_skew(np.tile(kernel.v.conj(), (n, 1)))
+        e = np.fft.ifft(e, axis=1)
+        e *= kernel.v[:, None]
+    return e
+
+
+def whole_analytic_inverse(kernel):
+    """``build_kernel_analytic``'s ``inv``: 1 / norm with
+    ``norm[m, kp] = exp(-i pi n/2) t_m fft_j(t_j W[kp, j])[m]`` and W gathered
+    by :func:`dense_wavelet`."""
+    grid = kernel.grid
+    norm = np.fft.fft(dense_wavelet(kernel.row) * grid._signs, axis=1)
+    norm *= bayesprop._lens_phase(grid)
+    return 1.0 / norm.T
 
 
 def displaced_trace_oracle(k_basis, rho):

@@ -155,6 +155,27 @@ def test_unitary_kernel_stores_only_v():
     assert all(a.size <= grid.n for a in arrays.values())
 
 
+def test_analytic_kernel_stores_one_n_by_n_array():
+    kernel = build_kernel_analytic(_unit_grid(16), 0.16)
+    arrays = {name: value.shape for name, value in vars(kernel).items()
+              if isinstance(value, np.ndarray)}
+    assert arrays == {"row": (16,), "inv": (16, 16)}
+
+
+@pytest.mark.parametrize("n", [8, 9, 97, 1024])
+def test_analytic_lens_is_the_exact_signed_dft(n):
+    """col[m, k] = exp(-2 pi i (m - n/2)(k - n/2) / n), against the phase
+    (2m - n)(2k - n) / 4n turns reduced exactly in integers and evaluated in
+    long double.  The lens exp(-2 pi i x k' / (f lambda)), its phase of up to
+    pi n / 2 rad rounded first, was off by up to 5.8e-13 at n = 1024."""
+    col = build_kernel_analytic(make_grid(n, 44e-3 / n, 3e-4, UM), 0.16).col
+    half = 2 * np.arange(n, dtype=np.int64) - n
+    turns = np.outer(half, half) % (4 * n)
+    angle = turns.astype(np.longdouble) * (-8 * np.arctan(np.longdouble(1)) / (4 * n))
+    assert np.max(np.abs(col.real - np.cos(angle))) <= 1e-15
+    assert np.max(np.abs(col.imag - np.sin(angle))) <= 1e-15
+
+
 def test_exact_bayes_identity_random_unitaries():
     rng = np.random.default_rng(3)
     grid = _unit_grid(16)
@@ -247,12 +268,14 @@ def test_non_finite_displacement_is_a_config_error(dz):
 
 @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
 def test_analytic_normalization_guard_rejects_zero_and_non_finite(monkeypatch, bad):
-    def broken_product(a, row):
-        out = np.ones(a.shape, dtype=complex)
+    fft = np.fft.fft
+
+    def broken_fft(a, *args, **kwargs):  # the transform of the rows of W that gives norm
+        out = fft(a, *args, **kwargs)
         out[1, 2] = bad
         return out
 
-    monkeypatch.setattr(bayesprop, "_times_wavelet", broken_product)
+    monkeypatch.setattr(bayesprop.np.fft, "fft", broken_fft)
     with pytest.raises(NumericalIntegrityError, match="normalization"):
         build_kernel_analytic(_unit_grid(), 0.1)
 

@@ -79,13 +79,28 @@ def test_skew_and_unskew_index_the_lag(n):
         assert not view.flags.writeable
 
 
+@pytest.mark.parametrize("n", [2, 3, 8, 9])
+def test_skew_and_unskew_of_a_row_block_index_the_lag(n):
+    grid = make_grid(n, 1.0)
+    a = np.arange(n * n).reshape(n, n) * (1 + 1j)
+    whole = grid.skew(a)
+    for lo in range(n):
+        for hi in range(lo + 1, n + 1):
+            g = grid.skew(a[lo:hi], lo)
+            assert np.array_equal(g, whole[lo:hi])  # g[i, s] = a[lo + i, lo + i + s]
+            assert np.array_equal(grid.unskew(g, lo), a[lo:hi])
+            assert not g.flags.writeable
+
+
 def test_skew_shape_contract():
     grid = make_grid(8, 1.0)
-    for bad in (np.ones((8, 9)), np.ones((9, 8)), np.ones(8), np.ones((2, 8, 8))):
+    for bad, lo in ((np.ones((8, 9)), 0), (np.ones((9, 8)), 0), (np.ones(8), 0),
+                    (np.ones((2, 8, 8)), 0), (np.ones((3, 8)), 6), (np.ones((1, 8)), -1),
+                    (np.ones((1, 8)), 8)):
         with pytest.raises(ContractError):
-            grid.skew(bad)
+            grid.skew(bad, lo)
         with pytest.raises(ContractError):
-            grid.unskew(bad)
+            grid.unskew(bad, lo)
 
 
 def test_unit_map_round_trip():

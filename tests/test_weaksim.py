@@ -531,9 +531,18 @@ def test_derived_seed_refuses_a_master_that_is_not_a_nonnegative_integer(master)
         sliver_seeds(master, 2)
 
 
+@pytest.mark.parametrize("index", [-1, 1.5, True, np.bool_(True), np.float64(2.0), "3", None])
+def test_derived_seed_refuses_an_index_that_is_not_a_nonnegative_integer(index):
+    """A truncated index made ``derived_seed(3, 1.5)`` and ``derived_seed(3, True)``
+    equal ``derived_seed(3, 1)``, and an index of -1 ended in numpy's bare ValueError."""
+    with pytest.raises(ConfigError, match=r"^seed index must be a nonnegative integer, got "):
+        derived_seed(3, index)
+
+
 def test_derived_seed_takes_numpy_integer_masters():
     assert derived_seed(np.uint64(2**64 - 1), 3) == derived_seed(2**64 - 1, 3)
     assert derived_seed(np.int32(7), 0) == derived_seed(7, 0)
+    assert derived_seed(7, np.uint16(4)) == derived_seed(7, 4)
     assert sliver_seeds(np.uint64(5), 3) == [derived_seed(5, m) for m in range(3)]
 
 
