@@ -57,6 +57,11 @@ length-2n FFT convolution, and the normalization ``col @ W`` one FFT per
 row of W, each O(n^2 log n), never an n^3 matrix product.  Every n x n
 product here fills one preallocated output a block of
 :meth:`.Grid.row_blocks` at a time, so it holds the output and a few blocks.
+
+Bayes propagation keeps the distribution classical-like: e sums to 1 and its
+position and camera marginals are real and nonnegative, and
+:meth:`PropagatedDistribution.validate` checks that with the one helper that
+:meth:`.DiracDistribution.validate` uses, at its own ``PROPAGATED_TOL``.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError, ContractError, DegenerateKernelError, NumericalIntegrityError
 from .lattice import Grid, TWO_PI
 from .qstate import BenchConfig, DensityMatrix
-from .dirac import DiracDistribution, reconstruct_density
+from .dirac import DiracDistribution, _check_quasi_probability, reconstruct_density
 from . import weaksim
 
 KIND_UNITARY = "discrete-unitary"
@@ -88,7 +93,8 @@ class PropagatorKernel:
     sets only the factors ``row``, the length-n generator of the symmetric
     Toeplitz wavelet, and the n x n ``inv`` of
     ``cond[j, m, kp] = col[m, j] * row[|kp - j|] * inv[m, kp]``; its lens
-    :attr:`col` is derived on each access, for the test oracles.
+    ``col`` (module docstring) is formed a block of rows at a time where
+    :func:`bayes_propagate` needs it, and never stored.
     """
 
     grid: Grid
@@ -104,14 +110,6 @@ class PropagatorKernel:
         if self.v is None:
             return None
         return _adjoint_times(self.v, self.grid.overlap_matrix)
-
-    @property
-    def col(self) -> np.ndarray | None:
-        """The analytic kernel's lens ``col[m, k]`` (module docstring), an
-        n x n array; None for a unitary kernel."""
-        if self.v is not None:
-            return None
-        return _lens(self.grid, 0, self.grid.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,17 +131,10 @@ class PropagatedDistribution:
             raise ContractError(f"propagated shape {np.shape(self.e)} does not match grid n={n}")
 
     def validate(self) -> None:
-        """Check, to ``PROPAGATED_TOL``, that e sums to 1 and that its row and
-        column sums are real and nonnegative."""
-        total = self.e.sum()
-        if not abs(total - 1.0) <= PROPAGATED_TOL:
-            raise ContractError(f"propagated distribution sums to {total}, expected 1")
-        for axis, label in ((1, "row"), (0, "column")):
-            sums = self.e.sum(axis=axis)
-            if not np.max(np.abs(sums.imag)) <= PROPAGATED_TOL:
-                raise NumericalIntegrityError(f"{label} sums have imaginary residual")
-            if not sums.real.min() >= -PROPAGATED_TOL:
-                raise NumericalIntegrityError(f"{label} sums have negative entry")
+        """Check, to ``PROPAGATED_TOL``, that e sums to 1 and that its position
+        and camera marginals are real and nonnegative, as
+        :meth:`.DiracDistribution.validate` checks d."""
+        _check_quasi_probability(self.e, PROPAGATED_TOL, "propagated distribution", "camera")
 
 
 def fresnel_unitary(grid: Grid, dz: float) -> np.ndarray:
@@ -203,8 +194,11 @@ def build_kernel_unitary(grid: Grid, v: np.ndarray, dz: float = 0.0) -> Propagat
     it, or a dense n x n unitary.  Completeness (sum over k' equal to one)
     holds identically, so the Bayes sum reproduces displaced-basis
     expectation values exactly.  ``dz`` is recorded as provenance only; it
-    plays no role in the construction.  Only the checked V is stored.
+    plays no role in the construction, but a negative, infinite or NaN
+    ``dz`` is a ConfigError, as in :func:`fresnel_unitary`.  Only the
+    checked V is stored.
     """
+    _check_displacement(dz)
     v = _checked_unitary(grid, np.array(v, dtype=complex))  # a copy the caller cannot change
     v.setflags(write=False)
     return PropagatorKernel(grid=grid, dz=float(dz), kind=KIND_UNITARY, v=v)

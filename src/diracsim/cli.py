@@ -105,10 +105,7 @@ def _read_on_grid(path: str, kind: str | None = None):
 
 def _read_state(path: str) -> DensityMatrix:
     arr, _, grid = _read_on_grid(path, "density")
-    arr.setflags(write=False)
-    state = DensityMatrix(grid=grid, rho=arr)
-    state.validate()
-    return state
+    return qstate._checked_state(grid, arr)
 
 
 def _read_dirac(path: str) -> DiracDistribution:
@@ -201,8 +198,9 @@ def cmd_props(cfg: RunConfig, args) -> int:
     def check(name, value, ok, detail=""):
         lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {value}{detail}")
 
+    tol = dirac.NORMALIZATION_TOL
     total = dist.d.sum()
-    check("normalization", f"{total:.12g}", abs(total - 1.0) <= 1e-10, " (tol 1e-10)")
+    check("normalization", f"{total:.12g}", abs(total - 1.0) <= tol, f" (tol {tol:g})")
     for label, fn in (("marginal_x", dirac.marginal_x), ("marginal_p", dirac.marginal_p)):
         try:
             marg = fn(dist)
@@ -210,7 +208,7 @@ def cmd_props(cfg: RunConfig, args) -> int:
         except DiracsimError as exc:
             check(label, str(exc), False)
     mu = dirac.purity(dist)
-    check("purity", f"{mu:.12g}", 1.0 / n - 1e-10 <= mu <= 1.0 + 1e-10,
+    check("purity", f"{mu:.12g}", 1.0 / n - tol <= mu <= 1.0 + tol,
           f" (bounds [{1.0 / n:.6g}, 1])")
 
     report = "\n".join(lines) + "\n"

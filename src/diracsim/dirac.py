@@ -63,11 +63,9 @@ class DiracDistribution:
             raise ContractError(f"distribution shape {np.shape(self.d)} does not match grid n={n}")
 
     def validate(self) -> None:
-        total = self.d.sum()
-        if not abs(total - 1.0) <= NORMALIZATION_TOL:
-            raise ContractError(f"distribution sums to {total}, expected 1")
-        marginal_x(self)
-        marginal_p(self)
+        """Check, to ``NORMALIZATION_TOL``, that d sums to 1 and that its
+        marginals are real and nonnegative (:func:`_check_quasi_probability`)."""
+        _check_quasi_probability(self.d, NORMALIZATION_TOL, "distribution", "momentum")
 
 
 def dirac_distribution(rho: DensityMatrix) -> DiracDistribution:
@@ -97,18 +95,33 @@ def operator_dirac(grid: Grid, op: np.ndarray) -> DiracDistribution:
     return DiracDistribution(grid=grid, d=d)
 
 
-def _real_marginal(sums: np.ndarray, label: str) -> np.ndarray:
+def _real_marginal(sums: np.ndarray, label: str, tol: float = MARGINAL_TOL) -> np.ndarray:
     imag = np.max(np.abs(sums.imag))
-    if not imag <= MARGINAL_TOL:
+    if not imag <= tol:
         raise NumericalIntegrityError(
-            f"{label} marginal has imaginary residual {imag:.3e} > {MARGINAL_TOL}"
+            f"{label} marginal has imaginary residual {imag:.3e} > {tol}"
         )
     real = sums.real
-    if not real.min() >= -MARGINAL_TOL:
+    if not real.min() >= -tol:
         raise NumericalIntegrityError(
-            f"{label} marginal has negative entry {real.min():.3e} < -{MARGINAL_TOL}"
+            f"{label} marginal has negative entry {real.min():.3e} < -{tol}"
         )
     return real.copy()
+
+
+def _check_quasi_probability(a: np.ndarray, tol: float, what: str, column: str) -> None:
+    """The invariant of a classical-like quasi-probability ``a[m, k]`` over
+    position and a second variable named ``column``: to ``tol``, ``a`` sums
+    to 1 (else a ContractError), and its position marginal (row sums) and
+    ``column`` marginal (column sums) are real and nonnegative (else a
+    NumericalIntegrityError).  :meth:`DiracDistribution.validate` and
+    :meth:`.PropagatedDistribution.validate` both check it here.
+    """
+    total = a.sum()
+    if not abs(total - 1.0) <= tol:
+        raise ContractError(f"{what} sums to {total}, expected 1")
+    _real_marginal(a.sum(axis=1), "position", tol)
+    _real_marginal(a.sum(axis=0), column, tol)
 
 
 def marginal_x(dist: DiracDistribution) -> np.ndarray:

@@ -7,6 +7,11 @@ wedge in the glass); an oscillating plate randomizes that phase, which after
 time averaging destroys all coherence between the two halves and leaves a
 mixed state.  Scattering at the plate edge is modeled as a single-site
 amplitude dip.
+
+A density matrix is certified once, by the code that builds it: by
+construction when it is formed from validated amplitudes, else by one full
+check (:class:`DensityMatrix`).  ``DensityMatrix.validate`` skips only a
+certified state whose matrix is still read-only, and records nothing itself.
 """
 
 from __future__ import annotations
@@ -57,15 +62,17 @@ class DensityMatrix:
     eigenvalue lies below ``-PSD_TOL``.  Only a failed factorisation runs
     ``eigvalsh``, whose smallest eigenvalue then decides and is reported, so
     the two verdicts can differ only within rounding of the ``-PSD_TOL``
-    boundary (about ``n * eps * ||rho||``).  A passing :meth:`validate` is
-    remembered while ``rho`` is read-only, so the O(n^3) check runs once per
-    state; a writeable ``rho`` is checked on every call.
+    boundary (about ``n * eps * ||rho||``).
 
+    Only the code that builds a state certifies it, and :meth:`validate`
+    returns at once for a certified state while its ``rho`` stays read-only.
     States that this module builds from amplitudes (:func:`density_from_pure`
-    and :func:`build_bench_state`) are certified by construction instead and
-    run no factorisation; see :func:`_built_state`.  Every other state runs
-    the full check: one read from a file, one formed by :func:`mix` or
-    :func:`random_density_matrix`, and any that a caller constructs.
+    and :func:`build_bench_state`) are certified by construction and run no
+    factorisation (see :func:`_built_state`); one formed by :func:`mix` or
+    :func:`random_density_matrix`, or read from a file, is certified by one
+    full check (see :func:`_checked_state`).  :meth:`validate` never records
+    a pass itself: a state that a caller constructs may share its ``rho``
+    with a writeable array, so it is checked in full on every call.
     """
 
     grid: Grid
@@ -100,12 +107,6 @@ class DensityMatrix:
                 raise ContractError(
                     f"density matrix has eigenvalue {lowest:.3e} < -{PSD_TOL}"
                 ) from None
-        if not self.rho.flags.writeable:
-            object.__setattr__(self, "_valid", True)
-
-    def purity(self) -> float:
-        # Tr rho^2 = sum |rho_ij|^2 for a Hermitian matrix
-        return float(np.real(np.sum(self.rho * self.rho.conj())))
 
 
 @dataclass(frozen=True)
@@ -162,10 +163,16 @@ def wedge_gradient_from_angle(angle: float, wavelength: float, glass_index: floa
 
 
 def pure_from_samples(grid: Grid, raw: np.ndarray) -> PureState:
-    """Normalize raw complex samples into a :class:`PureState`."""
+    """Normalize raw complex samples into a :class:`PureState`.
+
+    Samples of the wrong shape, or with a NaN or infinite entry, are a
+    ContractError; the zero vector is a DegenerateInputError.
+    """
     raw = np.asarray(raw, dtype=complex)
     if raw.shape != (grid.n,):
         raise ContractError(f"sample vector of shape {raw.shape} does not match grid n={grid.n}")
+    if not np.isfinite(raw).all():
+        raise ContractError("sample vector is not finite")
     norm = np.linalg.norm(raw)
     if norm == 0.0:
         raise DegenerateInputError("cannot normalize the zero vector into a state")
@@ -188,7 +195,8 @@ def _built_state(grid: Grid, rho: np.ndarray) -> DensityMatrix:
     ``|E_ij| <= sqrt(5) u |a_i| |a_j|`` (u = 2**-53), whose spectral norm is at
     most ``sqrt(5) u ||a||^2``, about 2.5e-16 for any n: over five orders of
     magnitude inside ``HERMITICITY_TOL`` and ``PSD_TOL``.  The trace is
-    checked, in O(n).
+    checked, in O(n).  The one other caller is :func:`_checked_state`, with
+    a ``rho`` that has just passed the full check.
     """
     rho.setflags(write=False)
     out = DensityMatrix(grid=grid, rho=rho)
@@ -199,13 +207,24 @@ def _built_state(grid: Grid, rho: np.ndarray) -> DensityMatrix:
     return out
 
 
+def _checked_state(grid: Grid, rho: np.ndarray) -> DensityMatrix:
+    """Run the full check of :meth:`DensityMatrix.validate` on ``rho``, then
+    freeze it and mark it a valid state (:func:`_built_state`).
+
+    Only for a ``rho`` that its caller has just made and passes on, so that
+    no writeable reference to it is left outside the state.
+    """
+    DensityMatrix(grid=grid, rho=rho).validate()
+    return _built_state(grid, rho)
+
+
 def density_from_pure(psi: PureState) -> DensityMatrix:
     """Rank-one density matrix |psi><psi|.
 
     Hermitian and PSD by construction, to within ``sqrt(5) u ||psi||^2``
     (about 2.5e-16), so it runs no Cholesky factorisation (see
-    :func:`_built_state`); :func:`mix` and :func:`random_density_matrix` keep
-    the full check of :meth:`DensityMatrix.validate`.
+    :func:`_built_state`); :func:`mix` and :func:`random_density_matrix` run
+    one full check (:func:`_checked_state`).
     """
     psi.validate()
     return _built_state(psi.grid, np.outer(psi.amp, psi.amp.conj()))
@@ -213,7 +232,7 @@ def density_from_pure(psi: PureState) -> DensityMatrix:
 
 def mix(states: list[tuple[DensityMatrix, float]]) -> DensityMatrix:
     """Convex combination of density matrices sharing one grid, certified by
-    the full check of :meth:`DensityMatrix.validate`."""
+    one full check (:func:`_checked_state`)."""
     if not states:
         raise ConfigError("mix() needs at least one (state, weight) pair")
     grid = states[0][0].grid
@@ -230,10 +249,7 @@ def mix(states: list[tuple[DensityMatrix, float]]) -> DensityMatrix:
         if state.grid is not grid and state.grid != grid:
             raise ContractError("all mixture components must share one grid")
         rho += w * state.rho
-    rho.setflags(write=False)
-    out = DensityMatrix(grid=grid, rho=rho)
-    out.validate()
-    return out
+    return _checked_state(grid, rho)
 
 
 def _bench_masks(cfg: BenchConfig, grid: Grid) -> tuple[np.ndarray, np.ndarray, int]:
@@ -280,8 +296,7 @@ def build_bench_state(cfg: BenchConfig, grid: Grid) -> DensityMatrix:
     psi on either side of the edge.  Both branches are Hermitian and PSD by
     construction, to within ``sqrt(5) u ||psi||^2`` (about 2.5e-16), and run
     no Cholesky factorisation (see :func:`_built_state`); :func:`mix` and
-    :func:`random_density_matrix` keep the full check of
-    :meth:`DensityMatrix.validate`.
+    :func:`random_density_matrix` run one full check (:func:`_checked_state`).
     """
     psi = bench_pure_state(cfg, grid)
     if not cfg.mixed:
@@ -296,14 +311,11 @@ def build_bench_state(cfg: BenchConfig, grid: Grid) -> DensityMatrix:
 
 def random_density_matrix(grid: Grid, rng: np.random.Generator, rank: int | None = None) -> DensityMatrix:
     """Random full-or-fixed-rank density matrix, used heavily by the test oracles;
-    certified by the full check of :meth:`DensityMatrix.validate`."""
+    certified by one full check (:func:`_checked_state`)."""
     rank = grid.n if rank is None else rank
     if not isinstance(rank, (int, np.integer)) or isinstance(rank, bool) or not 1 <= rank <= grid.n:
         raise ConfigError(f"rank {rank!r} is not an integer in [1, {grid.n}]")
     b = rng.standard_normal((grid.n, rank)) + 1j * rng.standard_normal((grid.n, rank))
     rho = b @ b.conj().T
     rho /= rho.trace()
-    rho.setflags(write=False)
-    out = DensityMatrix(grid=grid, rho=rho)
-    out.validate()
-    return out
+    return _checked_state(grid, rho)

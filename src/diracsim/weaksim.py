@@ -19,8 +19,10 @@ Dirac distribution itself, the expected intensities are
 N_D, N_A = base +- sin(phi) (Re W - O) and N_L, N_R = base +- sin(phi) Im W,
 base = <p_k|rho|p_k> / 2 - (1 - cos phi) Re W + O.  These formulas fix
 the estimator constants in closed form, c_re = c_im = 1/2 and
-sign_circ = -1 (:func:`calibrate_estimator` derives them and checks their
-closure against the exact trace formula), so no constant is fitted.  W is
+sign_circ = -1, which :func:`estimate_dirac_column` applies directly, so no
+constant is fitted.  :func:`calibrate_estimator` checks their closure
+against the exact trace formula, once per process through
+:func:`default_calibration`, at the start of :func:`scan_blocks`.  W is
 taken from :func:`.operator_dirac` in the position-difference domain (see
 :mod:`.dirac`), with no n x n U and no n^3 product.  A camera displaced past
 the Fourier-transform plane needs no other readout: its pixels are the
@@ -60,7 +62,9 @@ SLIVER_BLOCK = 64
 class EstimatorCalibration:
     """Constants of the estimator: the scales of the linear and circular count
     differences and the circular handedness.  The readout fixes them at
-    (1/2, 1/2, -1); :func:`calibrate_estimator` returns that value."""
+    (1/2, 1/2, -1), which :func:`estimate_dirac_column` applies directly;
+    :func:`calibrate_estimator` returns this record of them once their
+    closure is checked."""
 
     c_re: float
     c_im: float
@@ -141,10 +145,16 @@ def derived_seed(master: int, index: int) -> int:
     A ``master`` or ``index`` that is not a nonnegative integer, a bool
     included, is a ConfigError.
     """
-    for name, value in (("seed", master), ("seed index", index)):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
-            raise ConfigError(f"{name} must be a nonnegative integer, got {value!r}")
+    _check_seed("seed", master)
+    _check_seed("seed index", index)
     return int(np.random.SeedSequence((int(master), int(index))).generate_state(1, np.uint64)[0])
+
+
+def _check_seed(name: str, value) -> None:
+    """Refuse a seed that is not a nonnegative integer, a bool included
+    (ConfigError)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
+        raise ConfigError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
 def sliver_seeds(seed: int, n: int) -> list[int]:
@@ -169,9 +179,10 @@ def sample_counts(expected: np.ndarray, seeds: list[int]) -> np.ndarray:
 
     Sliver m draws from its own generator, seeded by ``seeds[m]`` (see
     :func:`sliver_seeds`), so the counts do not depend on the order in which
-    slivers are drawn.  A mean beyond numpy's Poisson limit is a ConfigError;
-    means of another shape, a negative or NaN mean, or a seed list whose
-    length is not the number of slivers, is a ContractError.
+    slivers are drawn.  A mean beyond numpy's Poisson limit, or a seed that
+    is not a nonnegative integer (a bool included), is a ConfigError; means
+    of another shape, a negative or NaN mean, or a seed list whose length is
+    not the number of slivers, is a ContractError.
     """
     if expected.ndim != 3 or expected.shape[0] != len(READOUT_KEYS):
         raise ContractError(f"expected counts of shape {expected.shape}: expected (4, b, n)")
@@ -180,12 +191,12 @@ def sample_counts(expected: np.ndarray, seeds: list[int]) -> np.ndarray:
         raise ContractError(f"{len(seeds)} sliver seeds given for {expected.shape[1]} slivers")
     noisy = np.empty_like(expected)
     for m, seed in enumerate(seeds):
+        _check_seed("seed", seed)
         noisy[:, m, :] = np.random.default_rng(seed).poisson(expected[:, m, :])
     return noisy
 
 
-def estimate_dirac_column(counts: np.ndarray, phi: float,
-                          cal: EstimatorCalibration | None = None, *,
+def estimate_dirac_column(counts: np.ndarray, phi: float, *,
                           first_sliver: int = 0) -> np.ndarray:
     """Dirac-distribution estimate from analyzer counts, normalized per sliver
     by its total linear count.
@@ -197,9 +208,10 @@ def estimate_dirac_column(counts: np.ndarray, phi: float,
     estimate through sin(phi).  A NaN or infinite count is a ContractError,
     and a sliver without linear counts a NoPhotonsError; either names the
     first such sliver, counting the first row of ``counts`` as sliver
-    ``first_sliver``.  ``cal`` defaults to the closed-form constants of
-    :func:`default_calibration`, which give W - O for noise-free counts;
-    :func:`calibrate_estimator` passes them explicitly to check them.
+    ``first_sliver``.  The constants are the closed-form
+    c_re = c_im = 1/2 and sign_circ = -1 (module docstring), which give
+    W - O for noise-free counts; :func:`scan_blocks` checks their closure
+    once per process.
     """
     if not 0.0 < phi <= 0.5 * np.pi:
         raise ConfigError(f"coupling angle phi {phi} not in (0, pi/2]")
@@ -211,7 +223,6 @@ def estimate_dirac_column(counts: np.ndarray, phi: float,
     if not finite.all():
         where = f"sliver {first_sliver + np.flatnonzero(~finite)[0]}: " if counts.ndim == 3 else ""
         raise ContractError(f"{where}analyzer counts are not finite")
-    cal = default_calibration() if cal is None else cal
     d, a, l, r = counts
     total = (d + a).sum(axis=-1, keepdims=True)
     empty = np.flatnonzero(total <= 0)
@@ -219,7 +230,7 @@ def estimate_dirac_column(counts: np.ndarray, phi: float,
         where = f"sliver {first_sliver + empty[0]}: " if counts.ndim == 3 else ""
         raise NoPhotonsError(f"{where}no photons in the linear analyzer pair")
     scale = total * np.sin(phi)
-    return (cal.c_re * (d - a) - 1j * cal.sign_circ * cal.c_im * (l - r)) / scale
+    return (0.5 * (d - a) + 0.5j * (l - r)) / scale
 
 
 def backaction_offset(rho: DensityMatrix, phi: float) -> np.ndarray:
@@ -242,7 +253,10 @@ def scan_blocks(readout: SliverReadout, scan_seeds: list[list[int] | None]):
     estimate rows.  ``scan_seeds[rep]`` lists scan rep's per-sliver seeds, or
     is None for a noise-free scan, whose counts are the expected ones.  If any
     scan is noisy, every sliver's means are checked before the first draw.
+    The estimator's closure check (:func:`default_calibration`) runs first,
+    once per process.
     """
+    default_calibration()
     if any(seeds is not None for seeds in scan_seeds):
         readout.check_sampleable()
     for lo in range(0, len(readout.w), SLIVER_BLOCK):
@@ -293,7 +307,7 @@ def correct_diagonals(rho_measured: DensityMatrix, phi: float) -> DensityMatrix:
 
 def calibrate_estimator() -> EstimatorCalibration:
     """The estimator constants c_re = c_im = 1/2, sign_circ = -1, after a
-    closure check against the trace oracle.
+    closure check of :func:`estimate_dirac_column` against the trace oracle.
 
     Per unit photon budget the readout gives N_D - N_A = 2 sin(phi) (Re W - O)
     and N_L - N_R = 2 sin(phi) Im W, and the linear pair sums to 1 per sliver,
@@ -304,7 +318,6 @@ def calibrate_estimator() -> EstimatorCalibration:
     :func:`dirac_distribution` within 1e-10; a readout with a swapped
     analyzer pair fails it with NumericalIntegrityError.
     """
-    cal = EstimatorCalibration(c_re=0.5, c_im=0.5, sign_circ=-1)
     n, phi = 16, 0.3
     grid = make_grid(n, 0.5)
     x = grid.coords
@@ -314,14 +327,15 @@ def calibrate_estimator() -> EstimatorCalibration:
     rows = [n // 4, n // 2, (3 * n) // 4]
     counts = sliver_readout(rho, phi, 1.0).intensities(0, n)[:, rows, :]
     tgt = truth[rows] - backaction_offset(rho, phi)[rows]
-    residual = np.max(np.abs(estimate_dirac_column(counts, phi, cal) - tgt))
+    residual = np.max(np.abs(estimate_dirac_column(counts, phi) - tgt))
     if not residual <= 1e-10:  # also catches a NaN readout
         raise NumericalIntegrityError(
             f"estimator calibration failed to close (residual {residual:.3e})"
         )
-    return cal
+    return EstimatorCalibration(c_re=0.5, c_im=0.5, sign_circ=-1)
 
 
 @lru_cache(maxsize=1)
 def default_calibration() -> EstimatorCalibration:
+    """:func:`calibrate_estimator`, run once per process."""
     return calibrate_estimator()

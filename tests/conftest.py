@@ -254,18 +254,25 @@ def whole_reconstruct(grid, d):
     return rho
 
 
+def analytic_lens(grid):
+    """The analytic kernel's whole n x n lens
+    ``col[m, k] = exp(-i pi n/2) t_m t_k conj(F[m, k])``, from the one block
+    of rows 0..n-1 that ``bayes_propagate`` forms a block at a time."""
+    return bayesprop._lens(grid, 0, grid.n)
+
+
 def whole_propagate(kernel, d):
     """``bayes_propagate`` for a chirp or an analytic kernel: for a chirp
     ``c = kernel.v``, ``c_m ifft_s(fft(d)[m, s] conj(c)[(m + s) mod n])``; for
     the analytic kernel, the length-2n circulant convolution of ``inv * d``
-    with the wavelet, cut to n and times the whole lens ``kernel.col``."""
+    with the wavelet, cut to n and times the whole lens ``analytic_lens``."""
     n = kernel.grid.n
     if kernel.v is None:
         row = kernel.row
         e = np.fft.fft(kernel.inv * d, 2 * n, axis=1)
         e *= np.fft.fft(np.concatenate((row, [0.0], row[:0:-1])))
         e = np.fft.ifft(e, axis=1)[:, :n]
-        e *= kernel.col
+        e *= analytic_lens(kernel.grid)
     else:
         e = np.fft.fft(d, axis=1)
         e *= whole_skew(np.tile(kernel.v.conj(), (n, 1)))
@@ -340,7 +347,7 @@ def cond_array(kernel):
             "use the factored form via bayes_propagate instead"
         )
     if kernel.v is None:
-        col, row, inv = kernel.col, dense_wavelet(kernel.row), kernel.inv
+        col, row, inv = analytic_lens(kernel.grid), dense_wavelet(kernel.row), kernel.inv
     else:
         u = kernel.grid.overlap_matrix
         v = np.diag(kernel.v) if kernel.v.ndim == 1 else kernel.v

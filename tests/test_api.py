@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -34,6 +35,24 @@ def test_public_api_is_pinned():
     assert names == PUBLIC
     for oracle in ("analytic_kernel_term", "joint4", "phase_averaged_bench_state"):
         assert not hasattr(bayesprop, oracle) and not hasattr(qstate, oracle)
+
+
+# The public members of the package's state and distribution types.  A
+# member that only the tests use (such as the analytic kernel's lens) lives
+# in conftest.py and must not come back here.
+MEMBERS = {
+    diracsim.DensityMatrix: {"grid", "rho", "validate"},
+    diracsim.DiracDistribution: {"grid", "d", "validate"},
+    diracsim.PropagatedDistribution: {"grid", "dz", "e", "kind", "validate"},
+    diracsim.PropagatorKernel: {"grid", "dz", "kind", "v", "row", "inv", "k_basis"},
+}
+
+
+def test_public_members_are_pinned():
+    for cls, members in MEMBERS.items():
+        names = {name for name in dir(cls) if not name.startswith("_")}
+        names |= {f.name for f in dataclasses.fields(cls) if not f.name.startswith("_")}
+        assert names == members, cls.__name__
 
 
 def test_importing_the_cli_loads_no_hashlib():

@@ -11,8 +11,8 @@ from diracsim import (BenchConfig, NumericalIntegrityError, PropagatedDistributi
 from diracsim import bayesprop
 from diracsim.bayesprop import KIND_ANALYTIC, KIND_UNITARY
 from diracsim.lattice import TWO_PI
-from conftest import (analytic_kernel_term, bench_grid, cond_array, dense_wavelet,
-                      displaced_trace_oracle, joint4, random_unitary)
+from conftest import (analytic_kernel_term, analytic_lens, bench_grid, cond_array,
+                      dense_wavelet, displaced_trace_oracle, joint4, random_unitary)
 
 UM = UnitMap(wavelength=780e-9, focal_length=1.0, magnification=4.935)
 
@@ -168,7 +168,7 @@ def test_analytic_lens_is_the_exact_signed_dft(n):
     (2m - n)(2k - n) / 4n turns reduced exactly in integers and evaluated in
     long double.  The lens exp(-2 pi i x k' / (f lambda)), its phase of up to
     pi n / 2 rad rounded first, was off by up to 5.8e-13 at n = 1024."""
-    col = build_kernel_analytic(make_grid(n, 44e-3 / n, 3e-4, UM), 0.16).col
+    col = analytic_lens(make_grid(n, 44e-3 / n, 3e-4, UM))
     half = 2 * np.arange(n, dtype=np.int64) - n
     turns = np.outer(half, half) % (4 * n)
     angle = turns.astype(np.longdouble) * (-8 * np.arctan(np.longdouble(1)) / (4 * n))
@@ -200,7 +200,6 @@ def test_kernel_state_independence():
     assert np.array_equal(k1.v, k2.v)
     a1 = build_kernel_analytic(grid, 0.3)
     a2 = build_kernel_analytic(grid, 0.3)
-    assert np.array_equal(a1.col, a2.col)
     assert np.array_equal(a1.row, a2.row)
     assert np.array_equal(a1.inv, a2.inv)
 
@@ -257,13 +256,16 @@ def test_analytic_kernel_rejects_dz_zero():
         build_kernel_analytic(make_grid(16, 0.5), 0.1)
 
 
-@pytest.mark.parametrize("dz", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dz", [np.nan, np.inf, -np.inf, -1.0])
 def test_non_finite_displacement_is_a_config_error(dz):
     grid = _unit_grid()
     with pytest.raises(ConfigError, match="must be finite and nonnegative"):
         build_kernel_analytic(grid, dz)
     with pytest.raises(ConfigError, match="must be finite and nonnegative"):
         fresnel_unitary(grid, dz)
+    # the unitary kernel only records dz, but refuses one that no camera has
+    with pytest.raises(ConfigError, match="must be finite and nonnegative"):
+        build_kernel_unitary(grid, np.ones(grid.n), dz)
 
 
 @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
@@ -292,10 +294,11 @@ def test_analytic_propagation_matches_dense_product(n, x0, dz):
     r = np.sqrt(dz ** 2 + (cam[:, None] - cam[None, :]) ** 2)
     assert np.array_equal(kernel.row, (np.exp(-1j * TWO_PI * r / UM.wavelength) / r)[:, 0])
     w = dense_wavelet(kernel.row)
-    assert np.max(np.abs(kernel.inv * (kernel.col @ w) - 1.0)) <= 1e-10
+    col = analytic_lens(grid)
+    assert np.max(np.abs(kernel.inv * (col @ w) - 1.0)) <= 1e-10
     d = dirac_distribution(random_density_matrix(grid, np.random.default_rng(n)))
     e = bayes_propagate(d, kernel).e
-    dense = kernel.col * ((kernel.inv * d.d) @ w)
+    dense = col * ((kernel.inv * d.d) @ w)
     assert np.max(np.abs(e - dense)) <= 1e-12 * np.max(np.abs(e))
 
 
@@ -412,7 +415,8 @@ def test_propagated_validate_rejects_complex_or_negative_row_sums(delta, message
     e = np.full((4, 4), 1 / 16, dtype=complex)
     e[0, 0] += delta
     e[1, 0] -= delta  # the total and the column sums stay as they were
-    with pytest.raises(NumericalIntegrityError, match=rf"^row sums have {message}$"):
+    with pytest.raises(NumericalIntegrityError,
+                       match=rf"^position marginal has {message} \S+ [<>] -?1e-09$"):
         PropagatedDistribution(grid=_unit_grid(4), dz=0.1, e=e, kind="measured").validate()
 
 

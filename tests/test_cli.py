@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diracsim import qstate, weaksim
+from diracsim import dirac, qstate, weaksim
 from diracsim.cli import main
 from diracsim.fileio import read_matrix, write_matrix
 from diracsim import (Grid, dirac_distribution, direct_measure_displaced, marginal_x,
@@ -519,6 +519,18 @@ def test_props_reports_a_failing_marginal(tmp_path, capsys):
     assert report[2].startswith("PASS marginal_p: ")
     captured = capsys.readouterr()
     assert captured.out.splitlines() == report and captured.err == ""
+
+
+def test_props_takes_its_tolerances_from_the_distribution_check(tmp_path, monkeypatch,
+                                                                 capsys):
+    monkeypatch.setattr(dirac, "NORMALIZATION_TOL", 0.25)
+    path = str(tmp_path / "heavy.txt")
+    write_matrix(path, np.diag(np.full(4, 0.275 + 0j)),
+                 {"kind": "dirac", "n": 4, "dx": 1.0, "x0": 0.0})
+    assert _run("props", "--out", str(tmp_path / "out"), "--dirac", path) == 0
+    report = capsys.readouterr().out.splitlines()
+    assert report[0] == "PASS normalization: 1.1+0j (tol 0.25)"
+    assert report[3] == "PASS purity: 1.21 (bounds [0.25, 1])"  # within 1 + 0.25
 
 
 def test_out_that_is_a_regular_file_is_an_io_error(tmp_path, capsys):

@@ -6,7 +6,8 @@ import pytest
 from diracsim import (BenchConfig, ConfigError, ContractError, DegenerateInputError,
                       DensityMatrix, PureState, bench_pure_state, build_bench_state,
                       density_from_pure, dirac_distribution, make_grid, mix,
-                      pure_from_samples, random_density_matrix, wedge_gradient_from_angle)
+                      pure_from_samples, purity, random_density_matrix,
+                      wedge_gradient_from_angle)
 from diracsim import cli, qstate
 from diracsim.fileio import grid_meta, write_matrix
 from diracsim.qstate import PSD_TOL
@@ -35,6 +36,15 @@ def test_pure_from_samples_rejects_zero():
         pure_from_samples(grid, np.zeros(4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+def test_pure_from_samples_rejects_non_finite_samples_before_dividing(bad):
+    raw = np.ones(4, dtype=complex)
+    raw[2] = bad
+    # under the suite's warnings-as-errors, a division by a NaN norm would raise first
+    with pytest.raises(ContractError, match=r"^sample vector is not finite$"):
+        pure_from_samples(make_grid(4, 1.0), raw)
+
+
 def test_density_from_pure_basics():
     grid = make_grid(4, 1.0)
     e0 = density_from_pure(pure_from_samples(grid, np.array([1.0, 0, 0, 0])))
@@ -52,7 +62,7 @@ def test_density_from_pure_is_rank_one():
     grid = make_grid(16, 0.5)
     raw = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     rho = density_from_pure(pure_from_samples(grid, raw))
-    assert rho.purity() == pytest.approx(1.0, abs=1e-12)
+    assert purity(dirac_distribution(rho)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mix_identity_and_two_site():
@@ -63,7 +73,7 @@ def test_mix_identity_and_two_site():
     assert np.allclose(same.rho, s0.rho, atol=1e-15)
     half = mix([(s0, 0.5), (s1, 0.5)])
     assert np.allclose(np.diag(half.rho), [0.5, 0.5, 0, 0], atol=1e-15)
-    assert half.purity() == pytest.approx(0.5, abs=1e-12)
+    assert purity(dirac_distribution(half)) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_mix_contract_errors():
@@ -119,10 +129,10 @@ def test_phase_average_matches_block_zeroing():
 def test_mixed_purity_below_pure():
     grid, cfg_mixed = bench_grid(n=64, mixed=True)
     _, cfg_pure = bench_grid(n=64, mixed=False)
-    mixed = build_bench_state(cfg_mixed, grid)
-    pure = build_bench_state(cfg_pure, grid)
-    assert mixed.purity() < pure.purity() - 0.2
-    assert pure.purity() == pytest.approx(1.0, abs=1e-10)
+    mixed = purity(dirac_distribution(build_bench_state(cfg_mixed, grid)))
+    pure = purity(dirac_distribution(build_bench_state(cfg_pure, grid)))
+    assert mixed < pure - 0.2
+    assert pure == pytest.approx(1.0, abs=1e-10)
 
 
 def test_edge_dip_applied_to_nearest_site():
@@ -330,6 +340,18 @@ def test_validate_rechecks_a_matrix_that_was_writeable():
     rho.setflags(write=True)
     rho[:] = [[1.5, 0.0], [0.0, -0.5]]
     with pytest.raises(ContractError):
+        state.validate()
+
+
+def test_validate_rechecks_a_read_only_view_of_a_writeable_array():
+    grid = make_grid(2, 1.0)
+    base = np.eye(2, dtype=complex) / 2
+    view = base.view()
+    view.setflags(write=False)
+    state = DensityMatrix(grid=grid, rho=view)
+    state.validate()
+    base[:] = np.eye(2) / 4  # the view reads the change: trace 0.5
+    with pytest.raises(ContractError, match=r"^density matrix trace .* deviates from 1$"):
         state.validate()
 
 

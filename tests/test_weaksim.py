@@ -298,6 +298,18 @@ def test_sample_counts_needs_four_analyzers_and_a_sliver_axis():
             sample_counts(bad, sliver_seeds(1, 8))
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, np.bool_(True), np.float64(2.0), "3", None])
+def test_sample_counts_refuses_a_seed_that_is_not_a_nonnegative_integer(seed):
+    """Unchecked, a seed of -1 ended in numpy's bare ValueError, 1.5 in a
+    TypeError, and None drew from fresh entropy."""
+    expected = readout_intensities(_chirped_state(make_grid(8, 0.5)), PHI_BENCH, 1e3)
+    seeds = sliver_seeds(1, 8)
+    with pytest.raises(ConfigError, match=r"^seed must be a nonnegative integer, got "):
+        sample_counts(expected, seeds[:5] + [seed] + seeds[6:])
+    assert np.array_equal(sample_counts(expected, [np.uint64(s) for s in seeds]),
+                          sample_counts(expected, seeds))
+
+
 def test_calibration_constants():
     assert calibrate_estimator() == EstimatorCalibration(0.5, 0.5, -1)
     assert default_calibration() == default_calibration()
@@ -318,6 +330,26 @@ def test_calibration_checks_the_readout_without_fitting_it(monkeypatch, alter, c
         else:
             with pytest.raises(NumericalIntegrityError, match="failed to close"):
                 calibrate_estimator()
+    finally:
+        default_calibration.cache_clear()
+
+
+def test_scans_run_the_closure_check_once_per_process(monkeypatch):
+    """The check runs at the start of ``scan_blocks``, under every scan, and
+    not inside the estimator itself."""
+    calls = []
+    calibrate = weaksim.calibrate_estimator
+    monkeypatch.setattr(weaksim, "calibrate_estimator", lambda: calls.append(1) or calibrate())
+    default_calibration.cache_clear()
+    try:
+        grid = make_grid(8, 0.5)
+        rho = _chirped_state(grid)
+        for noise in (False, True):
+            scan(rho, _cfg(grid, photon_budget=1e6), noise=noise, seed=1)
+        assert calls == [1]
+        default_calibration.cache_clear()
+        estimate_dirac_column(readout_intensities(rho, PHI_BENCH, 1.0), PHI_BENCH)
+        assert calls == [1]
     finally:
         default_calibration.cache_clear()
 
