@@ -228,21 +228,25 @@ def _figure_axes(meta, grid):
     return x, grid.momenta, "x", "p"
 
 
+def _phase(arr: np.ndarray) -> np.ndarray:
+    """``np.angle``, with -pi given as pi."""
+    angle = np.angle(arr)
+    return np.where(angle <= -np.pi, np.pi, angle)
+
+
+# each table kind's entries, formed from a block of the matrix's rows
+_FIGURE_ENTRIES = {"magnitude": np.abs, "phase": _phase, "real": np.real, "imag": np.imag}
+
+
 def cmd_figures(cfg: RunConfig, args) -> int:
     in_path = _input(cfg, args.input, "dirac_exact.txt")
     arr, meta, grid = _read_on_grid(in_path)
     rows, cols, row_label, col_label = _figure_axes(meta, grid)
     stem = os.path.splitext(os.path.basename(in_path))[0]
-    angle = np.angle(arr)
-    tables = {
-        "magnitude": np.abs(arr),
-        "phase": np.where(angle <= -np.pi, np.pi, angle),
-        "real": arr.real,
-        "imag": arr.imag,
-    }
     for kind in cfg.figures:
         path = os.path.join(cfg.out_dir, f"fig_{stem}_{kind}.csv")
-        fileio._write_table(path, f"{row_label}\\{col_label}", cols, rows, tables[kind])
+        fileio._write_table(path, f"{row_label}\\{col_label}", cols, rows, arr,
+                            _FIGURE_ENTRIES[kind])
         print(path)
     return EXIT_OK
 

@@ -68,6 +68,7 @@ import math
 import os
 import re
 import warnings
+from dataclasses import asdict, fields
 from functools import lru_cache
 from itertools import chain
 from typing import Iterable
@@ -129,23 +130,15 @@ def atomic_write_text(path: str, data: bytes | Iterable[bytes]) -> None:
 
 
 def grid_meta(grid: Grid) -> dict:
-    meta = {"n": grid.n, "dx": grid.dx, "x0": grid.x0}
-    if grid.unit_map is not None:
-        meta["wavelength"] = grid.unit_map.wavelength
-        meta["focal_length"] = grid.unit_map.focal_length
-        meta["magnification"] = grid.unit_map.magnification
-    return meta
+    units = {} if grid.unit_map is None else asdict(grid.unit_map)
+    return {"n": grid.n, "dx": grid.dx, "x0": grid.x0, **units}
 
 
 def grid_from_meta(meta: dict, path: str = "<meta>") -> Grid:
     try:
         unit_map = None
         if "wavelength" in meta:
-            unit_map = UnitMap(
-                wavelength=float(meta["wavelength"]),
-                focal_length=float(meta["focal_length"]),
-                magnification=float(meta["magnification"]),
-            )
+            unit_map = UnitMap(**{key.name: float(meta[key.name]) for key in fields(UnitMap)})
         return make_grid(int(meta["n"]), float(meta["dx"]), float(meta["x0"]), unit_map)
     except (KeyError, ValueError, ConfigError) as exc:
         raise FormatError(f"{path}: incomplete or invalid grid header ({exc})") from exc
@@ -222,15 +215,17 @@ def _matrix_body(arr: np.ndarray):
 
 
 def _write_table(path: str, corner: str, cols: np.ndarray, rows: np.ndarray,
-                 table: np.ndarray) -> None:
-    """Write a CSV table: a ``corner,cols...`` line, then ``rows[i],table[i]...``
-    for every row, each number as ``%.17g``."""
+                 arr: np.ndarray, entry) -> None:
+    """Write a CSV table: a ``corner,cols...`` line, then ``rows[i],t[i]...``
+    for every row, each number as ``%.17g``, where the table ``t`` is
+    ``entry(arr)`` for an elementwise ``entry`` such as ``np.abs``.  It is
+    formed one block of rows at a time, so no whole table is held."""
     cols, rows = np.asarray(cols, dtype=float), np.asarray(rows, dtype=float)
     head = _lines(cols[None, :], b"," * len(cols), (_words(corner.encode())[:, None],))
     step = max(1, _BLOCK // (len(cols) + 1))
     leads = b"\0" + b"," * len(cols)
-    body = (_lines(np.column_stack((rows[start:start + step], table[start:start + step])), leads)
-            for start in range(0, len(rows), step))
+    body = (_lines(np.column_stack((rows[i:i + step], entry(arr[i:i + step]))), leads)
+            for i in range(0, len(rows), step))
     atomic_write_text(path, chain([head], body))
 
 

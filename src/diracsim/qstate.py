@@ -166,14 +166,22 @@ def pure_from_samples(grid: Grid, raw: np.ndarray) -> PureState:
     """Normalize raw complex samples into a :class:`PureState`.
 
     Samples of the wrong shape, or with a NaN or infinite entry, are a
-    ContractError; the zero vector is a DegenerateInputError.
+    ContractError; the zero vector is a DegenerateInputError.  Samples whose
+    norm overflows or underflows are first divided by their largest real or
+    imaginary part; all others are divided by their norm alone.
     """
     raw = np.asarray(raw, dtype=complex)
     if raw.shape != (grid.n,):
         raise ContractError(f"sample vector of shape {raw.shape} does not match grid n={grid.n}")
     if not np.isfinite(raw).all():
         raise ContractError("sample vector is not finite")
-    norm = np.linalg.norm(raw)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(raw)
+    if norm in (0.0, np.inf) and raw.any():
+        # each part on its own: a complex division would overflow 1 / scale
+        scale = max(np.abs(raw.real).max(), np.abs(raw.imag).max())
+        raw = raw.real / scale + 1j * (raw.imag / scale)
+        norm = np.linalg.norm(raw)
     if norm == 0.0:
         raise DegenerateInputError("cannot normalize the zero vector into a state")
     amp = raw / norm

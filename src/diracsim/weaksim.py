@@ -35,10 +35,11 @@ block of b slivers, indexed by analyzer (``READOUT_KEYS`` order), sliver and
 momentum bin.  Every scan of a state repeats the same weak measurement, so
 W, its column sums and the offset are computed once (:func:`sliver_readout`),
 and :func:`scan_blocks`, the one loop that :func:`scan` and the ``measure``
-command run, forms the noise-free counts of ``SLIVER_BLOCK`` slivers at a
-time and redraws only the shot noise per scan, each sliver from its own
-seed.  Each estimate row depends on its own sliver alone, so the result is
-the whole-array one to the last bit.
+command run, forms the noise-free counts of one of the grid's row blocks of
+slivers at a time (:meth:`.Grid.row_blocks`, about ``lattice.BLOCK``
+numbers each; 64 slivers at n = 256) and redraws only the shot noise per
+scan, each sliver from its own seed.  Each estimate row depends on its own
+sliver alone, so the result is the whole-array one to the last bit.
 """
 
 from __future__ import annotations
@@ -49,13 +50,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, ContractError, NoPhotonsError, NumericalIntegrityError
-from .lattice import make_grid
+from .lattice import Grid, make_grid
 from .qstate import BenchConfig, DensityMatrix, pure_from_samples, density_from_pure
 from .dirac import DiracDistribution, dirac_distribution, operator_dirac
 
 READOUT_KEYS = ("D", "A", "L", "R")
-# slivers whose counts a scan holds at once: 4 x 64 x n floats, 2 MB at n = 1024
-SLIVER_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -73,11 +72,12 @@ class EstimatorCalibration:
 
 @dataclass(frozen=True, eq=False)
 class SliverReadout:
-    """The noise-free readout of a per-site scan, in the form any block of
-    slivers is formed from: W, the Dirac distribution, its real column sums
-    ``col`` (Prob(p_k)) and the (n, 1) back-action offset column ``off``.
-    Built by :func:`sliver_readout`, which checks it."""
+    """The noise-free readout of a per-site scan on ``grid``, in the form any
+    block of slivers is formed from: W, the Dirac distribution, its real
+    column sums ``col`` (Prob(p_k)) and the (n, 1) back-action offset column
+    ``off``.  Built by :func:`sliver_readout`, which checks it."""
 
+    grid: Grid
     w: np.ndarray
     col: np.ndarray
     off: np.ndarray
@@ -102,17 +102,6 @@ class SliverReadout:
         counts *= self.photon_budget
         return counts
 
-    def check_sampleable(self) -> None:
-        """Apply :func:`sample_counts`' checks on the means to every sliver,
-        forming ``SLIVER_BLOCK`` slivers at a time and keeping only their
-        extremes, so a scan drawn block by block is refused before its first draw."""
-        lows, peaks = [], []
-        for lo in range(0, len(self.w), SLIVER_BLOCK):
-            means = self.intensities(lo, lo + SLIVER_BLOCK)
-            lows.append(means.min(initial=0.0))
-            peaks.append(means.max(initial=0.0))
-        _check_means(np.min(lows), np.max(peaks))
-
 
 def sliver_readout(rho: DensityMatrix, phi: float, photon_budget: float) -> SliverReadout:
     """The analytic readout of a per-site scan, from which
@@ -132,7 +121,8 @@ def sliver_readout(rho: DensityMatrix, phi: float, photon_budget: float) -> Sliv
     col = w.sum(axis=0)
     if 0.5 * np.max(np.abs(col.imag)) > 1e-12:
         raise NumericalIntegrityError("analyzer intensities have imaginary residual")
-    return SliverReadout(w=w, col=col.real, off=off, phi=phi, photon_budget=photon_budget)
+    return SliverReadout(grid=rho.grid, w=w, col=col.real, off=off, phi=phi,
+                         photon_budget=photon_budget)
 
 
 # numpy's Generator.poisson refuses means above this (its POISSON_LAM_MAX)
@@ -247,23 +237,26 @@ def backaction_offset(rho: DensityMatrix, phi: float) -> np.ndarray:
 
 
 def scan_blocks(readout: SliverReadout, scan_seeds: list[list[int] | None]):
-    """Run scans of ``readout`` ``SLIVER_BLOCK`` slivers at a time, yielding
-    ``(lo, rep, counts, rows)`` for each block of slivers from ``lo`` and, in
-    it, each scan ``rep``: the (4, b, n) counts and the (b, n) uncorrected
-    estimate rows.  ``scan_seeds[rep]`` lists scan rep's per-sliver seeds, or
-    is None for a noise-free scan, whose counts are the expected ones.  If any
-    scan is noisy, every sliver's means are checked before the first draw.
-    The estimator's closure check (:func:`default_calibration`) runs first,
-    once per process.
+    """Run scans of ``readout`` one row block of slivers at a time
+    (:meth:`.Grid.row_blocks`), yielding ``(lo, rep, counts, rows)`` for each
+    block of slivers from ``lo`` and, in it, each scan ``rep``: the (4, b, n)
+    counts and the (b, n) uncorrected estimate rows.  ``scan_seeds[rep]``
+    lists scan rep's per-sliver seeds, or is None for a noise-free scan,
+    whose counts are the expected ones.  If any scan is noisy, every
+    sliver's means pass :func:`sample_counts`' checks before the first draw,
+    a block at a time with only its extremes kept.  The estimator's closure
+    check (:func:`default_calibration`) runs first, once per process.
     """
     default_calibration()
+    blocks = readout.grid.row_blocks()
     if any(seeds is not None for seeds in scan_seeds):
-        readout.check_sampleable()
-    for lo in range(0, len(readout.w), SLIVER_BLOCK):
-        expected = readout.intensities(lo, lo + SLIVER_BLOCK)
+        means = (readout.intensities(lo, hi) for lo, hi in blocks)
+        lows, peaks = zip(*((np.min(m), np.max(m)) for m in means))
+        _check_means(np.min(lows), np.max(peaks))
+    for lo, hi in blocks:
+        expected = readout.intensities(lo, hi)
         for rep, seeds in enumerate(scan_seeds):
-            counts = (expected if seeds is None
-                      else sample_counts(expected, seeds[lo:lo + SLIVER_BLOCK]))
+            counts = expected if seeds is None else sample_counts(expected, seeds[lo:hi])
             yield lo, rep, counts, estimate_dirac_column(counts, readout.phi, first_sliver=lo)
 
 

@@ -117,8 +117,8 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux's unit")
 def test_measure_peak_at_n512_stays_under_75_mb(tmp_path):
-    """2 scans at n = 512 through blocks of 64 slivers; a measure that holds
-    the whole scan peaks near 95 MB."""
+    """2 scans at n = 512 through the grid's row blocks, 32 slivers each; a
+    measure that holds the whole scan peaks near 95 MB."""
     cfg = _config(tmp_path / "run.cfg", "grid.n = 512\ngrid.dx = 8.59375e-5\npipeline.scans = 2\n")
     out = tmp_path / "out"
     _chain(cfg, out, "gen-state")

@@ -174,18 +174,22 @@ def test_measure_writes_the_whole_scan_bytes(tmp_path, n, flag, overrides):
 
 
 def test_no_photons_in_a_later_block_names_the_scan_sliver(tmp_path, capsys, monkeypatch):
-    cfg = _scan_config(tmp_path, 130, "pipeline.scans = 2\npipeline.seed = 4\n")
+    cfg = _scan_config(tmp_path, 300, "pipeline.scans = 2\npipeline.seed = 4\n")
     out = tmp_path / "out"
     assert _run("gen-state", "--config", cfg, "--out", str(out)) == 0
     capsys.readouterr()
-    # the second scan's draw of slivers 64-127 loses sliver 70's linear pair
-    first_seed = weaksim.derived_seed(weaksim.derived_seed(4, 10_000_001), 64)
+    # the second scan's draw of sliver 70's row block, not the first block,
+    # loses sliver 70's linear pair
+    grid = grid_from_meta(read_matrix(str(out / "state.txt"))[1])
+    lo, hi = next((lo, hi) for lo, hi in grid.row_blocks() if lo <= 70 < hi)
+    assert lo > 0
+    first_seed = weaksim.derived_seed(weaksim.derived_seed(4, 10_000_001), lo)
     draw = weaksim.sample_counts
 
     def lose_sliver_70(expected, seeds):
         counts = draw(expected, seeds)
         if seeds[0] == first_seed:
-            counts[:2, 70 - 64] = 0.0
+            counts[:2, 70 - lo] = 0.0
         return counts
 
     monkeypatch.setattr(weaksim, "sample_counts", lose_sliver_70)
@@ -195,7 +199,7 @@ def test_no_photons_in_a_later_block_names_the_scan_sliver(tmp_path, capsys, mon
     # the failed run keeps the counts files of the blocks whose first scan it drew
     assert sorted(os.listdir(out)) == [TWIN_DIR, "counts", "state.txt"]
     assert os.listdir(out / TWIN_DIR) == [twin_name(out / "state.txt")]
-    assert sorted(os.listdir(out / "counts")) == [f"sliver_{m:04d}.txt" for m in range(128)]
+    assert sorted(os.listdir(out / "counts")) == [f"sliver_{m:04d}.txt" for m in range(hi)]
 
 
 def test_bad_mean_in_the_last_block_is_refused_before_any_output(tmp_path, capsys,
@@ -273,7 +277,7 @@ def test_stages_never_build_the_overlap_matrix(tmp_path, monkeypatch):
 
 def test_no_scan_path_builds_the_overlap_matrix(tmp_path, monkeypatch):
     """scan, the displaced-camera scan (noisy and noise-free) and measure
-    read out in the momentum basis without U, at n = 130 (three blocks)."""
+    read out in the momentum basis without U, at n = 130 (two row blocks)."""
     grid, bench = bench_grid(130)
     rho = random_density_matrix(grid, np.random.default_rng(130))
     cfg = _scan_config(tmp_path, 130, "pipeline.scans = 2\n")
@@ -319,7 +323,7 @@ def test_infinite_budget_exits_2(tmp_path, capsys, flags):
 
 
 def test_budget_beyond_poisson_sampler_exits_2(tmp_path, capsys):
-    # n = 130 scans three blocks of slivers
+    # n = 130 scans two row blocks of slivers
     for n in (16, 130):
         cfg = _scan_config(tmp_path, n, "bench.photon_budget = 1e300\n")
         out = str(tmp_path / f"out{n}")

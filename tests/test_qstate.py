@@ -36,6 +36,25 @@ def test_pure_from_samples_rejects_zero():
         pure_from_samples(grid, np.zeros(4))
 
 
+@pytest.mark.parametrize("raw, want", [
+    ([1e200, 1e200, 0, 0], [1, 1, 0, 0]),  # the norm overflows to inf
+    ([1e-170, 1e-170, 0, 0], [1, 1, 0, 0]),  # the norm underflows to 0
+    ([1e308 + 1e308j, -1e308, 0, 0], [1 + 1j, -1, 0, 0]),  # so does |1e308 + 1e308j|
+    ([5e-324, -5e-324j, 0, 0], [1, -1j, 0, 0]),  # 1 / 5e-324 overflows
+])
+def test_pure_from_samples_normalizes_samples_at_the_float_extremes(raw, want):
+    # with no warning: the suite turns every warning into an error
+    grid = make_grid(4, 1.0)
+    amp = pure_from_samples(grid, np.array(raw, dtype=complex)).amp
+    assert np.max(np.abs(amp - np.array(want) / np.linalg.norm(want))) <= 1e-15
+
+
+def test_pure_from_samples_divides_ordinary_samples_by_their_norm_alone():
+    raw = np.random.default_rng(3).standard_normal(64) * 1e-3 + 2j
+    amp = pure_from_samples(make_grid(64, 0.2), raw).amp
+    assert np.array_equal(amp, raw / np.linalg.norm(raw))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
 def test_pure_from_samples_rejects_non_finite_samples_before_dividing(bad):
     raw = np.ones(4, dtype=complex)

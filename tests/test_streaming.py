@@ -5,7 +5,8 @@ of ``bayes_propagate`` and the analytic kernel's normalization each fill one
 preallocated n x n array block by block (``Grid.row_blocks``, about
 ``lattice.BLOCK`` numbers per block).  Each must equal its whole-matrix
 reference in ``conftest.py`` bit for bit, and hold little more than its
-output at its peak.
+output at its peak.  The ``figures`` stage likewise forms each table a block
+of rows at a time, holding little more than the matrix it read.
 """
 
 import tracemalloc
@@ -17,6 +18,8 @@ from diracsim import (UnitMap, bayes_propagate, build_bench_state, build_kernel_
                       build_kernel_unitary, dirac_distribution, fresnel_unitary, make_grid,
                       operator_dirac, random_density_matrix, reconstruct_density)
 from diracsim import lattice
+from diracsim.cli import main
+from diracsim.fileio import grid_meta, write_matrix
 from conftest import (bench_grid, whole_analytic_inverse, whole_operator_dirac,
                       whole_propagate, whole_reconstruct)
 
@@ -88,3 +91,16 @@ def test_each_streamed_product_holds_its_output_and_a_few_blocks(inputs_512, nam
     }[name]
     peak = _peak_matrices(call)
     assert 1.0 <= peak <= bound, peak
+
+
+def test_figures_holds_the_matrix_it_read_and_a_few_blocks(tmp_path, inputs_512):
+    """Formed whole, the magnitude, ``np.angle`` and the wrapped phase next
+    to the matrix read peaked at 2.5 matrices."""
+    grid, _, d, _, _ = inputs_512
+    path = str(tmp_path / "dirac.txt")
+    write_matrix(path, d.d, {"kind": "dirac", **grid_meta(grid)})
+    codes = []
+    peak = _peak_matrices(lambda: codes.append(
+        main(["figures", "--input", path, "--out", str(tmp_path / "out")])))
+    assert codes == [0]
+    assert 1.0 <= peak <= 1.5, peak
