@@ -50,13 +50,21 @@ because dp dx n = 2 pi, so
 
     col[m, k] = exp(-i pi n/2) t_m t_k conj(F[m, k]),
 
-F the exactly reduced DFT table of :meth:`.Grid.dft_rows` and
-exp(-i pi n/2) = (-i)^n taken exactly.  Only ``inv`` and the length-n
-generator ``row`` are stored.  The product with W is a zero-padded,
-length-2n FFT convolution, and the normalization ``col @ W`` one FFT per
-row of W, each O(n^2 log n), never an n^3 matrix product.  Every n x n
-product here fills one preallocated output a block of
-:meth:`.Grid.row_blocks` at a time, so it holds the output and a few blocks.
+F[m, k] = exp(2 pi i m k / n) and exp(-i pi n/2) = (-i)^n taken exactly.
+Only ``inv`` and the length-n generator ``row`` are stored.  The product
+with W is a zero-padded, length-2n FFT convolution, and the normalization
+``col @ W`` one FFT per row of W, each O(n^2 log n), never an n^3 matrix
+product.  The lens is never formed either: since
+
+    t_k conj(F[m, k]) = exp(2 pi i k (n - 2m) / 2n),
+
+multiplying entry k < n of row m of the length-2n ``ifft`` by it is the
+same as rolling row m of the spectrum right by (n - 2m) mod 2n bins before
+the ``ifft``, for any n, odd included.  The row constant (-i)^n t_m is one
+of +-1 and +-i, so it is folded exactly into the wavelet's spectrum, one
+copy for even m and one for odd m.  Every n x n product here fills one
+preallocated output a block of :meth:`.Grid.row_blocks` at a time, so it
+holds the output and a few blocks.
 
 Bayes propagation keeps the distribution classical-like: e sums to 1 and its
 position and camera marginals are real and nonnegative, and
@@ -93,8 +101,8 @@ class PropagatorKernel:
     sets only the factors ``row``, the length-n generator of the symmetric
     Toeplitz wavelet, and the n x n ``inv`` of
     ``cond[j, m, kp] = col[m, j] * row[|kp - j|] * inv[m, kp]``; its lens
-    ``col`` (module docstring) is formed a block of rows at a time where
-    :func:`bayes_propagate` needs it, and never stored.
+    ``col`` (module docstring) is never formed: :func:`bayes_propagate`
+    applies it as a roll of each row's spectrum.
     """
 
     grid: Grid
@@ -263,14 +271,6 @@ def _lens_phase(grid: Grid) -> np.ndarray:
     return grid._signs * (1 + 0j, -1j, -1 + 0j, 1j)[grid.n % 4]
 
 
-def _lens(grid: Grid, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of the lens ``col[m, k] = exp(-i pi n/2) t_m t_k conj(F[m, k])``."""
-    lens = np.conjugate(grid.dft_rows(lo, hi))
-    lens *= grid._signs[lo:hi, None]
-    lens *= _lens_phase(grid)
-    return lens
-
-
 def bayes_propagate(dist: DiracDistribution, kernel: PropagatorKernel) -> PropagatedDistribution:
     """Single-variable Bayes update e[m, k'] = sum_kp cond[k', m, kp] d[m, kp].
 
@@ -282,8 +282,11 @@ def bayes_propagate(dist: DiracDistribution, kernel: PropagatorKernel) -> Propag
     ``K = V^dag U`` from :attr:`PropagatorKernel.k_basis`.  The analytic
     kernel forms ``col * ((inv * d) @ W)``, the product with its Toeplitz
     wavelet W taken by a length-2n FFT convolution with the generator
-    ``row`` and the lens ``col`` formed a block of rows at a time.  The
-    chirp and analytic products fill one preallocated output a block of
+    ``row``: ``inv * d`` is written into the left half of a zeroed (b, 2n)
+    block, and row m of its spectrum, times the signed wavelet spectrum, is
+    rolled right by (n - 2m) mod 2n bins before the ``ifft``, which applies
+    the lens ``col`` with no table of it (module docstring).  The chirp and
+    analytic products fill one preallocated output a block of
     :meth:`.Grid.row_blocks` at a time.
     """
     grid = kernel.grid
@@ -294,25 +297,31 @@ def bayes_propagate(dist: DiracDistribution, kernel: PropagatorKernel) -> Propag
         k = kernel.k_basis
         e = reconstruct_density(dist).rho @ k
         e *= k.conj()
-    else:
-        if v is None:  # W is the top-left n x n corner of this 2n-point circulant
-            spectrum = np.fft.fft(np.concatenate((kernel.row, [0.0], kernel.row[:0:-1])))
-        else:
-            h = v.conj()
-            skewed = sliding_window_view(np.concatenate((h, h[:-1])), n)  # row m: h[(m + s) % n]
+    elif v is not None:
+        h = v.conj()
+        skewed = sliding_window_view(np.concatenate((h, h[:-1])), n)  # row m: h[(m + s) % n]
         e = np.empty((n, n), dtype=complex)
         for lo, hi in grid.row_blocks():
-            if v is None:
-                rows = np.fft.fft(kernel.inv[lo:hi] * dist.d[lo:hi], 2 * n, axis=1)
-                rows *= spectrum
-                post = _lens(grid, lo, hi)
-            else:
-                rows = np.fft.fft(dist.d[lo:hi], axis=1)
-                rows *= skewed[lo:hi]
-                post = v[lo:hi, None]
-            rows = np.fft.ifft(rows, axis=1)[:, :n]
-            rows *= post
+            rows = np.fft.fft(dist.d[lo:hi], axis=1)
+            rows *= skewed[lo:hi]
+            rows = np.fft.ifft(rows, axis=1)
+            rows *= v[lo:hi, None]
             e[lo:hi] = rows
+    else:  # W is the top-left n x n corner of this 2n-point circulant
+        spectrum = np.fft.fft(np.concatenate((kernel.row, [0.0], kernel.row[:0:-1])))
+        signed = spectrum * _lens_phase(grid)[:2, None]  # row m takes signed[m % 2]
+        buf = np.empty((grid.row_blocks()[0][1], 2 * n), dtype=complex)
+        e = np.empty((n, n), dtype=complex)
+        for lo, hi in grid.row_blocks():
+            b = hi - lo
+            buf[:b, n:] = 0.0
+            np.multiply(kernel.inv[lo:hi], dist.d[lo:hi], out=buf[:b, :n])
+            rows = np.fft.fft(buf[:b], axis=1)
+            for i, m in enumerate(range(lo, hi)):  # buf now takes the rolled product
+                o = (2 * m - n) % (2 * n)  # row m rolled right by n - 2m bins starts at bin o
+                np.multiply(rows[i, o:], signed[m % 2, o:], out=buf[i, :2 * n - o])
+                np.multiply(rows[i, :o], signed[m % 2, :o], out=buf[i, 2 * n - o:])
+            e[lo:hi] = np.fft.ifft(buf[:b], axis=1)[:, :n]
     e.setflags(write=False)
     return PropagatedDistribution(grid=dist.grid, dz=kernel.dz, e=e, kind=kernel.kind)
 

@@ -204,6 +204,8 @@ def build_run_config(values: dict | None = None) -> RunConfig:
     for fig in merged["output.figures"]:
         if fig not in _FIGURE_KINDS:
             raise ConfigError(f"output.figures: unknown table kind {fig!r}")
+        if merged["output.figures"].count(fig) > 1:
+            raise ConfigError(f"output.figures: table kind {fig!r} is listed more than once")
 
     return RunConfig(
         grid=grid,

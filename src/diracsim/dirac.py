@@ -189,5 +189,9 @@ def expectation_overlap(d_rho: DiracDistribution, d_obs: DiracDistribution) -> c
 
 
 def purity(dist: DiracDistribution) -> float:
-    """Tr rho^2 computed directly from the distribution: ``n * sum |d|^2``."""
-    return float(dist.grid.n * np.sum(np.abs(dist.d) ** 2))
+    """Tr rho^2 computed directly from the distribution: ``n * sum |d|^2``.
+
+    The sum runs a block of :meth:`.Grid.row_blocks` at a time, so no n x n
+    temporary is formed."""
+    blocks = (dist.d[lo:hi] for lo, hi in dist.grid.row_blocks())
+    return float(dist.grid.n * sum(np.vdot(b, b).real for b in blocks))

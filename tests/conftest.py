@@ -256,23 +256,32 @@ def whole_reconstruct(grid, d):
 
 def analytic_lens(grid):
     """The analytic kernel's whole n x n lens
-    ``col[m, k] = exp(-i pi n/2) t_m t_k conj(F[m, k])``, from the one block
-    of rows 0..n-1 that ``bayes_propagate`` forms a block at a time."""
-    return bayesprop._lens(grid, 0, grid.n)
+    ``col[m, k] = exp(-i pi n/2) t_m t_k conj(F[m, k])``: the exactly reduced
+    DFT table of ``Grid.dft_rows``, conjugated, times both signs and
+    exp(-i pi n/2) = (-i)^n taken exactly from n mod 4."""
+    t = grid._signs
+    lens = np.conjugate(grid.dft_rows(0, grid.n))
+    lens *= t[:, None]
+    lens *= t * (1 + 0j, -1j, -1 + 0j, 1j)[grid.n % 4]
+    return lens
 
 
 def whole_propagate(kernel, d):
     """``bayes_propagate`` for a chirp or an analytic kernel: for a chirp
     ``c = kernel.v``, ``c_m ifft_s(fft(d)[m, s] conj(c)[(m + s) mod n])``; for
     the analytic kernel, the length-2n circulant convolution of ``inv * d``
-    with the wavelet, cut to n and times the whole lens ``analytic_lens``."""
+    with the wavelet, each row m of its spectrum times the row's lens
+    constant (-i)^n t_m and rolled right by n - 2m bins (all rows at once, by
+    an index gather), cut to n after the ``ifft``."""
     n = kernel.grid.n
     if kernel.v is None:
         row = kernel.row
         e = np.fft.fft(kernel.inv * d, 2 * n, axis=1)
         e *= np.fft.fft(np.concatenate((row, [0.0], row[:0:-1])))
+        e *= bayesprop._lens_phase(kernel.grid)[:, None]  # (-i)^n t_m on row m
+        m = np.arange(n)[:, None]
+        e = np.take_along_axis(e, (np.arange(2 * n) + 2 * m - n) % (2 * n), axis=1)
         e = np.fft.ifft(e, axis=1)[:, :n]
-        e *= analytic_lens(kernel.grid)
     else:
         e = np.fft.fft(d, axis=1)
         e *= whole_skew(np.tile(kernel.v.conj(), (n, 1)))

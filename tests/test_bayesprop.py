@@ -146,6 +146,21 @@ def test_chirp_branch_never_builds_the_overlap_matrix(n):
     assert "_signs" not in vars(grid)
 
 
+@pytest.mark.parametrize("n", [7, 8, 129])
+def test_analytic_branch_never_forms_the_dft_table(monkeypatch, n):
+    """The lens is applied as a roll of each row's 2n-point spectrum, so no
+    n x n table of DFT roots is gathered."""
+    grid = make_grid(n, 44e-3 / n, 3e-4, UM)
+    d = dirac_distribution(random_density_matrix(grid, np.random.default_rng(n)))
+
+    def refuse(self, lo, hi):
+        raise AssertionError("dft_rows called")
+
+    monkeypatch.setattr(type(grid), "dft_rows", refuse)
+    e = bayes_propagate(d, build_kernel_analytic(grid, 0.16))
+    assert abs(e.e.sum() - 1.0) < 1e-9
+
+
 def test_unitary_kernel_stores_only_v():
     grid = _unit_grid(16)
     kernel = build_kernel_unitary(grid, fresnel_unitary(grid, 0.16), 0.16)
@@ -282,7 +297,7 @@ def test_analytic_normalization_guard_rejects_zero_and_non_finite(monkeypatch, b
         build_kernel_analytic(_unit_grid(), 0.1)
 
 
-@pytest.mark.parametrize("n", [8, 9, 12, 97, 256])
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 12, 97, 256])
 @pytest.mark.parametrize("x0", [0.0, 3e-4])
 @pytest.mark.parametrize("dz", [0.084, 0.16, 0.325])
 def test_analytic_propagation_matches_dense_product(n, x0, dz):

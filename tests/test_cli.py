@@ -706,6 +706,21 @@ def test_unknown_env_variable_exits_2_without_output(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
+def test_figures_with_a_kind_listed_twice_exits_2_without_output(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "out"
+    assert _run("gen-state", "--config", cfg, "--out", str(out)) == 0
+    assert _run("exact", "--config", cfg, "--out", str(out)) == 0
+    before = sorted(p.name for p in out.iterdir())
+    capsys.readouterr()
+    cfg = _write_config(tmp_path, "output.figures = real, real\n")
+    assert _run("figures", "--config", cfg, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'real'" in captured.err and len(captured.err.strip().splitlines()) == 1
+    assert sorted(p.name for p in out.iterdir()) == before
+
+
 def _replace_in_file(path, old, new, count=1):
     text = Path(path).read_text()
     assert old in text

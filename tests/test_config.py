@@ -138,6 +138,22 @@ def test_propagation_dz_output_names_distinct(dz):
         build_run_config({"propagation.dz": dz})
 
 
+@pytest.mark.parametrize("figures", ["real, real", "magnitude, phase, magnitude"])
+def test_a_figure_kind_listed_twice_is_refused_on_every_route(tmp_path, figures):
+    kind = figures.split(", ")[0]
+    message = rf"output.figures: table kind '{kind}' is listed more than once"
+    path = tmp_path / "run.cfg"
+    path.write_text(f"output.figures = {figures}\n")
+    with pytest.raises(ConfigError, match=message):
+        load_run_config(str(path))
+    with pytest.raises(ConfigError, match=message):
+        load_run_config(environ={"DIRACSIM_OUTPUT_FIGURES": figures})
+    with pytest.raises(ConfigError, match=message):
+        load_run_config(overrides={"output.figures": figures})
+    with pytest.raises(ConfigError, match=message):
+        build_run_config({"output.figures": tuple(figures.split(", "))})
+
+
 @pytest.mark.parametrize("key, value", [
     ("pipeline.scans", 2.5),
     ("pipeline.seed", 1.5),

@@ -16,7 +16,7 @@ import pytest
 
 from diracsim import (UnitMap, bayes_propagate, build_bench_state, build_kernel_analytic,
                       build_kernel_unitary, dirac_distribution, fresnel_unitary, make_grid,
-                      operator_dirac, random_density_matrix, reconstruct_density)
+                      operator_dirac, purity, random_density_matrix, reconstruct_density)
 from diracsim import lattice
 from diracsim.cli import main
 from diracsim.fileio import grid_meta, write_matrix
@@ -91,6 +91,12 @@ def test_each_streamed_product_holds_its_output_and_a_few_blocks(inputs_512, nam
     }[name]
     peak = _peak_matrices(call)
     assert 1.0 <= peak <= bound, peak
+
+
+def test_purity_holds_no_n_by_n_temporary(inputs_512):
+    """Taken over the whole matrix, ``np.abs(d) ** 2`` held 0.50 matrices."""
+    d = inputs_512[2]
+    assert _peak_matrices(lambda: purity(d)) <= 0.1
 
 
 def test_figures_holds_the_matrix_it_read_and_a_few_blocks(tmp_path, inputs_512):
