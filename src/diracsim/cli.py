@@ -1,7 +1,9 @@
 """Config-driven command line front end.
 
-Subcommands: gen-state, measure, exact, reconstruct, propagate, props,
-figures; only measure takes --seed, --no-noise and --no-correction.  Exit
+``_STAGES`` is the one place a subcommand is declared: its handler, help
+line and input flag, with the file read from ``<out>`` when the flag is left
+out.  Only measure takes --seed, --no-noise and --no-correction; each of
+them, like --out, sets the config key that is its argparse dest.  Exit
 codes: 0 success, 2 configuration error or unknown flag, 3 runtime or data
 error or out of memory.  Each output file is written atomically, so no file
 is left half written; a multi-file command that fails keeps the files it
@@ -26,6 +28,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
+# the files gen-state and exact write, which later stages read by default
+_STATE_FILE, _DIRAC_FILE = "state.txt", "dirac_exact.txt"
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # one line, like a config error; subparsers inherit it
@@ -33,52 +38,37 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # a flag that sets a config key takes the key as its dest (see _load)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="key=value config file")
-    common.add_argument("--out", metavar="DIR", help="output directory (overrides output.dir)")
+    common.add_argument("--out", dest="output.dir", metavar="DIR",
+                        help="output directory (overrides output.dir)")
 
-    parser = _Parser(
-        prog="diracsim",
-        description="Dirac quasi-probability bench simulator",
-    )
+    parser = _Parser(prog="diracsim", description="Dirac quasi-probability bench simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("gen-state", parents=[common], help="build the bench state file")
-    p = sub.add_parser("measure", parents=[common], help="simulate the weak-measurement scan")
-    p.add_argument("--state", metavar="PATH", help="state file (default <out>/state.txt)")
-    p.add_argument("--seed", type=int, metavar="N", help="override pipeline.seed")
-    p.add_argument("--no-noise", action="store_true", help="disable photon shot noise")
-    p.add_argument("--no-correction", action="store_true",
-                   help="disable the back-action correction")
-    p = sub.add_parser("exact", parents=[common], help="exact Dirac distribution of a state")
-    p.add_argument("--state", metavar="PATH", help="state file (default <out>/state.txt)")
-    p = sub.add_parser("reconstruct", parents=[common], help="density matrix from a distribution")
-    p.add_argument("--dirac", metavar="PATH", help="distribution file (default <out>/dirac_exact.txt)")
-    p = sub.add_parser("propagate", parents=[common], help="Bayes-propagate to displaced planes")
-    p.add_argument("--dirac", metavar="PATH", help="distribution file (default <out>/dirac_exact.txt)")
-    p = sub.add_parser("props", parents=[common], help="distribution property report")
-    p.add_argument("--dirac", metavar="PATH", help="distribution file (default <out>/dirac_exact.txt)")
-    p = sub.add_parser("figures", parents=[common], help="emit CSV heat-map tables")
-    p.add_argument("--input", metavar="PATH", help="matrix file (default <out>/dirac_exact.txt)")
+    for (name, help_line, reads), handler in _STAGES.items():
+        p = sub.add_parser(name, parents=[common], help=help_line)
+        p.set_defaults(handler=handler, reads=reads)
+        if reads:
+            flag, what, default = reads
+            p.add_argument(flag, dest="input", metavar="PATH",
+                           help=f"{what} (default <out>/{default})")
+        if name == "measure":  # the one stage with noise and a correction to set
+            p.add_argument("--seed", dest="pipeline.seed", type=int, metavar="N",
+                           help="override pipeline.seed")
+            p.add_argument("--no-noise", dest="pipeline.noise", action="store_false",
+                           default=None, help="disable photon shot noise")
+            p.add_argument("--no-correction", dest="pipeline.correct", action="store_false",
+                           default=None, help="disable the back-action correction")
     return parser
 
 
 def _load(args) -> RunConfig:
-    overrides = {}
-    if args.out:
-        overrides["output.dir"] = args.out
-    # only measure takes the pipeline flags
-    if getattr(args, "seed", None) is not None:
-        overrides["pipeline.seed"] = args.seed
-    if getattr(args, "no_noise", False):
-        overrides["pipeline.noise"] = False
-    if getattr(args, "no_correction", False):
-        overrides["pipeline.correct"] = False
+    """The config file, then the environment, then each config key a flag
+    set; ``--out ''`` sets none, so output.dir stands."""
+    overrides = {key: value for key, value in vars(args).items()
+                 if "." in key and value is not None and value != ""}
     return load_run_config(args.config, overrides)
-
-
-def _input(cfg: RunConfig, given: str | None, name: str) -> str:
-    """The input file: the path ``given`` by its flag, else ``<out>/<name>``."""
-    return given or os.path.join(cfg.out_dir, name)
 
 
 def _emit(cfg: RunConfig, name: str, arr, kind: str, grid, **extra) -> None:
@@ -113,24 +103,24 @@ def _read_dirac(path: str) -> DiracDistribution:
     return DiracDistribution(grid=grid, d=arr)
 
 
-def cmd_gen_state(cfg: RunConfig, args) -> int:
+def cmd_gen_state(cfg: RunConfig, path: None) -> int:  # reads no file
     state = qstate.build_bench_state(cfg.bench, cfg.grid)
-    _emit(cfg, "state.txt", state.rho, "density", cfg.grid, mixed=cfg.bench.mixed)
+    _emit(cfg, _STATE_FILE, state.rho, "density", cfg.grid, mixed=cfg.bench.mixed)
     return EXIT_OK
 
 
-def cmd_exact(cfg: RunConfig, args) -> int:
-    state = _read_state(_input(cfg, args.state, "state.txt"))
+def cmd_exact(cfg: RunConfig, path: str) -> int:
+    state = _read_state(path)
     dist = dirac.dirac_distribution(state)
-    _emit(cfg, "dirac_exact.txt", dist.d, "dirac", state.grid)
+    _emit(cfg, _DIRAC_FILE, dist.d, "dirac", state.grid)
     return EXIT_OK
 
 
-def cmd_measure(cfg: RunConfig, args) -> int:
+def cmd_measure(cfg: RunConfig, path: str) -> int:
     """Run ``cfg.scans`` scans through :func:`.weaksim.scan_blocks`, adding
     each block's estimate rows into the scans' mean and writing the first
     scan's counts files as its blocks come."""
-    state = _read_state(_input(cfg, args.state, "state.txt"))
+    state = _read_state(path)
     grid, n = state.grid, state.grid.n
     phi, budget = cfg.bench.phi, cfg.bench.photon_budget
     readout = weaksim.sliver_readout(state, phi, budget)
@@ -167,19 +157,18 @@ def cmd_measure(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_reconstruct(cfg: RunConfig, args) -> int:
-    dist = _read_dirac(_input(cfg, args.dirac, "dirac_exact.txt"))
+def cmd_reconstruct(cfg: RunConfig, path: str) -> int:
+    dist = _read_dirac(path)
     rho = dirac.reconstruct_density(dist)
     _emit(cfg, "density.txt", rho.rho, "density", dist.grid)
     return EXIT_OK
 
 
-def cmd_propagate(cfg: RunConfig, args) -> int:
-    in_path = _input(cfg, args.dirac, "dirac_exact.txt")
-    dist = _read_dirac(in_path)
+def cmd_propagate(cfg: RunConfig, path: str) -> int:
+    dist = _read_dirac(path)
     grid = dist.grid
     if grid.unit_map is None:
-        raise FormatError(f"{in_path}: propagate needs the wavelength, focal_length and "
+        raise FormatError(f"{path}: propagate needs the wavelength, focal_length and "
                           "magnification headers")
     for dz in cfg.dz_list:
         kernel = bayesprop.build_kernel_unitary(grid, bayesprop.fresnel_unitary(grid, dz), dz)
@@ -190,8 +179,8 @@ def cmd_propagate(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_props(cfg: RunConfig, args) -> int:
-    dist = _read_dirac(_input(cfg, args.dirac, "dirac_exact.txt"))
+def cmd_props(cfg: RunConfig, path: str) -> int:
+    dist = _read_dirac(path)
     n = dist.grid.n
     lines = []
 
@@ -212,8 +201,7 @@ def cmd_props(cfg: RunConfig, args) -> int:
           f" (bounds [{1.0 / n:.6g}, 1])")
 
     report = "\n".join(lines) + "\n"
-    path = os.path.join(cfg.out_dir, "props.txt")
-    fileio.atomic_write_text(path, report.encode())
+    fileio.atomic_write_text(os.path.join(cfg.out_dir, "props.txt"), report.encode())
     sys.stdout.write(report)
     return EXIT_OK
 
@@ -228,46 +216,42 @@ def _figure_axes(meta, grid):
     return x, grid.momenta, "x", "p"
 
 
-def _phase(arr: np.ndarray) -> np.ndarray:
-    """``np.angle``, with -pi given as pi."""
-    angle = np.angle(arr)
-    return np.where(angle <= -np.pi, np.pi, angle)
-
-
-# each table kind's entries, formed from a block of the matrix's rows
-_FIGURE_ENTRIES = {"magnitude": np.abs, "phase": _phase, "real": np.real, "imag": np.imag}
-
-
-def cmd_figures(cfg: RunConfig, args) -> int:
-    in_path = _input(cfg, args.input, "dirac_exact.txt")
-    arr, meta, grid = _read_on_grid(in_path)
+def cmd_figures(cfg: RunConfig, path: str) -> int:
+    arr, meta, grid = _read_on_grid(path)
     rows, cols, row_label, col_label = _figure_axes(meta, grid)
-    stem = os.path.splitext(os.path.basename(in_path))[0]
+    stem = os.path.splitext(os.path.basename(path))[0]
     for kind in cfg.figures:
-        path = os.path.join(cfg.out_dir, f"fig_{stem}_{kind}.csv")
-        fileio._write_table(path, f"{row_label}\\{col_label}", cols, rows, arr,
-                            _FIGURE_ENTRIES[kind])
-        print(path)
+        out = os.path.join(cfg.out_dir, f"fig_{stem}_{kind}.csv")
+        fileio._write_table(out, f"{row_label}\\{col_label}", cols, rows, arr,
+                            fileio.FIGURE_ENTRIES[kind])
+        print(out)
     return EXIT_OK
 
 
-_COMMANDS = {
-    "gen-state": cmd_gen_state,
-    "measure": cmd_measure,
-    "exact": cmd_exact,
-    "reconstruct": cmd_reconstruct,
-    "propagate": cmd_propagate,
-    "props": cmd_props,
-    "figures": cmd_figures,
+# Each subcommand, stated once: (name, help line, input) -> handler.  The
+# input is (flag, what it names, the file read from <out> when the flag is
+# left out); main calls handler(cfg, path).  The handlers are the values of
+# a module-level dict, so that rebinding a cmd_* function (to trace it, say)
+# also rebinds its dispatch.
+_STATE = ("--state", "state file", _STATE_FILE)
+_DIRAC = ("--dirac", "distribution file", _DIRAC_FILE)
+_STAGES = {
+    ("gen-state", "build the bench state file", None): cmd_gen_state,
+    ("measure", "simulate the weak-measurement scan", _STATE): cmd_measure,
+    ("exact", "exact Dirac distribution of a state", _STATE): cmd_exact,
+    ("reconstruct", "density matrix from a distribution", _DIRAC): cmd_reconstruct,
+    ("propagate", "Bayes-propagate to displaced planes", _DIRAC): cmd_propagate,
+    ("props", "distribution property report", _DIRAC): cmd_props,
+    ("figures", "emit CSV heat-map tables", ("--input", "matrix file", _DIRAC_FILE)): cmd_figures,
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = _load(args)
-        return _COMMANDS[args.command](cfg, args)
+        path = args.reads and (args.input or os.path.join(cfg.out_dir, args.reads[2]))
+        return args.handler(cfg, path)
     except ConfigError as exc:
         print(f"diracsim: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

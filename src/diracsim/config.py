@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError
+from .fileio import FIGURE_ENTRIES
 from .lattice import Grid, UnitMap, make_grid
 from .qstate import BenchConfig
 
@@ -46,10 +47,8 @@ DEFAULTS = {
     "pipeline.correct": True,
     "propagation.dz": (0.084, 0.16, 0.325),
     "output.dir": "out",
-    "output.figures": ("magnitude", "phase", "real", "imag"),
+    "output.figures": tuple(FIGURE_ENTRIES),
 }
-
-_FIGURE_KINDS = ("magnitude", "phase", "real", "imag")
 
 
 @dataclass(frozen=True)
@@ -167,11 +166,7 @@ def build_run_config(values: dict | None = None) -> RunConfig:
     for key, default in DEFAULTS.items():
         merged[key] = _coerce(key, values.get(key, default), default)
 
-    unit_map = UnitMap(
-        wavelength=merged["units.wavelength"],
-        focal_length=merged["units.focal_length"],
-        magnification=merged["units.magnification"],
-    )
+    unit_map = UnitMap(**{f.name: merged[f"units.{f.name}"] for f in fields(UnitMap)})
     grid = make_grid(merged["grid.n"], merged["grid.dx"], merged["grid.x0"], unit_map)
 
     phi = np.deg2rad(merged["bench.phi_deg"])
@@ -192,7 +187,9 @@ def build_run_config(values: dict | None = None) -> RunConfig:
     if merged["pipeline.scans"] < 1:
         raise ConfigError(f"pipeline.scans: must be at least 1, got {merged['pipeline.scans']}")
     names = {}
-    for dz in merged["propagation.dz"]:
+    # + 0.0 turns -0.0 into 0.0, which %g would name apart
+    dz_list = tuple(dz + 0.0 for dz in merged["propagation.dz"])
+    for dz in dz_list:
         if not 0 <= dz < np.inf:
             raise ConfigError(f"propagation.dz: displacement {dz!r} must be finite and nonnegative")
         name = propagated_name(dz)
@@ -202,7 +199,7 @@ def build_run_config(values: dict | None = None) -> RunConfig:
             )
         names[name] = dz
     for fig in merged["output.figures"]:
-        if fig not in _FIGURE_KINDS:
+        if fig not in FIGURE_ENTRIES:
             raise ConfigError(f"output.figures: unknown table kind {fig!r}")
         if merged["output.figures"].count(fig) > 1:
             raise ConfigError(f"output.figures: table kind {fig!r} is listed more than once")
@@ -214,7 +211,7 @@ def build_run_config(values: dict | None = None) -> RunConfig:
         seed=merged["pipeline.seed"],
         scans=merged["pipeline.scans"],
         correct=merged["pipeline.correct"],
-        dz_list=merged["propagation.dz"],
+        dz_list=dz_list,
         out_dir=merged["output.dir"],
         figures=merged["output.figures"],
     )

@@ -229,6 +229,16 @@ def _write_table(path: str, corner: str, cols: np.ndarray, rows: np.ndarray,
     atomic_write_text(path, chain([head], body))
 
 
+def _phase(arr: np.ndarray) -> np.ndarray:
+    """``np.angle``, with -pi given as pi."""
+    angle = np.angle(arr)
+    return np.where(angle <= -np.pi, np.pi, angle)
+
+
+# each figure table kind, with the ``entry`` that forms its table
+FIGURE_ENTRIES = {"magnitude": np.abs, "phase": _phase, "real": np.real, "imag": np.imag}
+
+
 def _words(text: bytes) -> np.ndarray:
     """``text`` zero-padded to whole uint32 words."""
     return np.frombuffer(text.ljust(-(-len(text) // 4) * 4, b"\0"), np.uint32)

@@ -56,7 +56,7 @@ coordinate in the Fourier-transform plane of the bench.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -214,9 +214,9 @@ def make_grid(n: int, dx: float, x0: float = 0.0, unit_map: UnitMap | None = Non
     if not np.isfinite(x0):
         raise ConfigError(f"x0: lattice center must be finite, got {x0}")
     if unit_map is not None:
-        for name in ("wavelength", "focal_length", "magnification"):
-            value = getattr(unit_map, name)
+        for key in fields(UnitMap):
+            value = getattr(unit_map, key.name)
             if not 0 < value < np.inf:
-                raise ConfigError(f"{name}: must be positive and finite, got {value}")
+                raise ConfigError(f"{key.name}: must be positive and finite, got {value}")
     return Grid(n=int(n), dx=float(dx), x0=float(x0), unit_map=unit_map)
 

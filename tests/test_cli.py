@@ -384,6 +384,146 @@ def test_help_still_prints_usage(capsys):
     assert out.startswith("usage: diracsim measure") and "--no-noise" in out
 
 
+# the full --help text of diracsim and of each stage, at COLUMNS=80
+_HELP = {
+    (): """\
+usage: diracsim [-h]
+                {gen-state,measure,exact,reconstruct,propagate,props,figures}
+                ...
+
+Dirac quasi-probability bench simulator
+
+positional arguments:
+  {gen-state,measure,exact,reconstruct,propagate,props,figures}
+    gen-state           build the bench state file
+    measure             simulate the weak-measurement scan
+    exact               exact Dirac distribution of a state
+    reconstruct         density matrix from a distribution
+    propagate           Bayes-propagate to displaced planes
+    props               distribution property report
+    figures             emit CSV heat-map tables
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("gen-state",): """\
+usage: diracsim gen-state [-h] [--config PATH] [--out DIR]
+
+options:
+  -h, --help     show this help message and exit
+  --config PATH  key=value config file
+  --out DIR      output directory (overrides output.dir)
+""",
+    ("measure",): """\
+usage: diracsim measure [-h] [--config PATH] [--out DIR] [--state PATH]
+                        [--seed N] [--no-noise] [--no-correction]
+
+options:
+  -h, --help       show this help message and exit
+  --config PATH    key=value config file
+  --out DIR        output directory (overrides output.dir)
+  --state PATH     state file (default <out>/state.txt)
+  --seed N         override pipeline.seed
+  --no-noise       disable photon shot noise
+  --no-correction  disable the back-action correction
+""",
+    ("exact",): """\
+usage: diracsim exact [-h] [--config PATH] [--out DIR] [--state PATH]
+
+options:
+  -h, --help     show this help message and exit
+  --config PATH  key=value config file
+  --out DIR      output directory (overrides output.dir)
+  --state PATH   state file (default <out>/state.txt)
+""",
+    ("reconstruct",): """\
+usage: diracsim reconstruct [-h] [--config PATH] [--out DIR] [--dirac PATH]
+
+options:
+  -h, --help     show this help message and exit
+  --config PATH  key=value config file
+  --out DIR      output directory (overrides output.dir)
+  --dirac PATH   distribution file (default <out>/dirac_exact.txt)
+""",
+    ("propagate",): """\
+usage: diracsim propagate [-h] [--config PATH] [--out DIR] [--dirac PATH]
+
+options:
+  -h, --help     show this help message and exit
+  --config PATH  key=value config file
+  --out DIR      output directory (overrides output.dir)
+  --dirac PATH   distribution file (default <out>/dirac_exact.txt)
+""",
+    ("props",): """\
+usage: diracsim props [-h] [--config PATH] [--out DIR] [--dirac PATH]
+
+options:
+  -h, --help     show this help message and exit
+  --config PATH  key=value config file
+  --out DIR      output directory (overrides output.dir)
+  --dirac PATH   distribution file (default <out>/dirac_exact.txt)
+""",
+    ("figures",): """\
+usage: diracsim figures [-h] [--config PATH] [--out DIR] [--input PATH]
+
+options:
+  -h, --help     show this help message and exit
+  --config PATH  key=value config file
+  --out DIR      output directory (overrides output.dir)
+  --input PATH   matrix file (default <out>/dirac_exact.txt)
+""",
+}
+
+
+@pytest.mark.parametrize("argv", list(_HELP))
+def test_help_text_is_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    monkeypatch.setenv("PYTHON_COLORS", "0")  # and may colour it on Python 3.14
+    with pytest.raises(SystemExit) as exc:
+        _run(*argv, "--help")
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (_HELP[argv], "")
+
+
+def _measure_headers(out):
+    _, meta = read_matrix(os.path.join(out, "dirac_measured.txt"))
+    return meta["seed"], meta["noise"], meta["corrected"]
+
+
+def test_measure_flags_beat_the_environment_and_the_file(tmp_path, monkeypatch):
+    cfg = _write_config(tmp_path, "pipeline.seed = 7\npipeline.noise = true\n"
+                        "pipeline.correct = true\n"
+                        f"output.dir = {tmp_path / 'file'}\n")
+    assert _run("gen-state", "--config", cfg, "--out", str(tmp_path / "gen")) == 0
+    state = str(tmp_path / "gen" / "state.txt")
+    for name, value in (("PIPELINE_SEED", "8"), ("PIPELINE_NOISE", "true"),
+                        ("PIPELINE_CORRECT", "true"), ("OUTPUT_DIR", str(tmp_path / "env"))):
+        monkeypatch.setenv(f"DIRACSIM_{name}", value)
+
+    # no flag: the environment beats the file
+    assert _run("measure", "--config", cfg, "--state", state) == 0
+    assert _measure_headers(tmp_path / "env") == ("8", "true", "true")
+    assert (tmp_path / "env" / "density_measured.txt").exists()
+    # each flag beats both
+    out = tmp_path / "flag"
+    assert _run("measure", "--config", cfg, "--state", state, "--out", str(out),
+                "--seed", "5", "--no-correction") == 0
+    assert _measure_headers(out) == ("5", "true", "false")
+    assert not (out / "density_measured.txt").exists()
+    assert _run("measure", "--config", cfg, "--state", state, "--out", str(out / "quiet"),
+                "--no-noise") == 0
+    assert _measure_headers(out / "quiet") == ("none", "false", "true")
+    assert not (tmp_path / "file").exists()
+    # --out '' sets no directory, so output.dir stands: the environment's, else the file's
+    (tmp_path / "env" / "dirac_measured.txt").unlink()
+    assert _run("measure", "--config", cfg, "--state", state, "--out", "", "--seed", "6") == 0
+    assert _measure_headers(tmp_path / "env") == ("6", "true", "true")
+    monkeypatch.delenv("DIRACSIM_OUTPUT_DIR")
+    assert _run("measure", "--config", cfg, "--state", state, "--out", "") == 0
+    assert _measure_headers(tmp_path / "file") == ("8", "true", "true")
+
+
 def test_out_of_memory_exits_3_in_one_line(tmp_path, capsys, monkeypatch):
     def exhausted(*args):
         raise MemoryError("Unable to allocate 14.6 TiB for an array")

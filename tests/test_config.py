@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from diracsim.config import (DEFAULTS, apply_env_overrides, build_run_config,
-                             load_run_config, parse_config_file)
+                             load_run_config, parse_config_file, propagated_name)
 from diracsim.errors import ConfigError
 from diracsim.qstate import BenchConfig
 
@@ -132,10 +132,18 @@ def test_every_default_key_coerces():
     assert cfg.grid.n == 256
 
 
-@pytest.mark.parametrize("dz", ["0.1, 0.1", "0.1, 0.1000001", "0, 0.084, 0.0840000001"])
+@pytest.mark.parametrize("dz", ["0.1, 0.1", "0.1, 0.1000001", "0, 0.084, 0.0840000001",
+                                "0, -0.0"])
 def test_propagation_dz_output_names_distinct(dz):
     with pytest.raises(ConfigError, match=r"propagation.dz: .* would both write propagated_dz0"):
         build_run_config({"propagation.dz": dz})
+
+
+@pytest.mark.parametrize("dz", ["-0.0", (-0.0,)])
+def test_a_negative_zero_displacement_is_zero(dz):
+    (zero,) = build_run_config({"propagation.dz": dz}).dz_list
+    assert zero == 0 and np.copysign(1.0, zero) == 1.0
+    assert propagated_name(zero) == "propagated_dz0.txt"
 
 
 @pytest.mark.parametrize("figures", ["real, real", "magnitude, phase, magnitude"])
