@@ -51,10 +51,11 @@ because dp dx n = 2 pi, so
     col[m, k] = exp(-i pi n/2) t_m t_k conj(F[m, k]),
 
 F[m, k] = exp(2 pi i m k / n) and exp(-i pi n/2) = (-i)^n taken exactly.
-Only ``inv`` and the length-n generator ``row`` are stored.  The product
-with W is a zero-padded, length-2n FFT convolution, and the normalization
-``col @ W`` one FFT per row of W, each O(n^2 log n), never an n^3 matrix
-product.  The lens is never formed either: since
+The kernel stores only the length-n generator ``row``; no n x n array
+outlives :func:`bayes_propagate`, which forms ``inv`` in its own output.  The
+product with W is a zero-padded, length-2n FFT convolution, and the
+normalization ``col @ W`` one FFT per row of W, each O(n^2 log n), never an
+n^3 matrix product.  The lens is never formed either: since
 
     t_k conj(F[m, k]) = exp(2 pi i k (n - 2m) / 2n),
 
@@ -98,11 +99,12 @@ class PropagatorKernel:
     of V as it was passed; :attr:`k_basis` derives the displaced-plane
     position eigenstates from it on each access (an n x n array, which
     :func:`bayes_propagate` forms for a dense V only).  The analytic kernel
-    sets only the factors ``row``, the length-n generator of the symmetric
-    Toeplitz wavelet, and the n x n ``inv`` of
-    ``cond[j, m, kp] = col[m, j] * row[|kp - j|] * inv[m, kp]``; its lens
-    ``col`` (module docstring) is never formed: :func:`bayes_propagate`
-    applies it as a roll of each row's spectrum.
+    sets only ``row``, the length-n generator of the symmetric Toeplitz
+    wavelet of ``cond[j, m, kp] = col[m, j] * row[|kp - j|] * inv[m, kp]``.
+    It holds O(n) numbers, as a unitary kernel of a diagonal V does.
+    Neither the lens ``col`` (module docstring) nor the normalization
+    ``inv`` is stored: :func:`bayes_propagate` applies ``col`` as a roll of
+    each row's spectrum and forms ``inv`` in its output.
     """
 
     grid: Grid
@@ -110,7 +112,6 @@ class PropagatorKernel:
     kind: str
     v: np.ndarray | None = None
     row: np.ndarray | None = None
-    inv: np.ndarray | None = None
 
     @property
     def k_basis(self) -> np.ndarray | None:
@@ -233,13 +234,8 @@ def build_kernel_analytic(grid: Grid, dz: float) -> PropagatorKernel:
 
     The camera pixels are equally spaced, so the wavelet between pixels j
     and kp depends on |j - kp| only; ``row[s]`` is its value at separation
-    s.  With the lens of the module docstring the normalization is
-
-        norm[m, kp] = exp(-i pi n/2) t_m fft_j(t_j W[kp, j])[m],
-
-    one FFT per row of W, read as a sliding-window view of ``row`` and taken
-    a block of rows at a time.  Only ``row`` and ``inv = 1 / norm`` are
-    stored.
+    s.  Only ``row`` is stored; :func:`bayes_propagate` forms the
+    normalization from it, and refuses one that vanishes or is not finite.
     """
     units = grid.require_unit_map()
     _check_displacement(dz)
@@ -247,22 +243,10 @@ def build_kernel_analytic(grid: Grid, dz: float) -> PropagatorKernel:
         raise DegenerateKernelError(
             "analytic kernel is singular at dz = 0; build the unitary kernel instead"
         )
-    lam, n, t = units.wavelength, grid.n, grid._signs
     cam = units.ft_plane_coordinate(grid.momenta)
     r = np.sqrt(dz ** 2 + (cam - cam[0]) ** 2)
-    wavelet = np.exp(-1j * TWO_PI * r / lam) / r
-    # row kp of W is [row[n-1], ..., row[1], row[0], ..., row[n-1]] read from n - 1 - kp
-    w = sliding_window_view(np.concatenate((wavelet[:0:-1], wavelet)), n)[::-1]
-    phase = _lens_phase(grid)
-    inv = np.empty((n, n), dtype=complex)
-    for lo, hi in grid.row_blocks():
-        norm = np.fft.fft(w[lo:hi] * t, axis=1)  # norm[:, lo:hi], transposed, up to phase
-        size = np.abs(norm)  # |phase| = 1
-        if not (size.min() > 0.0 and size.max() < np.inf):  # also False for NaN
-            raise NumericalIntegrityError("analytic kernel normalization vanished or is not finite")
-        norm *= phase
-        np.divide(1.0, norm.T, out=inv[:, lo:hi])
-    return PropagatorKernel(grid=grid, dz=float(dz), kind=KIND_ANALYTIC, row=wavelet, inv=inv)
+    wavelet = np.exp(-1j * TWO_PI * r / units.wavelength) / r
+    return PropagatorKernel(grid=grid, dz=float(dz), kind=KIND_ANALYTIC, row=wavelet)
 
 
 def _lens_phase(grid: Grid) -> np.ndarray:
@@ -280,14 +264,24 @@ def bayes_propagate(dist: DiracDistribution, kernel: PropagatorKernel) -> Propag
     U, K and every complex division are avoided.  A dense V reconstructs
     rho (:func:`.reconstruct_density`) and forms ``conj(K) * (rho K)``,
     ``K = V^dag U`` from :attr:`PropagatorKernel.k_basis`.  The analytic
-    kernel forms ``col * ((inv * d) @ W)``, the product with its Toeplitz
-    wavelet W taken by a length-2n FFT convolution with the generator
-    ``row``: ``inv * d`` is written into the left half of a zeroed (b, 2n)
-    block, and row m of its spectrum, times the signed wavelet spectrum, is
-    rolled right by (n - 2m) mod 2n bins before the ``ifft``, which applies
-    the lens ``col`` with no table of it (module docstring).  The chirp and
-    analytic products fill one preallocated output a block of
-    :meth:`.Grid.row_blocks` at a time.
+    kernel forms ``col * ((inv * d) @ W)`` from its generator ``row`` in two
+    passes over one preallocated output.  With the lens of the module
+    docstring the normalization is
+
+        norm[m, kp] = exp(-i pi n/2) t_m fft_j(t_j W[kp, j])[m],
+
+    one FFT per row of W, read as a sliding-window view of ``row``; the
+    first pass writes ``inv = 1 / norm`` into the output a block of W's
+    rows (a block of columns of ``inv``) at a time, and a norm that vanishes
+    or is not finite is a NumericalIntegrityError.  The second pass takes
+    the product with the Toeplitz W by a length-2n FFT convolution: each row
+    block of ``inv``, times d, is written into the left half of a zeroed
+    (b, 2n) block, and row m of its spectrum, times the signed wavelet
+    spectrum, is rolled right by (n - 2m) mod 2n bins before the ``ifft``,
+    which applies the lens ``col`` with no table of it (module docstring).
+    The result overwrites the block of ``inv`` it was read from.  The chirp
+    product likewise fills its output a block of :meth:`.Grid.row_blocks`
+    at a time.
     """
     grid = kernel.grid
     if dist.grid != grid:
@@ -307,15 +301,29 @@ def bayes_propagate(dist: DiracDistribution, kernel: PropagatorKernel) -> Propag
             rows = np.fft.ifft(rows, axis=1)
             rows *= v[lo:hi, None]
             e[lo:hi] = rows
-    else:  # W is the top-left n x n corner of this 2n-point circulant
-        spectrum = np.fft.fft(np.concatenate((kernel.row, [0.0], kernel.row[:0:-1])))
-        signed = spectrum * _lens_phase(grid)[:2, None]  # row m takes signed[m % 2]
+    else:
+        row, t = kernel.row, grid._signs
+        # row kp of W is [row[n-1], ..., row[1], row[0], ..., row[n-1]] read from n - 1 - kp
+        w = sliding_window_view(np.concatenate((row[:0:-1], row)), n)[::-1]
+        phase = _lens_phase(grid)
+        e = np.empty((n, n), dtype=complex)  # holds inv = 1 / norm until each row block is done
+        for lo, hi in grid.row_blocks():
+            norm = np.fft.fft(w[lo:hi] * t, axis=1)  # norm[:, lo:hi], transposed, up to phase
+            size = np.abs(norm)  # |phase| = 1
+            if not (size.min() > 0.0 and size.max() < np.inf):  # also False for NaN
+                raise NumericalIntegrityError(
+                    "analytic kernel normalization vanished or is not finite")
+            norm *= phase
+            np.divide(1.0, norm.T, out=e[:, lo:hi])
+        del norm, size  # freed before the convolution's own blocks are taken
+        # W is the top-left n x n corner of this 2n-point circulant
+        spectrum = np.fft.fft(np.concatenate((row, [0.0], row[:0:-1])))
+        signed = spectrum * phase[:2, None]  # row m takes signed[m % 2]
         buf = np.empty((grid.row_blocks()[0][1], 2 * n), dtype=complex)
-        e = np.empty((n, n), dtype=complex)
         for lo, hi in grid.row_blocks():
             b = hi - lo
             buf[:b, n:] = 0.0
-            np.multiply(kernel.inv[lo:hi], dist.d[lo:hi], out=buf[:b, :n])
+            np.multiply(e[lo:hi], dist.d[lo:hi], out=buf[:b, :n])
             rows = np.fft.fft(buf[:b], axis=1)
             for i, m in enumerate(range(lo, hi)):  # buf now takes the rolled product
                 o = (2 * m - n) % (2 * n)  # row m rolled right by n - 2m bins starts at bin o

@@ -186,6 +186,9 @@ def build_run_config(values: dict | None = None) -> RunConfig:
         raise ConfigError(f"pipeline.seed: must be nonnegative, got {merged['pipeline.seed']}")
     if merged["pipeline.scans"] < 1:
         raise ConfigError(f"pipeline.scans: must be at least 1, got {merged['pipeline.scans']}")
+    for key in ("propagation.dz", "output.figures"):
+        if not merged[key]:
+            raise ConfigError(f"{key}: the list is empty; give at least one value")
     names = {}
     # + 0.0 turns -0.0 into 0.0, which %g would name apart
     dz_list = tuple(dz + 0.0 for dz in merged["propagation.dz"])

@@ -270,13 +270,14 @@ def whole_propagate(kernel, d):
     """``bayes_propagate`` for a chirp or an analytic kernel: for a chirp
     ``c = kernel.v``, ``c_m ifft_s(fft(d)[m, s] conj(c)[(m + s) mod n])``; for
     the analytic kernel, the length-2n circulant convolution of ``inv * d``
-    with the wavelet, each row m of its spectrum times the row's lens
-    constant (-i)^n t_m and rolled right by n - 2m bins (all rows at once, by
-    an index gather), cut to n after the ``ifft``."""
+    (``inv`` from :func:`whole_analytic_inverse`) with the wavelet, each row
+    m of its spectrum times the row's lens constant (-i)^n t_m and rolled
+    right by n - 2m bins (all rows at once, by an index gather), cut to n
+    after the ``ifft``."""
     n = kernel.grid.n
     if kernel.v is None:
         row = kernel.row
-        e = np.fft.fft(kernel.inv * d, 2 * n, axis=1)
+        e = np.fft.fft(whole_analytic_inverse(kernel) * d, 2 * n, axis=1)
         e *= np.fft.fft(np.concatenate((row, [0.0], row[:0:-1])))
         e *= bayesprop._lens_phase(kernel.grid)[:, None]  # (-i)^n t_m on row m
         m = np.arange(n)[:, None]
@@ -291,7 +292,8 @@ def whole_propagate(kernel, d):
 
 
 def whole_analytic_inverse(kernel):
-    """``build_kernel_analytic``'s ``inv``: 1 / norm with
+    """The analytic ``inv`` that ``bayes_propagate`` forms in its output, taken
+    over the whole matrix at once: 1 / norm with
     ``norm[m, kp] = exp(-i pi n/2) t_m fft_j(t_j W[kp, j])[m]`` and W gathered
     by :func:`dense_wavelet`."""
     grid = kernel.grid
@@ -347,7 +349,9 @@ def cond_array(kernel):
     ``K = V^dag U``, independently of the FFT path of ``bayes_propagate``.
     An analytic kernel's dense wavelet matrix is gathered from its generator,
     ``row[kp, j] = kernel.row[|kp - j|]``, independently of the FFT
-    convolution.  Refuses grids where the n^3 array would not fit.
+    convolution, and its ``inv = 1 / (col @ row)`` is a dense product, not
+    the per-row FFT of ``bayes_propagate``.  Refuses grids where the n^3
+    array would not fit.
     """
     n = kernel.grid.n
     if 16 * n ** 3 > _COND_MEMORY_LIMIT:
@@ -356,7 +360,8 @@ def cond_array(kernel):
             "use the factored form via bayes_propagate instead"
         )
     if kernel.v is None:
-        col, row, inv = analytic_lens(kernel.grid), dense_wavelet(kernel.row), kernel.inv
+        col, row = analytic_lens(kernel.grid), dense_wavelet(kernel.row)
+        inv = 1.0 / (col @ row)
     else:
         u = kernel.grid.overlap_matrix
         v = np.diag(kernel.v) if kernel.v.ndim == 1 else kernel.v

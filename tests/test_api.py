@@ -44,7 +44,7 @@ MEMBERS = {
     diracsim.DensityMatrix: {"grid", "rho", "validate"},
     diracsim.DiracDistribution: {"grid", "d", "validate"},
     diracsim.PropagatedDistribution: {"grid", "dz", "e", "kind", "validate"},
-    diracsim.PropagatorKernel: {"grid", "dz", "kind", "v", "row", "inv", "k_basis"},
+    diracsim.PropagatorKernel: {"grid", "dz", "kind", "v", "row", "k_basis"},
 }
 
 

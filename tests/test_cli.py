@@ -861,6 +861,28 @@ def test_figures_with_a_kind_listed_twice_exits_2_without_output(tmp_path, capsy
     assert sorted(p.name for p in out.iterdir()) == before
 
 
+@pytest.mark.parametrize("stage, key", [("propagate", "propagation.dz"),
+                                        ("figures", "output.figures")])
+def test_an_empty_list_exits_2_without_output(tmp_path, capsys, stage, key):
+    """At the parent both stages exited 0 having written nothing."""
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "out"
+    assert _run("gen-state", "--config", cfg, "--out", str(out)) == 0
+    assert _run("exact", "--config", cfg, "--out", str(out)) == 0
+    before = sorted(p.name for p in out.iterdir())
+    capsys.readouterr()
+    cfg = _write_config(tmp_path, f"{key} =\n")
+    assert _run(stage, "--config", cfg, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{key}: the list is empty" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert sorted(p.name for p in out.iterdir()) == before
+    fresh = tmp_path / "fresh"
+    assert _run(stage, "--config", cfg, "--out", str(fresh)) == 2
+    assert not fresh.exists()
+
+
 def _replace_in_file(path, old, new, count=1):
     text = Path(path).read_text()
     assert old in text

@@ -162,6 +162,25 @@ def test_a_figure_kind_listed_twice_is_refused_on_every_route(tmp_path, figures)
         build_run_config({"output.figures": tuple(figures.split(", "))})
 
 
+@pytest.mark.parametrize("key, env", [("propagation.dz", "DIRACSIM_PROPAGATION_DZ"),
+                                      ("output.figures", "DIRACSIM_OUTPUT_FIGURES")])
+def test_an_empty_list_is_refused_on_every_route(tmp_path, key, env):
+    """At the parent an empty list was taken, and ``propagate`` or
+    ``figures`` exited 0 having written nothing."""
+    message = rf"^{key}: the list is empty"
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} =\n")
+    with pytest.raises(ConfigError, match=message):
+        load_run_config(str(path))
+    with pytest.raises(ConfigError, match=message):
+        load_run_config(environ={env: ""})
+    with pytest.raises(ConfigError, match=message):
+        load_run_config(overrides={key: " , "})
+    for value in ((), []):
+        with pytest.raises(ConfigError, match=message):
+            build_run_config({key: value})
+
+
 @pytest.mark.parametrize("key, value", [
     ("pipeline.scans", 2.5),
     ("pipeline.seed", 1.5),
