@@ -201,28 +201,28 @@ def cmd_props(cfg: RunConfig, path: str) -> int:
           f" (bounds [{1.0 / n:.6g}, 1])")
 
     report = "\n".join(lines) + "\n"
-    fileio.atomic_write_text(os.path.join(cfg.out_dir, "props.txt"), report.encode())
+    fileio.atomic_write_text(os.path.join(cfg.out_dir, "props.txt"), [report.encode()])
     sys.stdout.write(report)
     return EXIT_OK
 
 
 def _figure_axes(meta, grid):
+    """A figure table's column axis and its label; its rows are always x."""
     kind = meta.get("kind", "dirac")
-    x = grid.coords
     if kind == "density":
-        return x, x, "x", "xp"
+        return grid.coords, "xp"
     if kind == "propagated" and grid.unit_map is not None:
-        return x, grid.unit_map.camera_coordinate(grid.momenta), "x", "kp"
-    return x, grid.momenta, "x", "p"
+        return grid.unit_map.camera_coordinate(grid.momenta), "kp"
+    return grid.momenta, "p"
 
 
 def cmd_figures(cfg: RunConfig, path: str) -> int:
     arr, meta, grid = _read_on_grid(path)
-    rows, cols, row_label, col_label = _figure_axes(meta, grid)
+    cols, col_label = _figure_axes(meta, grid)
     stem = os.path.splitext(os.path.basename(path))[0]
     for kind in cfg.figures:
         out = os.path.join(cfg.out_dir, f"fig_{stem}_{kind}.csv")
-        fileio._write_table(out, f"{row_label}\\{col_label}", cols, rows, arr,
+        fileio._write_table(out, f"x\\{col_label}", cols, grid.coords, arr,
                             fileio.FIGURE_ENTRIES[kind])
         print(out)
     return EXIT_OK

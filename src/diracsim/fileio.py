@@ -10,23 +10,27 @@ Files are written to a temporary name and renamed into place only on success;
 they get the permissions a plain ``open(path, "w")`` would give (0666 less
 the umask).
 
-Matrix bodies and the ``figures`` CSV tables go through one vectorized
-kernel, ``_format17.render``, whose output is byte for byte ``b"%.17g" % x``.
-It is exact because it takes the 17 digits as round(y) of a two-float
-y = |x| 10**(16 - X), good to about 2**-100, with the exponent X corrected
-from the floor of the unrounded y; y within 1e-6 of a half, nan, +-inf and
-|x| outside [1e-290, 1e290] fall back to ``b"%.17g" % x`` one value at a
-time, and +-0 is written as ``0`` or ``-0``.  The writers render at most
-4096 numbers per block, which keeps their working memory under a megabyte at
-any matrix size.  A block is stacked as word rows, one per word position of
-its lines: the index words (built once per file, then broadcast over whole
-rows or sliced along one long row), the kernel's field rows with each
-separator OR'd into word 0, and a newline row.  A word that is zero in every
-field is left out, one ``tobytes`` of the transpose is the only
-transposition, and dropping every zero byte leaves the lines.  Counts files
-fill a cached ``bytes`` template: ``%d`` when every count is a whole number
-in [+0, 1e17), where it prints what ``%.17g`` prints, else ``%.17g``.  Counts
-not of shape (4, n), finite and >= 0 are refused before a byte is written.
+Matrix bodies, the ``figures`` CSV tables and counts that are not whole go
+through one vectorized kernel, ``_format17.render``, whose output is byte for
+byte ``b"%.17g" % x``.  It is exact because it takes the 17 digits as
+round(y) of a two-float y = |x| 10**(16 - X), good to about 2**-100, with the
+exponent X corrected from the floor of the unrounded y; y within 1e-6 of a
+half, nan, +-inf and |x| outside [1e-290, 1e290] fall back to
+``b"%.17g" % x`` one value at a time, and +-0 is written as ``0`` or ``-0``.
+Matrix bodies and tables render whole rows, at most 4096 numbers per block or
+one row when a row holds more, which keeps their working memory under a
+megabyte up to n = 2048 (a body block at n = 4096 peaks at about 1.3 MiB).  A
+block is stacked as word rows, one per word position of its lines: the index
+words (built once per file, then broadcast over the block's rows), the
+kernel's field rows with each separator OR'd into word 0, and a newline row.
+A word that is zero in every field is left out, one ``tobytes`` of the
+transpose is the only transposition, and dropping every zero byte leaves the
+lines.  Counts files of whole counts in [+0, 1e17), where ``%d`` prints what
+``%.17g`` prints, fill a cached ``%d`` bytes template, which formats the
+noisy counts of n = 256 in about a third of the kernel's time; any other
+counts (the ``--no-noise`` means, -0, values >= 1e17) take one kernel call, a
+counts file holding 4n numbers.  Counts not of shape (4, n), finite and >= 0
+are refused before a byte is written.
 
 The matrix reader parses the body in one ``np.loadtxt`` pass and checks
 bounds, duplicates, missing entries and finiteness with array operations.
@@ -122,11 +126,11 @@ def _atomic_binary(path: str):
         raise
 
 
-def atomic_write_text(path: str, data: bytes | Iterable[bytes]) -> None:
-    """Write UTF-8 text, as ``bytes`` or an iterable of ``bytes`` chunks, to
-    ``path`` atomically (see ``_atomic_binary``)."""
+def atomic_write_text(path: str, chunks: Iterable[bytes]) -> None:
+    """Write UTF-8 text, an iterable of ``bytes`` chunks, to ``path``
+    atomically (see ``_atomic_binary``)."""
     with _atomic_binary(path) as fh:
-        fh.writelines([data] if isinstance(data, bytes) else data)
+        fh.writelines(chunks)
 
 
 def grid_meta(grid: Grid) -> dict:
@@ -194,24 +198,21 @@ def write_matrix(path: str, arr: np.ndarray, meta: dict) -> None:
 
 
 def _matrix_body(arr: np.ndarray):
-    """The 'i j re im' lines of ``arr`` in row-major order, one block of at
-    most ``_BLOCK`` numbers at a time: whole rows, or a slice of one row when
-    a row holds more than a block."""
+    """The 'i j re im' lines of ``arr`` in row-major order, one block of whole
+    rows at a time: at most ``_BLOCK`` numbers, or one row when a row holds
+    more."""
     rows, cols = arr.shape
     if not rows * cols:
         return
     # "i " and "j" as word rows, built once: each block broadcasts them
     row_words, col_words = _index_words(rows, b" "), _index_words(cols, b"")
-    wide = min(cols, _BLOCK // 2)
-    tall = _BLOCK // 2 // wide
-    for i in range(0, rows, tall):
-        for j in range(0, cols, wide):
-            block = arr[i:i + tall, j:j + wide]
-            prefix = (np.broadcast_to(row_words[:, i:i + len(block), None],
-                                      (len(row_words),) + block.shape),
-                      np.broadcast_to(col_words[:, None, j:j + block.shape[1]],
-                                      (len(col_words),) + block.shape))
-            yield _lines(block.ravel().view(float).reshape(-1, 2), b"  ", prefix)
+    step = max(1, _BLOCK // (2 * cols))
+    for i in range(0, rows, step):
+        block = arr[i:i + step]
+        prefix = (np.broadcast_to(row_words[:, i:i + len(block), None],
+                                  (len(row_words),) + block.shape),
+                  np.broadcast_to(col_words[:, None, :], (len(col_words),) + block.shape))
+        yield _lines(block.ravel().view(float).reshape(-1, 2), b"  ", prefix)
 
 
 def _write_table(path: str, corner: str, cols: np.ndarray, rows: np.ndarray,
@@ -444,17 +445,16 @@ def write_counts(path: str, counts: np.ndarray, meta: dict) -> None:
         raise ContractError("counts must be finite and >= 0")
     head = _header_bytes(COUNTS_MAGIC, {"n": counts.shape[1]}, meta)
     # %d prints what %.17g prints for whole counts in [+0, 1e17); -0 prints "-0"
-    whole = bool((counts == np.floor(counts)).all() and (counts < 1e17).all()
-                 and not np.signbit(counts).any())
-    values = counts.astype(np.int64) if whole else counts
-    body = _counts_template(counts.shape[1], whole) % tuple(values.T.ravel().tolist())
+    if ((counts == np.floor(counts)) & (counts < 1e17) & ~np.signbit(counts)).all():
+        body = _counts_template(counts.shape[1]) % tuple(counts.astype(np.int64).T.ravel().tolist())
+    else:  # one kernel call: a counts file holds 4n numbers
+        body = _lines(counts.T, b" " * _ANALYZERS, (_index_words(counts.shape[1], b""),))
     atomic_write_text(path, [head, body])
 
 
 _ANALYZERS = 4  # rows of a counts array: D, A, L, R
 
 
-@lru_cache(maxsize=2)  # measure writes n files of one shape, whole counts or means
-def _counts_template(n: int, whole: bool) -> bytes:
-    return b"".join(b"%d%s\n" % (k, (b" %d" if whole else b" %.17g") * _ANALYZERS)
-                    for k in range(n))
+@lru_cache(maxsize=1)  # measure writes n files of one shape
+def _counts_template(n: int) -> bytes:
+    return b"".join(b"%d%s\n" % (k, b" %d" * _ANALYZERS) for k in range(n))

@@ -20,10 +20,10 @@ so U is a signed, phased discrete Fourier transform,
 
 with the exact signs ``t_m = (-1)^m`` and ``b_k = exp(i x_f p_k)``, for any
 n, odd included, and any center offset.  :attr:`Grid.overlap_matrix` is
-built from these factors and an exactly reduced DFT table.  It is the one
-representation of U, kept for a dense propagator V, for
-:func:`.bayesprop.joint4_tensor` and for the test oracles; no command-line
-stage and no scan builds it.
+built from these factors and forms the exactly reduced DFT table F itself;
+no other code forms F.  It is the one representation of U, kept for a dense
+propagator V, for :func:`.bayesprop.joint4_tensor` and for the test oracles;
+no command-line stage and no scan builds it.
 
 The Dirac transform needs only the signs t.  For any operator op,
 
@@ -138,25 +138,23 @@ class Grid:
 
     @cached_property
     def overlap_matrix(self) -> np.ndarray:
-        """Unitary matrix U with ``U[m, k] = <x_m|p_k>``."""
-        u = self.dft_rows(0, self.n)
-        u *= self._signs[:, None] / np.sqrt(self.n)
+        """Unitary matrix U with ``U[m, k] = <x_m|p_k>``, formed as
+        ``diag(t) F diag(b) / sqrt(n)``.
+
+        The DFT table ``F[m, k] = exp(2 pi i m k / n)`` is gathered from its
+        n roots with the exponent m k reduced mod n exactly in integers before
+        any phase is rounded, and each root exp(2 pi i j / n) is taken at j
+        reduced into (-n/2, n/2], so no phase above pi is rounded.
+        """
+        n = self.n
+        exponent = np.outer(np.arange(n), np.arange(n))
+        exponent %= n
+        j = np.arange(n)
+        u = np.exp(np.pi * 1j * (2 * np.where(2 * j > n, j - n, j) / n))[exponent]
+        u *= self._signs[:, None] / np.sqrt(n)
         u *= np.exp(1j * self.coords[0] * self.momenta)
         u.setflags(write=False)
         return u
-
-    def dft_rows(self, lo: int, hi: int) -> np.ndarray:
-        """Rows lo..hi-1 of ``F[m, k] = exp(2 pi i m k / n)``, the exponent
-        m k reduced mod n exactly in integers before any phase is rounded.
-
-        Each root exp(2 pi i j / n) is taken at j reduced into (-n/2, n/2],
-        so no phase above pi is rounded.
-        """
-        n = self.n
-        exponent = np.outer(np.arange(lo, hi), np.arange(n))
-        exponent %= n
-        j = np.arange(n)
-        return np.exp(np.pi * 1j * (2 * np.where(2 * j > n, j - n, j) / n))[exponent]
 
     def row_blocks(self) -> list[tuple[int, int]]:
         """Row ranges ``(lo, hi)`` that cover the n rows in blocks of at most

@@ -256,12 +256,13 @@ def whole_reconstruct(grid, d):
 
 def analytic_lens(grid):
     """The analytic kernel's whole n x n lens
-    ``col[m, k] = exp(-i pi n/2) t_m t_k conj(F[m, k])``: the exactly reduced
-    DFT table of ``Grid.dft_rows``, conjugated, times both signs and
-    exp(-i pi n/2) = (-i)^n taken exactly from n mod 4."""
+    ``col[m, k] = exp(-i pi n/2) t_m t_k conj(F[m, k])``: ``sqrt(n) conj(U) b``
+    = t_m conj(F[m, k]) from ``Grid.overlap_matrix`` and its column phases
+    ``b_k = exp(i x_f p_k)``, times t_k and exp(-i pi n/2) = (-i)^n taken
+    exactly from n mod 4."""
     t = grid._signs
-    lens = np.conjugate(grid.dft_rows(0, grid.n))
-    lens *= t[:, None]
+    lens = np.conjugate(grid.overlap_matrix) * np.sqrt(grid.n)
+    lens *= np.exp(1j * grid.coords[0] * grid.momenta)
     lens *= t * (1 + 0j, -1j, -1 + 0j, 1j)[grid.n % 4]
     return lens
 

@@ -153,10 +153,10 @@ def test_analytic_branch_never_forms_the_dft_table(monkeypatch, n):
     grid = make_grid(n, 44e-3 / n, 3e-4, UM)
     d = dirac_distribution(random_density_matrix(grid, np.random.default_rng(n)))
 
-    def refuse(self, lo, hi):
-        raise AssertionError("dft_rows called")
+    def refuse(self):
+        raise AssertionError("overlap_matrix built")
 
-    monkeypatch.setattr(type(grid), "dft_rows", refuse)
+    monkeypatch.setattr(type(grid), "overlap_matrix", property(refuse))
     e = bayes_propagate(d, build_kernel_analytic(grid, 0.16))
     assert abs(e.e.sum() - 1.0) < 1e-9
 

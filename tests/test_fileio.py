@@ -411,10 +411,10 @@ def test_figure_csv_matches_per_element_reference(tmp_path, n, kind, data):
     in_path, out = str(tmp_path / "in.txt"), str(tmp_path / "out")
     write_matrix(in_path, arr, meta)
     assert main(["figures", "--input", in_path, "--out", out]) == 0
-    rows, cols, row_label, col_label = _figure_axes(meta, grid)
+    cols, col_label = _figure_axes(meta, grid)
     for table in ("magnitude", "phase", "real", "imag"):
         got = Path(out, f"fig_in_{table}.csv").read_bytes()
-        assert got == figure_csv_oracle(arr, rows, cols, f"{row_label}\\{col_label}", table)
+        assert got == figure_csv_oracle(arr, grid.coords, cols, f"x\\{col_label}", table)
 
 
 # -- byte oracles: edge values, edge shapes and strided inputs
@@ -492,7 +492,8 @@ def test_write_counts_bytes_match_oracle(tmp_path, kind):
                                           (-0.0, False)])
 def test_whole_counts_print_as_g17(tmp_path, monkeypatch, value, whole):
     """Whole counts in [+0, 1e17) take the %d template; 1e17 (``1e+17``) and
-    -0 (``-0``) keep %.17g.  Either way each prints as ``b"%.17g" % value``."""
+    -0 (``-0``) take the %.17g kernel.  Either way each prints as
+    ``b"%.17g" % value``."""
     templates = []
     template = fileio._counts_template
     monkeypatch.setattr(fileio, "_counts_template",
@@ -501,7 +502,7 @@ def test_whole_counts_print_as_g17(tmp_path, monkeypatch, value, whole):
     write_counts(str(path), np.full((len(READOUT_KEYS), 2), value), _counts_meta())
     assert path.read_bytes().splitlines()[-2:] == [
         b"%d " % k + b" ".join([b"%.17g" % value] * len(READOUT_KEYS)) for k in range(2)]
-    assert templates == [(2, whole)]
+    assert templates == ([(2,)] if whole else [])
 
 
 _BAD_COUNTS = {
@@ -544,10 +545,10 @@ def test_figure_csv_bytes_match_oracle(tmp_path):
     in_path, out = str(tmp_path / "in.txt"), str(tmp_path / "out")
     write_matrix(in_path, arr, meta)
     assert main(["figures", "--input", in_path, "--out", out]) == 0
-    rows, cols, row_label, col_label = _figure_axes(meta, grid)
+    cols, col_label = _figure_axes(meta, grid)
     for table in ("magnitude", "phase", "real", "imag"):
         got = Path(out, f"fig_in_{table}.csv").read_bytes()
-        assert got == figure_csv_oracle(arr, rows, cols, f"{row_label}\\{col_label}", table)
+        assert got == figure_csv_oracle(arr, grid.coords, cols, f"x\\{col_label}", table)
 
 
 # -- the %.17g kernel against Python's own formatting
@@ -648,7 +649,7 @@ def test_outputs_get_the_umask_mode(tmp_path, umask, mode):
     try:
         write_matrix(str(tmp_path / "m.txt"), _sample_matrix(), _META)
         write_counts(str(tmp_path / "c.txt"), np.ones((len(READOUT_KEYS), 3)), _counts_meta())
-        fileio.atomic_write_text(str(tmp_path / "t.txt"), b"text\n")
+        fileio.atomic_write_text(str(tmp_path / "t.txt"), [b"text\n"])
     finally:
         os.umask(old)
     twin = os.path.join(TWIN_DIR, twin_name(tmp_path / "m.txt"))
