@@ -153,13 +153,18 @@ def fresnel_unitary(grid: Grid, dz: float) -> np.ndarray:
     The camera-region angular spectrum lives on the input-plane position
     lattice, so the transfer phase exp(-i dz lambda kappa^2 / 4 pi) becomes
     the x-diagonal chirp exp(-i pi dz x^2 / (lambda f^2)).  Returns that
-    length-n unit-modulus vector; V(0) is all ones.
+    length-n unit-modulus vector; V(0) is all ones.  A dz whose chirp phase
+    is not finite on this grid is a ConfigError, raised with no warning
+    printed (:func:`.make_grid` has already checked lambda f^2).
     """
     units = grid.require_unit_map()
     _check_displacement(dz)
     lam, f = units.wavelength, units.focal_length
-    x_axis = grid.coords - grid.x0  # the optical axis runs through the grid center
-    phase = -np.pi * dz * x_axis ** 2 / (lam * f ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_axis = grid.coords - grid.x0  # the optical axis runs through the grid center
+        phase = -np.pi * dz * x_axis ** 2 / (lam * f ** 2)
+    if not np.isfinite(phase).all():
+        raise ConfigError(f"camera displacement dz {dz!r}: the chirp phase is not finite")
     return np.exp(1j * phase)
 
 

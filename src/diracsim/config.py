@@ -189,6 +189,8 @@ def build_run_config(values: dict | None = None) -> RunConfig:
     for key in ("propagation.dz", "output.figures"):
         if not merged[key]:
             raise ConfigError(f"{key}: the list is empty; give at least one value")
+    if not merged["output.dir"] or "\0" in merged["output.dir"]:
+        raise ConfigError(f"output.dir: {merged['output.dir']!r} names no directory")
     names = {}
     # + 0.0 turns -0.0 into 0.0, which %g would name apart
     dz_list = tuple(dz + 0.0 for dz in merged["propagation.dz"])

@@ -52,10 +52,18 @@ numbers each.
 Physical units (wavelength, lens focal length, magnification) live
 exclusively in :class:`UnitMap`, which converts lattice momentum to a camera
 coordinate in the Fourier-transform plane of the bench.
+
+:func:`make_grid` refuses, in scalars and before any array is made, a
+lattice that no array could hold: an n above ``MAX_N`` (about 7.6e8, the
+largest n whose n x n complex128 matrix numpy can shape), coordinates or
+momenta that overflow, a lambda f^2 that is not a finite normal float and
+a camera coordinate that overflows.  No later stage then meets an overflow
+in these numbers or prints a warning for one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -200,21 +208,39 @@ class Grid:
         return self.unit_map
 
 
+# the largest n whose n x n complex128 matrix numpy can shape
+MAX_N = math.isqrt(np.iinfo(np.intp).max // 16)
+
+
 def make_grid(n: int, dx: float, x0: float = 0.0, unit_map: UnitMap | None = None) -> Grid:
     """Build a :class:`Grid`, rejecting unusable lattice parameters and
-    non-positive or non-finite unit-map constants."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ConfigError(f"grid size must be an integer, got {n!r}")
-    if n < 2:
-        raise ConfigError(f"grid size must be at least 2, got {n}")
-    if not 0 < dx < np.inf:
-        raise ConfigError(f"dx: lattice spacing must be positive and finite, got {dx}")
-    if not np.isfinite(x0):
-        raise ConfigError(f"x0: lattice center must be finite, got {x0}")
+    non-positive or non-finite unit-map constants.
+
+    Checked in scalars before any array is made, so nothing is allocated: n
+    must lie in [2, ``MAX_N``]; the span n dx, the first and last coordinate
+    and the largest momentum (n/2) dp must be finite; lambda f^2, the scale
+    of every Fresnel chirp, must be a finite normal number; and the camera
+    coordinate of the largest momentum, the edge of a ``figures`` axis,
+    must be finite.
+    """
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or not 2 <= n <= MAX_N:
+        raise ConfigError(f"n: grid size must be an integer in [2, {MAX_N}], got {n!r}")
+    n, dx, x0 = int(n), float(dx), float(x0)  # Python floats overflow to inf, with no warning
+    # the span, the first and last coordinate and the largest momentum must be finite
+    if not (dx > 0 and np.isfinite([n * dx, -n / 2 * dx + x0, (n / 2 - 1) * dx + x0,
+                                    n / 2 * (TWO_PI / (n * dx))]).all()):
+        raise ConfigError(f"dx, x0: lattice spacing {dx} must be positive and, with center {x0}, "
+                          f"give finite coordinates and momenta on n={n} sites")
     if unit_map is not None:
         for key in fields(UnitMap):
             value = getattr(unit_map, key.name)
             if not 0 < value < np.inf:
                 raise ConfigError(f"{key.name}: must be positive and finite, got {value}")
-    return Grid(n=int(n), dx=float(dx), x0=float(x0), unit_map=unit_map)
+        with np.errstate(over="ignore"):
+            scale = np.float64(unit_map.wavelength) * np.float64(unit_map.focal_length) ** 2
+            edge = unit_map.camera_coordinate(np.float64(-n / 2 * (TWO_PI / (n * dx))))
+        if not (np.finfo(float).tiny <= scale < np.inf and np.isfinite(edge)):
+            raise ConfigError(f"wavelength, focal_length, magnification: lambda f^2 = {scale} must "
+                              f"be a normal float and the camera edge {edge} finite")
+    return Grid(n=n, dx=dx, x0=x0, unit_map=unit_map)
 

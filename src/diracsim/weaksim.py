@@ -196,8 +196,10 @@ def estimate_dirac_column(counts: np.ndarray, phi: float, *,
     (b, n) rows, a scan's (4, n, n) the whole estimate; any other shape is
     a ContractError.  ``phi`` must lie in (0, pi/2]: it divides the
     estimate through sin(phi).  A NaN or infinite count is a ContractError,
-    and a sliver without linear counts a NoPhotonsError; either names the
-    first such sliver, counting the first row of ``counts`` as sliver
+    a sliver without linear counts a NoPhotonsError, and a row whose
+    estimate is not finite (T sin(phi) underflows for phi near 1e-320, say)
+    a NumericalIntegrityError, formed with no warning printed; each names
+    the first such sliver, counting the first row of ``counts`` as sliver
     ``first_sliver``.  The constants are the closed-form
     c_re = c_im = 1/2 and sign_circ = -1 (module docstring), which give
     W - O for noise-free counts; :func:`scan_blocks` checks their closure
@@ -209,18 +211,24 @@ def estimate_dirac_column(counts: np.ndarray, phi: float, *,
     if counts.ndim not in (2, 3) or counts.shape[0] != len(READOUT_KEYS):
         raise ContractError(f"analyzer counts of shape {counts.shape}: "
                             "expected (4, n) or (4, b, n)")
+
+    def where(bad) -> str:
+        """``"sliver m: "``, m the first row flagged in ``bad``, for a block of slivers."""
+        return f"sliver {first_sliver + np.flatnonzero(bad)[0]}: " if counts.ndim == 3 else ""
+
     finite = np.isfinite(counts).all(axis=(0, -1))
     if not finite.all():
-        where = f"sliver {first_sliver + np.flatnonzero(~finite)[0]}: " if counts.ndim == 3 else ""
-        raise ContractError(f"{where}analyzer counts are not finite")
+        raise ContractError(f"{where(~finite)}analyzer counts are not finite")
     d, a, l, r = counts
     total = (d + a).sum(axis=-1, keepdims=True)
-    empty = np.flatnonzero(total <= 0)
-    if empty.size:
-        where = f"sliver {first_sliver + empty[0]}: " if counts.ndim == 3 else ""
-        raise NoPhotonsError(f"{where}no photons in the linear analyzer pair")
-    scale = total * np.sin(phi)
-    return (0.5 * (d - a) + 0.5j * (l - r)) / scale
+    if (total <= 0).any():
+        raise NoPhotonsError(f"{where(total <= 0)}no photons in the linear analyzer pair")
+    with np.errstate(all="ignore"):  # a row that is not finite is refused below
+        est = (0.5 * (d - a) + 0.5j * (l - r)) / (total * np.sin(phi))
+    finite = np.isfinite(est).all(axis=-1)
+    if not finite.all():
+        raise NumericalIntegrityError(f"{where(~finite)}estimate is not finite at phi {phi}")
+    return est
 
 
 def backaction_offset(rho: DensityMatrix, phi: float) -> np.ndarray:

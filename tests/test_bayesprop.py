@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,17 @@ def test_fresnel_unitary_basics():
         fresnel_unitary(grid, -0.1)
     with pytest.raises(ConfigError):
         fresnel_unitary(make_grid(16, 0.5), 0.1)  # no unit map
+
+
+@pytest.mark.parametrize("dz", [1e308, 1e306])
+def test_fresnel_unitary_refuses_a_chirp_phase_that_is_not_finite(dz):
+    """pi dz x^2 / (lambda f^2) overflows.  At the parent propagate printed
+    RuntimeWarnings, then "matrix is not unitary (defect nan)"; a warning is
+    an error here, so none may be printed."""
+    grid = make_grid(256, 44e-3 / 256, 22e-3, UM)
+    with pytest.raises(ConfigError, match=re.escape(f"camera displacement dz {dz!r}: the chirp")):
+        fresnel_unitary(grid, dz)
+    assert np.isfinite(fresnel_unitary(grid, 1e10)).all()
 
 
 def test_unitary_kernel_identity_case():

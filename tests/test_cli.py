@@ -1,4 +1,5 @@
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -522,6 +523,58 @@ def test_measure_flags_beat_the_environment_and_the_file(tmp_path, monkeypatch):
     monkeypatch.delenv("DIRACSIM_OUTPUT_DIR")
     assert _run("measure", "--config", cfg, "--state", state, "--out", "") == 0
     assert _measure_headers(tmp_path / "file") == ("8", "true", "true")
+
+
+@pytest.mark.parametrize("route", ["file", "env"])
+def test_an_empty_output_dir_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, route):
+    """At the parent gen-state put state.txt and the twin directory beside
+    the config and exited 0."""
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_config(tmp_path, "output.dir =\n" if route == "file" else "")
+    if route == "env":
+        monkeypatch.setenv("DIRACSIM_OUTPUT_DIR", "")
+    assert _run("gen-state", "--config", cfg) == 2
+    assert _run("gen-state", "--config", cfg, "--out", "") == 2  # '' falls back to output.dir
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "diracsim: config error: output.dir: '' names no directory\n" * 2
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
+@pytest.mark.parametrize("key, value", [("focal_length", "1e308"), ("wavelength", "1e-320"),
+                                        ("n", "1" + "0" * 21), ("dx", "1e308")])
+def test_a_header_the_lattice_cannot_hold_exits_3(tmp_path, capsys, key, value):
+    """A grid header is data, so it exits 3 where the same config value exits
+    2.  At the parent focal_length=1e308 raised OverflowError in propagate."""
+    cfg = _write_config(tmp_path)
+    out = str(tmp_path / "out")
+    assert _run("gen-state", "--config", cfg, "--out", out) == 0
+    assert _run("exact", "--config", cfg, "--out", out) == 0
+    before = sorted(os.listdir(out))
+    path = Path(out, "dirac_exact.txt")
+    text, edits = re.subn(rf"^# {key}=.*$", f"# {key}={value}", path.read_text(), flags=re.M)
+    assert edits == 1
+    path.write_text(text)
+    capsys.readouterr()
+    assert _run("propagate", "--config", cfg, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "incomplete or invalid grid header" in err and len(err.splitlines()) == 1
+    assert sorted(os.listdir(out)) == before
+
+
+def test_measure_refuses_an_estimate_that_is_not_finite(tmp_path, capsys):
+    """bench.phi_deg = 1e-320 passes the config, but T sin(phi) underflows.
+    At the parent measure wrote all-NaN files with warnings and exited 0."""
+    cfg = _write_config(tmp_path, "bench.phi_deg = 1e-320\n")
+    out = tmp_path / "out"
+    assert _run("gen-state", "--config", cfg, "--out", str(out)) == 0
+    capsys.readouterr()
+    for flags in ([], ["--no-noise"]):
+        assert _run("measure", "--config", cfg, "--out", str(out), *flags) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("diracsim: error: sliver 0: estimate is not finite")
+        assert len(err.splitlines()) == 1
+        assert sorted(os.listdir(out)) == [TWIN_DIR, "state.txt"]
 
 
 def test_out_of_memory_exits_3_in_one_line(tmp_path, capsys, monkeypatch):

@@ -181,6 +181,23 @@ def test_an_empty_list_is_refused_on_every_route(tmp_path, key, env):
             build_run_config({key: value})
 
 
+@pytest.mark.parametrize("value", ["", "a\0b"])
+def test_an_output_dir_that_names_no_directory_is_refused_on_every_route(tmp_path, value):
+    """At the parent an empty output.dir wrote every output into the current
+    directory, and a NUL byte ended in os.makedirs' ValueError."""
+    message = r"^output\.dir: .* names no directory$"
+    path = tmp_path / "run.cfg"
+    path.write_text(f"output.dir = {value}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=message):
+        load_run_config(str(path))
+    with pytest.raises(ConfigError, match=message):
+        load_run_config(environ={"DIRACSIM_OUTPUT_DIR": value})
+    with pytest.raises(ConfigError, match=message):
+        load_run_config(overrides={"output.dir": f" {value} "})
+    with pytest.raises(ConfigError, match=message):
+        build_run_config({"output.dir": value})
+
+
 @pytest.mark.parametrize("key, value", [
     ("pipeline.scans", 2.5),
     ("pipeline.seed", 1.5),

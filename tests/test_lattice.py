@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from diracsim import ConfigError, ContractError, UnitMap, make_grid
+from diracsim.lattice import MAX_N
 
 
 def test_dp_forced_by_lattice_identity():
@@ -31,6 +32,62 @@ def test_make_grid_rejects_bad_parameters():
     for bad in (UnitMap(np.nan, 1.0), UnitMap(780e-9, np.inf), UnitMap(780e-9, 1.0, -2.0)):
         with pytest.raises(ConfigError, match="wavelength|focal_length|magnification"):
             make_grid(8, 0.5, 0.0, bad)
+
+
+def test_make_grid_refuses_a_size_numpy_cannot_shape_before_any_array():
+    """n x n complex128 must fit ``np.intp``: at the parent n = 10**21 got
+    through and ``Grid.coords`` raised numpy's ValueError.  Every size tried
+    here is refused in scalars, so the test allocates no array."""
+    import tracemalloc
+
+    assert MAX_N ** 2 * 16 <= np.iinfo(np.intp).max < (MAX_N + 1) ** 2 * 16
+    tracemalloc.start()
+    try:
+        for n in (MAX_N + 1, 10 ** 21, 10 ** 400, np.int64(2 ** 62)):
+            with pytest.raises(ConfigError, match=r"^n: grid size must be an integer in \[2, "):
+                make_grid(n, 1e-9)
+        grid = make_grid(MAX_N, 1e-9)  # the largest size is taken, and nothing is built
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.n == MAX_N and not {"coords", "momenta", "overlap_matrix"} & vars(grid).keys()
+    assert peak < 2 ** 16
+
+
+@pytest.mark.parametrize("n, dx, x0", [
+    (16, 1e308, 0.0),  # the span n dx overflows
+    (2, 1e308, 0.0),  # the span overflows, the coordinates alone would not
+    (16, 1e306, 1.79e308),  # the last coordinate overflows
+    (16, 1e306, -1.79e308),  # the first coordinate overflows
+    (2, 5e-324, 0.0),  # dp = 2 pi / (n dx) overflows
+    (16, 1e-308, 0.0),  # dp is finite, the largest momentum (n/2) dp is not
+])
+def test_make_grid_refuses_coordinates_or_momenta_that_are_not_finite(n, dx, x0):
+    """At the parent dx = 1e308 printed RuntimeWarnings in ``gen-state``
+    before a misleading "sample vector is not finite"."""
+    with pytest.raises(ConfigError, match=r"^dx, x0: .* finite coordinates and momenta"):
+        make_grid(n, dx, x0)
+
+
+@pytest.mark.parametrize("lam, f", [(1e-320, 1.0), (780e-9, 1e308), (1e-300, 1e200),
+                                    (1e-200, 1e-100)])
+def test_make_grid_refuses_a_chirp_scale_that_is_not_a_normal_float(lam, f):
+    """lambda f^2 scales every Fresnel chirp.  At the parent f = 1e308 raised
+    OverflowError in ``fresnel_unitary``, and lambda = 1e-320 printed
+    warnings before "matrix is not unitary (defect nan)".  (1e-300, 1e200):
+    lambda f f is finite but f^2 is not; (1e-200, 1e-100): it underflows."""
+    with pytest.raises(ConfigError, match=r"^wavelength, focal_length, magnification: "):
+        make_grid(16, 0.5, 0.0, UnitMap(lam, f))
+
+
+@pytest.mark.parametrize("lam, f, magnification", [(1e308, 1.0, 1.0), (1e3, 1.0, 1e308),
+                                                   (1e-10, 1e150, 1e308)])
+def test_make_grid_refuses_a_camera_coordinate_that_is_not_finite(lam, f, magnification):
+    """The ``figures`` axis of a propagated file reaches M p f lambda / 2 pi
+    at p = -(n/2) dp.  At the parent it overflowed with a RuntimeWarning and
+    the table's axis read -inf and inf."""
+    with pytest.raises(ConfigError, match=r"camera edge -?inf finite$"):
+        make_grid(16, 0.5, 0.0, UnitMap(lam, f, magnification))
 
 
 def test_coordinate_indexing_is_invertible():

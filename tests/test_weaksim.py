@@ -430,6 +430,25 @@ def test_estimator_rejects_non_finite_counts(bad):
     assert np.all(np.isfinite(estimate_dirac_column(counts[:, 5], PHI_BENCH)))
 
 
+def test_estimator_refuses_an_estimate_that_is_not_finite():
+    """At phi = 1e-320 the scale T sin(phi) underflows.  At the parent every
+    estimate was NaN or infinite, with warnings printed, and ``scan``
+    returned that distribution silently."""
+    grid = make_grid(8, 0.5)
+    rho = _chirped_state(grid)
+    counts = readout_intensities(rho, PHI_BENCH, 1.0)
+    with pytest.raises(NumericalIntegrityError, match=r"^sliver 3: estimate is not finite"):
+        estimate_dirac_column(counts[:, 3:], 1e-320, first_sliver=3)
+    with pytest.raises(NumericalIntegrityError, match=r"^estimate is not finite"):
+        estimate_dirac_column(counts[:, 6], 1e-320)
+    with pytest.raises(NumericalIntegrityError, match=r"^sliver 0: estimate is not finite"):
+        scan(rho, _cfg(grid, phi=1e-320, photon_budget=1e8))
+    # only sliver 5's T sin(phi), about 1e-330, underflows to 0
+    counts[:, 5] *= 1e-310
+    with pytest.raises(NumericalIntegrityError, match=r"^sliver 5: "):
+        estimate_dirac_column(counts, 1e-20)
+
+
 @pytest.mark.parametrize("analyzers", [1, 3, 5])
 def test_estimator_needs_four_analyzers_first(analyzers):
     counts = readout_intensities(_chirped_state(make_grid(8, 0.5)), PHI_BENCH, 1.0)
