@@ -6,9 +6,13 @@ displaced camera.  Because the input plane sits one focal length before the
 FT lens, free propagation past the FT plane acts on the input-plane state as
 a pure position-diagonal defocus chirp,
 
-    V(dz) = diag_m exp(-i pi dz x_m^2 / (lambda f^2)),
+    V(dz) = diag_m exp(-i pi dz x_m^2 / (lambda f^2)) = diag_m exp(-i s (m - n/2)^2),
 
-so the displaced camera pixels correspond to the pulled-back states
+with x_m = (m - n/2) dx measured from the grid center (the optical axis; x0
+only labels the lattice and does not enter) and the one scalar scale
+s = pi dz dx^2 / (lambda f^2).  The offsets m - n/2 and their squares are
+exact, so the phase carries only the rounding of s and of one product, and
+no coordinate is squared.  So the displaced camera pixels correspond to the pulled-back states
 ``|k'_j> = V^dag |p_j>``.  :func:`fresnel_unitary` returns only that
 diagonal; a dense unitary is accepted as well, for propagators that are not
 diagonal in x.  The state-independent complex conditional
@@ -152,20 +156,22 @@ def fresnel_unitary(grid: Grid, dz: float) -> np.ndarray:
 
     The camera-region angular spectrum lives on the input-plane position
     lattice, so the transfer phase exp(-i dz lambda kappa^2 / 4 pi) becomes
-    the x-diagonal chirp exp(-i pi dz x^2 / (lambda f^2)).  Returns that
-    length-n unit-modulus vector; V(0) is all ones.  A dz whose chirp phase
-    is not finite on this grid is a ConfigError, raised with no warning
-    printed (:func:`.make_grid` has already checked lambda f^2).
+    the x-diagonal chirp exp(-i pi dz x^2 / (lambda f^2)), x measured from
+    the grid center.  In lattice units that is exp(-i s (m - n/2)^2) with
+    the one scalar s = pi dz dx^2 / (lambda f^2), evaluated as
+    (pi dz dx / (lambda f^2)) dx so that no coordinate is squared; x0 does
+    not enter.  Returns that length-n unit-modulus vector; V(0) is exactly
+    all ones.  A dz whose largest phase s (n/2)^2 is not finite is a
+    ConfigError, found in scalars before any array is made
+    (:func:`.make_grid` has already checked lambda f^2).
     """
     units = grid.require_unit_map()
     _check_displacement(dz)
-    lam, f = units.wavelength, units.focal_length
-    with np.errstate(over="ignore", invalid="ignore"):
-        x_axis = grid.coords - grid.x0  # the optical axis runs through the grid center
-        phase = -np.pi * dz * x_axis ** 2 / (lam * f ** 2)
-    if not np.isfinite(phase).all():
+    lam_f2 = float(units.wavelength * units.focal_length ** 2)  # a normal float (make_grid)
+    scale = np.pi * float(dz) * grid.dx / lam_f2 * grid.dx  # pi dz dx^2 / (lambda f^2)
+    if not scale * (grid.n / 2) ** 2 < np.inf:  # the phase at m = 0; also False for NaN
         raise ConfigError(f"camera displacement dz {dz!r}: the chirp phase is not finite")
-    return np.exp(1j * phase)
+    return np.exp(-1j * (scale * (np.arange(grid.n) - grid.n / 2) ** 2))
 
 
 def _check_displacement(dz: float) -> None:

@@ -50,6 +50,35 @@ def test_fresnel_unitary_refuses_a_chirp_phase_that_is_not_finite(dz):
     assert np.isfinite(fresnel_unitary(grid, 1e10)).all()
 
 
+def _long_double_chirp(grid, dz):
+    """exp(i phi) and max |phi|, phi = -pi dz x^2 / (lambda f^2) with x = (m - n/2) dx
+    measured from the grid center, in extended precision from the grid's floats.
+    2 pi is 8 arctan(1), and phi is reduced mod 2 pi before cos and sin."""
+    ld = np.longdouble
+    two_pi = 8 * np.arctan(ld(1))
+    x = (np.arange(grid.n, dtype=ld) - ld(grid.n) / 2) * ld(grid.dx)
+    units = grid.unit_map
+    phi = -(two_pi / 2) * ld(dz) * x ** 2 / (ld(units.wavelength) * ld(units.focal_length) ** 2)
+    turned = np.fmod(phi, two_pi)
+    return np.cos(turned) + 1j * np.sin(turned), np.max(np.abs(phi))
+
+
+@pytest.mark.parametrize("n", [2, 63, 64, 256, 1024])
+@pytest.mark.parametrize("x0", [0.0, 22e-3, -3.0])
+def test_chirp_matches_a_long_double_oracle(n, x0):
+    """The chirp is formed from exact lattice offsets and one scalar scale,
+    so its error is a few roundings of the phase, whatever x0 is.  Formed
+    from (coords - x0)^2 it read 83 eps max |phi| at x0 = -3."""
+    assert np.finfo(np.longdouble).eps < 1e-18  # 80-bit extended precision
+    grid = make_grid(n, 44e-3 / n, x0, UM)
+    eps = np.finfo(float).eps
+    assert np.array_equal(fresnel_unitary(grid, 0.0), np.ones(n))
+    for dz in (0.0, 0.084, 0.16, 0.325, 1.0):
+        want, phi_max = _long_double_chirp(grid, dz)
+        error = np.max(np.abs(fresnel_unitary(grid, dz) - want))
+        assert error <= 2 * eps * max(phi_max, 1), (dz, float(error / (eps * max(phi_max, 1))))
+
+
 def test_unitary_kernel_identity_case():
     rng = np.random.default_rng(1)
     grid = _unit_grid()

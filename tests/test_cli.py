@@ -562,6 +562,29 @@ def test_a_header_the_lattice_cannot_hold_exits_3(tmp_path, capsys, key, value):
     assert sorted(os.listdir(out)) == before
 
 
+_HUGE_LATTICE = ("grid.n = 16\ngrid.dx = 1e200\ngrid.x0 = 0\nbench.aperture_halfwidth = 7e200\n"
+                 "bench.edge_position = 1e199\n")
+
+
+def test_a_lattice_whose_squared_coordinates_overflow_propagates_at_dz_0(tmp_path, capsys):
+    """x^2 overflows on this lattice, but the chirp is formed in lattice units,
+    so dz = 0 propagates to the distribution itself and a dz whose phase does
+    overflow is a config error.  At the parent propagate exited 2 at dz = 0."""
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_HUGE_LATTICE + "propagation.dz = 0\n")
+    for stage in ("gen-state", "exact", "propagate"):
+        assert _run(stage, "--config", str(cfg), "--out", str(out)) == 0, capsys.readouterr()
+    d, _ = read_matrix(out / "dirac_exact.txt")
+    e, meta = read_matrix(out / "propagated_dz0.txt")
+    assert meta["dz"] == "0" and np.max(np.abs(e - d)) <= 1e-15 * np.max(np.abs(d))
+    capsys.readouterr()
+    cfg.write_text(_HUGE_LATTICE + "propagation.dz = 0.084\n")
+    assert _run("propagate", "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == "diracsim: config error: camera displacement dz 0.084: the chirp phase is not finite\n"
+
+
 def test_measure_refuses_an_estimate_that_is_not_finite(tmp_path, capsys):
     """bench.phi_deg = 1e-320 passes the config, but T sin(phi) underflows.
     At the parent measure wrote all-NaN files with warnings and exited 0."""
