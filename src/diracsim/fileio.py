@@ -47,22 +47,25 @@ value other than the body's shape; the same value, as in the ``meta`` that
 ``read_matrix`` returns, is written once, as if it were left out.
 
 Each matrix file of finite values also gets a binary twin,
-``.diracsim-cache/<file name>.<sha256 hex>.npy`` beside it, keyed by the
-SHA-256 of its text: ``write_matrix`` takes the digest as the text streams
-out, then saves the array with ``np.save(..., allow_pickle=False)``,
-atomically and with the text's mode.  An array holding nan or inf gets no
-twin: the reader would refuse it and parse the text to name the bad line.
-After every matrix write, each other twin in that directory is deleted if it
-is of the same file name or its text file is gone.  ``read_matrix`` checks
-the header as always, hashes the whole file in 1 MiB chunks and returns the
-twin named by that digest only if it loads without pickle as a finite
-complex128 array of the header's shape.  Anything else (no twin, an edited
-text, a damaged twin) parses the text as before, so values, messages and
-exit codes do not depend on the twin.  A twin is never trusted without the
-digest check, the directory is safe to delete, and a twin costs 16 B per
-entry against about 53 B of text (+30 %).  Counts files and the ``figures``
-tables get no twin.  ``hashlib`` is imported inside the two functions that
-hash, so importing the package loads no OpenSSL.
+``.diracsim-cache/<file name>.<text sha256>.<array sha256>.npy`` beside it,
+named by two SHA-256 digests taken as it is written: ``write_matrix`` hashes
+the text as it streams out and the array's own bytes (complex128, row-major),
+then saves the array with ``np.save(..., allow_pickle=False)``, atomically
+and with the text's mode.  An array holding nan or inf gets no twin: the
+reader would parse the text to name the bad line.  After every matrix write,
+each other twin in that directory is deleted if it is of the same file name
+or its text file is gone.  ``read_matrix`` checks the header as always,
+hashes the whole file in 1 MiB chunks, and uses the twin whose name carries
+that digest only if it loads without pickle as a row-major complex128 array
+of the header's shape whose bytes hash to the second digest in its name.
+Anything else (no twin, an edited text, a twin truncated, overwritten, given
+a NaN or a flipped bit, or copied from another file) parses the text as
+before, so values, messages and exit codes do not depend on the twin.  A
+twin is never trusted without both digest checks, the directory is safe to
+delete, and a twin costs 16 B per entry against about 53 B of text (+30 %),
+plus one hash of those 16 B on each write and read.  Counts files and the
+``figures`` tables get no twin.  ``hashlib`` is imported inside the two
+functions that hash, so importing the package loads no OpenSSL.
 """
 
 from __future__ import annotations
@@ -89,7 +92,8 @@ COUNTS_MAGIC = "# diracsim counts v1"
 _MATRIX_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("re", float), ("im", float)])
 
 TWIN_DIR = ".diracsim-cache"
-_TWIN_NAME = re.compile(r"(.+)\.[0-9a-f]{64}\.npy")  # captures the text file's name
+# captures the text file's name, the text's SHA-256 and the array's SHA-256
+_TWIN_NAME = re.compile(r"(.+)\.([0-9a-f]{64})\.([0-9a-f]{64})\.npy")
 _HASH_CHUNK = 1 << 20  # bytes hashed at a time: a read's memory does not grow with the file
 
 
@@ -162,19 +166,20 @@ def _header_bytes(magic: str, own: dict, meta: dict) -> bytes:
     return text.encode()
 
 
-def _twin_path(path: str, digest: str) -> str:
+def _twin_dir(path: str) -> tuple[str, str]:
+    """The twin directory beside ``path``, and the file name of ``path``."""
     directory, name = os.path.split(os.path.abspath(path))
-    return os.path.join(directory, TWIN_DIR, f"{name}.{digest}.npy")
+    return os.path.join(directory, TWIN_DIR), name
 
 
 def write_matrix(path: str, arr: np.ndarray, meta: dict) -> None:
     """Write a complex matrix with '# key=value' headers and 'i j re im' rows,
     then, if every value is finite, its binary twin, named by the SHA-256 of
-    the text.  An array that is not 2-D is a ContractError, raised before any
-    file or directory is made."""
+    the text and that of the array's bytes.  An array that is not 2-D is a
+    ContractError, raised before any file or directory is made."""
     import hashlib  # here: importing the package loads no OpenSSL
 
-    arr = np.asarray(arr, dtype=complex)
+    arr = np.asarray(arr, dtype=complex, order="C")  # hashed as it is saved, in C order
     if arr.ndim != 2:
         raise ContractError(f"matrix must be 2-D, got shape {arr.shape}")
     head = _header_bytes(MATRIX_MAGIC, {"rows": arr.shape[0], "cols": arr.shape[1]}, meta)
@@ -183,15 +188,15 @@ def write_matrix(path: str, arr: np.ndarray, meta: dict) -> None:
         for chunk in chain([head], _matrix_body(arr)):
             digest.update(chunk)
             fh.write(chunk)
-    twin = _twin_path(path, digest.hexdigest())
-    cache, keep = os.path.split(twin)
-    if np.isfinite(arr).all():  # read_matrix refuses any other twin
-        with _atomic_binary(twin) as fh:
+    cache, own = _twin_dir(path)
+    keep = f"{own}.{digest.hexdigest()}.{hashlib.sha256(arr).hexdigest()}.npy"
+    if np.isfinite(arr).all():  # read_matrix parses the text of any other array
+        with _atomic_binary(os.path.join(cache, keep)) as fh:
             np.save(fh, arr, allow_pickle=False)
     # drop the other twins of this name, and those whose text is gone
     for name in os.listdir(cache) if os.path.isdir(cache) else ():
         text = _TWIN_NAME.fullmatch(name)
-        if text and name != keep and (text[1] == os.path.basename(path) or not os.path.exists(
+        if text and name != keep and (text[1] == own or not os.path.exists(
                 os.path.join(os.path.dirname(cache), text[1]))):
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(os.path.join(cache, name))
@@ -352,8 +357,9 @@ def _positions(table, rows: int, cols: int):
 def read_matrix(path: str):
     """Read a matrix file; returns ``(array, meta)`` with meta values as strings.
 
-    The array comes from the file's binary twin when the twin matches the
-    text's SHA-256 and passes every check, and from the text otherwise.
+    The array comes from the file's binary twin when the twin is named by
+    the text's SHA-256 and its array's bytes match the SHA-256 in its name,
+    and from the text otherwise.
     """
     with _reading(path) as fh:
         meta, lineno = _read_header(fh, path, MATRIX_MAGIC)
@@ -382,20 +388,24 @@ def read_matrix(path: str):
 def _load_twin(path: str, raw, rows: int, cols: int):
     """The twin of ``path`` named by the SHA-256 of every byte of ``raw`` (the
     file's binary handle), or None unless that twin loads without pickle as a
-    finite complex128 array of shape (rows, cols)."""
+    complex128 array of shape (rows, cols) whose bytes have the SHA-256 that
+    its name carries."""
     import hashlib
 
     digest = hashlib.sha256()
     raw.seek(0)
     for chunk in iter(lambda: raw.read(_HASH_CHUNK), b""):
         digest.update(chunk)
-    try:
-        arr = np.load(_twin_path(path, digest.hexdigest()), allow_pickle=False)
-    except (OSError, ValueError, EOFError):
-        return None
-    if (isinstance(arr, np.ndarray) and arr.dtype == complex and arr.shape == (rows, cols)
-            and np.isfinite(arr).all()):
-        return np.ascontiguousarray(arr)
+    cache, own = _twin_dir(path)
+    for twin in map(_TWIN_NAME.fullmatch, os.listdir(cache) if os.path.isdir(cache) else ()):
+        if twin and twin.group(1, 2) == (own, digest.hexdigest()):
+            try:
+                arr = np.load(os.path.join(cache, twin[0]), allow_pickle=False)
+            except (OSError, ValueError, EOFError):
+                return None
+            if (isinstance(arr, np.ndarray) and arr.dtype == complex and arr.shape == (rows, cols)
+                    and arr.flags.c_contiguous and hashlib.sha256(arr).hexdigest() == twin[3]):
+                return arr
     return None
 
 

@@ -54,9 +54,21 @@ TWIN_DIR = ".diracsim-cache"
 
 def twin_name(path):
     """The file name, in ``TWIN_DIR`` beside it, of the twin of the matrix
-    file ``path``: its name, the SHA-256 of its bytes and ``.npy``."""
+    file ``path``: its name, the SHA-256 of its bytes, the SHA-256 of the
+    complex128 bytes (row-major) of the matrix its text holds, and ``.npy``.
+    The matrix is parsed here one line at a time, not through ``fileio``."""
     path = Path(path)
-    return f"{path.name}.{hashlib.sha256(path.read_bytes()).hexdigest()}.npy"
+    text = path.read_bytes()
+    lines = text.decode().splitlines()
+    shape = {key: int(value) for key, _, value in (line[2:].partition("=") for line in lines)
+             if key in ("rows", "cols")}
+    values = np.zeros((shape["rows"], shape["cols"], 2))
+    for line in lines:
+        if not line.startswith("#"):
+            i, j, re, im = line.split()
+            values[int(i), int(j)] = float(re), float(im)
+    return (f"{path.name}.{hashlib.sha256(text).hexdigest()}."
+            f"{hashlib.sha256(values.tobytes()).hexdigest()}.npy")
 
 
 def drop_twins(directory):

@@ -703,6 +703,57 @@ def test_bad_files_fail_alike_with_and_without_twins(tmp_path, capsys, case):
     assert code == 3 and message in err and len(err.strip().splitlines()) == 1
 
 
+def _n9_chain(tmp_path):
+    """gen-state and exact at n = 9: the output directory and the config."""
+    cfg = _scan_config(tmp_path, 9)
+    out = tmp_path / "out"
+    for stage in ("gen-state", "exact"):
+        assert _run(stage, "--config", cfg, "--out", str(out)) == 0
+    return out, cfg
+
+
+def test_a_twin_with_one_bit_flipped_gives_way_to_the_text(tmp_path, monkeypatch):
+    """The flipped bit sits in the last float of the twin, where the twin still
+    loads as a finite array of the right shape.  At the parent read_matrix
+    returned it, 2.8e-17 away from the text."""
+    out, _ = _n9_chain(tmp_path)
+    path = out / "dirac_exact.txt"
+    twin = out / TWIN_DIR / twin_name(path)
+    data = bytearray(twin.read_bytes())
+    data[-1] ^= 1
+    twin.write_bytes(bytes(data))
+    parses = count_text_parses(monkeypatch)
+    back, meta = read_matrix(path)
+    assert len(parses) == 1
+    drop_twins(out)
+    text, text_meta = read_matrix(path)
+    assert back.tobytes() == text.tobytes() and meta == text_meta
+
+
+def test_another_files_twin_gives_way_to_the_text(tmp_path, capsys, monkeypatch):
+    """dirac_exact.txt's twin copied over state.txt's: exact reads the state
+    from its text and writes what it writes with no twin.  At the parent it
+    exited 3 with "density matrix not Hermitian"."""
+    out, cfg = _n9_chain(tmp_path)
+    cache = out / TWIN_DIR
+    (cache / twin_name(out / "state.txt")).write_bytes(
+        (cache / twin_name(out / "dirac_exact.txt")).read_bytes())
+    outcomes = []
+    for twin in (True, False):
+        if not twin:
+            drop_twins(out)
+        parses = count_text_parses(monkeypatch)
+        capsys.readouterr()
+        fresh = tmp_path / f"twin{twin}"
+        code = _run("exact", "--config", cfg, "--out", str(fresh), "--state", str(out / "state.txt"))
+        written = fresh / "dirac_exact.txt"
+        outcomes.append((code, capsys.readouterr().err, len(parses),
+                         written.read_bytes() if written.exists() else None))
+        monkeypatch.undo()
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][:3] == (0, "", 1)
+
+
 def test_reconstruct_round_trip(tmp_path):
     cfg = _write_config(tmp_path)
     out = str(tmp_path / "out")
