@@ -13,6 +13,7 @@ already wrote.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -37,7 +38,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"diracsim: config error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process.  Each subcommand stores its ``_STAGES``
+    key, not its handler, and main looks the handler up at call time, so a
+    handler rebound in ``_STAGES`` after the first call still runs."""
     # a flag that sets a config key takes the key as its dest (see _load)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="key=value config file")
@@ -46,9 +51,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     parser = _Parser(prog="diracsim", description="Dirac quasi-probability bench simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-    for (name, help_line, reads), handler in _STAGES.items():
+    for name, help_line, reads in _STAGES:
         p = sub.add_parser(name, parents=[common], help=help_line)
-        p.set_defaults(handler=handler, reads=reads)
+        p.set_defaults(stage=(name, help_line, reads), reads=reads)
         if reads:
             flag, what, default = reads
             p.add_argument(flag, dest="input", metavar="PATH",
@@ -231,8 +236,8 @@ def cmd_figures(cfg: RunConfig, path: str) -> int:
 # Each subcommand, stated once: (name, help line, input) -> handler.  The
 # input is (flag, what it names, the file read from <out> when the flag is
 # left out); main calls handler(cfg, path).  The handlers are the values of
-# a module-level dict, so that rebinding a cmd_* function (to trace it, say)
-# also rebinds its dispatch.
+# a module-level dict, read at each call, so that rebinding a cmd_* function
+# (to trace it, say) also rebinds its dispatch.
 _STATE = ("--state", "state file", _STATE_FILE)
 _DIRAC = ("--dirac", "distribution file", _DIRAC_FILE)
 _STAGES = {
@@ -251,7 +256,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load(args)
         path = args.reads and (args.input or os.path.join(cfg.out_dir, args.reads[2]))
-        return args.handler(cfg, path)
+        return _STAGES[args.stage](cfg, path)
     except ConfigError as exc:
         print(f"diracsim: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

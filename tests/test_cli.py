@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diracsim import dirac, qstate, weaksim
+from diracsim import cli, dirac, qstate, weaksim
 from diracsim.cli import main
 from diracsim.fileio import read_matrix, write_matrix
 from diracsim import (Grid, dirac_distribution, direct_measure_displaced, marginal_x,
@@ -485,6 +485,43 @@ def test_help_text_is_pinned(capsys, monkeypatch, argv):
     assert exc.value.code == 0
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (_HELP[argv], "")
+
+
+def test_two_runs_build_one_parser(tmp_path, capsys, monkeypatch):
+    """Building the parser is most of a refused run's time, so a process
+    builds it once."""
+    built = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))  # a subcommand's parser is "diracsim <name>"
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    getattr(cli._build_parser, "cache_clear", lambda: None)()  # a parser of this test's own
+    missing = str(tmp_path / "missing.cfg")
+    try:
+        assert [_run("exact", "--config", missing) for _ in range(2)] == [2, 2]
+    finally:
+        getattr(cli._build_parser, "cache_clear", lambda: None)()
+    assert built.count("diracsim") == 1
+    assert len(capsys.readouterr().err.splitlines()) == 2
+
+
+def test_a_handler_rebound_after_the_first_run_is_the_one_that_runs(tmp_path, monkeypatch):
+    """The parser holds each subcommand's ``_STAGES`` key, not its handler, so
+    a handler rebound in ``_STAGES`` (as a tracer rebinds it) runs although
+    the parser was built before."""
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "out"
+    assert _run("gen-state", "--config", cfg, "--out", str(out)) == 0
+    key = next(key for key in cli._STAGES if key[0] == "gen-state")
+    calls = []
+    monkeypatch.setitem(cli._STAGES, key, lambda cfg, path: calls.append((cfg, path)) or 7)
+    assert _run("gen-state", "--config", cfg, "--out", str(tmp_path / "again")) == 7
+    [(run_cfg, path)] = calls
+    assert run_cfg.out_dir == str(tmp_path / "again") and path is None
+    assert not (tmp_path / "again").exists()
 
 
 def _measure_headers(out):
