@@ -12,8 +12,8 @@ with x_m = (m - n/2) dx measured from the grid center (the optical axis; x0
 only labels the lattice and does not enter) and the one scalar scale
 s = pi dz dx^2 / (lambda f^2).  The offsets m - n/2 and their squares are
 exact, so the phase carries only the rounding of s and of one product, and
-no coordinate is squared.  So the displaced camera pixels correspond to the pulled-back states
-``|k'_j> = V^dag |p_j>``.  :func:`fresnel_unitary` returns only that
+no coordinate is squared.  The displaced camera pixels correspond to the
+pulled-back states ``|k'_j> = V^dag |p_j>``.  :func:`fresnel_unitary` returns only that
 diagonal; a dense unitary is accepted as well, for propagators that are not
 diagonal in x.  The state-independent complex conditional
 

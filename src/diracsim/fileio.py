@@ -54,13 +54,15 @@ then saves the array with ``np.save(..., allow_pickle=False)``, atomically
 and with the text's mode.  An array holding nan or inf gets no twin: the
 reader would parse the text to name the bad line.  After every matrix write,
 each other twin in that directory is deleted if it is of the same file name
-or its text file is gone.  ``read_matrix`` checks the header as always,
-hashes the whole file in 1 MiB chunks, and uses the twin whose name carries
-that digest only if it loads without pickle as a row-major complex128 array
-of the header's shape whose bytes hash to the second digest in its name.
-Anything else (no twin, an edited text, a twin truncated, overwritten, given
-a NaN or a flipped bit, or copied from another file) parses the text as
-before, so values, messages and exit codes do not depend on the twin.  A
+or its text file is gone, a twin named by the text's digest alone (an
+earlier format, never read) included.  ``read_matrix`` checks the header as
+always, hashes the whole file in 1 MiB chunks, and uses the twin whose name
+carries that digest only if it loads without pickle as a row-major
+complex128 array of the header's shape whose bytes hash to the second digest
+in its name.  Anything else (no twin, an edited text, a twin truncated,
+overwritten, given a NaN or a flipped bit, or copied from another file)
+parses the text as before, so values, messages and exit codes do not depend
+on the twin.  A
 twin is never trusted without both digest checks, the directory is safe to
 delete, and a twin costs 16 B per entry against about 53 B of text (+30 %),
 plus one hash of those 16 B on each write and read.  Counts files and the
@@ -92,8 +94,9 @@ COUNTS_MAGIC = "# diracsim counts v1"
 _MATRIX_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("re", float), ("im", float)])
 
 TWIN_DIR = ".diracsim-cache"
-# captures the text file's name, the text's SHA-256 and the array's SHA-256
-_TWIN_NAME = re.compile(r"(.+)\.([0-9a-f]{64})\.([0-9a-f]{64})\.npy")
+# captures the text file's name, the text's SHA-256 and the array's SHA-256,
+# which a twin named by the text's digest alone (an earlier format) lacks
+_TWIN_NAME = re.compile(r"(.+?)\.([0-9a-f]{64})\.(?:([0-9a-f]{64})\.)?npy")
 _HASH_CHUNK = 1 << 20  # bytes hashed at a time: a read's memory does not grow with the file
 
 

@@ -832,6 +832,25 @@ def test_rewriting_a_file_leaves_one_twin_per_name(tmp_path):
     assert np.array_equal(read_matrix(str(tmp_path / "m.txt"))[0], np.eye(3))
 
 
+def test_a_twin_named_by_the_text_digest_alone_is_never_read_and_goes(tmp_path, monkeypatch):
+    """Earlier versions named a twin ``<name>.<text sha256>.npy``; such a twin
+    of another array gives way to the text, and goes at the next write as
+    any other twin of that name, or whose text is gone, does."""
+    path = tmp_path / "m.txt"
+    write_matrix(str(path), _sample_matrix(), _META)
+    drop_twins(tmp_path)
+    (tmp_path / TWIN_DIR).mkdir()
+    text_digest = twin_name(path).split(".")[2]
+    for name in ("m.txt", "gone.txt"):
+        (tmp_path / TWIN_DIR / f"{name}.{text_digest}.npy").write_bytes(
+            _npy(2 * _sample_matrix()))
+    parses = count_text_parses(monkeypatch)
+    assert read_matrix(str(path))[0].tobytes() == _sample_matrix().tobytes()
+    assert len(parses) == 1
+    write_matrix(str(path), _sample_matrix(), _META)
+    assert os.listdir(tmp_path / TWIN_DIR) == [twin_name(path)]
+
+
 def test_a_twin_whose_text_is_gone_goes_at_the_next_write(tmp_path):
     for name in ("a.txt", "b.txt"):
         write_matrix(str(tmp_path / name), _sample_matrix(), _META)
