@@ -62,7 +62,7 @@ def test_the_chain_matches_the_brute_force_oracles(n, dx, shift, wavelength, foc
     # dz at turns = 1 takes the chirp phase to 10 pi at the lattice's edge
     dzs = tuple(t * 10 * wavelength * focal_length ** 2 / half_span ** 2 for t in turns)
     assume(len({propagated_name(dz) for dz in dzs}) == 2)
-    settings_text = {
+    values = {
         "grid.n": n, "grid.dx": dx, "grid.x0": x0, "units.wavelength": wavelength,
         "units.focal_length": focal_length, "bench.mixed": str(mixed).lower(),
         "bench.wedge_tilt": tilt, "bench.aperture_halfwidth": halfwidth,
@@ -73,7 +73,7 @@ def test_the_chain_matches_the_brute_force_oracles(n, dx, shift, wavelength, foc
         tmp = Path(tmp)
         cfg = tmp / "run.cfg"
         cfg.write_text("".join(f"{key} = {value!r}\n" if isinstance(value, float)
-                               else f"{key} = {value}\n" for key, value in settings_text.items()))
+                               else f"{key} = {value}\n" for key, value in values.items()))
         out, noisy, want = tmp / "out", tmp / "noisy", tmp / "oracle"
         for stage in ("gen-state", "exact", "reconstruct", "propagate"):
             assert _run(stage, "--config", str(cfg), "--out", str(out)) == 0, stage

@@ -21,6 +21,7 @@ printed warning fails it too).  The cases are fixed, so the run is
 derandomised.
 """
 
+import contextlib
 import io
 import os
 import shutil
@@ -114,8 +115,7 @@ def chain(tmp_path_factory):
     root = tmp_path_factory.mktemp("chain")
     (root / "run.cfg").write_text(_CHAIN_CFG)
     for stage in ("gen-state", "exact", "propagate"):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("sys.stdout", io.StringIO())
+        with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main([stage, "--config", str(root / "run.cfg"),
                              "--out", str(root / "out")]) == 0
     return root
