@@ -45,8 +45,9 @@ correlation (A. W. Rihaczek, IEEE Trans. Inf. Theory 14, 369 (1968);
 L. Cohen, Time-Frequency Analysis (1995), ch. 8).  Both hold for any n and
 any x0.  :meth:`Grid.skew` and :meth:`Grid.unskew` move a block of rows
 lo, lo + 1, ... of an n x n array between the (m, j) and the (m, s) layouts
-as one strided view each, so a transform runs :meth:`Grid.row_blocks` at a
-time into one preallocated output, with temporaries of about ``BLOCK``
+as a diagonal of sliding windows each (one read-only view of the block
+repeated along its columns), so a transform runs :meth:`Grid.row_blocks` at
+a time into one preallocated output, with temporaries of about ``BLOCK``
 numbers each.
 
 Physical units (wavelength, lens focal length, magnification) live
@@ -68,7 +69,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ContractError
 
@@ -170,37 +171,32 @@ class Grid:
         step = max(1, BLOCK // self.n)
         return [(lo, min(lo + step, self.n)) for lo in range(0, self.n, step)]
 
-    def _doubled(self, a: np.ndarray, lo: int) -> np.ndarray:
-        """``[a, a]``, a block of rows lo, lo + 1, ... of an n x n array
-        repeated along its columns."""
+    def _windows(self, a: np.ndarray, lo: int) -> np.ndarray:
+        """The read-only length-n sliding windows of ``[a, a]``, a block of
+        rows lo, lo + 1, ... of an n x n array repeated along its columns:
+        ``windows[i, c, s] = [a, a][i, c + s]`` for c in [0, n]."""
         a = np.asarray(a)
         if a.ndim != 2 or a.shape[1] != self.n or not 0 <= lo <= self.n - a.shape[0]:
             raise ContractError(f"array of shape {a.shape} at row {lo} does not fit grid n={self.n}")
-        return np.concatenate((a, a), axis=1)
+        return sliding_window_view(np.concatenate((a, a), axis=1), self.n, axis=1)
 
     def skew(self, a: np.ndarray, lo: int = 0) -> np.ndarray:
-        """``g[i, s] = a[i, (lo + i + s) mod n]``, a read-only strided view.
+        """``g[i, s] = a[i, (lo + i + s) mod n]``, a read-only view.
 
         ``a`` holds rows lo, lo + 1, ... of an n x n array, all of them by
-        default.  Row i of ``[a, a]`` is read from column lo + i on: one step
-        down a row and one to the right per row of g.
+        default.  Row i of g is the window of ``[a, a]`` row i that starts at
+        column lo + i: the diagonal of the sliding windows at offset lo.
         """
-        doubled = self._doubled(a, lo)
-        row, col = doubled.strides
-        return as_strided(doubled[:, lo:], shape=(len(doubled), self.n),
-                          strides=(row + col, col), writeable=False)
+        return np.diagonal(self._windows(a, lo), lo).T
 
     def unskew(self, g: np.ndarray, lo: int = 0) -> np.ndarray:
         """``a[i, j] = g[i, (j - lo - i) mod n]``, the inverse of :meth:`skew`
-        for the same ``lo``, a read-only strided view.
+        for the same ``lo``, a read-only view.
 
-        Row i of ``[g, g]`` is read from column n - lo - i on: one step down a
-        row and one to the left per row of a.
+        Row i of a is the window of ``[g, g]`` row i that starts at column
+        n - lo - i: the same diagonal, taken with the windows reversed.
         """
-        doubled = self._doubled(g, lo)
-        row, col = doubled.strides
-        return as_strided(doubled[:, self.n - lo:], shape=(len(doubled), self.n),
-                          strides=(row - col, col), writeable=False)
+        return np.diagonal(self._windows(g, lo)[:, ::-1], lo).T
 
     def require_unit_map(self) -> UnitMap:
         if self.unit_map is None:
