@@ -79,6 +79,7 @@ position and camera marginals are real and nonnegative, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,7 +191,8 @@ def _checked_unitary(grid: Grid, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     n = grid.n
     if v.shape == (n,):
-        defect = np.max(np.abs(np.abs(v) ** 2 - 1.0))
+        with np.errstate(over="ignore"):  # |c|^2 that overflows is an infinite defect
+            defect = np.max(np.abs(np.abs(v) ** 2 - 1.0))
     elif v.shape == (n, n):
         defect = np.max(np.abs(v.conj().T @ v - np.eye(n)))
     else:
@@ -247,6 +249,10 @@ def build_kernel_analytic(grid: Grid, dz: float) -> PropagatorKernel:
     and kp depends on |j - kp| only; ``row[s]`` is its value at separation
     s.  Only ``row`` is stored; :func:`bayes_propagate` forms the
     normalization from it, and refuses one that vanishes or is not finite.
+    The separations are taken as ``hypot(dz, .)``, so no square under- or
+    overflows, and a dz whose wavelet 1/r at r = dz or whose phase
+    2 pi r / lambda at the widest separation is not finite is a ConfigError,
+    found in scalars before any array is made.
     """
     units = grid.require_unit_map()
     _check_displacement(dz)
@@ -255,7 +261,12 @@ def build_kernel_analytic(grid: Grid, dz: float) -> PropagatorKernel:
             "analytic kernel is singular at dz = 0; build the unitary kernel instead"
         )
     cam = units.ft_plane_coordinate(grid.momenta)
-    r = np.sqrt(dz ** 2 + (cam - cam[0]) ** 2)
+    # in Python floats, which overflow to inf with no warning
+    widest = math.hypot(dz, float(cam[-1]) - float(cam[0]))
+    if not (1.0 / float(dz) < math.inf and TWO_PI * widest / units.wavelength < math.inf):
+        raise ConfigError(f"camera displacement dz {dz!r}: the analytic wavelet 1/r or its "
+                          f"phase 2 pi r / lambda is not finite")
+    r = np.hypot(dz, cam - cam[0])
     wavelet = np.exp(-1j * TWO_PI * r / units.wavelength) / r
     return PropagatorKernel(grid=grid, dz=float(dz), kind=KIND_ANALYTIC, row=wavelet)
 
@@ -292,7 +303,9 @@ def bayes_propagate(dist: DiracDistribution, kernel: PropagatorKernel) -> Propag
     which applies the lens ``col`` with no table of it (module docstring).
     The result overwrites the block of ``inv`` it was read from.  The chirp
     product likewise fills its output a block of :meth:`.Grid.row_blocks`
-    at a time.
+    at a time.  Through a unitary kernel, an entry that overflows (a
+    distribution with entries near the float limit) is left inf or nan,
+    with no warning, as in :func:`.reconstruct_density`.
     """
     grid = kernel.grid
     if dist.grid != grid:
@@ -301,17 +314,19 @@ def bayes_propagate(dist: DiracDistribution, kernel: PropagatorKernel) -> Propag
     if v is not None and v.ndim == 2:
         k = kernel.k_basis
         e = reconstruct_density(dist).rho @ k
-        e *= k.conj()
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is left inf or nan
+            e *= k.conj()
     elif v is not None:
         h = v.conj()
         skewed = sliding_window_view(np.concatenate((h, h[:-1])), n)  # row m: h[(m + s) % n]
         e = np.empty((n, n), dtype=complex)
-        for lo, hi in grid.row_blocks():
-            rows = np.fft.fft(dist.d[lo:hi], axis=1)
-            rows *= skewed[lo:hi]
-            rows = np.fft.ifft(rows, axis=1)
-            rows *= v[lo:hi, None]
-            e[lo:hi] = rows
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is left inf or nan
+            for lo, hi in grid.row_blocks():
+                rows = np.fft.fft(dist.d[lo:hi], axis=1)
+                rows *= skewed[lo:hi]
+                rows = np.fft.ifft(rows, axis=1)
+                rows *= v[lo:hi, None]
+                e[lo:hi] = rows
     else:
         row, t = kernel.row, grid._signs
         # row kp of W is [row[n-1], ..., row[1], row[0], ..., row[n-1]] read from n - 1 - kp

@@ -7,7 +7,8 @@ them, like --out, sets the config key that is its argparse dest.  Exit
 codes: 0 success, 2 configuration error or unknown flag, 3 runtime or data
 error or out of memory.  Each output file is written atomically, so no file
 is left half written; a multi-file command that fails keeps the files it
-already wrote.
+already wrote.  No stage writes a matrix that holds nan or inf: it exits 3
+instead, naming the file.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import bayesprop, dirac, fileio, qstate, weaksim
 from .config import RunConfig, load_run_config, propagated_name
-from .errors import ConfigError, DiracsimError, FormatError
+from .errors import ConfigError, DiracsimError, FormatError, NumericalIntegrityError
 from .qstate import DensityMatrix
 from .dirac import DiracDistribution
 
@@ -78,8 +79,12 @@ def _load(args) -> RunConfig:
 
 def _emit(cfg: RunConfig, name: str, arr, kind: str, grid, **extra) -> None:
     """Write ``arr`` to ``<out>/<name>`` with the headers ``kind``, the grid's
-    keys and then ``extra`` in call order, and print the path."""
+    keys and then ``extra`` in call order, and print the path.  An array
+    holding nan or inf is a NumericalIntegrityError, raised before anything
+    is written."""
     path = os.path.join(cfg.out_dir, name)
+    if not np.isfinite(arr).all():
+        raise NumericalIntegrityError(f"{name} not written: the matrix holds nan or inf")
     fileio.write_matrix(path, arr, {"kind": kind, **fileio.grid_meta(grid), **extra})
     print(path)
 
@@ -193,7 +198,8 @@ def cmd_props(cfg: RunConfig, path: str) -> int:
         lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {value}{detail}")
 
     tol = dirac.NORMALIZATION_TOL
-    total = dist.d.sum()
+    with np.errstate(over="ignore", invalid="ignore"):  # a total that overflows fails
+        total = dist.d.sum()
     check("normalization", f"{total:.12g}", abs(total - 1.0) <= tol, f" (tol {tol:g})")
     for label, fn in (("marginal_x", dirac.marginal_x), ("marginal_p", dirac.marginal_p)):
         try:

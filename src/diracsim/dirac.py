@@ -24,8 +24,8 @@ the first from ``d = conj(U) * (op U)`` with |b_k| = 1, the second by
 inverting the DFT over the lag s.  ``t_m t_j = (-1)^(j - m)`` is the exact
 value of the row phase product conj(a_m) a_j, a_m = exp(i p_0 x_m), so no
 phase is rounded.  :func:`operator_dirac` and :func:`reconstruct_density`
-are one skew (:meth:`.Grid.skew`, :meth:`.Grid.unskew`) and one FFT along
-the rows each, O(n^2 log n), and never form the n x n overlap matrix.  Both
+are one skew (:meth:`.Grid.skew`, :meth:`.Grid.unskew`, each a diagonal
+of sliding windows) and one FFT along the rows each, O(n^2 log n), and never form the n x n overlap matrix.  Both
 go one block of :meth:`.Grid.row_blocks` at a time into one preallocated
 output, so each holds the output and a few blocks, not whole-matrix
 temporaries.
@@ -81,21 +81,33 @@ def operator_dirac(grid: Grid, op: np.ndarray) -> DiracDistribution:
 
     No state invariants are enforced; this is how phase-space transforms of
     observables (trace-one not required) are produced for
-    :func:`expectation_overlap`.
+    :func:`expectation_overlap`.  An entry that overflows (an operator with
+    entries near the float limit) is left inf or nan, with no warning.
     """
     op = np.asarray(op, dtype=complex)
     if op.shape != (grid.n, grid.n):
         raise ContractError(f"operator shape {op.shape} does not match grid n={grid.n}")
     t = grid._signs
     d = np.empty(op.shape, dtype=complex)
-    for lo, hi in grid.row_blocks():  # t_j op[m, j] at (m, s), transformed over s
-        d[lo:hi] = np.fft.ifft(grid.skew(op[lo:hi] * t, lo), axis=1)
-    d *= t[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is left inf or nan
+        for lo, hi in grid.row_blocks():  # t_j op[m, j] at (m, s), transformed over s
+            d[lo:hi] = np.fft.ifft(grid.skew(op[lo:hi] * t, lo), axis=1)
+        d *= t[:, None]
     d.setflags(write=False)
     return DiracDistribution(grid=grid, d=d)
 
 
-def _real_marginal(sums: np.ndarray, label: str, tol: float = MARGINAL_TOL) -> np.ndarray:
+def _sum(a: np.ndarray, axis: int | None = None):
+    """``a.sum(axis)``; a sum that overflows is inf or nan, with no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return a.sum(axis=axis)
+
+
+def _real_marginal(a: np.ndarray, axis: int, label: str, tol: float = MARGINAL_TOL) -> np.ndarray:
+    """The real part of the sums of ``a`` along ``axis``, checked to ``tol``:
+    an imaginary part above it, an entry below ``-tol``, or a total that is
+    not finite is a NumericalIntegrityError."""
+    sums = _sum(a, axis)
     imag = np.max(np.abs(sums.imag))
     if not imag <= tol:
         raise NumericalIntegrityError(
@@ -106,6 +118,9 @@ def _real_marginal(sums: np.ndarray, label: str, tol: float = MARGINAL_TOL) -> n
         raise NumericalIntegrityError(
             f"{label} marginal has negative entry {real.min():.3e} < -{tol}"
         )
+    total = _sum(real)
+    if not np.isfinite(total):
+        raise NumericalIntegrityError(f"{label} marginal sums to {total}, which is not finite")
     return real.copy()
 
 
@@ -117,26 +132,27 @@ def _check_quasi_probability(a: np.ndarray, tol: float, what: str, column: str) 
     NumericalIntegrityError).  :meth:`DiracDistribution.validate` and
     :meth:`.PropagatedDistribution.validate` both check it here.
     """
-    total = a.sum()
+    total = _sum(a)
     if not abs(total - 1.0) <= tol:
         raise ContractError(f"{what} sums to {total}, expected 1")
-    _real_marginal(a.sum(axis=1), "position", tol)
-    _real_marginal(a.sum(axis=0), column, tol)
+    _real_marginal(a, 1, "position", tol)
+    _real_marginal(a, 0, column, tol)
 
 
 def marginal_x(dist: DiracDistribution) -> np.ndarray:
     """Position marginal Prob(x_m), the real part of the row sums.
 
-    An imaginary part above ``MARGINAL_TOL``, or an entry below
-    ``-MARGINAL_TOL``, is a NumericalIntegrityError.
+    An imaginary part above ``MARGINAL_TOL``, an entry below
+    ``-MARGINAL_TOL``, or a marginal whose sum is not finite, is a
+    NumericalIntegrityError.
     """
-    return _real_marginal(dist.d.sum(axis=1), "position")
+    return _real_marginal(dist.d, 1, "position")
 
 
 def marginal_p(dist: DiracDistribution) -> np.ndarray:
     """Momentum marginal Prob(p_k), the real part of the column sums, checked
     as :func:`marginal_x` checks its rows."""
-    return _real_marginal(dist.d.sum(axis=0), "momentum")
+    return _real_marginal(dist.d, 0, "momentum")
 
 
 def conditional_x_given_p(dist: DiracDistribution, k: int) -> np.ndarray:
@@ -168,15 +184,17 @@ def reconstruct_density(dist: DiracDistribution) -> DensityMatrix:
     signs again recovers rho.  The round trip through :func:`dirac_distribution`
     is exact to rounding.  No state invariants are enforced on the output,
     since measured distributions carry noise; call ``.validate()`` where
-    exactness is expected.
+    exactness is expected.  An entry that overflows is left inf or nan, with
+    no warning, as in :func:`operator_dirac`.
     """
     grid = dist.grid
     t = grid._signs
     rho = np.empty(dist.d.shape, dtype=complex)
-    for lo, hi in grid.row_blocks():
-        np.multiply(grid.unskew(np.fft.fft(dist.d[lo:hi], axis=1), lo), t[lo:hi, None],
-                    out=rho[lo:hi])
-    rho *= t
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in grid.row_blocks():
+            np.multiply(grid.unskew(np.fft.fft(dist.d[lo:hi], axis=1), lo), t[lo:hi, None],
+                        out=rho[lo:hi])
+        rho *= t
     rho.setflags(write=False)
     return DensityMatrix(grid=grid, rho=rho)
 
@@ -185,7 +203,7 @@ def expectation_overlap(d_rho: DiracDistribution, d_obs: DiracDistribution) -> c
     """Phase-space form of Tr[A rho]: ``n * sum d_rho * conj(d_A)``."""
     if d_rho.grid != d_obs.grid:
         raise ContractError("distributions live on different grids")
-    return complex(d_rho.grid.n * np.vdot(d_obs.d, d_rho.d))
+    return d_rho.grid.n * complex(np.vdot(d_obs.d, d_rho.d))  # Python floats: no warning
 
 
 def purity(dist: DiracDistribution) -> float:

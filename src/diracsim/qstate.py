@@ -16,6 +16,7 @@ certified state whose matrix is still read-only, and records nothing itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,20 +90,24 @@ class DensityMatrix:
         n = self.grid.n
         # rho^H as one fresh C-ordered copy, so the passes below run contiguously
         h = np.conjugate(self.rho.T, order="C", dtype=np.result_type(self.rho, 0.5))
-        herm = np.max(np.abs(self.rho - h))
-        if not herm <= HERMITICITY_TOL:
-            raise ContractError(f"density matrix not Hermitian (residual {herm:.3e})")
-        tr = self.rho.trace()
-        if not abs(tr - 1.0) <= TRACE_TOL:
-            raise ContractError(f"density matrix trace {tr} deviates from 1")
-        h += self.rho
-        h *= 0.5
+        # finite entries near the float limit overflow to inf here, with no
+        # warning, and inf or nan fails the checks below
+        with np.errstate(over="ignore", invalid="ignore"):
+            herm = np.max(np.abs(self.rho - h))
+            if not herm <= HERMITICITY_TOL:
+                raise ContractError(f"density matrix not Hermitian (residual {herm:.3e})")
+            tr = self.rho.trace()
+            if not abs(tr - 1.0) <= TRACE_TOL:
+                raise ContractError(f"density matrix trace {tr} deviates from 1")
+            h += self.rho
+            h *= 0.5
         h[np.diag_indices(n)] += PSD_TOL
         try:
             np.linalg.cholesky(h)
         except np.linalg.LinAlgError:
             del h
-            lowest = np.linalg.eigvalsh(0.5 * (self.rho + self.rho.conj().T)).min()
+            # halved before the sum, so the Hermitian part cannot overflow
+            lowest = np.linalg.eigvalsh(0.5 * self.rho + 0.5 * self.rho.conj().T).min()
             if not lowest >= -PSD_TOL:
                 raise ContractError(
                     f"density matrix has eigenvalue {lowest:.3e} < -{PSD_TOL}"
@@ -145,6 +150,14 @@ class BenchConfig:
             raise ConfigError(
                 f"edge_position {self.edge_position} outside aperture [{lo}, {hi}]"
             )
+        # the phase is linear in x, so its extremes are at the lattice's first
+        # and last site; Python floats overflow to inf with no warning
+        step, tilt = float(self.static_phase_step), float(self.wedge_tilt)
+        edge = float(self.edge_position)
+        for x in (-grid.n / 2 * grid.dx + grid.x0, (grid.n / 2 - 1) * grid.dx + grid.x0):
+            if not math.isfinite(step + tilt * (x - edge)):
+                raise ConfigError(f"bench.phase_step, bench.wedge_tilt: the bench phase {step} + "
+                                  f"{tilt} (x - {edge}) is not finite at lattice site x = {x}")
         if not 0.0 <= self.edge_loss <= 1.0:
             raise ConfigError(f"edge_loss {self.edge_loss} not in [0, 1]")
         if not 0.0 < self.phi < 0.5 * np.pi:
@@ -157,9 +170,19 @@ def wedge_gradient_from_angle(angle: float, wavelength: float, glass_index: floa
     """Transverse phase gradient (rad/length) produced by a glass wedge.
 
     A wedge of geometric angle ``angle`` changes the optical path linearly
-    across the beam: grad = 2 pi (n_glass - 1) angle / lambda.
+    across the beam: grad = 2 pi (n_glass - 1) angle / lambda.  A
+    wavelength that is not positive and finite, or a gradient that is not
+    finite, is a ConfigError.
     """
-    return 2.0 * np.pi * (glass_index - 1.0) * angle / wavelength
+    wavelength = float(wavelength)
+    if not 0 < wavelength < math.inf:
+        raise ConfigError(f"wavelength {wavelength} must be positive and finite")
+    # in Python floats, which overflow to inf with no warning
+    grad = 2.0 * math.pi * (float(glass_index) - 1.0) * float(angle) / wavelength
+    if not math.isfinite(grad):
+        raise ConfigError(f"wedge gradient {grad} of angle {angle} and glass index "
+                          f"{glass_index} is not finite")
+    return grad
 
 
 def pure_from_samples(grid: Grid, raw: np.ndarray) -> PureState:

@@ -198,7 +198,8 @@ def estimate_dirac_column(counts: np.ndarray, phi: float, *,
     estimate through sin(phi).  A NaN or infinite count is a ContractError,
     a sliver without linear counts a NoPhotonsError, and a row whose
     estimate is not finite (T sin(phi) underflows for phi near 1e-320, say)
-    a NumericalIntegrityError, formed with no warning printed; each names
+    a NumericalIntegrityError, as is a sliver whose total linear count
+    overflows, formed with no warning printed; each names
     the first such sliver, counting the first row of ``counts`` as sliver
     ``first_sliver``.  The constants are the closed-form
     c_re = c_im = 1/2 and sign_circ = -1 (module docstring), which give
@@ -220,9 +221,13 @@ def estimate_dirac_column(counts: np.ndarray, phi: float, *,
     if not finite.all():
         raise ContractError(f"{where(~finite)}analyzer counts are not finite")
     d, a, l, r = counts
-    total = (d + a).sum(axis=-1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
+        total = (d + a).sum(axis=-1, keepdims=True)
     if (total <= 0).any():
         raise NoPhotonsError(f"{where(total <= 0)}no photons in the linear analyzer pair")
+    finite = np.isfinite(total).all(axis=-1)
+    if not finite.all():
+        raise NumericalIntegrityError(f"{where(~finite)}linear total of the counts is not finite")
     with np.errstate(all="ignore"):  # a row that is not finite is refused below
         est = (0.5 * (d - a) + 0.5j * (l - r)) / (total * np.sin(phi))
     finite = np.isfinite(est).all(axis=-1)

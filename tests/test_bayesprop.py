@@ -354,7 +354,7 @@ def test_analytic_propagation_matches_dense_product(n, x0, dz):
     assert kernel.row.shape == (n,)
     # the generator is column 0 of the dense wavelet matrix, bit for bit
     cam = UM.ft_plane_coordinate(grid.momenta)
-    r = np.sqrt(dz ** 2 + (cam[:, None] - cam[None, :]) ** 2)
+    r = np.hypot(dz, cam[:, None] - cam[None, :])
     assert np.array_equal(kernel.row, (np.exp(-1j * TWO_PI * r / UM.wavelength) / r)[:, 0])
     w = dense_wavelet(kernel.row)
     col = analytic_lens(grid)

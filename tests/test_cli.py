@@ -622,6 +622,34 @@ def test_a_lattice_whose_squared_coordinates_overflow_propagates_at_dz_0(tmp_pat
     assert err == "diracsim: config error: camera displacement dz 0.084: the chirp phase is not finite\n"
 
 
+# the bench phase step + wedge_tilt (x - edge) reaches 8 wedge_tilt at the
+# lattice's first site, so a finite wedge_tilt of 1e308 overflows it
+_PHASE_LATTICE = ("grid.n = 16\ngrid.dx = 1\ngrid.x0 = 0\nbench.aperture_halfwidth = 8\n"
+                  "bench.edge_position = 0\n")
+
+
+@pytest.mark.parametrize("bench, site", [
+    ("bench.wedge_tilt = 1e308\n", -8.0),
+    ("bench.phase_step = 1.7e308\nbench.wedge_tilt = 1e307\n", 7.0),  # the sum overflows
+])
+def test_a_bench_phase_that_overflows_the_lattice_is_a_config_error(tmp_path, monkeypatch,
+                                                                      capsys, bench, site):
+    """Every stage refuses the config in one line that names the keys, with no
+    warning, and writes nothing.  At the parent gen-state printed three
+    RuntimeWarnings and exited 3 ('sample vector is not finite')."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(_PHASE_LATTICE + bench)
+    for stage in ("gen-state", "exact", "measure", "reconstruct", "propagate", "props",
+                  "figures"):
+        assert _run(stage, "--config", "run.cfg") == 2, stage
+        err = capsys.readouterr().err
+        assert err.startswith("diracsim: config error: bench.phase_step, bench.wedge_tilt: "
+                              "the bench phase "), err
+        assert err.endswith(f" is not finite at lattice site x = {site}\n"), err
+        assert len(err.splitlines()) == 1
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
 def test_measure_refuses_an_estimate_that_is_not_finite(tmp_path, capsys):
     """bench.phi_deg = 1e-320 passes the config, but T sin(phi) underflows.
     At the parent measure wrote all-NaN files with warnings and exited 0."""

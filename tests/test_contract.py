@@ -24,15 +24,16 @@ derandomised.
 import contextlib
 import io
 import os
+import re
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from diracsim import cli
+from diracsim import UnitMap, cli, make_grid
 from diracsim.config import DEFAULTS, _env_key
-from diracsim.fileio import read_matrix
+from diracsim.fileio import grid_meta, read_matrix, write_matrix
 from conftest import TWIN_DIR, drop_twins, twin_name
 
 _BASE = {"grid.n": "16", "grid.dx": repr(44e-3 / 16)}
@@ -106,7 +107,7 @@ _READERS = {
     _PROPAGATED: [["figures", "--input"]],
 }
 _WRITE_NOTHING = {"exact", "reconstruct", "props"}  # one output, written last
-_TOKENS = ["nan", "inf", "1e400", "-0", "1_0", "\x00", "é", ""]
+_TOKENS = ["nan", "inf", "1e400", "1.7976931348623157e308", "-0", "1_0", "\x00", "é", ""]
 
 
 @pytest.fixture(scope="module")
@@ -186,10 +187,13 @@ def _read_by_every_stage(capsys, case_dir, name, damage, twin):
 
 
 def _twin_and_text_agree(capsys, case_dir, name, damage):
+    """The outcomes of every stage that reads ``name``, which must be the same
+    with its twin and without."""
     with_twins = _read_by_every_stage(capsys, case_dir, name, damage, twin=True)
     if (case_dir / TWIN_DIR).exists():
         drop_twins(case_dir)
     assert with_twins == _read_by_every_stage(capsys, case_dir, name, damage, twin=False), damage
+    return with_twins
 
 
 @pytest.mark.parametrize("name", sorted(_READERS))
@@ -212,3 +216,54 @@ def test_a_damaged_twin_keeps_the_error_contract(chain, tmp_path, capsys, name):
         shutil.copy(chain / "run.cfg", case_dir)
         Path(case_dir, TWIN_DIR, twin_name(case_dir / name)).write_bytes(data)
         _twin_and_text_agree(capsys, case_dir, name, damage)
+
+
+# -- n = 4 files whose finite entries overflow inside a stage
+
+def _overflowing(case):
+    """A: a state with the anti-Hermitian pair rho[0, 1] = -rho[1, 0] = 1.7e308,
+    which overflows rho - rho^H; B: a state whose diagonal of 1.7e308
+    overflows the trace; C: a distribution of 1e308 throughout, which
+    overflows every transform and sum."""
+    rho = np.eye(4, dtype=complex) / 4
+    if case == "A":
+        rho[0, 1], rho[1, 0] = 1.7e308, -1.7e308
+    elif case == "B":
+        np.fill_diagonal(rho, 1.7e308)
+    else:
+        return "dirac_exact.txt", "dirac", np.full((4, 4), 1e308 + 0j)
+    return "state.txt", "density", rho
+
+
+_REFUSED_STATE = {"A": "density matrix not Hermitian (residual inf)",
+                  "B": "density matrix trace (inf+0j) deviates from 1"}
+
+
+@pytest.mark.parametrize("case", ["A", "B", "C"])
+def test_a_file_whose_finite_entries_overflow_keeps_the_error_contract(tmp_path, capsys, case):
+    """No stage prints a warning or writes a matrix holding nan or inf, with
+    the file's twin or without.  At the parent each state printed an overflow
+    warning before its message, and reconstruct and propagate wrote nan and
+    inf from C with warnings and exited 0, and props passed its marginals."""
+    name, kind, arr = _overflowing(case)
+    grid = make_grid(4, 1.0, 0.0, UnitMap(wavelength=780e-9, focal_length=1.0))
+    write_matrix(tmp_path / name, arr, {"kind": kind, **grid_meta(grid)})
+    (tmp_path / "run.cfg").write_text("")
+    outcomes = _twin_and_text_agree(capsys, tmp_path, name, case)
+    stages = [" ".join(stage) for *stage, _ in _READERS[name]]
+    for stage, (code, err, files) in zip(stages, outcomes):
+        for path, data in files.items():
+            tokens = set(re.split(rb"[\s,]+", data))
+            assert path == "props.txt" or not {b"nan", b"inf", b"-inf"} & tokens, (stage, path)
+        if stage == "figures":
+            assert code == 0 and len(files) == 4, stage
+        elif case in _REFUSED_STATE:
+            assert (code, err, files) == (3, f"diracsim: error: {_REFUSED_STATE[case]}\n", {})
+        elif stage == "props":
+            lines = files["props.txt"].decode().splitlines()
+            assert code == 0 and [line.split()[0] for line in lines] == ["FAIL"] * 4, lines
+            assert lines[1] == "FAIL marginal_x: position marginal sums to inf, which is not finite"
+        else:
+            written = "density.txt" if stage == "reconstruct" else "propagated_dz0.084.txt"
+            message = f"diracsim: error: {written} not written: the matrix holds nan or inf\n"
+            assert (code, err, files) == (3, message, {}), stage
