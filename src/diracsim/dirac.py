@@ -24,11 +24,11 @@ the first from ``d = conj(U) * (op U)`` with |b_k| = 1, the second by
 inverting the DFT over the lag s.  ``t_m t_j = (-1)^(j - m)`` is the exact
 value of the row phase product conj(a_m) a_j, a_m = exp(i p_0 x_m), so no
 phase is rounded.  :func:`operator_dirac` and :func:`reconstruct_density`
-are one skew (:meth:`.Grid.skew`, :meth:`.Grid.unskew`, each a diagonal
-of sliding windows) and one FFT along the rows each, O(n^2 log n), and never form the n x n overlap matrix.  Both
-go one block of :meth:`.Grid.row_blocks` at a time into one preallocated
-output, so each holds the output and a few blocks, not whole-matrix
-temporaries.
+are one skew (:meth:`.Grid.skew`, :meth:`.Grid.unskew`, each a diagonal of
+sliding windows) and one FFT along the rows each, O(n^2 log n), and never
+form the n x n overlap matrix.  Both go one block of :meth:`.Grid.row_blocks`
+at a time into one preallocated output, so each holds the output and a few
+blocks, not whole-matrix temporaries.
 """
 
 from __future__ import annotations
