@@ -58,9 +58,8 @@ def _density(v, *where):
 
 
 def _counts(v):
-    counts = np.ones((4, 2, N))
-    counts[:] = v
-    return counts
+    """Four analyzers' counts of two slivers, all v."""
+    return np.full((4, 2, N), v)
 
 
 def _finite(x):
