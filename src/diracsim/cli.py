@@ -7,8 +7,8 @@ them, like --out, sets the config key that is its argparse dest.  Exit
 codes: 0 success, 2 configuration error or unknown flag, 3 runtime or data
 error or out of memory.  Each output file is written atomically, so no file
 is left half written; a multi-file command that fails keeps the files it
-already wrote.  No stage writes a matrix that holds nan or inf: it exits 3
-instead, naming the file.
+already wrote.  No stage writes a matrix or a figure table that holds nan
+or inf: it exits 3 instead, naming the file.
 """
 
 from __future__ import annotations
@@ -226,14 +226,26 @@ def _figure_axes(meta, grid):
     return grid.momenta, "p"
 
 
+def _finite_entry(name: str, entry):
+    """``entry`` for a table written to ``name``, refusing each block of the
+    table that holds nan or inf, as ``_emit`` refuses a matrix."""
+    def checked(block):
+        table = entry(block)
+        if not np.isfinite(table).all():
+            raise NumericalIntegrityError(f"{name} not written: the table holds nan or inf")
+        return table
+    return checked
+
+
 def cmd_figures(cfg: RunConfig, path: str) -> int:
     arr, meta, grid = _read_on_grid(path)
     cols, col_label = _figure_axes(meta, grid)
     stem = os.path.splitext(os.path.basename(path))[0]
     for kind in cfg.figures:
-        out = os.path.join(cfg.out_dir, f"fig_{stem}_{kind}.csv")
+        name = f"fig_{stem}_{kind}.csv"
+        out = os.path.join(cfg.out_dir, name)
         fileio._write_table(out, f"x\\{col_label}", cols, grid.coords, arr,
-                            fileio.FIGURE_ENTRIES[kind])
+                            _finite_entry(name, fileio.FIGURE_ENTRIES[kind]))
         print(out)
     return EXIT_OK
 

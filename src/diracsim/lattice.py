@@ -54,12 +54,13 @@ Physical units (wavelength, lens focal length, magnification) live
 exclusively in :class:`UnitMap`, which converts lattice momentum to a camera
 coordinate in the Fourier-transform plane of the bench.
 
-:func:`make_grid` refuses, in scalars and before any array is made, a
-lattice that no array could hold: an n above ``MAX_N`` (about 7.6e8, the
-largest n whose n x n complex128 matrix numpy can shape), coordinates or
-momenta that overflow, a lambda f^2 that is not a finite normal float and
-a camera coordinate that overflows.  No later stage then meets an overflow
-in these numbers or prints a warning for one.
+Every :class:`Grid`, built by :func:`make_grid` or directly, refuses in
+scalars, before any array is made, a lattice that no array could hold: an n
+above ``MAX_N`` (about 7.6e8, the largest n whose n x n complex128 matrix
+numpy can shape), coordinates or momenta that overflow, a lambda f^2 that
+is not a finite normal float and a camera coordinate that overflows.  No
+later stage then meets an overflow in these numbers or prints a warning for
+one.
 """
 
 from __future__ import annotations
@@ -75,6 +76,8 @@ from .errors import ConfigError, ContractError
 
 TWO_PI = 2.0 * np.pi
 BLOCK = 2 ** 14  # numbers in one row block of a streamed n x n product
+# the largest n whose n x n complex128 matrix numpy can shape
+MAX_N = math.isqrt(np.iinfo(np.intp).max // 16)
 
 
 @dataclass(frozen=True)
@@ -111,6 +114,40 @@ class Grid:
     dx: float
     x0: float = 0.0
     unit_map: UnitMap | None = None
+
+    def __post_init__(self):
+        """Refuse unusable lattice parameters, then hold n as an int and dx
+        and x0 as floats.
+
+        Checked in scalars before any array is made, so nothing is allocated: n
+        must lie in [2, ``MAX_N``]; the span n dx, the first and last coordinate
+        and the largest momentum (n/2) dp must be finite; lambda f^2, the scale
+        of every Fresnel chirp, must be a finite normal number; and the camera
+        coordinate of the largest momentum, the edge of a ``figures`` axis,
+        must be finite.
+        """
+        n, dx, x0, unit_map = self.n, self.dx, self.x0, self.unit_map
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or not 2 <= n <= MAX_N:
+            raise ConfigError(f"n: grid size must be an integer in [2, {MAX_N}], got {n!r}")
+        n, dx, x0 = int(n), float(dx), float(x0)  # Python floats overflow to inf, with no warning
+        # the span, the first and last coordinate and the largest momentum must be finite
+        if not (dx > 0 and np.isfinite([n * dx, -n / 2 * dx + x0, (n / 2 - 1) * dx + x0,
+                                        n / 2 * (TWO_PI / (n * dx))]).all()):
+            raise ConfigError(f"dx, x0: lattice spacing {dx} must be positive and, with center "
+                              f"{x0}, give finite coordinates and momenta on n={n} sites")
+        if unit_map is not None:
+            for key in fields(UnitMap):
+                value = getattr(unit_map, key.name)
+                if not 0 < value < np.inf:
+                    raise ConfigError(f"{key.name}: must be positive and finite, got {value}")
+            with np.errstate(over="ignore"):
+                scale = np.float64(unit_map.wavelength) * np.float64(unit_map.focal_length) ** 2
+                edge = unit_map.camera_coordinate(np.float64(-n / 2 * (TWO_PI / (n * dx))))
+            if not (np.finfo(float).tiny <= scale < np.inf and np.isfinite(edge)):
+                raise ConfigError(f"wavelength, focal_length, magnification: lambda f^2 = {scale} "
+                                  f"must be a normal float and the camera edge {edge} finite")
+        for name, value in (("n", n), ("dx", dx), ("x0", x0)):
+            object.__setattr__(self, name, value)  # the dataclass is frozen
 
     @property
     def dp(self) -> float:
@@ -176,7 +213,8 @@ class Grid:
         rows lo, lo + 1, ... of an n x n array repeated along its columns:
         ``windows[i, c, s] = [a, a][i, c + s]`` for c in [0, n]."""
         a = np.asarray(a)
-        if a.ndim != 2 or a.shape[1] != self.n or not 0 <= lo <= self.n - a.shape[0]:
+        if (not isinstance(lo, (int, np.integer)) or isinstance(lo, bool) or a.ndim != 2
+                or a.shape[1] != self.n or not 0 <= lo <= self.n - a.shape[0]):
             raise ContractError(f"array of shape {a.shape} at row {lo} does not fit grid n={self.n}")
         return sliding_window_view(np.concatenate((a, a), axis=1), self.n, axis=1)
 
@@ -204,39 +242,7 @@ class Grid:
         return self.unit_map
 
 
-# the largest n whose n x n complex128 matrix numpy can shape
-MAX_N = math.isqrt(np.iinfo(np.intp).max // 16)
-
-
 def make_grid(n: int, dx: float, x0: float = 0.0, unit_map: UnitMap | None = None) -> Grid:
-    """Build a :class:`Grid`, rejecting unusable lattice parameters and
-    non-positive or non-finite unit-map constants.
-
-    Checked in scalars before any array is made, so nothing is allocated: n
-    must lie in [2, ``MAX_N``]; the span n dx, the first and last coordinate
-    and the largest momentum (n/2) dp must be finite; lambda f^2, the scale
-    of every Fresnel chirp, must be a finite normal number; and the camera
-    coordinate of the largest momentum, the edge of a ``figures`` axis,
-    must be finite.
-    """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or not 2 <= n <= MAX_N:
-        raise ConfigError(f"n: grid size must be an integer in [2, {MAX_N}], got {n!r}")
-    n, dx, x0 = int(n), float(dx), float(x0)  # Python floats overflow to inf, with no warning
-    # the span, the first and last coordinate and the largest momentum must be finite
-    if not (dx > 0 and np.isfinite([n * dx, -n / 2 * dx + x0, (n / 2 - 1) * dx + x0,
-                                    n / 2 * (TWO_PI / (n * dx))]).all()):
-        raise ConfigError(f"dx, x0: lattice spacing {dx} must be positive and, with center {x0}, "
-                          f"give finite coordinates and momenta on n={n} sites")
-    if unit_map is not None:
-        for key in fields(UnitMap):
-            value = getattr(unit_map, key.name)
-            if not 0 < value < np.inf:
-                raise ConfigError(f"{key.name}: must be positive and finite, got {value}")
-        with np.errstate(over="ignore"):
-            scale = np.float64(unit_map.wavelength) * np.float64(unit_map.focal_length) ** 2
-            edge = unit_map.camera_coordinate(np.float64(-n / 2 * (TWO_PI / (n * dx))))
-        if not (np.finfo(float).tiny <= scale < np.inf and np.isfinite(edge)):
-            raise ConfigError(f"wavelength, focal_length, magnification: lambda f^2 = {scale} must "
-                              f"be a normal float and the camera edge {edge} finite")
+    """Build a :class:`Grid`, which refuses unusable lattice parameters and
+    non-positive or non-finite unit-map constants (see :meth:`Grid.__post_init__`)."""
     return Grid(n=n, dx=dx, x0=x0, unit_map=unit_map)
-

@@ -1053,6 +1053,25 @@ def test_figures_with_a_kind_listed_twice_exits_2_without_output(tmp_path, capsy
     assert sorted(p.name for p in out.iterdir()) == before
 
 
+def test_figures_refuses_a_table_that_overflows(tmp_path, capsys):
+    """|z| of the finite entry 1.7e308 + 1.7e308i overflows.  Each table is
+    refused at its first bad block, and the kinds listed before it keep their
+    files.  At the parent figures wrote a cell inf and exited 0."""
+    path = tmp_path / "d.txt"
+    path.write_text("# diracsim matrix v1\n# rows=2\n# cols=2\n# kind=dirac\n# n=2\n# dx=1\n"
+                    "# x0=0\n0 0 1.7e308 1.7e308\n0 1 0 0\n1 0 0 0\n1 1 0 0\n")
+    out = tmp_path / "o"
+    assert _run("figures", "--input", str(path), "--out", str(out)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("diracsim: error: fig_d_magnitude.csv not written: "
+                            "the table holds nan or inf\n")
+    assert os.listdir(out) == []
+    cfg = _write_config(tmp_path, "output.figures = real, magnitude, phase\n")
+    assert _run("figures", "--config", cfg, "--input", str(path), "--out", str(out)) == 3
+    assert os.listdir(out) == ["fig_d_real.csv"]
+
+
 @pytest.mark.parametrize("stage, key", [("propagate", "propagation.dz"),
                                         ("figures", "output.figures")])
 def test_an_empty_list_exits_2_without_output(tmp_path, capsys, stage, key):

@@ -400,21 +400,33 @@ def test_writers_match_per_element_reference(tmp_path, monkeypatch, rows, cols, 
 @given(n=st.sampled_from([2, 3, 5, 8]), kind=st.sampled_from(["dirac", "density", "propagated"]),
        data=st.data())
 def test_figure_csv_matches_per_element_reference(tmp_path, n, kind, data):
-    from diracsim.cli import _figure_axes
-
     finite = st.one_of(st.sampled_from([v for v in _SPECIAL if np.isfinite(v)]),
                        st.floats(allow_nan=False, allow_infinity=False))
     arr = np.empty((n, n), dtype=complex)
     arr.real, arr.imag = _draw_array(data, (n, n), finite), _draw_array(data, (n, n), finite)
     grid = make_grid(n, 0.25, 0.5, UnitMap(780e-9, 1.0, 4.935))
-    meta = {"kind": kind, **grid_meta(grid)}
+    _figures_match_oracle(tmp_path, arr, {"kind": kind, **grid_meta(grid)}, grid)
+
+
+def _figures_match_oracle(tmp_path, arr, meta, grid):
+    """Each table that ``_write_table`` writes matches the oracle, an inf cell
+    included.  ``figures`` writes the same bytes when |z| is finite
+    everywhere, and else exits 3."""
+    from diracsim.cli import _figure_axes
+
     in_path, out = str(tmp_path / "in.txt"), str(tmp_path / "out")
     write_matrix(in_path, arr, meta)
-    assert main(["figures", "--input", in_path, "--out", out]) == 0
+    finite = np.isfinite(np.abs(arr)).all()
+    assert main(["figures", "--input", in_path, "--out", out]) == (0 if finite else 3)
     cols, col_label = _figure_axes(meta, grid)
-    for table in ("magnitude", "phase", "real", "imag"):
-        got = Path(out, f"fig_in_{table}.csv").read_bytes()
-        assert got == figure_csv_oracle(arr, grid.coords, cols, f"x\\{col_label}", table)
+    corner = f"x\\{col_label}"
+    for table, entry in fileio.FIGURE_ENTRIES.items():
+        want = figure_csv_oracle(arr, grid.coords, cols, corner, table)
+        path = tmp_path / f"{table}.csv"
+        fileio._write_table(str(path), corner, cols, grid.coords, arr, entry)
+        assert path.read_bytes() == want
+        if finite:
+            assert Path(out, f"fig_in_{table}.csv").read_bytes() == want
 
 
 # -- byte oracles: edge values, edge shapes and strided inputs
@@ -505,6 +517,18 @@ def test_whole_counts_print_as_g17(tmp_path, monkeypatch, value, whole):
     assert templates == ([(2,)] if whole else [])
 
 
+def test_counts_files_of_one_length_share_their_index_words(tmp_path):
+    """Counts that are not whole take the kernel, whose index words are
+    built once per length and held read-only."""
+    fileio._index_words.cache_clear()
+    for m in range(3):
+        write_counts(str(tmp_path / f"c{m}.txt"), np.full((len(READOUT_KEYS), 5), 0.5),
+                     _counts_meta())
+    info = fileio._index_words.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert not fileio._index_words(5, b"").flags.writeable
+
+
 _BAD_COUNTS = {
     "3-rows": np.ones((3, 5)),
     "1-d": np.ones(len(READOUT_KEYS)),
@@ -534,21 +558,17 @@ def test_write_matrix_refuses_an_array_that_is_not_2d(tmp_path, shape):
 
 
 def test_figure_csv_bytes_match_oracle(tmp_path):
-    from diracsim.cli import _figure_axes
-
     arr = _edge_matrix((4, 4), seed=5)
     finite = np.isfinite(arr.real) & np.isfinite(arr.imag)
     arr[~finite] = complex(-0.0, 5e-324)
-    arr[0, 0] = complex(1.7976931348623157e308, -1.7976931348623157e308)
     grid = make_grid(4, 0.25, -0.375, UnitMap(780e-9, 1.0, 4.935))
-    meta = {"kind": "propagated", **grid_meta(grid)}
-    in_path, out = str(tmp_path / "in.txt"), str(tmp_path / "out")
-    write_matrix(in_path, arr, meta)
-    assert main(["figures", "--input", in_path, "--out", out]) == 0
-    cols, col_label = _figure_axes(meta, grid)
-    for table in ("magnitude", "phase", "real", "imag"):
-        got = Path(out, f"fig_in_{table}.csv").read_bytes()
-        assert got == figure_csv_oracle(arr, grid.coords, cols, f"x\\{col_label}", table)
+    # |z| overflows at the first corner, which figures refuses, and not at the second
+    for k, corner in enumerate([complex(1.7976931348623157e308, -1.7976931348623157e308),
+                                complex(1.7976931348623157e308, -0.0)]):
+        arr[0, 0] = corner
+        (tmp_path / str(k)).mkdir()
+        _figures_match_oracle(tmp_path / str(k), arr, {"kind": "propagated", **grid_meta(grid)},
+                              grid)
 
 
 # -- the %.17g kernel against Python's own formatting

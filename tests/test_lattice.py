@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diracsim import ConfigError, ContractError, UnitMap, make_grid
+from diracsim import ConfigError, ContractError, Grid, UnitMap, make_grid
 from diracsim.lattice import MAX_N
 
 
@@ -106,6 +106,15 @@ def test_overlap_modulus_and_zero_phase_row():
     assert np.allclose(np.abs(u) ** 2, 0.25, rtol=0, atol=1e-14)
     # x = 0 sits at index n/2; its overlap row is real 1/sqrt(n)
     assert np.allclose(u[2], 0.5, rtol=0, atol=1e-14)
+
+
+def test_a_grid_built_directly_is_the_grid_make_grid_builds():
+    """The constructor holds n as an int and dx, x0 as floats, as make_grid
+    did, so equal parameters give equal grids of one hash."""
+    grid = Grid(n=np.int64(8), dx=1, x0=np.float32(0.5))
+    assert grid == make_grid(8, 1.0, 0.5) and hash(grid) == hash(make_grid(8, 1.0, 0.5))
+    assert (type(grid.n), type(grid.dx), type(grid.x0)) == (int, float, float)
+    assert grid != make_grid(8, 1.0, 0.25)
 
 
 def test_cached_lattice_arrays_are_read_only():

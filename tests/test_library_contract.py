@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 import pytest
 
-from diracsim import (BenchConfig, DensityMatrix, DiracDistribution, DiracsimError,
+from diracsim import (BenchConfig, DensityMatrix, DiracDistribution, DiracsimError, Grid,
                       PropagatedDistribution, UnitMap, bayes_propagate, backaction_offset,
                       build_bench_state, build_kernel_analytic, build_kernel_unitary,
                       conditional_x_given_p, correct_diagonals, direct_measure_displaced,
@@ -181,6 +181,15 @@ _REFUSED = {
         GRID, np.random.default_rng(0), N + 1),
     "Grid.skew, n + 1 columns": lambda: GRID.skew(np.ones((2, N + 1))),
     "Grid.unskew, rows past n": lambda: GRID.unskew(np.ones((2, N)), N - 1),
+    "Grid.skew, a float row offset": lambda: GRID.skew(np.ones((2, N)), 0.0),
+    "Grid.unskew, a bool row offset": lambda: GRID.unskew(np.ones((2, N)), True),
+    # a Grid built directly holds make_grid's checks
+    "Grid, dx = 0": lambda: Grid(n=4, dx=0.0).momenta,
+    "Grid, n = True": lambda: Grid(n=True, dx=1.0),
+    "Grid, n = 2.5": lambda: Grid(n=2.5, dx=1.0).row_blocks(),
+    "Grid, dx = nan": lambda: Grid(n=4, dx=math.nan),
+    "Grid, dx = -1": lambda: Grid(n=4, dx=-1.0),
+    "Grid, wavelength -1": lambda: Grid(n=4, dx=1.0, unit_map=UnitMap(-1.0, 1.0)),
     "DensityMatrix, (n + 1) x (n + 1)": lambda: DensityMatrix(grid=GRID, rho=np.eye(N + 1)),
     "DiracDistribution, n x (n - 1)": lambda: DiracDistribution(grid=GRID, d=np.ones((N, N - 1))),
     "build_bench_state, edge outside the aperture": lambda: build_bench_state(
