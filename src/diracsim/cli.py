@@ -241,11 +241,11 @@ def cmd_figures(cfg: RunConfig, path: str) -> int:
     arr, meta, grid = _read_on_grid(path)
     cols, col_label = _figure_axes(meta, grid)
     stem = os.path.splitext(os.path.basename(path))[0]
-    for kind in cfg.figures:
+    for kind, entry in fileio.FIGURE_ENTRIES.items():
         name = f"fig_{stem}_{kind}.csv"
         out = os.path.join(cfg.out_dir, name)
         fileio._write_table(out, f"x\\{col_label}", cols, grid.coords, arr,
-                            _finite_entry(name, fileio.FIGURE_ENTRIES[kind]))
+                            _finite_entry(name, entry))
         print(out)
     return EXIT_OK
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError
-from .fileio import FIGURE_ENTRIES
 from .lattice import Grid, UnitMap, make_grid
 from .qstate import BenchConfig
 
@@ -47,7 +46,6 @@ DEFAULTS = {
     "pipeline.correct": True,
     "propagation.dz": (0.084, 0.16, 0.325),
     "output.dir": "out",
-    "output.figures": tuple(FIGURE_ENTRIES),
 }
 
 
@@ -61,7 +59,6 @@ class RunConfig:
     correct: bool
     dz_list: tuple
     out_dir: str
-    figures: tuple
 
 
 def propagated_name(dz: float) -> str:
@@ -105,10 +102,7 @@ def _coerce(key: str, raw, default):
         if isinstance(default, float):
             return float(raw.strip())
         if isinstance(default, tuple):
-            items = [s.strip() for s in raw.split(",") if s.strip()]
-            if default and isinstance(default[0], float):
-                return tuple(float(s) for s in items)
-            return tuple(items)
+            return tuple(float(s) for s in map(str.strip, raw.split(",")) if s)
         return raw.strip()
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse {raw!r} ({exc})") from exc
@@ -186,9 +180,8 @@ def build_run_config(values: dict | None = None) -> RunConfig:
         raise ConfigError(f"pipeline.seed: must be nonnegative, got {merged['pipeline.seed']}")
     if merged["pipeline.scans"] < 1:
         raise ConfigError(f"pipeline.scans: must be at least 1, got {merged['pipeline.scans']}")
-    for key in ("propagation.dz", "output.figures"):
-        if not merged[key]:
-            raise ConfigError(f"{key}: the list is empty; give at least one value")
+    if not merged["propagation.dz"]:
+        raise ConfigError("propagation.dz: the list is empty; give at least one value")
     if not merged["output.dir"] or "\0" in merged["output.dir"]:
         raise ConfigError(f"output.dir: {merged['output.dir']!r} names no directory")
     names = {}
@@ -203,11 +196,6 @@ def build_run_config(values: dict | None = None) -> RunConfig:
                 f"propagation.dz: {names[name]!r} and {dz!r} would both write {name}"
             )
         names[name] = dz
-    for fig in merged["output.figures"]:
-        if fig not in FIGURE_ENTRIES:
-            raise ConfigError(f"output.figures: unknown table kind {fig!r}")
-        if merged["output.figures"].count(fig) > 1:
-            raise ConfigError(f"output.figures: table kind {fig!r} is listed more than once")
 
     return RunConfig(
         grid=grid,
@@ -218,7 +206,6 @@ def build_run_config(values: dict | None = None) -> RunConfig:
         correct=merged["pipeline.correct"],
         dz_list=dz_list,
         out_dir=merged["output.dir"],
-        figures=merged["output.figures"],
     )
 
 

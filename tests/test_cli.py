@@ -1038,25 +1038,10 @@ def test_unknown_env_variable_exits_2_without_output(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
-def test_figures_with_a_kind_listed_twice_exits_2_without_output(tmp_path, capsys):
-    cfg = _write_config(tmp_path)
-    out = tmp_path / "out"
-    assert _run("gen-state", "--config", cfg, "--out", str(out)) == 0
-    assert _run("exact", "--config", cfg, "--out", str(out)) == 0
-    before = sorted(p.name for p in out.iterdir())
-    capsys.readouterr()
-    cfg = _write_config(tmp_path, "output.figures = real, real\n")
-    assert _run("figures", "--config", cfg, "--out", str(out)) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "'real'" in captured.err and len(captured.err.strip().splitlines()) == 1
-    assert sorted(p.name for p in out.iterdir()) == before
-
-
 def test_figures_refuses_a_table_that_overflows(tmp_path, capsys):
-    """|z| of the finite entry 1.7e308 + 1.7e308i overflows.  Each table is
-    refused at its first bad block, and the kinds listed before it keep their
-    files.  At the parent figures wrote a cell inf and exited 0."""
+    """|z| of the finite entry 1.7e308 + 1.7e308i overflows.  The magnitude
+    table, written first, is refused at its first bad block.  At the parent
+    figures wrote a cell inf and exited 0."""
     path = tmp_path / "d.txt"
     path.write_text("# diracsim matrix v1\n# rows=2\n# cols=2\n# kind=dirac\n# n=2\n# dx=1\n"
                     "# x0=0\n0 0 1.7e308 1.7e308\n0 1 0 0\n1 0 0 0\n1 1 0 0\n")
@@ -1067,15 +1052,11 @@ def test_figures_refuses_a_table_that_overflows(tmp_path, capsys):
     assert captured.err == ("diracsim: error: fig_d_magnitude.csv not written: "
                             "the table holds nan or inf\n")
     assert os.listdir(out) == []
-    cfg = _write_config(tmp_path, "output.figures = real, magnitude, phase\n")
-    assert _run("figures", "--config", cfg, "--input", str(path), "--out", str(out)) == 3
-    assert os.listdir(out) == ["fig_d_real.csv"]
 
 
-@pytest.mark.parametrize("stage, key", [("propagate", "propagation.dz"),
-                                        ("figures", "output.figures")])
+@pytest.mark.parametrize("stage, key", [("propagate", "propagation.dz")])
 def test_an_empty_list_exits_2_without_output(tmp_path, capsys, stage, key):
-    """At the parent both stages exited 0 having written nothing."""
+    """At the parent propagate exited 0 having written nothing."""
     cfg = _write_config(tmp_path)
     out = tmp_path / "out"
     assert _run("gen-state", "--config", cfg, "--out", str(out)) == 0

@@ -146,27 +146,10 @@ def test_a_negative_zero_displacement_is_zero(dz):
     assert propagated_name(zero) == "propagated_dz0.txt"
 
 
-@pytest.mark.parametrize("figures", ["real, real", "magnitude, phase, magnitude"])
-def test_a_figure_kind_listed_twice_is_refused_on_every_route(tmp_path, figures):
-    kind = figures.split(", ")[0]
-    message = rf"output.figures: table kind '{kind}' is listed more than once"
-    path = tmp_path / "run.cfg"
-    path.write_text(f"output.figures = {figures}\n")
-    with pytest.raises(ConfigError, match=message):
-        load_run_config(str(path))
-    with pytest.raises(ConfigError, match=message):
-        load_run_config(environ={"DIRACSIM_OUTPUT_FIGURES": figures})
-    with pytest.raises(ConfigError, match=message):
-        load_run_config(overrides={"output.figures": figures})
-    with pytest.raises(ConfigError, match=message):
-        build_run_config({"output.figures": tuple(figures.split(", "))})
-
-
-@pytest.mark.parametrize("key, env", [("propagation.dz", "DIRACSIM_PROPAGATION_DZ"),
-                                      ("output.figures", "DIRACSIM_OUTPUT_FIGURES")])
+@pytest.mark.parametrize("key, env", [("propagation.dz", "DIRACSIM_PROPAGATION_DZ")])
 def test_an_empty_list_is_refused_on_every_route(tmp_path, key, env):
-    """At the parent an empty list was taken, and ``propagate`` or
-    ``figures`` exited 0 having written nothing."""
+    """At the parent an empty list was taken, and ``propagate`` exited 0
+    having written nothing."""
     message = rf"^{key}: the list is empty"
     path = tmp_path / "run.cfg"
     path.write_text(f"{key} =\n")
@@ -212,7 +195,6 @@ def test_an_output_dir_that_names_no_directory_is_refused_on_every_route(tmp_pat
     ("propagation.dz", 0.1),
     ("propagation.dz", ("0.1",)),
     ("propagation.dz", [0.1, False]),
-    ("output.figures", ["real", 3]),
     ("output.dir", 3),
 ])
 def test_a_typed_override_of_the_wrong_type_names_its_key(key, value):
@@ -228,7 +210,7 @@ def test_typed_overrides_of_the_right_type_are_taken():
         "grid.n": np.int64(64), "grid.dx": 44e-3 / 64, "pipeline.seed": np.uint8(3),
         "pipeline.scans": 2, "bench.photon_budget": 1000, "bench.edge_loss": np.float32(0.25),
         "bench.mixed": True, "pipeline.noise": False,
-        "propagation.dz": [0, np.float64(0.1)], "output.figures": ["real"], "output.dir": "o",
+        "propagation.dz": [0, np.float64(0.1)], "output.dir": "o",
     })
     assert (cfg.grid.n, cfg.seed, cfg.scans) == (64, 3, 2)
     assert all(type(v) is int for v in (cfg.grid.n, cfg.seed, cfg.scans))
@@ -236,4 +218,4 @@ def test_typed_overrides_of_the_right_type_are_taken():
     assert cfg.bench.edge_loss == float(np.float32(0.25))
     assert (cfg.bench.mixed, cfg.noise) == (True, False)
     assert cfg.dz_list == (0.0, 0.1) and all(type(dz) is float for dz in cfg.dz_list)
-    assert (cfg.figures, cfg.out_dir) == (("real",), "o")
+    assert cfg.out_dir == "o"
