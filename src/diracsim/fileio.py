@@ -6,7 +6,8 @@ Both formats are line oriented and diff friendly.  Header lines are
 17 significant digits, which round-trips IEEE doubles exactly, so
 write -> read -> write reproduces identical bytes.  A line ends at a newline
 (``\\r\\n`` and ``\\r`` read as one); any other whitespace separates fields.
-Files are written to a temporary name and renamed into place only on success;
+Files are written to a temporary name and renamed into place only on success
+(a write that fails removes its temporary and the directories it made);
 they get the permissions a plain ``open(path, "w")`` would give (0666 less
 the umask).
 
@@ -114,23 +115,30 @@ def _fmt(value) -> str:
 @contextlib.contextmanager
 def _atomic_binary(path: str):
     """A binary handle on a temporary file that replaces ``path`` when the
-    block ends without error, and is removed when it raises.
+    block ends without error, and is removed when it raises, together with
+    the directories this call made for it (an empty one that existed stays).
 
     The temporary file is created with mode 0666 less the umask, as
     ``open(path, "w")`` would create ``path``.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
+    made, missing = [], directory  # the directories this call makes, leaf first
+    while not os.path.isdir(missing):
+        made.append(missing)
+        missing = os.path.dirname(missing)
     # O_EXCL: a unique name, never an existing file; 0o666: the umask applies
     tmp = os.path.join(directory, ".tmp-" + os.urandom(8).hex())
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb") as fh:
+        os.makedirs(directory, exist_ok=True)
+        with os.fdopen(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
+        with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
+        for made_dir in made:  # rmdir leaves one that another write has filled
+            with contextlib.suppress(OSError):
+                os.rmdir(made_dir)
         raise
 
 

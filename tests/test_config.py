@@ -1,10 +1,47 @@
 import numpy as np
 import pytest
 
+from diracsim.cli import main
 from diracsim.config import (DEFAULTS, apply_env_overrides, build_run_config,
                              load_run_config, parse_config_file, propagated_name)
 from diracsim.errors import ConfigError
 from diracsim.qstate import BenchConfig
+
+# Every config key.  A new option shows up here as a reviewed diff.
+KEYS = {
+    "grid.n", "grid.dx", "grid.x0",
+    "units.wavelength", "units.focal_length", "units.magnification",
+    "bench.aperture_halfwidth", "bench.edge_position", "bench.phase_step",
+    "bench.wedge_tilt", "bench.edge_loss", "bench.mixed", "bench.phi_deg",
+    "bench.photon_budget",
+    "pipeline.noise", "pipeline.seed", "pipeline.scans", "pipeline.correct",
+    "propagation.dz", "output.dir",
+}
+
+
+def test_the_config_keys_are_pinned():
+    assert set(DEFAULTS) == KEYS
+
+
+def test_the_retired_figures_key_is_refused_on_every_route(tmp_path, capsys):
+    """``output.figures`` chose the tables ``figures`` wrote; it now always
+    writes all four, and the key is refused as any unknown key is."""
+    path = tmp_path / "run.cfg"
+    path.write_text("output.figures = real\n")
+    out = tmp_path / "out"
+    assert main(["figures", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"diracsim: config error: {path}:1: "
+                            "unknown config key 'output.figures'\n")
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="'DIRACSIM_OUTPUT_FIGURES'"):
+        load_run_config(environ={"DIRACSIM_OUTPUT_FIGURES": "real"})
+    for value in ("real", ("real",)):
+        with pytest.raises(ConfigError, match=r"^unknown config key 'output\.figures'$"):
+            load_run_config(overrides={"output.figures": value})
+        with pytest.raises(ConfigError, match=r"^unknown config key 'output\.figures'$"):
+            build_run_config({"output.figures": value})
 
 
 def test_default_config_builds():
@@ -108,8 +145,6 @@ def test_semantic_validation():
         build_run_config({"pipeline.scans": "0"})
     with pytest.raises(ConfigError, match="unknown config key 'propagation.kernel'"):
         build_run_config({"propagation.kernel": "unitary"})
-    with pytest.raises(ConfigError, match="figures"):
-        build_run_config({"output.figures": "magnitude,sparkle"})
     with pytest.raises(ConfigError, match="wavelength"):
         build_run_config({"units.wavelength": "-1"})
     with pytest.raises(ConfigError, match="wavelength"):

@@ -677,14 +677,42 @@ def test_outputs_get_the_umask_mode(tmp_path, umask, mode):
         assert os.stat(tmp_path / name).st_mode & 0o777 == mode, name
 
 
-def test_failed_write_leaves_no_temporary(tmp_path):
-    def chunks():
-        yield b"first\n"
-        raise RuntimeError("disk gone")
+def _failing_chunks():
+    yield b"first\n"
+    raise RuntimeError("disk gone")
 
+
+def test_failed_write_leaves_no_temporary(tmp_path):
     with pytest.raises(RuntimeError, match="disk gone"):
-        fileio.atomic_write_text(str(tmp_path / "t.txt"), chunks())
+        fileio.atomic_write_text(str(tmp_path / "t.txt"), _failing_chunks())
     assert os.listdir(tmp_path) == []
+
+
+def test_failed_write_removes_only_the_directories_it_made(tmp_path, monkeypatch):
+    """At the parent a refused write left the directories it had made."""
+    with pytest.raises(RuntimeError, match="disk gone"):
+        fileio.atomic_write_text(str(tmp_path / "a" / "b" / "c" / "t.txt"), _failing_chunks())
+    assert os.listdir(tmp_path) == []
+
+    # an empty directory that was there stays, and so does what a write filled
+    (tmp_path / "empty").mkdir()
+    with pytest.raises(RuntimeError, match="disk gone"):
+        fileio.atomic_write_text(str(tmp_path / "empty" / "new" / "t.txt"), _failing_chunks())
+    assert sorted(os.listdir(tmp_path)) == ["empty"] and os.listdir(tmp_path / "empty") == []
+    fileio.atomic_write_text(str(tmp_path / "kept" / "one.txt"), [b"one\n"])
+    with pytest.raises(RuntimeError, match="disk gone"):
+        fileio.atomic_write_text(str(tmp_path / "kept" / "two.txt"), _failing_chunks())
+    assert os.listdir(tmp_path / "kept") == ["one.txt"]
+
+    # a failed twin write into a fresh twin directory removes that directory
+    def no_space(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(np, "save", no_space)
+    path = tmp_path / "fresh" / "m.txt"
+    with pytest.raises(OSError, match="No space"):
+        write_matrix(str(path), _sample_matrix(), _META)
+    assert os.listdir(path.parent) == ["m.txt"]
 
 
 # -- binary twins: taken only when they match the text's SHA-256
