@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import diracsim
 from diracsim.cli import main
 from diracsim.config import (DEFAULTS, apply_env_overrides, build_run_config,
                              load_run_config, parse_config_file, propagated_name)
@@ -23,9 +28,20 @@ def test_the_config_keys_are_pinned():
     assert set(DEFAULTS) == KEYS
 
 
-def test_the_retired_figures_key_is_refused_on_every_route(tmp_path, capsys):
-    """``output.figures`` chose the tables ``figures`` wrote; it now always
-    writes all four, and the key is refused as any unknown key is."""
+def test_importing_the_config_loads_no_file_writer():
+    """``output.figures`` was ``config``'s only use of ``fileio``."""
+    code = "import sys, diracsim.config; print('diracsim.fileio' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(diracsim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert run.stdout.split() == ["False"]
+
+
+# ``output.figures`` chose the tables ``figures`` wrote; it now always writes
+# all four, and the key is refused as any unknown key is.
+
+def test_the_retired_figures_key_in_a_file_exits_2_without_output(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text("output.figures = real\n")
     out = tmp_path / "out"
@@ -35,13 +51,27 @@ def test_the_retired_figures_key_is_refused_on_every_route(tmp_path, capsys):
     assert captured.err == (f"diracsim: config error: {path}:1: "
                             "unknown config key 'output.figures'\n")
     assert not out.exists()
+
+
+def test_the_retired_figures_variable_exits_2_without_output(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DIRACSIM_OUTPUT_FIGURES", "real")
+    out = tmp_path / "out"
+    assert main(["figures", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'DIRACSIM_OUTPUT_FIGURES'" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not out.exists()
     with pytest.raises(ConfigError, match="'DIRACSIM_OUTPUT_FIGURES'"):
         load_run_config(environ={"DIRACSIM_OUTPUT_FIGURES": "real"})
-    for value in ("real", ("real",)):
-        with pytest.raises(ConfigError, match=r"^unknown config key 'output\.figures'$"):
-            load_run_config(overrides={"output.figures": value})
-        with pytest.raises(ConfigError, match=r"^unknown config key 'output\.figures'$"):
-            build_run_config({"output.figures": value})
+
+
+@pytest.mark.parametrize("value", ["real", ("real",)])
+def test_the_retired_figures_key_is_refused_by_the_library(value):
+    with pytest.raises(ConfigError, match=r"^unknown config key 'output\.figures'$"):
+        load_run_config(overrides={"output.figures": value})
+    with pytest.raises(ConfigError, match=r"^unknown config key 'output\.figures'$"):
+        build_run_config({"output.figures": value})
 
 
 def test_default_config_builds():

@@ -688,23 +688,28 @@ def test_failed_write_leaves_no_temporary(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
-def test_failed_write_removes_only_the_directories_it_made(tmp_path, monkeypatch):
+def test_failed_write_removes_the_missing_parents_it_made(tmp_path):
     """At the parent a refused write left the directories it had made."""
     with pytest.raises(RuntimeError, match="disk gone"):
         fileio.atomic_write_text(str(tmp_path / "a" / "b" / "c" / "t.txt"), _failing_chunks())
     assert os.listdir(tmp_path) == []
 
-    # an empty directory that was there stays, and so does what a write filled
+
+def test_failed_write_keeps_the_directories_that_were_there(tmp_path):
     (tmp_path / "empty").mkdir()
     with pytest.raises(RuntimeError, match="disk gone"):
         fileio.atomic_write_text(str(tmp_path / "empty" / "new" / "t.txt"), _failing_chunks())
     assert sorted(os.listdir(tmp_path)) == ["empty"] and os.listdir(tmp_path / "empty") == []
+
+
+def test_failed_write_keeps_a_directory_another_write_filled(tmp_path):
     fileio.atomic_write_text(str(tmp_path / "kept" / "one.txt"), [b"one\n"])
     with pytest.raises(RuntimeError, match="disk gone"):
         fileio.atomic_write_text(str(tmp_path / "kept" / "two.txt"), _failing_chunks())
     assert os.listdir(tmp_path / "kept") == ["one.txt"]
 
-    # a failed twin write into a fresh twin directory removes that directory
+
+def test_failed_twin_write_removes_the_fresh_twin_directory(tmp_path, monkeypatch):
     def no_space(*args, **kwargs):
         raise OSError(28, "No space left on device")
 
