@@ -23,7 +23,6 @@ import numpy as np
 from . import bayesprop, dirac, fileio, qstate, weaksim
 from .config import RunConfig, load_run_config, propagated_name
 from .errors import ConfigError, DiracsimError, FormatError, NumericalIntegrityError
-from .qstate import DensityMatrix
 from .dirac import DiracDistribution
 
 EXIT_OK = 0
@@ -77,15 +76,21 @@ def _load(args) -> RunConfig:
     return load_run_config(args.config, overrides)
 
 
+def _finite(name: str, what: str, a):
+    """``a``, or a NumericalIntegrityError naming the file ``name`` that was
+    not written because ``a``, its ``what``, holds nan or inf."""
+    if not np.isfinite(a).all():
+        raise NumericalIntegrityError(f"{name} not written: the {what} holds nan or inf")
+    return a
+
+
 def _emit(cfg: RunConfig, name: str, arr, kind: str, grid, **extra) -> None:
     """Write ``arr`` to ``<out>/<name>`` with the headers ``kind``, the grid's
     keys and then ``extra`` in call order, and print the path.  An array
-    holding nan or inf is a NumericalIntegrityError, raised before anything
-    is written."""
+    holding nan or inf is refused before anything is written."""
     path = os.path.join(cfg.out_dir, name)
-    if not np.isfinite(arr).all():
-        raise NumericalIntegrityError(f"{name} not written: the matrix holds nan or inf")
-    fileio.write_matrix(path, arr, {"kind": kind, **fileio.grid_meta(grid), **extra})
+    fileio.write_matrix(path, _finite(name, "matrix", arr),
+                        {"kind": kind, **fileio.grid_meta(grid), **extra})
     print(path)
 
 
@@ -103,7 +108,7 @@ def _read_on_grid(path: str, kind: str | None = None):
     return arr, meta, grid
 
 
-def _read_state(path: str) -> DensityMatrix:
+def _read_state(path: str) -> qstate.DensityMatrix:
     arr, _, grid = _read_on_grid(path, "density")
     return qstate._checked_state(grid, arr)
 
@@ -226,17 +231,6 @@ def _figure_axes(meta, grid):
     return grid.momenta, "p"
 
 
-def _finite_entry(name: str, entry):
-    """``entry`` for a table written to ``name``, refusing each block of the
-    table that holds nan or inf, as ``_emit`` refuses a matrix."""
-    def checked(block):
-        table = entry(block)
-        if not np.isfinite(table).all():
-            raise NumericalIntegrityError(f"{name} not written: the table holds nan or inf")
-        return table
-    return checked
-
-
 def cmd_figures(cfg: RunConfig, path: str) -> int:
     arr, meta, grid = _read_on_grid(path)
     cols, col_label = _figure_axes(meta, grid)
@@ -244,8 +238,8 @@ def cmd_figures(cfg: RunConfig, path: str) -> int:
     for kind, entry in fileio.FIGURE_ENTRIES.items():
         name = f"fig_{stem}_{kind}.csv"
         out = os.path.join(cfg.out_dir, name)
-        fileio._write_table(out, f"x\\{col_label}", cols, grid.coords, arr,
-                            _finite_entry(name, entry))
+        fileio._write_table(out, f"x\\{col_label}", cols, grid.coords, arr,  # refused per block
+                            lambda a, name=name, entry=entry: _finite(name, "table", entry(a)))
         print(out)
     return EXIT_OK
 
