@@ -59,13 +59,17 @@ each other twin in that directory is deleted if it is of the same file name
 or its text file is gone, a twin named by the text's digest alone (an
 earlier format, never read) included.  ``read_matrix`` checks the header as
 always, hashes the whole file in 1 MiB chunks, and uses the twin whose name
-carries that digest only if it loads without pickle as a row-major
-complex128 array of the header's shape whose bytes hash to the second digest
-in its name.  Anything else (no twin, an edited text, a twin truncated,
-overwritten, given a NaN or a flipped bit, or copied from another file)
-parses the text as before, so values, messages and exit codes do not depend
-on the twin.  A
-twin is never trusted without both digest checks, the directory is safe to
+carries that digest only if it is a regular file that holds, after an
+``.npy`` header read without pickle, exactly a row-major complex128 array of
+the header's shape whose bytes hash to the second digest in its name.  The
+twin is opened with ``O_NONBLOCK`` (a FIFO never blocks the read) and
+checked with ``fstat`` on that descriptor, and its size is checked against
+the declared shape before the array is read, so a read never allocates more
+than the twin holds.  Anything else (no twin, an edited text, a twin
+truncated, overwritten, given a NaN, a flipped bit or a huge declared shape,
+copied from another file, or not a regular file) parses the text as before,
+so values, messages and exit codes do not depend on the twin.  A twin is
+never trusted without both digest checks, the directory is safe to
 delete, and a twin costs 16 B per entry against about 53 B of text (+30 %),
 plus one hash of those 16 B on each write and read.  Counts files and the
 ``figures`` tables get no twin.  ``hashlib`` is imported inside the two
@@ -78,6 +82,7 @@ import contextlib
 import math
 import os
 import re
+import stat
 import warnings
 from dataclasses import asdict, fields
 from functools import lru_cache
@@ -402,9 +407,12 @@ def read_matrix(path: str):
 
 def _load_twin(path: str, raw, rows: int, cols: int):
     """The twin of ``path`` named by the SHA-256 of every byte of ``raw`` (the
-    file's binary handle), or None unless that twin loads without pickle as a
+    file's binary handle), or None unless that twin is a regular file that
+    holds, after an ``.npy`` header without pickle, exactly a row-major
     complex128 array of shape (rows, cols) whose bytes have the SHA-256 that
-    its name carries."""
+    its name carries.  The file is checked on the open descriptor, and its
+    size before its array is read, so a read allocates no more than the twin
+    holds."""
     import hashlib
 
     digest = hashlib.sha256()
@@ -414,13 +422,19 @@ def _load_twin(path: str, raw, rows: int, cols: int):
     cache, own = _twin_dir(path)
     for twin in map(_TWIN_NAME.fullmatch, os.listdir(cache) if os.path.isdir(cache) else ()):
         if twin and twin.group(1, 2) == (own, digest.hexdigest()):
-            try:
-                arr = np.load(os.path.join(cache, twin[0]), allow_pickle=False)
+            try:  # O_NONBLOCK: opening a FIFO does not wait for a writer
+                with open(os.open(os.path.join(cache, twin[0]), os.O_RDONLY | os.O_NONBLOCK),
+                          "rb") as fh:
+                    info = os.fstat(fh.fileno())
+                    if not (stat.S_ISREG(info.st_mode) and np.lib.format.read_magic(fh) == (1, 0)
+                            and np.lib.format.read_array_header_1_0(fh)
+                            == ((rows, cols), False, np.dtype(complex))
+                            and info.st_size - fh.tell() == rows * cols * 16):
+                        return None
+                    arr = np.fromfile(fh, complex, rows * cols).reshape(rows, cols)
             except (OSError, ValueError, EOFError):
                 return None
-            if (isinstance(arr, np.ndarray) and arr.dtype == complex and arr.shape == (rows, cols)
-                    and arr.flags.c_contiguous and hashlib.sha256(arr).hexdigest() == twin[3]):
-                return arr
+            return arr if hashlib.sha256(arr).hexdigest() == twin[3] else None
     return None
 
 

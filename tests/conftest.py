@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import io
 import os
 import shutil
 from pathlib import Path
@@ -69,6 +70,15 @@ def twin_name(path):
             values[int(i), int(j)] = float(re), float(im)
     return (f"{path.name}.{hashlib.sha256(text).hexdigest()}."
             f"{hashlib.sha256(values.tobytes()).hexdigest()}.npy")
+
+
+def huge_twin():
+    """Twin bytes whose ``.npy`` header declares a (200000, 200000) complex128
+    array, 596 GiB, followed by 64 bytes of data."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": "<c16", "fortran_order": False, "shape": (200_000, 200_000)})
+    return buf.getvalue() + bytes(64)
 
 
 def drop_twins(directory):

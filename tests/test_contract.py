@@ -34,7 +34,7 @@ import pytest
 from diracsim import UnitMap, cli, make_grid
 from diracsim.config import DEFAULTS, _env_key
 from diracsim.fileio import grid_meta, read_matrix, write_matrix
-from conftest import TWIN_DIR, drop_twins, twin_name
+from conftest import TWIN_DIR, drop_twins, huge_twin, twin_name
 
 _BASE = {"grid.n": "16", "grid.dx": repr(44e-3 / 16)}
 _VALUES = ["nan", "inf", "-inf", "1e400", "-1", "0", "-0", "1e-320", "1e308", "", "1_0",
@@ -161,6 +161,7 @@ def _twin_damages(chain_out, name):
         "another shape": shaped.getvalue(),
         "another file's twin": (chain_out / TWIN_DIR / twin_name(chain_out / other)).read_bytes(),
         "one bit flipped": bytes(flipped),
+        "huge declared shape": huge_twin(),
     }
 
 

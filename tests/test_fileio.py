@@ -1,11 +1,15 @@
+import collections
 import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import diracsim
 from diracsim import _format17, fileio, make_grid, UnitMap
 from diracsim.cli import main
 from diracsim.errors import ContractError, FormatError
@@ -13,7 +17,7 @@ from diracsim.fileio import grid_from_meta, grid_meta, read_matrix, write_counts
 from diracsim.weaksim import READOUT_KEYS
 
 from conftest import (TWIN_DIR, count_text_parses, counts_file_oracle, drop_twins,
-                      figure_csv_oracle, load_counts, matrix_file_oracle, twin_name)
+                      figure_csv_oracle, huge_twin, load_counts, matrix_file_oracle, twin_name)
 
 
 def _sample_matrix():
@@ -802,6 +806,7 @@ _BAD_TWINS = {
     "transposed-shape": lambda arr: _npy(np.ascontiguousarray(arr.T)),
     "flat": lambda arr: _npy(arr.reshape(-1)),
     "extra-row": lambda arr: _npy(np.vstack([arr, arr[:1]])),
+    "huge-declared-shape": lambda arr: huge_twin(),
     "nan": lambda arr: _npy(np.where(np.arange(arr.size).reshape(arr.shape) == 7, np.nan, arr)),
     "inf-imag": lambda arr: _npy(arr + np.where(np.arange(arr.size).reshape(arr.shape) == 3,
                                                 1j * np.inf, 0)),
@@ -827,6 +832,27 @@ def test_a_bad_twin_is_ignored(tmp_path, monkeypatch, kind):
     back, _ = read_matrix(str(path))
     assert len(parses) == 1
     assert back.tobytes() == arr.tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_a_fifo_under_a_twin_name_gives_way_to_the_text(tmp_path):
+    """A FIFO with no writer under a twin's name is not waited on: the text is
+    read.  The read runs in a child process with a timeout, so a read that
+    waits fails the test instead of hanging it."""
+    path = tmp_path / "m.txt"
+    arr = _sample_matrix()
+    write_matrix(str(path), arr, _META)
+    twin = tmp_path / TWIN_DIR / twin_name(path)
+    twin.unlink()
+    os.mkfifo(twin)
+    code = ("import sys; from diracsim.fileio import read_matrix; "
+            "sys.stdout.buffer.write(read_matrix(sys.argv[1])[0].tobytes())")
+    src = os.path.dirname(os.path.dirname(diracsim.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code, str(path)], env=env, capture_output=True,
+                         timeout=30, check=True)
+    assert run.stdout == arr.tobytes()
 
 
 _WRITERS = {
