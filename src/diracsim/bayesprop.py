@@ -324,9 +324,7 @@ def bayes_propagate(dist: DiracDistribution, kernel: PropagatorKernel) -> Propag
             for lo, hi in grid.row_blocks():
                 rows = np.fft.fft(dist.d[lo:hi], axis=1)
                 rows *= skewed[lo:hi]
-                rows = np.fft.ifft(rows, axis=1)
-                rows *= v[lo:hi, None]
-                e[lo:hi] = rows
+                np.multiply(np.fft.ifft(rows, axis=1), v[lo:hi, None], out=e[lo:hi])
     else:
         row, t = kernel.row, grid._signs
         # row kp of W is [row[n-1], ..., row[1], row[0], ..., row[n-1]] read from n - 1 - kp

@@ -90,9 +90,9 @@ def operator_dirac(grid: Grid, op: np.ndarray) -> DiracDistribution:
     t = grid._signs
     d = np.empty(op.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is left inf or nan
-        for lo, hi in grid.row_blocks():  # t_j op[m, j] at (m, s), transformed over s
-            d[lo:hi] = np.fft.ifft(grid.skew(op[lo:hi] * t, lo), axis=1)
-        d *= t[:, None]
+        for lo, hi in grid.row_blocks():  # t_j op[m, j] at (m, s), transformed over s, times t_m
+            np.multiply(np.fft.ifft(grid.skew(op[lo:hi] * t, lo), axis=1), t[lo:hi, None],
+                        out=d[lo:hi])
     d.setflags(write=False)
     return DiracDistribution(grid=grid, d=d)
 
@@ -194,7 +194,7 @@ def reconstruct_density(dist: DiracDistribution) -> DensityMatrix:
         for lo, hi in grid.row_blocks():
             np.multiply(grid.unskew(np.fft.fft(dist.d[lo:hi], axis=1), lo), t[lo:hi, None],
                         out=rho[lo:hi])
-        rho *= t
+            rho[lo:hi] *= t
     rho.setflags(write=False)
     return DensityMatrix(grid=grid, rho=rho)
 

@@ -994,7 +994,9 @@ def _traced_peak(fn, *args):
 
 def test_writers_memory_stays_under_a_megabyte(tmp_path, monkeypatch):
     """The writers render fixed-size blocks: at n = 512 neither a matrix file
-    nor a figure table holds more than 1 MB in formatting at once."""
+    nor a figure table holds more than 1 MB in formatting at once, and at
+    n = 2048, where a block of either is one row, a 2-row slice through them
+    stays under it too."""
     n = 512
     rng = np.random.default_rng(7)
     arr = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -1008,3 +1010,10 @@ def test_writers_memory_stays_under_a_megabyte(tmp_path, monkeypatch):
                         lambda *args: peaks.append(_traced_peak(write_table, *args)))
     assert main(["figures", "--input", in_path, "--out", str(tmp_path / "out")]) == 0
     assert len(peaks) == 4 and max(peaks) <= 2 ** 20, peaks
+
+    n = 2048
+    rows = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    body = _traced_peak(collections.deque, fileio._matrix_body(rows), 0)  # drops each block
+    table = _traced_peak(write_table, str(tmp_path / "t.csv"), "x\\p",
+                         np.linspace(-1.0, 1.0, n), np.arange(2.0), rows, np.abs)
+    assert max(body, table) <= 2 ** 20, (body, table)
