@@ -132,9 +132,8 @@ def cmd_exact(cfg: RunConfig, path: str) -> int:
 
 
 def cmd_measure(cfg: RunConfig, path: str) -> int:
-    """Run ``cfg.scans`` scans through :func:`.weaksim.scan_blocks`, adding
-    each block's estimate rows into the scans' mean and writing the first
-    scan's counts files as its blocks come."""
+    """Run ``cfg.scans`` scans through :func:`.weaksim.mean_estimate`, writing
+    the first scan's counts files as its blocks come."""
     state = _read_state(path)
     grid, n = state.grid, state.grid.n
     phi, budget = cfg.bench.phi, cfg.bench.photon_budget
@@ -142,19 +141,16 @@ def cmd_measure(cfg: RunConfig, path: str) -> int:
     # per scan, the seed of each sliver's shot noise
     scan_seeds = [weaksim.sliver_seeds(weaksim.derived_seed(cfg.seed, 10_000_000 + rep), n)
                   for rep in range(cfg.scans)] if cfg.noise else [None]
-    counts_dir = os.path.join(cfg.out_dir, "counts")
-    raw = np.zeros((n, n), dtype=complex)  # the scans' summed estimates, then their mean
-    for lo, rep, counts, rows in weaksim.scan_blocks(readout, scan_seeds):
-        raw[lo:lo + len(rows)] += rows
-        if rep == 0:
-            for m in range(lo, lo + len(rows)):
-                fileio.write_counts(os.path.join(counts_dir, f"sliver_{m:04d}.txt"),
-                                    counts[:, m - lo], {
-                    "sliver_lo": m, "sliver_hi": m + 1, "phi": phi, "photon_budget": budget,
-                    "seed": "none" if scan_seeds[0] is None else scan_seeds[0][m],
-                })
-    raw /= len(scan_seeds)
-    offset = readout.off  # the column of backaction_offset(state, phi)
+
+    def write_counts(lo, counts):
+        for m in range(lo, lo + counts.shape[1]):
+            fileio.write_counts(os.path.join(cfg.out_dir, "counts", f"sliver_{m:04d}.txt"),
+                                counts[:, m - lo], {
+                "sliver_lo": m, "sliver_hi": m + 1, "phi": phi, "photon_budget": budget,
+                "seed": "none" if scan_seeds[0] is None else scan_seeds[0][m],
+            })
+
+    raw, offset = weaksim.mean_estimate(readout, scan_seeds, write_counts)
     # free rho and W before the reconstruction, which holds four n x n arrays
     del state, readout
 
@@ -179,23 +175,31 @@ def cmd_reconstruct(cfg: RunConfig, path: str) -> int:
     return EXIT_OK
 
 
+def propagate(dist: DiracDistribution, dz_list):
+    """Yield ``dist`` Bayes-propagated through the chirp kernel to each camera
+    plane of ``dz_list`` in turn, one :class:`.PropagatedDistribution` at a
+    time: a caller that drops each before asking for the next holds one."""
+    grid = dist.grid
+    for dz in dz_list:
+        kernel = bayesprop.build_kernel_unitary(grid, bayesprop.fresnel_unitary(grid, dz), dz)
+        yield bayesprop.bayes_propagate(dist, kernel)
+
+
 def cmd_propagate(cfg: RunConfig, path: str) -> int:
     dist = _read_dirac(path)
-    grid = dist.grid
-    if grid.unit_map is None:
+    if dist.grid.unit_map is None:
         raise FormatError(f"{path}: propagate needs the wavelength, focal_length and "
                           "magnification headers")
-    for dz in cfg.dz_list:
-        kernel = bayesprop.build_kernel_unitary(grid, bayesprop.fresnel_unitary(grid, dz), dz)
-        prop = bayesprop.bayes_propagate(dist, kernel)
-        _emit(cfg, propagated_name(dz), prop.e, "propagated", grid, dz=dz, kernel=kernel.kind)
-        # free this output before the next one is computed
-        del prop
+    for prop in propagate(dist, cfg.dz_list):
+        _emit(cfg, propagated_name(prop.dz), prop.e, "propagated", dist.grid, dz=prop.dz,
+              kernel=prop.kind)
+        del prop  # free this output before the next one is computed
     return EXIT_OK
 
 
-def cmd_props(cfg: RunConfig, path: str) -> int:
-    dist = _read_dirac(path)
+def props(dist: DiracDistribution) -> list[str]:
+    """The property report of ``dist``, one ``PASS`` or ``FAIL`` line per
+    check: normalization, the two marginals and the purity bounds."""
     n = dist.grid.n
     lines = []
 
@@ -214,8 +218,11 @@ def cmd_props(cfg: RunConfig, path: str) -> int:
     mu = dirac.purity(dist)
     check("purity", f"{mu:.12g}", 1.0 / n - tol <= mu <= 1.0 + tol,
           f" (bounds [{1.0 / n:.6g}, 1])")
+    return lines
 
-    report = "\n".join(lines) + "\n"
+
+def cmd_props(cfg: RunConfig, path: str) -> int:
+    report = "\n".join(props(_read_dirac(path))) + "\n"
     fileio.atomic_write_text(os.path.join(cfg.out_dir, "props.txt"), [report.encode()])
     sys.stdout.write(report)
     return EXIT_OK
@@ -231,15 +238,21 @@ def _figure_axes(meta, grid):
     return grid.momenta, "p"
 
 
+def figures(stem: str):
+    """Yield the name of each figure table of the matrix file named ``stem``
+    with its block entry: the :data:`.FIGURE_ENTRIES` function, which refuses
+    a block of the table that holds nan or inf."""
+    for kind, entry in fileio.FIGURE_ENTRIES.items():
+        name = f"fig_{stem}_{kind}.csv"
+        yield name, lambda a, name=name, entry=entry: _finite(name, "table", entry(a))
+
+
 def cmd_figures(cfg: RunConfig, path: str) -> int:
     arr, meta, grid = _read_on_grid(path)
     cols, col_label = _figure_axes(meta, grid)
-    stem = os.path.splitext(os.path.basename(path))[0]
-    for kind, entry in fileio.FIGURE_ENTRIES.items():
-        name = f"fig_{stem}_{kind}.csv"
+    for name, entry in figures(os.path.splitext(os.path.basename(path))[0]):
         out = os.path.join(cfg.out_dir, name)
-        fileio._write_table(out, f"x\\{col_label}", cols, grid.coords, arr,  # refused per block
-                            lambda a, name=name, entry=entry: _finite(name, "table", entry(a)))
+        fileio._write_table(out, f"x\\{col_label}", cols, grid.coords, arr, entry)
         print(out)
     return EXIT_OK
 

@@ -34,12 +34,14 @@ Counts are float arrays ``counts[analyzer, m, k]`` of shape (4, b, n) for a
 block of b slivers, indexed by analyzer (``READOUT_KEYS`` order), sliver and
 momentum bin.  Every scan of a state repeats the same weak measurement, so
 W, its column sums and the offset are computed once (:func:`sliver_readout`),
-and :func:`scan_blocks`, the one loop that :func:`scan` and the ``measure``
-command run, forms the noise-free counts of one of the grid's row blocks of
-slivers at a time (:meth:`.Grid.row_blocks`, about ``lattice.BLOCK``
-numbers each; 64 slivers at n = 256) and redraws only the shot noise per
-scan, each sliver from its own seed.  Each estimate row depends on its own
-sliver alone, so the result is the whole-array one to the last bit.
+and :func:`scan_blocks` forms the noise-free counts of one of the grid's row
+blocks of slivers at a time (:meth:`.Grid.row_blocks`, about
+``lattice.BLOCK`` numbers each; 64 slivers at n = 256) and redraws only the
+shot noise per scan, each sliver from its own seed.  Each estimate row
+depends on its own sliver alone, so the result is the whole-array one to the
+last bit.  :func:`mean_estimate`, the one measurement recipe that
+:func:`scan` and the ``measure`` command call, averages the scans' estimate
+rows as the blocks come and hands the first scan's counts to a sink.
 """
 
 from __future__ import annotations
@@ -273,11 +275,27 @@ def scan_blocks(readout: SliverReadout, scan_seeds: list[list[int] | None]):
             yield lo, rep, counts, estimate_dirac_column(counts, readout.phi, first_sliver=lo)
 
 
+def mean_estimate(readout: SliverReadout, scan_seeds: list[list[int] | None], on_counts=None):
+    """The measurement of ``readout`` over the scans that ``scan_seeds``
+    lists (as :func:`scan_blocks` takes them): the scans' mean uncorrected
+    estimate and the (n, 1) back-action offset column, whose sum is the
+    corrected distribution.  Each block of the first scan's counts is handed
+    to ``on_counts(lo, counts)`` as it is drawn, if a sink is given, so no
+    more than one block of counts is held.
+    """
+    est = np.zeros(readout.w.shape, dtype=complex)
+    for lo, rep, counts, rows in scan_blocks(readout, scan_seeds):
+        est[lo:lo + len(rows)] += rows
+        if rep == 0 and on_counts is not None:
+            on_counts(lo, counts)
+    return np.divide(est, len(scan_seeds), out=est), readout.off
+
+
 def scan(rho: DensityMatrix, cfg: BenchConfig, *,
          noise: bool = False, seed: int | None = None,
          correct: bool = True) -> DiracDistribution:
     """Step a single-site sliver across the lattice and assemble the measured
-    distribution, through :func:`scan_blocks`.
+    distribution: one scan of :func:`mean_estimate`.
 
     With noise enabled, sliver m draws from ``sliver_seeds(seed, n)[m]``, so
     the output does not depend on execution order.  With analytic counts and
@@ -287,12 +305,9 @@ def scan(rho: DensityMatrix, cfg: BenchConfig, *,
     if noise and seed is None:
         raise ConfigError("a seed is required for a noisy scan")
     readout = sliver_readout(rho, cfg.phi, cfg.photon_budget)
-    est = np.empty(readout.w.shape, dtype=complex)
-    seeds = sliver_seeds(seed, rho.grid.n) if noise else None
-    for lo, _, _, rows in scan_blocks(readout, [seeds]):
-        est[lo:lo + len(rows)] = rows
+    est, off = mean_estimate(readout, [sliver_seeds(seed, rho.grid.n) if noise else None])
     if correct:
-        est += readout.off
+        est += off
     est.setflags(write=False)
     return DiracDistribution(grid=rho.grid, d=est)
 

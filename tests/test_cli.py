@@ -242,6 +242,53 @@ def test_measure_and_scan_run_the_same_experiment(tmp_path):
     assert np.array_equal(measured, want.d)
 
 
+def test_each_stage_function_gives_what_its_command_writes(tmp_path, capsys):
+    """The stage functions, called on objects, give the arrays that their
+    commands write (bit for bit through ``read_matrix``) and the report lines
+    of props.txt: ``weaksim.mean_estimate`` (at n = 130, two row blocks, 2
+    noisy scans), ``cli.propagate`` over two planes, ``cli.props`` and the
+    entries of ``cli.figures``."""
+    cfg_path = _scan_config(tmp_path, 130, "pipeline.scans = 2\npropagation.dz = 0.084, 0.16\n")
+    out = tmp_path / "out"
+    for stage in ("gen-state", "exact", "measure", "propagate", "props", "figures"):
+        assert _run(stage, "--config", cfg_path, "--out", str(out)) == 0
+    cfg = load_run_config(cfg_path)
+    arr, meta = read_matrix(str(out / "state.txt"))
+    state = DensityMatrix(grid=grid_from_meta(meta, "state.txt"), rho=arr)
+    arr, meta = read_matrix(str(out / "dirac_exact.txt"))
+    dist = dirac.DiracDistribution(grid=grid_from_meta(meta, "dirac_exact.txt"), d=arr)
+
+    readout = weaksim.sliver_readout(state, cfg.bench.phi, cfg.bench.photon_budget)
+    seeds = [weaksim.sliver_seeds(weaksim.derived_seed(cfg.seed, 10_000_000 + rep), 130)
+             for rep in range(2)]
+    firsts = []
+    raw, offset = weaksim.mean_estimate(readout, seeds,
+                                        lambda lo, counts: firsts.append((lo, counts.copy())))
+    assert [lo for lo, _ in firsts] == [lo for lo, _ in state.grid.row_blocks()]
+    for lo, counts in firsts:
+        for m in range(lo, lo + counts.shape[1]):
+            written, _ = load_counts(out / "counts" / f"sliver_{m:04d}.txt")
+            assert np.array_equal(written, counts[:, m - lo])
+    assert read_matrix(str(out / "dirac_measured.txt"))[0].tobytes() == (raw + offset).tobytes()
+
+    planes = []
+    for prop in cli.propagate(dist, cfg.dz_list):
+        planes.append(prop.dz)
+        written, meta = read_matrix(str(out / f"propagated_dz{prop.dz:g}.txt"))
+        assert written.tobytes() == prop.e.tobytes() and meta["kernel"] == prop.kind
+    assert planes == [0.084, 0.16]
+
+    assert cli.props(dist) == (out / "props.txt").read_text().splitlines()
+
+    names = []
+    for name, entry in cli.figures("dirac_exact"):
+        names.append(name)
+        table = np.loadtxt(out / name, delimiter=",", skiprows=1)[:, 1:]
+        assert table.tobytes() == entry(dist.d).tobytes()
+    assert names == [f"fig_dirac_exact_{kind}.csv" for kind in ("magnitude", "phase", "real",
+                                                                "imag")]
+
+
 def test_measure_holds_one_block_of_counts(tmp_path):
     """At n = 256 with 3 noisy scans, measure's traced peak stays under
     10 MiB.  A whole-scan measure holds the (4, n, n) expected counts, a
