@@ -102,7 +102,11 @@ def _coerce(key: str, raw, default):
         if isinstance(default, float):
             return float(raw.strip())
         if isinstance(default, tuple):
-            return tuple(float(s) for s in map(str.strip, raw.split(",")) if s)
+            items = [s.strip() for s in raw.split(",")]
+            if any(items) and not all(items):  # a list of no value at all is refused later
+                raise ConfigError(f"{key}: {raw!r} has an empty item; give a value "
+                                  "between every two commas")
+            return tuple(float(s) for s in items if s)
         return raw.strip()
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse {raw!r} ({exc})") from exc

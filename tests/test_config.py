@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -227,6 +228,29 @@ def test_an_empty_list_is_refused_on_every_route(tmp_path, key, env):
     for value in ((), []):
         with pytest.raises(ConfigError, match=message):
             build_run_config({key: value})
+
+
+@pytest.mark.parametrize("route", ["file", "environment", "override"])
+def test_an_empty_item_in_a_list_is_refused_on_every_route(tmp_path, capsys, route):
+    """At the parent an empty item was dropped without a word: ``0.084,,0.16``
+    gave two planes, so ``propagate`` wrote fewer files than were listed."""
+    path = tmp_path / "run.cfg"
+    for raw in ("0.084,,0.16", "0.084,", ", 0.1"):
+        message = rf"^propagation\.dz: {re.escape(repr(raw))} has an empty item"
+        path.write_text(f"propagation.dz = {raw}\n")
+        with pytest.raises(ConfigError, match=message):
+            if route == "file":
+                load_run_config(str(path))
+            elif route == "environment":
+                load_run_config(environ={"DIRACSIM_PROPAGATION_DZ": raw})
+            else:
+                load_run_config(overrides={"propagation.dz": raw})
+        if route == "file":
+            out = tmp_path / "out"
+            assert main(["propagate", "--config", str(path), "--out", str(out)]) == 2
+            assert re.fullmatch(f"diracsim: config error: {message[1:]}.*\n",
+                                capsys.readouterr().err)
+            assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["", "a\0b"])
