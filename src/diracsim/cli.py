@@ -8,7 +8,10 @@ codes: 0 success, 2 configuration error or unknown flag, 3 runtime or data
 error or out of memory.  Each output file is written atomically, so no file
 is left half written; a multi-file command that fails keeps the files it
 already wrote.  No stage writes a matrix or a figure table that holds nan
-or inf: it exits 3 instead, naming the file.
+or inf: it exits 3 instead, naming the file.  Each handler reads its input,
+makes one call on objects and writes: a library function where one is the
+stage, else :func:`propagate`, :func:`props` or :func:`figures` here, which
+open no file.
 """
 
 from __future__ import annotations
