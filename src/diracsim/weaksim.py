@@ -22,7 +22,7 @@ the estimator constants in closed form, c_re = c_im = 1/2 and
 sign_circ = -1, which :func:`estimate_dirac_column` applies directly, so no
 constant is fitted.  :func:`calibrate_estimator` checks their closure
 against the exact trace formula, once per process through
-:func:`default_calibration`, at the start of :func:`scan_blocks`.  W is
+:func:`default_calibration`, at the start of :func:`mean_estimate`.  W is
 taken from :func:`.operator_dirac` in the position-difference domain (see
 :mod:`.dirac`), with no n x n U and no n^3 product.  A camera displaced past
 the Fourier-transform plane needs no other readout: its pixels are the
@@ -33,15 +33,15 @@ with the coupling, so it reads out V rho V^dag in the momentum basis (see
 Counts are float arrays ``counts[analyzer, m, k]`` of shape (4, b, n) for a
 block of b slivers, indexed by analyzer (``READOUT_KEYS`` order), sliver and
 momentum bin.  Every scan of a state repeats the same weak measurement, so
-W, its column sums and the offset are computed once (:func:`sliver_readout`),
-and :func:`scan_blocks` forms the noise-free counts of one of the grid's row
-blocks of slivers at a time (:meth:`.Grid.row_blocks`, about
-``lattice.BLOCK`` numbers each; 64 slivers at n = 256) and redraws only the
-shot noise per scan, each sliver from its own seed.  Each estimate row
-depends on its own sliver alone, so the result is the whole-array one to the
-last bit.  :func:`mean_estimate`, the one measurement recipe that
-:func:`scan` and the ``measure`` command call, averages the scans' estimate
-rows as the blocks come and hands the first scan's counts to a sink.
+W, its column sums and the offset are computed once (:func:`sliver_readout`).
+:func:`mean_estimate`, the one measurement recipe that :func:`scan` and the
+``measure`` command call, forms the noise-free counts of one of the grid's
+row blocks of slivers at a time (:meth:`.Grid.row_blocks`, about
+``lattice.BLOCK`` numbers each; 64 slivers at n = 256), redraws only the
+shot noise per scan, each sliver from its own seed, averages the scans'
+estimate rows as the blocks come and hands the first scan's counts to a
+sink.  Each estimate row depends on its own sliver alone, so the result is
+the whole-array one to the last bit.
 """
 
 from __future__ import annotations
@@ -205,7 +205,7 @@ def estimate_dirac_column(counts: np.ndarray, phi: float, *,
     the first such sliver, counting the first row of ``counts`` as sliver
     ``first_sliver``.  The constants are the closed-form
     c_re = c_im = 1/2 and sign_circ = -1 (module docstring), which give
-    W - O for noise-free counts; :func:`scan_blocks` checks their closure
+    W - O for noise-free counts; :func:`mean_estimate` checks their closure
     once per process.
     """
     if not 0.0 < phi <= 0.5 * np.pi:
@@ -251,17 +251,24 @@ def backaction_offset(rho: DensityMatrix, phi: float) -> np.ndarray:
     return (1.0 - np.cos(phi)) * rho.rho.diagonal().real[:, None] / rho.grid.n
 
 
-def scan_blocks(readout: SliverReadout, scan_seeds: list[list[int] | None]):
-    """Run scans of ``readout`` one row block of slivers at a time
-    (:meth:`.Grid.row_blocks`), yielding ``(lo, rep, counts, rows)`` for each
-    block of slivers from ``lo`` and, in it, each scan ``rep``: the (4, b, n)
-    counts and the (b, n) uncorrected estimate rows.  ``scan_seeds[rep]``
-    lists scan rep's per-sliver seeds, or is None for a noise-free scan,
-    whose counts are the expected ones.  If any scan is noisy, every
-    sliver's means pass :func:`sample_counts`' checks before the first draw,
-    a block at a time with only its extremes kept.  The estimator's closure
-    check (:func:`default_calibration`) runs first, once per process.
+def mean_estimate(readout: SliverReadout, scan_seeds: list[list[int] | None], on_counts=None):
+    """The measurement of ``readout`` over the scans that ``scan_seeds``
+    lists: the scans' mean uncorrected estimate and the (n, 1) back-action
+    offset column, whose sum is the corrected distribution.
+    ``scan_seeds[rep]`` lists scan rep's per-sliver seeds, or is None for a
+    noise-free scan, whose counts are the expected ones.
+
+    The estimator's closure check (:func:`default_calibration`) runs first,
+    once per process.  If any scan is noisy, every sliver's means then pass
+    :func:`sample_counts`' checks before the first draw, a block at a time
+    with only its extremes kept.  The scans then run one row block of
+    slivers at a time (:meth:`.Grid.row_blocks`): the block's expected
+    counts once, then per scan its draw and its (b, n) estimate rows, added
+    into the mean.  Each block of the first scan's counts is handed to
+    ``on_counts(lo, counts)`` once its rows are estimated, if a sink is
+    given, so no more than one block of counts is held.
     """
+    est = np.zeros(readout.w.shape, dtype=complex)
     default_calibration()
     blocks = readout.grid.row_blocks()
     if any(seeds is not None for seeds in scan_seeds):
@@ -272,22 +279,9 @@ def scan_blocks(readout: SliverReadout, scan_seeds: list[list[int] | None]):
         expected = readout.intensities(lo, hi)
         for rep, seeds in enumerate(scan_seeds):
             counts = expected if seeds is None else sample_counts(expected, seeds[lo:hi])
-            yield lo, rep, counts, estimate_dirac_column(counts, readout.phi, first_sliver=lo)
-
-
-def mean_estimate(readout: SliverReadout, scan_seeds: list[list[int] | None], on_counts=None):
-    """The measurement of ``readout`` over the scans that ``scan_seeds``
-    lists (as :func:`scan_blocks` takes them): the scans' mean uncorrected
-    estimate and the (n, 1) back-action offset column, whose sum is the
-    corrected distribution.  Each block of the first scan's counts is handed
-    to ``on_counts(lo, counts)`` as it is drawn, if a sink is given, so no
-    more than one block of counts is held.
-    """
-    est = np.zeros(readout.w.shape, dtype=complex)
-    for lo, rep, counts, rows in scan_blocks(readout, scan_seeds):
-        est[lo:lo + len(rows)] += rows
-        if rep == 0 and on_counts is not None:
-            on_counts(lo, counts)
+            est[lo:hi] += estimate_dirac_column(counts, readout.phi, first_sliver=lo)
+            if rep == 0 and on_counts is not None:
+                on_counts(lo, counts)
     return np.divide(est, len(scan_seeds), out=est), readout.off
 
 
