@@ -181,10 +181,14 @@ def cmd_reconstruct(cfg: RunConfig, path: str) -> int:
 def propagate(dist: DiracDistribution, dz_list):
     """Yield ``dist`` Bayes-propagated through the chirp kernel to each camera
     plane of ``dz_list`` in turn, one :class:`.PropagatedDistribution` at a
-    time: a caller that drops each before asking for the next holds one."""
+    time: a caller that drops each before asking for the next holds one.
+    Every plane's kernel (O(n) numbers) is built before the first plane is
+    propagated, so a dz whose chirp is refused ends the run before any
+    plane is yielded."""
     grid = dist.grid
-    for dz in dz_list:
-        kernel = bayesprop.build_kernel_unitary(grid, bayesprop.fresnel_unitary(grid, dz), dz)
+    kernels = [bayesprop.build_kernel_unitary(grid, bayesprop.fresnel_unitary(grid, dz), dz)
+               for dz in dz_list]
+    for kernel in kernels:
         yield bayesprop.bayes_propagate(dist, kernel)
 
 

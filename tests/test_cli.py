@@ -669,6 +669,25 @@ def test_a_lattice_whose_squared_coordinates_overflow_propagates_at_dz_0(tmp_pat
     assert err == "diracsim: config error: camera displacement dz 0.084: the chirp phase is not finite\n"
 
 
+def test_a_dz_refused_after_a_good_one_writes_no_plane(tmp_path, capsys, monkeypatch):
+    """Every plane's kernel is built before the first plane is propagated, so
+    a dz whose chirp phase overflows exits 2 with no plane written, even when
+    a good dz comes before it.  At the parent propagate wrote
+    propagated_dz0.084.txt and then exited 2."""
+    out = tmp_path / "out"
+    cfg = str(tmp_path / "run.cfg")
+    (tmp_path / "run.cfg").write_text("grid.n = 16\ngrid.dx = 0.00275\n")
+    for stage in ("gen-state", "exact"):
+        assert _run(stage, "--config", cfg, "--out", str(out)) == 0, capsys.readouterr()
+    before = sorted(out.rglob("*"))
+    capsys.readouterr()
+    monkeypatch.setenv("DIRACSIM_PROPAGATION_DZ", "0.084, 1e308")
+    assert _run("propagate", "--config", cfg, "--out", str(out)) == 2
+    assert capsys.readouterr() == ("", "diracsim: config error: camera displacement dz 1e+308: "
+                                       "the chirp phase is not finite\n")
+    assert sorted(out.rglob("*")) == before
+
+
 # the bench phase step + wedge_tilt (x - edge) reaches 8 wedge_tilt at the
 # lattice's first site, so a finite wedge_tilt of 1e308 overflows it
 _PHASE_LATTICE = ("grid.n = 16\ngrid.dx = 1\ngrid.x0 = 0\nbench.aperture_halfwidth = 8\n"

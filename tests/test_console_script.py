@@ -64,6 +64,9 @@ _HUGE_FILES = (("huge0.cfg", _HUGE + "propagation.dz = 0\n"),
                ("huge1.cfg", _HUGE + "propagation.dz = 0.084\n"))
 _HUGE_ARGV = tuple(f"{stage} --config huge0.cfg --out huge"
                    for stage in ("gen-state", "exact", "propagate"))
+# a good dz, then one whose chirp phase overflows: refused before any plane
+_LATE = (("late.cfg", "grid.n = 16\ngrid.dx = 0.00275\npropagation.dz = 0.084, 1e308\n"),)
+_LATE_ARGV = tuple(f"{stage} --config late.cfg --out late" for stage in ("gen-state", "exact"))
 # a finite wedge_tilt whose bench phase overflows the lattice
 _TILT = "grid.n = 16\ngrid.dx = 1\ngrid.x0 = 0\nbench.aperture_halfwidth = 8\n" \
         "bench.edge_position = 0\nbench.wedge_tilt = 1e308\n"
@@ -112,6 +115,8 @@ _CASES = {
                                            present=("huge/propagated_dz0.txt",)),
     "x^2 overflow propagate at dz 0.084": Case("propagate --config huge1.cfg --out huge",
                                                _HUGE_FILES, _HUGE_ARGV, code=2, writes=False),
+    "dz of 1e308 after a good dz": Case("propagate --config late.cfg --out late", _LATE,
+                                        _LATE_ARGV, code=2, writes=False),
     "wedge_tilt of 1e308": Case("gen-state --config tilt.cfg --out tilt",
                                 (("tilt.cfg", _TILT),), code=2, writes=False),
     "reconstruct of 1e308 entries": Case("reconstruct --dirac overflow/dirac.txt --out overflow",
