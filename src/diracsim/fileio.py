@@ -3,8 +3,9 @@
 
 Both formats are line oriented and diff friendly.  Header lines are
 ``# key=value`` pairs; body rows hold indices plus numbers serialized with
-17 significant digits, which round-trips IEEE doubles exactly, so
-write -> read -> write reproduces identical bytes.  A line ends at a newline
+17 significant digits, which round-trips IEEE doubles exactly, and a header
+is written only if it reads back as written, so write -> read -> write
+reproduces identical bytes.  A line ends at a newline
 (``\\r\\n`` and ``\\r`` read as one); any other whitespace separates fields.
 Files are written to a temporary name and renamed into place only on success
 (a write that fails removes its temporary and the directories it made);
@@ -41,9 +42,13 @@ which names the first bad line (or accepts a number spelling such as ``1_0``
 that only Python's own parser reads).  No command reads counts files back;
 they load with ``np.loadtxt(path, comments="#")``.
 
-Header keys and values may hold no line break (``\\n`` or ``\\r``): it would
-add a line to the file, so both writers refuse it with a ``ContractError``
-before they write a byte.  They refuse in the same way a ``meta`` key that
+Both writers read the header they rendered back through the reader's own
+header parser, its lines split as a file's are, and refuse with a
+``ContractError``, before they write a byte, a header that does not come back
+as ``{str(key): value as written}``: a key or value that holds a line break
+(``\\n`` or ``\\r``, which would add a line to the file), a key that holds
+``=``, a key or value with whitespace at either end (the reader strips it),
+or two keys that read as one.  They refuse in the same way a ``meta`` key that
 they set themselves (``rows`` and ``cols`` of a matrix, ``n`` of counts) to a
 value other than the body's shape; the same value, as in the ``meta`` that
 ``read_matrix`` returns, is written once, as if it were left out.
@@ -79,6 +84,7 @@ functions that hash, so importing the package loads no OpenSSL.
 from __future__ import annotations
 
 import contextlib
+import io
 import math
 import os
 import re
@@ -172,15 +178,20 @@ def grid_from_meta(meta: dict, path: str = "<meta>") -> Grid:
 def _header_bytes(magic: str, own: dict, meta: dict) -> bytes:
     """The magic line and one '# key=value' line per entry of the writer's
     ``own`` keys, then of ``meta``.  A ``meta`` key that ``own`` sets to
-    another value, or a key or value holding a line break, is a ContractError."""
+    another value is a ContractError, as is a header that :func:`_read_header`
+    does not give back as ``{str(key): _fmt(value)}`` from the rendered text,
+    its lines split as a file's are."""
     for key in sorted(own.keys() & meta.keys()):
         if _fmt(meta[key]) != _fmt(own[key]):
             raise ContractError(f"meta {key}={_fmt(meta[key])} is not the body's {_fmt(own[key])}")
     header = {**own, **meta}
-    text = magic + "\n" + "".join(f"# {key}={_fmt(value)}\n" for key, value in header.items())
-    if text.count("\n") != len(header) + 1 or "\r" in text:
-        raise ContractError(f"a header key or value holds a line break: {header!r}")
-    return text.encode()
+    lines = [(str(key), _fmt(value)) for key, value in header.items()]
+    text = magic + "\n" + "".join(f"# {key}={value}\n" for key, value in lines)
+    with contextlib.suppress(FormatError):  # a repeated key or a malformed line
+        if _read_header(io.StringIO(text, newline=None), "<header>", magic)[0] == dict(lines):
+            return text.encode()
+    raise ContractError("a header key or value holds a line break, or does not read back "
+                        f"as written: {header!r}")
 
 
 def _twin_dir(path: str) -> tuple[str, str]:

@@ -1,6 +1,7 @@
 import collections
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -872,6 +873,50 @@ def test_writers_refuse_a_header_line_break(tmp_path, writer, brk, where):
     with pytest.raises(ContractError, match="line break"):
         _WRITERS[writer](str(tmp_path / "f.txt"), {"kind": "dirac", **meta})
     assert os.listdir(tmp_path) == []
+
+
+# headers the reader would give back otherwise: {"a": "b=1"}, " v " as "v",
+# "k\t" as "k", "\x0b" as "", and " k" and "k" as one key read twice
+_UNREADABLE_HEADERS = [{"a=b": 1}, {"k": " v "}, {"k\t": 1}, {"k": "\x0b"}, {" k": 1, "k": 2}]
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+@pytest.mark.parametrize("meta", _UNREADABLE_HEADERS, ids=repr)
+def test_writers_refuse_a_header_that_does_not_read_back(tmp_path, writer, meta):
+    """A header the reader would not give back as written is refused before a
+    byte is written, so write -> read -> write keeps the bytes.  At the parent
+    each was written, and the last one gave a file ``read_matrix`` refuses."""
+    with pytest.raises(ContractError, match="does not read back as written"):
+        _WRITERS[writer](str(tmp_path / "f.txt"), meta)
+    assert os.listdir(tmp_path) == []
+
+
+# characters the reader splits or strips at, or that end a key, and any other
+_HEADER_TEXT = st.text(st.one_of(st.sampled_from(" \t\x0b\x0c\x1c\x85\xa0\u2028\n\r=#"),
+                                 st.characters(codec="utf-8")), max_size=5)
+# text with no separator, space or control character, which reads back as written
+_PLAIN_TEXT = st.text(st.characters(codec="utf-8", exclude_categories=("Z", "Cc"),
+                                    exclude_characters="="), max_size=5)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(writer=st.sampled_from(sorted(_WRITERS)),
+       meta=st.one_of(*(st.dictionaries(text, st.one_of(text, st.integers()), max_size=3)
+                        for text in (_HEADER_TEXT, _PLAIN_TEXT))))
+def test_a_written_header_reads_back_as_written(tmp_path, writer, meta):
+    """Any drawn header is either refused, with nothing left behind, or read
+    back key for key and value for value as it was written."""
+    path = tmp_path / writer / "f.txt"
+    try:
+        _WRITERS[writer](str(path), meta)
+    except ContractError:
+        assert not path.parent.exists()
+        return
+    own = {"rows": "2", "cols": "2"} if writer == "matrix" else {"n": "3"}
+    read = read_matrix(path)[1] if writer == "matrix" else load_counts(path)[1]
+    assert read == {**own, **{key: str(value) for key, value in meta.items()}}
+    shutil.rmtree(path.parent)
 
 
 @pytest.mark.parametrize("writer, meta, message", [
