@@ -335,7 +335,7 @@ def test_calibration_checks_the_readout_without_fitting_it(monkeypatch, alter, c
 
 
 def test_scans_run_the_closure_check_once_per_process(monkeypatch):
-    """The check runs at the start of ``scan_blocks``, under every scan, and
+    """The check runs at the start of ``mean_estimate``, under every scan, and
     not inside the estimator itself."""
     calls = []
     calibrate = weaksim.calibrate_estimator
