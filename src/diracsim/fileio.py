@@ -185,10 +185,10 @@ def _header_bytes(magic: str, own: dict, meta: dict) -> bytes:
         if _fmt(meta[key]) != _fmt(own[key]):
             raise ContractError(f"meta {key}={_fmt(meta[key])} is not the body's {_fmt(own[key])}")
     header = {**own, **meta}
-    lines = [(str(key), _fmt(value)) for key, value in header.items()]
-    text = magic + "\n" + "".join(f"# {key}={value}\n" for key, value in lines)
+    pairs = [(str(key), _fmt(value)) for key, value in header.items()]
+    text = magic + "\n" + "".join(f"# {key}={value}\n" for key, value in pairs)
     with contextlib.suppress(FormatError):  # a repeated key or a malformed line
-        if _read_header(io.StringIO(text, newline=None), "<header>", magic)[0] == dict(lines):
+        if _read_header(io.StringIO(text, newline=None), "<header>", magic)[0] == dict(pairs):
             return text.encode()
     raise ContractError("a header key or value holds a line break, or does not read back "
                         f"as written: {header!r}")
