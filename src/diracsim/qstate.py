@@ -283,31 +283,23 @@ def mix(states: list[tuple[DensityMatrix, float]]) -> DensityMatrix:
     return _checked_state(grid, rho)
 
 
-def _bench_masks(cfg: BenchConfig, grid: Grid) -> tuple[np.ndarray, np.ndarray, int]:
-    x = grid.coords
-    inside = np.abs(x - grid.x0) <= cfg.aperture_halfwidth + 1e-12 * grid.dx
-    if not inside.any():
-        raise ConfigError("aperture contains no lattice site")
-    beyond_edge = x > cfg.edge_position
-    inside_idx = np.nonzero(inside)[0]
-    edge_site = int(inside_idx[np.argmin(np.abs(x[inside_idx] - cfg.edge_position))])
-    return inside, beyond_edge, edge_site
-
-
 def bench_pure_state(cfg: BenchConfig, grid: Grid) -> PureState:
     """Stationary-plate (pure) bench state.
 
     Top-hat amplitude over the aperture, amplitude dip ``1 - edge_loss`` on
     the lattice site nearest the plate edge, and phase
     ``step + wedge_tilt * (x - edge)`` on every site with x beyond the edge.
+    Of two aperture sites equally near the edge, the lower one takes the dip.
     """
     cfg.validate(grid)
-    inside, beyond, edge_site = _bench_masks(cfg, grid)
-    x = grid.coords
+    x, edge = grid.coords, cfg.edge_position
+    inside = np.abs(x - grid.x0) <= cfg.aperture_halfwidth + 1e-12 * grid.dx
+    if not inside.any():
+        raise ConfigError("aperture contains no lattice site")
     amp = inside.astype(complex)
-    amp[edge_site] *= 1.0 - cfg.edge_loss
-    phase = cfg.static_phase_step + cfg.wedge_tilt * (x - cfg.edge_position)
-    amp[beyond] *= np.exp(1j * phase[beyond])
+    amp[np.flatnonzero(inside)[np.argmin(np.abs(x[inside] - edge))]] *= 1.0 - cfg.edge_loss
+    beyond = x > edge
+    amp[beyond] *= np.exp(1j * (cfg.static_phase_step + cfg.wedge_tilt * (x[beyond] - edge)))
     return pure_from_samples(grid, amp)
 
 
