@@ -1,7 +1,7 @@
 """Flat key=value run configuration with env-var overrides.
 
 Config files are plain text, one ``section.key = value`` per line, ``#``
-comments allowed.  Every key can also be overridden through the environment
+comments allowed; a key appears at most once in a file.  Every key can also be overridden through the environment
 as ``DIRACSIM_<SECTION>_<KEY>`` (dots to underscores, upper case); a
 ``DIRACSIM_*`` variable that names no key is rejected.  Defaults
 mirror the reference bench: 780 nm light, a 1 m Fourier lens magnified
@@ -113,8 +113,9 @@ def _coerce(key: str, raw, default):
 
 
 def parse_config_file(path: str) -> dict:
-    """Read a flat key=value file into a raw string mapping."""
-    values = {}
+    """Read a flat key=value file into a raw string mapping; a key set on
+    two lines is refused."""
+    values, set_on = {}, {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -130,7 +131,10 @@ def parse_config_file(path: str) -> dict:
         key = key.strip()
         if key not in DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = raw.strip()
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} is already set on line "
+                              f"{set_on[key]}")
+        values[key], set_on[key] = raw.strip(), lineno
     return values
 
 

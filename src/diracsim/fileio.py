@@ -8,8 +8,9 @@ is written only if it reads back as written, so write -> read -> write
 reproduces identical bytes.  A line ends at a newline
 (``\\r\\n`` and ``\\r`` read as one); any other whitespace separates fields.
 Files are written to a temporary name and renamed into place only on success
-(a write that fails removes its temporary and the directories it made);
-they get the permissions a plain ``open(path, "w")`` would give (0666 less
+(a write that fails removes its temporary and the directories it made, and
+reports the error that stopped it, such as an output directory that is a
+regular file); they get the permissions a plain ``open(path, "w")`` would give (0666 less
 the umask).
 
 Matrix bodies, the ``figures`` CSV tables and counts that are not whole go
@@ -75,7 +76,8 @@ truncated, overwritten, given a NaN, a flipped bit or a huge declared shape,
 copied from another file, or not a regular file) parses the text as before,
 so values, messages and exit codes do not depend on the twin.  A twin is
 never trusted without both digest checks, the directory is safe to
-delete, and a twin costs 16 B per entry against about 53 B of text (+30 %),
+delete (a ``.diracsim-cache`` that is not a directory is refused before any
+byte of the text is written), and a twin costs 16 B per entry against about 53 B of text (+30 %),
 plus one hash of those 16 B on each write and read.  Counts files and the
 ``figures`` tables get no twin.  ``hashlib`` is imported inside the two
 functions that hash, so importing the package loads no OpenSSL.
@@ -84,6 +86,7 @@ functions that hash, so importing the package loads no OpenSSL.
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import math
 import os
@@ -145,7 +148,8 @@ def _atomic_binary(path: str):
             yield fh
         os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(FileNotFoundError):
+        # a directory that is a regular file fails the unlink, not the cause
+        with contextlib.suppress(FileNotFoundError, NotADirectoryError):
             os.unlink(tmp)
         for made_dir in made:  # rmdir leaves one that another write has filled
             with contextlib.suppress(OSError):
@@ -204,21 +208,25 @@ def write_matrix(path: str, arr: np.ndarray, meta: dict) -> None:
     """Write a complex matrix with '# key=value' headers and 'i j re im' rows,
     then, if every value is finite, its binary twin, named by the SHA-256 of
     the text and that of the array's bytes.  An array that is not 2-D is a
-    ContractError, raised before any file or directory is made."""
+    ContractError, and a twin directory that exists but is not a directory a
+    NotADirectoryError, each raised before any file or directory is made."""
     import hashlib  # here: importing the package loads no OpenSSL
 
     arr = np.asarray(arr, dtype=complex, order="C")  # hashed as it is saved, in C order
     if arr.ndim != 2:
         raise ContractError(f"matrix must be 2-D, got shape {arr.shape}")
     head = _header_bytes(MATRIX_MAGIC, {"rows": arr.shape[0], "cols": arr.shape[1]}, meta)
+    cache, own = _twin_dir(path)
+    twin = np.isfinite(arr).all()  # read_matrix parses the text of any other array
+    if twin and os.path.lexists(cache) and not os.path.isdir(cache):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), cache)
     digest = hashlib.sha256()
     with _atomic_binary(path) as fh:
         for chunk in chain([head], _matrix_body(arr)):
             digest.update(chunk)
             fh.write(chunk)
-    cache, own = _twin_dir(path)
     keep = f"{own}.{digest.hexdigest()}.{hashlib.sha256(arr).hexdigest()}.npy"
-    if np.isfinite(arr).all():  # read_matrix parses the text of any other array
+    if twin:
         with _atomic_binary(os.path.join(cache, keep)) as fh:
             np.save(fh, arr, allow_pickle=False)
     # drop the other twins of this name, and those whose text is gone

@@ -23,14 +23,16 @@ DX = 44e-3 / N
 
 
 def _write_config(tmp_path, extra=""):
+    """A config at n = N with two scans.  Each ``key = value`` line of
+    ``extra`` takes the place of the base line for its key, as a file may
+    set a key only once."""
+    values = {"grid.n": f"{N}", "grid.dx": f"{DX!r}", "pipeline.scans": "2",
+              "bench.photon_budget": "1e8"}
+    for line in extra.splitlines():
+        key, _, value = line.partition("=")
+        values[key.strip()] = value.strip()
     path = tmp_path / "run.cfg"
-    path.write_text(
-        f"grid.n = {N}\n"
-        f"grid.dx = {DX!r}\n"
-        "pipeline.scans = 2\n"
-        "bench.photon_budget = 1e8\n"
-        + extra
-    )
+    path.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
     return str(path)
 
 

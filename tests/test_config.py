@@ -129,6 +129,20 @@ def test_unknown_key_reports_path(tmp_path):
         build_run_config({"nope": 1})
 
 
+def test_key_set_twice_is_refused_with_both_lines(tmp_path):
+    """At the parent the last line won without a word: a 32-site grid."""
+    path = tmp_path / "run.cfg"
+    path.write_text("grid.n = 16\n# a comment\ngrid.n = 32\ngrid.dx = 0.00275\n")
+    with pytest.raises(ConfigError) as info:
+        load_run_config(str(path))
+    assert str(info.value) == f"{path}:3: config key 'grid.n' is already set on line 1"
+    # the same value twice is refused too
+    path.write_text("pipeline.seed = 1\npipeline.seed = 1\n")
+    with pytest.raises(ConfigError, match="run.cfg:2: config key 'pipeline.seed' is already "
+                                          "set on line 1"):
+        parse_config_file(str(path))
+
+
 def test_bad_value_reports_path(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("grid.n = many\n")

@@ -83,6 +83,10 @@ def _all_pass(root):
     assert lines and all(line.startswith("PASS") for line in lines), lines
 
 
+def _kept(path):
+    assert path.read_text() == "kept\n"
+
+
 def _flag_headers(root):
     lines = (root / "flags" / "dirac_measured.txt").read_text().splitlines()
     assert "# seed=5" in lines and "# corrected=false" in lines
@@ -124,6 +128,16 @@ _CASES = {
                                          writes=False),
     "figures of a 1.7e308 entry": Case("figures --input d.txt --out fo/deep",
                                        (("d.txt", _BIG_ENTRY),), code=3, writes=False),
+    "config key set twice": Case("gen-state --config twice.cfg --out twice",
+                                 (("twice.cfg", "grid.n = 16\ngrid.n = 32\ngrid.dx = 0.00275\n"),),
+                                 code=2, writes=False),
+    # the error names the file in the way, not a temporary under it
+    "--out a regular file": Case("gen-state --config late.cfg --out f",
+                                 _LATE + (("f", "kept\n"),), code=3, writes=False,
+                                 check=lambda root: _kept(root / "f")),
+    ".diracsim-cache a regular file": Case(
+        "gen-state --config late.cfg --out late", _LATE + (("late/.diracsim-cache", "kept\n"),),
+        code=3, writes=False, check=lambda root: _kept(root / "late" / ".diracsim-cache")),
 }
 
 

@@ -714,6 +714,40 @@ def test_failed_write_keeps_a_directory_another_write_filled(tmp_path):
     assert os.listdir(tmp_path / "kept") == ["one.txt"]
 
 
+def test_a_directory_that_is_a_regular_file_is_the_error_reported(tmp_path):
+    """At the parent the unlink of a temporary that never existed raised
+    ``[Errno 20] Not a directory: '.../.tmp-<random hex>'`` in its place."""
+    (tmp_path / "f").write_text("kept\n")
+    with pytest.raises(FileExistsError) as info:
+        fileio.atomic_write_text(str(tmp_path / "f" / "t.txt"), [b"one\n"])
+    assert str(info.value) == f"[Errno 17] File exists: '{tmp_path / 'f'}'"
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "counts").write_text("kept\n")
+    with pytest.raises(FileExistsError, match="counts'$"):
+        fileio.atomic_write_text(str(tmp_path / "d" / "counts" / "c.txt"), [b"one\n"])
+    assert sorted(os.listdir(tmp_path)) == ["d", "f"] and os.listdir(tmp_path / "d") == ["counts"]
+    assert (tmp_path / "f").read_text() == (tmp_path / "d" / "counts").read_text() == "kept\n"
+
+
+def test_a_twin_directory_that_is_not_a_directory_is_refused_before_the_text(tmp_path):
+    """At the parent the text was written first, then the twin failed."""
+    path = tmp_path / "m.txt"
+    (tmp_path / TWIN_DIR).write_text("kept\n")
+    with pytest.raises(NotADirectoryError) as info:
+        write_matrix(str(path), _sample_matrix(), _META)
+    assert str(info.value) == f"[Errno 20] Not a directory: '{tmp_path / TWIN_DIR}'"
+    assert os.listdir(tmp_path) == [TWIN_DIR]
+    # an earlier text stays as it was
+    path.write_text("earlier\n")
+    with pytest.raises(NotADirectoryError):
+        write_matrix(str(path), _sample_matrix(), _META)
+    assert path.read_text() == "earlier\n" and (tmp_path / TWIN_DIR).read_text() == "kept\n"
+    # an array that gets no twin is written as before
+    write_matrix(str(path), np.full((2, 2), np.nan + 0j), _META)
+    assert sorted(os.listdir(tmp_path)) == [TWIN_DIR, "m.txt"]
+    assert path.read_text().startswith(fileio.MATRIX_MAGIC)
+
+
 def test_failed_twin_write_removes_the_fresh_twin_directory(tmp_path, monkeypatch):
     def no_space(*args, **kwargs):
         raise OSError(28, "No space left on device")

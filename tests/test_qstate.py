@@ -2,9 +2,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from diracsim import (BenchConfig, ConfigError, ContractError, DegenerateInputError,
-                      DensityMatrix, PureState, bench_pure_state, build_bench_state,
+                      DensityMatrix, DiracsimError, PureState, bench_pure_state, build_bench_state,
                       density_from_pure, dirac_distribution, make_grid, mix,
                       pure_from_samples, purity, random_density_matrix,
                       wedge_gradient_from_angle)
@@ -173,6 +174,90 @@ def test_wedge_tilt_adds_linear_phase_beyond_edge():
     ratio = psi.amp[beyond] / base.amp[beyond]
     expected = np.exp(1j * 37.0 * (grid.coords[beyond] - cfg.edge_position))
     assert np.max(np.abs(ratio - expected)) < 1e-12
+
+
+def _bench_oracle(cfg, grid):
+    """The bench state and its density matrix site by site, as
+    ``bench_pure_state`` documents them: a top-hat over the aperture (a site
+    on its rim, to 1e-12 dx, inside), ``1 - edge_loss`` on the aperture site
+    nearest the edge (the lower of two equally near), the phase
+    ``step + tilt (x - edge)`` on every site beyond the edge, then the
+    coherences across the edge zeroed when the plate oscillates."""
+    cfg.validate(grid)
+    x, edge = grid.coords, cfg.edge_position
+    raw = np.zeros(grid.n, dtype=complex)
+    nearest = None
+    for i in range(grid.n):
+        if abs(x[i] - grid.x0) <= cfg.aperture_halfwidth + 1e-12 * grid.dx:
+            raw[i] = 1.0
+            if nearest is None or abs(x[i] - edge) < abs(x[nearest] - edge):
+                nearest = i
+    if nearest is None:
+        raise ConfigError("aperture contains no lattice site")
+    raw[nearest] *= 1.0 - cfg.edge_loss
+    for i in range(grid.n):
+        if x[i] > edge:
+            raw[i] *= np.exp(1j * (cfg.static_phase_step + cfg.wedge_tilt * (x[i] - edge)))
+    psi = pure_from_samples(grid, raw)
+    rho = np.outer(psi.amp, psi.amp.conj())
+    if cfg.mixed:
+        beyond = np.array([x[i] > edge for i in range(grid.n)])
+        rho[beyond[:, None] != beyond[None, :]] = 0.0
+    return psi.amp.tobytes(), rho.tobytes()
+
+
+def _outcome(build, cfg, grid):
+    try:
+        return build(cfg, grid)
+    except DiracsimError as exc:
+        return type(exc), str(exc)
+
+
+def _library(cfg, grid):
+    return bench_pure_state(cfg, grid).amp.tobytes(), build_bench_state(cfg, grid).rho.tobytes()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(n=st.integers(2, 64), binary=st.booleans(), scale=st.floats(1e-5, 1.0),
+       center=st.integers(-40, 40), width=st.floats(1e-3, 1.0), rim=st.booleans(),
+       edge=st.tuples(st.sampled_from(["site", "any"]), st.floats(0.0, 1.0),
+                      st.sampled_from([0.0, 0.5, -0.5])),
+       loss=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       step=st.floats(-10.0, 10.0), tilt=st.floats(-50.0, 50.0), mixed=st.booleans())
+@example(n=8, binary=True, scale=1.0, center=0, width=1.0, rim=False, edge=("site", 0.5, 0.5),
+         loss=0.3, step=1.0, tilt=0.0, mixed=True)  # the edge midway between two sites
+@example(n=8, binary=True, scale=1.0, center=0, width=0.5, rim=False, edge=("any", 1.0, 0.0),
+         loss=0.3, step=1.0, tilt=0.0, mixed=False)  # the edge on the aperture's rim is refused
+@example(n=5, binary=True, scale=1.0, center=0, width=0.04, rim=False, edge=("any", 0.5, 0.0),
+         loss=0.3, step=1.0, tilt=0.0, mixed=False)  # no site in the aperture
+def test_bench_state_matches_the_per_site_oracle_bit_for_bit(n, binary, scale, center, width,
+                                                             rim, edge, loss, step, tilt, mixed):
+    """Drawn lattices, apertures (some a hair short of a whole number of
+    sites, which the 1e-12 dx slack takes in), plates and edges: anywhere in
+    the aperture (its rim included), or on an aperture site or midway beside
+    it, which ties the two sites when dx is a power of two."""
+    dx = 2.0 ** round(np.log2(scale)) if binary else scale
+    grid = make_grid(n, dx, center * dx if binary else center * scale / 7)
+    halfwidth = width * 0.5 * grid.span
+    if rim:
+        halfwidth = (max(1, round(halfwidth / dx)) - 1e-13) * dx
+    kind, where, offset = edge
+    sites = grid.coords[np.abs(grid.coords - grid.x0) <= halfwidth]
+    if kind == "any" or not sites.size:
+        position = grid.x0 + (2 * where - 1) * halfwidth
+    else:
+        position = sites[round(where * (sites.size - 1))] + offset * dx
+    cfg = BenchConfig(aperture_halfwidth=halfwidth, edge_position=float(position),
+                      static_phase_step=step, wedge_tilt=tilt / dx, edge_loss=loss, mixed=mixed)
+    assert _outcome(_library, cfg, grid) == _outcome(_bench_oracle, cfg, grid)
+
+
+def test_of_two_sites_equally_near_the_edge_the_lower_takes_the_dip():
+    grid = make_grid(8, 1.0)
+    psi = bench_pure_state(BenchConfig(aperture_halfwidth=4.0, edge_position=0.5), grid)
+    assert grid.coords[4] == 0.0 and grid.coords[5] - 0.5 == 0.5 - grid.coords[4]
+    assert np.abs(psi.amp[4]) == pytest.approx(0.7 * np.abs(psi.amp[3]), rel=1e-15)
+    assert np.abs(psi.amp[5]) == pytest.approx(np.abs(psi.amp[3]), rel=1e-15)
 
 
 def test_wedge_gradient_from_angle():
