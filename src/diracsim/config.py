@@ -1,9 +1,10 @@
 """Flat key=value run configuration with env-var overrides.
 
 Config files are plain text, one ``section.key = value`` per line, ``#``
-comments allowed; a key appears at most once in a file.  Every key can also be overridden through the environment
-as ``DIRACSIM_<SECTION>_<KEY>`` (dots to underscores, upper case); a
-``DIRACSIM_*`` variable that names no key is rejected.  Defaults
+comments allowed, and a key appears at most once in a file.  Every key can
+also be overridden through the environment as ``DIRACSIM_<SECTION>_<KEY>``
+(dots to underscores, upper case); a ``DIRACSIM_*`` variable that names no
+key is rejected.  Defaults
 mirror the reference bench: 780 nm light, a 1 m Fourier lens magnified
 4.935x, a 44 mm aperture sampled on 256 sites with the glass edge at 25 mm,
 a 12.92 degree coupling, and camera displacements of 8.4, 16 and 32.5 cm.

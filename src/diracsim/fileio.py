@@ -148,7 +148,7 @@ def _atomic_binary(path: str):
             yield fh
         os.replace(tmp, path)
     except BaseException:
-        # a directory that is a regular file fails the unlink, not the cause
+        # under a directory that is a regular file the unlink fails too; keep the cause
         with contextlib.suppress(FileNotFoundError, NotADirectoryError):
             os.unlink(tmp)
         for made_dir in made:  # rmdir leaves one that another write has filled

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from diracsim import (BenchConfig, ConfigError, ContractError, DegenerateInputError,
-                      DensityMatrix, DiracsimError, PureState, bench_pure_state, build_bench_state,
-                      density_from_pure, dirac_distribution, make_grid, mix,
+                      DensityMatrix, DiracsimError, PureState, bench_pure_state,
+                      build_bench_state, density_from_pure, dirac_distribution, make_grid, mix,
                       pure_from_samples, purity, random_density_matrix,
                       wedge_gradient_from_angle)
 from diracsim import cli, qstate
@@ -201,7 +201,7 @@ def _bench_oracle(cfg, grid):
     psi = pure_from_samples(grid, raw)
     rho = np.outer(psi.amp, psi.amp.conj())
     if cfg.mixed:
-        beyond = np.array([x[i] > edge for i in range(grid.n)])
+        beyond = x > edge
         rho[beyond[:, None] != beyond[None, :]] = 0.0
     return psi.amp.tobytes(), rho.tobytes()
 
@@ -250,14 +250,6 @@ def test_bench_state_matches_the_per_site_oracle_bit_for_bit(n, binary, scale, c
     cfg = BenchConfig(aperture_halfwidth=halfwidth, edge_position=float(position),
                       static_phase_step=step, wedge_tilt=tilt / dx, edge_loss=loss, mixed=mixed)
     assert _outcome(_library, cfg, grid) == _outcome(_bench_oracle, cfg, grid)
-
-
-def test_of_two_sites_equally_near_the_edge_the_lower_takes_the_dip():
-    grid = make_grid(8, 1.0)
-    psi = bench_pure_state(BenchConfig(aperture_halfwidth=4.0, edge_position=0.5), grid)
-    assert grid.coords[4] == 0.0 and grid.coords[5] - 0.5 == 0.5 - grid.coords[4]
-    assert np.abs(psi.amp[4]) == pytest.approx(0.7 * np.abs(psi.amp[3]), rel=1e-15)
-    assert np.abs(psi.amp[5]) == pytest.approx(np.abs(psi.amp[3]), rel=1e-15)
 
 
 def test_wedge_gradient_from_angle():
