@@ -10,8 +10,8 @@ reproduces identical bytes.  A line ends at a newline
 Files are written to a temporary name and renamed into place only on success
 (a write that fails removes its temporary and the directories it made, and
 reports the error that stopped it, such as an output directory that is a
-regular file); they get the permissions a plain ``open(path, "w")`` would give (0666 less
-the umask).
+regular file); they get the permissions a plain ``open(path, "w")`` would
+give (0666 less the umask).
 
 Matrix bodies, the ``figures`` CSV tables and counts that are not whole go
 through one vectorized kernel, ``_format17.render``, whose output is byte for
@@ -77,10 +77,11 @@ copied from another file, or not a regular file) parses the text as before,
 so values, messages and exit codes do not depend on the twin.  A twin is
 never trusted without both digest checks, the directory is safe to
 delete (a ``.diracsim-cache`` that is not a directory is refused before any
-byte of the text is written), and a twin costs 16 B per entry against about 53 B of text (+30 %),
-plus one hash of those 16 B on each write and read.  Counts files and the
-``figures`` tables get no twin.  ``hashlib`` is imported inside the two
-functions that hash, so importing the package loads no OpenSSL.
+byte of the text is written), and a twin costs 16 B per entry against about
+53 B of text (+30 %), plus one hash of those 16 B on each write and read.
+Counts files and the ``figures`` tables get no twin.  ``hashlib`` is
+imported inside the two functions that hash, so importing the package loads
+no OpenSSL.
 """
 
 from __future__ import annotations
