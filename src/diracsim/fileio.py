@@ -327,15 +327,6 @@ def _lines(values: np.ndarray, leads: bytes, prefix: tuple = ()) -> bytes:
     return buf.T.tobytes().translate(None, b"\0")
 
 
-@contextlib.contextmanager
-def _reading(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            yield fh
-    except (OSError, UnicodeDecodeError) as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-
-
 def _read_header(fh, path: str, magic: str):
     """Read the magic line and the '# key=value' headers.
 
@@ -401,24 +392,27 @@ def read_matrix(path: str):
     the text's SHA-256 and its array's bytes match the SHA-256 in its name,
     and from the text otherwise.
     """
-    with _reading(path) as fh:
-        meta, lineno = _read_header(fh, path, MATRIX_MAGIC)
-        try:
-            rows, cols = int(meta["rows"]), int(meta["cols"])
-            if rows < 0 or cols < 0:
-                raise ValueError(f"negative shape {rows}x{cols}")
-        except (KeyError, ValueError) as exc:
-            raise FormatError(f"{path}: missing or invalid rows/cols header ({exc})") from exc
-        body = fh.tell()
-        twin = _load_twin(path, fh.buffer, rows, cols)
-        if twin is not None:
-            return twin, meta
-        fh.seek(body)
-        table = _parse_body(fh)
-        flat = _positions(table, rows, cols)
-        if flat is None:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            meta, lineno = _read_header(fh, path, MATRIX_MAGIC)
+            try:
+                rows, cols = int(meta["rows"]), int(meta["cols"])
+                if rows < 0 or cols < 0:
+                    raise ValueError(f"negative shape {rows}x{cols}")
+            except (KeyError, ValueError) as exc:
+                raise FormatError(f"{path}: missing or invalid rows/cols header ({exc})") from exc
+            body = fh.tell()
+            twin = _load_twin(path, fh.buffer, rows, cols)
+            if twin is not None:
+                return twin, meta
             fh.seek(body)
-            return _read_matrix_lines(fh, path, lineno, rows, cols), meta
+            table = _parse_body(fh)
+            flat = _positions(table, rows, cols)
+            if flat is None:
+                fh.seek(body)
+                return _read_matrix_lines(fh, path, lineno, rows, cols), meta
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
     values = np.empty((rows * cols, 2))
     values[flat, 0] = table["re"]
     values[flat, 1] = table["im"]
