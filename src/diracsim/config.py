@@ -1,18 +1,21 @@
 """Flat key=value run configuration with env-var overrides.
 
-Config files are plain text, one ``section.key = value`` per line, ``#``
-comments allowed, and a key appears at most once in a file.  Every key can
-also be overridden through the environment as ``DIRACSIM_<SECTION>_<KEY>``
-(dots to underscores, upper case); a ``DIRACSIM_*`` variable that names no
-key is rejected.  Defaults
-mirror the reference bench: 780 nm light, a 1 m Fourier lens magnified
-4.935x, a 44 mm aperture sampled on 256 sites with the glass edge at 25 mm,
-a 12.92 degree coupling, and camera displacements of 8.4, 16 and 32.5 cm.
+Config files are plain text, one ``section.key = value`` per line, and a
+key appears at most once in a file.  A ``#`` at the start of a line or after
+whitespace begins a comment; anywhere else it is part of the value, as it is
+in the environment and in flags.  A leading UTF-8 byte-order mark is skipped.
+Every key can also be overridden through the environment as
+``DIRACSIM_<SECTION>_<KEY>`` (dots to underscores, upper case); a
+``DIRACSIM_*`` variable that names no key is rejected.  Defaults mirror the
+reference bench: 780 nm light, a 1 m Fourier lens magnified 4.935x, a 44 mm
+aperture sampled on 256 sites with the glass edge at 25 mm, a 12.92 degree
+coupling, and camera displacements of 8.4, 16 and 32.5 cm.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -118,12 +121,12 @@ def parse_config_file(path: str) -> dict:
     two lines is refused."""
     values, set_on = {}, {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # -sig: a leading BOM is skipped
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
-        text = line.split("#", 1)[0].strip()
+        text = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
         if not text:
             continue
         if "=" not in text:

@@ -183,6 +183,53 @@ def test_non_utf8_config_file_is_a_config_error(tmp_path):
         parse_config_file(str(path))
 
 
+# README's example config, comments after runs of spaces included
+_README_EXAMPLE = """\
+grid.n = 128
+grid.dx = 3.4375e-4          # 44 mm / 128
+bench.mixed = true           # oscillating plate: incoherent halves
+bench.wedge_tilt = 285.6     # phase gradient (rad/m) beyond the edge
+pipeline.scans = 10
+propagation.dz = 0.084, 0.16, 0.325
+output.dir = out
+"""
+
+
+def test_a_hash_inside_a_value_is_part_of_it_on_every_route(tmp_path):
+    """A '#' begins a comment at the start of a line or after whitespace, and
+    is part of the value anywhere else.  At the parent a file cut every value
+    at its first '#': ``run#2`` read as ``run`` and ``16#x`` as 16."""
+    path = tmp_path / "run.cfg"
+    path.write_text("# run#2\ngrid.n = 16\ngrid.dx = 0.00275\noutput.dir = run#2\t# a tab\n")
+    assert load_run_config(str(path), environ={}).out_dir == "run#2"
+    assert load_run_config(environ={"DIRACSIM_OUTPUT_DIR": "run#2"}).out_dir == "run#2"
+    assert load_run_config(overrides={"output.dir": "run#2"}, environ={}).out_dir == "run#2"
+    path.write_text("grid.n = 16#x\ngrid.dx = 0.00275\n")
+    with pytest.raises(ConfigError) as info:
+        load_run_config(str(path), environ={})
+    assert str(info.value) == ("grid.n: cannot parse '16#x' (invalid literal for int() with "
+                               "base 10: '16#x')")
+
+    path.write_text(_README_EXAMPLE)
+    assert load_run_config(str(path), environ={}) == build_run_config({
+        "grid.n": 128, "grid.dx": 3.4375e-4, "bench.mixed": True, "bench.wedge_tilt": 285.6,
+        "pipeline.scans": 10, "propagation.dz": (0.084, 0.16, 0.325), "output.dir": "out"})
+
+
+def test_a_leading_byte_order_mark_is_skipped(tmp_path):
+    """At the parent line 1 of a file saved with a UTF-8 byte-order mark
+    read as the unknown key '\\ufeffgrid.n'.  A mark elsewhere stays part of
+    its line."""
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbfgrid.n = 16\ngrid.dx = 0.00275\n")
+    assert parse_config_file(str(path)) == {"grid.n": "16", "grid.dx": "0.00275"}
+    assert load_run_config(str(path), environ={}).grid.n == 16
+    path.write_bytes(b"grid.n = 16\n\xef\xbb\xbfgrid.dx = 0.00275\n")
+    with pytest.raises(ConfigError) as info:
+        parse_config_file(str(path))
+    assert str(info.value) == "%s:2: unknown config key %r" % (path, "\ufeffgrid.dx")
+
+
 def test_semantic_validation():
     with pytest.raises(ConfigError, match="edge_position"):
         build_run_config({"bench.edge_position": "0.09"})

@@ -64,8 +64,9 @@ _HUGE_FILES = (("huge0.cfg", _HUGE + "propagation.dz = 0\n"),
                ("huge1.cfg", _HUGE + "propagation.dz = 0.084\n"))
 _HUGE_ARGV = tuple(f"{stage} --config huge0.cfg --out huge"
                    for stage in ("gen-state", "exact", "propagate"))
+_SMALL = "grid.n = 16\ngrid.dx = 0.00275\n"
 # a good dz, then one whose chirp phase overflows: refused before any plane
-_LATE = (("late.cfg", "grid.n = 16\ngrid.dx = 0.00275\npropagation.dz = 0.084, 1e308\n"),)
+_LATE = (("late.cfg", _SMALL + "propagation.dz = 0.084, 1e308\n"),)
 _LATE_ARGV = tuple(f"{stage} --config late.cfg --out late" for stage in ("gen-state", "exact"))
 # a finite wedge_tilt whose bench phase overflows the lattice
 _TILT = "grid.n = 16\ngrid.dx = 1\ngrid.x0 = 0\nbench.aperture_halfwidth = 8\n" \
@@ -138,6 +139,17 @@ _CASES = {
     ".diracsim-cache a regular file": Case(
         "gen-state --config late.cfg --out late", _LATE + (("late/.diracsim-cache", "kept\n"),),
         code=3, writes=False, check=lambda root: _kept(root / "late" / ".diracsim-cache")),
+    # a '#' begins a comment only at the start of a line or after whitespace
+    "output.dir run#2 in a file": Case(
+        "gen-state --config hash.cfg",
+        (("hash.cfg", _SMALL + "output.dir = run#2  # a comment\n"),),
+        present=("run#2/state.txt",), absent=("run",)),
+    "grid.n of 16#x": Case("gen-state --config hash.cfg --out hash",
+                           (("hash.cfg", "grid.n = 16#x\ngrid.dx = 0.00275\n"),), code=2,
+                           writes=False),
+    "config file with a byte-order mark": Case("gen-state --config bom.cfg --out bom",
+                                               (("bom.cfg", "\ufeff" + _SMALL),),
+                                               present=("bom/state.txt",)),
 }
 
 
@@ -192,7 +204,7 @@ def start(tmp_path_factory):
             else:
                 for name, text in files:
                     (root / name).parent.mkdir(parents=True, exist_ok=True)
-                    (root / name).write_text(text)
+                    (root / name).write_text(text, encoding="utf-8")
             built[files, prior] = root
         return built[files, prior]
 

@@ -110,6 +110,28 @@ def test_matrix_header_and_read_errors(tmp_path, data, message):
     assert str(path) in str(info.value)
 
 
+def test_a_directory_and_a_failing_twin_lookup_cannot_be_read(tmp_path, monkeypatch):
+    """An OSError raised while the file is open, its twin lookup included, is
+    a FormatError naming the file, as a missing file is."""
+    with pytest.raises(FormatError) as info:
+        read_matrix(str(tmp_path))
+    assert str(info.value) == f"cannot read {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'"
+
+    path = str(tmp_path / "m.txt")
+    write_matrix(path, np.eye(2), {})
+    assert os.listdir(tmp_path / TWIN_DIR)
+
+    def refused(directory):
+        raise PermissionError(13, "Permission denied", directory)
+
+    monkeypatch.setattr(fileio.os, "listdir", refused)
+    with pytest.raises(FormatError) as info:
+        read_matrix(path)
+    assert str(info.value) == (f"cannot read {path}: [Errno 13] Permission denied: "
+                               f"'{tmp_path / TWIN_DIR}'")
+    assert isinstance(info.value.__cause__, PermissionError)
+
+
 def test_grid_meta_round_trip():
     grid = make_grid(16, 0.25, 1.5, UnitMap(780e-9, 1.0, 4.935))
     meta = {k: str(v) for k, v in grid_meta(grid).items()}
