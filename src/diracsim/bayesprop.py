@@ -65,11 +65,12 @@ n^3 matrix product.  The lens is never formed either: since
 
 multiplying entry k < n of row m of the length-2n ``ifft`` by it is the
 same as rolling row m of the spectrum right by (n - 2m) mod 2n bins before
-the ``ifft``, for any n, odd included.  The row constant (-i)^n t_m is one
-of +-1 and +-i, so it is folded exactly into the wavelet's spectrum, one
-copy for even m and one for odd m.  Every n x n product here fills one
-preallocated output a block of :meth:`.Grid.row_blocks` at a time, so it
-holds the output and a few blocks.
+the ``ifft``, for any n, odd included.  The row constant (-i)^n t_m of
+``col`` multiplies row m of the normalization ``col @ W`` as well, so it
+cancels between ``inv`` and the lens and neither carries it.  Every n x n
+product here fills one preallocated output a block of
+:meth:`.Grid.row_blocks` at a time, so it holds the output and a few
+blocks.
 
 Bayes propagation keeps the distribution classical-like: e sums to 1 and its
 position and camera marginals are real and nonnegative, and
@@ -271,12 +272,6 @@ def build_kernel_analytic(grid: Grid, dz: float) -> PropagatorKernel:
     return PropagatorKernel(grid=grid, dz=float(dz), kind=KIND_ANALYTIC, row=wavelet)
 
 
-def _lens_phase(grid: Grid) -> np.ndarray:
-    """``exp(-i pi n/2) t_k``, the column factor of the lens, with
-    exp(-i pi n/2) = (-i)^n taken exactly from n mod 4."""
-    return grid._signs * (1 + 0j, -1j, -1 + 0j, 1j)[grid.n % 4]
-
-
 def bayes_propagate(dist: DiracDistribution, kernel: PropagatorKernel) -> PropagatedDistribution:
     """Single-variable Bayes update e[m, k'] = sum_kp cond[k', m, kp] d[m, kp].
 
@@ -287,10 +282,12 @@ def bayes_propagate(dist: DiracDistribution, kernel: PropagatorKernel) -> Propag
     rho (:func:`.reconstruct_density`) and forms ``conj(K) * (rho K)``,
     ``K = V^dag U`` from :attr:`PropagatorKernel.k_basis`.  The analytic
     kernel forms ``col * ((inv * d) @ W)`` from its generator ``row`` in two
-    passes over one preallocated output.  With the lens of the module
-    docstring the normalization is
+    passes over one preallocated output.  The lens of the module docstring
+    puts its row constant exp(-i pi n/2) t_m on row m of both ``col`` and
+    the normalization ``col @ W``, where it cancels, so the normalization
+    is taken without it,
 
-        norm[m, kp] = exp(-i pi n/2) t_m fft_j(t_j W[kp, j])[m],
+        norm[m, kp] = fft_j(t_j W[kp, j])[m],
 
     one FFT per row of W, read as a sliding-window view of ``row``; the
     first pass writes ``inv = 1 / norm`` into the output a block of W's
@@ -298,9 +295,10 @@ def bayes_propagate(dist: DiracDistribution, kernel: PropagatorKernel) -> Propag
     or is not finite is a NumericalIntegrityError.  The second pass takes
     the product with the Toeplitz W by a length-2n FFT convolution: each row
     block of ``inv``, times d, is written into the left half of a zeroed
-    (b, 2n) block, and row m of its spectrum, times the signed wavelet
-    spectrum, is rolled right by (n - 2m) mod 2n bins before the ``ifft``,
-    which applies the lens ``col`` with no table of it (module docstring).
+    (b, 2n) block, and row m of its spectrum, times the wavelet spectrum,
+    is rolled right by (n - 2m) mod 2n bins before the ``ifft``, which
+    applies the rest of the lens ``col`` with no table of it (module
+    docstring).
     The result overwrites the block of ``inv`` it was read from.  The chirp
     product likewise fills its output a block of :meth:`.Grid.row_blocks`
     at a time.  Through a unitary kernel, an entry that overflows (a
@@ -329,20 +327,17 @@ def bayes_propagate(dist: DiracDistribution, kernel: PropagatorKernel) -> Propag
         row, t = kernel.row, grid._signs
         # row kp of W is [row[n-1], ..., row[1], row[0], ..., row[n-1]] read from n - 1 - kp
         w = sliding_window_view(np.concatenate((row[:0:-1], row)), n)[::-1]
-        phase = _lens_phase(grid)
         e = np.empty((n, n), dtype=complex)  # holds inv = 1 / norm until each row block is done
         for lo, hi in grid.row_blocks():
-            norm = np.fft.fft(w[lo:hi] * t, axis=1)  # norm[:, lo:hi], transposed, up to phase
-            size = np.abs(norm)  # |phase| = 1
+            norm = np.fft.fft(w[lo:hi] * t, axis=1)  # norm[:, lo:hi], transposed
+            size = np.abs(norm)
             if not (size.min() > 0.0 and size.max() < np.inf):  # also False for NaN
                 raise NumericalIntegrityError(
                     "analytic kernel normalization vanished or is not finite")
-            norm *= phase
             np.divide(1.0, norm.T, out=e[:, lo:hi])
         del norm, size  # freed before the convolution's own blocks are taken
         # W is the top-left n x n corner of this 2n-point circulant
         spectrum = np.fft.fft(np.concatenate((row, [0.0], row[:0:-1])))
-        signed = spectrum * phase[:2, None]  # row m takes signed[m % 2]
         buf = np.empty((grid.row_blocks()[0][1], 2 * n), dtype=complex)
         for lo, hi in grid.row_blocks():
             b = hi - lo
@@ -351,8 +346,8 @@ def bayes_propagate(dist: DiracDistribution, kernel: PropagatorKernel) -> Propag
             rows = np.fft.fft(buf[:b], axis=1)
             for i, m in enumerate(range(lo, hi)):  # buf now takes the rolled product
                 o = (2 * m - n) % (2 * n)  # row m rolled right by n - 2m bins starts at bin o
-                np.multiply(rows[i, o:], signed[m % 2, o:], out=buf[i, :2 * n - o])
-                np.multiply(rows[i, :o], signed[m % 2, :o], out=buf[i, 2 * n - o:])
+                np.multiply(rows[i, o:], spectrum[o:], out=buf[i, :2 * n - o])
+                np.multiply(rows[i, :o], spectrum[:o], out=buf[i, 2 * n - o:])
             e[lo:hi] = np.fft.ifft(buf[:b], axis=1)[:, :n]
     e.setflags(write=False)
     return PropagatedDistribution(grid=dist.grid, dz=kernel.dz, e=e, kind=kernel.kind)

@@ -13,7 +13,6 @@ from diracsim import (BenchConfig, ContractError, DensityMatrix, DiracDistributi
                       backaction_offset, bench_pure_state, correct_diagonals,
                       estimate_dirac_column, fileio, make_grid, reconstruct_density,
                       sample_counts)
-from diracsim import bayesprop
 from diracsim.weaksim import derived_seed, sliver_readout, sliver_seeds
 
 
@@ -294,15 +293,15 @@ def whole_propagate(kernel, d):
     ``c = kernel.v``, ``c_m ifft_s(fft(d)[m, s] conj(c)[(m + s) mod n])``; for
     the analytic kernel, the length-2n circulant convolution of ``inv * d``
     (``inv`` from :func:`whole_analytic_inverse`) with the wavelet, each row
-    m of its spectrum times the row's lens constant (-i)^n t_m and rolled
-    right by n - 2m bins (all rows at once, by an index gather), cut to n
-    after the ``ifft``."""
+    m of its spectrum rolled right by n - 2m bins (all rows at once, by an
+    index gather), cut to n after the ``ifft``.  The lens's row constant
+    (-i)^n t_m cancels against the one left out of ``inv``, so neither is
+    applied; :func:`analytic_lens` keeps it for the dense oracle."""
     n = kernel.grid.n
     if kernel.v is None:
         row = kernel.row
         e = np.fft.fft(whole_analytic_inverse(kernel) * d, 2 * n, axis=1)
         e *= np.fft.fft(np.concatenate((row, [0.0], row[:0:-1])))
-        e *= bayesprop._lens_phase(kernel.grid)[:, None]  # (-i)^n t_m on row m
         m = np.arange(n)[:, None]
         e = np.take_along_axis(e, (np.arange(2 * n) + 2 * m - n) % (2 * n), axis=1)
         e = np.fft.ifft(e, axis=1)[:, :n]
@@ -317,11 +316,12 @@ def whole_propagate(kernel, d):
 def whole_analytic_inverse(kernel):
     """The analytic ``inv`` that ``bayes_propagate`` forms in its output, taken
     over the whole matrix at once: 1 / norm with
-    ``norm[m, kp] = exp(-i pi n/2) t_m fft_j(t_j W[kp, j])[m]`` and W gathered
-    by :func:`dense_wavelet`."""
+    ``norm[m, kp] = fft_j(t_j W[kp, j])[m]`` and W gathered by
+    :func:`dense_wavelet`.  This is ``1 / (col @ W)`` times the lens's row
+    constant (-i)^n t_m, which :func:`whole_propagate` leaves out of the lens
+    in turn."""
     grid = kernel.grid
     norm = np.fft.fft(dense_wavelet(kernel.row) * grid._signs, axis=1)
-    norm *= bayesprop._lens_phase(grid)
     return 1.0 / norm.T
 
 
