@@ -110,7 +110,13 @@ class PropagatorKernel:
     It holds O(n) numbers, as a unitary kernel of a diagonal V does.
     Neither the lens ``col`` (module docstring) nor the normalization
     ``inv`` is stored: :func:`bayes_propagate` applies ``col`` as a roll of
-    each row's spectrum and forms ``inv`` in its output.
+    each row's spectrum and forms ``inv`` in its output, each without the
+    row constant (-i)^n t_m that the two share and that cancels.
+
+    A kernel built directly holds the builders' checks, each a
+    ContractError: exactly one of ``v`` and ``row`` is set, ``v`` passes
+    the unitarity check of :func:`build_kernel_unitary` (and is stored as
+    the complex array it returns), and ``row`` has shape (n,).
     """
 
     grid: Grid
@@ -118,6 +124,15 @@ class PropagatorKernel:
     kind: str
     v: np.ndarray | None = None
     row: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        n = self.grid.n
+        if (self.v is None) == (self.row is None):
+            raise ContractError("a propagator kernel sets exactly one of v and row")
+        if self.v is not None:
+            object.__setattr__(self, "v", _checked_unitary(self.grid, self.v))
+        elif np.shape(self.row) != (n,):
+            raise ContractError(f"kernel row shape {np.shape(self.row)} does not match grid n={n}")
 
     @property
     def k_basis(self) -> np.ndarray | None:
@@ -219,10 +234,10 @@ def build_kernel_unitary(grid: Grid, v: np.ndarray, dz: float = 0.0) -> Propagat
     expectation values exactly.  ``dz`` is recorded as provenance only; it
     plays no role in the construction, but a negative, infinite or NaN
     ``dz`` is a ConfigError, as in :func:`fresnel_unitary`.  Only the
-    checked V is stored.
+    checked V is stored; :class:`PropagatorKernel` checks it, once.
     """
     _check_displacement(dz)
-    v = _checked_unitary(grid, np.array(v, dtype=complex))  # a copy the caller cannot change
+    v = np.array(v, dtype=complex)  # a copy the caller cannot change
     v.setflags(write=False)
     return PropagatorKernel(grid=grid, dz=float(dz), kind=KIND_UNITARY, v=v)
 

@@ -132,6 +132,58 @@ def test_unitary_kernel_rejects_bad_chirp_vectors():
                                              edge_position=grid.x0 + grid.dx), np.nan)
 
 
+def test_unitary_kernel_keeps_its_messages_and_their_order():
+    grid = _unit_grid(8)
+    with pytest.raises(ConfigError, match="dz -1.0 must be finite"):  # dz before the shape
+        build_kernel_unitary(grid, np.eye(7), -1.0)
+    with pytest.raises(ContractError,
+                       match=re.escape("unitary shape (7, 7) does not match grid n=8")):
+        build_kernel_unitary(grid, np.eye(7))
+    with pytest.raises(ContractError, match=re.escape("matrix is not unitary (defect 8.000e+00)")):
+        build_kernel_unitary(grid, np.ones((8, 8)))
+
+
+def test_a_dense_v_is_checked_once_per_kernel(monkeypatch):
+    grid = _unit_grid(8)
+    calls = []
+    checked = bayesprop._checked_unitary
+    monkeypatch.setattr(bayesprop, "_checked_unitary",
+                        lambda g, v: calls.append(v.shape) or checked(g, v))
+    kernel = build_kernel_unitary(grid, random_unitary(8, np.random.default_rng(3)))
+    d = dirac_distribution(random_density_matrix(grid, np.random.default_rng(4)))
+    bayes_propagate(d, kernel)
+    bayes_propagate(d, kernel)
+    assert calls == [(8, 8)]
+
+
+_ROW = build_kernel_analytic(_unit_grid(8), 0.084).row
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({}, "exactly one of v and row"),
+    ({"v": np.ones(8), "row": _ROW}, "exactly one of v and row"),
+    ({"v": np.ones(5)}, re.escape("unitary shape (5,) does not match grid n=8")),
+    ({"v": 2 * np.ones(8)}, re.escape("matrix is not unitary (defect 3.000e+00)")),
+    ({"row": _ROW[:5]}, re.escape("kernel row shape (5,) does not match grid n=8")),
+    ({"row": np.tile(_ROW, 2)[:10]}, re.escape("kernel row shape (10,) does not match grid n=8")),
+], ids=["neither", "both", "v of 5", "v not unitary", "row of 5", "row of 10"])
+def test_a_kernel_built_directly_holds_the_builders_checks(fields, message):
+    """Before the kernel checked itself, bayes_propagate met these with a
+    TypeError, a numpy broadcast ValueError, an e that sums to 4, or a row
+    it ignored."""
+    with pytest.raises(ContractError, match=message):
+        PropagatorKernel(grid=_unit_grid(8), dz=0.084, kind=KIND_UNITARY, **fields)
+
+
+def test_a_valid_kernel_built_directly_propagates_as_the_built_one():
+    grid = _unit_grid(8)
+    chirp = fresnel_unitary(grid, 0.16)
+    d = dirac_distribution(random_density_matrix(grid, np.random.default_rng(5)))
+    direct = PropagatorKernel(grid=grid, dz=0.16, kind=KIND_UNITARY, v=list(chirp))
+    assert np.array_equal(bayes_propagate(d, direct).e,
+                          bayes_propagate(d, build_kernel_unitary(grid, chirp, 0.16)).e)
+
+
 @pytest.mark.parametrize("dz", [0.0, 0.084, 0.325])
 def test_diagonal_and_dense_chirp_give_the_same_kernel(dz):
     grid = _unit_grid(16)
@@ -345,7 +397,8 @@ def test_analytic_normalization_guard_rejects_zero_and_non_finite(monkeypatch, b
         bayes_propagate(d, kernel)
 
 
-@pytest.mark.parametrize("n", [2, 3, 8, 9, 12, 97, 256])
+# n mod 4 fixes the lens row constant (-i)^n t_m; 66 and 67 meet n = 2 and 3 mod 4 past n = 8
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 12, 66, 67, 97, 256])
 @pytest.mark.parametrize("x0", [0.0, 3e-4])
 @pytest.mark.parametrize("dz", [0.084, 0.16, 0.325])
 def test_analytic_propagation_matches_dense_product(n, x0, dz):

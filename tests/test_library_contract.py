@@ -8,8 +8,9 @@ exception fails, and so does a warning, which the sweep turns into an error.
 A distribution built from nan or inf is outside the contract (the types
 check shape, not finiteness), so the slots that pass a distribution filled
 with the value take the finite values only.  Each slot of ``_REFUSED``
-passes a wrong shape, a mismatched grid or an index out of range, and must
-raise a ``DiracsimError``.  The cases are fixed, so the run is derandomised.
+passes a wrong shape, a mismatched grid, an index out of range or a kernel
+built directly that breaks its builders' checks, and must raise a
+``DiracsimError``.  The cases are fixed, so the run is derandomised.
 """
 
 import math
@@ -19,13 +20,14 @@ import numpy as np
 import pytest
 
 from diracsim import (BenchConfig, DensityMatrix, DiracDistribution, DiracsimError, Grid,
-                      PropagatedDistribution, UnitMap, bayes_propagate, backaction_offset,
-                      build_bench_state, build_kernel_analytic, build_kernel_unitary,
-                      conditional_x_given_p, correct_diagonals, direct_measure_displaced,
-                      estimate_dirac_column, expectation_overlap, fresnel_unitary,
-                      joint4_tensor, make_grid, marginal_p, marginal_x, mix, operator_dirac,
-                      pure_from_samples, purity, random_density_matrix, reconstruct_density,
-                      sample_counts, scan, wedge_gradient_from_angle, dirac_distribution)
+                      PropagatedDistribution, PropagatorKernel, UnitMap, bayes_propagate,
+                      backaction_offset, build_bench_state, build_kernel_analytic,
+                      build_kernel_unitary, conditional_x_given_p, correct_diagonals,
+                      direct_measure_displaced, estimate_dirac_column, expectation_overlap,
+                      fresnel_unitary, joint4_tensor, make_grid, marginal_p, marginal_x, mix,
+                      operator_dirac, pure_from_samples, purity, random_density_matrix,
+                      reconstruct_density, sample_counts, scan, wedge_gradient_from_angle,
+                      dirac_distribution)
 
 LARGEST = np.finfo(float).max  # a numpy scalar, so numpy's scalar arithmetic is swept too
 _VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300, LARGEST]
@@ -39,6 +41,7 @@ BENCH = BenchConfig(aperture_halfwidth=22e-3, edge_position=25e-3)
 RHO = build_bench_state(BENCH, GRID)
 DIST = dirac_distribution(RHO)
 CHIRP = build_kernel_unitary(GRID, fresnel_unitary(GRID, 0.084), 0.084)
+ROW = build_kernel_analytic(GRID, 0.084).row  # the real generator, cut or extended below
 DENSE = build_kernel_unitary(GRID, np.diag(fresnel_unitary(GRID, 0.084)), 0.084)
 # the lattice on which a wedge_tilt of LARGEST makes the bench phase overflow
 PHASE_GRID = make_grid(16, 1.0, 0.0, UM)
@@ -175,6 +178,14 @@ _REFUSED = {
         DIST, DiracDistribution(grid=OTHER, d=DIST.d)),
     "bayes_propagate, two grids": lambda: bayes_propagate(
         DiracDistribution(grid=OTHER, d=DIST.d), CHIRP),
+    # a PropagatorKernel built directly holds the builders' checks
+    "PropagatorKernel, neither v nor row": lambda: _propagate_direct(),
+    "PropagatorKernel, both v and row": lambda: _propagate_direct(v=CHIRP.v, row=ROW),
+    "PropagatorKernel, v of shape (5,)": lambda: _propagate_direct(v=np.ones(5)),
+    "PropagatorKernel, v not unitary": lambda: _propagate_direct(v=2 * np.ones(N)),
+    "PropagatorKernel, row of length 5": lambda: _propagate_direct(row=ROW[:5]),
+    "PropagatorKernel, row of length 10": lambda: _propagate_direct(
+        row=np.concatenate((ROW, ROW[:2]))),
     "conditional_x_given_p, k = n": lambda: conditional_x_given_p(DIST, N),
     "conditional_x_given_p, k = -1": lambda: conditional_x_given_p(DIST, -1),
     "random_density_matrix, rank n + 1": lambda: random_density_matrix(
@@ -195,6 +206,11 @@ _REFUSED = {
     "build_bench_state, edge outside the aperture": lambda: build_bench_state(
         BenchConfig(aperture_halfwidth=22e-3, edge_position=45e-3), GRID),
 }
+
+
+def _propagate_direct(**fields):
+    """Propagate DIST through a PropagatorKernel built directly with ``fields``."""
+    return bayes_propagate(DIST, PropagatorKernel(grid=GRID, dz=0.084, kind="direct", **fields))
 
 
 def _outcome(call):
