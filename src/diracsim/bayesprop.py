@@ -101,38 +101,53 @@ PROPAGATED_TOL = 1e-9
 class PropagatorKernel:
     """Conditional quasi-probability kernel for one camera displacement.
 
-    A unitary kernel sets only ``v``, the checked diagonal or dense matrix
-    of V as it was passed; :attr:`k_basis` derives the displaced-plane
-    position eigenstates from it on each access (an n x n array, which
-    :func:`bayes_propagate` forms for a dense V only).  The analytic kernel
-    sets only ``row``, the length-n generator of the symmetric Toeplitz
-    wavelet of ``cond[j, m, kp] = col[m, j] * row[|kp - j|] * inv[m, kp]``.
-    It holds O(n) numbers, as a unitary kernel of a diagonal V does.
-    Neither the lens ``col`` (module docstring) nor the normalization
-    ``inv`` is stored: :func:`bayes_propagate` applies ``col`` as a roll of
-    each row's spectrum and forms ``inv`` in its output, each without the
-    row constant (-i)^n t_m that the two share and that cancels.
+    A unitary kernel sets only ``v``, the diagonal or the dense matrix of
+    V; :attr:`k_basis` derives the displaced-plane position eigenstates
+    from it on each access (an n x n array, which :func:`bayes_propagate`
+    forms for a dense V only).  The analytic kernel sets only ``row``, the
+    length-n generator of the symmetric Toeplitz wavelet of
+    ``cond[j, m, kp] = col[m, j] * row[|kp - j|] * inv[m, kp]``.  It holds
+    O(n) numbers, as a unitary kernel of a diagonal V does.  Neither the
+    lens ``col`` (module docstring) nor the normalization ``inv`` is stored:
+    :func:`bayes_propagate` applies ``col`` as a roll of each row's spectrum
+    and forms ``inv`` in its output, each without the row constant
+    (-i)^n t_m that the two share and that cancels.
 
-    A kernel built directly holds the builders' checks, each a
-    ContractError: exactly one of ``v`` and ``row`` is set, ``v`` passes
-    the unitarity check of :func:`build_kernel_unitary` (and is stored as
-    the complex array it returns), and ``row`` has shape (n,).
+    The builders call the constructor, so a kernel built directly holds
+    their checks.  A negative, infinite or NaN ``dz`` is a ConfigError, as
+    in :func:`fresnel_unitary`; ``dz`` is stored as a float.  Exactly one of
+    ``v`` and ``row`` is set, it reads as complex numbers, ``v`` passes the
+    unitarity check of :func:`build_kernel_unitary` and ``row`` has shape
+    (n,); anything else is a ContractError.  The kernel keeps a read-only
+    complex copy of the one it is given, so an edit to the caller's array
+    changes no kernel.  ``kind`` is not an argument: it is ``KIND_UNITARY``
+    when ``v`` is set and ``KIND_ANALYTIC`` when ``row`` is.
     """
 
     grid: Grid
     dz: float
-    kind: str
     v: np.ndarray | None = None
     row: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         n = self.grid.n
+        _check_displacement(self.dz)
         if (self.v is None) == (self.row is None):
             raise ContractError("a propagator kernel sets exactly one of v and row")
         if self.v is not None:
-            object.__setattr__(self, "v", _checked_unitary(self.grid, self.v))
-        elif np.shape(self.row) != (n,):
-            raise ContractError(f"kernel row shape {np.shape(self.row)} does not match grid n={n}")
+            name, held = "v", _checked_unitary(self.grid, self.v)
+        else:
+            name, held = "row", _complex_copy(self.row, "kernel row")
+            if held.shape != (n,):
+                raise ContractError(f"kernel row shape {held.shape} does not match grid n={n}")
+        held.setflags(write=False)
+        object.__setattr__(self, name, held)
+        object.__setattr__(self, "dz", float(self.dz))
+
+    @property
+    def kind(self) -> str:
+        """``KIND_UNITARY`` if ``v`` is set, else ``KIND_ANALYTIC``."""
+        return KIND_ANALYTIC if self.v is None else KIND_UNITARY
 
     @property
     def k_basis(self) -> np.ndarray | None:
@@ -197,14 +212,23 @@ def _check_displacement(dz: float) -> None:
         raise ConfigError(f"camera displacement dz {dz!r} must be finite and nonnegative")
 
 
+def _complex_copy(a: np.ndarray, what: str) -> np.ndarray:
+    """A complex copy of ``a``; one that numpy cannot read as complex is a
+    ContractError."""
+    try:
+        return np.array(a, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"{what} cannot be read as complex numbers ({exc})") from None
+
+
 def _checked_unitary(grid: Grid, v: np.ndarray) -> np.ndarray:
-    """``v`` as a complex array, after checking that it is a unitary V.
+    """A complex copy of ``v``, after checking that it is a unitary V.
 
     ``v`` is either the length-n diagonal of V or the dense n x n matrix.
     For a diagonal, the defect max |V^dag V - 1| is max ||c|^2 - 1|, so both
     forms pass the same check in O(n) and O(n^3) respectively.
     """
-    v = np.asarray(v, dtype=complex)
+    v = _complex_copy(v, "unitary")
     n = grid.n
     if v.shape == (n,):
         with np.errstate(over="ignore"):  # |c|^2 that overflows is an infinite defect
@@ -233,13 +257,11 @@ def build_kernel_unitary(grid: Grid, v: np.ndarray, dz: float = 0.0) -> Propagat
     holds identically, so the Bayes sum reproduces displaced-basis
     expectation values exactly.  ``dz`` is recorded as provenance only; it
     plays no role in the construction, but a negative, infinite or NaN
-    ``dz`` is a ConfigError, as in :func:`fresnel_unitary`.  Only the
-    checked V is stored; :class:`PropagatorKernel` checks it, once.
+    ``dz`` is a ConfigError, as in :func:`fresnel_unitary`.  This is the
+    :class:`PropagatorKernel` constructor, which checks ``dz`` and V, once,
+    and stores only a read-only copy of the checked V.
     """
-    _check_displacement(dz)
-    v = np.array(v, dtype=complex)  # a copy the caller cannot change
-    v.setflags(write=False)
-    return PropagatorKernel(grid=grid, dz=float(dz), kind=KIND_UNITARY, v=v)
+    return PropagatorKernel(grid=grid, dz=dz, v=v)
 
 
 def build_kernel_analytic(grid: Grid, dz: float) -> PropagatorKernel:
@@ -284,7 +306,7 @@ def build_kernel_analytic(grid: Grid, dz: float) -> PropagatorKernel:
                           f"phase 2 pi r / lambda is not finite")
     r = np.hypot(dz, cam - cam[0])
     wavelet = np.exp(-1j * TWO_PI * r / units.wavelength) / r
-    return PropagatorKernel(grid=grid, dz=float(dz), kind=KIND_ANALYTIC, row=wavelet)
+    return PropagatorKernel(grid=grid, dz=dz, row=wavelet)
 
 
 def bayes_propagate(dist: DiracDistribution, kernel: PropagatorKernel) -> PropagatedDistribution:

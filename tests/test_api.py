@@ -55,6 +55,14 @@ def test_public_members_are_pinned():
         assert names == members, cls.__name__
 
 
+def test_a_kernels_settable_fields_are_its_data():
+    """``kind`` follows from which of ``v`` and ``row`` is set, so it is a
+    property and not a field that a caller could set against the data."""
+    assert [f.name for f in dataclasses.fields(diracsim.PropagatorKernel)] == [
+        "grid", "dz", "v", "row"]
+    assert isinstance(diracsim.PropagatorKernel.kind, property)
+
+
 def test_importing_the_cli_loads_no_hashlib():
     """``fileio`` imports ``hashlib`` only when it hashes: loading OpenSSL at
     import costs every process about 3.5 MB of RSS."""

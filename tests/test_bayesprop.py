@@ -157,6 +157,7 @@ def test_a_dense_v_is_checked_once_per_kernel(monkeypatch):
 
 
 _ROW = build_kernel_analytic(_unit_grid(8), 0.084).row
+_STRINGS = np.array(["a"] * 8)  # numpy cannot read these as complex
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -166,22 +167,72 @@ _ROW = build_kernel_analytic(_unit_grid(8), 0.084).row
     ({"v": 2 * np.ones(8)}, re.escape("matrix is not unitary (defect 3.000e+00)")),
     ({"row": _ROW[:5]}, re.escape("kernel row shape (5,) does not match grid n=8")),
     ({"row": np.tile(_ROW, 2)[:10]}, re.escape("kernel row shape (10,) does not match grid n=8")),
-], ids=["neither", "both", "v of 5", "v not unitary", "row of 5", "row of 10"])
+    ({"v": _STRINGS}, "unitary cannot be read as complex numbers"),
+    ({"v": [{}] * 8}, "unitary cannot be read as complex numbers"),
+    ({"row": _STRINGS}, "kernel row cannot be read as complex numbers"),
+], ids=["neither", "both", "v of 5", "v not unitary", "row of 5", "row of 10", "v of strings",
+        "v of dicts", "row of strings"])
 def test_a_kernel_built_directly_holds_the_builders_checks(fields, message):
     """Before the kernel checked itself, bayes_propagate met these with a
-    TypeError, a numpy broadcast ValueError, an e that sums to 4, or a row
-    it ignored."""
+    TypeError, a numpy broadcast ValueError, an e that sums to 4, a row it
+    ignored, or a UFuncTypeError."""
     with pytest.raises(ContractError, match=message):
-        PropagatorKernel(grid=_unit_grid(8), dz=0.084, kind=KIND_UNITARY, **fields)
+        PropagatorKernel(grid=_unit_grid(8), dz=0.084, **fields)
+
+
+@pytest.mark.parametrize("dz", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("field", ["v", "row"])
+def test_a_kernel_built_directly_refuses_a_bad_dz(field, dz):
+    data = {"v": np.ones(8), "row": _ROW}[field]
+    with pytest.raises(ConfigError, match=re.escape(f"camera displacement dz {dz!r} must be "
+                                                    f"finite and nonnegative")):
+        PropagatorKernel(grid=_unit_grid(8), dz=dz, **{field: data})
 
 
 def test_a_valid_kernel_built_directly_propagates_as_the_built_one():
     grid = _unit_grid(8)
     chirp = fresnel_unitary(grid, 0.16)
     d = dirac_distribution(random_density_matrix(grid, np.random.default_rng(5)))
-    direct = PropagatorKernel(grid=grid, dz=0.16, kind=KIND_UNITARY, v=list(chirp))
+    direct = PropagatorKernel(grid=grid, dz=0.16, v=list(chirp))
     assert np.array_equal(bayes_propagate(d, direct).e,
                           bayes_propagate(d, build_kernel_unitary(grid, chirp, 0.16)).e)
+
+
+def test_a_kernel_keeps_its_own_copy_of_the_callers_array():
+    """Before the kernel kept a copy, doubling v after construction made e
+    sum to 4."""
+    grid = _unit_grid(8)
+    d = dirac_distribution(random_density_matrix(grid, np.random.default_rng(5)))
+    chirp = fresnel_unitary(grid, 0.16)
+    for v in (chirp.copy(), np.diag(chirp)):
+        built = bayes_propagate(d, build_kernel_unitary(grid, v, 0.16)).e
+        direct = PropagatorKernel(grid=grid, dz=0.16, v=v)
+        v *= 2
+        assert np.array_equal(bayes_propagate(d, direct).e, built)
+    row = _ROW.copy()
+    direct = PropagatorKernel(grid=grid, dz=0.084, row=row)
+    row[:] = 1.0
+    assert np.array_equal(bayes_propagate(d, direct).e,
+                          bayes_propagate(d, build_kernel_analytic(grid, 0.084)).e)
+
+
+def test_a_kernels_data_is_read_only_and_its_kind_follows_from_it():
+    grid = _unit_grid(8)
+    chirp = fresnel_unitary(grid, 0.16)
+    kernels = {
+        "built diagonal": (build_kernel_unitary(grid, chirp, 0.16), KIND_UNITARY),
+        "built dense": (build_kernel_unitary(grid, np.diag(chirp), 0.16), KIND_UNITARY),
+        "built analytic": (build_kernel_analytic(grid, 0.084), KIND_ANALYTIC),
+        "direct v": (PropagatorKernel(grid=grid, dz=0.0, v=chirp), KIND_UNITARY),
+        "direct row": (PropagatorKernel(grid=grid, dz=0.084, row=list(_ROW)), KIND_ANALYTIC),
+    }
+    for name, (kernel, kind) in kernels.items():
+        data = kernel.row if kernel.v is None else kernel.v
+        assert not data.flags.writeable, name
+        assert data.dtype == complex, name
+        assert kernel.kind == kind, name
+        with pytest.raises(AttributeError):
+            kernel.kind = KIND_ANALYTIC if kind == KIND_UNITARY else KIND_UNITARY
 
 
 @pytest.mark.parametrize("dz", [0.0, 0.084, 0.325])
@@ -508,7 +559,7 @@ def test_joint4_tensor_rejects_bad_unitaries():
     nan_chirp[2] = np.nan
     nan_dense = good.copy()
     nan_dense[1, 5] = np.nan
-    for bad in (np.eye(7), np.ones((8, 8)), np.ones(9), nan_chirp, nan_dense):
+    for bad in (np.eye(7), np.ones((8, 8)), np.ones(9), nan_chirp, nan_dense, _STRINGS):
         for v1, v2 in ((bad, good), (good, bad)):
             with pytest.raises(ContractError):
                 joint4_tensor(rho, v1, v2)

@@ -148,6 +148,7 @@ _SLOTS = {
     "direct_measure_displaced seed": (
         _VALUES, lambda v: direct_measure_displaced(RHO, _scan_config(), 0.1, noise=True, seed=v)),
     "joint4_tensor v1": (_VALUES, lambda v: joint4_tensor(RHO, _full(N, v), np.ones(N))),
+    "PropagatorKernel dz": (_VALUES, lambda v: _propagate_direct(dz=v, v=CHIRP.v)),
     # a distribution filled with a finite value
     **{f"{name} of a filled distribution": (
         _FINITE, lambda v, fn=fn: fn(DiracDistribution(grid=GRID, d=_full((N, N), v))))
@@ -208,9 +209,9 @@ _REFUSED = {
 }
 
 
-def _propagate_direct(**fields):
+def _propagate_direct(dz=0.084, **fields):
     """Propagate DIST through a PropagatorKernel built directly with ``fields``."""
-    return bayes_propagate(DIST, PropagatorKernel(grid=GRID, dz=0.084, kind="direct", **fields))
+    return bayes_propagate(DIST, PropagatorKernel(grid=GRID, dz=dz, **fields))
 
 
 def _outcome(call):
