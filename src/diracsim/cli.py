@@ -8,10 +8,10 @@ codes: 0 success, 2 configuration error or unknown flag, 3 runtime or data
 error or out of memory.  Each output file is written atomically, so no file
 is left half written; a multi-file command that fails keeps the files it
 already wrote.  No stage writes a matrix or a figure table that holds nan
-or inf: it exits 3 instead, naming the file.  Each handler reads its input,
-makes one call on objects and writes: a library function where one is the
-stage, else :func:`propagate`, :func:`props` or :func:`figures` here, which
-open no file.
+or inf: :mod:`.fileio` refuses it, naming the file, and the stage exits 3.
+Each handler reads its input, makes one call on objects and writes: a
+library function where one is the stage, else :func:`propagate`,
+:func:`props` or :func:`figures` here, which open no file.
 """
 
 from __future__ import annotations
@@ -21,11 +21,9 @@ import functools
 import os
 import sys
 
-import numpy as np
-
 from . import bayesprop, dirac, fileio, qstate, weaksim
 from .config import RunConfig, load_run_config, propagated_name
-from .errors import ConfigError, DiracsimError, FormatError, NumericalIntegrityError
+from .errors import ConfigError, DiracsimError, FormatError
 from .dirac import DiracDistribution
 
 EXIT_OK = 0
@@ -79,21 +77,12 @@ def _load(args) -> RunConfig:
     return load_run_config(args.config, overrides)
 
 
-def _finite(name: str, what: str, a):
-    """``a``, or a NumericalIntegrityError naming the file ``name`` that was
-    not written because ``a``, its ``what``, holds nan or inf."""
-    if not np.isfinite(a).all():
-        raise NumericalIntegrityError(f"{name} not written: the {what} holds nan or inf")
-    return a
-
-
 def _emit(cfg: RunConfig, name: str, arr, kind: str, grid, **extra) -> None:
     """Write ``arr`` to ``<out>/<name>`` with the headers ``kind``, the grid's
     keys and then ``extra`` in call order, and print the path.  An array
     holding nan or inf is refused before anything is written."""
     path = os.path.join(cfg.out_dir, name)
-    fileio.write_matrix(path, _finite(name, "matrix", arr),
-                        {"kind": kind, **fileio.grid_meta(grid), **extra})
+    fileio.write_matrix(path, arr, {"kind": kind, **fileio.grid_meta(grid), **extra})
     print(path)
 
 
@@ -247,11 +236,9 @@ def _figure_axes(meta, grid):
 
 def figures(stem: str):
     """Yield the name of each figure table of the matrix file named ``stem``
-    with its block entry: the :data:`.FIGURE_ENTRIES` function, which refuses
-    a block of the table that holds nan or inf."""
+    with its block entry, the :data:`.FIGURE_ENTRIES` function that forms it."""
     for kind, entry in fileio.FIGURE_ENTRIES.items():
-        name = f"fig_{stem}_{kind}.csv"
-        yield name, lambda a, name=name, entry=entry: _finite(name, "table", entry(a))
+        yield f"fig_{stem}_{kind}.csv", entry
 
 
 def cmd_figures(cfg: RunConfig, path: str) -> int:

@@ -54,13 +54,19 @@ they set themselves (``rows`` and ``cols`` of a matrix, ``n`` of counts) to a
 value other than the body's shape; the same value, as in the ``meta`` that
 ``read_matrix`` returns, is written once, as if it were left out.
 
-Each matrix file of finite values also gets a binary twin,
+The writers own the rule that no output holds nan or inf: ``write_matrix``
+refuses a matrix, and the ``figures`` table writer a block of its table,
+that holds one with a ``NumericalIntegrityError``, ``<file name> not
+written: the matrix (or table) holds nan or inf``, and the file is not
+written (a matrix is refused before any file or directory is made).
+
+Each matrix file also gets a binary twin,
 ``.diracsim-cache/<file name>.<text sha256>.<array sha256>.npy`` beside it,
 named by two SHA-256 digests taken as it is written: ``write_matrix`` hashes
 the text as it streams out and the array's own bytes (complex128, row-major),
 then saves the array with ``np.save(..., allow_pickle=False)``, atomically
-and with the text's mode.  An array holding nan or inf gets no twin: the
-reader would parse the text to name the bad line.  After every matrix write,
+and with the text's mode, so every matrix file the package writes reads back
+through its twin.  After every matrix write,
 each other twin in that directory is deleted if it is of the same file name
 or its text file is gone, a twin named by the text's digest alone (an
 earlier format, never read) included.  ``read_matrix`` checks the header as
@@ -102,7 +108,7 @@ from typing import Iterable
 import numpy as np
 
 from ._format17 import WORDS, render
-from .errors import ConfigError, ContractError, FormatError
+from .errors import ConfigError, ContractError, FormatError, NumericalIntegrityError
 from .lattice import Grid, UnitMap, make_grid
 
 MATRIX_MAGIC = "# diracsim matrix v1"
@@ -205,21 +211,31 @@ def _twin_dir(path: str) -> tuple[str, str]:
     return os.path.join(directory, TWIN_DIR), name
 
 
+def _finite(path: str, what: str, arr: np.ndarray) -> np.ndarray:
+    """``arr``; if it holds nan or inf, a NumericalIntegrityError saying that
+    the file ``path`` is not written because ``what`` (``"the matrix"`` or
+    ``"the table"``) does."""
+    if np.isfinite(arr).all():
+        return arr
+    raise NumericalIntegrityError(f"{os.path.basename(path)} not written: {what} holds nan or inf")
+
+
 def write_matrix(path: str, arr: np.ndarray, meta: dict) -> None:
     """Write a complex matrix with '# key=value' headers and 'i j re im' rows,
-    then, if every value is finite, its binary twin, named by the SHA-256 of
-    the text and that of the array's bytes.  An array that is not 2-D is a
-    ContractError, and a twin directory that exists but is not a directory a
-    NotADirectoryError, each raised before any file or directory is made."""
+    then its binary twin, named by the SHA-256 of the text and that of the
+    array's bytes.  An array that is not 2-D is a ContractError, one that
+    holds nan or inf a NumericalIntegrityError, and a twin directory that
+    exists but is not a directory a NotADirectoryError, each raised before
+    any file or directory is made."""
     import hashlib  # here: importing the package loads no OpenSSL
 
     arr = np.asarray(arr, dtype=complex, order="C")  # hashed as it is saved, in C order
     if arr.ndim != 2:
         raise ContractError(f"matrix must be 2-D, got shape {arr.shape}")
+    _finite(path, "the matrix", arr)
     head = _header_bytes(MATRIX_MAGIC, {"rows": arr.shape[0], "cols": arr.shape[1]}, meta)
     cache, own = _twin_dir(path)
-    twin = np.isfinite(arr).all()  # read_matrix parses the text of any other array
-    if twin and os.path.lexists(cache) and not os.path.isdir(cache):
+    if os.path.lexists(cache) and not os.path.isdir(cache):
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), cache)
     digest = hashlib.sha256()
     with _atomic_binary(path) as fh:
@@ -227,9 +243,8 @@ def write_matrix(path: str, arr: np.ndarray, meta: dict) -> None:
             digest.update(chunk)
             fh.write(chunk)
     keep = f"{own}.{digest.hexdigest()}.{hashlib.sha256(arr).hexdigest()}.npy"
-    if twin:
-        with _atomic_binary(os.path.join(cache, keep)) as fh:
-            np.save(fh, arr, allow_pickle=False)
+    with _atomic_binary(os.path.join(cache, keep)) as fh:
+        np.save(fh, arr, allow_pickle=False)
     # drop the other twins of this name, and those whose text is gone
     for name in os.listdir(cache) if os.path.isdir(cache) else ():
         text = _TWIN_NAME.fullmatch(name)
@@ -262,12 +277,15 @@ def _write_table(path: str, corner: str, cols: np.ndarray, rows: np.ndarray,
     """Write a CSV table: a ``corner,cols...`` line, then ``rows[i],t[i]...``
     for every row, each number as ``%.17g``, where the table ``t`` is
     ``entry(arr)`` for an elementwise ``entry`` such as ``np.abs``.  It is
-    formed one block of rows at a time, so no whole table is held."""
+    formed one block of rows at a time, so no whole table is held; a block
+    that holds nan or inf is a NumericalIntegrityError, and the file is not
+    written."""
     cols, rows = np.asarray(cols, dtype=float), np.asarray(rows, dtype=float)
     head = _lines(cols[None, :], b"," * len(cols), (_words(corner.encode())[:, None],))
     step = max(1, _BLOCK // (len(cols) + 1))
     leads = b"\0" + b"," * len(cols)
-    body = (_lines(np.column_stack((rows[i:i + step], entry(arr[i:i + step]))), leads)
+    body = (_lines(np.column_stack((rows[i:i + step],
+                                    _finite(path, "the table", entry(arr[i:i + step])))), leads)
             for i in range(0, len(rows), step))
     atomic_write_text(path, chain([head], body))
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diracsim import cli, dirac, qstate, weaksim
+from diracsim import cli, dirac, fileio, qstate, weaksim
 from diracsim.cli import main
 from diracsim.fileio import read_matrix, write_matrix
 from diracsim import (Grid, dirac_distribution, direct_measure_displaced, marginal_x,
@@ -16,7 +16,7 @@ from diracsim.fileio import grid_from_meta
 from diracsim.config import load_run_config
 
 from conftest import (TWIN_DIR, bench_grid, count_text_parses, drop_twins, load_counts,
-                      measure_oracle, twin_name)
+                      matrix_file_oracle, measure_oracle, twin_name)
 
 N = 32
 DX = 44e-3 / N
@@ -784,9 +784,9 @@ def test_invalid_state_file_exits_3_without_output(tmp_path, capsys, monkeypatch
 
 
 def _bad_files():
-    """Matrix files that ``write_matrix`` writes, with a twin unless a value
-    is not finite, but a command refuses: (command, flag, meta changes, array
-    change, message)."""
+    """Matrix files that a command refuses: (command, flag, meta changes, array
+    change, message).  ``write_matrix`` writes each with its twin, except the
+    non-finite one, which it refuses: its text is the byte oracle's."""
     nan = np.full((N, N), np.nan + 0j)
     return {
         "kind": ("props", "--dirac", {"kind": "density"}, None, "expected kind=dirac"),
@@ -816,11 +816,13 @@ def test_bad_files_fail_alike_with_and_without_twins(tmp_path, capsys, case):
     meta = {key: value for key, value in {**meta, **changes}.items()
             if value is not None and key not in ("rows", "cols")}
     path = tmp_path / "bad" / source
-    write_matrix(str(path), arr if change is None else change(arr), meta)
+    arr = arr if change is None else change(arr)
     cache = path.parent / TWIN_DIR
-    if case == "non-finite":  # no twin that read_matrix would refuse
-        assert not cache.exists()
+    if case == "non-finite":  # write_matrix refuses it, so it has no twin
+        path.parent.mkdir()
+        path.write_bytes(matrix_file_oracle(arr, meta))
     else:
+        write_matrix(str(path), arr, meta)
         assert os.listdir(cache) == [twin_name(path)]
     fresh = tmp_path / "fresh"
     outcomes = []
@@ -1022,6 +1024,23 @@ def test_every_stage_prints_the_files_it_writes_with_kind_and_grid_headers_first
             assert magic == "# diracsim matrix v1"
             assert [key for key, _ in header] == ["rows", "cols", "kind"] + _GRID_KEYS + own
             assert dict(header)["kind"] == kind and dict(header)["n"] == "16"
+
+
+def test_a_chain_parses_no_text(tmp_path, monkeypatch):
+    """Every matrix a stage reads was written by an earlier stage with its
+    twin, so at n = 16 the seven-stage chain reads each one from its twin:
+    neither the one-pass body parse nor the line parser runs once."""
+    cfg = _scan_config(tmp_path, 16, "pipeline.scans = 2\n")
+    out = tmp_path / "out"
+    parses, lines, reads = count_text_parses(monkeypatch), [], []
+    read_lines, read = fileio._read_matrix_lines, fileio.read_matrix
+    monkeypatch.setattr(fileio, "_read_matrix_lines",
+                        lambda *args: lines.append(args) or read_lines(*args))
+    monkeypatch.setattr(fileio, "read_matrix", lambda path: reads.append(path) or read(path))
+    for command, _ in _STAGE_MATRICES:
+        assert _run(command, "--config", cfg, "--out", str(out)) == 0, command
+    assert [Path(path).name for path in reads] == ["state.txt"] * 2 + ["dirac_exact.txt"] * 4
+    assert (len(parses), len(lines)) == (0, 0)
 
 
 @pytest.mark.parametrize("value", ["analytic", "unitary"])

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import diracsim
 from diracsim import _format17, fileio, make_grid, UnitMap
 from diracsim.cli import main
-from diracsim.errors import ContractError, FormatError
+from diracsim.errors import ContractError, FormatError, NumericalIntegrityError
 from diracsim.fileio import grid_from_meta, grid_meta, read_matrix, write_counts, write_matrix
 from diracsim.weaksim import READOUT_KEYS
 
@@ -379,6 +379,8 @@ def test_readers_agree_with_reference_on_finite_bodies(tmp_path, data):
 _SPECIAL = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308,
             1e300, -1e300, 1e-300, -1e-300, 1.7e308, np.pi, 0.1]
 _VALUE = st.one_of(st.sampled_from(_SPECIAL), st.floats())
+_FINITE_VALUE = st.one_of(st.sampled_from([v for v in _SPECIAL if np.isfinite(v)]),
+                          st.floats(allow_nan=False, allow_infinity=False))
 # counts are finite and >= 0 (``write_counts`` refuses the rest); whole ones take its %d path
 _COUNT_SPECIAL = [v for v in _SPECIAL if np.isfinite(v) and v >= 0]
 _COUNT = st.one_of(st.sampled_from(_COUNT_SPECIAL), st.integers(0, 2 ** 60).map(float),
@@ -393,33 +395,45 @@ def _draw_array(data, shape, value=_VALUE):
 
 @_SETTINGS
 @given(rows=st.sampled_from([1, 2, 3, 5, 7]), cols=st.sampled_from([1, 2, 4, 5, 9]),
-       seed=st.sampled_from([None, 0, 12345]), data=st.data())
-@example(rows=3, cols=5, seed=None, data=None)
-def test_writers_match_per_element_reference(tmp_path, monkeypatch, rows, cols, seed, data):
+       seed=st.sampled_from([None, 0, 12345]), finite=st.booleans(), data=st.data())
+@example(rows=3, cols=5, seed=None, finite=False, data=None)
+@example(rows=3, cols=5, seed=None, finite=True, data=None)
+def test_writers_match_per_element_reference(tmp_path, monkeypatch, rows, cols, seed, finite,
+                                             data):
+    """Counts files match their oracle and load back.  The matrix writer and
+    reader keep one contract: an array is refused exactly when some entry is
+    nan or inf, and the directory stays as it was; any other array is written
+    as the oracle's bytes and reads back bit for bit from its twin and, with
+    the twin gone, from its text."""
+    arr = np.empty((rows, cols), dtype=complex)
     if data is None:  # every special value, in both parts and in each analyzer
         special = np.array(_SPECIAL)
-        arr = np.empty((rows, cols), dtype=complex)
+        if finite:  # the finite ones, repeated to the same length
+            special = np.resize(special[np.isfinite(special)], len(special))
         arr.real, arr.imag = special.reshape(rows, cols), special[::-1].reshape(rows, cols)
         counts = np.array([np.roll(_COUNT_SPECIAL, 4 * k)[:cols] for k in range(len(READOUT_KEYS))])
     else:
-        arr = np.empty((rows, cols), dtype=complex)
-        arr.real, arr.imag = _draw_array(data, (rows, cols)), _draw_array(data, (rows, cols))
+        value = _FINITE_VALUE if finite else _VALUE
+        arr.real = _draw_array(data, (rows, cols), value)
+        arr.imag = _draw_array(data, (rows, cols), value)
         counts = _draw_array(data, (len(READOUT_KEYS), cols), _COUNT)
     meta = {"kind": "dirac", "n": rows, "dx": 0.1, "x0": -0.0, "mixed": True}
     counts_meta = _counts_meta(0, 0.2255, 1e8, "none" if seed is None else seed)
-    matrix_path, counts_path = str(tmp_path / "m.txt"), str(tmp_path / "c.txt")
-    write_matrix(matrix_path, arr, meta)
+    matrix_path, counts_path = tmp_path / "m.txt", str(tmp_path / "c.txt")
     write_counts(counts_path, counts, counts_meta)
-    assert Path(matrix_path).read_bytes() == matrix_file_oracle(arr, meta)
     assert Path(counts_path).read_bytes() == counts_file_oracle(counts, counts_meta)
+    assert load_counts(counts_path)[0].tobytes() == counts.tobytes()
 
     _forbid_line_parser(monkeypatch)
-    if np.isfinite(arr.view(float)).all():
-        assert read_matrix(matrix_path)[0].tobytes() == arr.tobytes()
-        drop_twins(tmp_path)
-        assert read_matrix(matrix_path)[0].tobytes() == arr.tobytes()
-    if np.isfinite(counts).all():
-        assert load_counts(counts_path)[0].tobytes() == counts.tobytes()
+    parses = count_text_parses(monkeypatch)
+    if not np.isfinite(arr.view(float)).all():
+        _assert_refused(tmp_path, matrix_path, "matrix", write_matrix, arr, meta)
+        return
+    write_matrix(str(matrix_path), arr, meta)
+    assert matrix_path.read_bytes() == matrix_file_oracle(arr, meta)
+    assert read_matrix(str(matrix_path))[0].tobytes() == arr.tobytes() and not parses
+    drop_twins(tmp_path)
+    assert read_matrix(str(matrix_path))[0].tobytes() == arr.tobytes() and len(parses) == 1
 
 
 @settings(derandomize=True, max_examples=25, deadline=None,
@@ -436,9 +450,10 @@ def test_figure_csv_matches_per_element_reference(tmp_path, n, kind, data):
 
 
 def _figures_match_oracle(tmp_path, arr, meta, grid):
-    """Each table that ``_write_table`` writes matches the oracle, an inf cell
-    included.  ``figures`` writes the same bytes when |z| is finite
-    everywhere, and else exits 3."""
+    """Each table that ``_write_table`` writes matches the oracle; one whose
+    oracle holds an inf cell is refused, and nothing is written.
+    ``figures`` writes the same bytes when |z| is finite everywhere, and else
+    exits 3."""
     from diracsim.cli import _figure_axes
 
     in_path, out = str(tmp_path / "in.txt"), str(tmp_path / "out")
@@ -450,28 +465,64 @@ def _figures_match_oracle(tmp_path, arr, meta, grid):
     for table, entry in fileio.FIGURE_ENTRIES.items():
         want = figure_csv_oracle(arr, grid.coords, cols, corner, table)
         path = tmp_path / f"{table}.csv"
+        if {b"nan", b"inf", b"-inf"} & set(want.replace(b"\n", b",").split(b",")):
+            _assert_refused(tmp_path, path, "table", fileio._write_table, corner, cols,
+                            grid.coords, arr, entry)
+            continue
         fileio._write_table(str(path), corner, cols, grid.coords, arr, entry)
         assert path.read_bytes() == want
         if finite:
             assert Path(out, f"fig_in_{table}.csv").read_bytes() == want
 
 
+def _tree(directory):
+    """Every file and directory under ``directory``, twins included, by
+    relative path, with a file's bytes (None for a directory)."""
+    return {str(path.relative_to(directory)): None if path.is_dir() else path.read_bytes()
+            for path in sorted(Path(directory).rglob("*"))}
+
+
+def _assert_refused(directory, path, what, write, *args):
+    """``write(path, *args)`` raises the NumericalIntegrityError that names
+    the file of ``path`` and its ``what``, and leaves every file and
+    directory under ``directory`` as it was."""
+    before = _tree(directory)
+    with pytest.raises(NumericalIntegrityError) as info:
+        write(str(path), *args)
+    assert str(info.value) == f"{Path(path).name} not written: the {what} holds nan or inf"
+    assert _tree(directory) == before
+
+
 # -- byte oracles: edge values, edge shapes and strided inputs
 
 _EDGE = [np.nan, np.inf, -np.inf, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
          -1.7976931348623157e308]
+_NAN_INF = [v for v in _EDGE if not np.isfinite(v)]  # write_matrix refuses these
 
 
 def _edge_matrix(shape, seed):
-    """Random normal entries with every ``_EDGE`` value somewhere in the real
-    part and somewhere in the imaginary part."""
+    """Random normal entries with every finite ``_EDGE`` value and every
+    ``_TIES`` value somewhere in the real part and somewhere in the imaginary
+    part."""
+    edges = [v for v in _EDGE if np.isfinite(v)] + _TIES
     rng = np.random.default_rng(seed)
     parts = rng.standard_normal((2,) + shape)
     for part in parts:
-        part.reshape(-1)[rng.choice(part.size, len(_EDGE), replace=False)] = _EDGE
+        part.reshape(-1)[rng.choice(part.size, len(edges), replace=False)] = edges
     arr = np.empty(shape, dtype=complex)
     arr.real, arr.imag = parts
     return arr
+
+
+def _assert_each_nan_inf_refused(directory, path, arr):
+    """``write_matrix`` refuses ``arr`` with nan, inf or -inf in the real or
+    the imaginary part of its first or its last entry, and leaves
+    ``directory`` as it was."""
+    for value in _NAN_INF:
+        for at in (0, 1, -2, -1):
+            bad = np.array(arr, order="C")
+            bad.view(float).reshape(-1)[at] = value
+            _assert_refused(directory, path, "matrix", write_matrix, bad, _META)
 
 
 _META = {"kind": "dirac", "n": 3, "dx": 0.125, "x0": -0.0, "mixed": False, "note": "é"}
@@ -483,18 +534,22 @@ def test_write_matrix_bytes_match_oracle(tmp_path, layout):
     if layout == "transposed":
         arr = arr.T
         assert not arr.flags.c_contiguous
-    path = str(tmp_path / "m.txt")
-    write_matrix(path, arr, _META)
-    assert Path(path).read_bytes() == matrix_file_oracle(arr, _META)
+    path = tmp_path / "m.txt"
+    write_matrix(str(path), arr, _META)
+    assert path.read_bytes() == matrix_file_oracle(arr, _META)
+    _assert_each_nan_inf_refused(tmp_path, path, arr)
 
 
 @pytest.mark.parametrize("re, im", list(zip(_EDGE, _EDGE[::-1])) + [(np.pi, -0.1)])
 def test_write_matrix_1x1_bytes_match_oracle(tmp_path, re, im):
     arr = np.empty((1, 1), dtype=complex)
     arr.real, arr.imag = re, im
-    path = str(tmp_path / "m.txt")
-    write_matrix(path, arr, _META)
-    assert Path(path).read_bytes() == matrix_file_oracle(arr, _META)
+    path = tmp_path / "m.txt"
+    if not np.isfinite([re, im]).all():
+        _assert_refused(tmp_path, path, "matrix", write_matrix, arr, _META)
+        return
+    write_matrix(str(path), arr, _META)
+    assert path.read_bytes() == matrix_file_oracle(arr, _META)
 
 
 def _edge_counts(kind):
@@ -586,10 +641,8 @@ def test_write_matrix_refuses_an_array_that_is_not_2d(tmp_path, shape):
 
 def test_figure_csv_bytes_match_oracle(tmp_path):
     arr = _edge_matrix((4, 4), seed=5)
-    finite = np.isfinite(arr.real) & np.isfinite(arr.imag)
-    arr[~finite] = complex(-0.0, 5e-324)
     grid = make_grid(4, 0.25, -0.375, UnitMap(780e-9, 1.0, 4.935))
-    # |z| overflows at the first corner, which figures refuses, and not at the second
+    # |z| overflows at the first corner, whose magnitude table is refused, and not at the second
     for k, corner in enumerate([complex(1.7976931348623157e308, -1.7976931348623157e308),
                                 complex(1.7976931348623157e308, -0.0)]):
         arr[0, 0] = corner
@@ -663,9 +716,10 @@ def test_kernel_on_block_lengths(length):
                                   fileio._BLOCK // 2 + 1])
 def test_write_matrix_across_a_block_boundary(tmp_path, cols):
     arr = _edge_matrix((3, cols), seed=cols)
-    path = str(tmp_path / "m.txt")
-    write_matrix(path, arr, _META)
-    assert Path(path).read_bytes() == matrix_file_oracle(arr, _META)
+    path = tmp_path / "m.txt"
+    write_matrix(str(path), arr, _META)
+    assert path.read_bytes() == matrix_file_oracle(arr, _META)
+    _assert_each_nan_inf_refused(tmp_path, path, arr)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -764,10 +818,8 @@ def test_a_twin_directory_that_is_not_a_directory_is_refused_before_the_text(tmp
     with pytest.raises(NotADirectoryError):
         write_matrix(str(path), _sample_matrix(), _META)
     assert path.read_text() == "earlier\n" and (tmp_path / TWIN_DIR).read_text() == "kept\n"
-    # an array that gets no twin is written as before
-    write_matrix(str(path), np.full((2, 2), np.nan + 0j), _META)
-    assert sorted(os.listdir(tmp_path)) == [TWIN_DIR, "m.txt"]
-    assert path.read_text().startswith(fileio.MATRIX_MAGIC)
+    # an array holding nan is refused as such, before the twin directory is looked at
+    _assert_refused(tmp_path, path, "matrix", write_matrix, np.full((2, 2), np.nan + 0j), _META)
 
 
 def test_failed_twin_write_removes_the_fresh_twin_directory(tmp_path, monkeypatch):
@@ -1037,9 +1089,9 @@ def test_a_twin_whose_text_is_gone_goes_at_the_next_write(tmp_path):
     (tmp_path / "a.txt").unlink()
     write_matrix(str(tmp_path / "b.txt"), 2 * _sample_matrix(), _META)
     assert os.listdir(tmp_path / TWIN_DIR) == [twin_name(tmp_path / "b.txt")]
-    # nan gets no twin, and the twin of the older text goes
-    write_matrix(str(tmp_path / "b.txt"), np.full((2, 2), np.nan + 0j), _META)
-    assert os.listdir(tmp_path / TWIN_DIR) == []
+    # a refused nan array leaves the text and its twin as they were
+    _assert_refused(tmp_path, tmp_path / "b.txt", "matrix", write_matrix,
+                    np.full((2, 2), np.nan + 0j), _META)
 
 
 def test_failed_matrix_write_leaves_no_temporary_and_no_twin(tmp_path, monkeypatch):
