@@ -80,6 +80,7 @@ position and camera marginals are real and nonnegative, and
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -114,8 +115,9 @@ class PropagatorKernel:
     (-i)^n t_m that the two share and that cancels.
 
     The builders call the constructor, so a kernel built directly holds
-    their checks.  A negative, infinite or NaN ``dz`` is a ConfigError, as
-    in :func:`fresnel_unitary`; ``dz`` is stored as a float.  Exactly one of
+    their checks.  A ``dz`` that ``float`` refuses, or that is negative,
+    infinite or NaN, is a ConfigError, as in :func:`fresnel_unitary`; ``dz``
+    is stored as a float.  Exactly one of
     ``v`` and ``row`` is set, it reads as complex numbers, ``v`` passes the
     unitarity check of :func:`build_kernel_unitary` and ``row`` has shape
     (n,); anything else is a ContractError.  The kernel keeps a read-only
@@ -131,7 +133,7 @@ class PropagatorKernel:
 
     def __post_init__(self) -> None:
         n = self.grid.n
-        _check_displacement(self.dz)
+        object.__setattr__(self, "dz", _check_displacement(self.dz))
         if (self.v is None) == (self.row is None):
             raise ContractError("a propagator kernel sets exactly one of v and row")
         if self.v is not None:
@@ -142,7 +144,6 @@ class PropagatorKernel:
                 raise ContractError(f"kernel row shape {held.shape} does not match grid n={n}")
         held.setflags(write=False)
         object.__setattr__(self, name, held)
-        object.__setattr__(self, "dz", float(self.dz))
 
     @property
     def kind(self) -> str:
@@ -193,23 +194,27 @@ def fresnel_unitary(grid: Grid, dz: float) -> np.ndarray:
     the one scalar s = pi dz dx^2 / (lambda f^2), evaluated as
     (pi dz dx / (lambda f^2)) dx so that no coordinate is squared; x0 does
     not enter.  Returns that length-n unit-modulus vector; V(0) is exactly
-    all ones.  A dz whose largest phase s (n/2)^2 is not finite is a
-    ConfigError, found in scalars before any array is made
+    all ones.  A dz that ``float`` refuses, or that is negative, infinite or
+    NaN, is a ConfigError, and so is a dz whose largest phase s (n/2)^2 is
+    not finite, found in scalars before any array is made
     (:func:`.make_grid` has already checked lambda f^2).
     """
     units = grid.require_unit_map()
-    _check_displacement(dz)
     lam_f2 = float(units.wavelength * units.focal_length ** 2)  # a normal float (make_grid)
-    scale = np.pi * float(dz) * grid.dx / lam_f2 * grid.dx  # pi dz dx^2 / (lambda f^2)
+    scale = np.pi * _check_displacement(dz) * grid.dx / lam_f2 * grid.dx  # pi dz dx^2/(lambda f^2)
     if not scale * (grid.n / 2) ** 2 < np.inf:  # the phase at m = 0; also False for NaN
         raise ConfigError(f"camera displacement dz {dz!r}: the chirp phase is not finite")
     return np.exp(-1j * (scale * (np.arange(grid.n) - grid.n / 2) ** 2))
 
 
-def _check_displacement(dz: float) -> None:
-    """Reject a camera displacement that is negative, infinite or NaN."""
-    if not 0 <= dz < np.inf:
-        raise ConfigError(f"camera displacement dz {dz!r} must be finite and nonnegative")
+def _check_displacement(dz: float) -> float:
+    """``dz`` as a float; a camera displacement that is not a number (one
+    that ``float`` refuses), or is negative, infinite or NaN, is a
+    ConfigError."""
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        if 0 <= float(dz) < np.inf:
+            return float(dz)
+    raise ConfigError(f"camera displacement dz {dz!r} must be finite and nonnegative")
 
 
 def _complex_copy(a: np.ndarray, what: str) -> np.ndarray:
@@ -256,8 +261,9 @@ def build_kernel_unitary(grid: Grid, v: np.ndarray, dz: float = 0.0) -> Propagat
     it, or a dense n x n unitary.  Completeness (sum over k' equal to one)
     holds identically, so the Bayes sum reproduces displaced-basis
     expectation values exactly.  ``dz`` is recorded as provenance only; it
-    plays no role in the construction, but a negative, infinite or NaN
-    ``dz`` is a ConfigError, as in :func:`fresnel_unitary`.  This is the
+    plays no role in the construction, but a ``dz`` that ``float`` refuses,
+    or that is negative, infinite or NaN, is a ConfigError, as in
+    :func:`fresnel_unitary`.  This is the
     :class:`PropagatorKernel` constructor, which checks ``dz`` and V, once,
     and stores only a read-only copy of the checked V.
     """
@@ -293,18 +299,17 @@ def build_kernel_analytic(grid: Grid, dz: float) -> PropagatorKernel:
     found in scalars before any array is made.
     """
     units = grid.require_unit_map()
-    _check_displacement(dz)
-    if dz == 0:
+    if _check_displacement(dz) == 0:
         raise DegenerateKernelError(
             "analytic kernel is singular at dz = 0; build the unitary kernel instead"
         )
     cam = units.ft_plane_coordinate(grid.momenta)
     # in Python floats, which overflow to inf with no warning
-    widest = math.hypot(dz, float(cam[-1]) - float(cam[0]))
+    widest = math.hypot(float(dz), float(cam[-1]) - float(cam[0]))
     if not (1.0 / float(dz) < math.inf and TWO_PI * widest / units.wavelength < math.inf):
         raise ConfigError(f"camera displacement dz {dz!r}: the analytic wavelet 1/r or its "
                           f"phase 2 pi r / lambda is not finite")
-    r = np.hypot(dz, cam - cam[0])
+    r = np.hypot(float(dz), cam - cam[0])
     wavelet = np.exp(-1j * TWO_PI * r / units.wavelength) / r
     return PropagatorKernel(grid=grid, dz=dz, row=wavelet)
 

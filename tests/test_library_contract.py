@@ -32,6 +32,8 @@ from diracsim import (BenchConfig, DensityMatrix, DiracDistribution, DiracsimErr
 LARGEST = np.finfo(float).max  # a numpy scalar, so numpy's scalar arithmetic is swept too
 _VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300, LARGEST]
 _FINITE = [v for v in _VALUES if math.isfinite(v)]
+# a camera displacement is also swept with values that are not numbers
+_DZ_VALUES = _VALUES + ["a", None, [1], 10 ** 400]
 
 N = 8
 UM = UnitMap(wavelength=780e-9, focal_length=1.0, magnification=4.935)
@@ -139,16 +141,16 @@ _SLOTS = {
     "scan photon_budget": (_VALUES, lambda v: scan(RHO, _scan_config(photon_budget=v),
                                                    noise=True, seed=1)),
     "scan seed": (_VALUES, lambda v: scan(RHO, _scan_config(), noise=True, seed=v)),
-    "fresnel_unitary dz": (_VALUES, lambda v: fresnel_unitary(GRID, v)),
+    "fresnel_unitary dz": (_DZ_VALUES, lambda v: fresnel_unitary(GRID, v)),
     "build_kernel_unitary v": (_VALUES, lambda v: build_kernel_unitary(GRID, _full(N, v))),
-    "build_kernel_unitary dz": (_VALUES, lambda v: build_kernel_unitary(GRID, np.ones(N), v)),
+    "build_kernel_unitary dz": (_DZ_VALUES, lambda v: build_kernel_unitary(GRID, np.ones(N), v)),
     "build_kernel_analytic dz, then bayes_propagate": (
-        _VALUES, lambda v: bayes_propagate(DIST, build_kernel_analytic(GRID, v))),
-    "direct_measure_displaced dz": (_VALUES, lambda v: direct_measure_displaced(RHO, BENCH, v)),
+        _DZ_VALUES, lambda v: bayes_propagate(DIST, build_kernel_analytic(GRID, v))),
+    "direct_measure_displaced dz": (_DZ_VALUES, lambda v: direct_measure_displaced(RHO, BENCH, v)),
     "direct_measure_displaced seed": (
         _VALUES, lambda v: direct_measure_displaced(RHO, _scan_config(), 0.1, noise=True, seed=v)),
     "joint4_tensor v1": (_VALUES, lambda v: joint4_tensor(RHO, _full(N, v), np.ones(N))),
-    "PropagatorKernel dz": (_VALUES, lambda v: _propagate_direct(dz=v, v=CHIRP.v)),
+    "PropagatorKernel dz": (_DZ_VALUES, lambda v: _propagate_direct(dz=v, v=CHIRP.v)),
     # a distribution filled with a finite value
     **{f"{name} of a filled distribution": (
         _FINITE, lambda v, fn=fn: fn(DiracDistribution(grid=GRID, d=_full((N, N), v))))
@@ -231,7 +233,7 @@ def _outcome(call):
 @pytest.mark.parametrize("slot", list(_SLOTS))
 def test_every_edge_value_keeps_the_error_contract(slot):
     values, call = _SLOTS[slot]
-    failures = {v: _outcome(lambda: call(v)) for v in values}
+    failures = {repr(v): _outcome(lambda: call(v)) for v in values}  # repr: 0.0 and -0.0 apart
     assert {v: what for v, what in failures.items() if what} == {}, slot
 
 
