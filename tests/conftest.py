@@ -211,6 +211,30 @@ def measure_oracle(cfg, state, out_dir):
                             {"kind": "density", **meta})
 
 
+# -- variance oracles of a noisy scan and of its propagation: Poisson counts,
+# with each sliver's linear total T held fixed (the delta method)
+
+def estimate_variances(rho, phi, photon_budget):
+    """Var(Re d) and Var(Im d), each (n, n), of one noisy scan's estimate:
+    (N_D + N_A) / (4 T^2 sin^2 phi) and (N_L + N_R) / (4 T^2 sin^2 phi), the
+    expected counts N from ``sliver_readout(...).intensities`` and T the sum
+    of N_D + N_A over each sliver's momentum bins."""
+    n_d, n_a, n_l, n_r = sliver_readout(rho, phi, photon_budget).intensities(0, rho.grid.n)
+    scale = 4.0 * (n_d + n_a).sum(axis=1, keepdims=True) ** 2 * np.sin(phi) ** 2
+    return (n_d + n_a) / scale, (n_l + n_r) / scale
+
+
+def propagated_variance(v, chirp):
+    """E|delta e|^2 of a distribution whose entries carry independent errors
+    of E|delta d|^2 = ``v``, propagated through the chirp c:
+    ``sum_k' |g_m[k - k']|^2 v[m, k']``, g_m the ``ifft`` of the skewed
+    conjugate chirp row ``conj(c)[(m + s) mod n]``; |c_m| = 1 drops out."""
+    n = len(chirp)
+    gain = np.abs(np.fft.ifft(whole_skew(np.tile(chirp.conj(), (n, 1))), axis=1)) ** 2
+    idx = np.arange(n)
+    return np.einsum("mkj,mj->mk", gain[:, (idx[:, None] - idx) % n], v)
+
+
 def random_unitary(n, rng):
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
