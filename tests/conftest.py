@@ -90,8 +90,9 @@ def count_text_parses(monkeypatch):
     """A list that grows by one each time ``fileio.read_matrix`` parses a
     body as text, not from a twin."""
     calls = []
-    parse = fileio._parse_body
-    monkeypatch.setattr(fileio, "_parse_body", lambda fh: calls.append(fh) or parse(fh))
+    parse = fileio._read_matrix_lines
+    monkeypatch.setattr(fileio, "_read_matrix_lines",
+                        lambda *args: calls.append(args) or parse(*args))
     return calls
 
 

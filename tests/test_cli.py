@@ -1029,18 +1029,15 @@ def test_every_stage_prints_the_files_it_writes_with_kind_and_grid_headers_first
 def test_a_chain_parses_no_text(tmp_path, monkeypatch):
     """Every matrix a stage reads was written by an earlier stage with its
     twin, so at n = 16 the seven-stage chain reads each one from its twin:
-    neither the one-pass body parse nor the line parser runs once."""
+    the text parser never runs."""
     cfg = _scan_config(tmp_path, 16, "pipeline.scans = 2\n")
     out = tmp_path / "out"
-    parses, lines, reads = count_text_parses(monkeypatch), [], []
-    read_lines, read = fileio._read_matrix_lines, fileio.read_matrix
-    monkeypatch.setattr(fileio, "_read_matrix_lines",
-                        lambda *args: lines.append(args) or read_lines(*args))
+    parses, reads, read = count_text_parses(monkeypatch), [], fileio.read_matrix
     monkeypatch.setattr(fileio, "read_matrix", lambda path: reads.append(path) or read(path))
     for command, _ in _STAGE_MATRICES:
         assert _run(command, "--config", cfg, "--out", str(out)) == 0, command
     assert [Path(path).name for path in reads] == ["state.txt"] * 2 + ["dirac_exact.txt"] * 4
-    assert (len(parses), len(lines)) == (0, 0)
+    assert not parses
 
 
 @pytest.mark.parametrize("value", ["analytic", "unitary"])

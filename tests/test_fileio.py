@@ -186,9 +186,9 @@ def test_non_finite_entries_rejected(tmp_path):
         read_matrix(str(path))
 
 
-# -- references: the line-by-line readers that the one-pass parse replaced.
-# Error messages must match them word for word (non-finite values aside,
-# which they accepted).  The writers' byte oracles are in conftest.py.
+# -- references: independent line-by-line readers, which split the file with
+# str.splitlines.  Error messages must match them word for word (non-finite
+# values aside, which they accept).  The writers' byte oracles are in conftest.py.
 
 def _ref_read_lines(path, magic):
     with open(path, "r", encoding="utf-8") as fh:
@@ -243,13 +243,6 @@ def _ref_read_matrix(path):
     return arr
 
 
-def _line_parser_only(path):
-    """``read_matrix`` with the one-pass parse bypassed: the module's line parser alone."""
-    with open(path, encoding="utf-8") as fh:
-        meta, lineno = fileio._read_header(fh, path, fileio.MATRIX_MAGIC)
-        return fileio._read_matrix_lines(fh, path, lineno, int(meta["rows"]), int(meta["cols"]))
-
-
 def _outcome(read, path):
     """A reader's values as bytes, or its FormatError message."""
     try:
@@ -261,12 +254,6 @@ def _outcome(read, path):
     return "ok", result.tobytes()
 
 
-def _forbid_line_parser(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("the line-by-line parser ran on a valid file")
-    monkeypatch.setattr(fileio, "_read_matrix_lines", forbidden)
-
-
 _MATRIX_HEAD = "# diracsim matrix v1\n# rows=2\n# cols=2\n"
 _MATRIX_OK = "0 0 1 0\n0 1 2 0\n1 0 3 -0\n1 1 4 5e-324\n"
 
@@ -275,6 +262,8 @@ _MATRIX_OK = "0 0 1 0\n0 1 2 0\n1 0 3 -0\n1 1 4 5e-324\n"
     _MATRIX_HEAD + _MATRIX_OK,
     _MATRIX_HEAD + "\n0 0 1 0\n   \n0 1 2 0\n\n1 0 3 -0\n1 1 4 5e-324\n\n",
     _MATRIX_HEAD + "0\t0\t1\t0\n0 1\t2 0\n 1  0 3 -0 \n1\t1 4\t5e-324\n",
+    # a tab, CRLF endings and trailing blank lines
+    (_MATRIX_HEAD + _MATRIX_OK).replace(" 1 ", "\t1\t", 1).replace("\n", "\r\n") + "\n\n",
     _MATRIX_HEAD + "1 1 4 5e-324\n1 0 3 -0\n0 1 2 0\n0 0 1 0\n",
     _MATRIX_HEAD + "0 0 1 0\n# note\n0 1 2 0\n1 0 3 -0\n1 1 4 5e-324\n",
     _MATRIX_HEAD + "0 0 1 0\n1.0 1 2 0\n1 0 3 -0\n1 1 4 5e-324\n",
@@ -302,20 +291,8 @@ def test_readers_match_line_reference(tmp_path, text):
     assert _outcome(read_matrix, path) == _outcome(_ref_read_matrix, path)
 
 
-def test_valid_files_never_reach_line_parser(tmp_path, monkeypatch):
-    path = str(tmp_path / "f.txt")
-    # blank lines, tabs, reordered rows and CRLF endings are all valid
-    text = (_MATRIX_HEAD + _MATRIX_OK).replace(" 1 ", "\t1\t", 1).replace("\n", "\r\n") + "\n\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    expected = _outcome(read_matrix, path)
-    _forbid_line_parser(monkeypatch)
-    assert _outcome(read_matrix, path) == expected
-
-
 _NUMBERS = ["0", "1", "2", "-1", "+1", "1.0", "0.5", "-0", "-2.5e-3", "5e-324",
             "1e300", "1_0", "0x1", "x", "#"]
-_NON_FINITE = ["nan", "inf", "-Infinity", "1e400"]
 
 
 @st.composite
@@ -355,17 +332,6 @@ def _matrix_file(tmp_path, body):
 
 _SETTINGS = settings(derandomize=True, max_examples=150, deadline=None,
                      suppress_health_check=[HealthCheck.function_scoped_fixture])
-
-
-@_SETTINGS
-@given(data=st.data())
-def test_one_pass_parse_agrees_with_line_parser(tmp_path, data):
-    """Whatever the one-pass parse accepts, the module's line parser accepts
-    with the same values; whatever it rejects gets the line parser's message."""
-    body = data.draw(_body(_NUMBERS + _NON_FINITE,
-                           [" ", "\t", "  ", "\x0c", "\xa0", " \x0b"]))
-    path = _matrix_file(tmp_path, body)
-    assert _outcome(read_matrix, path) == _outcome(_line_parser_only, path)
 
 
 @_SETTINGS
@@ -424,7 +390,6 @@ def test_writers_match_per_element_reference(tmp_path, monkeypatch, rows, cols, 
     assert Path(counts_path).read_bytes() == counts_file_oracle(counts, counts_meta)
     assert load_counts(counts_path)[0].tobytes() == counts.tobytes()
 
-    _forbid_line_parser(monkeypatch)
     parses = count_text_parses(monkeypatch)
     if not np.isfinite(arr.view(float)).all():
         _assert_refused(tmp_path, matrix_path, "matrix", write_matrix, arr, meta)
