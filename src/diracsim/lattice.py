@@ -65,6 +65,7 @@ one.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -116,37 +117,42 @@ class Grid:
     unit_map: UnitMap | None = None
 
     def __post_init__(self):
-        """Refuse unusable lattice parameters, then hold n as an int and dx
-        and x0 as floats.
+        """Refuse unusable lattice parameters, then hold n as an int, and dx,
+        x0 and the unit map's constants as floats.
 
         Checked in scalars before any array is made, so nothing is allocated: n
-        must lie in [2, ``MAX_N``]; the span n dx, the first and last coordinate
-        and the largest momentum (n/2) dp must be finite; lambda f^2, the scale
-        of every Fresnel chirp, must be a finite normal number; and the camera
-        coordinate of the largest momentum, the edge of a ``figures`` axis,
-        must be finite.
+        must lie in [2, ``MAX_N``]; dx, x0 and the unit map's constants must be
+        numbers (``float`` reads them); the span n dx, the first and last
+        coordinate and the largest momentum (n/2) dp must be finite; lambda
+        f^2, the scale of every Fresnel chirp, must be a finite normal number;
+        and the camera coordinate of the largest momentum, the edge of a
+        ``figures`` axis, must be finite.
         """
         n, dx, x0, unit_map = self.n, self.dx, self.x0, self.unit_map
         if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or not 2 <= n <= MAX_N:
             raise ConfigError(f"n: grid size must be an integer in [2, {MAX_N}], got {n!r}")
-        n, dx, x0 = int(n), float(dx), float(x0)  # Python floats overflow to inf, with no warning
+        # Python floats overflow to inf, with no warning
+        n, dx, x0 = int(n), _as_float(dx), _as_float(x0)
         # the span, the first and last coordinate and the largest momentum must be finite
         if not (dx > 0 and np.isfinite([n * dx, -n / 2 * dx + x0, (n / 2 - 1) * dx + x0,
                                         n / 2 * (TWO_PI / (n * dx))]).all()):
-            raise ConfigError(f"dx, x0: lattice spacing {dx} must be positive and, with center "
-                              f"{x0}, give finite coordinates and momenta on n={n} sites")
+            raise ConfigError(f"dx, x0: lattice spacing {self.dx} must be positive and, with "
+                              f"center {self.x0}, give finite coordinates and momenta on n={n} "
+                              "sites")
         if unit_map is not None:
-            for key in fields(UnitMap):
-                value = getattr(unit_map, key.name)
+            constants = {key.name: _as_float(getattr(unit_map, key.name)) for key in fields(UnitMap)}
+            for name, value in constants.items():
                 if not 0 < value < np.inf:
-                    raise ConfigError(f"{key.name}: must be positive and finite, got {value}")
+                    raise ConfigError(f"{name}: must be positive and finite, "
+                                      f"got {getattr(unit_map, name)}")
+            unit_map = UnitMap(**constants)
             with np.errstate(over="ignore"):
                 scale = np.float64(unit_map.wavelength) * np.float64(unit_map.focal_length) ** 2
                 edge = unit_map.camera_coordinate(np.float64(-n / 2 * (TWO_PI / (n * dx))))
             if not (np.finfo(float).tiny <= scale < np.inf and np.isfinite(edge)):
                 raise ConfigError(f"wavelength, focal_length, magnification: lambda f^2 = {scale} "
                                   f"must be a normal float and the camera edge {edge} finite")
-        for name, value in (("n", n), ("dx", dx), ("x0", x0)):
+        for name, value in (("n", n), ("dx", dx), ("x0", x0), ("unit_map", unit_map)):
             object.__setattr__(self, name, value)  # the dataclass is frozen
 
     @property
@@ -240,6 +246,15 @@ class Grid:
         if self.unit_map is None:
             raise ConfigError("grid has no unit_map; physical constants are required here")
         return self.unit_map
+
+
+def _as_float(value) -> float:
+    """``float(value)``, or nan for a value that ``float`` refuses (one that
+    is not a number, or an int too large for a float), which every check
+    for a positive or finite number refuses."""
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        return float(value)
+    return math.nan
 
 
 def make_grid(n: int, dx: float, x0: float = 0.0, unit_map: UnitMap | None = None) -> Grid:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError, DegenerateInputError
-from .lattice import Grid
+from .lattice import Grid, _as_float
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -172,13 +172,14 @@ def wedge_gradient_from_angle(angle: float, wavelength: float, glass_index: floa
     A wedge of geometric angle ``angle`` changes the optical path linearly
     across the beam: grad = 2 pi (n_glass - 1) angle / lambda.  A
     wavelength that is not positive and finite, or a gradient that is not
-    finite, is a ConfigError.
+    finite (one of an argument that is not a number included), is a
+    ConfigError.
     """
-    wavelength = float(wavelength)
-    if not 0 < wavelength < math.inf:
+    lam = _as_float(wavelength)
+    if not 0 < lam < math.inf:
         raise ConfigError(f"wavelength {wavelength} must be positive and finite")
     # in Python floats, which overflow to inf with no warning
-    grad = 2.0 * math.pi * (float(glass_index) - 1.0) * float(angle) / wavelength
+    grad = 2.0 * math.pi * (_as_float(glass_index) - 1.0) * _as_float(angle) / lam
     if not math.isfinite(grad):
         raise ConfigError(f"wedge gradient {grad} of angle {angle} and glass index "
                           f"{glass_index} is not finite")
@@ -267,7 +268,7 @@ def mix(states: list[tuple[DensityMatrix, float]]) -> DensityMatrix:
     if not states:
         raise ConfigError("mix() needs at least one (state, weight) pair")
     grid = states[0][0].grid
-    weights = np.array([w for _, w in states], dtype=float)
+    weights = np.array([_as_float(w) for _, w in states])  # one that is not a number is nan
     if not np.all(weights >= 0):
         raise ConfigError(f"mixture weights must be nonnegative, got {weights.tolist()}")
     total = weights.sum()
@@ -276,7 +277,7 @@ def mix(states: list[tuple[DensityMatrix, float]]) -> DensityMatrix:
             f"mixture weights {weights.tolist()} sum to {total}, expected 1 within {WEIGHT_TOL}"
         )
     rho = np.zeros((grid.n, grid.n), dtype=complex)
-    for state, w in states:
+    for (state, _), w in zip(states, weights):
         if state.grid is not grid and state.grid != grid:
             raise ContractError("all mixture components must share one grid")
         rho += w * state.rho

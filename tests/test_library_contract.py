@@ -32,7 +32,9 @@ from diracsim import (BenchConfig, DensityMatrix, DiracDistribution, DiracsimErr
 LARGEST = np.finfo(float).max  # a numpy scalar, so numpy's scalar arithmetic is swept too
 _VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300, LARGEST]
 _FINITE = [v for v in _VALUES if math.isfinite(v)]
-# a camera displacement is also swept with values that are not numbers
+# a scalar that the library reads with ``float`` (a camera displacement, make_grid's dx
+# and x0, the UnitMap constants, the wedge's arguments, a mixture weight) is also swept
+# with values that are not numbers
 _DZ_VALUES = _VALUES + ["a", None, [1], 10 ** 400]
 
 N = 8
@@ -102,9 +104,9 @@ _OF_A_DISTRIBUTION = {
 # slot name: (values, call with one value)
 _SLOTS = {
     "make_grid n": (_VALUES, lambda v: make_grid(v, 1.0)),
-    "make_grid dx": (_VALUES, lambda v: make_grid(16, v)),
-    "make_grid x0": (_VALUES, lambda v: make_grid(16, 1.0, v)),
-    **{f"UnitMap {key}": (_VALUES, lambda v, key=key: make_grid(
+    "make_grid dx": (_DZ_VALUES, lambda v: make_grid(16, v)),
+    "make_grid x0": (_DZ_VALUES, lambda v: make_grid(16, 1.0, v)),
+    **{f"UnitMap {key}": (_DZ_VALUES, lambda v, key=key: make_grid(
         16, 1e-3, 0.0, UnitMap(**{"wavelength": 780e-9, "focal_length": 1.0,
                                   "magnification": 1.0, key: v})))
        for key in _UNIT_FIELDS},
@@ -112,11 +114,11 @@ _SLOTS = {
         BenchConfig(**{**PHASE_BENCH, key: v}), PHASE_GRID)) for key in _BENCH_FIELDS},
     # a gradient that returns must be finite, and positive for a positive angle
     "wedge_gradient_from_angle angle": (
-        _VALUES, lambda v: _finite(wedge_gradient_from_angle(v, 780e-9))),
+        _DZ_VALUES, lambda v: _finite(wedge_gradient_from_angle(v, 780e-9))),
     "wedge_gradient_from_angle wavelength": (
-        _VALUES, lambda v: _positive(wedge_gradient_from_angle(0.01, v))),
+        _DZ_VALUES, lambda v: _positive(wedge_gradient_from_angle(0.01, v))),
     "wedge_gradient_from_angle glass_index": (
-        _VALUES, lambda v: _finite(wedge_gradient_from_angle(0.01, 780e-9, v))),
+        _DZ_VALUES, lambda v: _finite(wedge_gradient_from_angle(0.01, 780e-9, v))),
     "pure_from_samples raw": (_VALUES, lambda v: pure_from_samples(GRID, _full(N, v))),
     "DensityMatrix.validate diagonal": (
         _VALUES, lambda v: _density(v, *(((m, m), 1) for m in range(N))).validate()),
@@ -124,7 +126,7 @@ _SLOTS = {
         _VALUES, lambda v: _density(v, ((0, 1), 1), ((1, 0), -1)).validate()),
     "DensityMatrix.validate Hermitian pair": (
         _VALUES, lambda v: _density(v, ((0, 1), 1), ((1, 0), 1)).validate()),
-    "mix weight": (_VALUES, lambda v: mix([(RHO, v)])),
+    "mix weight": (_DZ_VALUES, lambda v: mix([(RHO, v)])),
     "random_density_matrix rank": (
         _VALUES, lambda v: random_density_matrix(GRID, np.random.default_rng(0), v)),
     "operator_dirac op": (_VALUES, lambda v: operator_dirac(GRID, _full((N, N), v))),
