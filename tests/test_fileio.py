@@ -342,6 +342,22 @@ def test_readers_agree_with_reference_on_finite_bodies(tmp_path, data):
     assert _outcome(read_matrix, path) == _outcome(_ref_read_matrix, path)
 
 
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\xa0", " \x0b\x0c "])
+def test_vertical_tab_form_feed_and_no_break_space_separate_fields(tmp_path, sep):
+    """A line ends only at \\n, \\r or \\r\\n, and ``str.split`` takes these
+    characters as field separators: the values are those of the same body with
+    spaces, and an extra field is named on its own line.  The reference reader
+    cannot check this, as ``str.splitlines`` ends a line at \\x0b and \\x0c."""
+    (tmp_path / "spaced").mkdir()
+    spaced = _matrix_file(tmp_path / "spaced", _MATRIX_OK)
+    path = _matrix_file(tmp_path, _MATRIX_OK.replace(" ", sep))
+    assert _outcome(read_matrix, path) == _outcome(_ref_read_matrix, spaced)
+    extra = "0 1 2 0 7".replace(" ", sep)
+    path = _matrix_file(tmp_path, _MATRIX_OK.replace("0 1 2 0", "0 1 2 0 7").replace(" ", sep))
+    assert _outcome(read_matrix, path) == (
+        "error", f"{path}:5: expected 'i j re im', got {extra!r}")
+
+
 _SPECIAL = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308,
             1e300, -1e300, 1e-300, -1e-300, 1.7e308, np.pi, 0.1]
 _VALUE = st.one_of(st.sampled_from(_SPECIAL), st.floats())
