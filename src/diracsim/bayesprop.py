@@ -80,7 +80,6 @@ position and camera marginals are real and nonnegative, and
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -88,7 +87,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ContractError, DegenerateKernelError, NumericalIntegrityError
-from .lattice import Grid, TWO_PI
+from .lattice import Grid, TWO_PI, _as_float
 from .qstate import BenchConfig, DensityMatrix
 from .dirac import DiracDistribution, _check_quasi_probability, reconstruct_density
 from . import weaksim
@@ -211,9 +210,8 @@ def _check_displacement(dz: float) -> float:
     """``dz`` as a float; a camera displacement that is not a number (one
     that ``float`` refuses), or is negative, infinite or NaN, is a
     ConfigError."""
-    with contextlib.suppress(TypeError, ValueError, OverflowError):
-        if 0 <= float(dz) < np.inf:
-            return float(dz)
+    if 0 <= (value := _as_float(dz)) < np.inf:  # False for NaN
+        return value
     raise ConfigError(f"camera displacement dz {dz!r} must be finite and nonnegative")
 
 
@@ -299,17 +297,18 @@ def build_kernel_analytic(grid: Grid, dz: float) -> PropagatorKernel:
     found in scalars before any array is made.
     """
     units = grid.require_unit_map()
-    if _check_displacement(dz) == 0:
+    value = _check_displacement(dz)
+    if value == 0:
         raise DegenerateKernelError(
             "analytic kernel is singular at dz = 0; build the unitary kernel instead"
         )
     cam = units.ft_plane_coordinate(grid.momenta)
     # in Python floats, which overflow to inf with no warning
-    widest = math.hypot(float(dz), float(cam[-1]) - float(cam[0]))
-    if not (1.0 / float(dz) < math.inf and TWO_PI * widest / units.wavelength < math.inf):
+    widest = math.hypot(value, float(cam[-1]) - float(cam[0]))
+    if not (1.0 / value < math.inf and TWO_PI * widest / units.wavelength < math.inf):
         raise ConfigError(f"camera displacement dz {dz!r}: the analytic wavelet 1/r or its "
                           f"phase 2 pi r / lambda is not finite")
-    r = np.hypot(float(dz), cam - cam[0])
+    r = np.hypot(value, cam - cam[0])
     wavelet = np.exp(-1j * TWO_PI * r / units.wavelength) / r
     return PropagatorKernel(grid=grid, dz=dz, row=wavelet)
 
@@ -431,4 +430,5 @@ def direct_measure_displaced(rho: DensityMatrix, cfg: BenchConfig, dz: float, *,
     c = fresnel_unitary(rho.grid, dz)
     displaced = DensityMatrix(grid=rho.grid, rho=c[:, None] * rho.rho * c.conj())
     measured = weaksim.scan(displaced, cfg, noise=noise, seed=seed, correct=correct)
-    return PropagatedDistribution(grid=rho.grid, dz=float(dz), e=measured.d, kind="measured")
+    return PropagatedDistribution(grid=rho.grid, dz=_check_displacement(dz), e=measured.d,
+                                  kind="measured")

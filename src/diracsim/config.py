@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError
-from .lattice import Grid, UnitMap, make_grid
+from .lattice import Grid, UnitMap, _is_int, make_grid
 from .qstate import BenchConfig
 
 ENV_PREFIX = "DIRACSIM_"
@@ -87,9 +87,8 @@ def _typed(key: str, value, default):
     ConfigError."""
     if isinstance(default, tuple) and isinstance(value, (tuple, list)):
         return tuple(_typed(key, item, default[0]) for item in value)
-    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    takes = {bool: isinstance(value, bool), int: integer, str: isinstance(value, str),
-             float: integer or isinstance(value, (float, np.floating))}
+    takes = {bool: isinstance(value, bool), int: _is_int(value), str: isinstance(value, str),
+             float: _is_int(value) or isinstance(value, (float, np.floating))}
     if takes.get(type(default)):
         return type(default)(value)
     raise ConfigError(f"{key}: expected {type(default).__name__}, got {value!r}")

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, NullEventError, NumericalIntegrityError
-from .lattice import Grid
+from .lattice import Grid, _is_int
 from .qstate import DensityMatrix
 
 NORMALIZATION_TOL = 1e-10
@@ -163,7 +163,7 @@ def conditional_x_given_p(dist: DiracDistribution, k: int) -> np.ndarray:
     ``COND_EPSILON`` is a null event (NullEventError).  ``k`` must be an
     integer index, not a bool (ContractError).
     """
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
+    if not _is_int(k):
         raise ContractError(f"momentum index must be an integer, got {k!r}")
     if not 0 <= k < dist.grid.n:
         raise ContractError(f"momentum index {k} out of range for n={dist.grid.n}")

@@ -61,6 +61,12 @@ numpy can shape), coordinates or momenta that overflow, a lambda f^2 that
 is not a finite normal float and a camera coordinate that overflows.  No
 later stage then meets an overflow in these numbers or prints a warning for
 one.
+
+This module also holds the package's one rule for a public scalar:
+``_as_float`` reads a float as ``float`` reads it, with nan for what
+``float`` refuses, so the caller's own finiteness or interval check refuses
+it, and ``_is_int`` takes an integer as a Python or numpy integer that is
+not a ``bool``.
 """
 
 from __future__ import annotations
@@ -129,7 +135,7 @@ class Grid:
         ``figures`` axis, must be finite.
         """
         n, dx, x0, unit_map = self.n, self.dx, self.x0, self.unit_map
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or not 2 <= n <= MAX_N:
+        if not _is_int(n) or not 2 <= n <= MAX_N:
             raise ConfigError(f"n: grid size must be an integer in [2, {MAX_N}], got {n!r}")
         # Python floats overflow to inf, with no warning
         n, dx, x0 = int(n), _as_float(dx), _as_float(x0)
@@ -219,8 +225,8 @@ class Grid:
         rows lo, lo + 1, ... of an n x n array repeated along its columns:
         ``windows[i, c, s] = [a, a][i, c + s]`` for c in [0, n]."""
         a = np.asarray(a)
-        if (not isinstance(lo, (int, np.integer)) or isinstance(lo, bool) or a.ndim != 2
-                or a.shape[1] != self.n or not 0 <= lo <= self.n - a.shape[0]):
+        if not (_is_int(lo) and a.ndim == 2 and a.shape[1] == self.n
+                and 0 <= lo <= self.n - a.shape[0]):
             raise ContractError(f"array of shape {a.shape} at row {lo} does not fit grid n={self.n}")
         return sliding_window_view(np.concatenate((a, a), axis=1), self.n, axis=1)
 
@@ -255,6 +261,12 @@ def _as_float(value) -> float:
     with contextlib.suppress(TypeError, ValueError, OverflowError):
         return float(value)
     return math.nan
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer, a Python ``int`` or a numpy integer,
+    and not a ``bool``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def make_grid(n: int, dx: float, x0: float = 0.0, unit_map: UnitMap | None = None) -> Grid:

@@ -17,12 +17,12 @@ certified state whose matrix is still read-only, and records nothing itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, DegenerateInputError
-from .lattice import Grid, _as_float
+from .lattice import Grid, _as_float, _is_int
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -122,7 +122,9 @@ class BenchConfig:
     beyond the plate edge; :func:`wedge_gradient_from_angle` converts a
     physical wedge angle of the glass into this gradient.  ``phi`` is the
     polarization rotation of the weak coupling and ``photon_budget`` the
-    expected photon count per camera exposure.
+    expected photon count per camera exposure.  Every field but ``mixed`` is
+    stored as a float, read as ``float`` reads it; a value that ``float``
+    refuses is stored as nan, which :meth:`validate` refuses.
     """
 
     aperture_halfwidth: float
@@ -133,6 +135,11 @@ class BenchConfig:
     mixed: bool = False
     phi: float = np.deg2rad(12.92)
     photon_budget: float = 1e8
+
+    def __post_init__(self) -> None:
+        for key in fields(self):  # the dataclass is frozen
+            if key.name != "mixed":
+                object.__setattr__(self, key.name, _as_float(getattr(self, key.name)))
 
     def validate(self, grid: Grid) -> None:
         for key, value in (("bench.phase_step", self.static_phase_step),
@@ -152,8 +159,7 @@ class BenchConfig:
             )
         # the phase is linear in x, so its extremes are at the lattice's first
         # and last site; Python floats overflow to inf with no warning
-        step, tilt = float(self.static_phase_step), float(self.wedge_tilt)
-        edge = float(self.edge_position)
+        step, tilt, edge = self.static_phase_step, self.wedge_tilt, self.edge_position
         for x in (-grid.n / 2 * grid.dx + grid.x0, (grid.n / 2 - 1) * grid.dx + grid.x0):
             if not math.isfinite(step + tilt * (x - edge)):
                 raise ConfigError(f"bench.phase_step, bench.wedge_tilt: the bench phase {step} + "
@@ -337,7 +343,7 @@ def random_density_matrix(grid: Grid, rng: np.random.Generator, rank: int | None
     """Random full-or-fixed-rank density matrix, used heavily by the test oracles;
     certified by one full check (:func:`_checked_state`)."""
     rank = grid.n if rank is None else rank
-    if not isinstance(rank, (int, np.integer)) or isinstance(rank, bool) or not 1 <= rank <= grid.n:
+    if not _is_int(rank) or not 1 <= rank <= grid.n:
         raise ConfigError(f"rank {rank!r} is not an integer in [1, {grid.n}]")
     b = rng.standard_normal((grid.n, rank)) + 1j * rng.standard_normal((grid.n, rank))
     rho = b @ b.conj().T

@@ -52,7 +52,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, ContractError, NoPhotonsError, NumericalIntegrityError
-from .lattice import Grid, make_grid
+from .lattice import Grid, _as_float, _is_int, make_grid
 from .qstate import BenchConfig, DensityMatrix, pure_from_samples, density_from_pure
 from .dirac import DiracDistribution, dirac_distribution, operator_dirac
 
@@ -111,20 +111,23 @@ def sliver_readout(rho: DensityMatrix, phi: float, photon_budget: float) -> Sliv
     block of slivers.
 
     W is the Dirac distribution (:func:`.operator_dirac`) and O the column
-    :func:`backaction_offset`, so no matrix product is taken.  phi outside
-    [0, pi/2] (pi/2 is the strong-measurement limit) and a photon budget
-    that is negative or not finite are ConfigErrors.  Every intensity's
-    imaginary part is Im(col) / 2, checked to vanish.
+    :func:`backaction_offset`, so no matrix product is taken.  phi and the
+    photon budget are read as ``float`` reads them and stored as floats; phi
+    outside [0, pi/2] (pi/2 is the strong-measurement limit) and a photon
+    budget that is negative or not finite, or either one not a number, are
+    ConfigErrors.  Every intensity's imaginary part is Im(col) / 2, checked
+    to vanish.
     """
     off = backaction_offset(rho, phi)
-    if not 0 <= photon_budget < np.inf:
+    budget = _as_float(photon_budget)
+    if not 0 <= budget < np.inf:
         raise ConfigError(f"photon_budget {photon_budget} must be finite and nonnegative")
     w = operator_dirac(rho.grid, rho.rho).d
     col = w.sum(axis=0)
     if 0.5 * np.max(np.abs(col.imag)) > 1e-12:
         raise NumericalIntegrityError("analyzer intensities have imaginary residual")
-    return SliverReadout(grid=rho.grid, w=w, col=col.real, off=off, phi=phi,
-                         photon_budget=photon_budget)
+    return SliverReadout(grid=rho.grid, w=w, col=col.real, off=off, phi=_as_float(phi),
+                         photon_budget=budget)
 
 
 # numpy's Generator.poisson refuses means above this (its POISSON_LAM_MAX)
@@ -145,7 +148,7 @@ def derived_seed(master: int, index: int) -> int:
 def _check_seed(name: str, value) -> None:
     """Refuse a seed that is not a nonnegative integer, a bool included
     (ConfigError)."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
+    if not _is_int(value) or value < 0:
         raise ConfigError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
@@ -196,9 +199,10 @@ def estimate_dirac_column(counts: np.ndarray, phi: float, *,
     ``counts`` holds the four analyzers on its first axis: one sliver's
     (4, n) counts give its column, the (4, b, n) counts of b slivers their
     (b, n) rows, a scan's (4, n, n) the whole estimate; any other shape is
-    a ContractError.  ``phi`` must lie in (0, pi/2]: it divides the
-    estimate through sin(phi).  A NaN or infinite count is a ContractError,
-    a sliver without linear counts a NoPhotonsError, and a row whose
+    a ContractError.  ``phi``, read as ``float`` reads it, must lie in
+    (0, pi/2]: it divides the estimate through sin(phi).  A NaN or infinite
+    count is a ContractError, a sliver without linear counts a
+    NoPhotonsError, and a row whose
     estimate is not finite (T sin(phi) underflows for phi near 1e-320, say)
     a NumericalIntegrityError, as is a sliver whose total linear count
     overflows, formed with no warning printed; each names
@@ -208,7 +212,8 @@ def estimate_dirac_column(counts: np.ndarray, phi: float, *,
     W - O for noise-free counts; :func:`mean_estimate` checks their closure
     once per process.
     """
-    if not 0.0 < phi <= 0.5 * np.pi:
+    angle = _as_float(phi)
+    if not 0.0 < angle <= 0.5 * np.pi:
         raise ConfigError(f"coupling angle phi {phi} not in (0, pi/2]")
     counts = np.asarray(counts)
     if counts.ndim not in (2, 3) or counts.shape[0] != len(READOUT_KEYS):
@@ -231,7 +236,7 @@ def estimate_dirac_column(counts: np.ndarray, phi: float, *,
     if not finite.all():
         raise NumericalIntegrityError(f"{where(~finite)}linear total of the counts is not finite")
     with np.errstate(all="ignore"):  # a row that is not finite is refused below
-        est = (0.5 * (d - a) + 0.5j * (l - r)) / (total * np.sin(phi))
+        est = (0.5 * (d - a) + 0.5j * (l - r)) / (total * np.sin(angle))
     finite = np.isfinite(est).all(axis=-1)
     if not finite.all():
         raise NumericalIntegrityError(f"{where(~finite)}estimate is not finite at phi {phi}")
@@ -243,12 +248,14 @@ def backaction_offset(rho: DensityMatrix, phi: float) -> np.ndarray:
     offset of sliver {m} in every momentum bin: (1 - cos phi) Prob(x_m)
     |<x_m|p_k>|^2 = Prob(x_m)(1 - cos phi)/n, the lattice form of the
     uniform offset, formed without the overlap matrix.  It broadcasts over
-    the momentum bins of an (n, n) estimate.  phi outside [0, pi/2], NaN
-    included, is a ConfigError.
+    the momentum bins of an (n, n) estimate.  phi is read as ``float`` reads
+    it; one outside [0, pi/2], NaN or not a number included, is a
+    ConfigError.
     """
-    if not 0.0 <= phi <= 0.5 * np.pi:
+    angle = _as_float(phi)
+    if not 0.0 <= angle <= 0.5 * np.pi:
         raise ConfigError(f"coupling angle phi {phi} not in [0, pi/2]")
-    return (1.0 - np.cos(phi)) * rho.rho.diagonal().real[:, None] / rho.grid.n
+    return (1.0 - np.cos(angle)) * rho.rho.diagonal().real[:, None] / rho.grid.n
 
 
 def mean_estimate(readout: SliverReadout, scan_seeds: list[list[int] | None], on_counts=None):
@@ -309,13 +316,15 @@ def scan(rho: DensityMatrix, cfg: BenchConfig, *,
 def correct_diagonals(rho_measured: DensityMatrix, phi: float) -> DensityMatrix:
     """Undo the cos(phi) back-action suppression of the density-matrix diagonal.
 
-    phi outside [0, pi/2) is a ConfigError.
+    phi is read as ``float`` reads it; one outside [0, pi/2), NaN or not a
+    number included, is a ConfigError.
     """
-    if not 0.0 <= phi < 0.5 * np.pi:
+    angle = _as_float(phi)
+    if not 0.0 <= angle < 0.5 * np.pi:
         raise ConfigError(f"coupling angle phi {phi} not in [0, pi/2)")
     rho = rho_measured.rho.copy()
     idx = np.diag_indices_from(rho)
-    rho[idx] = rho[idx] / np.cos(phi)
+    rho[idx] = rho[idx] / np.cos(angle)
     rho.setflags(write=False)
     return DensityMatrix(grid=rho_measured.grid, rho=rho)
 
