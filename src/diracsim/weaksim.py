@@ -119,8 +119,7 @@ def sliver_readout(rho: DensityMatrix, phi: float, photon_budget: float) -> Sliv
     to vanish.
     """
     off = backaction_offset(rho, phi)
-    budget = _as_float(photon_budget)
-    if not 0 <= budget < np.inf:
+    if not 0 <= (budget := _as_float(photon_budget)) < np.inf:
         raise ConfigError(f"photon_budget {photon_budget} must be finite and nonnegative")
     w = operator_dirac(rho.grid, rho.rho).d
     col = w.sum(axis=0)
@@ -168,6 +167,19 @@ def _check_means(low: float, peak: float) -> None:
                           f"the Poisson sampler's limit {_POISSON_MAX_MEAN:.3g}")
 
 
+def _real_array(a, what: str) -> np.ndarray:
+    """``a`` read with ``np.asarray``; one that numpy cannot read, or whose
+    numbers are not integers or floats (a bool, complex, string or object
+    array), is a ContractError."""
+    try:
+        a = np.asarray(a)
+    except (TypeError, ValueError) as exc:  # a ragged nest of lists, say
+        raise ContractError(f"{what} cannot be read as an array ({exc})") from None
+    if a.dtype.kind not in "iuf":
+        raise ContractError(f"{what} of dtype {a.dtype} are not real numbers")
+    return a
+
+
 def sample_counts(expected: np.ndarray, seeds: list[int]) -> np.ndarray:
     """Independent Poisson draw of every bin of a (4, b, n) counts array of
     b slivers, such as a scan's (4, n, n) or one block of it.
@@ -176,9 +188,11 @@ def sample_counts(expected: np.ndarray, seeds: list[int]) -> np.ndarray:
     :func:`sliver_seeds`), so the counts do not depend on the order in which
     slivers are drawn.  A mean beyond numpy's Poisson limit, or a seed that
     is not a nonnegative integer (a bool included), is a ConfigError; means
-    of another shape, a negative or NaN mean, or a seed list whose length is
-    not the number of slivers, is a ContractError.
+    that are not an array of integers or floats, or of another shape, a
+    negative or NaN mean, or a seed list whose length is not the number of
+    slivers, is a ContractError.
     """
+    expected = _real_array(expected, "expected counts")
     if expected.ndim != 3 or expected.shape[0] != len(READOUT_KEYS):
         raise ContractError(f"expected counts of shape {expected.shape}: expected (4, b, n)")
     _check_means(expected.min(initial=0.0), expected.max(initial=0.0))
@@ -198,36 +212,40 @@ def estimate_dirac_column(counts: np.ndarray, phi: float, *,
 
     ``counts`` holds the four analyzers on its first axis: one sliver's
     (4, n) counts give its column, the (4, b, n) counts of b slivers their
-    (b, n) rows, a scan's (4, n, n) the whole estimate; any other shape is
-    a ContractError.  ``phi``, read as ``float`` reads it, must lie in
-    (0, pi/2]: it divides the estimate through sin(phi).  A NaN or infinite
-    count is a ContractError, a sliver without linear counts a
-    NoPhotonsError, and a row whose
-    estimate is not finite (T sin(phi) underflows for phi near 1e-320, say)
-    a NumericalIntegrityError, as is a sliver whose total linear count
-    overflows, formed with no warning printed; each names
-    the first such sliver, counting the first row of ``counts`` as sliver
+    (b, n) rows, a scan's (4, n, n) the whole estimate.  Integer counts are
+    taken as floats; counts that are not an array of integers or floats
+    (bool, complex and string arrays included), or of any other shape, are
+    a ContractError, and so is a ``first_sliver`` that is not an integer.
+    ``phi``, read as ``float`` reads it, must lie in (0, pi/2]: it divides
+    the estimate through sin(phi).  A NaN or infinite count is a
+    ContractError, a sliver without linear counts a NoPhotonsError, and a
+    row whose estimate is not finite (T sin(phi) underflows for phi near
+    1e-320, say) a NumericalIntegrityError, as is a sliver whose total
+    linear count overflows, formed with no warning printed; each names the
+    first such sliver, counting the first row of ``counts`` as sliver
     ``first_sliver``.  The constants are the closed-form
     c_re = c_im = 1/2 and sign_circ = -1 (module docstring), which give
     W - O for noise-free counts; :func:`mean_estimate` checks their closure
     once per process.
     """
-    angle = _as_float(phi)
-    if not 0.0 < angle <= 0.5 * np.pi:
+    counts = _real_array(counts, "analyzer counts")
+    if not 0.0 < (angle := _as_float(phi)) <= 0.5 * np.pi:
         raise ConfigError(f"coupling angle phi {phi} not in (0, pi/2]")
-    counts = np.asarray(counts)
+    if not _is_int(first_sliver):
+        raise ContractError(f"first_sliver must be an integer, got {first_sliver!r}")
     if counts.ndim not in (2, 3) or counts.shape[0] != len(READOUT_KEYS):
         raise ContractError(f"analyzer counts of shape {counts.shape}: "
                             "expected (4, n) or (4, b, n)")
 
     def where(bad) -> str:
-        """``"sliver m: "``, m the first row flagged in ``bad``, for a block of slivers."""
-        return f"sliver {first_sliver + np.flatnonzero(bad)[0]}: " if counts.ndim == 3 else ""
+        """``"sliver m: "``, m the first row flagged in ``bad``, for a block of
+        slivers; m is summed in Python ints, which do not overflow."""
+        return "" if counts.ndim == 2 else f"sliver {int(first_sliver) + int(np.argmax(bad))}: "
 
     finite = np.isfinite(counts).all(axis=(0, -1))
     if not finite.all():
         raise ContractError(f"{where(~finite)}analyzer counts are not finite")
-    d, a, l, r = counts
+    d, a, l, r = counts.astype(float, copy=False)  # integer counts would wrap in d - a
     with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
         total = (d + a).sum(axis=-1, keepdims=True)
     if (total <= 0).any():
@@ -252,8 +270,7 @@ def backaction_offset(rho: DensityMatrix, phi: float) -> np.ndarray:
     it; one outside [0, pi/2], NaN or not a number included, is a
     ConfigError.
     """
-    angle = _as_float(phi)
-    if not 0.0 <= angle <= 0.5 * np.pi:
+    if not 0.0 <= (angle := _as_float(phi)) <= 0.5 * np.pi:
         raise ConfigError(f"coupling angle phi {phi} not in [0, pi/2]")
     return (1.0 - np.cos(angle)) * rho.rho.diagonal().real[:, None] / rho.grid.n
 
@@ -319,8 +336,7 @@ def correct_diagonals(rho_measured: DensityMatrix, phi: float) -> DensityMatrix:
     phi is read as ``float`` reads it; one outside [0, pi/2), NaN or not a
     number included, is a ConfigError.
     """
-    angle = _as_float(phi)
-    if not 0.0 <= angle < 0.5 * np.pi:
+    if not 0.0 <= (angle := _as_float(phi)) < 0.5 * np.pi:
         raise ConfigError(f"coupling angle phi {phi} not in [0, pi/2)")
     rho = rho_measured.rho.copy()
     idx = np.diag_indices_from(rho)

@@ -32,10 +32,12 @@ from diracsim import (BenchConfig, DensityMatrix, DiracDistribution, DiracsimErr
 LARGEST = np.finfo(float).max  # a numpy scalar, so numpy's scalar arithmetic is swept too
 _VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300, LARGEST]
 _FINITE = [v for v in _VALUES if math.isfinite(v)]
-# a scalar that the library reads with ``float`` (a camera displacement, make_grid's dx
-# and x0, the UnitMap constants, the wedge's arguments, a mixture weight) is also swept
-# with values that are not numbers
-_DZ_VALUES = _VALUES + ["a", None, [1], 10 ** 400]
+# every float scalar is read as ``float`` reads it, so one is also swept with values
+# that ``float`` refuses and with a numeric string, which must act as its number
+_DZ_VALUES = _VALUES + ["a", None, [1], 10 ** 400, "0.25"]
+# every integer must be an int or a numpy integer, not a bool: no float, string or
+# None, however integral, and an int past int64 must be refused or used as itself
+_INT_VALUES = _VALUES + ["a", None, True, 1.5, "3", 10 ** 400, np.int64(3)]
 
 N = 8
 UM = UnitMap(wavelength=780e-9, focal_length=1.0, magnification=4.935)
@@ -103,14 +105,14 @@ _OF_A_DISTRIBUTION = {
 
 # slot name: (values, call with one value)
 _SLOTS = {
-    "make_grid n": (_VALUES, lambda v: make_grid(v, 1.0)),
+    "make_grid n": (_INT_VALUES, lambda v: make_grid(v, 1.0)),
     "make_grid dx": (_DZ_VALUES, lambda v: make_grid(16, v)),
     "make_grid x0": (_DZ_VALUES, lambda v: make_grid(16, 1.0, v)),
     **{f"UnitMap {key}": (_DZ_VALUES, lambda v, key=key: make_grid(
         16, 1e-3, 0.0, UnitMap(**{"wavelength": 780e-9, "focal_length": 1.0,
                                   "magnification": 1.0, key: v})))
        for key in _UNIT_FIELDS},
-    **{f"build_bench_state {key}": (_VALUES, lambda v, key=key: build_bench_state(
+    **{f"build_bench_state {key}": (_DZ_VALUES, lambda v, key=key: build_bench_state(
         BenchConfig(**{**PHASE_BENCH, key: v}), PHASE_GRID)) for key in _BENCH_FIELDS},
     # a gradient that returns must be finite, and positive for a positive angle
     "wedge_gradient_from_angle angle": (
@@ -128,21 +130,23 @@ _SLOTS = {
         _VALUES, lambda v: _density(v, ((0, 1), 1), ((1, 0), 1)).validate()),
     "mix weight": (_DZ_VALUES, lambda v: mix([(RHO, v)])),
     "random_density_matrix rank": (
-        _VALUES, lambda v: random_density_matrix(GRID, np.random.default_rng(0), v)),
+        _INT_VALUES, lambda v: random_density_matrix(GRID, np.random.default_rng(0), v)),
     "operator_dirac op": (_VALUES, lambda v: operator_dirac(GRID, _full((N, N), v))),
-    "conditional_x_given_p k": (_VALUES, lambda v: conditional_x_given_p(DIST, v)),
-    "backaction_offset phi": (_VALUES, lambda v: backaction_offset(RHO, v)),
-    "correct_diagonals phi": (_VALUES, lambda v: correct_diagonals(RHO, v)),
+    "conditional_x_given_p k": (_INT_VALUES, lambda v: conditional_x_given_p(DIST, v)),
+    "backaction_offset phi": (_DZ_VALUES, lambda v: backaction_offset(RHO, v)),
+    "correct_diagonals phi": (_DZ_VALUES, lambda v: correct_diagonals(RHO, v)),
     "estimate_dirac_column counts": (_VALUES, lambda v: estimate_dirac_column(_counts(v), 0.3)),
-    "estimate_dirac_column phi": (_VALUES, lambda v: estimate_dirac_column(_counts(1.0), v)),
+    "estimate_dirac_column phi": (_DZ_VALUES, lambda v: estimate_dirac_column(_counts(1.0), v)),
     "estimate_dirac_column first_sliver": (
-        _VALUES, lambda v: estimate_dirac_column(_counts(0.0), 0.3, first_sliver=v)),
+        _INT_VALUES, lambda v: estimate_dirac_column(_counts(0.0), 0.3, first_sliver=v)),
     "sample_counts expected": (_VALUES, lambda v: sample_counts(_counts(v), [1, 2])),
-    "sample_counts seeds": (_VALUES, lambda v: sample_counts(_counts(1.0), [v, 2])),
-    "scan phi": (_VALUES, lambda v: scan(RHO, _scan_config(phi=v))),
-    "scan photon_budget": (_VALUES, lambda v: scan(RHO, _scan_config(photon_budget=v),
-                                                   noise=True, seed=1)),
-    "scan seed": (_VALUES, lambda v: scan(RHO, _scan_config(), noise=True, seed=v)),
+    "sample_counts expected as a list": (
+        _VALUES, lambda v: sample_counts(_counts(v).tolist(), [1, 2])),
+    "sample_counts seeds": (_INT_VALUES, lambda v: sample_counts(_counts(1.0), [v, 2])),
+    "scan phi": (_DZ_VALUES, lambda v: scan(RHO, _scan_config(phi=v))),
+    "scan photon_budget": (_DZ_VALUES, lambda v: scan(RHO, _scan_config(photon_budget=v),
+                                                      noise=True, seed=1)),
+    "scan seed": (_INT_VALUES, lambda v: scan(RHO, _scan_config(), noise=True, seed=v)),
     "fresnel_unitary dz": (_DZ_VALUES, lambda v: fresnel_unitary(GRID, v)),
     "build_kernel_unitary v": (_VALUES, lambda v: build_kernel_unitary(GRID, _full(N, v))),
     "build_kernel_unitary dz": (_DZ_VALUES, lambda v: build_kernel_unitary(GRID, np.ones(N), v)),
@@ -150,7 +154,8 @@ _SLOTS = {
         _DZ_VALUES, lambda v: bayes_propagate(DIST, build_kernel_analytic(GRID, v))),
     "direct_measure_displaced dz": (_DZ_VALUES, lambda v: direct_measure_displaced(RHO, BENCH, v)),
     "direct_measure_displaced seed": (
-        _VALUES, lambda v: direct_measure_displaced(RHO, _scan_config(), 0.1, noise=True, seed=v)),
+        _INT_VALUES, lambda v: direct_measure_displaced(RHO, _scan_config(), 0.1, noise=True,
+                                                        seed=v)),
     "joint4_tensor v1": (_VALUES, lambda v: joint4_tensor(RHO, _full(N, v), np.ones(N))),
     "PropagatorKernel dz": (_DZ_VALUES, lambda v: _propagate_direct(dz=v, v=CHIRP.v)),
     # a distribution filled with a finite value
@@ -170,6 +175,15 @@ _REFUSED = {
     "estimate_dirac_column, 1-D counts": lambda: estimate_dirac_column(np.ones(4), 0.3),
     "sample_counts, 2-D means": lambda: sample_counts(np.ones((4, N)), [1]),
     "sample_counts, one seed for two slivers": lambda: sample_counts(_counts(1.0), [1]),
+    # counts that are not an array of integers or floats
+    **{f"{name}, {what}": (lambda call=call, counts=counts: call(counts))
+       for name, call in (("estimate_dirac_column", lambda c: estimate_dirac_column(c, 0.3)),
+                          ("sample_counts", lambda c: sample_counts(c, [1, 2])))
+       for what, counts in (("a ragged list", [[1.0] * N, [1.0]]),
+                            ("strings", np.full((4, 2, N), "1")),
+                            ("bools", np.ones((4, 2, N), bool)),
+                            ("complex numbers", np.ones((4, 2, N), complex)),
+                            ("None", None))},
     "build_kernel_unitary, n + 1 diagonal": lambda: build_kernel_unitary(GRID, np.ones(N + 1)),
     "build_kernel_unitary, (n + 1) x (n + 1)": lambda: build_kernel_unitary(
         GRID, np.eye(N + 1)),

@@ -458,6 +458,63 @@ def test_estimator_needs_four_analyzers_first(analyzers):
             estimate_dirac_column(bad, PHI_BENCH)
 
 
+def test_estimator_takes_integer_counts_as_floats():
+    """Unsigned or narrow integer counts wrapped in d - a at the parent: uint8
+    counts with D below A read D - A = 254."""
+    counts = np.array([[1, 2, 120], [3, 1, -100], [1, 1, 1], [2, 1, 1]])
+    est = estimate_dirac_column(counts.astype(float), PHI_BENCH)
+    assert np.array_equal(estimate_dirac_column(counts, PHI_BENCH), est)
+    assert np.array_equal(estimate_dirac_column(counts.astype(np.int8), PHI_BENCH), est)
+    low = counts[:, :2]  # D below A in bin 0
+    assert np.array_equal(estimate_dirac_column(low.astype(np.uint8), PHI_BENCH),
+                          estimate_dirac_column(low.astype(float), PHI_BENCH))
+
+
+_NOT_REAL = {
+    "strings": (np.full((4, 2, 8), "1"), r"of dtype <U1 are not real numbers$"),
+    "complex": (np.ones((4, 2, 8), complex), r"of dtype complex128 are not real numbers$"),
+    "bools": (np.ones((4, 2, 8), bool), r"of dtype bool are not real numbers$"),
+    "None": (None, r"of dtype object are not real numbers$"),
+    "a ragged list": ([[1.0, 2.0], [3.0]], r"cannot be read as an array \(.*\)$"),
+}
+
+
+@pytest.mark.parametrize("case", list(_NOT_REAL))
+def test_counts_that_are_not_real_numbers_are_refused_first(case):
+    """Checked before phi, the seeds and the shape; at the parent each case
+    raised TypeError, AttributeError or ValueError in one of the two
+    functions, and complex counts gave a complex estimate."""
+    counts, message = _NOT_REAL[case]
+    with pytest.raises(ContractError, match=rf"^analyzer counts {message}"):
+        estimate_dirac_column(counts, np.nan)
+    with pytest.raises(ContractError, match=rf"^expected counts {message}"):
+        sample_counts(counts, [])
+
+
+def test_sample_counts_reads_a_nested_list():
+    means = np.full((4, 2, 8), 3.0)
+    assert np.array_equal(sample_counts(means.tolist(), [1, 2]), sample_counts(means, [1, 2]))
+
+
+@pytest.mark.parametrize("first", ["a", None, True, 1.5, "3", [1]], ids=repr)
+def test_estimator_refuses_a_first_sliver_that_is_not_an_integer(first):
+    counts = np.ones((4, 2, 8))
+    with pytest.raises(ContractError, match=r"^first_sliver must be an integer, got "):
+        estimate_dirac_column(counts, PHI_BENCH, first_sliver=first)
+
+
+@pytest.mark.parametrize("first", [10 ** 400, np.int64(np.iinfo(np.int64).max), np.int64(3)],
+                         ids=["10 ** 400", "int64 max", "int64 3"])
+def test_the_sliver_label_is_summed_in_python_ints(first):
+    """The label of sliver 1 is first_sliver + 1, past the int64 range too:
+    10 ** 400 raised OverflowError at the parent, and an int64 at its
+    largest would overflow in numpy."""
+    counts = np.ones((4, 2, 8))
+    counts[:2, 1] = 0.0
+    with pytest.raises(NoPhotonsError, match=rf"^sliver {int(first) + 1}: "):
+        estimate_dirac_column(counts, PHI_BENCH, first_sliver=first)
+
+
 @pytest.mark.parametrize("bad_phi", [-1e-9, np.pi / 2 + 1e-9, 5.0, np.nan, np.inf])
 def test_backaction_offset_rejects_phi_outside_the_coupling_range(bad_phi):
     rho = random_density_matrix(make_grid(8, 0.5), np.random.default_rng(9))
