@@ -3,13 +3,15 @@ mismatched grids.
 
 Each slot of ``_SLOTS`` calls one public function with one numeric
 parameter, or every entry of one array it takes, set to each value of
-``_VALUES``.  Each call must return or raise a ``DiracsimError``: any other
+``_VALUES``, or of ``_DZ_VALUES`` for a float scalar and ``_INT_VALUES`` for
+an integer.  Each call must return or raise a ``DiracsimError``: any other
 exception fails, and so does a warning, which the sweep turns into an error.
 A distribution built from nan or inf is outside the contract (the types
 check shape, not finiteness), so the slots that pass a distribution filled
 with the value take the finite values only.  Each slot of ``_REFUSED``
-passes a wrong shape, a mismatched grid, an index out of range or a kernel
-built directly that breaks its builders' checks, and must raise a
+passes a wrong shape, a mismatched grid, an index out of range, counts that
+are not an array of integers or floats or a kernel built directly that
+breaks its builders' checks, and must raise a
 ``DiracsimError``.  The cases are fixed, so the run is derandomised.
 """
 
