@@ -87,7 +87,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ContractError, DegenerateKernelError, NumericalIntegrityError
-from .lattice import Grid, TWO_PI, _as_float
+from .lattice import Grid, TWO_PI, _as_array, _as_float
 from .qstate import BenchConfig, DensityMatrix
 from .dirac import DiracDistribution, _check_quasi_probability, reconstruct_density
 from . import weaksim
@@ -116,8 +116,8 @@ class PropagatorKernel:
     The builders call the constructor, so a kernel built directly holds
     their checks.  A ``dz`` that ``float`` refuses, or that is negative,
     infinite or NaN, is a ConfigError, as in :func:`fresnel_unitary`; ``dz``
-    is stored as a float.  Exactly one of
-    ``v`` and ``row`` is set, it reads as complex numbers, ``v`` passes the
+    is stored as a float.  Exactly one of ``v`` and ``row`` is set, it is an
+    array of numbers (:func:`.lattice._as_array`), ``v`` passes the
     unitarity check of :func:`build_kernel_unitary` and ``row`` has shape
     (n,); anything else is a ContractError.  The kernel keeps a read-only
     complex copy of the one it is given, so an edit to the caller's array
@@ -138,9 +138,7 @@ class PropagatorKernel:
         if self.v is not None:
             name, held = "v", _checked_unitary(self.grid, self.v)
         else:
-            name, held = "row", _complex_copy(self.row, "kernel row")
-            if held.shape != (n,):
-                raise ContractError(f"kernel row shape {held.shape} does not match grid n={n}")
+            name, held = "row", np.array(_as_array(self.row, "kernel row", shape=(n,)), complex)
         held.setflags(write=False)
         object.__setattr__(self, name, held)
 
@@ -161,8 +159,9 @@ class PropagatorKernel:
 class PropagatedDistribution:
     """Complex n x n array e[m, k'] over (weak position, displaced camera position).
 
-    A distribution built with an ``e`` of any other shape is a ContractError,
-    so no consumer checks it again.
+    ``e`` is held as :func:`.lattice._as_array` reads it; a distribution
+    built with anything but numbers of that shape is a ContractError, so no
+    consumer checks it again.
     """
 
     grid: Grid
@@ -170,10 +169,9 @@ class PropagatedDistribution:
     e: np.ndarray
     kind: str
 
-    def __post_init__(self) -> None:
+    def __post_init__(self) -> None:  # the dataclass is frozen
         n = self.grid.n
-        if np.shape(self.e) != (n, n):
-            raise ContractError(f"propagated shape {np.shape(self.e)} does not match grid n={n}")
+        object.__setattr__(self, "e", _as_array(self.e, "propagated", shape=(n, n)))
 
     def validate(self) -> None:
         """Check, to ``PROPAGATED_TOL``, that e sums to 1 and that its position
@@ -215,15 +213,6 @@ def _check_displacement(dz: float) -> float:
     raise ConfigError(f"camera displacement dz {dz!r} must be finite and nonnegative")
 
 
-def _complex_copy(a: np.ndarray, what: str) -> np.ndarray:
-    """A complex copy of ``a``; one that numpy cannot read as complex is a
-    ContractError."""
-    try:
-        return np.array(a, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise ContractError(f"{what} cannot be read as complex numbers ({exc})") from None
-
-
 def _checked_unitary(grid: Grid, v: np.ndarray) -> np.ndarray:
     """A complex copy of ``v``, after checking that it is a unitary V.
 
@@ -231,7 +220,7 @@ def _checked_unitary(grid: Grid, v: np.ndarray) -> np.ndarray:
     For a diagonal, the defect max |V^dag V - 1| is max ||c|^2 - 1|, so both
     forms pass the same check in O(n) and O(n^3) respectively.
     """
-    v = _complex_copy(v, "unitary")
+    v = np.array(_as_array(v, "unitary"), complex)
     n = grid.n
     if v.shape == (n,):
         with np.errstate(over="ignore"):  # |c|^2 that overflows is an infinite defect

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, NullEventError, NumericalIntegrityError
-from .lattice import Grid, _is_int
+from .lattice import Grid, _as_array, _is_int
 from .qstate import DensityMatrix
 
 NORMALIZATION_TOL = 1e-10
@@ -50,17 +50,17 @@ COND_EPSILON = 1e-8
 class DiracDistribution:
     """Complex n x n array ``d[m, k]`` over (position, momentum) lattice points.
 
-    A distribution built with a ``d`` of any other shape is a ContractError,
-    so no consumer checks it again.
+    ``d`` is held as :func:`.lattice._as_array` reads it; a distribution
+    built with anything but numbers of that shape is a ContractError, so no
+    consumer checks it again.
     """
 
     grid: Grid
     d: np.ndarray
 
-    def __post_init__(self) -> None:
+    def __post_init__(self) -> None:  # the dataclass is frozen
         n = self.grid.n
-        if np.shape(self.d) != (n, n):
-            raise ContractError(f"distribution shape {np.shape(self.d)} does not match grid n={n}")
+        object.__setattr__(self, "d", _as_array(self.d, "distribution", shape=(n, n)))
 
     def validate(self) -> None:
         """Check, to ``NORMALIZATION_TOL``, that d sums to 1 and that its
@@ -84,9 +84,7 @@ def operator_dirac(grid: Grid, op: np.ndarray) -> DiracDistribution:
     :func:`expectation_overlap`.  An entry that overflows (an operator with
     entries near the float limit) is left inf or nan, with no warning.
     """
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (grid.n, grid.n):
-        raise ContractError(f"operator shape {op.shape} does not match grid n={grid.n}")
+    op = _as_array(op, "operator", shape=(grid.n, grid.n)).astype(complex, copy=False)
     t = grid._signs
     d = np.empty(op.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is left inf or nan

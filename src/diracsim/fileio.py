@@ -111,7 +111,7 @@ import numpy as np
 
 from ._format17 import WORDS, render
 from .errors import ConfigError, ContractError, FormatError, NumericalIntegrityError
-from .lattice import Grid, UnitMap, make_grid
+from .lattice import Grid, UnitMap, _as_array, make_grid
 
 MATRIX_MAGIC = "# diracsim matrix v1"
 COUNTS_MAGIC = "# diracsim counts v1"
@@ -229,7 +229,8 @@ def write_matrix(path: str, arr: np.ndarray, meta: dict) -> None:
     any file or directory is made."""
     import hashlib  # here: importing the package loads no OpenSSL
 
-    arr = np.asarray(arr, dtype=complex, order="C")  # hashed as it is saved, in C order
+    # hashed as it is saved, in C order
+    arr = np.asarray(_as_array(arr, "matrix"), dtype=complex, order="C")
     if arr.ndim != 2:
         raise ContractError(f"matrix must be 2-D, got shape {arr.shape}")
     _finite(path, "the matrix", arr)
@@ -472,7 +473,7 @@ def write_counts(path: str, counts: np.ndarray, meta: dict) -> None:
 
     Counts of any other shape, or not finite and >= 0, are a ContractError.
     """
-    counts = np.asarray(counts, dtype=float)
+    counts = np.asarray(_as_array(counts, "counts", kinds="iuf"), dtype=float)
     if counts.ndim != 2 or len(counts) != _ANALYZERS:
         raise ContractError(f"counts must have shape ({_ANALYZERS}, n), got {counts.shape}")
     if not (np.isfinite(counts) & (counts >= 0)).all():

@@ -224,7 +224,7 @@ class Grid:
         """The read-only length-n sliding windows of ``[a, a]``, a block of
         rows lo, lo + 1, ... of an n x n array repeated along its columns:
         ``windows[i, c, s] = [a, a][i, c + s]`` for c in [0, n]."""
-        a = np.asarray(a)
+        a = _as_array(a, "array")
         if not (_is_int(lo) and a.ndim == 2 and a.shape[1] == self.n
                 and 0 <= lo <= self.n - a.shape[0]):
             raise ContractError(f"array of shape {a.shape} at row {lo} does not fit grid n={self.n}")
@@ -267,6 +267,23 @@ def _is_int(value) -> bool:
     """Whether ``value`` is an integer, a Python ``int`` or a numpy integer,
     and not a ``bool``."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _as_array(a, what: str, kinds: str = "iufc", shape: tuple | None = None) -> np.ndarray:
+    """``a`` read with ``np.asarray``, so an array comes back as itself, with
+    no copy.  One that numpy cannot read (a ragged nest of lists, say), whose
+    dtype kind is not in ``kinds`` (a bool, string or object array never is),
+    or whose shape is not ``shape``, when one is given, is a ContractError."""
+    try:
+        a = np.asarray(a)
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"{what} cannot be read as an array ({exc})") from None
+    if a.dtype.kind not in kinds:
+        raise ContractError(f"{what} of dtype {a.dtype} are not "
+                            f"{'numbers' if 'c' in kinds else 'real numbers'}")
+    if shape is not None and a.shape != shape:
+        raise ContractError(f"{what} shape {a.shape} does not match grid n={shape[0]}")
+    return a
 
 
 def make_grid(n: int, dx: float, x0: float = 0.0, unit_map: UnitMap | None = None) -> Grid:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, ContractError, DegenerateInputError
-from .lattice import Grid, _as_float, _is_int
+from .lattice import Grid, _as_array, _as_float, _is_int
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -34,16 +34,16 @@ WEIGHT_TOL = 1e-9
 class PureState:
     """Normalized position-basis amplitudes on a grid.
 
-    ``amp`` has shape (n,) for its grid; a state built with any other shape is
-    a ContractError, so no consumer checks it again.
+    ``amp`` is held as :func:`.lattice._as_array` reads it, numbers of shape
+    (n,) for its grid; a state built with anything else is a ContractError,
+    so no consumer checks it again.
     """
 
     grid: Grid
     amp: np.ndarray
 
-    def __post_init__(self) -> None:
-        if np.shape(self.amp) != (self.grid.n,):
-            raise ContractError("amplitude length does not match grid")
+    def __post_init__(self) -> None:  # the dataclass is frozen
+        object.__setattr__(self, "amp", _as_array(self.amp, "amplitudes", shape=(self.grid.n,)))
 
     def validate(self) -> None:
         norm = float(np.sum(np.abs(self.amp) ** 2))
@@ -55,7 +55,8 @@ class PureState:
 class DensityMatrix:
     """Hermitian, trace-one, positive-semidefinite operator in the position basis.
 
-    ``rho`` is n x n for its grid; a state built with any other shape is a
+    ``rho`` is held as :func:`.lattice._as_array` reads it, an n x n array
+    of numbers for its grid; a state built with anything else is a
     ContractError, so no consumer checks it again.
 
     :meth:`validate` certifies positivity with one Cholesky factorisation of
@@ -80,9 +81,9 @@ class DensityMatrix:
     rho: np.ndarray
     _valid: bool = field(default=False, init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if np.shape(self.rho) != (self.grid.n, self.grid.n):
-            raise ContractError("density matrix shape does not match grid")
+    def __post_init__(self) -> None:  # the dataclass is frozen
+        n = self.grid.n
+        object.__setattr__(self, "rho", _as_array(self.rho, "density matrix", shape=(n, n)))
 
     def validate(self) -> None:
         if self._valid and not self.rho.flags.writeable:
@@ -200,9 +201,7 @@ def pure_from_samples(grid: Grid, raw: np.ndarray) -> PureState:
     norm overflows or underflows are first divided by their largest real or
     imaginary part; all others are divided by their norm alone.
     """
-    raw = np.asarray(raw, dtype=complex)
-    if raw.shape != (grid.n,):
-        raise ContractError(f"sample vector of shape {raw.shape} does not match grid n={grid.n}")
+    raw = _as_array(raw, "sample vector", shape=(grid.n,)).astype(complex, copy=False)
     if not np.isfinite(raw).all():
         raise ContractError("sample vector is not finite")
     with np.errstate(over="ignore"):

@@ -52,7 +52,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, ContractError, NoPhotonsError, NumericalIntegrityError
-from .lattice import Grid, _as_float, _is_int, make_grid
+from .lattice import Grid, _as_array, _as_float, _is_int, make_grid
 from .qstate import BenchConfig, DensityMatrix, pure_from_samples, density_from_pure
 from .dirac import DiracDistribution, dirac_distribution, operator_dirac
 
@@ -167,19 +167,6 @@ def _check_means(low: float, peak: float) -> None:
                           f"the Poisson sampler's limit {_POISSON_MAX_MEAN:.3g}")
 
 
-def _real_array(a, what: str) -> np.ndarray:
-    """``a`` read with ``np.asarray``; one that numpy cannot read, or whose
-    numbers are not integers or floats (a bool, complex, string or object
-    array), is a ContractError."""
-    try:
-        a = np.asarray(a)
-    except (TypeError, ValueError) as exc:  # a ragged nest of lists, say
-        raise ContractError(f"{what} cannot be read as an array ({exc})") from None
-    if a.dtype.kind not in "iuf":
-        raise ContractError(f"{what} of dtype {a.dtype} are not real numbers")
-    return a
-
-
 def sample_counts(expected: np.ndarray, seeds: list[int]) -> np.ndarray:
     """Independent Poisson draw of every bin of a (4, b, n) counts array of
     b slivers, such as a scan's (4, n, n) or one block of it.
@@ -192,7 +179,7 @@ def sample_counts(expected: np.ndarray, seeds: list[int]) -> np.ndarray:
     negative or NaN mean, or a seed list whose length is not the number of
     slivers, is a ContractError.
     """
-    expected = _real_array(expected, "expected counts")
+    expected = _as_array(expected, "expected counts", kinds="iuf")
     if expected.ndim != 3 or expected.shape[0] != len(READOUT_KEYS):
         raise ContractError(f"expected counts of shape {expected.shape}: expected (4, b, n)")
     _check_means(expected.min(initial=0.0), expected.max(initial=0.0))
@@ -228,7 +215,7 @@ def estimate_dirac_column(counts: np.ndarray, phi: float, *,
     W - O for noise-free counts; :func:`mean_estimate` checks their closure
     once per process.
     """
-    counts = _real_array(counts, "analyzer counts")
+    counts = _as_array(counts, "analyzer counts", kinds="iuf")
     if not 0.0 < (angle := _as_float(phi)) <= 0.5 * np.pi:
         raise ConfigError(f"coupling angle phi {phi} not in (0, pi/2]")
     if not _is_int(first_sliver):

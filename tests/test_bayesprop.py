@@ -167,9 +167,9 @@ _STRINGS = np.array(["a"] * 8)  # numpy cannot read these as complex
     ({"v": 2 * np.ones(8)}, re.escape("matrix is not unitary (defect 3.000e+00)")),
     ({"row": _ROW[:5]}, re.escape("kernel row shape (5,) does not match grid n=8")),
     ({"row": np.tile(_ROW, 2)[:10]}, re.escape("kernel row shape (10,) does not match grid n=8")),
-    ({"v": _STRINGS}, "unitary cannot be read as complex numbers"),
-    ({"v": [{}] * 8}, "unitary cannot be read as complex numbers"),
-    ({"row": _STRINGS}, "kernel row cannot be read as complex numbers"),
+    ({"v": _STRINGS}, re.escape("unitary of dtype <U1 are not numbers")),
+    ({"v": [{}] * 8}, re.escape("unitary of dtype object are not numbers")),
+    ({"row": _STRINGS}, re.escape("kernel row of dtype <U1 are not numbers")),
 ], ids=["neither", "both", "v of 5", "v not unitary", "row of 5", "row of 10", "v of strings",
         "v of dicts", "row of strings"])
 def test_a_kernel_built_directly_holds_the_builders_checks(fields, message):

@@ -378,7 +378,8 @@ def test_build_bench_state_holds_one_matrix(mixed):
 
 def test_the_construction_certificate_still_checks_shape_and_trace():
     grid = make_grid(4, 1.0)
-    with pytest.raises(ContractError, match=r"^density matrix shape does not match grid$"):
+    with pytest.raises(ContractError,
+                       match=r"^density matrix shape \(3, 3\) does not match grid n=4$"):
         qstate._built_state(grid, np.eye(3, dtype=complex) / 3)
     with pytest.raises(ContractError, match=r"^density matrix trace .* deviates from 1$"):
         qstate._built_state(grid, np.eye(4, dtype=complex) / 2)
@@ -480,12 +481,13 @@ def test_validate_rejects_nan_before_eigvalsh(monkeypatch):
 
 def test_shapes_that_do_not_match_the_grid_are_contract_errors():
     grid = make_grid(4, 1.0)
-    with pytest.raises(ContractError, match=r"^amplitude length does not match grid$"):
+    with pytest.raises(ContractError, match=r"^amplitudes shape \(3,\) does not match grid n=4$"):
         PureState(grid=grid, amp=np.full(3, 1 / np.sqrt(3), dtype=complex))
-    with pytest.raises(ContractError, match=r"^density matrix shape does not match grid$"):
+    with pytest.raises(ContractError,
+                       match=r"^density matrix shape \(3, 3\) does not match grid n=4$"):
         DensityMatrix(grid=grid, rho=np.eye(3, dtype=complex) / 3)
     with pytest.raises(ContractError,
-                       match=r"^sample vector of shape \(5,\) does not match grid n=4$"):
+                       match=r"^sample vector shape \(5,\) does not match grid n=4$"):
         pure_from_samples(grid, np.ones(5))
 
 

@@ -16,9 +16,11 @@ from diracsim import (ContractError, DensityMatrix, DiracDistribution, Propagate
 # name: (constructor, the right shape for n, message pattern for n)
 _TYPES = {
     "PureState": (lambda grid, a: PureState(grid=grid, amp=a),
-                  lambda n: (n,), lambda n: r"^amplitude length does not match grid$"),
+                  lambda n: (n,),
+                  lambda n: rf"^amplitudes shape \(.*\) does not match grid n={n}$"),
     "DensityMatrix": (lambda grid, a: DensityMatrix(grid=grid, rho=a),
-                      lambda n: (n, n), lambda n: r"^density matrix shape does not match grid$"),
+                      lambda n: (n, n),
+                      lambda n: rf"^density matrix shape \(.*\) does not match grid n={n}$"),
     "DiracDistribution": (lambda grid, a: DiracDistribution(grid=grid, d=a),
                           lambda n: (n, n),
                           lambda n: rf"^distribution shape \(.*\) does not match grid n={n}$"),
@@ -36,12 +38,12 @@ def _cases(name, n, shapes, message):
     *_cases("DiracDistribution", 8, [(8, 9), (9, 8), (8,), (7, 8), (8, 7), (8, 8, 1)],
             r"shape .* does not match grid n=8"),
     *_cases("DensityMatrix", 16, [(16, 17), (17, 16), (15, 15)],
-            r"^density matrix shape does not match grid$"),
+            r"^density matrix shape \(.*\) does not match grid n=16$"),
     # (2, 8) and (16,) hold n^2 entries, as an n x n array does
     *_cases("PropagatedDistribution", 4, [(4, 5), (2, 8), (16,), (4, 4, 1), (3, 3)],
             r"shape .* does not match grid n=4"),
     *_cases("PureState", 4, [(5,), (4, 1), (4, 4), ()],
-            r"^amplitude length does not match grid$"),
+            r"^amplitudes shape \(.*\) does not match grid n=4$"),
 ])
 def test_a_wrong_shape_is_refused_when_the_object_is_built(name, n, shape, message):
     build = _TYPES[name][0]
