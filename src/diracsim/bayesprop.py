@@ -413,8 +413,8 @@ def direct_measure_displaced(rho: DensityMatrix, cfg: BenchConfig, dz: float, *,
     commutes with the weak coupling and with every sliver projector, and the
     displaced readout, back-action offset included, is the momentum readout
     of V rho V^dag: :func:`.weaksim.scan` of ``c_m rho[m, j] conj(c_j)``,
-    formed in O(n^2).  This is the experimental-side oracle for
-    :func:`bayes_propagate`.
+    formed in O(n^2), which checks ``noise``, ``seed`` and ``correct``.
+    This is the experimental-side oracle for :func:`bayes_propagate`.
     """
     c = fresnel_unitary(rho.grid, dz)
     displaced = DensityMatrix(grid=rho.grid, rho=c[:, None] * rho.rho * c.conj())

@@ -111,7 +111,7 @@ import numpy as np
 
 from ._format17 import WORDS, render
 from .errors import ConfigError, ContractError, FormatError, NumericalIntegrityError
-from .lattice import Grid, UnitMap, _as_array, make_grid
+from .lattice import Grid, UnitMap, _as_array, _is_int, make_grid
 
 MATRIX_MAGIC = "# diracsim matrix v1"
 COUNTS_MAGIC = "# diracsim counts v1"
@@ -126,7 +126,7 @@ _HASH_CHUNK = 1 << 20  # bytes hashed at a time: a read's memory does not grow w
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if _is_int(value):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")

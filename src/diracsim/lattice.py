@@ -62,11 +62,15 @@ is not a finite normal float and a camera coordinate that overflows.  No
 later stage then meets an overflow in these numbers or prints a warning for
 one.
 
-This module also holds the package's one rule for a public scalar:
-``_as_float`` reads a float as ``float`` reads it, with nan for what
-``float`` refuses, so the caller's own finiteness or interval check refuses
-it, and ``_is_int`` takes an integer as a Python or numpy integer that is
-not a ``bool``.
+This module also holds the package's three rules for what a public value
+is.  A scalar: ``_as_float`` reads a float as ``float`` reads it, with nan
+for what ``float`` refuses, so the caller's own finiteness or interval
+check refuses it, ``_is_int`` takes an integer as a Python or numpy integer
+that is not a ``bool``, and ``_is_bool`` a flag as a Python or numpy
+``bool``.  An array: ``_as_array`` reads it with ``np.asarray``, with no
+copy, and refuses one that numpy cannot read, whose dtype is not a number's
+(a bool, string or object array) or whose shape is not the grid's, each a
+ContractError; the four grid-bound types hold what it returns.
 """
 
 from __future__ import annotations
@@ -267,6 +271,11 @@ def _is_int(value) -> bool:
     """Whether ``value`` is an integer, a Python ``int`` or a numpy integer,
     and not a ``bool``."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_bool(value) -> bool:
+    """Whether ``value`` is a flag, a Python ``bool`` or a numpy ``bool_``."""
+    return isinstance(value, (bool, np.bool_))
 
 
 def _as_array(a, what: str, kinds: str = "iufc", shape: tuple | None = None) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, ContractError, DegenerateInputError
-from .lattice import Grid, _as_array, _as_float, _is_int
+from .lattice import Grid, _as_array, _as_float, _is_bool, _is_int
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -125,7 +125,8 @@ class BenchConfig:
     polarization rotation of the weak coupling and ``photon_budget`` the
     expected photon count per camera exposure.  Every field but ``mixed`` is
     stored as a float, read as ``float`` reads it; a value that ``float``
-    refuses is stored as nan, which :meth:`validate` refuses.
+    refuses is stored as nan, which :meth:`validate` refuses, as it refuses
+    a ``mixed`` that is not a Python or numpy bool.
     """
 
     aperture_halfwidth: float
@@ -143,6 +144,8 @@ class BenchConfig:
                 object.__setattr__(self, key.name, _as_float(getattr(self, key.name)))
 
     def validate(self, grid: Grid) -> None:
+        if not _is_bool(self.mixed):
+            raise ConfigError(f"bench.mixed must be a bool, got {self.mixed!r}")
         for key, value in (("bench.phase_step", self.static_phase_step),
                            ("bench.wedge_tilt", self.wedge_tilt)):
             if not np.isfinite(value):

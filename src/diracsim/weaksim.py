@@ -52,7 +52,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, ContractError, NoPhotonsError, NumericalIntegrityError
-from .lattice import Grid, _as_array, _as_float, _is_int, make_grid
+from .lattice import Grid, _as_array, _as_float, _is_bool, _is_int, make_grid
 from .qstate import BenchConfig, DensityMatrix, pure_from_samples, density_from_pure
 from .dirac import DiracDistribution, dirac_distribution, operator_dirac
 
@@ -305,8 +305,12 @@ def scan(rho: DensityMatrix, cfg: BenchConfig, *,
     With noise enabled, sliver m draws from ``sliver_seeds(seed, n)[m]``, so
     the output does not depend on execution order.  With analytic counts and
     the back-action correction applied, the result reproduces the exact
-    distribution to rounding.
+    distribution to rounding.  A ``noise`` or ``correct`` that is not a
+    Python or numpy bool is a ConfigError.
     """
+    for name, flag in (("noise", noise), ("correct", correct)):
+        if not _is_bool(flag):
+            raise ConfigError(f"{name} must be a bool, got {flag!r}")
     if noise and seed is None:
         raise ConfigError("a seed is required for a noisy scan")
     readout = sliver_readout(rho, cfg.phi, cfg.photon_budget)

@@ -12,24 +12,33 @@ with the value take the finite values only.  Each slot of ``_REFUSED``
 passes a wrong shape, a mismatched grid, an index out of range, counts that
 are not an array of integers or floats or a kernel built directly that
 breaks its builders' checks, and must raise a
-``DiracsimError``.  The cases are fixed, so the run is derandomised.
+``DiracsimError``.  Each slot of ``_ARRAY_SLOTS`` passes one array a
+public function takes, or builds one of the four grid-bound types and
+calls one consumer of it: each form of ``_NOT_ARRAYS`` (numbers that numpy
+cannot read or whose dtype is not a number's) must raise a
+``DiracsimError`` and write nothing, and each form of ``_NUMBER_ARRAYS``
+must return or raise one.  Each slot of ``_FLAG_SLOTS`` must take a Python
+or numpy bool and refuse anything else with a ``ConfigError``.  The cases
+are fixed, so the run is derandomised.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from diracsim import (BenchConfig, DensityMatrix, DiracDistribution, DiracsimError, Grid,
-                      PropagatedDistribution, PropagatorKernel, UnitMap, bayes_propagate,
-                      backaction_offset, build_bench_state, build_kernel_analytic,
-                      build_kernel_unitary, conditional_x_given_p, correct_diagonals,
-                      direct_measure_displaced, estimate_dirac_column, expectation_overlap,
-                      fresnel_unitary, joint4_tensor, make_grid, marginal_p, marginal_x, mix,
-                      operator_dirac, pure_from_samples, purity, random_density_matrix,
-                      reconstruct_density, sample_counts, scan, wedge_gradient_from_angle,
-                      dirac_distribution)
+from diracsim import (BenchConfig, ConfigError, DensityMatrix, DiracDistribution, DiracsimError,
+                      Grid, PropagatedDistribution, PropagatorKernel, PureState, UnitMap,
+                      bayes_propagate, backaction_offset, build_bench_state,
+                      build_kernel_analytic, build_kernel_unitary, conditional_x_given_p,
+                      correct_diagonals, density_from_pure, direct_measure_displaced,
+                      estimate_dirac_column, expectation_overlap, fresnel_unitary,
+                      joint4_tensor, make_grid, marginal_p, marginal_x, mix, operator_dirac,
+                      pure_from_samples, purity, random_density_matrix, reconstruct_density,
+                      sample_counts, scan, wedge_gradient_from_angle, dirac_distribution)
+from diracsim.fileio import write_counts, write_matrix
 
 LARGEST = np.finfo(float).max  # a numpy scalar, so numpy's scalar arithmetic is swept too
 _VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300, LARGEST]
@@ -261,3 +270,100 @@ def test_a_wrong_shape_grid_or_index_is_refused(slot):
         warnings.simplefilter("error")
         with pytest.raises(DiracsimError):
             _REFUSED[slot]()
+
+
+def _ragged(shape):
+    """Nested lists of ones of ``shape`` whose last entry has the wrong length."""
+    rows = np.ones(shape).tolist()
+    rows[-1] = [1.0, 1.0] if len(shape) == 1 else rows[-1][:-1]
+    return rows
+
+
+# form: the form built for an array of a shape; none of them is an array of numbers
+_NOT_ARRAYS = {
+    "a nested list of strings": lambda shape: np.full(shape, "1").tolist(),
+    "a ragged list": _ragged,
+    "None": lambda shape: None,
+    "an object array": lambda shape: np.ones(shape, dtype=object),
+    "a string array": lambda shape: np.full(shape, "1"),
+    "a bool array": lambda shape: np.ones(shape, dtype=bool),
+}
+# form: the form built from an array of whole numbers
+_NUMBER_ARRAYS = {
+    "a nested list of numbers": lambda a: a.tolist(),
+    "an integer array": lambda a: a.astype(int),
+}
+E0 = np.eye(N)[0]
+
+# slot name: (an array of whole numbers the slot takes, call with an array and a directory)
+_ARRAY_SLOTS = {
+    "PureState, then density_from_pure": (
+        E0, lambda a, out: density_from_pure(PureState(grid=GRID, amp=a))),
+    "DensityMatrix, then validate": (
+        np.diag(E0), lambda a, out: DensityMatrix(grid=GRID, rho=a).validate()),
+    "DiracDistribution, then marginal_x": (
+        np.eye(N), lambda a, out: marginal_x(DiracDistribution(grid=GRID, d=a))),
+    "PropagatedDistribution, then validate": (
+        np.eye(N), lambda a, out: PropagatedDistribution(grid=GRID, dz=0.1, e=a,
+                                                         kind="measured").validate()),
+    "pure_from_samples": (E0, lambda a, out: pure_from_samples(GRID, a)),
+    "operator_dirac": (np.eye(N), lambda a, out: operator_dirac(GRID, a)),
+    "build_kernel_unitary v, a diagonal": (
+        np.ones(N), lambda a, out: build_kernel_unitary(GRID, a)),
+    "build_kernel_unitary v, a dense matrix": (
+        np.eye(N), lambda a, out: build_kernel_unitary(GRID, a)),
+    "PropagatorKernel row": (np.ones(N), lambda a, out: _propagate_direct(row=a)),
+    "joint4_tensor v1": (np.ones(N), lambda a, out: joint4_tensor(RHO, a, np.ones(N))),
+    "joint4_tensor v2": (np.ones(N), lambda a, out: joint4_tensor(RHO, np.ones(N), a)),
+    "Grid.skew": (np.ones((2, N)), lambda a, out: GRID.skew(a)),
+    "Grid.unskew": (np.ones((2, N)), lambda a, out: GRID.unskew(a)),
+    "sample_counts": (np.ones((4, 2, N)), lambda a, out: sample_counts(a, [1, 2])),
+    "estimate_dirac_column": (np.ones((4, 2, N)), lambda a, out: estimate_dirac_column(a, 0.3)),
+    "write_matrix": (np.eye(N), lambda a, out: write_matrix(str(out / "m.txt"), a, {})),
+    "write_counts": (np.ones((4, N)), lambda a, out: write_counts(str(out / "c.txt"), a, {})),
+}
+
+
+@pytest.mark.parametrize("form", list(_NOT_ARRAYS))
+@pytest.mark.parametrize("slot", list(_ARRAY_SLOTS))
+def test_an_array_that_is_not_numbers_is_refused(slot, form, tmp_path):
+    example, call = _ARRAY_SLOTS[slot]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DiracsimError):
+            call(_NOT_ARRAYS[form](example.shape), tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("form", list(_NUMBER_ARRAYS))
+@pytest.mark.parametrize("slot", list(_ARRAY_SLOTS))
+def test_an_array_of_numbers_keeps_the_error_contract(slot, form, tmp_path):
+    example, call = _ARRAY_SLOTS[slot]
+    assert _outcome(lambda: call(_NUMBER_ARRAYS[form](example), tmp_path)) is None
+
+
+# a flag must be a bool or a numpy bool: no string, number or None, however it reads
+_NOT_FLAGS = ["false", "true", 0, 1, 1.0, None]
+_FLAG_SLOTS = {
+    "build_bench_state mixed": lambda v: build_bench_state(
+        BenchConfig(**PHASE_BENCH, mixed=v), PHASE_GRID),
+    "scan noise": lambda v: scan(RHO, _scan_config(), noise=v, seed=1),
+    "scan correct": lambda v: scan(RHO, _scan_config(), correct=v),
+    "direct_measure_displaced noise": lambda v: direct_measure_displaced(
+        RHO, _scan_config(), 0.1, noise=v, seed=1),
+    "direct_measure_displaced correct": lambda v: direct_measure_displaced(
+        RHO, _scan_config(), 0.1, correct=v),
+}
+
+
+@pytest.mark.parametrize("value", _NOT_FLAGS, ids=repr)
+@pytest.mark.parametrize("slot", list(_FLAG_SLOTS))
+def test_a_flag_that_is_not_a_bool_is_refused(slot, value):
+    with pytest.raises(ConfigError, match=rf"must be a bool, got {re.escape(repr(value))}$"):
+        _FLAG_SLOTS[slot](value)
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, np.False_], ids=repr)
+@pytest.mark.parametrize("slot", list(_FLAG_SLOTS))
+def test_a_bool_flag_is_taken(slot, value):
+    _FLAG_SLOTS[slot](value)

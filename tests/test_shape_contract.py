@@ -1,9 +1,10 @@
 """The grid-bound types check their array's shape once, when they are built.
 
-``PureState`` holds amplitudes of shape (n,); ``DensityMatrix``,
-``DiracDistribution`` and ``PropagatedDistribution`` hold n x n arrays.  Any
-other shape is a ContractError from the constructor, so no consumer of the
-four types checks it again.
+Each holds what ``lattice._as_array`` returns: ``PureState`` amplitudes of
+shape (n,); ``DensityMatrix``, ``DiracDistribution`` and
+``PropagatedDistribution`` n x n arrays.  Any other shape is a
+ContractError from the constructor, ``<what> shape (...) does not match
+grid n=<n>``, so no consumer of the four types checks it again.
 """
 
 import numpy as np
