@@ -111,7 +111,7 @@ import numpy as np
 
 from ._format17 import WORDS, render
 from .errors import ConfigError, ContractError, FormatError, NumericalIntegrityError
-from .lattice import Grid, UnitMap, _as_array, _is_int, make_grid
+from .lattice import Grid, UnitMap, _as_array, _is_bool, _is_int, make_grid
 
 MATRIX_MAGIC = "# diracsim matrix v1"
 COUNTS_MAGIC = "# diracsim counts v1"
@@ -124,7 +124,7 @@ _HASH_CHUNK = 1 << 20  # bytes hashed at a time: a read's memory does not grow w
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
+    if _is_bool(value):
         return "true" if value else "false"
     if _is_int(value):
         return str(int(value))

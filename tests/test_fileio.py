@@ -1008,6 +1008,16 @@ def test_a_written_header_reads_back_as_written(tmp_path, writer, meta):
     shutil.rmtree(path.parent)
 
 
+@pytest.mark.parametrize("flag, text", [(True, "true"), (np.True_, "true"), (np.False_, "false")],
+                         ids=repr)
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_a_numpy_bool_in_meta_is_written_as_a_python_bool_is(tmp_path, writer, flag, text):
+    path = tmp_path / "f.txt"
+    _WRITERS[writer](str(path), {"mixed": flag})
+    read = read_matrix(path)[1] if writer == "matrix" else load_counts(path)[1]
+    assert read["mixed"] == text
+
+
 @pytest.mark.parametrize("writer, meta, message", [
     ("matrix", {"rows": 5}, "rows=5 is not the body's 2"),
     ("matrix", {"cols": 3}, "cols=3 is not the body's 2"),
