@@ -223,10 +223,11 @@ def _finite(path: str, what: str, arr: np.ndarray) -> np.ndarray:
 def write_matrix(path: str, arr: np.ndarray, meta: dict) -> None:
     """Write a complex matrix with '# key=value' headers and 'i j re im' rows,
     then its binary twin, named by the SHA-256 of the text and that of the
-    array's bytes.  An array that is not 2-D is a ContractError, one that
-    holds nan or inf a NumericalIntegrityError, and a twin directory that
-    exists but is not a directory a NotADirectoryError, each raised before
-    any file or directory is made."""
+    array's bytes.  An array that is not a 2-D array of numbers
+    (:func:`.lattice._as_array`) is a ContractError, one that holds nan or
+    inf a NumericalIntegrityError, and a twin directory that exists but is
+    not a directory a NotADirectoryError, each raised before any file or
+    directory is made."""
     import hashlib  # here: importing the package loads no OpenSSL
 
     # hashed as it is saved, in C order
@@ -471,7 +472,8 @@ def write_counts(path: str, counts: np.ndarray, meta: dict) -> None:
     """Write one sliver's counts, shape (4, n) in analyzer order D, A, L, R, with
     '# n=' and then ``meta`` as headers; body rows are 'k N_D N_A N_L N_R'.
 
-    Counts of any other shape, or not finite and >= 0, are a ContractError.
+    Counts that are not integers or floats, of any other shape, or not
+    finite and >= 0, are a ContractError.
     """
     counts = np.asarray(_as_array(counts, "counts", kinds="iuf"), dtype=float)
     if counts.ndim != 2 or len(counts) != _ANALYZERS:

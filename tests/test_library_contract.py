@@ -7,7 +7,7 @@ parameter, or every entry of one array it takes, set to each value of
 an integer.  Each call must return or raise a ``DiracsimError``: any other
 exception fails, and so does a warning, which the sweep turns into an error.
 A distribution built from nan or inf is outside the contract (the types
-check shape, not finiteness), so the slots that pass a distribution filled
+check shape and dtype, not finiteness), so the slots that pass a distribution filled
 with the value take the finite values only.  Each slot of ``_REFUSED``
 passes a wrong shape, a mismatched grid, an index out of range, counts that
 are not an array of integers or floats or a kernel built directly that
