@@ -159,9 +159,12 @@ class PropagatorKernel:
 class PropagatedDistribution:
     """Complex n x n array e[m, k'] over (weak position, displaced camera position).
 
-    ``e`` is held as :func:`.lattice._as_array` reads it; a distribution
-    built with anything but numbers of that shape is a ContractError, so no
-    consumer checks it again.
+    ``dz`` is checked as :class:`PropagatorKernel` checks it, and stored as
+    a float: one that ``float`` refuses, or that is negative, infinite or
+    NaN, is the same ConfigError.  A ``kind`` that is not a ``str`` is a
+    ContractError.  ``e`` is held as :func:`.lattice._as_array` reads it; a
+    distribution built with anything but numbers of that shape is a
+    ContractError, so no consumer checks it again.
     """
 
     grid: Grid
@@ -171,6 +174,9 @@ class PropagatedDistribution:
 
     def __post_init__(self) -> None:  # the dataclass is frozen
         n = self.grid.n
+        object.__setattr__(self, "dz", _check_displacement(self.dz))
+        if not isinstance(self.kind, str):
+            raise ContractError(f"propagated distribution kind must be a str, got {self.kind!r}")
         object.__setattr__(self, "e", _as_array(self.e, "propagated", shape=(n, n)))
 
     def validate(self) -> None:
@@ -419,5 +425,4 @@ def direct_measure_displaced(rho: DensityMatrix, cfg: BenchConfig, dz: float, *,
     c = fresnel_unitary(rho.grid, dz)
     displaced = DensityMatrix(grid=rho.grid, rho=c[:, None] * rho.rho * c.conj())
     measured = weaksim.scan(displaced, cfg, noise=noise, seed=seed, correct=correct)
-    return PropagatedDistribution(grid=rho.grid, dz=_check_displacement(dz), e=measured.d,
-                                  kind="measured")
+    return PropagatedDistribution(grid=rho.grid, dz=dz, e=measured.d, kind="measured")

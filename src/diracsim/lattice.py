@@ -64,8 +64,8 @@ one.
 
 This module also holds the package's three rules for what a public value
 is.  A scalar: ``_as_float`` reads a float as ``float`` reads it, with nan
-for what ``float`` refuses, so the caller's own finiteness or interval
-check refuses it, ``_is_int`` takes an integer as a Python or numpy integer
+for what ``float`` refuses and for a flag, so the caller's own finiteness
+or interval check refuses it, ``_is_int`` takes an integer as a Python or numpy integer
 that is not a ``bool``, and ``_is_bool`` a flag as a Python or numpy
 ``bool``.  An array: ``_as_array`` reads it with ``np.asarray``, with no
 copy, and refuses one that numpy cannot read, whose dtype is not a number's
@@ -259,11 +259,12 @@ class Grid:
 
 
 def _as_float(value) -> float:
-    """``float(value)``, or nan for a value that ``float`` refuses (one that
-    is not a number, or an int too large for a float), which every check
-    for a positive or finite number refuses."""
+    """``float(value)``, or nan for a flag (:func:`_is_bool`) and for a value
+    that ``float`` refuses (one that is not a number, or an int too large
+    for a float), which every check for a positive or finite number
+    refuses."""
     with contextlib.suppress(TypeError, ValueError, OverflowError):
-        return float(value)
+        return math.nan if _is_bool(value) else float(value)
     return math.nan
 
 
