@@ -17,6 +17,7 @@ certified state whose matrix is still read-only, and records nothing itself.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -272,7 +273,17 @@ def density_from_pure(psi: PureState) -> DensityMatrix:
 
 def mix(states: list[tuple[DensityMatrix, float]]) -> DensityMatrix:
     """Convex combination of density matrices sharing one grid, certified by
-    one full check (:func:`_checked_state`)."""
+    one full check (:func:`_checked_state`).
+
+    ``states`` that are not a list (or tuple) of (:class:`DensityMatrix`,
+    weight) pairs are a ContractError, checked first; no pair, a weight
+    that is negative or not a number, or weights that do not sum to 1 are a
+    ConfigError.
+    """
+    if not (isinstance(states, Sequence) and all(
+            isinstance(pair, Sequence) and len(pair) == 2 and isinstance(pair[0], DensityMatrix)
+            for pair in states)):
+        raise ContractError("mix() takes a list of (DensityMatrix, weight) pairs")
     if not states:
         raise ConfigError("mix() needs at least one (state, weight) pair")
     grid = states[0][0].grid

@@ -46,6 +46,7 @@ the whole-array one to the last bit.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -174,11 +175,14 @@ def sample_counts(expected: np.ndarray, seeds: list[int]) -> np.ndarray:
     Sliver m draws from its own generator, seeded by ``seeds[m]`` (see
     :func:`sliver_seeds`), so the counts do not depend on the order in which
     slivers are drawn.  A mean beyond numpy's Poisson limit, or a seed that
-    is not a nonnegative integer (a bool included), is a ConfigError; means
-    that are not an array of integers or floats, or of another shape, a
-    negative or NaN mean, or a seed list whose length is not the number of
+    is not a nonnegative integer (a bool included), is a ConfigError;
+    ``seeds`` that are not a sequence (a list or tuple), checked first,
+    means that are not an array of integers or floats, or of another shape,
+    a negative or NaN mean, or a seed list whose length is not the number of
     slivers, is a ContractError.
     """
+    if not isinstance(seeds, Sequence):
+        raise ContractError(f"sliver seeds must be a sequence, got {type(seeds).__name__}")
     expected = _as_array(expected, "expected counts", kinds="iuf")
     if expected.ndim != 3 or expected.shape[0] != len(READOUT_KEYS):
         raise ContractError(f"expected counts of shape {expected.shape}: expected (4, b, n)")

@@ -18,8 +18,14 @@ calls one consumer of it: each form of ``_NOT_ARRAYS`` (numbers that numpy
 cannot read or whose dtype is not a number's) must raise a
 ``DiracsimError`` and write nothing, and each form of ``_NUMBER_ARRAYS``
 must return or raise one.  Each slot of ``_FLAG_SLOTS`` must take a Python
-or numpy bool and refuse anything else with a ``ConfigError``.  The cases
-are fixed, so the run is derandomised.
+or numpy bool and refuse anything else with a ``ConfigError``, and each
+float slot of ``_SLOTS`` must refuse a bool.  Each case of
+``_NOT_CONTAINERS`` passes a container slot something that is not the
+sequence it takes, and must raise a ``ContractError`` before any other
+check.  A ``PropagatedDistribution`` built directly must refuse the dz
+values a ``PropagatorKernel`` refuses, with the same error, hold the same
+float for every other one, and refuse a ``kind`` that is not a ``str``.
+The cases are fixed, so the run is derandomised.
 """
 
 import math
@@ -29,7 +35,7 @@ import warnings
 import numpy as np
 import pytest
 
-from diracsim import (BenchConfig, ConfigError, DensityMatrix, DiracDistribution, DiracsimError,
+from diracsim import (BenchConfig, ConfigError, ContractError, DensityMatrix, DiracDistribution, DiracsimError,
                       Grid, PropagatedDistribution, PropagatorKernel, PureState, UnitMap,
                       bayes_propagate, backaction_offset, build_bench_state,
                       build_kernel_analytic, build_kernel_unitary, conditional_x_given_p,
@@ -178,8 +184,25 @@ _SLOTS = {
                                                   kind="measured").validate()),
 }
 
+# case name: a call whose container slot holds no sequence of what it takes, and must
+# raise a ContractError before any other check: means past the Poisson limit are a
+# ConfigError, and so is a mix of no states
+_NOT_CONTAINERS = {
+    "sample_counts, seeds None": lambda: sample_counts(_counts(1.0), None),
+    "sample_counts, seeds an int": lambda: sample_counts(_counts(1.0), 5),
+    "sample_counts, seeds an int, means past the Poisson limit": lambda: sample_counts(
+        _counts(1e300), 5),
+    "mix, a list of states": lambda: mix([RHO]),
+    "mix, a state": lambda: mix(RHO),
+    "mix, None": lambda: mix(None),
+    "mix, a pair of one": lambda: mix([(RHO,)]),
+    "mix, a pair of three": lambda: mix([(RHO, 0.5, 0.5)]),
+    "mix, a pair whose state is a string": lambda: mix([("a", 1.0)]),
+}
+
 # slot name: a call that must raise a DiracsimError
 _REFUSED = {
+    **_NOT_CONTAINERS,
     "pure_from_samples, n + 1 samples": lambda: pure_from_samples(GRID, np.ones(N + 1)),
     "operator_dirac, n x (n + 1)": lambda: operator_dirac(GRID, np.ones((N, N + 1))),
     "estimate_dirac_column, three analyzers": lambda: estimate_dirac_column(np.ones((3, N)), 0.3),
@@ -270,6 +293,46 @@ def test_a_wrong_shape_grid_or_index_is_refused(slot):
         warnings.simplefilter("error")
         with pytest.raises(DiracsimError):
             _REFUSED[slot]()
+
+
+@pytest.mark.parametrize("case", list(_NOT_CONTAINERS))
+def test_a_container_that_is_not_a_sequence_is_refused_first(case):
+    with pytest.raises(ContractError):
+        _NOT_CONTAINERS[case]()
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, np.False_], ids=repr)
+@pytest.mark.parametrize("slot", [slot for slot, (values, _) in _SLOTS.items()
+                                  if values is _DZ_VALUES])
+def test_a_float_slot_refuses_a_bool(slot, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DiracsimError):
+            _SLOTS[slot][1](value)
+
+
+def _plane(build):
+    """The type and repr of the dz that ``build()`` holds, or the type and
+    message of the DiracsimError it raises."""
+    try:
+        dz = build().dz
+    except DiracsimError as exc:
+        return type(exc).__name__, str(exc)
+    return type(dz).__name__, repr(dz)
+
+
+@pytest.mark.parametrize("value", _DZ_VALUES + [-1, np.float64("nan"), np.float64("inf")],
+                         ids=repr)
+def test_a_propagated_distribution_reads_dz_as_a_kernel_does(value):
+    kernel = _plane(lambda: PropagatorKernel(grid=GRID, dz=value, v=CHIRP.v))
+    assert _plane(lambda: PropagatedDistribution(grid=GRID, dz=value, e=DIST.d,
+                                                 kind="measured")) == kernel
+
+
+@pytest.mark.parametrize("kind", [None, 3, b"x"], ids=repr)
+def test_a_propagated_distribution_kind_that_is_not_a_str_is_refused(kind):
+    with pytest.raises(ContractError, match="kind must be a str"):
+        PropagatedDistribution(grid=GRID, dz=0.1, e=DIST.d, kind=kind)
 
 
 def _ragged(shape):
