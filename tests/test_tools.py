@@ -1,8 +1,13 @@
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
-CODE_LINES = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
+from diracsim.fileio import TWIN_DIR
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+CODE_LINES = TOOLS / "code_lines.py"
+CHAINS = TOOLS / "chains.py"
 
 _MODULE = '''"""Module docstring
 over two lines."""
@@ -37,3 +42,47 @@ def test_code_lines_counts_statement_lines_less_docstrings_comments_and_blanks(t
     out = subprocess.run([sys.executable, str(CODE_LINES), str(tmp_path)],
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines() == ["     0  empty.py", "    10  m.py", "    10  total"]
+
+
+def _chains():
+    """tools/chains.py as a module."""
+    spec = importlib.util.spec_from_file_location("chains", CHAINS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_chains_small_in_process_runs_are_identical(tmp_path):
+    chains = _chains()
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for run in runs:
+        assert chains.main(["--small", "--in-process", "--out", str(run)]) == 0
+    exits = sorted((runs[0] / "tree").rglob("*.exit"))
+    assert len(exits) == len(chains.CHAINS) * len(chains.STAGES) == 28
+    assert {path.read_text() for path in exits} == {"0\n"}
+    assert (runs[0] / "tree" / "n63" / "out" / "props.txt").read_text().count("PASS") == 4
+    assert list((runs[0] / "tree" / "n63" / "out").glob(f"{TWIN_DIR}/dirac_exact.txt.*.npy"))
+    assert chains.compare(runs[0], runs[1]) == []
+    # a byte changed and a file removed are each named
+    (runs[1] / "tree" / "n64" / "out" / "props.txt").write_text("FAIL\n")
+    (runs[1] / "tree" / "default" / "4-propagate.stdout").unlink()
+    assert chains.compare(runs[0], runs[1]) == [
+        f"only in {runs[0]}: {Path('tree/default/4-propagate.stdout')}",
+        f"differs: {Path('tree/n64/out/props.txt')}"]
+
+
+def test_chains_refuses_a_chain_whose_stage_exits_2(tmp_path, capsys):
+    chains = _chains()
+    # dx = 0.000698 puts the aperture outside an n = 63 grid, so every stage exits 2
+    outside = {"grid.n": 63, "grid.dx": 0.000698}
+    problem = chains.run_chain(tmp_path / "outside", outside, {}, None)
+    assert problem.startswith("outside: gen-state exited 2, expected 0: diracsim: config error:")
+    assert (tmp_path / "outside" / "0-gen-state.exit").read_text() == "2\n"
+    assert not (tmp_path / "outside" / "1-exact.exit").exists()
+    # a chain whose entry expects that code runs on
+    assert chains.run_chain(tmp_path / "expected", outside, dict.fromkeys(chains.STAGES, 2),
+                            None) is None
+    # the tool refuses the run, at any size
+    chains.CHAINS = {"edge": ({"bench.edge_position": 1.0}, {}), **chains.CHAINS}
+    assert chains.main(["--small", "--in-process", "--out", str(tmp_path / "all")]) == 2
+    assert capsys.readouterr().err.startswith("chains: tree: edge: gen-state exited 2")
