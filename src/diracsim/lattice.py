@@ -65,9 +65,9 @@ one.
 This module also holds the package's three rules for what a public value
 is.  A scalar: ``_as_float`` reads a float as ``float`` reads it, with nan
 for what ``float`` refuses and for a flag, so the caller's own finiteness
-or interval check refuses it, ``_is_int`` takes an integer as a Python or numpy integer
-that is not a ``bool``, and ``_is_bool`` a flag as a Python or numpy
-``bool``.  An array: ``_as_array`` reads it with ``np.asarray``, with no
+or interval check refuses it, ``_is_int`` takes an integer as a Python or
+numpy integer that is not a ``bool``, and ``_is_bool`` a flag as a Python
+or numpy ``bool``.  An array: ``_as_array`` reads it with ``np.asarray``, with no
 copy, and refuses one that numpy cannot read, whose dtype is not a number's
 (a bool, string or object array) or whose shape is not the grid's, each a
 ContractError; the four grid-bound types hold what it returns.
