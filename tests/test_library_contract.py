@@ -35,9 +35,9 @@ import warnings
 import numpy as np
 import pytest
 
-from diracsim import (BenchConfig, ConfigError, ContractError, DensityMatrix, DiracDistribution, DiracsimError,
-                      Grid, PropagatedDistribution, PropagatorKernel, PureState, UnitMap,
-                      bayes_propagate, backaction_offset, build_bench_state,
+from diracsim import (BenchConfig, ConfigError, ContractError, DensityMatrix, DiracDistribution,
+                      DiracsimError, Grid, PropagatedDistribution, PropagatorKernel, PureState,
+                      UnitMap, bayes_propagate, backaction_offset, build_bench_state,
                       build_kernel_analytic, build_kernel_unitary, conditional_x_given_p,
                       correct_diagonals, density_from_pure, direct_measure_displaced,
                       estimate_dirac_column, expectation_overlap, fresnel_unitary,
