@@ -176,12 +176,12 @@ def sample_counts(expected: np.ndarray, seeds: list[int]) -> np.ndarray:
     :func:`sliver_seeds`), so the counts do not depend on the order in which
     slivers are drawn.  A mean beyond numpy's Poisson limit, or a seed that
     is not a nonnegative integer (a bool included), is a ConfigError;
-    ``seeds`` that are not a sequence (a list or tuple), checked first,
-    means that are not an array of integers or floats, or of another shape,
-    a negative or NaN mean, or a seed list whose length is not the number of
-    slivers, is a ContractError.
+    ``seeds`` that are neither a sequence (a list or tuple) nor a 1-d array,
+    checked first, means that are not an array of integers or floats, or of
+    another shape, a negative or NaN mean, or a seed list whose length is
+    not the number of slivers, is a ContractError.
     """
-    if not isinstance(seeds, Sequence):
+    if not (isinstance(seeds, Sequence) or isinstance(seeds, np.ndarray) and seeds.ndim == 1):
         raise ContractError(f"sliver seeds must be a sequence, got {type(seeds).__name__}")
     expected = _as_array(expected, "expected counts", kinds="iuf")
     if expected.ndim != 3 or expected.shape[0] != len(READOUT_KEYS):

@@ -192,6 +192,9 @@ _NOT_CONTAINERS = {
     "sample_counts, seeds an int": lambda: sample_counts(_counts(1.0), 5),
     "sample_counts, seeds an int, means past the Poisson limit": lambda: sample_counts(
         _counts(1e300), 5),
+    "sample_counts, seeds a 0-d array": lambda: sample_counts(_counts(1.0), np.array(5)),
+    "sample_counts, seeds a 2-d array of one per sliver": lambda: sample_counts(
+        _counts(1.0), np.zeros((2, 1), dtype=int)),
     "mix, a list of states": lambda: mix([RHO]),
     "mix, a state": lambda: mix(RHO),
     "mix, None": lambda: mix(None),
@@ -202,7 +205,6 @@ _NOT_CONTAINERS = {
 
 # slot name: a call that must raise a DiracsimError
 _REFUSED = {
-    **_NOT_CONTAINERS,
     "pure_from_samples, n + 1 samples": lambda: pure_from_samples(GRID, np.ones(N + 1)),
     "operator_dirac, n x (n + 1)": lambda: operator_dirac(GRID, np.ones((N, N + 1))),
     "estimate_dirac_column, three analyzers": lambda: estimate_dirac_column(np.ones((3, N)), 0.3),

@@ -310,6 +310,15 @@ def test_sample_counts_refuses_a_seed_that_is_not_a_nonnegative_integer(seed):
                           sample_counts(expected, seeds))
 
 
+def test_sample_counts_takes_a_1d_array_of_seeds_as_the_equal_list():
+    expected = readout_intensities(_chirped_state(make_grid(8, 0.5)), PHI_BENCH, 1e3)
+    seeds = sliver_seeds(1, 8)
+    assert np.array_equal(sample_counts(expected, np.array(seeds, dtype=np.uint64)),
+                          sample_counts(expected, seeds))
+    assert np.array_equal(sample_counts(expected, np.arange(8)),
+                          sample_counts(expected, list(range(8))))
+
+
 def test_calibration_constants():
     assert calibrate_estimator() == EstimatorCalibration(0.5, 0.5, -1)
     assert default_calibration() == default_calibration()
