@@ -1,4 +1,5 @@
 import importlib.util
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 from diracsim.fileio import TWIN_DIR
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
+SRC = TOOLS.parent / "src"
 CODE_LINES = TOOLS / "code_lines.py"
 CHAINS = TOOLS / "chains.py"
 
@@ -75,14 +77,45 @@ def test_chains_refuses_a_chain_whose_stage_exits_2(tmp_path, capsys):
     chains = _chains()
     # dx = 0.000698 puts the aperture outside an n = 63 grid, so every stage exits 2
     outside = {"grid.n": 63, "grid.dx": 0.000698}
-    problem = chains.run_chain(tmp_path / "outside", outside, {}, None)
-    assert problem.startswith("outside: gen-state exited 2, expected 0: diracsim: config error:")
+    problem = chains.run_chain(tmp_path / "outside", outside, None)
+    assert problem.startswith("outside: gen-state exited 2: diracsim: config error:")
     assert (tmp_path / "outside" / "0-gen-state.exit").read_text() == "2\n"
     assert not (tmp_path / "outside" / "1-exact.exit").exists()
-    # a chain whose entry expects that code runs on
-    assert chains.run_chain(tmp_path / "expected", outside, dict.fromkeys(chains.STAGES, 2),
-                            None) is None
     # the tool refuses the run, at any size
-    chains.CHAINS = {"edge": ({"bench.edge_position": 1.0}, {}), **chains.CHAINS}
+    chains.CHAINS = {"edge": {"bench.edge_position": 1.0}, **chains.CHAINS}
     assert chains.main(["--small", "--in-process", "--out", str(tmp_path / "all")]) == 2
     assert capsys.readouterr().err.startswith("chains: tree: edge: gen-state exited 2")
+
+
+def _git(repo, *args):
+    subprocess.run(["git", "-C", str(repo), "-c", "user.name=chains", "-c", "user.email=c@test",
+                    "-c", "commit.gpgsign=false", *args], check=True, capture_output=True)
+
+
+def test_chains_parent_runs_each_tree_from_its_own_source(tmp_path, monkeypatch, capsys):
+    chains = _chains()
+    # a repository whose HEAD holds a stub cli, and whose work tree holds this package
+    repo = tmp_path / "repo"
+    package = repo / "src" / "diracsim"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text('print("stub")\n')
+    _git(repo, "init", "-q")
+    _git(repo, "add", ".")
+    _git(repo, "commit", "-qm", "stub")
+    shutil.rmtree(package)
+    shutil.copytree(SRC / "diracsim", package, ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(chains, "ROOT", repo)
+    monkeypatch.setattr(chains, "CHAINS", {"n64": chains.CHAINS["n64"]})
+    monkeypatch.setattr(chains, "STAGES", ("gen-state",))
+    # python -m would import this directory's package ahead of PYTHONPATH
+    monkeypatch.chdir(SRC)
+    assert chains.main(["--small", "--parent", "HEAD", "--out", str(tmp_path / "a")]) == 1
+    assert f"differs: {Path('n64/0-gen-state.stdout')}" in capsys.readouterr().out.splitlines()
+    assert (tmp_path / "a" / "parent" / "n64" / "0-gen-state.stdout").read_text() == "stub\n"
+    assert (tmp_path / "a" / "tree" / "n64" / "0-gen-state.exit").read_text() == "0\n"
+    assert list((tmp_path / "a" / "tree" / "n64" / "out").iterdir())
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-qm", "package")
+    assert chains.main(["--small", "--parent", "HEAD", "--out", str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().out == "chains: no file differs\n"
