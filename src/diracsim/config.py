@@ -6,7 +6,11 @@ whitespace begins a comment; anywhere else it is part of the value, as it is
 in the environment and in flags.  A leading UTF-8 byte-order mark is skipped.
 Every key can also be overridden through the environment as
 ``DIRACSIM_<SECTION>_<KEY>`` (dots to underscores, upper case); a
-``DIRACSIM_*`` variable that names no key is rejected.  Defaults mirror the
+``DIRACSIM_*`` variable that names no key is rejected.  A typed override, a
+value given as other than a string, takes numpy bools and numbers as the
+library does (:mod:`.lattice`); a number too large for a float is refused
+by its key's owner (the grid, the bench or the displacement check), and a
+seed by the rule that derives the per-sliver seeds.  Defaults mirror the
 reference bench: 780 nm light, a 1 m Fourier lens magnified 4.935x, a 44 mm
 aperture sampled on 256 sites with the glass edge at 25 mm, a 12.92 degree
 coupling, and camera displacements of 8.4, 16 and 32.5 cm.
@@ -21,8 +25,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError
-from .lattice import Grid, UnitMap, _is_int, make_grid
+from .lattice import Grid, UnitMap, _as_float, _is_bool, _is_int, make_grid
 from .qstate import BenchConfig
+from .weaksim import _check_seed
 
 ENV_PREFIX = "DIRACSIM_"
 
@@ -81,16 +86,18 @@ def _parse_bool(key: str, raw: str) -> bool:
 
 def _typed(key: str, value, default):
     """``value``, given as a Python or numpy value, if it has the type of
-    ``default``: an integer but not a bool for an int key, an int or a float
-    for a float key, a bool for a bool key, a string for a string key, and a
-    tuple or list of such items for a tuple key.  Anything else is a
-    ConfigError."""
+    ``default``, read by the library's own rules (:mod:`.lattice`): an
+    integer (``_is_int``) for an int key, an integer or a float for a float
+    key, read by ``_as_float``, a flag (``_is_bool``) for a bool key, a
+    string for a string key, and a tuple or list of such items for a tuple
+    key.  Anything else is a ConfigError.  An int too large for a float reads
+    as nan, which the key's owner refuses."""
     if isinstance(default, tuple) and isinstance(value, (tuple, list)):
         return tuple(_typed(key, item, default[0]) for item in value)
-    takes = {bool: isinstance(value, bool), int: _is_int(value), str: isinstance(value, str),
+    takes = {bool: _is_bool(value), int: _is_int(value), str: isinstance(value, str),
              float: _is_int(value) or isinstance(value, (float, np.floating))}
     if takes.get(type(default)):
-        return type(default)(value)
+        return _as_float(value) if isinstance(default, float) else type(default)(value)
     raise ConfigError(f"{key}: expected {type(default).__name__}, got {value!r}")
 
 
@@ -187,8 +194,7 @@ def build_run_config(values: dict | None = None) -> RunConfig:
     )
     bench.validate(grid)
 
-    if merged["pipeline.seed"] < 0:
-        raise ConfigError(f"pipeline.seed: must be nonnegative, got {merged['pipeline.seed']}")
+    _check_seed("pipeline.seed", merged["pipeline.seed"])  # the rule derived_seed applies
     if merged["pipeline.scans"] < 1:
         raise ConfigError(f"pipeline.scans: must be at least 1, got {merged['pipeline.scans']}")
     if not merged["propagation.dz"]:

@@ -340,7 +340,6 @@ def test_an_output_dir_that_names_no_directory_is_refused_on_every_route(tmp_pat
     ("grid.dx", True),
     ("bench.photon_budget", None),
     ("bench.mixed", 1),
-    ("bench.mixed", np.bool_(True)),
     ("pipeline.noise", 0),
     ("propagation.dz", 0.1),
     ("propagation.dz", ("0.1",)),
@@ -359,7 +358,7 @@ def test_typed_overrides_of_the_right_type_are_taken():
     cfg = build_run_config({
         "grid.n": np.int64(64), "grid.dx": 44e-3 / 64, "pipeline.seed": np.uint8(3),
         "pipeline.scans": 2, "bench.photon_budget": 1000, "bench.edge_loss": np.float32(0.25),
-        "bench.mixed": True, "pipeline.noise": False,
+        "bench.mixed": np.bool_(True), "pipeline.noise": False,
         "propagation.dz": [0, np.float64(0.1)], "output.dir": "o",
     })
     assert (cfg.grid.n, cfg.seed, cfg.scans) == (64, 3, 2)
@@ -369,3 +368,50 @@ def test_typed_overrides_of_the_right_type_are_taken():
     assert (cfg.bench.mixed, cfg.noise) == (True, False)
     assert cfg.dz_list == (0.0, 0.1) and all(type(dz) is float for dz in cfg.dz_list)
     assert cfg.out_dir == "o"
+
+
+FLOAT_KEYS = [key for key, default in DEFAULTS.items() if isinstance(default, float)]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS + ["propagation.dz"])
+def test_a_typed_int_too_large_for_a_float_is_refused_by_its_keys_owner(key):
+    """The int reads as nan, as ``_as_float`` reads it, and the grid, the
+    bench or the displacement check refuses it.  At the parent every one of
+    these escaped as a bare OverflowError."""
+    assert len(FLOAT_KEYS) == 12
+    value = [10 ** 400] if key == "propagation.dz" else 10 ** 400
+    with pytest.raises(ConfigError):
+        build_run_config({key: value})
+
+
+@pytest.mark.parametrize("key", ["bench.mixed", "pipeline.noise", "pipeline.correct"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_flag_key_takes_a_numpy_bool_as_the_library_does(key, flag):
+    """``BenchConfig`` and ``scan`` take a numpy bool; at the parent a
+    typed ``np.bool_`` was refused for all three flag keys."""
+    cfg = build_run_config({key: np.bool_(flag)})
+    assert cfg == build_run_config({key: flag})
+    assert all(type(v) is bool for v in (cfg.bench.mixed, cfg.noise, cfg.correct))
+
+
+@pytest.mark.parametrize("route", ["file", "environment", "override"])
+@pytest.mark.parametrize("seed", [-1, True, 1.5])
+def test_a_seed_that_is_not_a_nonnegative_integer_names_its_key_on_every_route(
+        tmp_path, capsys, route, seed):
+    """``pipeline.seed`` is checked by the rule that ``derived_seed`` applies
+    to the same value, and every route names the key."""
+    path = tmp_path / "run.cfg"
+    path.write_text(f"pipeline.seed = {seed}\n")
+    with pytest.raises(ConfigError, match=r"^pipeline\.seed"):
+        if route == "file":
+            load_run_config(str(path), environ={})
+        elif route == "environment":
+            load_run_config(environ={"DIRACSIM_PIPELINE_SEED": str(seed)})
+        else:
+            load_run_config(overrides={"pipeline.seed": seed}, environ={})
+    if route == "file":
+        out = tmp_path / "out"
+        assert main(["gen-state", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "pipeline.seed" in err
+        assert not out.exists()
