@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import math
 import shutil
 import subprocess
 import sys
@@ -10,6 +12,7 @@ TOOLS = Path(__file__).resolve().parent.parent / "tools"
 SRC = TOOLS.parent / "src"
 CODE_LINES = TOOLS / "code_lines.py"
 CHAINS = TOOLS / "chains.py"
+LAYERS = TOOLS / "layers.py"
 
 _MODULE = '''"""Module docstring
 over two lines."""
@@ -119,3 +122,32 @@ def test_chains_parent_runs_each_tree_from_its_own_source(tmp_path, monkeypatch,
     _git(repo, "commit", "-qm", "package")
     assert chains.main(["--small", "--parent", "HEAD", "--out", str(tmp_path / "b")]) == 0
     assert capsys.readouterr().out == "chains: no file differs\n"
+
+
+# the library layers that the North star names, each timed at every n
+NAMED_LAYERS = {"state", "validate", "transform", "readout", "expected counts", "seeds", "Poisson",
+                "estimator", "kernel build", "Bayes chirp", "Bayes analytic", "Bayes dense V",
+                "reconstruct", "write", "read (twin)", "read (text)"}
+
+
+def test_layers_times_every_named_layer_through_the_package(tmp_path):
+    out = tmp_path / "layers.json"
+    subprocess.run([sys.executable, str(LAYERS), "--n", "16", "--repeat", "1", "--out", str(out)],
+                   capture_output=True, check=True)
+    record = json.loads(out.read_text())
+    rows = record["rows"]
+    assert [row["layer"] for row in rows if row["n"] is None] == ["start-up"]
+    assert sorted(row["layer"] for row in rows if row["n"] == 16) == sorted(NAMED_LAYERS)
+    for row in rows:
+        assert row["calls"] == 1
+        times = [row[kind][stat] for kind in ("wall_ms", "cpu_ms") for stat in ("q1", "median", "q3")]
+        assert all(math.isfinite(t) and t > 0 for t in times), row
+        # the timed callable resolves in the package, so a rename in src/ fails here
+        module, _, attribute = row["callable"].partition(":")
+        found = importlib.import_module(f"diracsim.{module}")
+        for part in filter(None, attribute.split(".")):
+            found = getattr(found, part)
+        assert callable(found) or not attribute
+    bench = json.loads((TOOLS.parent / "BENCH_pr34.json").read_text())
+    assert set(record["host"]) == set(bench["host"])
+    assert set(record["env"]) == {"OPENBLAS_NUM_THREADS", "PYTHONDONTWRITEBYTECODE"}
