@@ -59,7 +59,23 @@ The kernel stores only the length-n generator ``row``; no n x n array
 outlives :func:`bayes_propagate`, which forms ``inv`` in its own output.  The
 product with W is a zero-padded, length-2n FFT convolution, and the
 normalization ``col @ W`` one FFT per row of W, each O(n^2 log n), never an
-n^3 matrix product.  The lens is never formed either: since
+n^3 matrix product.  W is also symmetric about its anti-diagonal,
+W[n-1-kp, j] = W[kp, n-1-j], so the normalization, taken without the row
+constant below (``norm[m, kp] = fft_j(t_j W[kp, j])[m]``), obeys, with j
+replaced by n-1-j,
+
+    norm[m, n-1-kp] = t_{n-1} w^m norm[(n - m) mod n, kp],    w = exp(2 pi i / n),
+
+exactly, and ``inv = 1 / norm`` the same with w^-m.  Column n-1-kp mirrors
+column kp, and for odd n the middle column is its own mirror, so only the
+rows kp < ceil(n/2) of W are transformed: half the normalization's FFTs.
+Each row m of the other columns of ``inv`` is row (-m) mod n of the first
+ones, reversed, times t_{n-1} w^-m = t_{n-1} w^((-m) mod n), a root taken
+as :attr:`.Grid.overlap_matrix` takes its roots (:func:`.lattice._roots`).
+A mirrored norm has the modulus of the one it comes from, so the check that
+none vanishes or is infinite, made on the transformed columns, covers them
+all.
+The lens is never formed either: since
 
     t_k conj(F[m, k]) = exp(2 pi i k (n - 2m) / 2n),
 
@@ -87,7 +103,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ContractError, DegenerateKernelError, NumericalIntegrityError
-from .lattice import Grid, TWO_PI, _as_array, _as_float
+from .lattice import Grid, TWO_PI, _as_array, _as_float, _roots
 from .qstate import BenchConfig, DensityMatrix
 from .dirac import DiracDistribution, _check_quasi_probability, reconstruct_density
 from . import weaksim
@@ -328,7 +344,13 @@ def bayes_propagate(dist: DiracDistribution, kernel: PropagatorKernel) -> Propag
     one FFT per row of W, read as a sliding-window view of ``row``; the
     first pass writes ``inv = 1 / norm`` into the output a block of W's
     rows (a block of columns of ``inv``) at a time, and a norm that vanishes
-    or is not finite is a NumericalIntegrityError.  The second pass takes
+    or is not finite is a NumericalIntegrityError, raised before any
+    division.  It stops at row ceil(n/2): by the wavelet's mirror symmetry
+    (module docstring), ``inv[m, n-1-kp] = t_{n-1} w^-m inv[(-m) mod n, kp]``,
+    so the other columns are filled a row block at a time as a gather of
+    the transformed ones, reversed, times a length-n phase; a mirrored entry
+    has the modulus of its source, so the check has covered it.  The
+    second pass takes
     the product with the Toeplitz W by a length-2n FFT convolution: each row
     block of ``inv``, times d, is written into the left half of a zeroed
     (b, 2n) block, and row m of its spectrum, times the wavelet spectrum,
@@ -363,8 +385,12 @@ def bayes_propagate(dist: DiracDistribution, kernel: PropagatorKernel) -> Propag
         row, t = kernel.row, grid._signs
         # row kp of W is [row[n-1], ..., row[1], row[0], ..., row[n-1]] read from n - 1 - kp
         w = sliding_window_view(np.concatenate((row[:0:-1], row)), n)[::-1]
+        half = (n + 1) // 2  # columns kp >= half of inv are the mirror of those below
         e = np.empty((n, n), dtype=complex)  # holds inv = 1 / norm until each row block is done
         for lo, hi in grid.row_blocks():
+            if lo >= half:
+                break
+            hi = min(hi, half)
             norm = np.fft.fft(w[lo:hi] * t, axis=1)  # norm[:, lo:hi], transposed
             size = np.abs(norm)
             if not (size.min() > 0.0 and size.max() < np.inf):  # also False for NaN
@@ -372,6 +398,11 @@ def bayes_propagate(dist: DiracDistribution, kernel: PropagatorKernel) -> Propag
                     "analytic kernel normalization vanished or is not finite")
             np.divide(1.0, norm.T, out=e[:, lo:hi])
         del norm, size  # freed before the convolution's own blocks are taken
+        # inv[m, n-1-kp] = t_{n-1} exp(-2 pi i m/n) inv[-m mod n, kp] (module docstring)
+        m = np.arange(n)
+        phase = t[-1] * _roots(-m % n, n)
+        for lo, hi in grid.row_blocks():
+            np.multiply(e[-m[lo:hi] % n, n - half - 1::-1], phase[lo:hi, None], out=e[lo:hi, half:])
         # W is the top-left n x n corner of this 2n-point circulant
         spectrum = np.fft.fft(np.concatenate((row, [0.0], row[:0:-1])))
         buf = np.empty((grid.row_blocks()[0][1], 2 * n), dtype=complex)

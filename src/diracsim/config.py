@@ -91,7 +91,8 @@ def _typed(key: str, value, default):
     key, read by ``_as_float``, a flag (``_is_bool``) for a bool key, a
     string for a string key, and a tuple or list of such items for a tuple
     key.  Anything else is a ConfigError.  An int too large for a float reads
-    as nan, which the key's owner refuses."""
+    as inf of its sign, as the same number given as text does, which the
+    key's owner refuses with the same message."""
     if isinstance(default, tuple) and isinstance(value, (tuple, list)):
         return tuple(_typed(key, item, default[0]) for item in value)
     takes = {bool: _is_bool(value), int: _is_int(value), str: isinstance(value, str),

@@ -64,8 +64,9 @@ one.
 
 This module also holds the package's three rules for what a public value
 is.  A scalar: ``_as_float`` reads a float as ``float`` reads it, with nan
-for what ``float`` refuses and for a flag, so the caller's own finiteness
-or interval check refuses it, ``_is_int`` takes an integer as a Python or
+for what ``float`` refuses as not a number and for a flag, and inf of its
+sign for an int too large for a float, so the caller's own finiteness or
+interval check refuses it, ``_is_int`` takes an integer as a Python or
 numpy integer that is not a ``bool``, and ``_is_bool`` a flag as a Python
 or numpy ``bool``.  An array: ``_as_array`` reads it with ``np.asarray``, with no
 copy, and refuses one that numpy cannot read, whose dtype is not a number's
@@ -204,15 +205,13 @@ class Grid:
         ``diag(t) F diag(b) / sqrt(n)``.
 
         The DFT table ``F[m, k] = exp(2 pi i m k / n)`` is gathered from its
-        n roots with the exponent m k reduced mod n exactly in integers before
-        any phase is rounded, and each root exp(2 pi i j / n) is taken at j
-        reduced into (-n/2, n/2], so no phase above pi is rounded.
+        n roots (:func:`_roots`) with the exponent m k reduced mod n exactly
+        in integers before any phase is rounded.
         """
         n = self.n
         exponent = np.outer(np.arange(n), np.arange(n))
         exponent %= n
-        j = np.arange(n)
-        u = np.exp(np.pi * 1j * (2 * np.where(2 * j > n, j - n, j) / n))[exponent]
+        u = _roots(np.arange(n), n)[exponent]
         u *= self._signs[:, None] / np.sqrt(n)
         u *= np.exp(1j * self.coords[0] * self.momenta)
         u.setflags(write=False)
@@ -258,13 +257,23 @@ class Grid:
         return self.unit_map
 
 
+def _roots(j: np.ndarray, n: int) -> np.ndarray:
+    """The roots ``exp(2 pi i j / n)`` for integers j in [0, n), each taken at
+    j reduced into (-n/2, n/2], so that no phase above pi is rounded."""
+    return np.exp(np.pi * 1j * (2 * np.where(2 * j > n, j - n, j) / n))
+
+
 def _as_float(value) -> float:
     """``float(value)``, or nan for a flag (:func:`_is_bool`) and for a value
-    that ``float`` refuses (one that is not a number, or an int too large
-    for a float), which every check for a positive or finite number
-    refuses."""
-    with contextlib.suppress(TypeError, ValueError, OverflowError):
-        return math.nan if _is_bool(value) else float(value)
+    that ``float`` refuses as not a number, which every check for a positive
+    or finite number refuses.  A number too large for a float (an int such as
+    10 ** 400) reads as inf of its sign, as ``float("1e400")`` does, and every
+    such check refuses that too."""
+    with contextlib.suppress(TypeError, ValueError):
+        try:
+            return math.nan if _is_bool(value) else float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
     return math.nan
 
 

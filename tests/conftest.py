@@ -344,10 +344,18 @@ def whole_analytic_inverse(kernel):
     ``norm[m, kp] = fft_j(t_j W[kp, j])[m]`` and W gathered by
     :func:`dense_wavelet`.  This is ``1 / (col @ W)`` times the lens's row
     constant (-i)^n t_m, which :func:`whole_propagate` leaves out of the lens
-    in turn."""
-    grid = kernel.grid
-    norm = np.fft.fft(dense_wavelet(kernel.row) * grid._signs, axis=1)
-    return 1.0 / norm.T
+    in turn.  As there, only the columns kp < ceil(n/2) are transformed; the
+    rest are their mirror ``inv[m, n-1-kp] = t_{n-1} exp(2 pi i j/n)
+    inv[j, kp]``, j = -m mod n, with the root taken at j reduced into
+    (-n/2, n/2]."""
+    grid, n = kernel.grid, kernel.grid.n
+    half = (n + 1) // 2
+    inv = np.empty((n, n), dtype=complex)
+    inv[:, :half] = 1.0 / np.fft.fft(dense_wavelet(kernel.row)[:half] * grid._signs, axis=1).T
+    j = -np.arange(n) % n
+    phase = grid._signs[-1] * np.exp(np.pi * 1j * (2 * np.where(2 * j > n, j - n, j) / n))
+    inv[:, half:] = inv[j, n - half - 1::-1] * phase[:, None]
+    return inv
 
 
 def displaced_trace_oracle(k_basis, rho):

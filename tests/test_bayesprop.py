@@ -10,7 +10,7 @@ from diracsim import (ConfigError, ContractError, DegenerateKernelError, UnitMap
                       pure_from_samples, random_density_matrix, scan)
 from diracsim import (BenchConfig, NumericalIntegrityError, PropagatedDistribution,
                       PropagatorKernel)
-from diracsim import bayesprop
+from diracsim import bayesprop, lattice
 from diracsim.bayesprop import KIND_ANALYTIC, KIND_UNITARY
 from diracsim.lattice import TWO_PI
 from conftest import (analytic_kernel_term, analytic_lens, bench_grid, cond_array,
@@ -306,6 +306,31 @@ def test_analytic_branch_never_forms_the_dft_table(monkeypatch, n):
     assert abs(e.e.sum() - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("n", [300, 301])
+def test_analytic_branch_transforms_only_half_the_rows_of_the_wavelet(monkeypatch, n):
+    """Pass 1 transforms the rows kp < ceil(n/2) of W and fills the other
+    columns of ``inv`` by the wavelet's mirror symmetry, so exactly ceil(n/2)
+    rows go through an FFT of length n; the convolution's have length 2n."""
+    grid = make_grid(n, 44e-3 / n, 3e-4, UM)
+    blocks = grid.row_blocks()
+    assert any(lo < (n + 1) // 2 < hi for lo, hi in blocks[:-1])  # a block straddles it
+    d = dirac_distribution(random_density_matrix(grid, np.random.default_rng(n)))
+    kernel = build_kernel_analytic(grid, 0.16)
+    expected = bayes_propagate(d, kernel).e
+    fft, rows = np.fft.fft, []
+
+    def counting_fft(a, *args, **kwargs):
+        out = fft(a, *args, **kwargs)
+        if out.shape[kwargs.get("axis", -1)] == n:
+            rows.append(out.size // n)
+        return out
+
+    monkeypatch.setattr(bayesprop.np.fft, "fft", counting_fft)
+    e = bayes_propagate(d, kernel).e
+    assert sum(rows) == (n + 1) // 2
+    assert np.array_equal(e, expected)
+
+
 def test_unitary_kernel_stores_only_v():
     grid = _unit_grid(16)
     kernel = build_kernel_unitary(grid, fresnel_unitary(grid, 0.16), 0.16)
@@ -429,18 +454,30 @@ def test_non_finite_displacement_is_a_config_error(dz):
         build_kernel_unitary(grid, np.ones(grid.n), dz)
 
 
-@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
-def test_analytic_normalization_guard_rejects_zero_and_non_finite(monkeypatch, bad):
+# kp = 7 = ceil(16/2) - 1 is the last column that pass 1 transforms, in the
+# last of its blocks of 3 rows of W, so a loop that stops a block early misses it
+@pytest.mark.parametrize("bad, kp", [(0.0, 1), (np.nan, 1), (np.inf, 1),
+                                     (0.0, 7), (np.nan, 7), (np.inf, 7)],
+                         ids=["0.0", "nan", "inf", "0.0 at the last computed column",
+                              "nan at the last computed column",
+                              "inf at the last computed column"])
+def test_analytic_normalization_guard_rejects_zero_and_non_finite(monkeypatch, bad, kp):
     """``bayes_propagate`` forms the normalization before any other FFT, and
-    refuses it before dividing by it."""
+    refuses it before dividing by it, in every column it transforms."""
+    monkeypatch.setattr(lattice, "BLOCK", 48)
     grid = _unit_grid()
+    assert grid.row_blocks()[:3] == [(0, 3), (3, 6), (6, 9)]
     d = dirac_distribution(random_density_matrix(grid, np.random.default_rng(7)))
     kernel = build_kernel_analytic(grid, 0.1)
-    fft = np.fft.fft
+    fft, seen = np.fft.fft, []
 
     def broken_fft(a, *args, **kwargs):  # the transform of the rows of W that gives norm
         out = fft(a, *args, **kwargs)
-        out[1, 2] = bad
+        if out.shape[-1] == grid.n:  # rows sum(seen), ... of W; the convolution's are 2n long
+            first = sum(seen)
+            seen.append(out.shape[0])
+            if first <= kp < first + out.shape[0]:
+                out[kp - first, 2] = bad
         return out
 
     monkeypatch.setattr(bayesprop.np.fft, "fft", broken_fft)
@@ -449,7 +486,8 @@ def test_analytic_normalization_guard_rejects_zero_and_non_finite(monkeypatch, b
 
 
 # n mod 4 fixes the lens row constant (-i)^n t_m; 66 and 67 meet n = 2 and 3 mod 4 past n = 8
-@pytest.mark.parametrize("n", [2, 3, 8, 9, 12, 66, 67, 97, 256])
+# at 300 and 301 the mirror boundary ceil(n/2) falls inside the third of six row blocks
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 12, 66, 67, 97, 256, 300, 301])
 @pytest.mark.parametrize("x0", [0.0, 3e-4])
 @pytest.mark.parametrize("dz", [0.084, 0.16, 0.325])
 def test_analytic_propagation_matches_dense_product(n, x0, dz):

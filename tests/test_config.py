@@ -375,13 +375,33 @@ FLOAT_KEYS = [key for key, default in DEFAULTS.items() if isinstance(default, fl
 
 @pytest.mark.parametrize("key", FLOAT_KEYS + ["propagation.dz"])
 def test_a_typed_int_too_large_for_a_float_is_refused_by_its_keys_owner(key):
-    """The int reads as nan, as ``_as_float`` reads it, and the grid, the
-    bench or the displacement check refuses it.  At the parent every one of
-    these escaped as a bare OverflowError."""
+    """The int reads as inf, as ``_as_float`` reads it, and the grid, the
+    bench or the displacement check refuses it.  Before ``config._typed``
+    read floats through ``_as_float``, each of these escaped as a bare
+    OverflowError."""
     assert len(FLOAT_KEYS) == 12
     value = [10 ** 400] if key == "propagation.dz" else 10 ** 400
     with pytest.raises(ConfigError):
         build_run_config({key: value})
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS + ["propagation.dz"])
+@pytest.mark.parametrize("sign", ["", "-"], ids=["plus", "minus"])
+def test_a_typed_int_too_large_for_a_float_is_refused_as_its_text_is(key, sign):
+    """``10 ** 400`` reads as inf of its sign, as ``float("1e400")`` does, so
+    the typed and the text override end in the same message.  When the int
+    read as nan, the typed message printed ``nan`` where the text one
+    printed ``inf``."""
+    typed = int(sign + "1" + "0" * 400)
+    messages = []
+    for value in (typed, sign + "1e400"):
+        if key == "propagation.dz" and not isinstance(value, str):
+            value = [value]
+        with pytest.raises(ConfigError) as refused:
+            build_run_config({key: value})
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1]
+    assert "inf" in messages[0] and "nan" not in messages[0]
 
 
 @pytest.mark.parametrize("key", ["bench.mixed", "pipeline.noise", "pipeline.correct"])
