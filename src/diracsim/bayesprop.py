@@ -226,13 +226,15 @@ def fresnel_unitary(grid: Grid, dz: float) -> np.ndarray:
     return np.exp(-1j * (scale * (np.arange(grid.n) - grid.n / 2) ** 2))
 
 
-def _check_displacement(dz: float) -> float:
+def _check_displacement(dz: float, what: str = "camera displacement dz") -> float:
     """``dz`` as a float; a camera displacement that is not a number (one
     that ``float`` refuses), or is negative, infinite or NaN, is a
-    ConfigError."""
+    ConfigError, which names it as ``what``.  The one rule for every
+    displacement: the kernels, :class:`PropagatedDistribution` and the
+    config's ``propagation.dz`` entries."""
     if 0 <= (value := _as_float(dz)) < np.inf:  # False for NaN
         return value
-    raise ConfigError(f"camera displacement dz {dz!r} must be finite and nonnegative")
+    raise ConfigError(f"{what} {dz!r} must be finite and nonnegative")
 
 
 def _checked_unitary(grid: Grid, v: np.ndarray) -> np.ndarray:

@@ -131,8 +131,7 @@ def cmd_measure(cfg: RunConfig, path: str) -> int:
     phi, budget = cfg.bench.phi, cfg.bench.photon_budget
     readout = weaksim.sliver_readout(state, phi, budget)
     # per scan, the seed of each sliver's shot noise
-    scan_seeds = [weaksim.sliver_seeds(weaksim.derived_seed(cfg.seed, 10_000_000 + rep), n)
-                  for rep in range(cfg.scans)] if cfg.noise else [None]
+    scan_seeds = weaksim.scan_seeds(cfg.seed, cfg.scans, n) if cfg.noise else [None]
 
     def write_counts(lo, counts):
         for m in range(lo, lo + counts.shape[1]):

@@ -24,6 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .bayesprop import _check_displacement
 from .errors import ConfigError
 from .lattice import Grid, UnitMap, _as_float, _is_bool, _is_int, make_grid
 from .qstate import BenchConfig
@@ -206,8 +207,7 @@ def build_run_config(values: dict | None = None) -> RunConfig:
     # + 0.0 turns -0.0 into 0.0, which %g would name apart
     dz_list = tuple(dz + 0.0 for dz in merged["propagation.dz"])
     for dz in dz_list:
-        if not 0 <= dz < np.inf:
-            raise ConfigError(f"propagation.dz: displacement {dz!r} must be finite and nonnegative")
+        _check_displacement(dz, "propagation.dz: displacement")
         name = propagated_name(dz)
         if name in names:
             raise ConfigError(

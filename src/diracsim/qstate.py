@@ -98,9 +98,7 @@ class DensityMatrix:
             herm = np.max(np.abs(self.rho - h))
             if not herm <= HERMITICITY_TOL:
                 raise ContractError(f"density matrix not Hermitian (residual {herm:.3e})")
-            tr = self.rho.trace()
-            if not abs(tr - 1.0) <= TRACE_TOL:
-                raise ContractError(f"density matrix trace {tr} deviates from 1")
+            _check_trace(self.rho)
             h += self.rho
             h *= 0.5
         h[np.diag_indices(n)] += PSD_TOL
@@ -173,8 +171,26 @@ class BenchConfig:
             raise ConfigError(f"edge_loss {self.edge_loss} not in [0, 1]")
         if not 0.0 < self.phi < 0.5 * np.pi:
             raise ConfigError(f"coupling angle phi {self.phi} not in (0, pi/2)")
-        if not 0 <= self.photon_budget < np.inf:
-            raise ConfigError(f"photon_budget {self.photon_budget} must be finite and nonnegative")
+        _check_budget(self.photon_budget)
+
+
+def _check_budget(value, name: str = "photon_budget") -> float:
+    """``value`` as ``float`` reads it; a photon budget that is negative or
+    not finite, or not a number, is a ConfigError, which names it as
+    ``name``.  The one rule for every budget: :meth:`BenchConfig.validate`
+    and :func:`.weaksim.sliver_readout`."""
+    if 0 <= (budget := _as_float(value)) < np.inf:  # False for NaN
+        return budget
+    raise ConfigError(f"{name} {value} must be finite and nonnegative")
+
+
+def _check_trace(rho: np.ndarray) -> None:
+    """Refuse a density matrix ``rho`` whose trace is not 1 within
+    ``TRACE_TOL`` (ContractError).  The one rule for every state:
+    :meth:`DensityMatrix.validate` and :func:`_built_state`."""
+    tr = rho.trace()
+    if not abs(tr - 1.0) <= TRACE_TOL:
+        raise ContractError(f"density matrix trace {tr} deviates from 1")
 
 
 def wedge_gradient_from_angle(angle: float, wavelength: float, glass_index: float = 1.5) -> float:
@@ -241,9 +257,7 @@ def _built_state(grid: Grid, rho: np.ndarray) -> DensityMatrix:
     """
     rho.setflags(write=False)
     out = DensityMatrix(grid=grid, rho=rho)
-    tr = rho.trace()
-    if not abs(tr - 1.0) <= TRACE_TOL:
-        raise ContractError(f"density matrix trace {tr} deviates from 1")
+    _check_trace(rho)
     object.__setattr__(out, "_valid", True)
     return out
 

@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, NoPhotonsError, NumericalIntegrityError
 from .lattice import Grid, _as_array, _as_float, _is_bool, _is_int, make_grid
-from .qstate import BenchConfig, DensityMatrix, pure_from_samples, density_from_pure
+from .qstate import BenchConfig, DensityMatrix, _check_budget, pure_from_samples, density_from_pure
 from .dirac import DiracDistribution, dirac_distribution, operator_dirac
 
 READOUT_KEYS = ("D", "A", "L", "R")
@@ -120,8 +120,7 @@ def sliver_readout(rho: DensityMatrix, phi: float, photon_budget: float) -> Sliv
     to vanish.
     """
     off = backaction_offset(rho, phi)
-    if not 0 <= (budget := _as_float(photon_budget)) < np.inf:
-        raise ConfigError(f"photon_budget {photon_budget} must be finite and nonnegative")
+    budget = _check_budget(photon_budget)
     w = operator_dirac(rho.grid, rho.rho).d
     col = w.sum(axis=0)
     if 0.5 * np.max(np.abs(col.imag)) > 1e-12:
@@ -155,6 +154,13 @@ def _check_seed(name: str, value) -> None:
 def sliver_seeds(seed: int, n: int) -> list[int]:
     """The seed of each of n slivers' shot noise, ``derived_seed(seed, m)``."""
     return [derived_seed(seed, m) for m in range(n)]
+
+
+def scan_seeds(seed: int, scans: int, n: int) -> list[list[int]]:
+    """The per-sliver seeds of each of ``scans`` noisy scans of n slivers, as
+    the ``measure`` command draws them: scan k's are
+    ``sliver_seeds(derived_seed(seed, 10_000_000 + k), n)``."""
+    return [sliver_seeds(derived_seed(seed, 10_000_000 + k), n) for k in range(scans)]
 
 
 def _check_means(low: float, peak: float) -> None:
