@@ -72,6 +72,15 @@ or numpy ``bool``.  An array: ``_as_array`` reads it with ``np.asarray``, with n
 copy, and refuses one that numpy cannot read, whose dtype is not a number's
 (a bool, string or object array) or whose shape is not the grid's, each a
 ContractError; the four grid-bound types hold what it returns.
+
+Each rule on one kind of input value has one owner as well, which every
+caller passes its own name for the value: a camera displacement
+(``bayesprop._check_displacement``: the kernels, a propagated distribution
+and the config's ``propagation.dz`` entries), a photon budget
+(``qstate._check_budget``: the bench config and the sliver readout), the
+trace of a state (``qstate._check_trace``: a full check and a state built
+from amplitudes), a seed (``weaksim._check_seed``) and the seeds of a noisy
+scan (``weaksim.scan_seeds``).
 """
 
 from __future__ import annotations

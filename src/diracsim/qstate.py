@@ -151,14 +151,13 @@ class BenchConfig:
                 raise ConfigError(f"{key} {value} must be finite")
         half_span = 0.5 * grid.span
         if not 0 < self.aperture_halfwidth <= half_span + 1e-12 * grid.dx:
-            raise ConfigError(
-                f"aperture_halfwidth {self.aperture_halfwidth} outside grid half-span {half_span}"
-            )
+            raise ConfigError(f"bench.aperture_halfwidth {self.aperture_halfwidth} outside "
+                              f"grid half-span {half_span}")
         lo = grid.x0 - self.aperture_halfwidth
         hi = grid.x0 + self.aperture_halfwidth
         if not lo < self.edge_position < hi:
             raise ConfigError(
-                f"edge_position {self.edge_position} outside aperture [{lo}, {hi}]"
+                f"bench.edge_position {self.edge_position} outside aperture [{lo}, {hi}]"
             )
         # the phase is linear in x, so its extremes are at the lattice's first
         # and last site; Python floats overflow to inf with no warning
@@ -168,10 +167,10 @@ class BenchConfig:
                 raise ConfigError(f"bench.phase_step, bench.wedge_tilt: the bench phase {step} + "
                                   f"{tilt} (x - {edge}) is not finite at lattice site x = {x}")
         if not 0.0 <= self.edge_loss <= 1.0:
-            raise ConfigError(f"edge_loss {self.edge_loss} not in [0, 1]")
+            raise ConfigError(f"bench.edge_loss {self.edge_loss} not in [0, 1]")
         if not 0.0 < self.phi < 0.5 * np.pi:
             raise ConfigError(f"coupling angle phi {self.phi} not in (0, pi/2)")
-        _check_budget(self.photon_budget)
+        _check_budget(self.photon_budget, "bench.photon_budget")
 
 
 def _check_budget(value, name: str = "photon_budget") -> float:

@@ -42,6 +42,12 @@ shot noise per scan, each sliver from its own seed, averages the scans'
 estimate rows as the blocks come and hands the first scan's counts to a
 sink.  Each estimate row depends on its own sliver alone, so the result is
 the whole-array one to the last bit.
+
+The shot noise of a run hangs on one seed tree (:func:`scan_seeds`): scan k
+of a noisy run with seed s draws sliver m from
+``derived_seed(derived_seed(s, 10_000_000 + k), m)``, so a library caller
+reproduces a ``measure`` run from its seed alone; :func:`scan` draws its one
+scan from ``sliver_seeds(seed, n)``, sliver m from ``derived_seed(seed, m)``.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ the case says, one stderr line on failure and none on success, never a
 ``Traceback`` or a ``Warning``, and no ``.tmp-*`` file left.  A case that
 ``writes`` nothing must leave its tree as it found it; ``present`` files
 must be non-empty and ``absent`` ones missing, and ``check`` asserts what
-is left on the files.
+is left on the files; ``names`` is a text that the stderr line must hold.
 
 A case starts from its ``files`` (relative path: text) and the outputs of
 its ``prior`` invocations, which run once, in process, before its two runs.
@@ -50,6 +50,7 @@ class Case:
     present: tuple = ()
     absent: tuple = ()
     check: object = None  # called with the script run's directory
+    names: str = ""  # a text that the stderr line must hold, such as the refused key
 
 
 # n = 160 spans two row blocks, so each stage crosses a block boundary
@@ -147,6 +148,13 @@ _CASES = {
     "grid.n of 16#x": Case("gen-state --config hash.cfg --out hash",
                            (("hash.cfg", "grid.n = 16#x\ngrid.dx = 0.00275\n"),), code=2,
                            writes=False),
+    # a refused value is named by its config key
+    "propagation.dz of 0.1, -1": Case("gen-state --config dz.cfg --out dz",
+                                      (("dz.cfg", _SMALL + "propagation.dz = 0.1, -1\n"),),
+                                      code=2, writes=False, names="propagation.dz: displacement"),
+    "bench.photon_budget of -1": Case("gen-state --config budget.cfg --out budget",
+                                      (("budget.cfg", _SMALL + "bench.photon_budget = -1\n"),),
+                                      code=2, writes=False, names="bench.photon_budget -1.0"),
     "config file with a byte-order mark": Case("gen-state --config bom.cfg --out bom",
                                                (("bom.cfg", "\ufeff" + _SMALL),),
                                                present=("bom/state.txt",)),
@@ -228,6 +236,7 @@ def test_the_script_runs_as_main_does(name, start, tmp_path, monkeypatch):
     assert code == case.code, err
     assert "Traceback" not in err and "Warning" not in err, err
     assert len(err.splitlines()) == (1 if code else 0), err
+    assert case.names in err, err
     tree = _tree(root)
     assert not [p for p in tree if os.path.basename(p).startswith(".tmp-")], tree
     if not case.writes:
