@@ -151,3 +151,35 @@ def test_layers_times_every_named_layer_through_the_package(tmp_path):
     bench = json.loads((TOOLS.parent / "BENCH_pr34.json").read_text())
     assert set(record["host"]) == set(bench["host"])
     assert set(record["env"]) == {"OPENBLAS_NUM_THREADS", "PYTHONDONTWRITEBYTECODE"}
+
+
+STAGE_TIMER = TOOLS / "stages.py"
+
+
+def test_stages_times_every_stage_as_its_own_process_without_numpy(tmp_path):
+    out = tmp_path / "stages.json"
+    subprocess.run([sys.executable, "-S", str(STAGE_TIMER), "--n", "16", "--scans", "1",
+                    "--repeat", "1", "--out", str(out)], capture_output=True, check=True,
+                   timeout=60)
+    record = json.loads(out.read_text())
+    assert [row["stage"] for row in record["rows"]] == list(_chains().STAGES)
+    for row in record["rows"]:
+        assert (row["n"], row["runs"], row["exit"]) == (16, 1, 0), row
+        values = [row[kind][stat] for kind in ("wall_s", "cpu_s") for stat in ("q1", "median", "q3")]
+        assert all(math.isfinite(v) and v > 0 for v in values + [row["peak_mb"]]), row
+    # the tool never loads numpy, so no stage's peak counts a numpy of the tool's
+    assert record["numpy_loaded"] is False
+    bench = json.loads((TOOLS.parent / "BENCH_pr34.json").read_text())
+    assert set(record["host"]) == set(bench["host"])
+    assert set(record["env"]) == {"OPENBLAS_NUM_THREADS", "PYTHONDONTWRITEBYTECODE"}
+
+
+def test_stages_refuses_a_run_whose_stage_exits_non_zero(tmp_path):
+    out = tmp_path / "stages.json"
+    done = subprocess.run([sys.executable, "-S", str(STAGE_TIMER), "--n", "16", "--scans", "0",
+                           "--repeat", "1", "--out", str(out)], capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.startswith("stages: n = 16: gen-state exited 2: diracsim: config error: "
+                                  "pipeline.scans"), done.stderr
+    assert not out.exists()

@@ -71,6 +71,15 @@ def _run(tree: Path | None, argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def write_chain(dest: Path, overrides: dict) -> list[list[str]]:
+    """Write ``dest/config.txt`` and make ``dest/out``; each stage's arguments, in order."""
+    (out := dest / "out").mkdir(parents=True)
+    config = dest / "config.txt"
+    config.write_text("".join(f"{key} = {value}\n" for key, value in overrides.items()))
+    return [[stage, "--config", str(config), "--out", str(out),
+             *(arg.replace("<out>", str(out)) for arg in ARGS.get(stage, ()))] for stage in STAGES]
+
+
 def run_chain(dest: Path, overrides: dict, tree: Path | None, small: bool = False) -> str | None:
     """Run the stages of one chain into ``dest``; None, or the first stage
     that exits with a code other than 0."""
@@ -78,12 +87,8 @@ def run_chain(dest: Path, overrides: dict, tree: Path | None, small: bool = Fals
         n = 16 if overrides.get("grid.n", 256) % 2 == 0 else 17
         overrides = {**overrides, "grid.n": n, "grid.dx": 0.044 / n}
     out = dest / "out"
-    out.mkdir(parents=True)
-    config = dest / "config.txt"
-    config.write_text("".join(f"{key} = {value}\n" for key, value in overrides.items()))
-    for i, stage in enumerate(STAGES):
-        argv = [stage, "--config", str(config), "--out", str(out), *ARGS.get(stage, ())]
-        code, stdout, stderr = _run(tree, [arg.replace("<out>", str(out)) for arg in argv])
+    for i, (stage, argv) in enumerate(zip(STAGES, write_chain(dest, overrides))):
+        code, stdout, stderr = _run(tree, argv)
         for suffix, text in (("stdout", stdout), ("stderr", stderr), ("exit", f"{code}\n")):
             (dest / f"{i}-{stage}.{suffix}").write_text(text.replace(str(out), "<out>"))
         if code != 0:
