@@ -55,15 +55,6 @@ def test_every_displacement_is_refused_by_its_owner_under_the_callers_name(dz):
         assert _refusal(ConfigError, build_run_config, {"propagation.dz": value}) == owned
 
 
-def test_a_displacement_of_zero_is_taken_on_every_route_but_the_analytic_kernel():
-    for dz in (0.0, -0.0):
-        assert _check_displacement(dz) == 0.0
-        assert np.array_equal(fresnel_unitary(GRID, dz), np.ones(16))
-        assert build_kernel_unitary(GRID, np.ones(16), dz).dz == 0.0
-        assert PropagatedDistribution(GRID, dz, np.eye(16), "made").dz == 0.0
-        assert build_run_config({"propagation.dz": (dz,)}).dz_list == (0.0,)
-
-
 @pytest.mark.parametrize("budget", BAD_NUMBERS)
 def test_every_photon_budget_is_refused_by_its_owner_under_the_callers_name(budget):
     rho = qstate.build_bench_state(BenchConfig(22e-3, 25e-3), GRID)
